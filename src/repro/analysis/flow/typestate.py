@@ -11,20 +11,19 @@ edges — restore the invariant".
 
 The repo's real protocols are seeded as built-in specs:
 
-* ``fastmode`` — ``FlashMemory.enter_fast_mode()`` must be paired with
-  ``exit_fast_mode()`` on every exit, and ``fold_stats()`` may only run
-  while fast mode is held (TP301/TP302).
 * ``process``/``pipe`` — supervisor worker lifecycles: a started
   ``Process`` must be joined/terminated on all exits and both ``Pipe``
   ends must be closed or handed off (TP303).
-* ``file`` — ``open()`` handles must be closed on all paths (TP301) and
-  with-able resources should use ``with``/``try-finally`` (TP305).
+* ``file`` — ``open()`` handles must be closed on all paths (TP301),
+  exactly once (TP302), and with-able resources should use
+  ``with``/``try-finally`` (TP305).
 * ``reset-before-run`` — the per-run device reset must dominate every
   ``serve_request`` dispatch on the run path (TP304).
 
 Module authors can declare additional pairings in-file with a
-``# tp: protocol(name=..., acquire=..., release=...)`` pragma; the spec
-is scoped to the declaring module.
+``# tp: protocol(name=..., acquire=..., release=..., use=...)`` pragma
+(an enter/exit window on a receiver, with calls that are only legal
+inside it); the spec is scoped to the declaring module.
 
 Abstract states per tracked resource key::
 
@@ -68,13 +67,13 @@ __all__ = [
 PROTOCOL_RULES: Dict[str, str] = {
     "TP301": (
         "resource acquired but not released on every path out of the "
-        "function, including exception edges (enter_fast_mode without "
-        "exit_fast_mode in a finally, open() without close())"
+        "function, including exception edges (open() without close(), a "
+        "declared acquire without its release in a finally)"
     ),
     "TP302": (
         "release or held-only call without a dominating acquire: double "
-        "release, or exit_fast_mode/fold_stats reachable outside the "
-        "fast-mode window"
+        "release (a second close()), or a declared use/release reachable "
+        "outside its acquire window"
     ),
     "TP303": (
         "worker lifecycle leak: a started Process is not joined or "
@@ -98,7 +97,7 @@ class ProtocolSpec:
 
     Two flavours share the dataclass.  *Receiver* specs (``acquire`` is
     non-empty) track any receiver expression the protocol methods are
-    invoked on (``flash.enter_fast_mode()`` tracks key ``flash``,
+    invoked on (``device.take_lease()`` tracks key ``device``,
     canonicalised through local aliases).  *Constructor* specs
     (``constructors`` non-empty) track names bound directly to a
     constructor call (``proc = ctx.Process(...)``), optionally moving
@@ -114,8 +113,6 @@ class ProtocolSpec:
     constructors: Tuple[str, ...] = ()
     start: Tuple[str, ...] = ()
     withable: bool = False
-    #: path parts whose modules are exempt (the implementation itself).
-    exempt_parts: Tuple[str, ...] = ()
     #: non-empty for pragma-declared specs: only applies in this module.
     module_scope: Optional[str] = None
 
@@ -143,15 +140,6 @@ class OrderSpec:
 
 
 PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
-    ProtocolSpec(
-        name="fastmode",
-        resource="flash fast mode",
-        leak_rule="TP301",
-        acquire=("enter_fast_mode",),
-        release=("exit_fast_mode",),
-        use=("fold_stats",),
-        exempt_parts=("flash",),
-    ),
     ProtocolSpec(
         name="process",
         resource="worker process",
@@ -181,7 +169,7 @@ ORDER_SPECS: Tuple[OrderSpec, ...] = (
     OrderSpec(
         name="reset-before-run",
         rule="TP304",
-        entry_names=("run", "run_fast"),
+        entry_names=("run",),
         before=("_reset_state",),
         target=("serve_request",),
     ),
@@ -1105,12 +1093,7 @@ class _FunctionAnalysis:
 def _specs_for(
     fn: FunctionInfo, module: ModuleInfo, local_specs: Sequence[ProtocolSpec]
 ) -> List[ProtocolSpec]:
-    parts = set(module.path.replace("\\", "/").split("/"))
-    specs: List[ProtocolSpec] = []
-    for spec in PROTOCOL_SPECS:
-        if spec.exempt_parts and parts & set(spec.exempt_parts):
-            continue
-        specs.append(spec)
+    specs: List[ProtocolSpec] = list(PROTOCOL_SPECS)
     for spec in local_specs:
         if spec.module_scope == module.name:
             specs.append(spec)

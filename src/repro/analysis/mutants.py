@@ -8,13 +8,13 @@ mutants** (``M01``–``M10``) cover the TP2xx value bugs: swapped
 ``lpn``/``ppn`` arguments, an ``lpn``-indexed structure indexed by
 VPN, a dropped ``* pages_per_block`` conversion, milliseconds handed
 to a microsecond parameter, a byte budget stored as an entry count.
-The **protocol mutants** (``P01``–``P10``) cover the TP3xx temporal
-bugs: a deleted ``finally`` around a fast-mode window, a dropped or
-swapped ``enter_fast_mode``/``exit_fast_mode``, ``fold_stats`` after
-the window closed, the supervisor's spawn-failure cleanup removed, a
-journal ``with`` block rewritten as manual ``open``/``close``, an
-early ``return`` before the ``close()``, and the per-run device reset
-dropped ahead of the serve loop.  Each mutant is applied to a
+The **protocol mutants** (``P05``–``P11``; the ids of the retired
+fast-mode window mutants are not reused) cover the TP3xx temporal
+bugs: the supervisor's spawn-failure cleanup removed, a journal
+``with`` block rewritten as manual ``open``/``close``, a stray second
+``close()``, an early ``return`` before the ``close()``, and the
+per-run device reset dropped ahead of the serve loop.  Each mutant is
+applied to a
 throwaway copy of ``src/`` and the harness asserts that
 
 * the **pristine copy is clean**: zero findings beyond the committed
@@ -29,9 +29,8 @@ nothing.  Run it as ``python -m repro.analysis mutants`` (CI does, in
 the ``analysis-mutants`` job) or through
 ``tests/test_analysis_mutants.py``.
 
-This is also the gate the planned vectorized fast path must pass: any
-rewrite of the translation hot loops has to keep all of these mutants
-detectable.
+Any rewrite of the translation hot loops has to keep all of these
+mutants detectable.
 """
 
 from __future__ import annotations
@@ -125,14 +124,13 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
         mid="M08", path="repro/ssd/device.py", rule="TP203",
         description="per-request service time converted to ms and "
                     "dispatched where µs are expected",
-        before="            service = cost.service_time(ssd.read_us,"
-               " ssd.write_us,\n"
-               "                                        ssd.erase_us)"
-               "\n",
-        after="            response_ms = cost.service_time("
-              "ssd.read_us, ssd.write_us,\n"
-              "                                        ssd.erase_us)"
-              " / 1000.0\n"
+        before="            service = (reads * read_us + writes * "
+               "write_us\n"
+               "                       + erases * erase_us)\n",
+        after="            response_ms = (reads * read_us + writes * "
+              "write_us\n"
+              "                           + erases * erase_us) / "
+              "1000.0\n"
               "            service = response_ms\n"),
     Mutant(
         mid="M09", path="repro/ssd/parallel.py", rule="TP203",
@@ -159,39 +157,6 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
 #: the seeded protocol mutants: every one must be killed by TP3xx
 PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
-        mid="P01", path="repro/ssd/fastpath.py", rule="TP301",
-        description="deleted finally around the fast-mode run window: "
-                    "exit_fast_mode only runs on one exception flavour",
-        before="    finally:\n"
-               "        flash.exit_fast_mode()",
-        after="    except MemoryError:\n"
-              "        flash.exit_fast_mode()\n"
-              "        raise"),
-    Mutant(
-        mid="P02", path="repro/ftl/base.py", rule="TP301",
-        description="deleted finally around the prefill fast-mode "
-                    "window: a raise mid-fill strands fast mode",
-        before="            finally:\n"
-               "                flash.exit_fast_mode()",
-        after="            except MemoryError:\n"
-              "                flash.exit_fast_mode()\n"
-              "                raise"),
-    Mutant(
-        mid="P03", path="repro/ssd/fastpath.py", rule="TP302",
-        description="dropped enter_fast_mode: the finally releases a "
-                    "window that was never opened",
-        before="    flash.enter_fast_mode()\n"
-               "    try:",
-        after="    try:"),
-    Mutant(
-        mid="P04", path="repro/ftl/base.py", rule="TP302",
-        description="swapped acquire for release: prefill exits fast "
-                    "mode where it meant to enter it",
-        before="            flash.enter_fast_mode()\n"
-               "            try:",
-        after="            flash.exit_fast_mode()\n"
-              "            try:"),
-    Mutant(
         mid="P05", path="repro/experiments/supervisor.py", rule="TP303",
         description="dropped spawn-failure cleanup: a partially-spawned "
                     "worker's pipe ends and process leak on the retry "
@@ -214,28 +179,12 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
               "\"\\n\")\n"
               "            handle.close()"),
     Mutant(
-        mid="P07", path="repro/ssd/fastpath.py", rule="TP304",
-        description="dropped per-run reset before the fast-path serve "
-                    "loop: previous replay state leaks into the run",
-        before="    device._validate_trace(trace)\n"
-               "    device._reset_state()",
-        after="    device._validate_trace(trace)"),
-    Mutant(
         mid="P08", path="repro/ssd/device.py", rule="TP304",
         description="dropped per-run reset in DeviceModel.run: "
                     "serve_request reachable without the reset",
         before="        self._validate_trace(trace)\n"
                "        self._reset_state()",
         after="        self._validate_trace(trace)"),
-    Mutant(
-        mid="P09", path="repro/ssd/fastpath.py", rule="TP302",
-        description="warmup fold moved outside the fast-mode window: "
-                    "exit before fold_stats loses the warmup counters",
-        before="            flash.fold_stats()\n"
-               "            flash.stats.reset()",
-        after="            flash.exit_fast_mode()\n"
-              "            flash.fold_stats()\n"
-              "            flash.stats.reset()"),
     Mutant(
         mid="P10", path="repro/experiments/supervisor.py", rule="TP301",
         description="early return before the journal handle is closed",
@@ -250,6 +199,22 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
               "            handle.write(json.dumps(payload) + "
               "\"\\n\")\n"
               "            handle.close()"),
+    Mutant(
+        mid="P11", path="repro/experiments/supervisor.py", rule="TP302",
+        description="journal append rewritten by hand with a stray "
+                    "second close(): double release of the handle",
+        before="            with open(self.path, \"a\", "
+               "encoding=\"utf-8\") as handle:\n"
+               "                handle.write(json.dumps(payload) + "
+               "\"\\n\")",
+        after="            handle = open(self.path, \"a\", "
+              "encoding=\"utf-8\")\n"
+              "            try:\n"
+              "                handle.write(json.dumps(payload) + "
+              "\"\\n\")\n"
+              "                handle.close()\n"
+              "            finally:\n"
+              "                handle.close()"),
 )
 
 

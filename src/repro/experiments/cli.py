@@ -24,7 +24,6 @@ finish an interrupted matrix without repeating any work.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,7 +32,7 @@ from typing import List, Optional
 from ..errors import RunnerError
 from .common import ExperimentScale
 from .registry import EXPERIMENTS, run_experiment
-from .runner import FASTPATH_ENV, configure_runner
+from .runner import configure_runner
 
 #: manifest written next to the run cache when cells are quarantined
 MANIFEST_NAME = "failure-manifest.json"
@@ -115,15 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-fast", action="store_true",
         help="abort the matrix at the first quarantined cell instead "
              "of completing the remaining cells first")
-    execution = parser.add_mutually_exclusive_group()
-    execution.add_argument(
-        "--fast", dest="fastpath", action="store_true", default=None,
-        help="execute cells through the batched fast path (the "
-             "default; identical results, several times faster)")
-    execution.add_argument(
-        "--reference", dest="fastpath", action="store_false",
-        help="execute cells through the reference per-operation path "
-             "(for parity diffing and debugging)")
     return parser
 
 
@@ -155,10 +145,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
     scale = resolve_scale(args)
-    if args.fastpath is not None:
-        # Propagate through the environment so supervised worker
-        # processes inherit the choice of execution core.
-        os.environ[FASTPATH_ENV] = "1" if args.fastpath else "0"
     runner = configure_runner(
         jobs=args.jobs,
         cache_dir=(False if args.no_cache

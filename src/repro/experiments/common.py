@@ -217,17 +217,6 @@ def run_matrix(scale: ExperimentScale,
     return dict(zip(keys, results))
 
 
-def clear_matrix_cache() -> None:
-    """Drop in-process memoised runs (tests use this to control memory).
-
-    Thin shim over :func:`~repro.experiments.runner.clear_run_caches`,
-    kept for callers of the pre-runner API; the persistent on-disk cache
-    is deliberately left alone.
-    """
-    from .runner import clear_run_caches
-    clear_run_caches()
-
-
 def tpftl_variant(monogram: str) -> TPFTLConfig:
     """The TPFTL configuration for an ablation monogram."""
     return TPFTLConfig.from_monogram(monogram)

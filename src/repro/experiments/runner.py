@@ -69,13 +69,6 @@ from .supervisor import (JOURNAL_NAME, Journal, RetryPolicy, Supervisor,
 CACHE_SCHEMA = 4
 #: environment variable overriding the worker count (``--jobs`` wins)
 JOBS_ENV = "REPRO_JOBS"
-#: environment variable selecting the execution core: truthy values
-#: (the default when unset) use the batched fast path, ``0``/``off``/
-#: ``false``/``reference`` force the reference per-operation path.
-#: The spec digest deliberately excludes this — both paths produce
-#: field-for-field identical results (CI diff-gates this), so they
-#: share cache entries.
-FASTPATH_ENV = "REPRO_FASTPATH"
 #: environment variable overriding the cache directory; the values
 #: ``off``, ``none`` and ``0`` disable on-disk caching entirely
 CACHE_ENV = "REPRO_RUNCACHE"
@@ -221,37 +214,19 @@ def build_spec_trace(spec: RunSpec) -> Trace:
     return trace
 
 
-def fastpath_enabled() -> bool:
-    """Whether the runner executes cells through the batched core.
-
-    Controlled by ``REPRO_FASTPATH`` (env vars propagate to pool
-    workers); unset means *on* — the fast path is the default because
-    it reproduces the reference field-for-field.
-    """
-    value = os.environ.get(FASTPATH_ENV, "").strip().lower()
-    return value not in ("0", "off", "false", "no", "reference")
-
-
-def execute_spec(spec: RunSpec, fast: Optional[bool] = None) -> RunResult:
-    """Run one cell from scratch (no cache) and return its result.
-
-    ``fast`` picks the execution core (batched vs reference);
-    ``None`` defers to :func:`fastpath_enabled`.  Both cores return
-    identical results, so the choice never affects cached digests.
-    """
+def execute_spec(spec: RunSpec) -> RunResult:
+    """Run one cell from scratch (no cache) and return its result."""
     trace = build_spec_trace(spec)
     config = simulation_config(trace, cache_fraction=spec.cache_fraction,
                                tpftl=spec.tpftl, channels=spec.channels)
     ftl = make_ftl(spec.ftl, config)
-    if fast is None:
-        fast = fastpath_enabled()
     weights = (spec.traffic.weights()
                if spec.traffic is not None and spec.qos == "fair"
                else None)
     return simulate(ftl, trace, sample_interval=spec.sample_interval,
                     keep_response_samples=spec.keep_response_samples,
                     warmup_requests=spec.scale.warmup_requests,
-                    channels=config.channels, fast=fast, qos=spec.qos,
+                    channels=config.channels, qos=spec.qos,
                     tenant_weights=weights)
 
 

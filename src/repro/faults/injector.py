@@ -1,9 +1,12 @@
 """The fault injector: the flash array's oracle for what goes wrong.
 
 :class:`FlashMemory` consults one injector at every program, read and
-erase.  The injector rolls its own :class:`random.Random` (seeded from
-the plan), so a fault sequence is a pure function of (plan, operation
-order) — rerunning a workload reproduces every fault at the same
+erase for as long as the injector is *live* — its plan can inject, a
+power cut was armed, or a harness stubbed one of its oracle methods.  An
+idle injector is skipped behind one attribute check, so the ideal device
+the paper measures pays nothing for the fault model.  The injector
+rolls its own :class:`random.Random` (seeded from the plan), so a fault
+sequence is a pure function of (plan, operation order) — rerunning a workload reproduces every fault at the same
 operation, which is what makes fault regressions debuggable.
 
 The injector also owns the power-cut countdown.  Power loss is raised at
@@ -23,6 +26,10 @@ from typing import Optional
 from ..errors import ConfigError, PowerLossError
 from .plan import FaultPlan
 
+#: the media-fault oracles; replacing one on an instance makes it live
+_ORACLES = frozenset({"read_attempt_fails", "program_fails",
+                      "erase_fails"})
+
 
 class FaultInjector:
     """Deterministic per-operation fault oracle for one flash array."""
@@ -30,7 +37,14 @@ class FaultInjector:
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
         self.plan = plan if plan is not None else FaultPlan()
         self._rng = random.Random(self.plan.seed)
-        #: flash operations that have started (and not been cut short).
+        #: True once anything here can fire; the flash array consults
+        #: the injector only then.  Raised by a plan that is not a
+        #: no-op, by :meth:`arm_power_loss` and by stubbing an oracle;
+        #: never lowered, so a once-faulty array keeps its per-operation
+        #: order for the rest of its life.
+        self.live = not self.plan.is_noop
+        #: flash operations started while live (and not cut short): on
+        #: an always-idle injector this stays 0.
         self.ops_seen = 0
         self._cut_at: Optional[int] = self.plan.power_cut_after_ops
         # injected-fault ground truth, for tests and reports
@@ -38,6 +52,14 @@ class FaultInjector:
         self.injected_program_failures = 0
         self.injected_erase_failures = 0
         self.power_cuts = 0
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # what-if harnesses and tests swap an oracle for a stub
+        # (``injector.erase_fails = lambda: True``); on an idle injector
+        # nobody would ever ask it, so the swap itself goes live
+        if name in _ORACLES:
+            object.__setattr__(self, "live", True)  # tp: allow=TP004 - own attribute, not a frozen config
+        object.__setattr__(self, name, value)  # tp: allow=TP004 - own attribute, not a frozen config
 
     # ------------------------------------------------------------------
     # Power loss
@@ -57,6 +79,7 @@ class FaultInjector:
         if after_ops < 0:
             raise ConfigError("after_ops must be non-negative")
         self._cut_at = self.ops_seen + after_ops
+        self.live = True
 
     def disarm_power_loss(self) -> None:
         """Cancel a pending power cut (the harness 'reconnects power')."""
@@ -65,8 +88,9 @@ class FaultInjector:
     def on_operation(self) -> None:
         """Account one flash operation; raise if power dies on it.
 
-        Called by the flash array at the start of every program attempt,
-        read attempt and erase, before any state changes.
+        Called by the flash array, while the injector is live, at the
+        start of every program attempt, read attempt and erase, before
+        any state changes.
         """
         if self._cut_at is not None and self.ops_seen >= self._cut_at:
             self.power_cuts += 1

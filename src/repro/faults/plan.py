@@ -30,8 +30,8 @@ class FaultPlan:
     """Probabilities and budgets of every injectable fault class.
 
     All rates are per-operation probabilities in ``[0, 1]``.  The plan
-    with every rate zero and no power cut is a no-op; the flash fast-
-    paths around the injector in that case.
+    with every rate zero and no power cut is a no-op; the flash array
+    skips the injector in that case.
     """
 
     #: RNG seed; two injectors with equal plans inject identical faults

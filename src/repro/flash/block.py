@@ -149,17 +149,20 @@ class Block:
             raise EraseError(
                 f"block {self.block_id} still has {self.valid_count} "
                 "valid pages")
-        for i in range(self.pages_per_block):
-            if self._states[i] is PageState.BAD:
-                continue
-            self._states[i] = PageState.FREE
-            self._meta[i] = None
+        self._meta = [None] * self.pages_per_block
         self._write_ptr = 0
+        if self.bad_count:
+            # bad pages survive the erase (their metadata is already
+            # None) and the write pointer skips any leading ones
+            self._states = [state if state is PageState.BAD
+                            else PageState.FREE for state in self._states]
+            self._advance()
+        else:
+            self._states = [PageState.FREE] * self.pages_per_block
         self.valid_count = 0
         self.invalid_count = 0
         self.erase_count += 1
         self.kind = BlockKind.FREE
-        self._advance()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Block(id={self.block_id}, kind={self.kind.value}, "

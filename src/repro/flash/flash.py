@@ -7,28 +7,31 @@ garbage, which block to victimise, and how mappings change are decisions of
 the FTL layered on top.  This mirrors the split in FlashSim that the paper
 extends.
 
-Batched execution (the fast mode): on an ideal device — a no-op
-:class:`~repro.faults.FaultPlan` — every per-operation fault consult is
-dead code and the per-op ``FlashStats`` dict updates dominate the
-simulator's profile.  :meth:`FlashMemory.enter_fast_mode` switches the
-array onto mechanically-equivalent operation paths that skip the
-injector, fold operation counts into plain integers (merged back into
-``stats`` by :meth:`FlashMemory.fold_stats`), maintain a lazy victim
-heap so greedy GC selection is O(log blocks) instead of a full scan,
-and track the device-wide erase-count spread so wear-leveling checks
-are O(1).  Every observable outcome — block states, mapping metadata,
-``op_seq``, counters after a fold, raised errors — is identical to the
-reference path; the parity suite diffs entire runs field by field.
+Every operation has one body.  What makes it cheap on an ideal device is
+bookkeeping the array always keeps: operation counts are plain integers on
+:class:`FlashStats`, a lazy victim heap makes greedy GC selection
+O(log blocks) instead of a full scan, and an erase-count histogram keeps
+the device-wide wear spread exact so wear-leveling checks are O(1).
 
-Reliability is handled here, below the FTLs, the way real controllers do:
-every program, read and erase consults a :class:`~repro.faults.FaultInjector`
-(a no-op by default).  Transient read errors are retried with exponential
+Reliability is handled here, below the FTLs, the way real controllers do,
+through one per-operation hook: when the :class:`~repro.faults.FaultInjector`
+is *live* (its plan can inject, a power cut is armed, or an oracle was
+stubbed) every program, read and erase consults it; an idle injector costs
+one attribute check.  Transient read errors are retried with exponential
 backoff; a failed program marks the page bad and transparently moves the
 write to the next programmable page; a failed erase — or an erase of a
 block whose bad pages crossed the retirement threshold — takes the block
-out of service.  Retirement eats the spare capacity; when more blocks
-retire than the over-provisioning can absorb, the array raises
-:class:`~repro.errors.DeviceWornOutError`.
+out of service.  Bad pages and retirement are per-block state, so a worn
+array runs the same code as a pristine one.  Retirement eats the spare
+capacity; when more blocks retire than the over-provisioning can absorb,
+the array raises :class:`~repro.errors.DeviceWornOutError`.
+
+Two mechanics differ with the hook, and the choice is the injector's
+liveness, never a flag: bulk moves (:meth:`FlashMemory.program_batch`,
+:meth:`FlashMemory.migrate_valid`) chunk-fill the write frontier on an
+ideal device, and go page by page — read, program, invalidate, in
+controller order — under a live injector, because the fault RNG stream and
+a power cut observe every operation.  Both leave the same array behind.
 """
 
 from __future__ import annotations
@@ -36,22 +39,15 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import SSDConfig
 from ..errors import (DeviceWornOutError, EraseError, FlashError,
-                      OutOfSpaceError, ProgramError, ReadError,
-                      SimInvariantError)
+                      OutOfSpaceError, ProgramError, ReadError)
 from ..faults import FaultInjector
 from ..types import BlockKind, PageKind, PageState
 from .block import Block
 from .stats import FlashStats
-
-#: Block kind owning pages of each page kind.
-_REGION_OF = {
-    PageKind.DATA: BlockKind.DATA,
-    PageKind.TRANSLATION: BlockKind.TRANSLATION,
-}
 
 
 class FlashMemory:
@@ -66,21 +62,15 @@ class FlashMemory:
             for i in range(config.physical_blocks)
         ]
         self._free: Deque[int] = deque(range(config.physical_blocks))
-        self._active: Dict[BlockKind, Optional[Block]] = {
-            BlockKind.DATA: None,
-            BlockKind.TRANSLATION: None,
-        }
-        #: plain-attribute mirrors of the two ``_active`` frontiers,
-        #: kept in sync at every assignment site so the per-page fast
-        #: program path avoids enum-keyed dict lookups.  ``_active``
-        #: stays the source of truth for everything else.
+        #: the two write frontiers (None until first use / after the
+        #: frontier block is erased)
         self._active_data: Optional[Block] = None
         self._active_trans: Optional[Block] = None
         self.stats = FlashStats()
         #: monotonic operation sequence, stamped onto blocks at program
         #: time so GC policies can reason about block age.
         self.op_seq = 0
-        #: fault oracle consulted on every operation (no-op by default).
+        #: fault oracle behind the per-operation hook (idle by default).
         self.injector = (injector if injector is not None
                          else FaultInjector(config.fault_plan()))
         #: blocks permanently out of service, in retirement order.
@@ -92,25 +82,16 @@ class FlashMemory:
         #: free-pool level at which GC triggers (cached off the config
         #: so the per-page ``gc_needed`` check stays one comparison).
         self._gc_trigger = config.gc_trigger_blocks
-        # -- batched execution (fast mode) -----------------------------
-        #: True while the injector-free fast operation paths are active.
-        self.fast_mode = False
         #: lazy greedy-victim index: ``(-invalid, erase_count, id)``
         #: entries pushed on every invalidation; stale entries (the
-        #: block's counts moved on) are dropped at pop time.
+        #: block's counts moved on, or it left service) are dropped at
+        #: pop time.
         self.victim_heap: List[Tuple[int, int, int]] = []
-        #: exact running device-wide max/min erase counts (fast mode).
+        #: exact running max/min erase counts over every block.
         self.max_erase = 0
         self.min_erase = 0
         #: blocks per erase-count level, backing ``min_erase``.
-        self._erase_hist: Dict[int, int] = {}
-        # operation-count folds, merged into ``stats`` by fold_stats()
-        self._fold_data_reads = 0
-        self._fold_trans_reads = 0
-        self._fold_data_writes = 0
-        self._fold_trans_writes = 0
-        self._fold_data_erases = 0
-        self._fold_trans_erases = 0
+        self._erase_hist: Dict[int, int] = {0: config.physical_blocks}
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -183,229 +164,73 @@ class FlashMemory:
 
     def active_block(self, kind: BlockKind) -> Optional[Block]:
         """The current write frontier for a region (may be None)."""
-        return self._active[kind]
+        return (self._active_data if kind is BlockKind.DATA
+                else self._active_trans)
 
     def total_erase_count(self) -> int:
         """Sum of per-block erase counts (wear)."""
         return sum(block.erase_count for block in self.blocks)
 
     # ------------------------------------------------------------------
-    # Batched execution (fast mode)
-    # ------------------------------------------------------------------
-    def enter_fast_mode(self) -> None:
-        """Switch to the injector-free batched operation paths.
-
-        Only legal on an ideal device: a fault plan that can never
-        inject (and therefore an array with no bad pages or retired
-        blocks).  Builds the victim heap and the erase-count histogram
-        from the current array state, so fast mode can be entered at
-        any point of a device's life — e.g. after a prefill that ran on
-        the reference path.
-        """
-        if self.fast_mode:
-            return
-        if not self.injector.plan.is_noop:
-            raise FlashError(
-                "fast mode requires a no-op fault plan; this injector "
-                "can fire, so every operation must consult it")
-        if self.retired_block_ids or self.bad_page_count:
-            raise FlashError(
-                "fast mode requires a pristine array (no bad pages or "
-                "retired blocks)")
-        heap: List[Tuple[int, int, int]] = []
-        hist: Dict[int, int] = {}
-        max_erase = 0
-        for block in self.blocks:
-            count = block.erase_count
-            hist[count] = hist.get(count, 0) + 1
-            if count > max_erase:
-                max_erase = count
-            if block.invalid_count and block.kind is not BlockKind.FREE:
-                heap.append((-block.invalid_count, count, block.block_id))
-        heapq.heapify(heap)
-        self.victim_heap = heap
-        self._erase_hist = hist
-        self.max_erase = max_erase
-        self.min_erase = min(hist)
-        self.fast_mode = True
-
-    def exit_fast_mode(self) -> None:
-        """Return to the reference paths, folding pending counters."""
-        if not self.fast_mode:
-            return
-        self.fold_stats()
-        self.fast_mode = False
-        self.victim_heap = []
-        self._erase_hist = {}
-
-    def fold_stats(self) -> None:
-        """Merge the fast-mode count folds into :attr:`stats`.
-
-        Callers that reset or read ``stats`` while fast mode is active
-        (the batched run loop does both) must fold first; afterwards
-        the counters are exactly what the reference path would hold.
-        """
-        stats = self.stats
-        if self._fold_data_reads:
-            stats.page_reads[PageKind.DATA] += self._fold_data_reads
-            self._fold_data_reads = 0
-        if self._fold_trans_reads:
-            stats.page_reads[PageKind.TRANSLATION] += self._fold_trans_reads
-            self._fold_trans_reads = 0
-        if self._fold_data_writes:
-            stats.page_writes[PageKind.DATA] += self._fold_data_writes
-            self._fold_data_writes = 0
-        if self._fold_trans_writes:
-            stats.page_writes[PageKind.TRANSLATION] += self._fold_trans_writes
-            self._fold_trans_writes = 0
-        if self._fold_data_erases:
-            stats.erases[BlockKind.DATA] += self._fold_data_erases
-            self._fold_data_erases = 0
-        if self._fold_trans_erases:
-            stats.erases[BlockKind.TRANSLATION] += self._fold_trans_erases
-            self._fold_trans_erases = 0
-
-    def gc_scan_valid(self, block: Block,
-                      kind: PageKind) -> List[Tuple[int, int]]:
-        """Fast-mode GC helper: read every valid page of ``block``.
-
-        Returns ascending ``(offset, meta)`` pairs and counts one page
-        read of ``kind`` per pair — the batched equivalent of calling
-        :meth:`read` on each valid page of a victim.
-        """
-        meta = block._meta
-        pairs = [(offset, meta[offset])
-                 for offset in block.valid_offsets()]
-        if self.fast_mode:
-            if kind is PageKind.DATA:
-                self._fold_data_reads += len(pairs)
-            else:
-                self._fold_trans_reads += len(pairs)
-        else:
-            for _ in pairs:
-                self.stats.record_read(kind)
-        return pairs
-
-    def program_batch(self, kind: PageKind, metas: List[int]) -> List[int]:
-        """Fast-mode GC helper: program ``metas`` in order; returns PPNs.
-
-        Chunk-fills the region's write frontier: mechanically identical
-        to programming one page at a time on an ideal device (same
-        frontier allocations from the free pool, same final ``op_seq``
-        and per-block ``last_program_seq``), minus the per-op
-        bookkeeping.  Only legal in fast mode — with faults armed every
-        program must roll the injector individually.
-        """
-        if not self.fast_mode:
-            raise FlashError("program_batch requires fast mode")
-        region = _REGION_OF[kind]
-        ppb = self.pages_per_block
-        ppns: List[int] = []
-        i, total = 0, len(metas)
-        while i < total:
-            block = self._active[region]
-            if block is None or block._write_ptr >= ppb:
-                block = self._allocate(region)
-            write_ptr = block._write_ptr
-            take = min(total - i, ppb - write_ptr)
-            end = write_ptr + take
-            block._states[write_ptr:end] = [PageState.VALID] * take
-            block._meta[write_ptr:end] = metas[i:i + take]
-            block._write_ptr = end
-            block.valid_count += take
-            self.op_seq += take
-            block.last_program_seq = self.op_seq
-            base = block.block_id * ppb + write_ptr
-            ppns.extend(range(base, base + take))
-            i += take
-        if kind is PageKind.DATA:
-            self._fold_data_writes += total
-        else:
-            self._fold_trans_writes += total
-        return ppns
-
-    def invalidate_batch(self, block: Block, offsets: List[int]) -> None:
-        """Fast-mode GC helper: invalidate valid pages of one block.
-
-        ``offsets`` must all be valid (the caller holds them from
-        :meth:`gc_scan_valid`); the victim index is refreshed once for
-        the whole batch instead of once per page.
-        """
-        if not self.fast_mode:
-            for offset in offsets:
-                block.invalidate(offset)
-            return
-        states = block._states
-        meta = block._meta
-        for offset in offsets:
-            if states[offset] is not PageState.VALID:
-                raise FlashError(
-                    f"batch invalidate of {states[offset].name} page "
-                    f"{offset} in block {block.block_id}")
-            states[offset] = PageState.INVALID
-            meta[offset] = None
-        count = len(offsets)
-        block.valid_count -= count
-        block.invalid_count += count
-        if count:
-            heapq.heappush(self.victim_heap,
-                           (-block.invalid_count, block.erase_count,
-                            block.block_id))
-
-    # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def program(self, kind: PageKind, meta: int) -> int:
+    def program(self, kind: PageKind, meta: int,
+                into: Optional[Block] = None) -> int:
         """Program one page of the given kind; returns its PPN.
 
         ``meta`` is the logical identity of the content (LPN for data
         pages, VTPN for translation pages), recorded so GC can find the
-        owner of every valid page.  An injected program failure marks
-        the target page bad and retries on the next programmable page
+        owner of every valid page.  The page goes to the region's write
+        frontier, or to the next page of ``into`` (see
+        :meth:`program_into`).  An injected program failure marks the
+        target page bad and retries on the next programmable page
         (allocating a fresh frontier block if needed), as a real
         controller's write path does.
         """
-        if self.fast_mode:
-            # No injector, no bad pages: the write pointer always sits
-            # on a FREE page, so the state transition is unconditional.
-            # The frontier comes off the plain-attribute mirrors — no
-            # enum-keyed dict lookups on this per-page path.
-            if kind is PageKind.DATA:
+        ppb = self.pages_per_block
+        injector = self.injector
+        while True:
+            if into is not None:
+                block = into
+                if block.kind is BlockKind.FREE:
+                    raise ProgramError(
+                        f"block {block.block_id} programmed before "
+                        "allocation")
+                if block._write_ptr >= ppb:
+                    raise ProgramError(f"block {block.block_id} is full")
+            elif kind is PageKind.DATA:
                 block = self._active_data
-                if (block is None
-                        or block._write_ptr >= self.pages_per_block):
+                if block is None or block._write_ptr >= ppb:
                     block = self._allocate(BlockKind.DATA)
-                self._fold_data_writes += 1
             else:
                 block = self._active_trans
-                if (block is None
-                        or block._write_ptr >= self.pages_per_block):
+                if block is None or block._write_ptr >= ppb:
                     block = self._allocate(BlockKind.TRANSLATION)
-                self._fold_trans_writes += 1
+            if injector.live:
+                injector.on_operation()
+                if injector.program_fails():
+                    self.op_seq += 1
+                    block.mark_bad()
+                    self.stats.record_program_failure()
+                    self._check_spares()
+                    continue
             seq = self.op_seq + 1
             self.op_seq = seq
+            # the write pointer always rests on a FREE page (bad pages
+            # are skipped when it moves), so the transition is direct
             offset = block._write_ptr
             block._states[offset] = PageState.VALID
             block._meta[offset] = meta
             block._write_ptr = offset + 1
             block.valid_count += 1
             block.last_program_seq = seq
-            return block.block_id * self.pages_per_block + offset
-        region = _REGION_OF[kind]
-        while True:
-            block = self._active[region]
-            if block is None or block.is_full:
-                block = self._allocate(region)
-            self.injector.on_operation()
-            self.op_seq += 1
-            if self.injector.program_fails():
-                block.mark_bad()
-                self.stats.record_program_failure()
-                self._check_spares()
-                continue
-            offset = block.program(meta, self.op_seq)
-            self.stats.record_write(kind)
-            return self.ppn_of(block.block_id, offset)
+            if block.bad_count:
+                block._advance()
+            if kind is PageKind.DATA:
+                self.stats.data_writes += 1
+            else:
+                self.stats.translation_writes += 1
+            return block.block_id * ppb + offset
 
     def allocate_block(self, region: BlockKind) -> Block:
         """Take a free block for dedicated use (not the region frontier).
@@ -430,17 +255,89 @@ class FlashMemory:
         block; callers that need full, contiguous blocks (block-mapped
         FTLs) must not enable program-fault injection.
         """
-        while True:
-            self.injector.on_operation()
-            self.op_seq += 1
-            if self.injector.program_fails():
-                block.mark_bad()
-                self.stats.record_program_failure()
-                self._check_spares()
-                continue
-            offset = block.program(meta, self.op_seq)
-            self.stats.record_write(kind)
-            return self.ppn_of(block.block_id, offset)
+        return self.program(kind, meta, into=block)
+
+    def program_batch(self, kind: PageKind,
+                      metas: Sequence[int]) -> List[int]:
+        """Program ``metas`` in order at the region frontier; returns PPNs.
+
+        On an ideal device the frontier is chunk-filled: mechanically
+        identical to programming one page at a time (same frontier
+        allocations from the free pool, same final ``op_seq`` and
+        per-block ``last_program_seq``), minus the per-op bookkeeping.
+        Under a live injector every program consults it individually.
+        """
+        if self.injector.live:
+            return [self.program(kind, meta) for meta in metas]
+        data = kind is PageKind.DATA
+        ppb = self.pages_per_block
+        ppns: List[int] = []
+        i, total = 0, len(metas)
+        while i < total:
+            block = self._active_data if data else self._active_trans
+            if block is None or block._write_ptr >= ppb:
+                block = self._allocate(BlockKind.DATA if data
+                                       else BlockKind.TRANSLATION)
+            write_ptr = block._write_ptr
+            take = min(total - i, ppb - write_ptr)
+            end = write_ptr + take
+            block._states[write_ptr:end] = [PageState.VALID] * take
+            block._meta[write_ptr:end] = metas[i:i + take]
+            block._write_ptr = end
+            block.valid_count += take
+            self.op_seq += take
+            block.last_program_seq = self.op_seq
+            base = block.block_id * ppb + write_ptr
+            ppns.extend(range(base, base + take))
+            i += take
+        if data:
+            self.stats.data_writes += total
+        else:
+            self.stats.translation_writes += total
+        return ppns
+
+    def migrate_valid(self, block: Block,
+                      kind: PageKind) -> Tuple[List[int], List[int]]:
+        """GC helper: move every valid page of ``block`` to the frontier.
+
+        Returns ``(metas, new_ppns)`` in ascending source-offset order
+        and counts one read and one program per page.  On an ideal
+        device the three steps run as batches (scan, chunk-fill, one
+        victim-index refresh); under a live injector each page is read,
+        programmed and invalidated in turn, so a fault or power cut
+        lands between exactly the operations it would on hardware.
+        """
+        offsets = block.valid_offsets()
+        metas: List[int] = []
+        ppns: List[int] = []
+        if not offsets:
+            return metas, ppns
+        if self.injector.live:
+            base = block.block_id * self.pages_per_block
+            for offset in offsets:
+                meta = self.read(base + offset, kind)
+                metas.append(meta)
+                ppns.append(self.program(kind, meta))
+                self.invalidate(base + offset)
+            return metas, ppns
+        count = len(offsets)
+        states = block._states
+        page_meta = block._meta
+        metas = [page_meta[offset] for offset in offsets]
+        if kind is PageKind.DATA:
+            self.stats.data_reads += count
+        else:
+            self.stats.translation_reads += count
+        ppns = self.program_batch(kind, metas)
+        for offset in offsets:
+            states[offset] = PageState.INVALID
+            page_meta[offset] = None
+        block.valid_count -= count
+        block.invalid_count += count
+        heapq.heappush(self.victim_heap,
+                       (-block.invalid_count, block.erase_count,
+                        block.block_id))
+        return metas, ppns
 
     def read(self, ppn: int, kind: PageKind) -> int:
         """Read a page; returns its metadata (LPN/VTPN).
@@ -451,67 +348,55 @@ class FlashMemory:
         flash operation.  Exhausting the budget raises
         :class:`~repro.errors.ReadError`.
         """
-        if self.fast_mode:
-            block = self.blocks[ppn // self.pages_per_block]
-            offset = ppn % self.pages_per_block
-            if block._states[offset] is not PageState.VALID:
-                raise FlashError(
-                    f"read of {block._states[offset].name} page at "
-                    f"PPN {ppn}")
-            if kind is PageKind.DATA:
-                self._fold_data_reads += 1
-            else:
-                self._fold_trans_reads += 1
-            # valid pages always carry metadata (the reference path's
-            # SimInvariantError guard is vacuous and skipped here)
-            return block._meta[offset]
-        block = self.block_of(ppn)
-        offset = self.offset_of(ppn)
-        if block.state(offset) is not PageState.VALID:
+        block = self.blocks[ppn // self.pages_per_block]
+        offset = ppn % self.pages_per_block
+        if block._states[offset] is not PageState.VALID:
             raise FlashError(
-                f"read of {block.state(offset).name} page at PPN {ppn}")
-        self.injector.on_operation()
-        failures = 0
-        while self.injector.read_attempt_fails():
-            failures += 1
-            if failures > self.injector.plan.max_read_retries:
-                self.stats.record_uncorrectable_read()
-                raise ReadError(
-                    f"uncorrectable error at PPN {ppn} after "
-                    f"{failures} attempts")
-            self.injector.on_operation()
-            self.stats.record_read_retry(
-                backoff_us=self.config.read_us * (2 ** (failures - 1)))
-        if failures:
-            self.stats.record_ecc_recovery()
-        self.stats.record_read(kind)
-        meta = block.meta(offset)
-        if meta is None:  # pragma: no cover - valid pages carry metadata
-            raise SimInvariantError(
-                f"valid page at PPN {ppn} has no recorded metadata")
-        return meta
+                f"read of {block._states[offset].name} page at PPN {ppn}")
+        injector = self.injector
+        if injector.live:
+            injector.on_operation()
+            failures = 0
+            while injector.read_attempt_fails():
+                failures += 1
+                if failures > injector.plan.max_read_retries:
+                    self.stats.record_uncorrectable_read()
+                    raise ReadError(
+                        f"uncorrectable error at PPN {ppn} after "
+                        f"{failures} attempts")
+                injector.on_operation()
+                self.stats.record_read_retry(
+                    backoff_us=self.config.read_us * (2 ** (failures - 1)))
+            if failures:
+                self.stats.record_ecc_recovery()
+        if kind is PageKind.DATA:
+            self.stats.data_reads += 1
+        else:
+            self.stats.translation_reads += 1
+        return block._meta[offset]
 
     def invalidate(self, ppn: int) -> None:
-        """Invalidate the page at ``ppn`` (its content was superseded)."""
-        if self.fast_mode:
-            block = self.blocks[ppn // self.pages_per_block]
-            offset = ppn % self.pages_per_block
-            # Block.invalidate inlined (same check, same transition):
-            # this plus the heap push runs once per superseded page.
-            states = block._states
-            if states[offset] is not PageState.VALID:
-                raise ProgramError(
-                    f"page {offset} of block {block.block_id} is "
-                    f"{states[offset].name}, cannot invalidate")
-            states[offset] = PageState.INVALID
-            block._meta[offset] = None
-            block.valid_count -= 1
-            invalid = block.invalid_count + 1
-            block.invalid_count = invalid
-            heapq.heappush(self.victim_heap,
-                           (-invalid, block.erase_count, block.block_id))
-            return
-        self.block_of(ppn).invalidate(self.offset_of(ppn))
+        """Invalidate the page at ``ppn`` (its content was superseded).
+
+        Out-of-band bookkeeping, not a flash operation: the injector is
+        not consulted.  Refreshes the block's victim-index entry.
+        """
+        block = self.blocks[ppn // self.pages_per_block]
+        offset = ppn % self.pages_per_block
+        # Block.invalidate inlined (same check, same transition): this
+        # plus the heap push runs once per superseded page.
+        states = block._states
+        if states[offset] is not PageState.VALID:
+            raise ProgramError(
+                f"page {offset} of block {block.block_id} is "
+                f"{states[offset].name}, cannot invalidate")
+        states[offset] = PageState.INVALID
+        block._meta[offset] = None
+        block.valid_count -= 1
+        invalid = block.invalid_count + 1
+        block.invalid_count = invalid
+        heapq.heappush(self.victim_heap,
+                       (-invalid, block.erase_count, block.block_id))
 
     def erase(self, block_id: int) -> bool:
         """Erase a block; True if it returned to the free pool.
@@ -532,50 +417,35 @@ class FlashMemory:
                 f"block {block_id} still has {block.valid_count} "
                 "valid pages")
         kind = block.kind
-        if self._active.get(kind) is block:
-            self._active[kind] = None
-            if kind is BlockKind.DATA:
-                self._active_data = None
-            elif kind is BlockKind.TRANSLATION:
-                self._active_trans = None
-        if self.fast_mode:
-            # No BAD pages exist, so the whole block returns to FREE
-            # and the per-page skip loop of Block.erase is unnecessary.
-            ppb = self.pages_per_block
-            old_count = block.erase_count
-            block._states = [PageState.FREE] * ppb
-            block._meta = [None] * ppb
-            block._write_ptr = 0
-            block.valid_count = 0
-            block.invalid_count = 0
-            block.erase_count = old_count + 1
-            block.kind = BlockKind.FREE
-            if kind is BlockKind.DATA:
-                self._fold_data_erases += 1
-            else:
-                self._fold_trans_erases += 1
-            # keep the erase-count spread exact: histogram + running max
-            hist = self._erase_hist
-            remaining = hist[old_count] - 1
-            if remaining:
-                hist[old_count] = remaining
-            else:
-                del hist[old_count]
-            new_count = old_count + 1
-            hist[new_count] = hist.get(new_count, 0) + 1
-            if new_count > self.max_erase:
-                self.max_erase = new_count
-            while self.min_erase not in hist:
-                self.min_erase += 1
-            self._free.append(block_id)
-            return True
-        self.injector.on_operation()
-        if self.injector.erase_fails():
-            self.stats.record_erase_failure()
-            self._retire(block)
-            return False
+        if block is self._active_data:
+            self._active_data = None
+        elif block is self._active_trans:
+            self._active_trans = None
+        injector = self.injector
+        if injector.live:
+            injector.on_operation()
+            if injector.erase_fails():
+                self.stats.record_erase_failure()
+                self._retire(block)
+                return False
         block.erase()
-        self.stats.record_erase(kind)
+        if kind is BlockKind.DATA:
+            self.stats.data_erases += 1
+        else:
+            self.stats.translation_erases += 1
+        # keep the erase-count spread exact: histogram + running max
+        hist = self._erase_hist
+        count = block.erase_count
+        remaining = hist[count - 1] - 1
+        if remaining:
+            hist[count - 1] = remaining
+        else:
+            del hist[count - 1]
+        hist[count] = hist.get(count, 0) + 1
+        if count > self.max_erase:
+            self.max_erase = count
+        while self.min_erase not in hist:
+            self.min_erase += 1
         if block.bad_count >= self._bad_retire_pages:
             self._retire(block)
             return False
@@ -591,7 +461,6 @@ class FlashMemory:
                 "no free blocks left; GC failed to reclaim space")
         block = self.blocks[self._free.popleft()]
         block.kind = region
-        self._active[region] = block
         if region is BlockKind.DATA:
             self._active_data = block
         else:

@@ -8,22 +8,27 @@ integration tests check that the two accountings agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Dict
 
-from ..types import BlockKind, PageKind
+from ..types import BlockKind
 
 
 @dataclass
 class FlashStats:
-    """Raw counts of physical flash operations."""
+    """Raw counts of physical flash operations.
 
-    page_reads: Dict[PageKind, int] = field(
-        default_factory=lambda: {k: 0 for k in PageKind})
-    page_writes: Dict[PageKind, int] = field(
-        default_factory=lambda: {k: 0 for k in PageKind})
-    erases: Dict[BlockKind, int] = field(
-        default_factory=lambda: {k: 0 for k in BlockKind})
+    The per-kind operation counts are plain integers the flash array
+    increments in place (they sit on its per-page paths).
+    """
+
+    data_reads: int = 0
+    translation_reads: int = 0
+    data_writes: int = 0
+    translation_writes: int = 0
+    data_erases: int = 0
+    translation_erases: int = 0
 
     # -- fault handling (all zero on an ideal device) -------------------
     #: ECC retry reads issued after transient read errors.
@@ -40,18 +45,6 @@ class FlashStats:
     erase_failures: int = 0
     #: blocks taken out of service (erase failure or bad-page wear-out).
     retired_blocks: int = 0
-
-    def record_read(self, kind: PageKind) -> None:
-        """Count one page read of the given kind."""
-        self.page_reads[kind] += 1
-
-    def record_write(self, kind: PageKind) -> None:
-        """Count one page program of the given kind."""
-        self.page_writes[kind] += 1
-
-    def record_erase(self, kind: BlockKind) -> None:
-        """Count one block erase of the given kind."""
-        self.erases[kind] += 1
 
     def record_read_retry(self, backoff_us: float) -> None:
         """Count one ECC retry and the backoff time it cost."""
@@ -79,42 +72,28 @@ class FlashStats:
         self.retired_blocks += 1
 
     # ------------------------------------------------------------------
-    # Convenience totals
+    # Views and totals
     # ------------------------------------------------------------------
+    @property
+    def erases(self) -> Dict[BlockKind, int]:
+        """Block erases by the role the block played."""
+        return {BlockKind.DATA: self.data_erases,
+                BlockKind.TRANSLATION: self.translation_erases}
+
     @property
     def total_reads(self) -> int:
         """All page reads, across kinds."""
-        return sum(self.page_reads.values())
+        return self.data_reads + self.translation_reads
 
     @property
     def total_writes(self) -> int:
         """All page programs, across kinds."""
-        return sum(self.page_writes.values())
+        return self.data_writes + self.translation_writes
 
     @property
     def total_erases(self) -> int:
         """All block erases, across kinds."""
-        return sum(self.erases.values())
-
-    @property
-    def data_writes(self) -> int:
-        """Programs of data pages."""
-        return self.page_writes[PageKind.DATA]
-
-    @property
-    def translation_writes(self) -> int:
-        """Programs of translation pages."""
-        return self.page_writes[PageKind.TRANSLATION]
-
-    @property
-    def data_reads(self) -> int:
-        """Reads of data pages."""
-        return self.page_reads[PageKind.DATA]
-
-    @property
-    def translation_reads(self) -> int:
-        """Reads of translation pages."""
-        return self.page_reads[PageKind.TRANSLATION]
+        return self.data_erases + self.translation_erases
 
     def fault_summary(self) -> Dict[str, float]:
         """The fault/retry counters as a flat dict, for reports."""
@@ -130,18 +109,7 @@ class FlashStats:
 
     def snapshot(self) -> "FlashStats":
         """An independent copy, for before/after deltas."""
-        return FlashStats(
-            page_reads=dict(self.page_reads),
-            page_writes=dict(self.page_writes),
-            erases=dict(self.erases),
-            read_retries=self.read_retries,
-            ecc_recovered_reads=self.ecc_recovered_reads,
-            uncorrectable_reads=self.uncorrectable_reads,
-            read_backoff_us=self.read_backoff_us,
-            program_failures=self.program_failures,
-            erase_failures=self.erase_failures,
-            retired_blocks=self.retired_blocks,
-        )
+        return dataclasses.replace(self)
 
     def reset(self) -> None:
         """Zero all counters (used after warm-up/prefill).
@@ -149,16 +117,5 @@ class FlashStats:
         Fault counters are zeroed too: a warm-up's faults are part of
         the warm-up, just like its writes.
         """
-        for key in self.page_reads:
-            self.page_reads[key] = 0
-        for key in self.page_writes:
-            self.page_writes[key] = 0
-        for key in self.erases:
-            self.erases[key] = 0
-        self.read_retries = 0
-        self.ecc_recovered_reads = 0
-        self.uncorrectable_reads = 0
-        self.read_backoff_us = 0.0
-        self.program_failures = 0
-        self.erase_failures = 0
-        self.retired_blocks = 0
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, field.default)

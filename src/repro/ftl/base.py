@@ -229,37 +229,22 @@ class BaseFTL(abc.ABC):
 
         Writes every logical page once (sequentially) and materialises
         all translation pages, then zeroes the statistics so experiments
-        measure only the trace.  The fill is purely mechanical, so on an
-        ideal device (no fault plan armed) it goes through the fast
-        mode's chunked block fill — same frontier allocations, same
-        final ``op_seq``/``last_program_seq``, a fraction of the time;
-        with faults armed every program must roll the injector, so the
-        per-op reference loop runs instead.
+        measure only the trace.  The fill is purely mechanical, so it
+        goes through :meth:`~repro.flash.FlashMemory.program_batch`:
+        chunk-filled on an ideal device, one injector-consulted program
+        per page under a live fault plan.
         """
         flash = self.flash
-        if flash.injector.plan.is_noop and not flash.fast_mode:
-            flash.enter_fast_mode()
-            try:
-                pages = self.ssd.logical_pages
-                self.flash_table[:pages] = flash.program_batch(
-                    PageKind.DATA, range(pages))
-                if self.uses_translation_pages:
-                    ptpns = flash.program_batch(
-                        PageKind.TRANSLATION,
-                        range(self.geometry.translation_pages))
-                    for vtpn, ptpn in enumerate(ptpns):
-                        self.gtd.update(vtpn, ptpn)
-            finally:
-                flash.exit_fast_mode()
-        else:
-            for lpn in range(self.ssd.logical_pages):
-                ppn = self.flash.program(PageKind.DATA, lpn)
-                self.flash_table[lpn] = ppn
-            if self.uses_translation_pages:
-                for vtpn in range(self.geometry.translation_pages):
-                    ptpn = self.flash.program(PageKind.TRANSLATION, vtpn)
-                    self.gtd.update(vtpn, ptpn)
-        self.flash.stats.reset()
+        pages = self.ssd.logical_pages
+        self.flash_table[:pages] = flash.program_batch(
+            PageKind.DATA, range(pages))
+        if self.uses_translation_pages:
+            ptpns = flash.program_batch(
+                PageKind.TRANSLATION,
+                range(self.geometry.translation_pages))
+            for vtpn, ptpn in enumerate(ptpns):
+                self.gtd.update(vtpn, ptpn)
+        flash.stats.reset()
         self.metrics = FTLMetrics()
 
     # ------------------------------------------------------------------
@@ -428,20 +413,16 @@ class BaseFTL(abc.ABC):
             if guard > len(self.flash.blocks):
                 raise FTLError("GC did not converge")  # pragma: no cover
         if self.wear_leveler is not None:
-            if self.flash.fast_mode:
-                # O(1) prefilter: the running max/min erase counts are
-                # exact, and the minimum over all blocks lower-bounds
-                # the minimum over the candidates — when the device-wide
-                # spread is below the threshold no candidate can clear
-                # it, so the nominate scan is provably a no-op.
-                if (self.flash.max_erase - self.flash.min_erase
-                        < self.wear_leveler.threshold):
-                    return
-                device_max = self.flash.max_erase
-            else:
-                device_max = max(b.erase_count for b in self.flash.blocks)
-            nominee = self.wear_leveler.nominate(self._gc_candidates(),
-                                                 max_erase=device_max)
+            # O(1) prefilter: the running max/min erase counts are
+            # exact, and the minimum over all blocks lower-bounds the
+            # minimum over the candidates — when the device-wide spread
+            # is below the threshold no candidate can clear it, so the
+            # nominate scan is provably a no-op.
+            if (self.flash.max_erase - self.flash.min_erase
+                    < self.wear_leveler.threshold):
+                return
+            nominee = self.wear_leveler.nominate(
+                self._gc_candidates(), max_erase=self.flash.max_erase)
             if nominee is not None:
                 self._collect(nominee, result)
 
@@ -458,7 +439,7 @@ class BaseFTL(abc.ABC):
                 and block not in active]
 
     def _select_victim(self) -> Optional[Block]:
-        if self.flash.fast_mode and type(self.victim_policy) is GreedyPolicy:
+        if type(self.victim_policy) is GreedyPolicy:
             return self._select_victim_heap()
         return self.victim_policy.select(self._gc_candidates(),
                                          now_seq=self.flash.op_seq)
@@ -522,50 +503,21 @@ class BaseFTL(abc.ABC):
 
     def _collect_data_block(self, victim: Block,
                             result: AccessResult) -> None:
-        if self.flash.fast_mode:
-            self._collect_data_block_fast(victim, result)
-            return
-        self.metrics.gc_data_collections += 1
-        offsets = victim.valid_offsets()
-        self.metrics.gc_data_valid_migrated += len(offsets)
-        moved_by_vtpn: Dict[int, List[Tuple[int, int]]] = {}
-        for offset in offsets:
-            old_ppn = self.flash.ppn_of(victim.block_id, offset)
-            lpn = self.flash.read(old_ppn, PageKind.DATA)
-            result.data_reads += 1
-            result.gc_data_reads += 1
-            self.metrics.data_reads_migration += 1
-            new_ppn = self.flash.program(PageKind.DATA, lpn)
-            result.data_writes += 1
-            result.gc_data_writes += 1
-            self.metrics.data_writes_migration += 1
-            self.flash.invalidate(old_ppn)
-            vtpn = self.geometry.vtpn_of(lpn)
-            moved_by_vtpn.setdefault(vtpn, []).append((lpn, new_ppn))
-        self._gc_update_mappings(moved_by_vtpn, result)
+        """Migrate a data victim's valid pages, then fix their mappings.
 
-    def _collect_data_block_fast(self, victim: Block,
-                                 result: AccessResult) -> None:
-        """Batched data-block collection (fast mode only).
-
-        The mechanical slice — reading the victim's valid pages,
-        programming their copies at the frontier and invalidating the
-        originals — runs through the flash array's batch helpers with
-        one counter fold per batch; the policy slice (which mappings go
-        where, cache hits, piggybacked flushes) still runs the exact
-        per-entry path in :meth:`_gc_update_mappings`.
+        The mechanical slice — reading the valid pages, programming
+        their copies at the frontier, invalidating the originals — is
+        the flash array's :meth:`~repro.flash.FlashMemory.migrate_valid`;
+        the policy slice (which mappings go where, cache hits,
+        piggybacked flushes) is :meth:`_gc_update_mappings`.
         """
-        flash = self.flash
         metrics = self.metrics
         metrics.gc_data_collections += 1
-        pairs = flash.gc_scan_valid(victim, PageKind.DATA)
-        moved = len(pairs)
+        lpns, new_ppns = self.flash.migrate_valid(victim, PageKind.DATA)
+        moved = len(lpns)
         metrics.gc_data_valid_migrated += moved
         if not moved:
             return
-        lpns = [lpn for _, lpn in pairs]
-        new_ppns = flash.program_batch(PageKind.DATA, lpns)
-        flash.invalidate_batch(victim, [offset for offset, _ in pairs])
         result.data_reads += moved
         result.gc_data_reads += moved
         result.data_writes += moved
@@ -573,9 +525,9 @@ class BaseFTL(abc.ABC):
         metrics.data_reads_migration += moved
         metrics.data_writes_migration += moved
         moved_by_vtpn: Dict[int, List[Tuple[int, int]]] = {}
-        vtpn_of = self.geometry.vtpn_of
         for lpn, new_ppn in zip(lpns, new_ppns):
-            moved_by_vtpn.setdefault(vtpn_of(lpn), []).append((lpn, new_ppn))
+            vtpn = self.geometry.vtpn_of(lpn)
+            moved_by_vtpn.setdefault(vtpn, []).append((lpn, new_ppn))
         self._gc_update_mappings(moved_by_vtpn, result)
 
     def _gc_update_mappings(
@@ -605,39 +557,12 @@ class BaseFTL(abc.ABC):
 
     def _collect_translation_block(self, victim: Block,
                                    result: AccessResult) -> None:
-        if self.flash.fast_mode:
-            self._collect_translation_block_fast(victim, result)
-            return
-        self.metrics.gc_translation_collections += 1
-        offsets = victim.valid_offsets()
-        self.metrics.gc_trans_valid_migrated += len(offsets)
-        for offset in offsets:
-            old_ptpn = self.flash.ppn_of(victim.block_id, offset)
-            vtpn = self.flash.read(old_ptpn, PageKind.TRANSLATION)
-            result.translation_reads += 1
-            result.gc_translation_reads += 1
-            self.metrics.trans_reads_migration += 1
-            new_ptpn = self.flash.program(PageKind.TRANSLATION, vtpn)
-            result.translation_writes += 1
-            result.gc_translation_writes += 1
-            self.metrics.trans_writes_migration += 1
-            self.flash.invalidate(old_ptpn)
-            self.gtd.update(vtpn, new_ptpn)
-
-    def _collect_translation_block_fast(self, victim: Block,
-                                        result: AccessResult) -> None:
-        """Batched translation-block collection (fast mode only)."""
-        flash = self.flash
         metrics = self.metrics
         metrics.gc_translation_collections += 1
-        pairs = flash.gc_scan_valid(victim, PageKind.TRANSLATION)
-        moved = len(pairs)
+        vtpns, new_ptpns = self.flash.migrate_valid(
+            victim, PageKind.TRANSLATION)
+        moved = len(vtpns)
         metrics.gc_trans_valid_migrated += moved
-        if not moved:
-            return
-        vtpns = [vtpn for _, vtpn in pairs]
-        new_ptpns = flash.program_batch(PageKind.TRANSLATION, vtpns)
-        flash.invalidate_batch(victim, [offset for offset, _ in pairs])
         result.translation_reads += moved
         result.gc_translation_reads += moved
         result.translation_writes += moved

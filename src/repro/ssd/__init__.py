@@ -4,14 +4,12 @@
 GC accounting, background GC, per-run queue reset); :class:`SSDevice` is
 the paper-faithful single-channel queue and :class:`ChannelSSDevice`
 (extension) overlaps operations across several flash channels.  Use
-:func:`make_device` to pick a model by channel count.
-:func:`run_fast` replays a trace through the batched execution core —
-same results, several times faster.
+:func:`make_device` to pick a model by channel count.  There is one
+replay loop, :meth:`DeviceModel.run`.
 """
 
 from .device import (QOS_POLICIES, DeviceModel, FairShare, RunResult,
-                     SSDevice, simulate)
-from .fastpath import run_fast
+                     SSDevice, run_fast, simulate)
 from .parallel import ChannelSSDevice, make_device
 
 __all__ = ["DeviceModel", "SSDevice", "ChannelSSDevice", "RunResult",

@@ -24,6 +24,14 @@ Unified timing semantics (identical in every device model):
 * Warmup requests age the FTL but are not timed; queue state is reset at
   the start of every ``run()`` so a reused device never inherits the
   previous replay's makespan.
+
+There is one replay loop, :meth:`DeviceModel.run`.  Bit-for-bit
+reproducibility of its floating point is a hard invariant (the golden
+digests in ``tests/golden_digests.json`` pin it): a request's service
+time is ``reads * read_us + writes * write_us + erases * erase_us`` in
+exactly that association, and the accumulators, the queue recurrence and
+the Welford response statistics are order-dependent folds over the
+requests in arrival order.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from typing import Dict, Optional, Tuple
 from ..errors import ConfigError, WorkloadError
 from ..ftl.base import BaseFTL
 from ..metrics import CacheSampler, FTLMetrics, ResponseStats
-from ..types import AccessResult, RequestTiming, Trace
+from ..types import Trace
 
 #: dispatch policies understood by :class:`DeviceModel`
 QOS_POLICIES = ("fifo", "fair")
@@ -184,9 +192,9 @@ class DeviceModel:
       (drives the background-GC idle detector);
     * :meth:`_absorb_idle` — charge idle-time (background GC) service to
       the least-busy queue;
-    * :meth:`_dispatch` — place one request's flash work on the
-      queue(s), returning ``(start, finish)`` where ``start`` is the
-      first dispatch time.
+    * :meth:`_dispatch` — place one request's flash work (given as
+      bare operation counts) on the queue(s), returning
+      ``(start, finish)`` where ``start`` is the first dispatch time.
     """
 
     #: channel count reported in RunResult (subclasses override)
@@ -243,24 +251,10 @@ class DeviceModel:
         """Charge idle-time service to the least-busy queue."""
         raise NotImplementedError
 
-    def _dispatch(self, arrival: float, cost: AccessResult,
-                  service_us: float) -> Tuple[float, float]:
+    def _dispatch(self, arrival: float, reads: int, writes: int,
+                  erases: int, service_us: float) -> Tuple[float, float]:
         """Queue one request's flash work; return ``(start, finish)``."""
         raise NotImplementedError
-
-    def _dispatch_fast(self, arrival: float, reads: int, writes: int,
-                       erases: int,
-                       service_us: float) -> Tuple[float, float]:
-        """:meth:`_dispatch` from bare op counts (fast-path hook).
-
-        Same queue arithmetic without the per-request ``AccessResult``;
-        subclasses override with an equivalent count-based placement.
-        """
-        return self._dispatch(
-            arrival,
-            AccessResult(data_reads=reads, data_writes=writes,
-                         erases=erases),
-            service_us)
 
     def _parallel_service_us(self, reads: int, writes: int, erases: int,
                              service_us: float) -> float:
@@ -272,32 +266,6 @@ class DeviceModel:
         (single-server models: the plain op-sum ``service_us``).
         """
         return service_us
-
-    def _place(self, arrival: float, cost: AccessResult,
-               service_us: float, tenant: Optional[str]
-               ) -> Tuple[float, float]:
-        """Route one request through the active dispatch policy."""
-        if self._fair is not None:
-            return self._fair.dispatch(
-                arrival,
-                self._parallel_service_us(cost.total_reads,
-                                          cost.total_writes, cost.erases,
-                                          service_us),
-                tenant)
-        return self._dispatch(arrival, cost, service_us)
-
-    def _place_fast(self, arrival: float, reads: int, writes: int,
-                    erases: int, service_us: float,
-                    tenant: Optional[str]) -> Tuple[float, float]:
-        """:meth:`_place` from bare op counts (fast-path hook)."""
-        if self._fair is not None:
-            return self._fair.dispatch(
-                arrival,
-                self._parallel_service_us(reads, writes, erases,
-                                          service_us),
-                tenant)
-        return self._dispatch_fast(arrival, reads, writes, erases,
-                                   service_us)
 
     # ------------------------------------------------------------------
     # Trace validation
@@ -344,76 +312,96 @@ class DeviceModel:
         """
         self._validate_trace(trace)
         self._reset_state()
-        ssd = self.ftl.ssd
+        ftl = self.ftl
+        read_us = ftl.ssd.read_us
+        write_us = ftl.ssd.write_us
+        erase_us = ftl.ssd.erase_us
         measured = trace.requests
         if warmup_requests > 0:
             for request in trace.requests[:warmup_requests]:
-                self.ftl.serve_request(request)
-            self.ftl.metrics = FTLMetrics()
-            self.ftl.flash.stats.reset()
+                ftl.serve_request(request)
+            ftl.metrics = FTLMetrics()
+            ftl.flash.stats.reset()
             measured = trace.requests[warmup_requests:]
-        response = ResponseStats(keep_samples=self.keep_response_samples)
+        metrics = ftl.metrics
+        keep = self.keep_response_samples
+        response = ResponseStats(keep_samples=keep)
+        record = response.record_timing
         tenants: Dict[str, ResponseStats] = {}
         sampler = (CacheSampler(interval=self.sample_interval)
                    if self.sample_interval > 0 else None)
+        background_gc = self.background_gc
+        fair = self._fair
         gc_time = 0.0
         service_total = 0.0
         background_gc_us = 0.0
         background_collections = 0
         makespan = 0.0
         for request in measured:
-            if self.background_gc:
-                idle = request.arrival - self._earliest_free()
+            arrival = request.arrival
+            if background_gc:
+                idle = arrival - self._earliest_free()
                 while idle >= self.background_gc_min_idle_us:
-                    bg = self.ftl.background_collect(max_blocks=1)
-                    bg_service = bg.service_time(
-                        ssd.read_us, ssd.write_us, ssd.erase_us)
+                    bg = ftl.background_collect(max_blocks=1)
+                    bg_service = bg.service_time(read_us, write_us,
+                                                 erase_us)
                     if bg_service == 0.0:
                         break
                     background_collections += bg.erases
                     self._absorb_idle(bg_service)
                     gc_time += bg_service
                     background_gc_us += bg_service
-                    idle = request.arrival - self._earliest_free()
-            cost = self.ftl.serve_request(request)
-            service = cost.service_time(ssd.read_us, ssd.write_us,
-                                        ssd.erase_us)
-            gc_ops = type(cost)(
-                data_reads=cost.gc_data_reads,
-                data_writes=cost.gc_data_writes,
-                translation_reads=cost.gc_translation_reads,
-                translation_writes=cost.gc_translation_writes,
-                erases=cost.erases)
-            gc_time += gc_ops.service_time(ssd.read_us, ssd.write_us,
-                                           ssd.erase_us)
+                    idle = arrival - self._earliest_free()
+            cost = ftl.serve_request(request)
+            reads = cost.data_reads + cost.translation_reads
+            writes = cost.data_writes + cost.translation_writes
+            erases = cost.erases
+            service = (reads * read_us + writes * write_us
+                       + erases * erase_us)
+            gc_reads = cost.gc_data_reads + cost.gc_translation_reads
+            if gc_reads or erases:
+                # (a collection that migrates nothing still erases, and
+                # one whose erase failed still read what it migrated)
+                gc_time += (
+                    gc_reads * read_us
+                    + (cost.gc_data_writes + cost.gc_translation_writes)
+                    * write_us + erases * erase_us)
             service_total += service
-            if cost.total_reads or cost.total_writes or cost.erases:
-                start, finish = self._place(request.arrival, cost,
-                                            service, request.tenant)
-            else:
+            tenant = request.tenant
+            if not (reads or writes or erases):
                 # No flash touched (pure cache hit / cached TRIM): the
                 # request completes at arrival and is charged no
                 # queueing delay for flash work it never issued.
-                start = finish = request.arrival
+                start = finish = arrival
+            elif fair is None:
+                start, finish = self._dispatch(arrival, reads, writes,
+                                               erases, service)
+            else:
+                start, finish = fair.dispatch(
+                    arrival,
+                    self._parallel_service_us(reads, writes, erases,
+                                              service),
+                    tenant)
             if finish > makespan:
                 makespan = finish
-            response.record(RequestTiming(arrival=request.arrival,
-                                          start=start, finish=finish,
-                                          tenant=request.tenant))
-            if request.tenant is not None:
-                per_tenant = tenants.get(request.tenant)
+            record(arrival, start, finish)
+            if tenant is not None:
+                per_tenant = tenants.get(tenant)
                 if per_tenant is None:
-                    per_tenant = tenants[request.tenant] = ResponseStats(
-                        keep_samples=self.keep_response_samples)
-                per_tenant.record_timing(request.arrival, start, finish)
-            if sampler is not None:
-                sampler.maybe_sample(self.ftl.metrics.user_page_accesses,
-                                     self.ftl.cache_snapshot())
+                    per_tenant = tenants[tenant] = ResponseStats(
+                        keep_samples=keep)
+                per_tenant.record_timing(arrival, start, finish)
+            if sampler is not None and sampler.due(
+                    metrics.user_page_accesses):
+                # the snapshot walks every cached TP node: build it
+                # only when a sample is actually due
+                sampler.maybe_sample(metrics.user_page_accesses,
+                                     ftl.cache_snapshot())
         return RunResult(
-            ftl_name=self.ftl.name,
+            ftl_name=ftl.name,
             trace_name=trace.name,
             requests=len(measured),
-            metrics=self.ftl.metrics,
+            metrics=metrics,
             response=response,
             sampler=sampler,
             makespan=makespan,
@@ -422,7 +410,7 @@ class DeviceModel:
             background_gc_time_us=background_gc_us,
             background_collections=background_collections,
             channels=self.channels,
-            faults=self.ftl.flash.stats.fault_summary(),
+            faults=ftl.flash.stats.fault_summary(),
             tenants=tenants,
             qos=self.qos,
         )
@@ -442,47 +430,39 @@ class SSDevice(DeviceModel):
     def _absorb_idle(self, service_us: float) -> None:
         self._busy_until += service_us
 
-    def _dispatch(self, arrival: float, cost: AccessResult,
-                  service_us: float) -> Tuple[float, float]:
-        start = max(arrival, self._busy_until)
-        finish = start + service_us
-        self._busy_until = finish
+    def _dispatch(self, arrival: float, reads: int, writes: int,
+                  erases: int, service_us: float) -> Tuple[float, float]:
+        # single-server placement ignores the op mix entirely
+        busy = self._busy_until
+        start = arrival if arrival > busy else busy
+        self._busy_until = finish = start + service_us
         return start, finish
 
-    def _dispatch_fast(self, arrival: float, reads: int, writes: int,
-                       erases: int,
-                       service_us: float) -> Tuple[float, float]:
-        # single-server placement ignores the op mix entirely
-        start = max(arrival, self._busy_until)
-        finish = start + service_us
-        self._busy_until = finish
-        return start, finish
+
+def run_fast(device: DeviceModel, trace: Trace,
+             warmup_requests: int = 0) -> RunResult:
+    """``device.run(trace, warmup_requests)`` under its pre-PR-12 name,
+    kept while ``benchmarks/perf`` still imports it."""
+    return device.run(trace, warmup_requests=warmup_requests)
 
 
 def simulate(ftl: BaseFTL, trace: Trace, sample_interval: int = 0,
              keep_response_samples: bool = False,
              warmup_requests: int = 0, channels: int = 1,
-             fast: bool = False, qos: str = "fifo",
+             qos: str = "fifo",
              tenant_weights: Optional[Dict[str, float]] = None
              ) -> RunResult:
     """One-shot convenience: build a device around ``ftl`` and replay.
 
     ``channels=1`` (the default) uses the paper-faithful
     :class:`SSDevice`; larger counts build a
-    :class:`~repro.ssd.parallel.ChannelSSDevice`.  ``fast=True`` routes
-    the replay through the batched execution core
-    (:func:`~repro.ssd.fastpath.run_fast`), which produces a
-    field-for-field identical :class:`RunResult` several times faster;
-    the default stays on the reference path.  ``qos="fair"`` switches
-    dispatch to weighted per-tenant fair-share lanes (the paper-default
-    ``"fifo"`` leaves every timing untouched).
+    :class:`~repro.ssd.parallel.ChannelSSDevice`.  ``qos="fair"``
+    switches dispatch to weighted per-tenant fair-share lanes (the
+    paper-default ``"fifo"`` leaves every timing untouched).
     """
     from .parallel import make_device
     device = make_device(ftl, channels=channels,
                          sample_interval=sample_interval,
                          keep_response_samples=keep_response_samples,
                          qos=qos, tenant_weights=tenant_weights)
-    if fast:
-        from .fastpath import run_fast
-        return run_fast(device, trace, warmup_requests=warmup_requests)
     return device.run(trace, warmup_requests=warmup_requests)

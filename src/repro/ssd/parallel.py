@@ -33,7 +33,6 @@ from typing import List, Tuple
 
 from ..errors import ConfigError
 from ..ftl.base import BaseFTL
-from ..types import AccessResult
 from .device import DeviceModel, SSDevice
 
 
@@ -64,25 +63,12 @@ class ChannelSSDevice(DeviceModel):
         index = self._busy.index(min(self._busy))
         self._busy[index] += service_us
 
-    def _dispatch(self, arrival: float, cost: AccessResult,
-                  service_us: float) -> Tuple[float, float]:
+    def _dispatch(self, arrival: float, reads: int, writes: int,
+                  erases: int, service_us: float) -> Tuple[float, float]:
         if self.channels == 1:
             # Exact SSDevice arithmetic (one multiply-accumulated
             # service time, not a per-op sum), so channels=1 replays
             # are bit-for-bit identical to the single-server model.
-            start = max(arrival, self._busy[0])
-            finish = start + service_us
-            self._busy[0] = finish
-            return start, finish
-        ssd = self.ftl.ssd
-        return self._dispatch_counts(
-            arrival, cost.total_reads, cost.total_writes, cost.erases,
-            ssd.read_us, ssd.write_us, ssd.erase_us)
-
-    def _dispatch_fast(self, arrival: float, reads: int, writes: int,
-                       erases: int,
-                       service_us: float) -> Tuple[float, float]:
-        if self.channels == 1:
             start = max(arrival, self._busy[0])
             finish = start + service_us
             self._busy[0] = finish

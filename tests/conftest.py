@@ -9,13 +9,39 @@ milliseconds.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
 
 from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
                           SSDConfig)
+from repro.experiments.runner import encode_result
 from repro.types import Op, Request, Trace
+
+#: digests frozen from the per-operation reference core before it was
+#: deleted (regenerate: see ``tests/test_fastpath.py``)
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
+
+
+def result_digest(result) -> str:
+    """sha256 of the run cache's JSON encoding of a ``RunResult``.
+
+    Byte-identical encodings mean every field the cache can observe —
+    metrics, response statistics (including the Welford internals),
+    sampler series, timings, fault counters — is identical.
+    """
+    payload = json.dumps(encode_result(result), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def golden_digests() -> dict:
+    """The committed golden table: ``{"cells": {...}, "specs": {...}}``."""
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.fixture

@@ -1,19 +1,20 @@
-"""Fixture: TP301 — fast-mode window without a ``finally``.
+"""Fixture: TP301 — an acquire/release window without a ``finally``.
 
-``replay`` enters the flash fast mode and exits it at the end of the
-happy path, but ``serve`` may raise mid-loop; on that exception edge
-the function unwinds with fast mode still held, silently corrupting
-every deferred counter.  The typestate pass must flag exactly the
-acquire site — the PR-8 bug class ``try/finally`` exists to prevent.
+``replay`` takes the device lease and drops it at the end of the happy
+path, but ``serve`` may raise mid-loop; on that exception edge the
+function unwinds with the lease still held.  The typestate pass must
+flag exactly the acquire site — the bug class ``try/finally`` exists to
+prevent.
 """
+# tp: protocol(name=lease, acquire=take_lease, release=drop_lease)
 
 
 class Replayer:
-    def replay(self, flash, requests):
-        flash.enter_fast_mode()
+    def replay(self, device, requests):
+        device.take_lease()
         for request in requests:
             self.serve(request)
-        flash.exit_fast_mode()
+        device.drop_lease()
 
     def serve(self, request):
         if request is None:

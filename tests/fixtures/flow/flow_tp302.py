@@ -1,13 +1,13 @@
-"""Fixture: TP302 — ``fold_stats`` after the fast-mode window closed.
+"""Fixture: TP302 — a held-only call after the window closed.
 
-The fold only makes sense while fast mode is held (that is when the
-per-op counters are deferred); folding after ``exit_fast_mode`` reads
-a window that no longer exists.  The typestate pass must flag exactly
-the ``fold_stats`` call.
+``renew`` only makes sense while the lease is held; renewing after
+``drop_lease`` touches a window that no longer exists.  The typestate
+pass must flag exactly the ``renew`` call.
 """
+# tp: protocol(name=lease, acquire=take_lease, release=drop_lease, use=renew)
 
 
-def warmup_fold(flash):
-    flash.enter_fast_mode()
-    flash.exit_fast_mode()
-    flash.fold_stats()
+def renew_late(device):
+    device.take_lease()
+    device.drop_lease()
+    device.renew()

@@ -171,11 +171,18 @@ def test_release_summary_names_the_released_params():
 # ----------------------------------------------------------------------
 # TP301: acquire without release on every path
 # ----------------------------------------------------------------------
+#: the snippets' protocol, declared the way a module author would (a
+#: trailing line, so the line numbers asserted below stay the snippet's)
+LEASE = ("# tp: protocol(name=lease, acquire=take_lease, "
+         "release=drop_lease, use=renew)\n")
+
+
 def test_tp301_leak_on_the_normal_exit():
     source = (
         "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()\n"
+        "    flash.take_lease()\n"
         "    flash.serve(trace)\n"
+        + LEASE
     )
     assert _codes(source) == {"TP301"}
 
@@ -189,9 +196,10 @@ def test_tp301_leak_on_the_exception_edge_only():
         "        raise ValueError(trace)\n"
         "    return trace\n"
         "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()\n"
+        "    flash.take_lease()\n"
         "    boom(trace)\n"
-        "    flash.exit_fast_mode()\n"
+        "    flash.drop_lease()\n"
+        + LEASE
     )
     findings = [f for f in analyze_source(source) if f.rule == "TP301"]
     assert len(findings) == 1
@@ -205,11 +213,12 @@ def test_tp301_try_finally_guard_is_clean():
         "        raise ValueError(trace)\n"
         "    return trace\n"
         "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()\n"
+        "    flash.take_lease()\n"
         "    try:\n"
         "        boom(trace)\n"
         "    finally:\n"
-        "        flash.exit_fast_mode()\n"
+        "        flash.drop_lease()\n"
+        + LEASE
     )
     assert _codes(source) == set()
 
@@ -219,9 +228,10 @@ def test_tp301_weak_calls_outside_try_stay_quiet():
     exception path — only resolved may-raise callees do."""
     source = (
         "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()\n"
+        "    flash.take_lease()\n"
         "    flash.serve(trace)\n"
-        "    flash.exit_fast_mode()\n"
+        "    flash.drop_lease()\n"
+        + LEASE
     )
     assert _codes(source) == set()
 
@@ -229,8 +239,9 @@ def test_tp301_weak_calls_outside_try_stay_quiet():
 def test_tp301_pragma_suppression():
     source = (
         "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()  # tp: allow=TP301 - caller exits\n"
+        "    flash.take_lease()  # tp: allow=TP301 - caller exits\n"
         "    flash.serve(trace)\n"
+        + LEASE
     )
     assert _codes(source) == set()
 
@@ -241,9 +252,10 @@ def test_tp301_pragma_suppression():
 def test_tp302_double_release():
     source = (
         "def run(flash):\n"
-        "    flash.enter_fast_mode()\n"
-        "    flash.exit_fast_mode()\n"
-        "    flash.exit_fast_mode()\n"
+        "    flash.take_lease()\n"
+        "    flash.drop_lease()\n"
+        "    flash.drop_lease()\n"
+        + LEASE
     )
     findings = [f for f in analyze_source(source) if f.rule == "TP302"]
     assert len(findings) == 1
@@ -254,9 +266,10 @@ def test_tp302_double_release():
 def test_tp302_use_after_release():
     source = (
         "def run(flash):\n"
-        "    flash.enter_fast_mode()\n"
-        "    flash.exit_fast_mode()\n"
-        "    flash.fold_stats()\n"
+        "    flash.take_lease()\n"
+        "    flash.drop_lease()\n"
+        "    flash.renew()\n"
+        + LEASE
     )
     findings = [f for f in analyze_source(source) if f.rule == "TP302"]
     assert len(findings) == 1

@@ -11,9 +11,10 @@ from repro.errors import ExperimentError
 from repro.experiments import (EXPERIMENTS, ExperimentScale,
                                run_experiment)
 from repro.experiments.common import (ABLATION_CONFIGS, WORKLOADS,
-                                      build_workload, clear_matrix_cache,
-                                      run_ablation_cell, run_one,
-                                      simulation_config, tpftl_variant)
+                                      build_workload, run_ablation_cell,
+                                      run_one, simulation_config,
+                                      tpftl_variant)
+from repro.experiments.runner import clear_run_caches
 
 MICRO = ExperimentScale(
     name="micro", num_requests=2500, warmup_requests=500,
@@ -23,9 +24,9 @@ MICRO = ExperimentScale(
 
 @pytest.fixture(scope="module", autouse=True)
 def _clean_cache():
-    clear_matrix_cache()
+    clear_run_caches()
     yield
-    clear_matrix_cache()
+    clear_run_caches()
 
 
 class TestCommon:

@@ -16,13 +16,13 @@ import pytest
 from repro.config import TPFTLConfig
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentScale
-from repro.experiments.common import (clear_matrix_cache, run_matrix,
-                                      run_one)
+from repro.experiments.common import run_matrix, run_one
 from repro.experiments.runner import (CACHE_SCHEMA, ParallelRunner,
-                                      RunCache, RunSpec, configure_runner,
-                                      decode_result, encode_result,
-                                      execute_spec, get_runner,
-                                      reset_runner, resolve_jobs)
+                                      RunCache, RunSpec, clear_run_caches,
+                                      configure_runner, decode_result,
+                                      encode_result, execute_spec,
+                                      get_runner, reset_runner,
+                                      resolve_jobs)
 
 TINY = ExperimentScale(
     name="tiny", num_requests=900, warmup_requests=200,
@@ -36,7 +36,7 @@ def _fresh_default_runner(tmp_path):
     configure_runner(jobs=1, cache_dir=tmp_path / "default-cache")
     yield
     reset_runner()
-    clear_matrix_cache()
+    clear_run_caches()
 
 
 def tiny_spec(**overrides) -> RunSpec:
@@ -320,10 +320,10 @@ class TestDefaultRunnerIntegration:
         assert first == second
         assert get_runner().cache.stats()["hits"] >= 1
 
-    def test_clear_matrix_cache_shim_clears_memory_only(self):
+    def test_clear_run_caches_clears_memory_only(self):
         run_one("financial1", "dftl", TINY)
         runner = get_runner()
-        clear_matrix_cache()
+        clear_run_caches()
         assert len(runner.cache._memory) == 0
         # disk level still warm: rerun is a hit, not a simulation
         misses_before = runner.cache.stats()["misses"]

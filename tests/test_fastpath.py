@@ -1,224 +1,458 @@
-"""The batched execution core: parity with the reference path.
+"""The execution core against its frozen reference.
 
-The fast path's contract is *field-for-field identity*: for any run the
-reference path can execute, :func:`repro.ssd.run_fast` must produce a
-:class:`RunResult` whose JSON encoding — the exact representation the
-run cache persists and digests — is byte-identical.  The tests here
-diff the two paths through that digest layer across the tier-1
-workload x FTL matrix, the multi-channel device model, background GC
-and sanitized runs, plus the regression tests for the accounting and
-sampling bugs fixed alongside the fast path:
+Until PR 12 a second, per-operation core served as the living oracle
+for the batched one.  The oracle is now ``tests/golden_digests.json``:
+every cell below (plus the tenant mixes of ``tests/test_traffic.py``)
+was run through that reference core at the last commit that had it, and
+the sha256 of the run cache's JSON encoding — for fault cells, of the
+result together with the injector counters and the block-for-block
+flash end state — was frozen.  The one core must reproduce each byte
+for byte.  Regenerate only when a PR changes results on purpose::
 
-* ``CacheSampler.maybe_sample`` previously fired on every request after
-  a multi-page request jumped the access counter past several
-  boundaries at once (catch-up oversampling);
-* ``RunResult.gc_time_fraction`` previously divided by request service
-  time only, so background GC could push the "fraction" past 1.
+    PYTHONPATH=src:tests python -c "import test_fastpath as t; t.write_golden()"
+
+What legitimately stays dual inside the one core is cross-checked
+directly: chunk-filled prefill/GC migration (ideal device) against the
+page-by-page order a live fault plan gets, and the lazy victim heap and
+running erase-count spread against full scans.
+
+Also here, unchanged: the regressions for two bugs fixed alongside the
+batched core — ``CacheSampler.maybe_sample`` fired on every request
+after a multi-page request jumped several boundaries at once, and
+``RunResult.gc_time_fraction`` divided by request service time only, so
+background GC could push the "fraction" past 1.
 """
 
 import dataclasses
 import hashlib
 import json
-import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.config import CacheConfig, SimulationConfig, SSDConfig
-from repro.errors import FlashError
+from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
+                          SSDConfig)
+from repro.errors import DeviceWornOutError, PowerLossError, ReadError
 from repro.experiments.common import ExperimentScale
+from repro.experiments.faults import _config_for as media_fault_config
 from repro.experiments.runner import (RunSpec, decode_result,
-                                      encode_result, execute_spec,
-                                      fastpath_enabled)
-from repro.ftl import OptimalFTL, make_ftl
+                                      encode_result, execute_spec)
+from repro.faults import FaultInjector, FaultPlan
+from repro.flash import FlashMemory
+from repro.ftl import FTL_NAMES, OptimalFTL, make_ftl
+from repro.gc import GreedyPolicy, WearLeveler
 from repro.metrics import CacheSampler
 from repro.ssd import SSDevice, run_fast
-from repro.types import Op, Request, Trace
+from repro.types import PageKind
+from repro.workloads import make_preset
 
-from conftest import make_trace, random_ops
+from conftest import (GOLDEN_PATH, golden_digests, make_trace, random_ops,
+                      result_digest)
+from test_background_gc import bursty_write_trace
 
-#: CI-sized cells: big enough to cycle GC on every FTL, small enough
-#: that the full parity matrix stays a few seconds per cell
+#: the tier-1 cells at CI size (the cell set the old parity matrix ran)
 PARITY_SCALE = ExperimentScale(num_requests=2_500, warmup_requests=500)
-
+#: a device small enough that every FTL collects data blocks, and the
+#: demand-based ones translation blocks too, within the run
+ZOO_SCALE = ExperimentScale(num_requests=6_000, warmup_requests=1_000,
+                            financial_pages=4_096)
 TIER1_WORKLOADS = ("financial1", "financial2", "msr-src", "msr-ts")
 FTLS = ("dftl", "tpftl", "optimal")
 
+TINY_SSD = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
+TINY = SimulationConfig(ssd=TINY_SSD)
+ROOMY = SimulationConfig(ssd=TINY_SSD, cache=CacheConfig(budget_bytes=2048))
+GC_HEAVY = SimulationConfig(ssd=TINY_SSD,
+                            cache=CacheConfig(budget_bytes=1024))
+SANITIZED = dataclasses.replace(ROOMY, sanitizer=SanitizerConfig(
+    enabled=True, interval=1, full_every=32))
+#: the power cut fires on flash operation 778 of the replay, after GC
+#: of both block kinds has started
+POWER_CUT_AFTER = 777
 
-def digest(result) -> str:
-    """The parity key: sha256 of the run cache's JSON encoding.
 
-    Byte-identical encodings mean every field the cache can observe —
-    metrics, response statistics (including the Welford internals),
-    sampler series, timings, fault counters — is identical.
-    """
-    payload = json.dumps(encode_result(result), sort_keys=True)
+def small_trace(count=1_500, seed=11):
+    return make_trace(random_ops(count, 512, seed=seed))
+
+
+def gc_heavy_trace():
+    return make_trace(random_ops(2_000, 512, seed=21, write_ratio=0.9))
+
+
+# ----------------------------------------------------------------------
+# The cells
+# ----------------------------------------------------------------------
+#: runner cells: tier-1 matrix, every FTL, 4 channels, and the eight
+#: cells of the retired BENCH_fastpath.json at its committed scale
+SPEC_CELLS = {f"tier1/{workload}:{ftl}": RunSpec(
+    workload=workload, ftl=ftl, scale=PARITY_SCALE, sample_interval=400)
+    for workload in TIER1_WORKLOADS for ftl in FTLS}
+SPEC_CELLS.update({f"zoo/financial1:{ftl}": RunSpec(
+    workload="financial1", ftl=ftl, scale=ZOO_SCALE, cache_fraction=1 / 4)
+    for ftl in FTL_NAMES})
+SPEC_CELLS.update({f"bench/{workload}:{ftl}": RunSpec(
+    workload=workload, ftl=ftl, scale=ExperimentScale())
+    for workload in TIER1_WORKLOADS for ftl in ("dftl", "optimal")})
+SPEC_CELLS["channels4/financial2:dftl"] = RunSpec(
+    workload="financial2", ftl="dftl", scale=PARITY_SCALE, channels=4)
+
+
+def sanitized_run():
+    """-> (result, ftl, pages served)"""
+    ops = random_ops(800, 512, seed=5)
+    ftl = make_ftl("tpftl", SANITIZED)
+    return (SSDevice(ftl).run(make_trace(ops)), ftl,
+            sum(n for _, _, n in ops))
+
+
+def follow_up_after_abort_run():
+    """A replay on a device whose previous replay died mid-loop."""
+    ftl = make_ftl("dftl", ROOMY)
+    device = SSDevice(ftl)
+    original, served = ftl.serve_request, [0]
+
+    def exploding(request):
+        served[0] += 1
+        if served[0] == 151:
+            raise RuntimeError("injected mid-run fault")
+        return original(request)
+
+    ftl.serve_request = exploding
+    with pytest.raises(RuntimeError, match="injected"):
+        device.run(small_trace(count=400))
+    ftl.serve_request = original
+    return device.run(small_trace(count=120, seed=21))
+
+
+#: hand-built devices (background GC, FTLSan, warmup, heavy GC, reuse)
+RUN_CELLS = {
+    "device/warmup-dftl": lambda: SSDevice(
+        make_ftl("dftl", ROOMY), sample_interval=200).run(
+            small_trace(), warmup_requests=300),
+    "device/background-gc-optimal": lambda: SSDevice(
+        OptimalFTL(TINY), background_gc=True).run(
+            bursty_write_trace(bursts=60)),
+    "device/sanitized-tpftl": lambda: sanitized_run()[0],
+    "device/gc-heavy-dftl": lambda: SSDevice(
+        make_ftl("dftl", GC_HEAVY)).run(gc_heavy_trace()),
+    "device/follow-up-after-abort": follow_up_after_abort_run,
+}
+
+
+def flash_state(flash):
+    """The array block for block, as JSON-safe rows."""
+    return [[block.kind.value, block.erase_count, block.valid_count,
+             block.invalid_count, block.bad_count, block._write_ptr,
+             block.last_program_seq, list(block._meta)]
+            for block in flash.blocks]
+
+
+def fault_outcome(ftl, trace, arm_cut_after=None):
+    """Digest of a run under faults: result (or the typed failure),
+    injector counters and the flash end state."""
+    flash = ftl.flash
+    injector = flash.injector
+    if arm_cut_after is not None:
+        injector.arm_power_loss(arm_cut_after)
+    try:
+        outcome = encode_result(SSDevice(ftl).run(trace))
+    except (PowerLossError, DeviceWornOutError) as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    stats = flash.stats
+    payload = json.dumps({
+        "outcome": outcome,
+        "ops_seen": injector.ops_seen,
+        "injected": [injector.injected_read_errors,
+                     injector.injected_program_failures,
+                     injector.injected_erase_failures,
+                     injector.power_cuts],
+        "op_seq": flash.op_seq,
+        "counts": [stats.data_reads, stats.translation_reads,
+                   stats.data_writes, stats.translation_writes,
+                   stats.total_erases],
+        "faults": stats.fault_summary(),
+        "retired": flash.retired_block_ids,
+        "flash": flash_state(flash),
+    }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def run_both(spec: RunSpec):
-    """Execute one cell through both cores and return the results."""
-    reference = execute_spec(spec, fast=False)
-    fast = execute_spec(spec, fast=True)
-    return reference, fast
+def media_fault_cell(ftl_name):
+    """Read + program + erase faults as in ``experiments/faults.py``."""
+    config = media_fault_config(ftl_name, program_faults=True)
+    trace = make_preset("financial1", num_requests=2_000,
+                        logical_pages=config.ssd.logical_pages)
+    return fault_outcome(make_ftl(ftl_name, config), trace)
+
+
+#: three fault plans: read-only, read+program+erase, an armed power cut
+FAULT_CELLS = {
+    "faults/read-only-optimal": lambda: fault_outcome(
+        OptimalFTL(SimulationConfig(ssd=dataclasses.replace(
+            TINY_SSD, read_error_rate=0.01))), small_trace(count=600)),
+    "faults/media-dftl": lambda: media_fault_cell("dftl"),
+    "faults/media-tpftl": lambda: media_fault_cell("tpftl"),
+    "faults/power-cut-dftl": lambda: fault_outcome(
+        make_ftl("dftl", TINY), small_trace(count=600),
+        arm_cut_after=POWER_CUT_AFTER),
+}
+
+
+def cell(name):
+    """Compute one cell's frozen string from scratch."""
+    if name in SPEC_CELLS:
+        return result_digest(execute_spec(SPEC_CELLS[name]))
+    if name in RUN_CELLS:
+        return result_digest(RUN_CELLS[name]())
+    return FAULT_CELLS[name]()
+
+
+def all_cells():
+    import test_traffic
+    return {**{name: (lambda name=name: cell(name))
+               for name in (*SPEC_CELLS, *RUN_CELLS, *FAULT_CELLS)},
+            **test_traffic.GOLDEN_CELLS}
+
+
+def write_golden():
+    """Recompute every cell and rewrite ``golden_digests.json``."""
+    table = {
+        "cells": {name: run() for name, run in sorted(all_cells().items())},
+        "specs": {name[len("bench/"):]: spec.digest
+                  for name, spec in SPEC_CELLS.items()
+                  if name.startswith("bench/")},
+    }
+    GOLDEN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True)
+                           + "\n", encoding="utf-8")
+
+
+def check(name):
+    assert cell(name) == golden_digests()["cells"][name]
+
+
+# ----------------------------------------------------------------------
+# The golden table
+# ----------------------------------------------------------------------
+class TestGoldenTable:
+    @pytest.mark.parametrize("name", [
+        name for name in (*SPEC_CELLS, *FAULT_CELLS)
+        if name.startswith(("zoo/", "bench/", "faults/media"))])
+    def test_cell_matches_reference(self, name):
+        check(name)
+
+    def test_table_and_cells_agree(self):
+        assert set(golden_digests()["cells"]) == set(all_cells())
+
+    def test_bench_spec_digests_unchanged(self):
+        """The cache addresses BENCH_fastpath.json used to pin."""
+        for label, digest in golden_digests()["specs"].items():
+            assert SPEC_CELLS[f"bench/{label}"].digest == digest
 
 
 class TestTier1Parity:
-    """Reference and fast paths agree on every tier-1 cell."""
+    """The core reproduces the reference on every tier-1 cell."""
 
     @pytest.mark.parametrize("workload", TIER1_WORKLOADS)
     @pytest.mark.parametrize("ftl", FTLS)
     def test_cell_parity(self, workload, ftl):
-        spec = RunSpec(workload=workload, ftl=ftl, scale=PARITY_SCALE,
-                       sample_interval=400)
-        reference, fast = run_both(spec)
-        assert digest(reference) == digest(fast)
+        check(f"tier1/{workload}:{ftl}")
 
     def test_parity_survives_decode_roundtrip(self):
-        spec = RunSpec(workload="financial2", ftl="dftl",
-                       scale=PARITY_SCALE, sample_interval=400)
-        reference, fast = run_both(spec)
-        decoded = decode_result(encode_result(fast))
-        assert digest(decoded) == digest(reference)
+        result = execute_spec(SPEC_CELLS["tier1/financial2:dftl"])
+        decoded = decode_result(encode_result(result))
+        assert (result_digest(decoded)
+                == golden_digests()["cells"]["tier1/financial2:dftl"])
 
     def test_multichannel_parity(self):
-        spec = RunSpec(workload="financial2", ftl="dftl",
-                       scale=PARITY_SCALE, channels=4)
-        reference, fast = run_both(spec)
-        assert reference.channels == fast.channels == 4
-        assert digest(reference) == digest(fast)
-
-    def test_fastpath_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert fastpath_enabled()
-        monkeypatch.setenv("REPRO_FASTPATH", "reference")
-        assert not fastpath_enabled()
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert fastpath_enabled()
+        spec = SPEC_CELLS["channels4/financial2:dftl"]
+        assert execute_spec(spec).channels == 4
+        check("channels4/financial2:dftl")
 
 
 class TestDeviceLevelParity:
-    """run_fast against DeviceModel.run on hand-built devices."""
+    """Hand-built devices against the reference's digests."""
 
-    def _trace(self, count=1_500, seed=11):
-        return make_trace(random_ops(count, 512, seed=seed))
+    def test_warmup_parity(self):
+        check("device/warmup-dftl")
+        check("device/gc-heavy-dftl")
 
-    def test_warmup_parity(self, roomy_config):
-        results = []
-        for fast in (False, True):
-            ftl = make_ftl("dftl", roomy_config)
-            device = SSDevice(ftl, sample_interval=200)
-            runner = run_fast if fast else type(device).run
-            results.append(runner(device, self._trace(),
-                                  warmup_requests=300))
-        assert digest(results[0]) == digest(results[1])
-
-    def test_background_gc_parity(self, tiny_config):
-        trace = bursty_write_trace(bursts=60)
-        results = []
-        for fast in (False, True):
-            device = SSDevice(OptimalFTL(tiny_config),
-                              background_gc=True)
-            runner = run_fast if fast else type(device).run
-            results.append(runner(device, trace))
-        reference, fast = results
-        assert reference.background_collections > 0
-        assert digest(reference) == digest(fast)
+    def test_background_gc_parity(self):
+        result = RUN_CELLS["device/background-gc-optimal"]()
+        assert result.background_collections > 0
+        check("device/background-gc-optimal")
 
     def test_fault_plan_falls_back_to_reference(self):
-        ssd = SSDConfig(logical_pages=512, page_size=256,
-                        pages_per_block=8, read_error_rate=0.01)
-        config = SimulationConfig(ssd=ssd)
-        trace = self._trace(count=600)
-        results = []
-        for fast in (False, True):
-            device = SSDevice(OptimalFTL(config))
-            runner = run_fast if fast else type(device).run
-            results.append(runner(device, trace))
-        assert digest(results[0]) == digest(results[1])
+        """A live plan falls back to the reference's per-operation
+        order for bulk moves, and reproduces its digest."""
+        check("faults/read-only-optimal")
 
-    def test_fast_mode_refuses_live_fault_plan(self):
-        ssd = SSDConfig(logical_pages=512, page_size=256,
-                        pages_per_block=8, read_error_rate=0.01)
-        ftl = OptimalFTL(SimulationConfig(ssd=ssd))
-        with pytest.raises(FlashError):
-            ftl.flash.enter_fast_mode()  # tp: allow=TP301 - must raise
+    def test_power_cut_fires_at_the_reference_operation(self):
+        """Same exception at the same ``ops_seen``, same flash left
+        behind — the digest pins all three; the message is spelled out
+        so a drift names itself."""
+        ftl = make_ftl("dftl", TINY)
+        ftl.flash.injector.arm_power_loss(POWER_CUT_AFTER)
+        with pytest.raises(PowerLossError,
+                           match=f"after {POWER_CUT_AFTER} flash"):
+            SSDevice(ftl).run(small_trace(count=600))
+        assert ftl.flash.injector.ops_seen == POWER_CUT_AFTER
+        check("faults/power-cut-dftl")
 
-    def test_sanitizer_sees_every_op(self, sanitized_config):
+    def test_sanitizer_sees_every_op(self):
         """FTLSan runs in the policy slice: full per-op coverage."""
-        ops = random_ops(800, 512, seed=5)
-        trace = make_trace(ops)
-        ftl = make_ftl("tpftl", sanitized_config)
-        device = SSDevice(ftl)
-        run_fast(device, trace)
+        _, ftl, pages = sanitized_run()
         assert ftl.sanitizer is not None
-        assert ftl.sanitizer.op_seq == sum(n for _, _, n in ops)
+        assert ftl.sanitizer.op_seq == pages
+        check("device/sanitized-tpftl")
 
-    def test_fast_mode_exits_after_run(self, roomy_config):
-        ftl = make_ftl("dftl", roomy_config)
-        device = SSDevice(ftl)
-        run_fast(device, self._trace(count=200))
-        assert not ftl.flash.fast_mode
-        # the flash is reusable on the reference path afterwards
-        device.run(self._trace(count=50, seed=12))
-
-    def test_fast_mode_contract_survives_mid_run_exception(
-            self, roomy_config, monkeypatch):
-        """The runtime mirror of the TP301 typestate rule: a fault in
-        the serve loop must leave the device exactly as a reference-
-        path fault would — fast mode off, the pending fast-mode
-        counters folded exactly once, and a follow-up reference run
-        digest-identical between the two abort histories."""
-        trace = self._trace(count=400)
-        follow_up = self._trace(count=120, seed=21)
-
-        def exploding(ftl, after):
-            original, state = type(ftl).serve_request, {"served": 0}
-
-            def serving(request):
-                state["served"] += 1
-                if state["served"] == after:
-                    raise RuntimeError("injected mid-run fault")
-                return original(ftl, request)
-            return serving
-
-        digests = []
-        for fast in (False, True):
-            ftl = make_ftl("dftl", roomy_config)
-            device = SSDevice(ftl)
-            monkeypatch.setattr(ftl, "serve_request",
-                                exploding(ftl, after=151))
-            folds = {"n": 0}
-            original_fold = ftl.flash.fold_stats
-
-            def counting_fold(original_fold=original_fold,
-                              folds=folds):
-                folds["n"] += 1
-                original_fold()
-            monkeypatch.setattr(ftl.flash, "fold_stats", counting_fold)
-            runner = run_fast if fast else type(device).run
-            with pytest.raises(RuntimeError, match="injected"):
-                runner(device, trace)
-            assert not ftl.flash.fast_mode
-            # the finally-block exit folds the batched counters once;
-            # the reference path has nothing pending to fold
-            assert folds["n"] == (1 if fast else 0)
-            digests.append(digest(device.run(follow_up)))
-        assert digests[0] == digests[1]
+    def test_mid_run_exception_leaves_device_reusable(self):
+        """A replay that dies in the serve loop must leave nothing
+        behind that a later replay on the same device can observe."""
+        check("device/follow-up-after-abort")
 
 
-def bursty_write_trace(pages=512, bursts=40, burst_len=20,
-                       gap_us=50_000.0, seed=3) -> Trace:
-    """Write bursts separated by idle gaps (drives background GC)."""
-    rng = random.Random(seed)
-    requests = []
-    clock = 0.0
-    for _ in range(bursts):
-        for _ in range(burst_len):
-            clock += 50.0
-            requests.append(Request(arrival=clock, op=Op.WRITE,
-                                    lpn=rng.randrange(pages), npages=1))
-        clock += gap_us
-    return Trace(requests=requests, logical_pages=pages)
+class TestOpsSeen:
+    """``FaultInjector.ops_seen``: flash operations started while the
+    plan is live."""
+
+    def test_idle_plan_counts_nothing(self):
+        ftl = make_ftl("dftl", ROOMY)
+        SSDevice(ftl).run(small_trace(count=200))
+        assert not ftl.flash.injector.live
+        assert ftl.flash.injector.ops_seen == 0
+
+    def test_live_plan_counts_every_started_operation(self):
+        """Programs, read attempts (ECC retries included) and erases
+        each start one operation; invalidation is out-of-band
+        bookkeeping and starts none."""
+        ssd = dataclasses.replace(TINY_SSD, read_error_rate=1.0,
+                                  max_read_retries=3)
+        flash = FlashMemory(ssd)
+        injector = flash.injector
+        ppns = [flash.program(PageKind.DATA, meta) for meta in range(8)]
+        assert injector.ops_seen == 8
+        with pytest.raises(ReadError):
+            flash.read(ppns[0], PageKind.DATA)
+        assert injector.ops_seen == 8 + 1 + 3
+        for ppn in ppns:
+            flash.invalidate(ppn)
+        assert injector.ops_seen == 12
+        assert flash.erase(flash.block_id_of(ppns[0]))
+        assert injector.ops_seen == 13
+
+    def test_arming_makes_an_idle_injector_live(self):
+        flash = FlashMemory(TINY_SSD)
+        injector = flash.injector
+        for meta in range(3):
+            flash.program(PageKind.DATA, meta)
+        assert injector.ops_seen == 0
+        injector.arm_power_loss(2)
+        assert injector.live
+        flash.program(PageKind.DATA, 3)
+        flash.program(PageKind.DATA, 4)
+        with pytest.raises(PowerLossError, match="after 2 flash"):
+            flash.program(PageKind.DATA, 5)
+        assert injector.ops_seen == 2
+
+
+# ----------------------------------------------------------------------
+# What stays dual inside the one core, against its own reference
+# ----------------------------------------------------------------------
+def never_firing(name, config):
+    """``name`` over an array whose plan is live but can never fire."""
+    ftl = make_ftl(name, config, prefill=False)
+    ftl.flash = FlashMemory(config.ssd, injector=FaultInjector(
+        FaultPlan(power_cut_after_ops=10 ** 12)))
+    ftl.prefill()
+    return ftl
+
+
+class TestPlanSelectsMechanics:
+    """Chunk-filled prefill/GC migration (ideal plan) and the
+    page-by-page read -> program -> invalidate order (live plan) are
+    the same machine."""
+
+    @pytest.mark.parametrize("name", ("dftl", "tpftl"))
+    def test_batched_and_per_op_migration_agree(self, name):
+        batched = make_ftl(name, GC_HEAVY)
+        per_op = never_firing(name, GC_HEAVY)
+        assert flash_state(batched.flash) == flash_state(per_op.flash)
+        assert not batched.flash.injector.live
+        assert not per_op.flash.injector.plan.is_noop
+        results = [SSDevice(ftl).run(gc_heavy_trace())
+                   for ftl in (batched, per_op)]
+        assert results[0].metrics.gc_data_collections > 0
+        assert results[0].metrics.gc_translation_collections > 0
+        assert result_digest(results[0]) == result_digest(results[1])
+        assert flash_state(batched.flash) == flash_state(per_op.flash)
+        assert batched.flash.op_seq == per_op.flash.op_seq
+        assert batched.flash.injector.ops_seen == 0
+        assert per_op.flash.injector.ops_seen > per_op.flash.op_seq / 2
+
+
+def check_every_selection(ftl):
+    """Wrap victim selection: the heap's pick must be the full scan's,
+    and the running erase-count spread a full scan's; -> call counter."""
+    flash, select, checks = ftl.flash, ftl._select_victim, [0]
+
+    def checked():
+        victim = select()
+        assert victim is GreedyPolicy().select(ftl._gc_candidates())
+        counts = [block.erase_count for block in flash.blocks]
+        assert (flash.max_erase, flash.min_erase) == (max(counts),
+                                                      min(counts))
+        checks[0] += 1
+        return victim
+
+    ftl._select_victim = checked
+    return checks
+
+
+class TestVictimHeapEquivalence:
+    """The lazy heap and the running spread against full scans."""
+
+    @given(seed=st.integers(0, 2 ** 16),
+           write_ratio=st.floats(0.5, 1.0),
+           program_fail_rate=st.sampled_from((0.0, 0.004, 0.02)),
+           erase_fail_rate=st.sampled_from((0.0, 0.02, 0.1)),
+           wear_threshold=st.sampled_from((None, 2)))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_greedy_selection_matches(self, seed, write_ratio,
+                                      program_fail_rate, erase_fail_rate,
+                                      wear_threshold):
+        ssd = dataclasses.replace(
+            TINY_SSD, program_fail_rate=program_fail_rate,
+            erase_fail_rate=erase_fail_rate, fault_seed=seed)
+        leveler = (WearLeveler(threshold=wear_threshold)
+                   if wear_threshold else None)
+        ftl = make_ftl("dftl", SimulationConfig(
+            ssd=ssd, cache=CacheConfig(budget_bytes=1024)),
+            wear_leveler=leveler)
+        checks = check_every_selection(ftl)
+        trace = make_trace(random_ops(700, 512, seed=seed,
+                                      write_ratio=write_ratio))
+        try:
+            SSDevice(ftl).run(trace)
+        except DeviceWornOutError:
+            pass
+        assert checks[0] > 0
+
+    def test_worn_array_reaches_the_heap(self):
+        """Bad pages and retired blocks, which the old fast mode
+        refused, select through the same heap."""
+        ftl = make_ftl("dftl", media_fault_config("dftl", True))
+        checks = check_every_selection(ftl)
+        trace = make_preset("financial1", num_requests=2_000,
+                            logical_pages=ftl.ssd.logical_pages)
+        try:
+            SSDevice(ftl).run(trace)
+        except DeviceWornOutError:
+            pass
+        assert checks[0] > 0
+        assert ftl.flash.bad_page_count > 0
+        assert ftl.flash.retired_block_count > 0
 
 
 class TestGCTimeFractionInvariant:
@@ -285,26 +519,16 @@ class TestSamplerCatchUp:
         assert not sampler.due(10 ** 9)
         assert not sampler.maybe_sample(10 ** 9, [(1, 0)])
 
+    def test_snapshot_built_only_when_a_sample_is_due(self):
+        """Regression: the per-operation loop built ``cache_snapshot()``
+        (a list over every cached TP node) on every request."""
+        ftl = make_ftl("tpftl", ROOMY)
+        snapshot, calls = ftl.cache_snapshot, [0]
 
-class TestVictimHeapEquivalence:
-    """Fast-mode GC picks the same victims as the reference scan."""
+        def counting():
+            calls[0] += 1
+            return snapshot()
 
-    def test_greedy_selection_matches(self, tiny_config):
-        ops = random_ops(2_000, 512, seed=21, write_ratio=0.9)
-        trace = make_trace(ops)
-        results = []
-        for fast in (False, True):
-            ftl = make_ftl("dftl", dataclasses.replace(
-                tiny_config, cache=CacheConfig(budget_bytes=1024)))
-            device = SSDevice(ftl)
-            runner = run_fast if fast else type(device).run
-            results.append((runner(device, trace), ftl))
-        (ref_result, ref_ftl), (fast_result, fast_ftl) = results
-        assert ref_result.metrics.gc_data_collections > 0
-        assert digest(ref_result) == digest(fast_result)
-        # physical end state matches block for block
-        for ref_block, fast_block in zip(ref_ftl.flash.blocks,
-                                         fast_ftl.flash.blocks):
-            assert ref_block.erase_count == fast_block.erase_count
-            assert ref_block.valid_count == fast_block.valid_count
-            assert ref_block.invalid_count == fast_block.invalid_count
+        ftl.cache_snapshot = counting
+        result = SSDevice(ftl, sample_interval=200).run(small_trace())
+        assert 0 < len(result.sampler.samples) == calls[0] < 1_500

@@ -27,9 +27,9 @@ import pytest
 from repro.errors import (CellFailure, ExperimentError,
                           MatrixFailureError, RunnerError)
 from repro.experiments import ExperimentScale
-from repro.experiments.common import clear_matrix_cache
 from repro.experiments.runner import (ParallelRunner, RunCache, RunSpec,
-                                      configure_runner, reset_runner)
+                                      clear_run_caches, configure_runner,
+                                      reset_runner)
 from repro.experiments.supervisor import (CHAOS_ENV, JOURNAL_NAME,
                                           Journal, RetryPolicy,
                                           Supervisor, Task)
@@ -52,7 +52,7 @@ def _fresh_default_runner(tmp_path):
     configure_runner(jobs=1, cache_dir=tmp_path / "default-cache")
     yield
     reset_runner()
-    clear_matrix_cache()
+    clear_run_caches()
 
 
 def tiny_spec(**overrides) -> RunSpec:

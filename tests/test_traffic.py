@@ -3,15 +3,14 @@
 Covers the composition layer (arrival models, namespace slicing, merge
 determinism), tenant threading through the device models (per-tenant
 response statistics, fair-share lanes, single-tenant degeneration to
-the paper's FIFO arithmetic bit-for-bit), fast-path parity on traffic
-workloads, the runner's digest-neutral spec extension, and the
+the paper's FIFO arithmetic bit-for-bit), parity with the frozen
+reference digests on traffic workloads, the runner's digest-neutral spec extension, and the
 ``traffic`` registry experiment.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import random
 
@@ -20,14 +19,16 @@ import pytest
 from repro.config import SimulationConfig, SSDConfig
 from repro.errors import ConfigError, WorkloadError
 from repro.experiments import ExperimentScale
-from repro.experiments.common import clear_matrix_cache
-from repro.experiments.runner import (RunSpec, decode_result,
-                                      encode_result, execute_spec)
+from repro.experiments.runner import (RunSpec, clear_run_caches,
+                                      decode_result, encode_result,
+                                      execute_spec)
 from repro.ftl import make_ftl
 from repro.ssd import ChannelSSDevice, SSDevice, run_fast, simulate
 from repro.types import Op, Request, Trace
 from repro.workloads import (ARRIVAL_KINDS, ArrivalModel, TenantSpec,
                              TrafficSpec, compose, uniform_mix)
+
+from conftest import golden_digests, result_digest
 
 TINY = ExperimentScale(
     name="tiny", num_requests=900, warmup_requests=200,
@@ -52,10 +53,28 @@ def sim_config(trace: Trace) -> SimulationConfig:
         pages_per_block=8))
 
 
-def digest(result) -> str:
-    """Parity key: sha256 of the run cache's JSON encoding."""
-    payload = json.dumps(encode_result(result), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def mix_digest(qos, channels=1, weights=None):
+    """Three tenants on DFTL under one dispatch policy."""
+    spec = tiny_mix(tenants=3, requests=200, interarrival=250.0,
+                    weights=weights)
+    trace = compose(spec)
+    result = simulate(
+        make_ftl("dftl", sim_config(trace)), trace, channels=channels,
+        qos=qos, keep_response_samples=True,
+        tenant_weights=spec.weights() if qos == "fair" else None)
+    assert result.tenants
+    return result_digest(result)
+
+
+#: tenant-mix cells of ``tests/golden_digests.json`` (frozen from the
+#: reference core; ``test_fastpath.write_golden`` regenerates them)
+GOLDEN_CELLS = {
+    "traffic/fifo": lambda: mix_digest("fifo"),
+    "traffic/fair": lambda: mix_digest("fair", weights=(4.0, 2.0, 1.0)),
+    "traffic/fair-ch2": lambda: mix_digest("fair", channels=2,
+                                           weights=(4.0, 2.0, 1.0)),
+    "traffic/fifo-ch4": lambda: mix_digest("fifo", channels=4),
+}
 
 
 class TestArrivalModel:
@@ -182,10 +201,10 @@ class TestCompose:
 
 
 class TestDeviceTenancy:
-    def _run(self, trace, qos="fifo", weights=None, fast=False,
-             channels=1, keep_samples=False):
+    def _run(self, trace, qos="fifo", weights=None, channels=1,
+             keep_samples=False):
         ftl = make_ftl("dftl", sim_config(trace))
-        return simulate(ftl, trace, fast=fast, channels=channels,
+        return simulate(ftl, trace, channels=channels,
                         qos=qos, tenant_weights=weights,
                         keep_response_samples=keep_samples)
 
@@ -292,33 +311,22 @@ class TestDeviceTenancy:
 
 
 class TestFastpathTrafficParity:
-    def _parity(self, qos, channels=1, weights=None, tenants=3):
-        spec = tiny_mix(tenants=tenants, requests=200,
-                        interarrival=250.0, weights=weights)
-        trace = compose(spec)
-        results = []
-        for fast in (False, True):
-            ftl = make_ftl("dftl", sim_config(trace))
-            results.append(simulate(
-                ftl, trace, fast=fast, channels=channels, qos=qos,
-                tenant_weights=(spec.weights() if qos == "fair"
-                                else None),
-                keep_response_samples=True))
-        reference, fast_result = results
-        assert reference.tenants and fast_result.tenants
-        assert digest(reference) == digest(fast_result)
+    """Tenant mixes against the reference core's frozen digests."""
+
+    def _parity(self, name):
+        assert GOLDEN_CELLS[name]() == golden_digests()["cells"][name]
 
     def test_fifo_multi_tenant_parity(self):
-        self._parity("fifo")
+        self._parity("traffic/fifo")
 
     def test_fair_multi_tenant_parity(self):
-        self._parity("fair", weights=(4.0, 2.0, 1.0))
+        self._parity("traffic/fair")
 
     def test_fair_multi_channel_parity(self):
-        self._parity("fair", channels=2, weights=(4.0, 2.0, 1.0))
+        self._parity("traffic/fair-ch2")
 
     def test_fifo_multi_channel_parity(self):
-        self._parity("fifo", channels=4)
+        self._parity("traffic/fifo-ch4")
 
 
 class TestRunnerTrafficSpecs:
@@ -355,7 +363,7 @@ class TestRunnerTrafficSpecs:
                                           interarrival=400.0),
                          qos="fair", keep_response_samples=True)
         result = execute_spec(spec)
-        clear_matrix_cache()
+        clear_run_caches()
         # 600 composed requests minus the tiny scale's 200 warmup
         assert result.requests == 400
         assert result.qos == "fair"
@@ -366,7 +374,7 @@ class TestRunnerTrafficSpecs:
         spec = self.base(traffic=tiny_mix(tenants=2, requests=300),
                          qos="fair", keep_response_samples=True)
         fresh = execute_spec(spec)
-        clear_matrix_cache()
+        clear_run_caches()
         decoded = decode_result(
             json.loads(json.dumps(encode_result(fresh))))
         assert decoded == fresh
@@ -383,7 +391,7 @@ class TestTrafficExperiment:
         configure_runner(jobs=1, cache_dir=tmp_path / "cache")
         yield
         reset_runner()
-        clear_matrix_cache()
+        clear_run_caches()
 
     def test_sweep_reports_per_tenant_tails(self):
         from repro.experiments.traffic import (LOAD_SWEEP, QOS_SWEEP,
