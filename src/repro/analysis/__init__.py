@@ -5,10 +5,9 @@ Two pillars, both specific to this codebase:
 * :mod:`repro.analysis.lint` — an AST-based lint pass (rules ``TP001``
   – ``TP006``) enforcing the project's structural rules over ``src/``:
   determinism (no unseeded randomness, no wall clock), typed errors
-  instead of bare ``assert``, frozen configs stay frozen, ``__slots__``
-  on cache nodes, and all flash page traffic routed through
-  :class:`~repro.flash.FlashMemory`.  Run it as
-  ``python -m repro.analysis lint src``.
+  instead of bare ``assert``, frozen configs stay frozen, and all
+  flash page traffic routed through :class:`~repro.flash.FlashMemory`.
+  Run it as ``python -m repro.analysis lint src``.
 * :mod:`repro.analysis.flow` — the interprocedural layer (rules
   ``TP101``–``TP104``): a project-wide call graph plus per-class
   mutable-state inventory feeding a fixed-point engine, catching the

@@ -122,8 +122,8 @@ def check_two_level_lru(ftl: "TPFTL", fail: FailFn) -> None:
     """Structural well-formedness of the two-level LRU lists (§4.1).
 
     Every TP node in the page-level list must be indexed in ``by_vtpn``
-    (and vice versa), be non-empty, and index exactly the entry nodes of
-    its entry-level list, each belonging to the node's translation page.
+    (and vice versa), be non-empty, and key each of its entry nodes under
+    the entry's own LPN, which must belong to the node's translation page.
     """
     seen = 0
     for node in ftl.page_list:
@@ -134,27 +134,20 @@ def check_two_level_lru(ftl: "TPFTL", fail: FailFn) -> None:
                  f"TP node {node.vtpn} in page list is not the node "
                  "indexed under its VTPN")
             return
-        count = 0
-        for entry in node.entries:
-            count += 1
+        for lpn, entry in node.entries.items():
+            if entry.lpn != lpn:
+                fail("SAN002",
+                     f"entry LPN {entry.lpn} of TP node {node.vtpn} "
+                     f"is keyed under LPN {lpn}")
+                return
             if ftl.geometry.vtpn_of(entry.lpn) != node.vtpn:
                 fail("SAN002",
                      f"entry LPN {entry.lpn} cached under TP node "
                      f"{node.vtpn} belongs to translation page "
                      f"{ftl.geometry.vtpn_of(entry.lpn)}")
                 return
-            if node.by_lpn.get(entry.lpn) is not entry:
-                fail("SAN002",
-                     f"entry LPN {entry.lpn} of TP node {node.vtpn} "
-                     "is not indexed in by_lpn")
-                return
-        if count == 0:
+        if not node.entries:
             fail("SAN002", f"empty TP node {node.vtpn} in page list")
-            return
-        if count != len(node.by_lpn):
-            fail("SAN002",
-                 f"TP node {node.vtpn} lists {count} entries but "
-                 f"indexes {len(node.by_lpn)}")
             return
     if seen != len(ftl.by_vtpn):
         fail("SAN002",
@@ -167,7 +160,7 @@ def check_hotness(ftl: "TPFTL", fail: FailFn) -> None:
     for node in ftl.page_list:
         hot = 0
         dirty = 0
-        for entry in node.entries:
+        for entry in node.entries.values():
             hot += entry.hot_seq
             if entry.dirty:
                 dirty += 1

@@ -5,20 +5,18 @@ cannot know about: deterministic replay (PR 1's ``FaultPlan`` re-fires
 the same faults only if nothing consults wall-clock time or a shared
 RNG), invariant checks that must survive ``python -O`` (so no bare
 ``assert`` in ``src/``), frozen configuration (results are only
-comparable if a run cannot mutate its config mid-flight), compact cache
-nodes (``__slots__`` on every ``LRUNode`` subclass — the byte-budget
-model assumes them), and a single flash entry point (every page
-operation must pass through :class:`~repro.flash.FlashMemory` so the
+comparable if a run cannot mutate its config mid-flight), and a single
+flash entry point (every page operation must pass through
+:class:`~repro.flash.FlashMemory` so the
 :class:`~repro.faults.FaultInjector` sees it).
 
-Each rule has a ``TP0xx`` code:
+Each rule has a ``TP0xx`` code (``TP005`` is retired and not reused):
 
 ========  ==============================================================
 TP001     unseeded / process-global randomness in simulation code
 TP002     wall-clock time in simulation code (breaks deterministic replay)
 TP003     bare ``assert`` (stripped under ``python -O``)
 TP004     mutation of a frozen config dataclass
-TP005     ``LRUNode`` subclass without ``__slots__``
 TP006     flash page operation bypassing ``FlashMemory``/``FaultInjector``
 ========  ==============================================================
 
@@ -48,7 +46,6 @@ RULES: Dict[str, str] = {
     "TP003": ("bare assert (stripped under python -O); raise a typed "
               "error from repro.errors instead"),
     "TP004": "mutation of a frozen config dataclass",
-    "TP005": "LRUNode subclass without __slots__",
     "TP006": ("direct flash page operation bypassing FlashMemory (and "
               "therefore the FaultInjector)"),
 }
@@ -78,9 +75,6 @@ _CONFIG_NAMES = frozenset({
 _FLASH_OPS = frozenset({
     "program", "program_into", "erase", "mark_bad", "invalidate",
 })
-
-#: the root class whose subclasses must declare __slots__
-_SLOTTED_ROOT = "LRUNode"
 
 _ALLOW_RE = re.compile(r"tp:\s*allow=([A-Z0-9,\s]+)")
 
@@ -142,8 +136,6 @@ class _FileVisitor(ast.NodeVisitor):
         self.in_flash_pkg = in_flash_pkg
         self.findings: List[Finding] = []
         self.allowed = _allowed_codes(source_lines)
-        #: class name -> (base names, has __slots__, line)
-        self.classes: Dict[str, Tuple[List[str], bool, int]] = {}
 
     # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
@@ -250,59 +242,6 @@ class _FileVisitor(ast.NodeVisitor):
                        "a frozen config; use dataclasses.replace / "
                        ".scaled() instead")
 
-    # -- TP005 (collection pass; resolution happens across files) ------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        """Record class bases and ``__slots__`` presence (for TP005)."""
-        bases: List[str] = []
-        for b in node.bases:
-            dotted = _dotted(b)
-            if dotted is None and isinstance(b, ast.Subscript):
-                dotted = _dotted(b.value)  # Generic[K] and friends
-            if dotted is not None:
-                bases.append(dotted.split(".")[-1])
-        has_slots = any(
-            isinstance(stmt, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__slots__"
-                for t in stmt.targets)
-            for stmt in node.body)
-        self.classes[node.name] = (bases, has_slots, node.lineno)
-        self.generic_visit(node)
-
-
-def _resolve_slots(visitors: Sequence[_FileVisitor]) -> List[Finding]:
-    """Cross-file TP005: transitive LRUNode subclasses need __slots__."""
-    classes: Dict[str, Tuple[List[str], bool, int, _FileVisitor]] = {}
-    for visitor in visitors:
-        for name, (bases, has_slots, line) in visitor.classes.items():
-            classes[name] = (bases, has_slots, line, visitor)
-    slotted_family: Set[str] = {_SLOTTED_ROOT}
-    changed = True
-    while changed:
-        changed = False
-        for name, (bases, _, _, _) in classes.items():
-            if name not in slotted_family and (
-                    set(bases) & slotted_family):
-                slotted_family.add(name)
-                changed = True
-    findings: List[Finding] = []
-    for name in sorted(slotted_family - {_SLOTTED_ROOT}):
-        if name not in classes:
-            continue
-        _, has_slots, line, visitor = classes[name]
-        if not has_slots:
-            if "TP005" in visitor.allowed.get(line, ()):
-                continue
-            snippet = ""
-            if 1 <= line <= len(visitor.lines):
-                snippet = visitor.lines[line - 1].strip()
-            findings.append(Finding(
-                rule="TP005", path=visitor.path, line=line, col=0,
-                message=(f"class {name} subclasses {_SLOTTED_ROOT} but "
-                         "declares no __slots__ (cache nodes must stay "
-                         "dict-free for the byte-budget model)"),
-                snippet=snippet))
-    return findings
-
 
 def _default_pruned(component: str) -> bool:
     """Path components never worth analyzing when walking a tree:
@@ -364,11 +303,11 @@ def normalize_path(path: pathlib.Path) -> str:
 
 
 def lint_source(source: str, path: str = "<string>") -> List[Finding]:
-    """Lint one module's source text (single-file rules + TP005)."""
+    """Lint one module's source text."""
     in_flash = "flash" in pathlib.PurePath(path).parts
     visitor = _FileVisitor(path, source.splitlines(), in_flash)
     visitor.visit(ast.parse(source, filename=path))
-    return visitor.findings + _resolve_slots([visitor])
+    return visitor.findings
 
 
 def lint_parsed(files: Iterable[Tuple[str, Sequence[str], ast.Module]],
@@ -379,15 +318,12 @@ def lint_parsed(files: Iterable[Tuple[str, Sequence[str], ast.Module]],
     time into the flow pass's project and feeds the same trees here,
     instead of re-reading and re-parsing the whole tree per pass.
     """
-    visitors: List[_FileVisitor] = []
     findings: List[Finding] = []
     for path, source_lines, tree in files:
         in_flash = "flash" in pathlib.PurePath(path).parts
         visitor = _FileVisitor(path, list(source_lines), in_flash)
         visitor.visit(tree)
-        visitors.append(visitor)
         findings.extend(visitor.findings)
-    findings.extend(_resolve_slots(visitors))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

@@ -176,7 +176,7 @@ class FTLSan:
                     "it to a single node")
         if (self._wants("SAN007") and ftl.techniques.clean_first
                 and victim.dirty):
-            for entry in node.entries:
+            for entry in reversed(node.entries.values()):
                 if not entry.dirty and entry is not protect:
                     self.fail(
                         "SAN007",
@@ -201,13 +201,13 @@ class FTLSan:
                 "SAN008",
                 f"batch update of TP node {node.vtpn} left "
                 f"{node.dirty_count} dirty entries behind")
-        recount = sum(1 for entry in node.entries if entry.dirty)
+        recount = sum(1 for entry in node.entries.values() if entry.dirty)
         if recount:
             self.fail(
                 "SAN008",
                 f"batch update of TP node {node.vtpn} left {recount} "
                 "entries flagged dirty")
-        if victim.lpn not in node.by_lpn:
+        if victim.lpn not in node.entries:
             self.fail(
                 "SAN008",
                 f"victim LPN {victim.lpn} already left TP node "

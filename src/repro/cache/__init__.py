@@ -1,10 +1,10 @@
 """Cache substrates shared by every FTL's mapping cache.
 
-The primitives here are policy-free containers: an intrusive doubly linked
-list with O(1) splice operations (:class:`LRUList`), a keyed LRU map on top
-of it (:class:`LRUDict`), and a byte budget tracker (:class:`ByteBudget`).
-The FTLs compose them into DFTL's CMT, S-FTL's page cache and TPFTL's
-two-level lists.
+The primitives here are policy-free containers: a keyed LRU map over one
+``OrderedDict`` (:class:`LRUDict`) for DFTL's and CDFTL's caches and S-FTL's
+page cache, an intrusive doubly linked list with O(1) splices
+(:class:`LRUList`) for TPFTL's hotness-ordered page-level list, and a byte
+budget tracker (:class:`ByteBudget`).
 """
 
 from .budget import ByteBudget

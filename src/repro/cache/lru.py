@@ -1,24 +1,28 @@
-"""Intrusive doubly linked LRU list and a keyed LRU map.
+"""The two ordered containers under the mapping caches.
 
-``LRUList`` stores :class:`LRUNode` objects (or subclasses) between two
-sentinels; every operation is O(1) except iteration.  The MRU end is the
-head, the LRU end the tail — matching the paper's figures, which draw the
-hottest node leftmost.
+``LRUDict`` is a keyed LRU map: a thin class over one
+:class:`collections.OrderedDict` whose *last* item is the MRU one, so a
+hit is ``move_to_end`` and an eviction is ``popitem(last=False)``.  It
+backs DFTL's CMT, CDFTL's CMT and CTP and S-FTL's page cache; TPFTL's
+TP nodes keep their entries in a bare ``OrderedDict`` with the same
+orientation.
 
-Subclassing ``LRUNode`` lets FTLs hang their payloads directly on the list
-node, avoiding a second dictionary lookup on the hot path.  Both
-containers are generic (``LRUList[NodeType]``, ``LRUDict[Key, Value]``)
-so callers get precise element types without casts.
-
-Misuse (double-insert, removing an unlinked node) raises
-:class:`~repro.errors.SimInvariantError` — unlike the bare asserts this
-module used to carry, the checks survive ``python -O``.
+``LRUList`` is the one hand-written structure left: an intrusive doubly
+linked list of :class:`LRUNode` objects between two sentinels, head =
+MRU, matching the paper's figures, which draw the hottest node
+leftmost.  It exists for TPFTL's hotness-ordered page-level list, which
+splices a node a few slots up or down from where it already sits — an
+operation an ``OrderedDict`` cannot express — and it offers only what
+that list uses.  Misuse (double-insert, removing an unlinked node)
+raises :class:`~repro.errors.SimInvariantError`, which survives
+``python -O``.
 """
 
 from __future__ import annotations
 
-from typing import (Dict, Generic, Hashable, Iterator, Optional, Tuple,
-                    TypeVar, cast)
+from collections import OrderedDict
+from typing import (Generic, Hashable, Iterator, Optional, Tuple, TypeVar,
+                    cast)
 
 from ..errors import SimInvariantError
 
@@ -55,9 +59,6 @@ class LRUList(Generic[N]):
 
     def __len__(self) -> int:
         return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
 
     @property
     def mru(self) -> Optional[N]:
@@ -110,49 +111,12 @@ class LRUList(Generic[N]):
         node.prev = node.next = None
         self._size -= 1
 
-    def move_to_mru(self, node: N) -> None:
-        """Unlink the node and reinsert it at the MRU end.
-
-        Equivalent to ``remove`` + ``push_mru`` but in one relink —
-        this is the hottest cache operation (every hit bumps recency),
-        so it skips the intermediate unlinked state and its checks.
-        """
-        head = self._head
-        if head.next is node:
-            return  # already MRU: the relink would be a no-op
-        prev = node.prev
-        if prev is None:
-            raise SimInvariantError("cannot remove an unlinked node")
-        nxt = cast(LRUNode, node.next)
-        prev.next = nxt
-        nxt.prev = prev
-        first = cast(LRUNode, head.next)
-        node.prev = head
-        node.next = first
-        head.next = node
-        first.prev = node
-
-    def pop_lru(self) -> Optional[N]:
-        """Remove and return the LRU node (None when empty)."""
-        node = self.lru
-        if node is not None:
-            self.remove(node)
-        return node
-
     def __iter__(self) -> Iterator[N]:
         """Iterate from MRU to LRU; do not mutate while iterating."""
         node = cast(LRUNode, self._head.next)
         while node is not self._tail:
             yield cast(N, node)
             node = cast(LRUNode, node.next)
-
-    def iter_lru(self) -> Iterator[N]:
-        """Iterate from LRU to MRU; safe against removing the *yielded*
-        node only after advancing, so collect victims first if evicting."""
-        node = cast(LRUNode, self._tail.prev)
-        while node is not self._head:
-            yield cast(N, node)
-            node = cast(LRUNode, node.prev)
 
     @staticmethod
     def _require_unlinked(node: LRUNode) -> None:
@@ -172,17 +136,6 @@ K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
 
-class KeyedNode(LRUNode, Generic[K, V]):
-    """List node that remembers its key and an arbitrary value."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: K, value: V) -> None:
-        super().__init__()
-        self.key = key
-        self.value = value
-
-
 class LRUDict(Generic[K, V]):
     """Dictionary with LRU ordering: O(1) get/put/evict.
 
@@ -191,77 +144,57 @@ class LRUDict(Generic[K, V]):
     because eviction cost is policy (writebacks, batching, ...).
     """
 
-    __slots__ = ("_map", "_list")
+    __slots__ = ("_od",)
 
     def __init__(self) -> None:
-        self._map: Dict[K, KeyedNode[K, V]] = {}
-        self._list: LRUList[KeyedNode[K, V]] = LRUList()
+        self._od: OrderedDict[K, V] = OrderedDict()  # last = MRU
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self._od)
 
     def __contains__(self, key: K) -> bool:
-        return key in self._map
+        return key in self._od
 
     def get(self, key: K, touch: bool = True) -> Optional[V]:
         """Return the value for ``key`` (or None); bump recency if asked."""
-        node = self._map.get(key)
-        if node is None:
+        od = self._od
+        if key not in od:
             return None
         if touch:
-            self._list.move_to_mru(node)
-        return node.value
-
-    def node(self, key: K) -> Optional[KeyedNode[K, V]]:
-        """The internal node for ``key`` without touching recency."""
-        return self._map.get(key)
+            od.move_to_end(key)
+        return od[key]
 
     def put(self, key: K, value: V) -> None:
         """Insert or update ``key`` at the MRU position."""
-        node = self._map.get(key)
-        if node is None:
-            node = KeyedNode(key, value)
-            self._map[key] = node
-            self._list.push_mru(node)
-        else:
-            node.value = value
-            self._list.move_to_mru(node)
+        od = self._od
+        od[key] = value  # a new key lands last; an old one keeps its slot
+        od.move_to_end(key)
 
     def touch(self, key: K) -> None:
-        """Promote ``key`` to the MRU position."""
-        node = self._map[key]
-        self._list.move_to_mru(node)
+        """Promote ``key`` to the MRU position (KeyError if absent)."""
+        self._od.move_to_end(key)
 
     def remove(self, key: K) -> V:
         """Remove and return the value for ``key`` (KeyError if absent)."""
-        node = self._map.pop(key)
-        self._list.remove(node)
-        return node.value
+        return self._od.pop(key)
 
     def lru_key(self) -> Optional[K]:
         """The key at the LRU end, or None when empty."""
-        node = self._list.lru
-        return node.key if node is not None else None
+        return next(iter(self._od), None)
 
     def pop_lru(self) -> Optional[Tuple[K, V]]:
         """Remove and return the ``(key, value)`` at the LRU end."""
-        node = self._list.pop_lru()
-        if node is None:
-            return None
-        del self._map[node.key]
-        return node.key, node.value
+        od = self._od
+        return od.popitem(last=False) if od else None
 
     def keys_mru_to_lru(self) -> Iterator[K]:
         """Iterate keys from most to least recent."""
-        for node in self._list:
-            yield node.key
+        return reversed(self._od)
 
     def items_mru_to_lru(self) -> Iterator[Tuple[K, V]]:
         """Iterate ``(key, value)`` pairs from most to least recent."""
-        for node in self._list:
-            yield node.key, node.value
+        return reversed(self._od.items())
 
     def keys_lru_to_mru(self) -> Iterator[K]:
         """Iterate keys from least to most recent."""
-        for node in self._list.iter_lru():
-            yield node.key
+        return iter(self._od)

@@ -2,11 +2,11 @@
 
 The mapping cache is organised as **two-level LRU lists**: a page-level
 list of TP nodes, one per translation page with at least one cached
-entry, each holding an entry-level LRU list of its cached entries.  A TP
-node's position in the page-level list is decided by its *page-level
-hotness* — the mean hotness (global access sequence number) of its entry
-nodes — so a node containing the hottest entry can still age toward the
-cold end if it also shelters many cold entries (§4.2).
+entry, each holding its cached entries in LRU order.  A TP node's
+position in the page-level list is decided by its *page-level hotness* —
+the mean hotness (global access sequence number) of its entry nodes — so
+a node containing the hottest entry can still age toward the cold end if
+it also shelters many cold entries (§4.2).
 
 Entries are stored compressed: the LPN is implied by the node's VTPN plus
 the in-page offset, so an entry costs 6 bytes instead of DFTL's 8
@@ -29,24 +29,25 @@ translation-page read plus one translation-page update.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..cache import ByteBudget, LRUList, LRUNode
 from ..config import SimulationConfig, TPFTLConfig
-from ..errors import CacheCapacityError, FTLError, SanitizerError
+from ..errors import (CacheCapacityError, FTLError, SanitizerError,
+                      SimInvariantError)
 from ..gc import VictimPolicy, WearLeveler
 from ..types import AccessResult, Op, Request
 from .base import BaseFTL
 
 
-class EntryNode(LRUNode):
+class EntryNode:
     """One cached mapping entry (offset-compressed LPN -> PPN)."""
 
     __slots__ = ("lpn", "ppn", "dirty", "hot_seq", "prefetched")
 
     def __init__(self, lpn: int, ppn: int, hot_seq: int,
                  prefetched: bool = False) -> None:
-        super().__init__()
         self.lpn = lpn
         self.ppn = ppn
         self.dirty = False
@@ -56,15 +57,15 @@ class EntryNode(LRUNode):
 
 class TPNode(LRUNode):
     """A translation-page node: the cluster of cached entries of one
-    translation page, with its own entry-level LRU list."""
+    translation page, keyed by LPN in entry-level LRU order."""
 
-    __slots__ = ("vtpn", "entries", "by_lpn", "hot_sum", "dirty_count")
+    __slots__ = ("vtpn", "entries", "hot_sum", "dirty_count")
 
     def __init__(self, vtpn: int) -> None:
         super().__init__()
         self.vtpn = vtpn
-        self.entries: LRUList[EntryNode] = LRUList()
-        self.by_lpn: Dict[int, EntryNode] = {}
+        #: LPN -> entry node; first = LRU, last = MRU
+        self.entries: OrderedDict[int, EntryNode] = OrderedDict()
         self.hot_sum = 0
         self.dirty_count = 0
 
@@ -79,14 +80,17 @@ class TPNode(LRUNode):
 
     def add(self, entry: EntryNode) -> None:
         """Insert an entry node at the MRU end of this TP node."""
-        self.entries.push_mru(entry)
-        self.by_lpn[entry.lpn] = entry
+        if entry.lpn in self.entries:
+            raise SimInvariantError(
+                f"LPN {entry.lpn} is already cached in TP node {self.vtpn}")
+        self.entries[entry.lpn] = entry
         self.hot_sum += entry.hot_seq
 
     def drop(self, entry: EntryNode) -> None:
         """Remove an entry node from this TP node."""
-        self.entries.remove(entry)
-        del self.by_lpn[entry.lpn]
+        if self.entries.pop(entry.lpn, None) is not entry:
+            raise SimInvariantError(
+                f"LPN {entry.lpn} is not cached in TP node {self.vtpn}")
         self.hot_sum -= entry.hot_seq
         if entry.dirty:
             self.dirty_count -= 1
@@ -99,7 +103,7 @@ class TPNode(LRUNode):
 
     def dirty_entries(self) -> List[EntryNode]:
         """The node's dirty entry nodes, MRU to LRU."""
-        return [e for e in self.entries if e.dirty]
+        return [e for e in reversed(self.entries.values()) if e.dirty]
 
 
 class TPFTL(BaseFTL):
@@ -140,7 +144,7 @@ class TPFTL(BaseFTL):
         vtpn = self.geometry.vtpn_of(lpn)
         node = self.by_vtpn.get(vtpn)
         if node is not None:
-            entry = node.by_lpn.get(lpn)
+            entry = node.entries.get(lpn)
             if entry is not None:
                 self.metrics.hits += 1
                 if entry.prefetched:
@@ -164,7 +168,7 @@ class TPFTL(BaseFTL):
     def _record_mapping(self, lpn: int, ppn: int,
                         result: AccessResult) -> None:
         node = self.by_vtpn.get(self.geometry.vtpn_of(lpn))
-        entry = node.by_lpn.get(lpn) if node is not None else None
+        entry = node.entries.get(lpn) if node is not None else None
         if node is None or entry is None:  # pragma: no cover - installed
             raise FTLError(f"write to LPN {lpn} without a cached entry")
         entry.ppn = ppn
@@ -175,7 +179,7 @@ class TPFTL(BaseFTL):
         node = self.by_vtpn.get(self.geometry.vtpn_of(lpn))
         if node is None:
             return False
-        entry = node.by_lpn.get(lpn)
+        entry = node.entries.get(lpn)
         if entry is None:
             return False
         entry.ppn = ppn
@@ -201,7 +205,7 @@ class TPFTL(BaseFTL):
         node = self.by_vtpn.get(self.geometry.vtpn_of(lpn))
         if node is None:
             return None
-        entry = node.by_lpn.get(lpn)
+        entry = node.entries.get(lpn)
         return entry.ppn if entry is not None else None
 
     # ==================================================================
@@ -212,7 +216,7 @@ class TPFTL(BaseFTL):
         self._hot_seq += 1
         node.hot_sum += self._hot_seq - entry.hot_seq
         entry.hot_seq = self._hot_seq
-        node.entries.move_to_mru(entry)
+        node.entries.move_to_end(entry.lpn)
         self._reposition(node)
 
     def _reposition(self, node: TPNode) -> None:
@@ -275,7 +279,7 @@ class TPFTL(BaseFTL):
             if node is not None:
                 probe = lpn - 1
                 first_in_page = self.geometry.first_lpn(vtpn)
-                while probe >= first_in_page and probe in node.by_lpn:
+                while probe >= first_in_page and probe in node.entries:
                     length += 1
                     probe -= 1
             for candidate in range(lpn + 1, min(lpn + length,
@@ -301,7 +305,7 @@ class TPFTL(BaseFTL):
         for lpn in lpns:
             vtpn = self.geometry.vtpn_of(lpn)
             node = self.by_vtpn.get(vtpn)
-            if node is not None and lpn in node.by_lpn:
+            if node is not None and lpn in node.entries:
                 continue  # already cached; nothing to load
             need = self.entry_bytes + (self.node_bytes if node is None
                                        else 0)
@@ -407,10 +411,10 @@ class TPFTL(BaseFTL):
                        ) -> Optional[EntryNode]:
         """Clean-first (if enabled): LRU clean entry, else LRU entry."""
         if self.techniques.clean_first and node.dirty_count < len(node):
-            for entry in node.entries.iter_lru():
+            for entry in node.entries.values():
                 if not entry.dirty and entry is not protect:
                     return entry
-        for entry in node.entries.iter_lru():
+        for entry in node.entries.values():
             if entry is not protect:
                 return entry
         return None

@@ -1,8 +1,8 @@
 """Lint fixture: exactly one deliberate violation per TP rule.
 
 This module is never imported — ``tests/test_analysis_lint.py`` feeds
-it to ``repro.analysis.lint`` by path and asserts that every rule code
-(TP001–TP006) fires on it.  Keep one violation per rule so the test
+it to ``repro.analysis.lint`` by path and asserts that every TP0xx rule
+code fires on it.  Keep one violation per rule so the test
 can pin the expected finding counts.
 """
 
@@ -28,16 +28,6 @@ def tp003_bare_assert(value: int) -> None:
 def tp004_config_mutation(config) -> None:
     """TP004: mutates a frozen config dataclass."""
     config.page_size = 4096
-
-
-class LRUNode:
-    """Stand-in root so TP005 resolves without importing repro."""
-
-    __slots__ = ("prev", "next")
-
-
-class UnslottedNode(LRUNode):
-    """TP005: LRUNode subclass without ``__slots__``."""
 
 
 def tp006_flash_bypass(block) -> None:

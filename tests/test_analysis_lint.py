@@ -70,16 +70,6 @@ def test_tp004_setattr_and_augassign():
     assert "TP004" not in _codes("self.metrics.hits += 1\n")
 
 
-def test_tp005_transitive_subclass():
-    source = ("class Mid(LRUNode):\n"
-              "    __slots__ = ('x',)\n"
-              "class Leaf(Mid):\n"
-              "    pass\n")
-    findings = lint_source(source)
-    assert [f.rule for f in findings] == ["TP005"]
-    assert "Leaf" in findings[0].message
-
-
 def test_tp006_only_flags_non_flash_receivers():
     assert "TP006" in _codes("block.erase()\n")
     assert "TP006" not in _codes("self.flash.erase(3)\n")

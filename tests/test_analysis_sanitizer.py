@@ -91,11 +91,11 @@ def _warm_tpftl(config, count=300, seed=7):
     return ftl
 
 
-def test_san002_unindexed_entry(sanitized_config):
+def test_san002_miskeyed_entry(sanitized_config):
     ftl = _warm_tpftl(sanitized_config)
     node = next(iter(ftl.page_list))
-    entry = next(iter(node.entries))
-    del node.by_lpn[entry.lpn]
+    lpn, entry = node.entries.popitem()
+    node.entries[lpn + 1] = entry
     with pytest.raises(SanitizerError) as excinfo:
         _san(ftl).run_checks()
     assert excinfo.value.code == "SAN002"
@@ -172,7 +172,7 @@ def test_san007_dirty_victim_despite_clean(sanitized_config, monkeypatch):
 
     def lru_only(node, protect=None):
         # buggy policy: plain LRU, ignoring the clean-first rule
-        for entry in node.entries.iter_lru():
+        for entry in node.entries.values():
             if entry is not protect:
                 return entry
         return None

@@ -24,7 +24,6 @@ class TestLRUList:
         assert not lst
         assert lst.mru is None
         assert lst.lru is None
-        assert lst.pop_lru() is None
 
     def test_push_mru_order(self):
         lst = LRUList()
@@ -40,14 +39,6 @@ class TestLRUList:
         lst.push_lru(Node("z"))
         assert tags(lst) == ["a", "z"]
 
-    def test_move_to_mru(self):
-        lst = LRUList()
-        nodes = {tag: Node(tag) for tag in "abc"}
-        for tag in "abc":
-            lst.push_mru(nodes[tag])
-        lst.move_to_mru(nodes["a"])
-        assert tags(lst) == ["a", "c", "b"]
-
     def test_remove_middle(self):
         lst = LRUList()
         nodes = [Node(i) for i in range(3)]
@@ -56,13 +47,6 @@ class TestLRUList:
         lst.remove(nodes[1])
         assert tags(lst) == [2, 0]
         assert not nodes[1].linked
-
-    def test_pop_lru_returns_oldest(self):
-        lst = LRUList()
-        for tag in "abc":
-            lst.push_mru(Node(tag))
-        assert lst.pop_lru().tag == "a"
-        assert len(lst) == 2
 
     def test_insert_before(self):
         lst = LRUList()
@@ -81,12 +65,6 @@ class TestLRUList:
         assert lst.next_of(a) is b
         assert lst.prev_of(b) is a
         assert lst.next_of(b) is None
-
-    def test_iter_lru_reversed(self):
-        lst = LRUList()
-        for tag in "abc":
-            lst.push_mru(Node(tag))
-        assert [n.tag for n in lst.iter_lru()] == ["a", "b", "c"]
 
 
 class TestLRUDict:

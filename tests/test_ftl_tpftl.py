@@ -1,8 +1,12 @@
 """TPFTL behaviour: two-level lists, r/s/b/c techniques, §4.5 rules."""
 
+import pytest
+
 from repro.config import (CacheConfig, SimulationConfig, SSDConfig,
                           TPFTLConfig)
+from repro.errors import SimInvariantError
 from repro.ftl import TPFTL
+from repro.ftl.tpftl import EntryNode, TPNode
 from repro.types import Op, Request
 
 
@@ -65,6 +69,25 @@ class TestTwoLevelStructure:
         ftl.assert_invariants()
         for node in ftl.by_vtpn.values():
             assert len(node) > 0
+
+    def test_nodes_carry_no_instance_dict(self):
+        # the byte-budget model prices entry and TP nodes as fixed-size
+        assert not hasattr(EntryNode(0, 0, 1), "__dict__")
+        assert not hasattr(TPNode(0), "__dict__")
+
+    def test_add_of_cached_lpn_is_an_invariant_error(self):
+        node = TPNode(0)
+        node.add(EntryNode(3, 30, hot_seq=1))
+        with pytest.raises(SimInvariantError):
+            node.add(EntryNode(3, 31, hot_seq=2))
+        assert node.hot_sum == 1 and node.entries[3].ppn == 30
+
+    def test_drop_of_uncached_entry_is_an_invariant_error(self):
+        node = TPNode(0)
+        node.add(EntryNode(3, 30, hot_seq=1))
+        with pytest.raises(SimInvariantError):
+            node.drop(EntryNode(4, 40, hot_seq=2))
+        assert node.hot_sum == 1 and len(node) == 1
 
 
 class TestPageLevelHotness:

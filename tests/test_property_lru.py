@@ -1,16 +1,19 @@
-"""Property-based tests: LRUDict against a model implementation."""
+"""Property-based tests: LRUDict and LRUList against model implementations."""
 
 from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule)
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
-from repro.cache import LRUDict
+from repro.cache import LRUDict, LRUList, LRUNode
+from repro.errors import SimInvariantError
 
 keys = st.integers(min_value=0, max_value=20)
 values = st.integers()
+picks = st.integers(min_value=0, max_value=1 << 16)
 
 
 class LRUDictMachine(RuleBasedStateMachine):
@@ -63,10 +66,104 @@ class LRUDictMachine(RuleBasedStateMachine):
     def same_order(self):
         assert (list(self.dut.keys_mru_to_lru())
                 == list(reversed(self.model)))
+        assert (list(self.dut.items_mru_to_lru())
+                == list(reversed(self.model.items())))
+        assert list(self.dut.keys_lru_to_mru()) == list(self.model)
+        assert self.dut.lru_key() == next(iter(self.model), None)
 
 
 TestLRUDictMachine = LRUDictMachine.TestCase
 TestLRUDictMachine.settings = settings(max_examples=40,
+                                       stateful_step_count=60,
+                                       deadline=None)
+
+
+class LRUListMachine(RuleBasedStateMachine):
+    """Drive LRUList and a plain list (index 0 = MRU) with the same ops.
+
+    Removed nodes go back to a free pool and are re-inserted later, so
+    the remove + ``insert_before``/``push_lru`` splice that TPFTL's
+    ``_reposition`` performs is exercised on nodes with a history.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.dut = LRUList()
+        self.model = []
+        self.free = [LRUNode() for _ in range(6)]
+
+    def _take_free(self, pick):
+        return self.free.pop(pick % len(self.free))
+
+    @precondition(lambda self: self.free)
+    @rule(pick=picks)
+    def push_mru(self, pick):
+        node = self._take_free(pick)
+        self.dut.push_mru(node)
+        self.model.insert(0, node)
+
+    @precondition(lambda self: self.free)
+    @rule(pick=picks)
+    def push_lru(self, pick):
+        node = self._take_free(pick)
+        self.dut.push_lru(node)
+        self.model.append(node)
+
+    @precondition(lambda self: self.free and self.model)
+    @rule(pick=picks, at=picks)
+    def insert_before(self, pick, at):
+        node = self._take_free(pick)
+        index = at % len(self.model)
+        self.dut.insert_before(self.model[index], node)
+        self.model.insert(index, node)
+
+    @precondition(lambda self: self.model)
+    @rule(at=picks)
+    def remove(self, at):
+        node = self.model.pop(at % len(self.model))
+        self.dut.remove(node)
+        self.free.append(node)
+
+    @precondition(lambda self: self.model)
+    @rule(at=picks)
+    def inserting_a_linked_node_is_rejected(self, at):
+        node = self.model[at % len(self.model)]
+        for insert in (self.dut.push_mru, self.dut.push_lru,
+                       lambda n: self.dut.insert_before(self.model[0], n)):
+            with pytest.raises(SimInvariantError):
+                insert(node)
+
+    @precondition(lambda self: len(self.free) >= 2)
+    @rule()
+    def unlinked_nodes_are_rejected(self):
+        anchor, node = self.free[:2]
+        with pytest.raises(SimInvariantError):
+            self.dut.remove(node)
+        with pytest.raises(SimInvariantError):
+            self.dut.insert_before(anchor, node)
+
+    @invariant()
+    def same_order_and_size(self):
+        assert list(self.dut) == self.model
+        assert len(self.dut) == len(self.model)
+        assert self.dut.mru is (self.model[0] if self.model else None)
+        assert self.dut.lru is (self.model[-1] if self.model else None)
+
+    @invariant()
+    def same_neighbours(self):
+        padded = [None] + self.model + [None]
+        for index, node in enumerate(self.model, start=1):
+            assert self.dut.prev_of(node) is padded[index - 1]
+            assert self.dut.next_of(node) is padded[index + 1]
+
+    @invariant()
+    def linked_iff_listed(self):
+        assert all(node.linked for node in self.model)
+        assert not any(node.linked for node in self.free)
+
+
+TestLRUListMachine = LRUListMachine.TestCase
+TestLRUListMachine.settings = settings(max_examples=40,
                                        stateful_step_count=60,
                                        deadline=None)
 
