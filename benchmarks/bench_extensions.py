@@ -151,7 +151,7 @@ def test_lifetime_projection(benchmark, scale):
 @pytest.mark.benchmark(group="ext-channels")
 def test_channel_scaling(benchmark, scale):
     """Multi-channel device extension: response vs channel count."""
-    from repro.ssd.parallel import ChannelSSDevice
+    from repro.ssd import DeviceModel
     trace = _trace(scale)
     config = SimulationConfig(ssd=SSDConfig(logical_pages=PAGES))
 
@@ -159,7 +159,7 @@ def test_channel_scaling(benchmark, scale):
         out = {}
         for channels in (1, 2, 4, 8):
             ftl = make_ftl("tpftl", config)
-            device = ChannelSSDevice(ftl, channels=channels)
+            device = DeviceModel(ftl, channels=channels)
             result = device.run(trace,
                                 warmup_requests=len(trace) // 4)
             out[channels] = result.response.mean
@@ -192,7 +192,7 @@ def test_selective_threshold_sweep(benchmark, scale):
 @pytest.mark.benchmark(group="ext-background-gc")
 def test_background_gc_ablation(benchmark, scale):
     """Idle-time GC extension: foreground stalls with and without."""
-    from repro.ssd import SSDevice
+    from repro.ssd import DeviceModel
     trace = _trace(scale)
     config = SimulationConfig(ssd=SSDConfig(logical_pages=PAGES))
 
@@ -200,7 +200,7 @@ def test_background_gc_ablation(benchmark, scale):
         out = {}
         for label, enabled in (("off", False), ("on", True)):
             ftl = make_ftl("tpftl", config)
-            device = SSDevice(ftl, background_gc=enabled)
+            device = DeviceModel(ftl, background_gc=enabled)
             result = device.run(trace,
                                 warmup_requests=len(trace) // 4)
             out[label] = result

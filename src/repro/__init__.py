@@ -26,7 +26,7 @@ from .errors import (CacheError, ConfigError, DeviceWornOutError,
 from .faults import FaultInjector, FaultPlan
 from .ftl import (CDFTL, DFTL, FTL_NAMES, SFTL, TPFTL, ZFTL, BaseFTL,
                   BlockFTL, HybridFTL, OptimalFTL, make_ftl)
-from .ssd import RunResult, SSDevice, simulate
+from .ssd import DeviceModel, RunResult, simulate
 from .types import Op, Request, Trace
 
 __version__ = "1.0.0"
@@ -35,7 +35,7 @@ __all__ = [
     "SSDConfig", "CacheConfig", "TPFTLConfig", "SimulationConfig",
     "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL", "CDFTL",
     "BlockFTL", "HybridFTL", "ZFTL", "make_ftl", "FTL_NAMES",
-    "SSDevice", "RunResult", "simulate",
+    "DeviceModel", "RunResult", "simulate",
     "Op", "Request", "Trace",
     "ReproError", "ConfigError", "FlashError", "CacheError", "FTLError",
     "WorkloadError", "ExperimentError",

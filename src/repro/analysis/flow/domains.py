@@ -191,7 +191,7 @@ _SUFFIX_DOMAINS: Dict[str, Domain] = {"us": TIME_US, "ms": TIME_MS}
 
 #: exact-name overrides (highest priority, beats the word heuristics)
 _NAME_DOMAINS: Dict[str, Domain] = {
-    "arrival": TIME_US,      # Request/RequestTiming arrival clock
+    "arrival": TIME_US,      # Request arrival clock
     "col_offset": UNKNOWN,   # ast coordinates, not a page offset
     "end_col_offset": UNKNOWN,
 }
@@ -324,13 +324,6 @@ _SIGNATURES: Dict[str, _Sig] = {
                                        "erase_us": TIME_US},
                                       returns=TIME_US),
     "ResponseStats.percentile": _Sig(returns=TIME_US),
-}
-
-#: dataclass constructors (no ``__init__`` def to resolve): keyword
-#: arguments are checked against these domains
-_CTOR_SIGNATURES: Dict[str, Dict[str, Domain]] = {
-    "RequestTiming": {"arrival": TIME_US, "start": TIME_US,
-                      "finish": TIME_US},
 }
 
 #: builtins whose result adopts its arguments' (soft-joined) domain
@@ -826,9 +819,6 @@ class _FnPass:
                                  kw_domains, flagged)
             returns = _soft_join(returns, summary.ret)
         if returns == UNKNOWN:
-            ctor = self._ctor_check(node, simple, kw_domains)
-            if ctor:
-                return UNKNOWN
             hinted = domain_from_name(simple)
             if hinted != UNKNOWN:
                 return hinted
@@ -836,33 +826,12 @@ class _FnPass:
 
     def _unresolved_call(self, node: ast.Call, simple: str,
                          arg_domains: List[Domain]) -> Domain:
-        if self._ctor_check(node, simple,
-                            {kw.arg: self._eval(kw.value)
-                             for kw in node.keywords
-                             if kw.arg is not None}):
-            return UNKNOWN
         if simple in _TRANSPARENT_BUILTINS:
             joined: Domain = UNKNOWN
             for domain in arg_domains:
                 joined = _soft_join(joined, domain)
             return joined
         return domain_from_name(simple)
-
-    def _ctor_check(self, node: ast.Call, simple: str,
-                    kw_domains: Dict[str, Domain]) -> bool:
-        """Check keyword args of curated dataclass constructors."""
-        sig = _CTOR_SIGNATURES.get(simple)
-        if sig is None:
-            return False
-        for name, domain in kw_domains.items():
-            expected = sig.get(name, UNKNOWN)
-            category = _clash(domain, expected)
-            if category is not None:
-                self._flag(_FLOW_RULE[category], node,
-                           f"argument {name!r} of {simple}() is "
-                           f"{expected} but receives a {domain}-domain "
-                           f"value")
-        return True
 
     def _check_args(self, node: ast.Call, qname: str,
                     summary: _Summary, arg_domains: List[Domain],

@@ -62,7 +62,7 @@ FLOW_RULES: Dict[str, str] = {
 }
 
 #: methods that constitute a class's per-run reset protocol
-RESET_METHODS: Tuple[str, ...] = ("_reset_queues", "reset")
+RESET_METHODS: Tuple[str, ...] = ("_reset_state", "reset")
 #: entry points of the serve/run path
 RUN_ROOTS: Tuple[str, ...] = ("run", "serve_request")
 
@@ -130,7 +130,7 @@ def check_state_reset(project: Project,
 
     Applies to every class whose effective method table exposes both a
     run root (``run``/``serve_request``) and a reset protocol method
-    (``_reset_queues``/``reset``) — the :class:`DeviceModel` contract.
+    (``_reset_state``/``reset``) — the :class:`DeviceModel` contract.
     A plain rebinding store on the run path counts as an
     *initialization* (the attribute gets a fresh value every run)
     unless its right-hand side reads the attribute itself, in which

@@ -133,18 +133,14 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
               "1000.0\n"
               "            service = response_ms\n"),
     Mutant(
-        mid="M09", path="repro/ssd/parallel.py", rule="TP203",
-        description="channel finish time adds milliseconds to a "
-                    "microsecond clock",
-        before="            # are bit-for-bit identical to the "
-               "single-server model.\n"
-               "            start = max(arrival, self._busy[0])\n"
-               "            finish = start + service_us\n",
-        after="            # are bit-for-bit identical to the "
-              "single-server model.\n"
-              "            service_ms = service_us / 1000.0\n"
-              "            start = max(arrival, self._busy[0])\n"
-              "            finish = start + service_ms\n"),
+        mid="M09", path="repro/ssd/device.py", rule="TP203",
+        description="single-channel finish time adds milliseconds to "
+                    "a microsecond clock",
+        before="            start = arrival if arrival > free else free\n"
+               "            busy[0] = finish = start + service_us\n",
+        after="            service_ms = service_us / 1000.0\n"
+              "            start = arrival if arrival > free else free\n"
+              "            busy[0] = finish = start + service_ms\n"),
     Mutant(
         mid="M10", path="repro/ftl/block_ftl.py", rule="TP201",
         description="dropped * pages_per_block: a block index used as "

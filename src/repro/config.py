@@ -387,9 +387,6 @@ class SimulationConfig:
     ssd: SSDConfig = field(default_factory=SSDConfig)
     cache: Optional[CacheConfig] = None
     tpftl: TPFTLConfig = field(default_factory=TPFTLConfig)
-    #: sample the cache distribution every this many user page accesses
-    #: (0 disables sampling); the paper samples every 10,000.
-    sample_interval: int = 0
     #: independently-queued flash channels of the device model
     #: (1 = the paper's single-server queue; >1 overlaps operations)
     channels: int = 1

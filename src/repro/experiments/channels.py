@@ -1,14 +1,15 @@
 """Channel scaling — response time vs flash parallelism [extension].
 
 The paper's Fig 6e response-time model is a single flash channel; this
-experiment sweeps the :class:`~repro.ssd.ChannelSSDevice` channel count
-(1, 2, 4, 8 — the range Agrawal et al. model) for DFTL and TPFTL on the
-Financial1 workload and reports how the system response time, queueing
-delay and GC share evolve as operations overlap.
+experiment sweeps the ``channels`` parameter of
+:class:`~repro.ssd.DeviceModel` (1, 2, 4, 8 — the range Agrawal et al.
+model) for DFTL and TPFTL on the Financial1 workload and reports how
+the system response time, queueing delay and GC share evolve as
+operations overlap.
 
-The 1-channel row is *exactly* the paper's model: ``channels=1`` replays
-are bit-for-bit identical to :class:`~repro.ssd.SSDevice`, so the sweep
-anchors to the Fig 6e numbers by construction.
+The 1-channel row is *exactly* the paper's model: ``channels=1`` is the
+single-server queue every other figure runs on, so the sweep anchors to
+the Fig 6e numbers by construction.
 
 ``data`` carries a BENCH-style response-time trajectory (one record per
 cell, in sweep order) so ``--json`` output can be archived as a bench

@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from ..errors import RunnerError
+from ..errors import ConfigError, RunnerError
 from .common import ExperimentScale
 from .registry import EXPERIMENTS, run_experiment
 from .runner import configure_runner
@@ -144,7 +144,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown experiments: {', '.join(unknown)}",
               file=sys.stderr)
         return 2
-    scale = resolve_scale(args)
+    try:
+        scale = resolve_scale(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     runner = configure_runner(
         jobs=args.jobs,
         cache_dir=(False if args.no_cache

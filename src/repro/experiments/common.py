@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import CacheConfig, SimulationConfig, SSDConfig, TPFTLConfig
-from ..errors import ExperimentError
-from ..ftl import make_ftl
+from ..errors import ConfigError
 from ..metrics.report import format_table
-from ..ssd import RunResult, simulate
+from ..ssd import RunResult
 from ..types import Trace
 from ..workloads import make_preset
 
@@ -56,6 +55,8 @@ class ExperimentScale:
     channels: int = 1
 
     def __post_init__(self) -> None:
+        if self.channels < 1:
+            raise ConfigError("channels must be >= 1")
         # Normalise to a tuple so a scale built with a list is still
         # hashable (run digests, dict keys) and compares equal to the
         # tuple-built equivalent.
@@ -144,7 +145,8 @@ def simulation_config(trace: Trace,
     The SSD is as large as the trace's logical address space; the cache
     follows the block-table+GTD rule unless ``cache_fraction`` (of the
     full mapping table) is given, as in the Fig 8(c)/9/10 sweeps.
-    ``channels`` selects the device model (1 = the paper's queue).
+    ``channels`` is the device model's flash channel count (1 = the
+    paper's queue).
     """
     ssd = SSDConfig(logical_pages=trace.logical_pages)
     cache = None
@@ -160,26 +162,17 @@ def run_one(workload: str, ftl_name: str, scale: ExperimentScale,
             cache_fraction: Optional[float] = None,
             tpftl: Optional[TPFTLConfig] = None,
             sample_interval: int = 0,
-            trace: Optional[Trace] = None,
             seed: Optional[int] = None,
             channels: Optional[int] = None) -> RunResult:
     """Run one (workload, FTL) cell with the paper's configuration.
 
-    Without an explicit ``trace`` the cell is fully described by a
+    The cell is fully described by a
     :class:`~repro.experiments.runner.RunSpec` and is served through the
-    default runner — i.e. from the persistent run cache when warm.  An
-    explicit ``trace`` bypasses the cache (its content is not digested).
+    default runner — i.e. from the persistent run cache when warm.
     ``channels`` defaults to the scale's channel count.
     """
     if channels is None:
         channels = scale.channels
-    if trace is not None:
-        config = simulation_config(trace, cache_fraction=cache_fraction,
-                                   tpftl=tpftl, channels=channels)
-        ftl = make_ftl(ftl_name, config)
-        return simulate(ftl, trace, sample_interval=sample_interval,
-                        warmup_requests=scale.warmup_requests,
-                        channels=channels)
     from .runner import RunSpec, get_runner
     spec = RunSpec(workload=workload, ftl=ftl_name, scale=scale,
                    cache_fraction=cache_fraction, tpftl=tpftl,
@@ -215,20 +208,3 @@ def run_matrix(scale: ExperimentScale,
     keys = [(workload, ftl_name) for workload in workloads
             for ftl_name in ftls]
     return dict(zip(keys, results))
-
-
-def tpftl_variant(monogram: str) -> TPFTLConfig:
-    """The TPFTL configuration for an ablation monogram."""
-    return TPFTLConfig.from_monogram(monogram)
-
-
-def run_ablation_cell(monogram: str, scale: ExperimentScale,
-                      workload: str = "financial1",
-                      trace: Optional[Trace] = None) -> RunResult:
-    """One Fig 7(b,c)/8(a,b) cell: DFTL or a TPFTL variant on Fin1."""
-    if monogram == "dftl":
-        return run_one(workload, "dftl", scale, trace=trace)
-    if monogram not in ABLATION_CONFIGS:
-        raise ExperimentError(f"unknown ablation config {monogram!r}")
-    return run_one(workload, "tpftl", scale,
-                   tpftl=tpftl_variant(monogram), trace=trace)

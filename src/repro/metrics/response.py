@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..errors import MetricsError
-from ..types import RequestTiming
 
 
 @dataclass
@@ -34,21 +33,18 @@ class ResponseStats:
     _sorted: Optional[List[float]] = field(default=None, repr=False,
                                            compare=False)
     #: explicit invalidation flag for ``_sorted``: set by *every*
-    #: mutation (``record``/``record_timing``/``merge``), so the cache
+    #: mutation (``record_timing``/``merge``), so the cache
     #: can never serve stale percentiles after a same-length
     #: replacement of ``samples`` — a length comparison would miss it
     _sorted_dirty: bool = field(default=True, repr=False, compare=False)
 
-    def record(self, timing: RequestTiming) -> None:
-        """Fold one request timing into the running statistics."""
-        self.record_timing(timing.arrival, timing.start, timing.finish)
-
     def record_timing(self, arrival: float, start: float,
                       finish: float) -> None:
-        """:meth:`record` without the :class:`RequestTiming` wrapper.
+        """Fold one request's timing into the running statistics.
 
-        Identical arithmetic (``response = finish - arrival`` etc.), so
-        hot loops folding many timings can skip the per-request object.
+        ``start`` is the first dispatch time: the response time is
+        ``finish - arrival``, the queueing delay ``start - arrival``
+        and the time in service ``finish - start``.
         """
         value = finish - arrival
         self.count += 1

@@ -1,17 +1,15 @@
 """The device model: an FTL plus FIFO queueing and response times.
 
-:class:`DeviceModel` is the shared timing subsystem (validation, warmup,
-GC accounting, background GC, per-run queue reset); :class:`SSDevice` is
-the paper-faithful single-channel queue and :class:`ChannelSSDevice`
-(extension) overlaps operations across several flash channels.  Use
-:func:`make_device` to pick a model by channel count.  There is one
-replay loop, :meth:`DeviceModel.run`.
+:class:`DeviceModel` is the one timing subsystem (validation, warmup,
+GC accounting, background GC, per-run queue reset, the replay loop
+:meth:`DeviceModel.run`); ``channels=1`` is the paper-faithful
+single-server queue and ``channels=N`` (extension) overlaps operations
+across N flash channels.  :func:`simulate` builds a device and replays
+a trace in one call.
 """
 
 from .device import (QOS_POLICIES, DeviceModel, FairShare, RunResult,
-                     SSDevice, run_fast, simulate)
-from .parallel import ChannelSSDevice, make_device
+                     make_device, run_fast, simulate)
 
-__all__ = ["DeviceModel", "SSDevice", "ChannelSSDevice", "RunResult",
-           "simulate", "make_device", "run_fast", "FairShare",
-           "QOS_POLICIES"]
+__all__ = ["DeviceModel", "RunResult", "FairShare", "QOS_POLICIES",
+           "simulate", "make_device", "run_fast"]

@@ -1,26 +1,35 @@
 """Trace-driven SSD device model.
 
 Wraps an FTL and turns flash-operation counts into time using the Table 3
-latencies.  :class:`DeviceModel` owns everything that is *not* a queueing
-decision — trace validation, per-run queue reset, warmup, GC-time and
-service-time accounting, background GC, response statistics and cache
-sampling — and delegates only the dispatch policy to its subclasses:
+latencies.  There is one device model, :class:`DeviceModel`, and the
+flash channel count is a parameter of it:
 
-* :class:`SSDevice` is the paper-faithful single-server FIFO queue: a
-  request's service starts at ``max(arrival, device free)`` and the
-  *system response time* (Fig 6e) is queueing delay plus service time.
-  GC is charged to the request that triggered it, as in FlashSim.
-* :class:`~repro.ssd.parallel.ChannelSSDevice` (extension) dispatches
-  individual flash operations over N independently-queued channels.
+* ``channels=1`` (the default) is the paper-faithful single-server FIFO
+  queue: a request's service starts at ``max(arrival, device free)`` and
+  the *system response time* (Fig 6e) is queueing delay plus service
+  time.  GC is charged to the request that triggered it, as in FlashSim.
+* ``channels=N`` (extension; parallel-IO flash as in Agrawal et al., the
+  source of Table 3, and LFTL) stripes a request's individual flash
+  operations over N independently-queued channels with a round-robin
+  cursor that persists across requests — the limit behaviour of
+  block-striped allocation, under which consecutive single-page
+  requests land on different channels.  A request completes when its
+  last operation does.  Intra-request ordering (a translation read
+  preceding the data read it resolves) is ignored, so the model is an
+  optimistic bound on channel overlap.
 
-Unified timing semantics (identical in every device model):
+The FTL layer is timing-agnostic (it reports operation *counts*), so
+the channel count changes queueing only: hit ratios, write
+amplification and GC counts are identical at every ``channels``.
+
+Timing semantics (identical at every channel count):
 
 * A request that touches no flash at all (e.g. a TRIM whose mapping is
   cached — invalidation is out-of-band bookkeeping) completes at its
   arrival time: it never joins a queue and is charged no queueing delay.
-* ``RequestTiming.start`` is the instant the device *first dispatches*
-  work for the request, so ``queue_delay = start - arrival`` measures
-  real contention.
+* A request's ``start`` is the instant the device *first dispatches*
+  work for it, so ``queue_delay = start - arrival`` measures real
+  contention.
 * Warmup requests age the FTL but are not timed; queue state is reset at
   the start of every ``run()`` so a reused device never inherits the
   previous replay's makespan.
@@ -31,13 +40,17 @@ digests in ``tests/golden_digests.json`` pin it): a request's service
 time is ``reads * read_us + writes * write_us + erases * erase_us`` in
 exactly that association, and the accumulators, the queue recurrence and
 the Welford response statistics are order-dependent folds over the
-requests in arrival order.
+requests in arrival order.  That is why ``channels == 1`` keeps its own
+branch in :meth:`DeviceModel._dispatch`: it adds the one
+multiply-accumulated service time to the queue horizon, where the
+striping loop would add the same operations one latency at a time and
+round differently.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, WorkloadError
 from ..ftl.base import BaseFTL
@@ -104,10 +117,6 @@ class FairShare:
         finish = start + service_us / share
         lanes[tenant] = finish
         return start, finish
-
-    def earliest_free(self) -> float:
-        """When every lane has drained (0.0 before any dispatch)."""
-        return max(self.lanes.values(), default=0.0)
 
 
 @dataclasses.dataclass
@@ -183,31 +192,21 @@ class RunResult:
 
 
 class DeviceModel:
-    """Shared timing machinery over an FTL; subclasses pick the queueing.
+    """A simulated SSD: one FTL under ``channels`` FIFO flash queues."""
 
-    Subclasses implement four small hooks:
-
-    * :meth:`_reset_queues` — forget all queue state (start of ``run``);
-    * :meth:`_earliest_free` — when the least-busy queue frees up
-      (drives the background-GC idle detector);
-    * :meth:`_absorb_idle` — charge idle-time (background GC) service to
-      the least-busy queue;
-    * :meth:`_dispatch` — place one request's flash work (given as
-      bare operation counts) on the queue(s), returning
-      ``(start, finish)`` where ``start`` is the first dispatch time.
-    """
-
-    #: channel count reported in RunResult (subclasses override)
-    channels: int = 1
-
-    def __init__(self, ftl: BaseFTL, sample_interval: int = 0,
+    def __init__(self, ftl: BaseFTL, channels: int = 1,
+                 sample_interval: int = 0,
                  keep_response_samples: bool = False,
                  background_gc: bool = False,
                  background_gc_min_idle_us: float = 2_000.0,
                  qos: str = "fifo",
                  tenant_weights: Optional[Dict[str, float]] = None
                  ) -> None:
+        if channels < 1:
+            raise ConfigError("channels must be >= 1")
         self.ftl = ftl
+        #: independently-queued flash channels (1 = the paper's model)
+        self.channels = channels
         self.sample_interval = sample_interval
         self.keep_response_samples = keep_response_samples
         #: collect victims during idle gaps (extension; off = paper model)
@@ -217,6 +216,10 @@ class DeviceModel:
             raise ConfigError(
                 f"unknown qos policy {qos!r}; choose from "
                 f"{', '.join(QOS_POLICIES)}")
+        if tenant_weights is not None and qos != "fair":
+            raise ConfigError(
+                f"tenant_weights only apply under qos='fair' (got "
+                f"qos={qos!r}); drop them or select the fair policy")
         #: dispatch policy; "fifo" (the default) is the paper's model
         #: and leaves every timing untouched, "fair" routes requests
         #: through weighted per-tenant lanes (:class:`FairShare`)
@@ -231,41 +234,80 @@ class DeviceModel:
         self._reset_state()
 
     # ------------------------------------------------------------------
-    # Queueing hooks
+    # Queueing
     # ------------------------------------------------------------------
     def _reset_state(self) -> None:
         """Forget queue *and* QoS lane state (start of every run)."""
-        self._reset_queues()
+        #: per-channel horizon: when each channel next falls idle (us)
+        self._busy: List[float] = [0.0] * self.channels
+        #: round-robin striping cursor; persists across requests so
+        #: consecutive small requests spread over all channels
+        self._cursor = 0
         if self._fair is not None:
             self._fair.reset()
 
-    def _reset_queues(self) -> None:
-        """Forget all queue state (called at the start of every run)."""
-        raise NotImplementedError
-
-    def _earliest_free(self) -> float:
-        """Simulated time at which the least-busy queue frees up."""
-        raise NotImplementedError
-
-    def _absorb_idle(self, service_us: float) -> None:
-        """Charge idle-time service to the least-busy queue."""
-        raise NotImplementedError
-
     def _dispatch(self, arrival: float, reads: int, writes: int,
                   erases: int, service_us: float) -> Tuple[float, float]:
-        """Queue one request's flash work; return ``(start, finish)``."""
-        raise NotImplementedError
+        """Queue one request's flash work; return ``(start, finish)``
+        where ``start`` is the first dispatch time."""
+        busy = self._busy
+        if self.channels == 1:
+            # The single-server recurrence on the one multiply-
+            # accumulated service time (not a per-op sum): the
+            # arithmetic the golden digests pin.
+            free = busy[0]
+            start = arrival if arrival > free else free
+            busy[0] = finish = start + service_us
+            return start, finish
+        start, finish = self._stripe(busy, self._cursor, arrival,
+                                     reads, writes, erases)
+        ops = reads + writes + erases
+        self._cursor = (self._cursor + ops) % self.channels
+        return start, finish
 
     def _parallel_service_us(self, reads: int, writes: int, erases: int,
                              service_us: float) -> float:
-        """A request's service time with all its ops overlapped.
+        """A request's service time with the device to itself.
 
-        The fair-share policy dispatches at *request* granularity, so
-        devices with internal parallelism report here how long the
-        request occupies them when it has the device to itself
-        (single-server models: the plain op-sum ``service_us``).
+        Fair-share dispatch places whole *requests*, so the channel
+        count's contribution is the length of the request's own op
+        schedule: ops striped from channel 0 over idle channels,
+        makespan = the busiest channel's latency sum.  ``channels=1``
+        is the plain op sum ``service_us``.
         """
-        return service_us
+        if self.channels == 1:
+            return service_us
+        return self._stripe([0.0] * self.channels, 0, 0.0,
+                            reads, writes, erases)[1]
+
+    def _stripe(self, busy: List[float], cursor: int, arrival: float,
+                reads: int, writes: int, erases: int
+                ) -> Tuple[float, float]:
+        """Round-robin ``reads`` + ``writes`` + ``erases`` ops over the
+        channel horizons ``busy`` (updated in place) from ``cursor``.
+
+        Returns the earliest op start and the latest op finish.
+        Counted iteration in a fixed order (reads, then writes, then
+        erases) with one float add per op, so replays are bit-for-bit
+        reproducible.
+        """
+        ssd = self.ftl.ssd
+        channels = len(busy)
+        start = None
+        finish = arrival
+        for latency, count in ((ssd.read_us, reads),
+                               (ssd.write_us, writes),
+                               (ssd.erase_us, erases)):
+            for _ in range(count):
+                free = busy[cursor]
+                op_start = arrival if arrival > free else free
+                busy[cursor] = op_finish = op_start + latency
+                cursor = (cursor + 1) % channels
+                if start is None or op_start < start:
+                    start = op_start
+                if op_finish > finish:
+                    finish = op_finish
+        return start, finish
 
     # ------------------------------------------------------------------
     # Trace validation
@@ -312,6 +354,7 @@ class DeviceModel:
         """
         self._validate_trace(trace)
         self._reset_state()
+        busy = self._busy
         ftl = self.ftl
         read_us = ftl.ssd.read_us
         write_us = ftl.ssd.write_us
@@ -340,7 +383,7 @@ class DeviceModel:
         for request in measured:
             arrival = request.arrival
             if background_gc:
-                idle = arrival - self._earliest_free()
+                idle = arrival - min(busy)
                 while idle >= self.background_gc_min_idle_us:
                     bg = ftl.background_collect(max_blocks=1)
                     bg_service = bg.service_time(read_us, write_us,
@@ -348,10 +391,11 @@ class DeviceModel:
                     if bg_service == 0.0:
                         break
                     background_collections += bg.erases
-                    self._absorb_idle(bg_service)
+                    # idle-time GC occupies the least-busy channel
+                    busy[busy.index(min(busy))] += bg_service
                     gc_time += bg_service
                     background_gc_us += bg_service
-                    idle = arrival - self._earliest_free()
+                    idle = arrival - min(busy)
             cost = ftl.serve_request(request)
             reads = cost.data_reads + cost.translation_reads
             writes = cost.data_writes + cost.translation_writes
@@ -416,27 +460,11 @@ class DeviceModel:
         )
 
 
-class SSDevice(DeviceModel):
-    """A simulated SSD: one FTL under a single-server FIFO queue."""
-
-    channels = 1
-
-    def _reset_queues(self) -> None:
-        self._busy_until = 0.0
-
-    def _earliest_free(self) -> float:
-        return self._busy_until
-
-    def _absorb_idle(self, service_us: float) -> None:
-        self._busy_until += service_us
-
-    def _dispatch(self, arrival: float, reads: int, writes: int,
-                  erases: int, service_us: float) -> Tuple[float, float]:
-        # single-server placement ignores the op mix entirely
-        busy = self._busy_until
-        start = arrival if arrival > busy else busy
-        self._busy_until = finish = start + service_us
-        return start, finish
+def make_device(ftl: BaseFTL, channels: int = 1,
+                **kwargs) -> DeviceModel:
+    """``DeviceModel(ftl, channels=channels, **kwargs)`` under its
+    pre-PR-14 name, kept while ``benchmarks/perf`` still imports it."""
+    return DeviceModel(ftl, channels=channels, **kwargs)
 
 
 def run_fast(device: DeviceModel, trace: Trace,
@@ -454,14 +482,12 @@ def simulate(ftl: BaseFTL, trace: Trace, sample_interval: int = 0,
              ) -> RunResult:
     """One-shot convenience: build a device around ``ftl`` and replay.
 
-    ``channels=1`` (the default) uses the paper-faithful
-    :class:`SSDevice`; larger counts build a
-    :class:`~repro.ssd.parallel.ChannelSSDevice`.  ``qos="fair"``
-    switches dispatch to weighted per-tenant fair-share lanes (the
-    paper-default ``"fifo"`` leaves every timing untouched).
+    ``channels=1`` (the default) is the paper's single-server queue;
+    larger counts stripe operations over that many flash channels.
+    ``qos="fair"`` switches dispatch to weighted per-tenant fair-share
+    lanes (the paper-default ``"fifo"`` leaves every timing untouched).
     """
-    from .parallel import make_device
-    device = make_device(ftl, channels=channels,
+    device = DeviceModel(ftl, channels=channels,
                          sample_interval=sample_interval,
                          keep_response_samples=keep_response_samples,
                          qos=qos, tenant_weights=tenant_weights)

@@ -28,9 +28,10 @@ from typing import List, Optional
 
 from .config import (CacheConfig, SimulationConfig, SSDConfig,
                      TPFTLConfig)
+from .errors import ConfigError
 from .ftl import FTL_NAMES, make_ftl
 from .metrics import format_table
-from .ssd import QOS_POLICIES, make_device
+from .ssd import QOS_POLICIES, DeviceModel
 from .workloads import (ARRIVAL_KINDS, PRESET_NAMES, ArrivalModel,
                         compose, load_msr_trace, load_spc_trace,
                         make_preset, uniform_mix)
@@ -139,11 +140,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     trace = _load_trace(args)
     logical_pages = args.pages or trace.logical_pages
-    config = _build_config(args, logical_pages)
+    try:
+        config = _build_config(args, logical_pages)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ftl = make_ftl(args.ftl, config)
     warmup = (args.warmup if args.warmup is not None
               else len(trace) // 4)
-    device = make_device(ftl, channels=config.channels, qos=args.qos)
+    device = DeviceModel(ftl, channels=config.channels, qos=args.qos)
     run = device.run(trace, warmup_requests=warmup)
     summary = run.summary()
     summary["cache_bytes"] = config.resolved_cache().budget_bytes

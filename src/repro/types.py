@@ -170,36 +170,6 @@ class AccessResult:
 
 
 @dataclass
-class RequestTiming:
-    """Timing of one served request under the FIFO queueing model.
-
-    ``tenant`` carries the request's stream identity (when the trace is
-    multi-tenant) so response statistics can be attributed per tenant.
-    """
-
-    arrival: float
-    start: float
-    finish: float
-    #: tenant stream the timed request belongs to (None = unattributed)
-    tenant: Optional[str] = None
-
-    @property
-    def response_time(self) -> float:
-        """Queueing delay plus service time, in microseconds."""
-        return self.finish - self.arrival
-
-    @property
-    def queue_delay(self) -> float:
-        """Time spent waiting before service started."""
-        return self.start - self.arrival
-
-    @property
-    def service_time(self) -> float:
-        """Wall time from first dispatch to completion."""
-        return self.finish - self.start
-
-
-@dataclass
 class Trace:
     """An ordered sequence of requests plus its address-space size."""
 

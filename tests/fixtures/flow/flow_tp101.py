@@ -3,12 +3,12 @@
 Per-channel queue state (``_busy``) and the striping cursor
 (``_cursor``) are initialized in ``__init__``, mutated on the dispatch
 path, but the reset path re-initializes only ``_busy`` — exactly the
-bug PR 4 fixed in ``repro.ssd.parallel``: a reused device inherited
+bug PR 4 fixed in the multi-channel device: a reused device inherited
 the previous replay's cursor, skewing every subsequent run.
 
 The flow pass must flag ``_cursor`` (mutated in ``_dispatch``, absent
-from ``_reset_queues``) and must NOT flag ``_busy`` (reset correctly)
-or the fixed ``src/repro/ssd/parallel.py``.
+from ``_reset_state``) and must NOT flag ``_busy`` (reset correctly)
+or the fixed ``src/repro/ssd/device.py``.
 """
 
 
@@ -20,12 +20,12 @@ class LeakyChannelDevice:
         self._busy = [0.0] * channels
         self._cursor = 0
 
-    def _reset_queues(self):
+    def _reset_state(self):
         self._busy = [0.0] * self.channels
         # BUG: self._cursor is not re-initialized here
 
     def run(self, trace):
-        self._reset_queues()
+        self._reset_state()
         for request in trace:
             self._dispatch(request)
 

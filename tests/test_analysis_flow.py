@@ -2,7 +2,7 @@
 
 The two acceptance-critical mutation tests live here: the PR-4
 channel-queue leak fixture must be flagged by TP101 while the fixed
-``src/repro/ssd/parallel.py`` stays clean, and the PR-2 hybrid
+``src/repro/ssd/device.py`` stays clean, and the PR-2 hybrid
 ``_invalidate_remaining`` bypass fixture must be flagged by TP102
 through one level of helper indirection.
 """
@@ -49,13 +49,26 @@ def test_tp101_flags_the_pr4_queue_leak():
     findings = analyze_paths([str(FLOW_FIXTURES / "flow_tp101.py")])
     assert [f.rule for f in findings] == ["TP101"]
     assert "_cursor" in findings[0].message
-    assert "_reset_queues" in findings[0].message
+    assert "_reset_state" in findings[0].message
 
 
 def test_tp101_accepts_the_fixed_parallel_device():
-    """The repaired ChannelSSDevice resets everything: no findings."""
-    findings = analyze_paths([str(SRC / "repro" / "ssd")])
+    """DeviceModel resets its channel horizons and cursor: no findings."""
+    findings = analyze_paths([str(SRC / "repro" / "ssd" / "device.py")])
     assert [f for f in findings if f.rule == "TP101"] == []
+
+
+def test_tp101_flags_device_model_without_the_cursor_reset():
+    """The PR-4 leak re-seeded into the real device: ``_reset_state``
+    minus its cursor line is flagged, naming the attribute."""
+    source = (SRC / "repro" / "ssd" / "device.py").read_text()
+    reset_line = "        self._cursor = 0\n"
+    assert source.count(reset_line) == 1
+    findings = [f for f in analyze_source(source.replace(reset_line, ""))
+                if f.rule == "TP101"]
+    assert len(findings) == 1
+    assert "_cursor" in findings[0].message
+    assert "_reset_state" in findings[0].message
 
 
 def test_tp101_mutation_without_any_reset_of_attr():
@@ -63,7 +76,7 @@ def test_tp101_mutation_without_any_reset_of_attr():
         "class Dev:\n"
         "    def __init__(self):\n"
         "        self.q = []\n"
-        "    def _reset_queues(self):\n"
+        "    def _reset_state(self):\n"
         "        pass\n"
         "    def run(self, trace):\n"
         "        self.q.append(trace)\n"
@@ -76,7 +89,7 @@ def test_tp101_reset_through_inherited_helper():
     and through the class hierarchy."""
     source = (
         "class Base:\n"
-        "    def _reset_queues(self):\n"
+        "    def _reset_state(self):\n"
         "        self._clear()\n"
         "    def run(self, trace):\n"
         "        self.q.append(trace)\n"
@@ -91,7 +104,7 @@ def test_tp101_fresh_rebind_on_run_path_is_initialization():
     """``self.x = []`` inside run() is a per-run init, not a leak."""
     source = (
         "class Dev:\n"
-        "    def _reset_queues(self):\n"
+        "    def _reset_state(self):\n"
         "        pass\n"
         "    def run(self, trace):\n"
         "        self.seen = []\n"
@@ -103,7 +116,7 @@ def test_tp101_fresh_rebind_on_run_path_is_initialization():
 def test_tp101_self_referential_rebind_is_a_leak():
     source = (
         "class Dev:\n"
-        "    def _reset_queues(self):\n"
+        "    def _reset_state(self):\n"
         "        pass\n"
         "    def run(self, trace):\n"
         "        self.total = self.total + 1\n"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.ftl import OptimalFTL, make_ftl
-from repro.ssd import SSDevice
+from repro.ssd import DeviceModel
 from repro.types import Op, Request, Trace
 
 
@@ -27,7 +27,7 @@ def bursty_write_trace(pages=512, bursts=40, burst_len=20,
 class TestGCTimeAccounting:
     def test_gc_time_fraction_in_range(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        result = SSDevice(ftl).run(bursty_write_trace())
+        result = DeviceModel(ftl).run(bursty_write_trace())
         assert 0.0 <= result.gc_time_fraction <= 1.0
         assert result.service_time_us > 0.0
 
@@ -35,25 +35,25 @@ class TestGCTimeAccounting:
         ftl = OptimalFTL(tiny_config)
         trace = Trace(requests=[Request(arrival=0.0, op=Op.READ, lpn=0,
                                         npages=1)], logical_pages=512)
-        result = SSDevice(ftl).run(trace)
+        result = DeviceModel(ftl).run(trace)
         assert result.gc_time_us == 0.0
         assert result.gc_time_fraction == 0.0
 
     def test_write_heavy_runs_accrue_gc_time(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        result = SSDevice(ftl).run(bursty_write_trace(bursts=80))
+        result = DeviceModel(ftl).run(bursty_write_trace(bursts=80))
         assert result.gc_time_us > 0.0
 
 
 class TestBackgroundGC:
     def test_disabled_by_default(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        result = SSDevice(ftl).run(bursty_write_trace())
+        result = DeviceModel(ftl).run(bursty_write_trace())
         assert result.background_collections == 0
 
     def test_idle_gaps_absorb_collections(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = SSDevice(ftl, background_gc=True)
+        device = DeviceModel(ftl, background_gc=True)
         result = device.run(bursty_write_trace(bursts=80))
         assert result.background_collections > 0
 
@@ -61,14 +61,14 @@ class TestBackgroundGC:
         """With idle gaps available, background GC should cut the mean
         response time of the foreground writes."""
         trace = bursty_write_trace(bursts=100, burst_len=25)
-        plain = SSDevice(OptimalFTL(tiny_config)).run(trace)
+        plain = DeviceModel(OptimalFTL(tiny_config)).run(trace)
         ftl = OptimalFTL(tiny_config)
-        assisted = SSDevice(ftl, background_gc=True).run(trace)
+        assisted = DeviceModel(ftl, background_gc=True).run(trace)
         assert assisted.response.mean <= plain.response.mean
 
     def test_background_gc_preserves_consistency(self, tiny_config):
         ftl = make_ftl("tpftl", tiny_config)
-        device = SSDevice(ftl, background_gc=True)
+        device = DeviceModel(ftl, background_gc=True)
         device.run(bursty_write_trace(bursts=60))
         ftl.flush()
         ftl.check_consistency()

@@ -111,6 +111,16 @@ class TestMain:
         assert main(["not-a-figure"]) == 2
         assert "unknown experiments" in capsys.readouterr().err
 
+    def test_channels_zero_fails_at_the_edge(self, tmp_path, capsys):
+        cache = tmp_path / "rc"
+        assert main(["fig6a", "--channels", "0",
+                     "--cache-dir", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: channels must be >= 1\n"
+        assert captured.out == ""
+        # no cell ran, nothing was quarantined, no manifest written
+        assert not cache.exists()
+
     def test_runs_one_experiment(self, capsys):
         code = main(["fig2a", "--requests", "500", "--warmup", "100"])
         assert code == 0

@@ -7,14 +7,15 @@ benchmarks run the real scales and EXPERIMENTS.md records the numbers.
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.config import TPFTLConfig
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments import (EXPERIMENTS, ExperimentScale,
                                run_experiment)
 from repro.experiments.common import (ABLATION_CONFIGS, WORKLOADS,
-                                      build_workload, run_ablation_cell,
-                                      run_one, simulation_config,
-                                      tpftl_variant)
-from repro.experiments.runner import clear_run_caches
+                                      build_workload, run_one,
+                                      simulation_config)
+from repro.experiments.runner import (RunSpec, clear_run_caches,
+                                      execute_spec)
 
 MICRO = ExperimentScale(
     name="micro", num_requests=2500, warmup_requests=500,
@@ -54,11 +55,12 @@ class TestCommon:
         assert result.response.count > 0
 
     def test_ablation_cell_variants(self):
-        assert tpftl_variant("bc").monogram == "bc"
-        result = run_ablation_cell("dftl", MICRO)
+        assert TPFTLConfig.from_monogram("bc").monogram == "bc"
+        assert RunSpec.for_ablation("bc", MICRO).tpftl.monogram == "bc"
+        result = execute_spec(RunSpec.for_ablation("dftl", MICRO))
         assert result.ftl_name == "dftl"
-        with pytest.raises(ExperimentError):
-            run_ablation_cell("zz", MICRO)
+        with pytest.raises(ConfigError):
+            RunSpec.for_ablation("zz", MICRO)
 
 
 class TestRegistry:

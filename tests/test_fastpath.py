@@ -43,7 +43,7 @@ from repro.flash import FlashMemory
 from repro.ftl import FTL_NAMES, OptimalFTL, make_ftl
 from repro.gc import GreedyPolicy, WearLeveler
 from repro.metrics import CacheSampler
-from repro.ssd import SSDevice, run_fast
+from repro.ssd import DeviceModel, run_fast
 from repro.types import PageKind
 from repro.workloads import make_preset
 
@@ -102,14 +102,14 @@ def sanitized_run():
     """-> (result, ftl, pages served)"""
     ops = random_ops(800, 512, seed=5)
     ftl = make_ftl("tpftl", SANITIZED)
-    return (SSDevice(ftl).run(make_trace(ops)), ftl,
+    return (DeviceModel(ftl).run(make_trace(ops)), ftl,
             sum(n for _, _, n in ops))
 
 
 def follow_up_after_abort_run():
     """A replay on a device whose previous replay died mid-loop."""
     ftl = make_ftl("dftl", ROOMY)
-    device = SSDevice(ftl)
+    device = DeviceModel(ftl)
     original, served = ftl.serve_request, [0]
 
     def exploding(request):
@@ -127,14 +127,14 @@ def follow_up_after_abort_run():
 
 #: hand-built devices (background GC, FTLSan, warmup, heavy GC, reuse)
 RUN_CELLS = {
-    "device/warmup-dftl": lambda: SSDevice(
+    "device/warmup-dftl": lambda: DeviceModel(
         make_ftl("dftl", ROOMY), sample_interval=200).run(
             small_trace(), warmup_requests=300),
-    "device/background-gc-optimal": lambda: SSDevice(
+    "device/background-gc-optimal": lambda: DeviceModel(
         OptimalFTL(TINY), background_gc=True).run(
             bursty_write_trace(bursts=60)),
     "device/sanitized-tpftl": lambda: sanitized_run()[0],
-    "device/gc-heavy-dftl": lambda: SSDevice(
+    "device/gc-heavy-dftl": lambda: DeviceModel(
         make_ftl("dftl", GC_HEAVY)).run(gc_heavy_trace()),
     "device/follow-up-after-abort": follow_up_after_abort_run,
 }
@@ -156,7 +156,7 @@ def fault_outcome(ftl, trace, arm_cut_after=None):
     if arm_cut_after is not None:
         injector.arm_power_loss(arm_cut_after)
     try:
-        outcome = encode_result(SSDevice(ftl).run(trace))
+        outcome = encode_result(DeviceModel(ftl).run(trace))
     except (PowerLossError, DeviceWornOutError) as exc:
         outcome = f"{type(exc).__name__}: {exc}"
     stats = flash.stats
@@ -295,7 +295,7 @@ class TestDeviceLevelParity:
         ftl.flash.injector.arm_power_loss(POWER_CUT_AFTER)
         with pytest.raises(PowerLossError,
                            match=f"after {POWER_CUT_AFTER} flash"):
-            SSDevice(ftl).run(small_trace(count=600))
+            DeviceModel(ftl).run(small_trace(count=600))
         assert ftl.flash.injector.ops_seen == POWER_CUT_AFTER
         check("faults/power-cut-dftl")
 
@@ -318,7 +318,7 @@ class TestOpsSeen:
 
     def test_idle_plan_counts_nothing(self):
         ftl = make_ftl("dftl", ROOMY)
-        SSDevice(ftl).run(small_trace(count=200))
+        DeviceModel(ftl).run(small_trace(count=200))
         assert not ftl.flash.injector.live
         assert ftl.flash.injector.ops_seen == 0
 
@@ -380,7 +380,7 @@ class TestPlanSelectsMechanics:
         assert flash_state(batched.flash) == flash_state(per_op.flash)
         assert not batched.flash.injector.live
         assert not per_op.flash.injector.plan.is_noop
-        results = [SSDevice(ftl).run(gc_heavy_trace())
+        results = [DeviceModel(ftl).run(gc_heavy_trace())
                    for ftl in (batched, per_op)]
         assert results[0].metrics.gc_data_collections > 0
         assert results[0].metrics.gc_translation_collections > 0
@@ -434,7 +434,7 @@ class TestVictimHeapEquivalence:
         trace = make_trace(random_ops(700, 512, seed=seed,
                                       write_ratio=write_ratio))
         try:
-            SSDevice(ftl).run(trace)
+            DeviceModel(ftl).run(trace)
         except DeviceWornOutError:
             pass
         assert checks[0] > 0
@@ -447,7 +447,7 @@ class TestVictimHeapEquivalence:
         trace = make_preset("financial1", num_requests=2_000,
                             logical_pages=ftl.ssd.logical_pages)
         try:
-            SSDevice(ftl).run(trace)
+            DeviceModel(ftl).run(trace)
         except DeviceWornOutError:
             pass
         assert checks[0] > 0
@@ -461,7 +461,7 @@ class TestGCTimeFractionInvariant:
     @pytest.mark.parametrize("fast", (False, True))
     def test_fraction_bounded_with_background_gc(self, tiny_config,
                                                  fast):
-        device = SSDevice(OptimalFTL(tiny_config), background_gc=True)
+        device = DeviceModel(OptimalFTL(tiny_config), background_gc=True)
         trace = bursty_write_trace(bursts=80)
         runner = run_fast if fast else type(device).run
         result = runner(device, trace)
@@ -474,7 +474,7 @@ class TestGCTimeFractionInvariant:
         assert (result.gc_time_us / result.service_time_us) > 1.0
 
     def test_background_time_disjoint_from_service(self, tiny_config):
-        device = SSDevice(OptimalFTL(tiny_config), background_gc=True)
+        device = DeviceModel(OptimalFTL(tiny_config), background_gc=True)
         result = device.run(bursty_write_trace(bursts=80))
         # foreground GC is part of service time; background GC is not
         assert result.service_time_us > 0.0
@@ -530,5 +530,5 @@ class TestSamplerCatchUp:
             return snapshot()
 
         ftl.cache_snapshot = counting
-        result = SSDevice(ftl, sample_interval=200).run(small_trace())
+        result = DeviceModel(ftl, sample_interval=200).run(small_trace())
         assert 0 < len(result.sampler.samples) == calls[0] < 1_500

@@ -6,7 +6,6 @@ from repro.errors import MetricsError
 from repro.metrics import (CacheSampler, FTLMetrics, ResponseStats,
                            format_table)
 from repro.metrics.report import format_percent
-from repro.types import RequestTiming
 
 
 class TestFTLMetrics:
@@ -65,8 +64,7 @@ class TestFTLMetrics:
 class TestResponseStats:
     def record(self, stats, values):
         for value in values:
-            stats.record(RequestTiming(arrival=0.0, start=0.0,
-                                       finish=value))
+            stats.record_timing(0.0, 0.0, value)
 
     def test_streaming_mean(self):
         stats = ResponseStats()
@@ -83,16 +81,14 @@ class TestResponseStats:
 
     def test_queue_delay_tracked(self):
         stats = ResponseStats()
-        stats.record(RequestTiming(arrival=0.0, start=5.0, finish=10.0))
-        stats.record(RequestTiming(arrival=0.0, start=15.0,
-                                   finish=20.0))
+        stats.record_timing(0.0, 5.0, 10.0)
+        stats.record_timing(0.0, 15.0, 20.0)
         assert stats.mean_queue_delay == pytest.approx(10.0)
 
     def test_service_time_tracked(self):
         stats = ResponseStats()
-        stats.record(RequestTiming(arrival=0.0, start=5.0, finish=10.0))
-        stats.record(RequestTiming(arrival=0.0, start=15.0,
-                                   finish=30.0))
+        stats.record_timing(0.0, 5.0, 10.0)
+        stats.record_timing(0.0, 15.0, 30.0)
         assert stats.total_service_time == pytest.approx(20.0)
         assert stats.mean_service_time == pytest.approx(10.0)
         # queue delay + in-service time decompose the response time
@@ -149,8 +145,7 @@ class TestResponseStats:
 class TestResponseStatsMerge:
     def fill(self, stats, timings):
         for arrival, start, finish in timings:
-            stats.record(RequestTiming(arrival=arrival, start=start,
-                                       finish=finish))
+            stats.record_timing(arrival, start, finish)
 
     def split_vs_whole(self, keep_samples=True):
         timings = [(float(i), float(i) + i % 7, float(i) + 10 + 3 * i)

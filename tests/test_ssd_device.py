@@ -1,13 +1,15 @@
 """The device model: FIFO queueing, response times, warmup."""
 
+import random
+
 import pytest
 
 from repro.errors import WorkloadError
-from repro.ftl import OptimalFTL
+from repro.ftl import OptimalFTL, make_ftl
 from repro.ssd import simulate
 from repro.types import Op, Request, Trace
 
-from conftest import make_trace
+from conftest import make_trace, random_ops
 
 
 class TestQueueing:
@@ -43,6 +45,56 @@ class TestQueueing:
         trace = make_trace([(Op.READ, 0, 4)])
         result = simulate(ftl, trace)
         assert result.response.mean == pytest.approx(100.0)
+
+
+class TestSingleServerOracle:
+    """``channels=1`` against the textbook FIFO recurrence.
+
+    The oracle shares no code with the device: a twin FTL serves the
+    same requests to obtain each one's operation counts, and the
+    timings are recomputed here from the recurrence alone.
+    """
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("ftl_name", ("optimal", "dftl", "tpftl"))
+    def test_random_trace_matches_the_recurrence(self, tiny_config,
+                                                 ftl_name, seed):
+        rng = random.Random(seed)
+        arrival, requests = 0.0, []
+        for op, lpn, npages in random_ops(400, 512, seed=seed):
+            # bursts (gap 0) and idle gaps both occur
+            arrival += rng.choice((0.0, 40.0, 300.0, 2_500.0))
+            requests.append(Request(arrival=arrival, op=op, lpn=lpn,
+                                    npages=npages))
+        trace = Trace(requests=requests, logical_pages=512)
+        warmup = 100
+        result = simulate(make_ftl(ftl_name, tiny_config), trace,
+                          warmup_requests=warmup,
+                          keep_response_samples=True)
+
+        twin = make_ftl(ftl_name, tiny_config)
+        ssd = twin.ssd
+        expected, queue_delay, prev_finish, makespan = [], 0.0, 0.0, 0.0
+        for index, request in enumerate(requests):
+            cost = twin.serve_request(request)
+            if index < warmup:
+                continue
+            service = (cost.total_reads * ssd.read_us
+                       + cost.total_writes * ssd.write_us
+                       + cost.erases * ssd.erase_us)
+            if service == 0.0:
+                # no flash touched: completes at arrival, never queues
+                start = finish = request.arrival
+            else:
+                start = max(request.arrival, prev_finish)
+                prev_finish = finish = start + service
+            expected.append(finish - request.arrival)
+            queue_delay += start - request.arrival
+            makespan = max(makespan, finish)
+        assert result.response.samples == expected
+        assert result.response.total_queue_delay == queue_delay
+        assert result.makespan == makespan
+        assert queue_delay > 0.0  # the trace does contend
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""The multi-channel device model and the unified queueing subsystem.
+"""The device model at ``channels > 1`` and its shared queueing rules.
 
 The hand-computed scenarios use the Table 3 latencies scaled to the
 tiny fixture geometry: 25us reads, 200us writes, 1.5ms erases.
@@ -7,11 +7,9 @@ tiny fixture geometry: 25us reads, 200us writes, 1.5ms erases.
 import pytest
 
 from repro.errors import ConfigError, WorkloadError
-from repro.ftl import DFTL, OptimalFTL, make_ftl
-from repro.ssd import (ChannelSSDevice, DeviceModel, SSDevice,
-                       make_device)
+from repro.ftl import DFTL, OptimalFTL
+from repro.ssd import DeviceModel, make_device
 from repro.types import Op, Request, Trace
-from repro.workloads import make_preset
 
 from conftest import make_trace, random_ops
 
@@ -27,14 +25,14 @@ def burst(ops, arrival=0.0, logical_pages=512):
 class TestChannelDevice:
     def test_single_channel_matches_serial_service(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=1)
+        device = DeviceModel(ftl, channels=1)
         trace = make_trace([(Op.READ, 0, 4)], spacing_us=100_000)
         result = device.run(trace)
         assert result.response.mean == pytest.approx(4 * 25.0)
 
     def test_channels_overlap_operations(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=4)
+        device = DeviceModel(ftl, channels=4)
         trace = make_trace([(Op.READ, 0, 4)], spacing_us=100_000)
         result = device.run(trace)
         # four reads across four channels complete in one read time
@@ -49,14 +47,14 @@ class TestChannelDevice:
         means = []
         for channels in (1, 2, 8):
             ftl = OptimalFTL(tiny_config)
-            device = ChannelSSDevice(ftl, channels=channels)
+            device = DeviceModel(ftl, channels=channels)
             result = device.run(make_trace(ops))
             means.append(result.response.mean)
         assert means[0] >= means[1] >= means[2]
 
     def test_warmup_supported(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=2)
+        device = DeviceModel(ftl, channels=2)
         ops = [(Op.WRITE, i % 32, 1) for i in range(50)]
         result = device.run(make_trace(ops), warmup_requests=30)
         assert result.requests == 20
@@ -64,35 +62,20 @@ class TestChannelDevice:
 
     def test_channel_count_validated(self, tiny_config):
         with pytest.raises(ConfigError):
-            ChannelSSDevice(OptimalFTL(tiny_config), channels=0)
+            DeviceModel(OptimalFTL(tiny_config), channels=0)
 
     def test_channel_count_reported(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        result = ChannelSSDevice(ftl, channels=4).run(
+        result = DeviceModel(ftl, channels=4).run(
             make_trace([(Op.READ, 0, 1)]))
         assert result.channels == 4
         assert result.summary()["channels"] == 4
 
 
 class TestMakeDevice:
-    def test_one_channel_is_the_paper_model(self, tiny_config):
-        device = make_device(OptimalFTL(tiny_config), channels=1)
-        assert isinstance(device, SSDevice)
-
-    def test_many_channels_build_the_channel_model(self, tiny_config):
-        device = make_device(OptimalFTL(tiny_config), channels=4)
-        assert isinstance(device, ChannelSSDevice)
-        assert device.channels == 4
-
     def test_invalid_count_rejected(self, tiny_config):
         with pytest.raises(ConfigError):
             make_device(OptimalFTL(tiny_config), channels=0)
-
-    def test_both_models_share_the_base(self, tiny_config):
-        assert isinstance(make_device(OptimalFTL(tiny_config)),
-                          DeviceModel)
-        assert isinstance(make_device(OptimalFTL(tiny_config),
-                                      channels=2), DeviceModel)
 
 
 class TestQueueDelayAttribution:
@@ -102,8 +85,8 @@ class TestQueueDelayAttribution:
         # channels=2: R0 (2 reads) fills both channels until t=25;
         # R1 (2 reads, same arrival) starts at 25, finishes at 50.
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=2,
-                                 keep_response_samples=True)
+        device = DeviceModel(ftl, channels=2,
+                             keep_response_samples=True)
         result = device.run(burst([(Op.READ, 0, 2), (Op.READ, 4, 2)]))
         assert result.response.samples == [25.0, 50.0]
         assert result.response.total_queue_delay == pytest.approx(25.0)
@@ -112,7 +95,7 @@ class TestQueueDelayAttribution:
 
     def test_uncontended_requests_have_zero_delay(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=2)
+        device = DeviceModel(ftl, channels=2)
         result = device.run(make_trace([(Op.READ, 0, 2),
                                         (Op.READ, 4, 2)],
                                        spacing_us=10_000))
@@ -122,8 +105,8 @@ class TestQueueDelayAttribution:
         # 3 reads on 2 channels: ch0 until 50, ch1 until 25.  The next
         # 1-read request continues on ch1 (cursor), starting at 25.
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=2,
-                                 keep_response_samples=True)
+        device = DeviceModel(ftl, channels=2,
+                             keep_response_samples=True)
         result = device.run(burst([(Op.READ, 0, 3), (Op.READ, 4, 1)]))
         assert result.response.samples == [50.0, 50.0]
         assert result.response.total_queue_delay == pytest.approx(25.0)
@@ -132,7 +115,7 @@ class TestQueueDelayAttribution:
         # acceptance: channels=4 under a burst reports strictly
         # positive mean queueing delay
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=4)
+        device = DeviceModel(ftl, channels=4)
         result = device.run(burst([(Op.READ, i * 4, 1)
                                    for i in range(8)]))
         assert result.response.mean_queue_delay > 0.0
@@ -140,7 +123,7 @@ class TestQueueDelayAttribution:
 
     def test_queue_plus_service_equals_response(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=2)
+        device = DeviceModel(ftl, channels=2)
         result = device.run(burst([(Op.READ, 0, 2), (Op.READ, 4, 2),
                                    (Op.WRITE, 8, 3)]))
         response = result.response
@@ -161,21 +144,21 @@ class TestZeroOpRequests:
         return device.run(trace)
 
     def test_channel_model_trim_finishes_at_arrival(self, tiny_config):
-        device = ChannelSSDevice(OptimalFTL(tiny_config), channels=2,
-                                 keep_response_samples=True)
+        device = DeviceModel(OptimalFTL(tiny_config), channels=2,
+                             keep_response_samples=True)
         result = self.trim_after_reads(device)
         assert result.response.samples == [50.0, 0.0]
         assert result.response.total_queue_delay == 0.0
 
     def test_single_server_trim_finishes_at_arrival(self, tiny_config):
-        device = SSDevice(OptimalFTL(tiny_config),
-                          keep_response_samples=True)
+        device = DeviceModel(OptimalFTL(tiny_config),
+                             keep_response_samples=True)
         result = self.trim_after_reads(device)
         assert result.response.samples == [100.0, 0.0]
         assert result.response.total_queue_delay == 0.0
 
     def test_zero_op_does_not_extend_makespan(self, tiny_config):
-        device = ChannelSSDevice(OptimalFTL(tiny_config), channels=2)
+        device = DeviceModel(OptimalFTL(tiny_config), channels=2)
         trace = Trace(requests=[
             Request(arrival=0.0, op=Op.READ, lpn=0, npages=2),
             Request(arrival=9_999.0, op=Op.TRIM, lpn=8, npages=1),
@@ -187,7 +170,7 @@ class TestZeroOpRequests:
 class TestGCAccounting:
     def test_gc_time_accrues_on_channel_device(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=4)
+        device = DeviceModel(ftl, channels=4)
         result = device.run(make_trace(random_ops(700, 512, seed=5,
                                                   write_ratio=0.9)))
         assert result.gc_time_us > 0.0
@@ -197,9 +180,10 @@ class TestGCAccounting:
     def test_gc_accounting_is_model_independent(self, tiny_config):
         # flash-busy time is the same no matter how it is queued
         ops = random_ops(500, 512, seed=7, write_ratio=0.9)
-        single = SSDevice(OptimalFTL(tiny_config)).run(make_trace(ops))
-        multi = ChannelSSDevice(OptimalFTL(tiny_config),
-                                channels=4).run(make_trace(ops))
+        single = DeviceModel(OptimalFTL(tiny_config)).run(
+            make_trace(ops))
+        multi = DeviceModel(OptimalFTL(tiny_config),
+                            channels=4).run(make_trace(ops))
         assert multi.gc_time_us == single.gc_time_us
         assert multi.service_time_us == single.service_time_us
 
@@ -209,8 +193,8 @@ class TestQueueStateReset:
 
     def test_channel_queues_reset_between_runs(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=2,
-                                 keep_response_samples=True)
+        device = DeviceModel(ftl, channels=2,
+                             keep_response_samples=True)
         trace = make_trace([(Op.READ, i * 4, 2) for i in range(40)])
         first = device.run(trace)
         second = device.run(trace)
@@ -220,7 +204,7 @@ class TestQueueStateReset:
 
     def test_single_server_resets_between_runs(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = SSDevice(ftl, keep_response_samples=True)
+        device = DeviceModel(ftl, keep_response_samples=True)
         trace = make_trace([(Op.READ, i * 4, 2) for i in range(40)])
         first = device.run(trace)
         second = device.run(trace)
@@ -231,7 +215,7 @@ class TestQueueStateReset:
 class TestValidation:
     def test_channel_model_rejects_oversized_trace(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=4)
+        device = DeviceModel(ftl, channels=4)
         trace = make_trace([(Op.READ, 511, 2)])  # touches LPN 512
         with pytest.raises(WorkloadError):
             device.run(trace)
@@ -242,7 +226,7 @@ class TestFeatureParity:
 
     def test_sampler_attached(self, tiny_config):
         ftl = DFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=2, sample_interval=10)
+        device = DeviceModel(ftl, channels=2, sample_interval=10)
         ops = [(Op.READ, i, 1) for i in range(30)]
         result = device.run(make_trace(ops))
         assert result.sampler is not None
@@ -251,58 +235,6 @@ class TestFeatureParity:
     def test_background_gc_collects_in_idle_gaps(self, tiny_config):
         from test_background_gc import bursty_write_trace
         ftl = OptimalFTL(tiny_config)
-        device = ChannelSSDevice(ftl, channels=4, background_gc=True)
+        device = DeviceModel(ftl, channels=4, background_gc=True)
         result = device.run(bursty_write_trace(bursts=80))
         assert result.background_collections > 0
-
-    def test_background_gc_single_channel_parity(self, tiny_config):
-        from test_background_gc import bursty_write_trace
-        trace = bursty_write_trace(bursts=60)
-        single = SSDevice(OptimalFTL(tiny_config),
-                          background_gc=True).run(trace)
-        chan = ChannelSSDevice(OptimalFTL(tiny_config), channels=1,
-                               background_gc=True).run(trace)
-        assert chan.response == single.response
-        assert chan.makespan == single.makespan
-        assert chan.background_collections == single.background_collections
-        assert chan.gc_time_us == single.gc_time_us
-
-
-class TestSingleChannelEquivalence:
-    """channels=1 reproduces SSDevice bit-for-bit (the tentpole
-    invariant that makes the channel model trustworthy)."""
-
-    WORKLOADS = ("financial1", "financial2", "msr-ts", "msr-src")
-
-    def devices(self, ftl_name, trace):
-        from repro.experiments.common import simulation_config
-        single = make_ftl(ftl_name, simulation_config(trace))
-        chan = make_ftl(ftl_name, simulation_config(trace))
-        return (SSDevice(single, keep_response_samples=True),
-                ChannelSSDevice(chan, channels=1,
-                                keep_response_samples=True))
-
-    @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_tier1_workloads_identical(self, workload):
-        trace = make_preset(workload, logical_pages=2048,
-                            num_requests=700)
-        single, chan = self.devices("dftl", trace)
-        a = single.run(trace, warmup_requests=150)
-        b = chan.run(trace, warmup_requests=150)
-        assert a.response == b.response          # includes samples
-        assert a.response.samples == b.response.samples
-        assert a.metrics == b.metrics
-        assert a.makespan == b.makespan
-        assert a.gc_time_us == b.gc_time_us
-        assert a.service_time_us == b.service_time_us
-        assert a.summary() == b.summary()
-
-    def test_tpftl_identical(self):
-        trace = make_preset("financial1", logical_pages=2048,
-                            num_requests=700)
-        single, chan = self.devices("tpftl", trace)
-        a = single.run(trace, warmup_requests=150)
-        b = chan.run(trace, warmup_requests=150)
-        assert a.response == b.response
-        assert a.metrics == b.metrics
-        assert a.makespan == b.makespan

@@ -65,6 +65,12 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["channels"] == 4
 
+    def test_channels_zero_is_a_one_line_error(self, capsys):
+        assert main(["--channels", "0"] + self.COMMON) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: channels must be >= 1\n"
+        assert captured.out == ""
+
     def test_tpftl_monogram(self, capsys):
         assert main(["--tpftl-config", "bc", "--json", "-"]
                     + self.COMMON) == 0

@@ -23,7 +23,7 @@ from repro.experiments.runner import (RunSpec, clear_run_caches,
                                       decode_result, encode_result,
                                       execute_spec)
 from repro.ftl import make_ftl
-from repro.ssd import ChannelSSDevice, SSDevice, run_fast, simulate
+from repro.ssd import DeviceModel, run_fast, simulate
 from repro.types import Op, Request, Trace
 from repro.workloads import (ARRIVAL_KINDS, ArrivalModel, TenantSpec,
                              TrafficSpec, compose, uniform_mix)
@@ -273,40 +273,44 @@ class TestDeviceTenancy:
 
     def test_fair_rejects_background_gc(self, tiny_config):
         with pytest.raises(ConfigError, match="background_gc"):
-            SSDevice(make_ftl("dftl", tiny_config), qos="fair",
-                     background_gc=True)
+            DeviceModel(make_ftl("dftl", tiny_config), qos="fair",
+                        background_gc=True)
+
+    def test_weights_without_fair_rejected(self, tiny_config):
+        # FIFO used to drop the weights silently (and unvalidated)
+        with pytest.raises(ConfigError, match="tenant_weights"):
+            DeviceModel(make_ftl("dftl", tiny_config),
+                        tenant_weights={"a": 1.0})
 
     def test_unknown_qos_rejected(self, tiny_config):
         with pytest.raises(ConfigError, match="qos"):
-            SSDevice(make_ftl("dftl", tiny_config), qos="wfq")
+            DeviceModel(make_ftl("dftl", tiny_config), qos="wfq")
 
     def test_non_positive_weight_rejected(self, tiny_config):
         with pytest.raises(ConfigError, match="weight"):
-            SSDevice(make_ftl("dftl", tiny_config), qos="fair",
-                     tenant_weights={"a": 0.0})
+            DeviceModel(make_ftl("dftl", tiny_config), qos="fair",
+                        tenant_weights={"a": 0.0})
 
     def test_out_of_order_arrivals_rejected(self, tiny_config):
         trace = Trace(requests=[
             Request(arrival=100.0, op=Op.READ, lpn=0, npages=1),
             Request(arrival=50.0, op=Op.READ, lpn=1, npages=1),
         ], logical_pages=512)
-        device = SSDevice(make_ftl("dftl", tiny_config))
+        device = DeviceModel(make_ftl("dftl", tiny_config))
         with pytest.raises(WorkloadError, match="non-decreasing"):
             device.run(trace)
         with pytest.raises(WorkloadError, match="non-decreasing"):
-            run_fast(SSDevice(make_ftl("dftl", tiny_config)), trace)
+            run_fast(DeviceModel(make_ftl("dftl", tiny_config)), trace)
 
     def test_channel_parallel_service_stripes_from_cursor_zero(
             self, tiny_config):
-        device = ChannelSSDevice(make_ftl("dftl", tiny_config),
-                                 channels=2)
+        device = DeviceModel(make_ftl("dftl", tiny_config), channels=2)
         ssd = device.ftl.ssd
         # r,r,r,w round-robined over 2 channels: ch0 = 2 reads,
         # ch1 = 1 read + 1 write -> the makespan is ch1
         expected = max(2 * ssd.read_us, ssd.read_us + ssd.write_us)
         assert device._parallel_service_us(3, 1, 0, 0.0) == expected
-        single = ChannelSSDevice(make_ftl("dftl", tiny_config),
-                                 channels=1)
+        single = DeviceModel(make_ftl("dftl", tiny_config), channels=1)
         assert single._parallel_service_us(3, 1, 0, 123.0) == 123.0
 
 

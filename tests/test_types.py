@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.types import (AccessResult, Op, Request, RequestTiming, Trace,
-                         UNMAPPED)
+from repro.metrics import ResponseStats
+from repro.types import AccessResult, Op, Request, Trace, UNMAPPED
 
 
 class TestOp:
@@ -81,15 +81,20 @@ class TestAccessResult:
 
 
 class TestRequestTiming:
+    """One request's (arrival, start, finish) folded by
+    ``ResponseStats.record_timing``."""
+
     def test_response_and_queue_delay(self):
-        timing = RequestTiming(arrival=100.0, start=150.0, finish=400.0)
-        assert timing.response_time == pytest.approx(300.0)
-        assert timing.queue_delay == pytest.approx(50.0)
+        stats = ResponseStats()
+        stats.record_timing(100.0, 150.0, 400.0)
+        assert stats.mean == pytest.approx(300.0)
+        assert stats.total_queue_delay == pytest.approx(50.0)
 
     def test_no_queueing(self):
-        timing = RequestTiming(arrival=10.0, start=10.0, finish=35.0)
-        assert timing.queue_delay == 0.0
-        assert timing.response_time == pytest.approx(25.0)
+        stats = ResponseStats()
+        stats.record_timing(10.0, 10.0, 35.0)
+        assert stats.total_queue_delay == 0.0
+        assert stats.mean == pytest.approx(25.0)
 
 
 class TestTrace:
