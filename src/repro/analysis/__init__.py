@@ -1,21 +1,21 @@
-"""Correctness tooling for the reproduction: lint pass + FTLSan.
+"""Correctness tooling for the reproduction: static analysis + FTLSan.
 
 Two pillars, both specific to this codebase:
 
-* :mod:`repro.analysis.lint` — an AST-based lint pass (rules ``TP001``
-  – ``TP006``) enforcing the project's structural rules over ``src/``:
-  determinism (no unseeded randomness, no wall clock), typed errors
-  instead of bare ``assert``, frozen configs stay frozen, and all
-  flash page traffic routed through :class:`~repro.flash.FlashMemory`.
-  Run it as ``python -m repro.analysis lint src``.
-* :mod:`repro.analysis.flow` — the interprocedural layer (rules
-  ``TP101``–``TP104``): a project-wide call graph plus per-class
-  mutable-state inventory feeding a fixed-point engine, catching the
-  bug shapes single-node visitors cannot (run-path state missing from
-  the reset path, flash mutation hidden behind helpers, frozen-config
-  aliasing, nondeterministic set iteration).  The same ``lint``
-  subcommand runs both passes and can emit SARIF 2.1.0
-  (``--format sarif``) for GitHub code scanning.
+* the **static analysis** — one pipeline: :class:`Project` parses the
+  tree once and :func:`analyze` runs every pass over it.  The lexical
+  ``TP0xx`` rules (:mod:`repro.analysis.lint`) enforce determinism (no
+  unseeded randomness, no wall clock), typed errors instead of bare
+  ``assert`` and frozen configs; the interprocedural passes in
+  :mod:`repro.analysis.flow` add ``TP1xx`` (run-path state missing
+  from the reset path, flash page operations bypassing
+  :class:`~repro.flash.FlashMemory` directly or through helpers,
+  frozen-config aliasing, nondeterministic set iteration), ``TP2xx``
+  (address-domain and unit confusion) and ``TP3xx`` (resource and
+  ordering protocols across exception edges).  Every rule is listed
+  in the one table :data:`RULES`; ``# tp: allow=CODE`` is the one
+  suppression.  Run it as ``python -m repro.analysis lint src``
+  (``--format sarif`` emits SARIF 2.1.0 for GitHub code scanning).
 * :mod:`repro.analysis.sanitizer` — FTLSan, a config-gated runtime
   checker (rules ``SAN001``–``SAN009``) validating the paper's §4.2 /
   §4.4 / §4.5 invariants and a shadow page map against live simulator
@@ -28,19 +28,16 @@ full rule tables.
 from __future__ import annotations
 
 from .checkers import SAN_RULES
-from .flow import FLOW_RULES, analyze_paths, analyze_source
-from .lint import Finding, RULES, lint_paths, lint_source
+from .flow import Project, analyze
+from .lint import Finding, RULES
 from .sanitizer import FTLSan, attach
 
 __all__ = [
-    "FLOW_RULES",
     "FTLSan",
     "Finding",
+    "Project",
     "RULES",
     "SAN_RULES",
-    "analyze_paths",
-    "analyze_source",
+    "analyze",
     "attach",
-    "lint_paths",
-    "lint_source",
 ]

@@ -2,24 +2,24 @@
 
 Subcommands:
 
-* ``lint [paths...]`` — run every analysis pass (the single-file TP0xx
-  AST rules, the interprocedural TP1xx flow rules, the TP2xx
-  domain/unit pass and the TP3xx typestate/protocol pass) over Python
-  sources (default target: ``src``).  The tree is parsed exactly once
-  into a shared project that all passes reuse; ``--stats`` prints the
-  per-pass wall-clock split.  Exits non-zero when findings outside the
-  committed baseline exist; ``--write-baseline`` regenerates the
-  baseline from the current findings instead.  ``--format
-  text|json|sarif`` picks the report format (SARIF 2.1.0 feeds GitHub
-  code scanning); ``--fail-stale`` turns stale baseline entries into a
-  failure; ``--disable``/``--exclude`` select rules and prune subtrees
-  per invocation (tests legitimately use ``assert``, so CI lints them
-  with ``--disable TP003``).
+* ``lint [paths...]`` — parse the Python sources under ``paths``
+  (default: ``src``) exactly once into a project and run every static
+  pass over it (the lexical TP0xx rules, the interprocedural TP1xx
+  flow rules, the TP2xx domain/unit pass and the TP3xx
+  typestate/protocol pass).  Exits 1 when there are findings, 2 when
+  the input cannot be analyzed (a path that does not exist, no Python
+  files, a syntax error).  ``--format text|json|sarif`` picks the
+  report format (SARIF 2.1.0 feeds GitHub code scanning) and
+  ``--output`` sends the json/sarif document to a file;
+  ``--disable``/``--exclude`` select rules and prune subtrees per
+  invocation (tests legitimately use ``assert``, so CI lints them with
+  ``--disable TP003``); ``--stats`` prints the per-pass wall-clock
+  split.
 * ``mutants`` — self-validate the TP2xx domain pass and the TP3xx
   protocol pass: apply the seeded mutants from
-  :mod:`repro.analysis.mutants` to a throwaway copy of ``src`` and
-  fail unless every mutant is flagged while the pristine copy stays
-  clean.
+  :mod:`repro.analysis.mutants` to the in-memory sources of ``src``
+  and fail unless every mutant is flagged while the pristine tree
+  stays clean.
 * ``rules`` — print every rule family (TP0xx lint, TP1xx flow, TP2xx
   domain, TP3xx typestate, SAN sanitizer), grouped and sorted, with
   one-line descriptions.
@@ -32,18 +32,12 @@ import json
 import pathlib
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .checkers import SAN_RULES
-from .flow import (DOMAIN_RULES, FLOW_RULES, PROTOCOL_RULES, Project,
-                   analyze_project, to_sarif)
-from .flow.sarif import default_rule_table
-from .lint import (Finding, RULES, lint_parsed, load_baseline,
-                   partition_findings, write_baseline)
+from .flow import Project, analyze, to_sarif
+from .lint import Finding, RULES
 from .mutants import MUTANTS, MutantApplyError, run_mutants
-
-#: default baseline location, relative to the invocation directory
-DEFAULT_BASELINE = ".analysis-baseline.json"
 
 #: the report formats the lint subcommand can emit
 FORMATS = ("text", "json", "sarif")
@@ -52,9 +46,9 @@ FORMATS = ("text", "json", "sarif")
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Project-specific static analysis (TP AST rules + "
-                    "TP1xx interprocedural flow rules) and rule "
-                    "listing for the FTLSan runtime sanitizer.")
+        description="Project-specific static analysis (TP0xx-TP3xx "
+                    "rules over one shared parse) and rule listing for "
+                    "the FTLSan runtime sanitizer.")
     sub = parser.add_subparsers(dest="command", required=True)
     lint = sub.add_parser(
         "lint", help="run every analysis pass over Python sources "
@@ -62,20 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)")
-    lint.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline file of grandfathered findings "
-             f"(default: {DEFAULT_BASELINE})")
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: report every finding as new")
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0")
-    lint.add_argument(
-        "--fail-stale", action="store_true",
-        help="exit non-zero when baseline entries no longer trigger "
-             "(keeps the committed baseline honest in CI)")
     lint.add_argument(
         "--format", choices=FORMATS, default="text", dest="format_",
         metavar="FORMAT",
@@ -102,11 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "corpus")
     mutants.add_argument(
         "--src", default="src", metavar="DIR",
-        help="source tree to copy and mutate (default: src)")
-    mutants.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline used for the pristine-copy clean check "
-             f"(default: {DEFAULT_BASELINE})")
+        help="source tree to read and mutate in memory (default: src)")
     mutants.add_argument(
         "--format", choices=("text", "json"), default="text",
         dest="format_", metavar="FORMAT",
@@ -124,39 +100,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _disabled_codes(raw: Sequence[str]) -> Set[str]:
+def _disabled_codes(parser: argparse.ArgumentParser,
+                    raw: Sequence[str]) -> Set[str]:
+    """The rule codes named by ``--disable``; an unknown code exits 2
+    through ``parser.error``, naming the valid ones."""
     codes: Set[str] = set()
     for chunk in raw:
         codes.update(c.strip() for c in chunk.split(",") if c.strip())
+    unknown = sorted(codes - set(RULES))
+    if unknown:
+        parser.error(f"--disable: unknown rule code(s) "
+                     f"{', '.join(unknown)}; valid codes are "
+                     f"{', '.join(sorted(RULES))}")
     return codes
 
 
-def _collect_findings(args: argparse.Namespace,
-                      ) -> Tuple[List[Finding], Dict[str, float]]:
-    """Every pass over the requested trees, rule-filtered and sorted.
-
-    The trees are read and parsed exactly once into a flow project;
-    the TP0xx lint visits the same trees via :func:`lint_parsed` and
-    the TP1xx/TP2xx/TP3xx passes share the project and its call graph.
-    Returns the findings plus the per-pass wall-clock timings.
-    """
-    disabled = _disabled_codes(args.disable)
-    timings: Dict[str, float] = {}
-    started = time.perf_counter()  # tp: allow=TP002 - host-side stats
-    project = Project.from_paths(args.paths, exclude=args.exclude)
-    timings["parse"] = time.perf_counter() - started  # tp: allow=TP002 - host-side stats
-    started = time.perf_counter()  # tp: allow=TP002 - host-side stats
-    findings = lint_parsed(
-        (module.path, module.source_lines, module.tree)
-        for module in project.modules.values())
-    timings["lint"] = time.perf_counter() - started  # tp: allow=TP002 - host-side stats
-    findings += analyze_project(project, timings=timings)
-    findings = [f for f in findings if f.rule not in disabled]
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings, timings
-
-
-def _emit_document(document: dict, output: Optional[str]) -> None:
+def _emit_document(document: Dict[str, object],
+                   output: Optional[str]) -> None:
     text = json.dumps(document, indent=2) + "\n"
     if output:
         pathlib.Path(output).write_text(text, encoding="utf-8")
@@ -164,84 +124,59 @@ def _emit_document(document: dict, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _json_document(new: List[Finding], grandfathered: List[Finding],
-                   stale: Set[Tuple[str, str, str]]) -> dict:
-    def _encode(finding: Finding, suppressed: bool) -> dict:
-        return {
+def _json_document(findings: Sequence[Finding]) -> Dict[str, object]:
+    return {
+        "version": 2,
+        "tool": "repro.analysis",
+        "findings": [{
             "rule": finding.rule,
             "path": finding.path,
             "line": finding.line,
             "col": finding.col,
             "message": finding.message,
             "snippet": finding.snippet,
-            "suppressed": suppressed,
-        }
-
-    return {
-        "version": 1,
-        "tool": "repro.analysis",
-        "findings": ([_encode(f, False) for f in new]
-                     + [_encode(f, True) for f in grandfathered]),
-        "summary": {
-            "new": len(new),
-            "grandfathered": len(grandfathered),
-            "stale_baseline_entries": [
-                {"rule": rule, "path": path, "snippet": snippet}
-                for rule, path, snippet in sorted(stale)],
-        },
+        } for finding in findings],
     }
 
 
 def _format_stats(timings: Dict[str, float]) -> str:
-    order = ("parse", "lint", "flow", "domains", "protocols")
-    parts = [f"{label} {timings[label]*1000.0:.0f}ms"
-             for label in order if label in timings]
+    parts = [f"{label} {seconds*1000.0:.0f}ms"
+             for label, seconds in timings.items()]
     total = sum(timings.values())
     return (f"stats: {' | '.join(parts)} "
             f"(total {total*1000.0:.0f}ms, one shared parse)")
 
 
-def _run_lint(args: argparse.Namespace) -> int:
-    findings, timings = _collect_findings(args)
+def _run_lint(args: argparse.Namespace, disabled: Set[str]) -> int:
+    missing = [p for p in args.paths if not pathlib.Path(p).exists()]
+    if missing:
+        print(f"error: no such file or directory: {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
+    timings: Dict[str, float] = {}
+    started = time.perf_counter()  # tp: allow=TP002 - host-side stats
+    project = Project.from_paths(args.paths, exclude=args.exclude)
+    timings["parse"] = time.perf_counter() - started  # tp: allow=TP002 - host-side stats
+    if not project.modules:
+        print(f"error: no Python files under: {', '.join(args.paths)}",
+              file=sys.stderr)
+        return 2
+    findings = [f for f in analyze(project, timings=timings)
+                if f.rule not in disabled]
     if args.stats:
         print(_format_stats(timings), file=sys.stderr)
-    baseline_path = pathlib.Path(args.baseline)
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}")
-        return 0
-    baseline = (set() if args.no_baseline
-                else load_baseline(baseline_path))
-    new, grandfathered = partition_findings(findings, baseline)
-    stale = baseline - {f.key for f in findings}
     if args.format_ == "json":
-        _emit_document(_json_document(new, grandfathered, stale),
-                       args.output)
+        _emit_document(_json_document(findings), args.output)
     elif args.format_ == "sarif":
-        _emit_document(
-            to_sarif(new, grandfathered,
-                     default_rule_table({**FLOW_RULES,
-                                         **DOMAIN_RULES,
-                                         **PROTOCOL_RULES})),
-            args.output)
+        _emit_document(to_sarif(findings), args.output)
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
-        if grandfathered:
-            print(f"({len(grandfathered)} grandfathered finding(s) "
-                  f"suppressed by {baseline_path})")
     status = sys.stdout if args.format_ == "text" else sys.stderr
-    if stale:
-        print(f"{'error' if args.fail_stale else 'note'}: {len(stale)} "
-              "baseline entr(ies) no longer triggered; "
-              "regenerate with --write-baseline", file=status)
-    if new:
-        print(f"{len(new)} new finding(s)", file=status)
+    if findings:
+        print(f"{len(findings)} finding(s)", file=status)
         return 1
-    if stale and args.fail_stale:
-        return 1
-    print(f"lint clean: {len(findings)} finding(s), all grandfathered"
-          if findings else "lint clean", file=status)
+    print("lint clean", file=status)
     return 0
 
 
@@ -251,15 +186,11 @@ def _run_mutants(args: argparse.Namespace) -> int:
             print(f"{mutant.mid}  {mutant.rule}  {mutant.path}: "
                   f"{mutant.description}")
         return 0
-    try:
-        report = run_mutants(src_root=args.src, baseline=args.baseline)
-    except MutantApplyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_mutants(src_root=args.src)
     if args.format_ == "json":
         _emit_document(report.to_json(), args.output)
     else:
-        for finding in report.pristine_new:
+        for finding in report.pristine:
             print(f"pristine: {finding.render()}")
         for result in report.results:
             verdict = "killed" if result.killed else "SURVIVED"
@@ -269,49 +200,64 @@ def _run_mutants(args: argparse.Namespace) -> int:
                   f"{result.mutant.description}"
                   + (f"  [{rules}]" if rules else ""))
     status = sys.stdout if args.format_ == "text" else sys.stderr
-    if report.pristine_new:
-        print(f"{len(report.pristine_new)} finding(s) on the pristine "
-              "copy beyond the baseline", file=status)
+    if report.pristine:
+        print(f"{len(report.pristine)} finding(s) on the pristine "
+              "tree", file=status)
     if report.survivors:
         print(f"{len(report.survivors)} mutant(s) survived",
               file=status)
     if report.ok:
         print(f"all {len(report.results)} mutant(s) killed; pristine "
-              "copy clean", file=status)
+              "tree clean", file=status)
     return 0 if report.ok else 1
 
 
-#: the rule families the ``rules`` subcommand prints, in print order
+#: the families of the one static rule table, by code prefix, as the
+#: ``rules`` subcommand titles them (the SAN table follows)
 _RULE_FAMILIES = (
-    ("TP0xx AST lint rules (python -m repro.analysis lint):", RULES),
-    ("TP1xx interprocedural flow rules (same lint subcommand):",
-     FLOW_RULES),
-    ("TP2xx domain/unit rules (same lint subcommand; self-validated "
-     "by the mutants subcommand):", DOMAIN_RULES),
-    ("TP3xx typestate/protocol rules (same lint subcommand; CFGs with "
-     "exception edges, self-validated by the mutants subcommand):",
-     PROTOCOL_RULES),
-    ("SANxxx sanitizer rules (config.sanitizer / FTLSan):", SAN_RULES),
+    ("TP0", "TP0xx AST lint rules (python -m repro.analysis lint):"),
+    ("TP1", "TP1xx interprocedural flow rules (same lint subcommand):"),
+    ("TP2", "TP2xx domain/unit rules (same lint subcommand; "
+            "self-validated by the mutants subcommand):"),
+    ("TP3", "TP3xx typestate/protocol rules (same lint subcommand; "
+            "CFGs with exception edges, self-validated by the mutants "
+            "subcommand):"),
 )
 
 
 def _run_rules() -> int:
-    for index, (title, table) in enumerate(_RULE_FAMILIES):
-        if index:
-            print()
+    for prefix, title in _RULE_FAMILIES:
         print(title)
-        for code in sorted(table):
-            print(f"  {code}  {table[code]}")
+        for code in sorted(RULES):
+            if code.startswith(prefix):
+                print(f"  {code}  {RULES[code]}")
+        print()
+    print("SANxxx sanitizer rules (config.sanitizer / FTLSan):")
+    for code in sorted(SAN_RULES):
+        print(f"  {code}  {SAN_RULES[code]}")
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
-    if args.command == "lint":
-        return _run_lint(args)
-    if args.command == "mutants":
-        return _run_mutants(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "output", None) and args.format_ == "text":
+        parser.error("--output needs a document format (--format json"
+                     + ("|sarif" if args.command == "lint" else "")
+                     + "); the text report always goes to stdout")
+    try:
+        if args.command == "lint":
+            return _run_lint(args, _disabled_codes(parser, args.disable))
+        if args.command == "mutants":
+            return _run_mutants(args)
+    except SyntaxError as exc:
+        print(f"error: {exc.filename}:{exc.lineno}: {exc.msg}",
+              file=sys.stderr)
+        return 2
+    except MutantApplyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return _run_rules()
 
 

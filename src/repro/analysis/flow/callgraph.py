@@ -28,9 +28,9 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..lint import (_allowed_codes, _dotted, iter_python_files,
+from ..lint import (Finding, _allowed_codes, _dotted, iter_python_files,
                     normalize_path)
 from .state import ClassState, collect_class_state
 
@@ -40,6 +40,8 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "Project",
+    "classify_call",
+    "read_sources",
 ]
 
 
@@ -107,7 +109,7 @@ class ModuleInfo:
     source_lines: List[str]
     #: local name -> fully qualified dotted name
     imports: Dict[str, str] = field(default_factory=dict)
-    #: line -> suppressed rule codes (``# tp: allow=TP10x``)
+    #: line -> suppressed rule codes (``# tp: allow=TP10x,TP20x``)
     allowed: Dict[int, Set[str]] = field(default_factory=dict)
 
 
@@ -122,6 +124,27 @@ def _module_name(path: pathlib.Path) -> str:
     return ".".join(parts) or path.stem
 
 
+def classify_call(node: ast.Call) -> Optional[CallSite]:
+    """The :class:`CallSite` for one call expression — self-dispatch,
+    attr-call or plain/dotted name — or None when the callee is not
+    written as a name (a subscript, a call result, ...)."""
+    func = node.func
+    line, col = node.lineno, node.col_offset
+    if isinstance(func, ast.Name):
+        return CallSite("name", func.id, line, col)
+    if not isinstance(func, ast.Attribute):
+        return None
+    value = func.value
+    if isinstance(value, ast.Name) and value.id in ("self", "cls"):
+        return CallSite("self", func.attr, line, col)
+    if (isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id in ("self", "cls")):
+        return CallSite("attr", func.attr, line, col, receiver=value.attr)
+    dotted = _dotted(func)
+    return None if dotted is None else CallSite("name", dotted, line, col)
+
+
 class _CallCollector(ast.NodeVisitor):
     """Extract :class:`CallSite` records from one function body."""
 
@@ -129,30 +152,10 @@ class _CallCollector(ast.NodeVisitor):
         self.calls: List[CallSite] = []
 
     def visit_Call(self, node: ast.Call) -> None:
-        """Classify the call as self-dispatch, attr-call or plain name."""
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            value = func.value
-            if isinstance(value, ast.Name) and value.id in ("self", "cls"):
-                self.calls.append(CallSite(
-                    kind="self", target=func.attr,
-                    line=node.lineno, col=node.col_offset))
-            elif (isinstance(value, ast.Attribute)
-                  and isinstance(value.value, ast.Name)
-                  and value.value.id in ("self", "cls")):
-                self.calls.append(CallSite(
-                    kind="attr", target=func.attr, receiver=value.attr,
-                    line=node.lineno, col=node.col_offset))
-            else:
-                dotted = _dotted(func)
-                if dotted is not None:
-                    self.calls.append(CallSite(
-                        kind="name", target=dotted,
-                        line=node.lineno, col=node.col_offset))
-        elif isinstance(func, ast.Name):
-            self.calls.append(CallSite(
-                kind="name", target=func.id,
-                line=node.lineno, col=node.col_offset))
+        """Record the classified call site, then descend."""
+        site = classify_call(node)
+        if site is not None:
+            self.calls.append(site)
         self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -180,11 +183,7 @@ class Project:
     def from_paths(cls, paths: Sequence[str],
                    exclude: Sequence[str] = ()) -> "Project":
         """Parse every ``*.py`` under ``paths`` into one project."""
-        sources: Dict[str, str] = {}
-        for file in iter_python_files(paths, exclude=exclude):
-            sources[normalize_path(file)] = file.read_text(
-                encoding="utf-8")
-        return cls.from_sources(sources)
+        return cls.from_sources(read_sources(paths, exclude=exclude))
 
     @classmethod
     def from_sources(cls, sources: Mapping[str, str]) -> "Project":
@@ -446,29 +445,24 @@ class Project:
         return edges
 
     # ------------------------------------------------------------------
-    # Suppression / source access helpers
+    # Findings
     # ------------------------------------------------------------------
-    def module_for_path(self, path: str) -> Optional[ModuleInfo]:
-        """The module parsed from ``path``, if any."""
-        for module in self.modules.values():
-            if module.path == path:
-                return module
-        return None
-
-    def snippet(self, module: ModuleInfo, line: int) -> str:
-        """Stripped source line ``line`` of ``module`` (1-based)."""
+    def finding(self, module: ModuleInfo, rule: str, line: int, col: int,
+                message: str) -> Optional[Finding]:
+        """The finding for ``rule`` at ``line`` of ``module``, unless a
+        ``# tp: allow=<rule>`` pragma on that line suppresses it."""
+        if rule in module.allowed.get(line, ()):
+            return None
+        snippet = ""
         if 1 <= line <= len(module.source_lines):
-            return module.source_lines[line - 1].strip()
-        return ""
-
-    def suppressed(self, module: ModuleInfo, line: int,
-                   rule: str) -> bool:
-        """True when ``# tp: allow=<rule>`` covers ``line``."""
-        return rule in module.allowed.get(line, set())
+            snippet = module.source_lines[line - 1].strip()
+        return Finding(rule=rule, path=module.path, line=line, col=col,
+                       message=message, snippet=snippet)
 
 
-def iter_class_functions(project: Project,
-                         qnames: Iterable[str]) -> List[FunctionInfo]:
-    """The :class:`FunctionInfo` records for the given qnames."""
-    return [project.functions[q] for q in qnames
-            if q in project.functions]
+def read_sources(paths: Sequence[str],
+                 exclude: Sequence[str] = ()) -> Dict[str, str]:
+    """``{normalized path: source text}`` of every ``*.py`` under
+    ``paths`` — the input of :meth:`Project.from_sources`."""
+    return {normalize_path(file): file.read_text(encoding="utf-8")
+            for file in iter_python_files(paths, exclude=exclude)}

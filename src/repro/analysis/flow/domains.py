@@ -49,10 +49,9 @@ count is pointer arithmetic (``base_lpn + i``), and comparing an
 address against a count is a bounds check
 (``0 <= lpn < logical_pages``).  Named conversion helpers
 (``us_to_ms``-style, matched by :data:`_CONVERSION_RE`) type their
-result by the target unit and never have their arguments checked.  A
-``# tp: domain(ppn)`` pragma re-types the assignment target on its
-line and suppresses domain findings there; the shared
-``# tp: allow=TP20x`` pragma works as for every other rule.
+result by the target unit and never have their arguments checked.
+What the idioms do not cover takes the shared ``# tp: allow=TP20x``
+pragma, as for every other rule.
 """
 
 from __future__ import annotations
@@ -60,35 +59,18 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..lint import Finding, _dotted
-from .callgraph import CallSite, FunctionInfo, ModuleInfo, Project
+from .callgraph import FunctionInfo, Project, classify_call
 from .engine import FlowEngine
 from .state import _param_annotations
 
 __all__ = [
-    "DOMAIN_RULES",
     "Domain",
     "check_domains",
     "domain_from_name",
 ]
-
-#: every domain rule, code -> one-line description
-DOMAIN_RULES: Dict[str, str] = {
-    "TP201": ("cross-domain value flow: an address of one domain "
-              "(LPN/PPN/VPN/block/offset) reaches a parameter or store "
-              "slot typed as another domain"),
-    "TP202": ("mixed-domain arithmetic or comparison (e.g. lpn + ppn, "
-              "block == ppn) without a conversion idiom such as "
-              "* pages_per_block"),
-    "TP203": ("time-unit mixing: a microsecond-seeded value meets a "
-              "millisecond value across a call, assignment or "
-              "arithmetic"),
-    "TP204": ("bytes vs page/entry counts mixed in the cache-budget "
-              "path (byte budgets and entry counts are different "
-              "units)"),
-}
 
 # ----------------------------------------------------------------------
 # The domain lattice
@@ -213,15 +195,11 @@ _ANNOTATION_DOMAINS: Dict[str, Domain] = {
 #: ``to_ms`` / ``us_to_ms`` / ``as_pages`` style conversion helpers
 _CONVERSION_RE = re.compile(r"(?:^|_)(?:to|as)_([a-z]+)$")
 
-#: ``# tp: domain(ppn)`` pragma, re-typing its line's assignment target
-_DOMAIN_PRAGMA_RE = re.compile(r"tp:\s*domain\((\w+)\)", re.IGNORECASE)
-
-#: pragma / conversion-helper tokens -> domain
+#: conversion-helper target tokens (the ``X`` of ``to_X``) -> domain
 _TOKEN_DOMAINS: Dict[str, Domain] = {
     "lpn": LPN, "ppn": PPN, "ptpn": PPN, "vpn": VPN, "vtpn": VPN,
     "mvpn": VPN, "block": BLOCK, "offset": PAGE_OFFSET, "us": TIME_US,
     "ms": TIME_MS, "bytes": BYTES, "pages": PAGES, "entries": PAGES,
-    "any": UNKNOWN, "unknown": UNKNOWN,
 }
 
 
@@ -431,17 +409,6 @@ _ARITH_OPS = (ast.Add, ast.Sub)
 _ORDERED_CMPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 
-def _domain_pragmas(module: ModuleInfo) -> Dict[int, Domain]:
-    """Per-line ``# tp: domain(...)`` re-typing pragmas."""
-    out: Dict[int, Domain] = {}
-    for lineno, text in enumerate(module.source_lines, start=1):
-        match = _DOMAIN_PRAGMA_RE.search(text)
-        if match:
-            out[lineno] = _TOKEN_DOMAINS.get(
-                match.group(1).lower(), UNKNOWN)
-    return out
-
-
 class _FnPass:
     """One flow-ordered walk over a function body.
 
@@ -455,7 +422,6 @@ class _FnPass:
         self.project = pass_.project
         self.fn = fn
         self.module = pass_.project.modules[fn.module]
-        self.pragmas = pass_.pragmas(self.module)
         self.report = report
         self.summary = pass_.summaries[fn.qname]
         self.env: Dict[str, Domain] = dict(self.summary.domains)
@@ -466,16 +432,11 @@ class _FnPass:
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
         if not self.report:
             return
-        line = getattr(node, "lineno", self.fn.line)
-        col = getattr(node, "col_offset", 0)
-        if line in self.pragmas:  # tp: domain(...) covers the line
-            return
-        if self.project.suppressed(self.module, line, rule):
-            return
-        self.findings.append(Finding(
-            rule=rule, path=self.module.path, line=line, col=col,
-            message=message,
-            snippet=self.project.snippet(self.module, line)))
+        found = self.project.finding(
+            self.module, rule, getattr(node, "lineno", self.fn.line),
+            getattr(node, "col_offset", 0), message)
+        if found is not None:
+            self.findings.append(found)
 
     def _check(self, a: Domain, b: Domain, rules: Dict[str, str],
                node: ast.AST, describe: str) -> None:
@@ -502,9 +463,6 @@ class _FnPass:
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
             domain = self._eval(stmt.value)
-            pragma = self.pragmas.get(stmt.lineno)
-            if pragma is not None:
-                domain = pragma
             for target in stmt.targets:
                 self._assign(target, domain, stmt.value, stmt)
         elif isinstance(stmt, ast.AnnAssign):
@@ -514,9 +472,6 @@ class _FnPass:
                 (_dotted(stmt.annotation) or "").split(".")[-1], UNKNOWN)
             if annotated != UNKNOWN:
                 domain = annotated
-            pragma = self.pragmas.get(stmt.lineno)
-            if pragma is not None:
-                domain = pragma
             self._assign(stmt.target, domain, stmt.value, stmt)
         elif isinstance(stmt, ast.AugAssign):
             target_domain = self._eval(stmt.target)
@@ -760,32 +715,6 @@ class _FnPass:
                        f"a {index}-domain index")
 
     # -- calls ---------------------------------------------------------
-    def _call_site(self, node: ast.Call) -> Optional[CallSite]:
-        """Re-classify a call expression the way _CallCollector does."""
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            value = func.value
-            if isinstance(value, ast.Name) and value.id in ("self",
-                                                            "cls"):
-                return CallSite(kind="self", target=func.attr,
-                                line=node.lineno,
-                                col=node.col_offset)
-            if isinstance(value, ast.Attribute) and \
-                    isinstance(value.value, ast.Name) and \
-                    value.value.id in ("self", "cls"):
-                return CallSite(kind="attr", target=func.attr,
-                                receiver=value.attr, line=node.lineno,
-                                col=node.col_offset)
-            dotted = _dotted(func)
-            if dotted is not None:
-                return CallSite(kind="name", target=dotted,
-                                line=node.lineno, col=node.col_offset)
-            return None
-        if isinstance(func, ast.Name):
-            return CallSite(kind="name", target=func.id,
-                            line=node.lineno, col=node.col_offset)
-        return None
-
     def _call(self, node: ast.Call) -> Domain:
         if not isinstance(node.func, (ast.Name, ast.Attribute)):
             self._eval(node.func)
@@ -801,7 +730,7 @@ class _FnPass:
         converted = _conversion_target(simple)
         if converted is not None:
             return converted  # conversion helpers launder domains
-        site = self._call_site(node)
+        site = classify_call(node)
         callees: Set[str] = set()
         if site is not None:
             callees = self.project.resolve_call(self.fn, site)
@@ -883,13 +812,6 @@ class _DomainPass:
         self.summaries: Dict[str, _Summary] = {
             qname: _seed_summary(project, fn)
             for qname, fn in project.functions.items()}
-        self._pragmas: Dict[str, Dict[int, Domain]] = {}
-
-    def pragmas(self, module: ModuleInfo) -> Dict[int, Domain]:
-        """Per-line ``tp: domain(...)`` re-typings, cached per module."""
-        if module.name not in self._pragmas:
-            self._pragmas[module.name] = _domain_pragmas(module)
-        return self._pragmas[module.name]
 
     def solve(self) -> None:
         """Propagate argument/return domains to a fixed point."""

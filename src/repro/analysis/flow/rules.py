@@ -1,23 +1,26 @@
-"""The interprocedural ``TP1xx`` rules over the flow engine.
+"""The interprocedural ``TP1xx`` rules and the one pass driver.
 
-Each rule is a function ``(project, engine) -> findings`` registered in
-:data:`FLOW_RULES`.  They share the lint pass's :class:`Finding` type
-and ``(rule, path, snippet)`` baseline keys, so the CLI treats both
-passes uniformly (baseline, pragmas, formats).
+Each rule is a function ``(project, engine) -> findings``;
+:func:`analyze` runs them together with the lexical ``TP0xx`` pass,
+the ``TP2xx`` domain pass and the ``TP3xx`` typestate pass over one
+parsed :class:`~repro.analysis.flow.callgraph.Project` — the only way
+to run the static analysis (the CLI, the mutant harness and the tests
+all call it).
 
 ========  ==============================================================
 TP101     per-run state mutated on the run path but never re-initialized
           on the reset path (the PR-4 channel-queue leak class)
-TP102     transitive flash bypass: a call chain that reaches a direct
-          flash page operation through helpers (the PR-2
-          ``_invalidate_remaining`` class); generalizes TP006
+TP102     flash bypass: a direct flash page operation outside the flash
+          package (the retired TP006), and every call chain that
+          reaches one through helpers (the PR-2
+          ``_invalidate_remaining`` class)
 TP103     a mutable field of a frozen config aliased into an attribute
           and later mutated in place (writes through to the config)
 TP104     unordered ``set`` iteration feeding simulation-visible state
           on the run path (nondeterministic replay order)
 ========  ==============================================================
 
-Suppression uses the same pragma as the lint pass
+Suppression is the one pragma every pass shares
 (``# tp: allow=TP101 - reason``).
 """
 
@@ -27,61 +30,33 @@ import ast
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..lint import _FLASH_OPS, Finding, _dotted
-from .callgraph import FunctionInfo, ModuleInfo, Project
-from .domains import DOMAIN_RULES, check_domains
+from ..lint import Finding, _dotted, check_lexical
+from .callgraph import FunctionInfo, Project
+from .domains import check_domains
 from .engine import FlowEngine
 from .state import AttrEvent, _is_set_expr
-from .typestate import PROTOCOL_RULES, check_protocols
+from .typestate import check_protocols
 
 __all__ = [
-    "DOMAIN_RULES",
-    "FLOW_RULES",
-    "PROTOCOL_RULES",
     "RESET_METHODS",
     "RUN_ROOTS",
-    "analyze_paths",
-    "analyze_project",
-    "analyze_source",
+    "analyze",
 ]
-
-#: every flow rule, code -> one-line description
-FLOW_RULES: Dict[str, str] = {
-    "TP101": ("per-run state mutated on the run path but not "
-              "re-initialized on the reset path (state leaks across "
-              "run() calls)"),
-    "TP102": ("call chain reaches a direct flash page operation "
-              "through helpers, bypassing FlashMemory (transitive "
-              "form of TP006)"),
-    "TP103": ("mutable field of a frozen config aliased into an "
-              "attribute and mutated in place (writes through to the "
-              "shared config)"),
-    "TP104": ("unordered set iteration on the simulation path "
-              "(replay-visible order is nondeterministic; iterate "
-              "sorted(...))"),
-}
 
 #: methods that constitute a class's per-run reset protocol
 RESET_METHODS: Tuple[str, ...] = ("_reset_state", "reset")
 #: entry points of the serve/run path
 RUN_ROOTS: Tuple[str, ...] = ("run", "serve_request")
 
-_Rule = Callable[[Project, FlowEngine], List[Finding]]
+#: page-level flash mutators that must only be called on a FlashMemory
+_FLASH_OPS = frozenset({
+    "program", "program_into", "erase", "mark_bad", "invalidate",
+})
 
 
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _finding(project: Project, module: ModuleInfo, rule: str, line: int,
-             col: int, message: str) -> Optional[Finding]:
-    """Build a finding unless a pragma on ``line`` suppresses it."""
-    if project.suppressed(module, line, rule):
-        return None
-    return Finding(rule=rule, path=module.path, line=line, col=col,
-                   message=message,
-                   snippet=project.snippet(module, line))
-
-
 def _in_flash_package(path: str) -> bool:
     return "flash" in path.split("/")
 
@@ -161,7 +136,7 @@ def check_state_reset(project: Project,
             if state is not None:
                 reset_assigned |= state.assigns.get(method, set())
         fresh_assigned: Set[str] = set()
-        leaky_events: List[Tuple[AttrEvent, str]] = []
+        leaky_events: List[Tuple[AttrEvent, FunctionInfo]] = []
         for method in sorted(run_names):
             owned = _defining_state(project, cls_qname, method)
             if owned is None:
@@ -172,24 +147,22 @@ def check_state_reset(project: Project,
                 continue
             for event in state.assign_events.get(method, []):
                 if event.detail == "selfref":
-                    leaky_events.append((event, fn.path))
+                    leaky_events.append((event, fn))
                 else:
                     fresh_assigned.add(event.attr)
             for event in state.mutations.get(method, []):
-                leaky_events.append((event, fn.path))
+                leaky_events.append((event, fn))
         initialized = reset_assigned | fresh_assigned
-        for event, path in leaky_events:
+        for event, fn in leaky_events:
             if event.attr in initialized:
                 continue
-            module = project.module_for_path(path)
-            if module is None:
-                continue
-            key = (path, event.line, event.attr)
+            key = (fn.path, event.line, event.attr)
             if key in findings:
                 continue
             reset_shown = "/".join(f"{m}()" for m in reset_roots)
-            found = _finding(
-                project, module, "TP101", event.line, event.col,
+            found = project.finding(
+                project.modules[fn.module], "TP101", event.line,
+                event.col,
                 f"self.{event.attr} is mutated on the run path "
                 f"({event.method}) but never re-initialized on the "
                 f"reset path ({reset_shown}); its value leaks across "
@@ -200,62 +173,71 @@ def check_state_reset(project: Project,
 
 
 # ----------------------------------------------------------------------
-# TP102: transitive flash bypass
+# TP102: flash bypass, direct and transitive
 # ----------------------------------------------------------------------
-def _direct_bypass_lines(project: Project,
-                         fn: FunctionInfo) -> List[int]:
-    """Lines in ``fn`` holding a direct unrouted flash page op
-    (the TP006 pattern), minus pragma-suppressed ones."""
-    module = project.modules[fn.module]
-    lines: List[int] = []
-    for node in ast.walk(fn.node):
+def _direct_bypass_ops(tree: ast.AST) -> List[Tuple[ast.Call, str]]:
+    """``(call, "receiver.op")`` for every flash page operation under
+    ``tree`` whose receiver is not a ``...flash`` attribute, i.e. not
+    routed through FlashMemory."""
+    ops: List[Tuple[ast.Call, str]] = []
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        if func.attr not in _FLASH_OPS:
+        if not isinstance(func, ast.Attribute) \
+                or func.attr not in _FLASH_OPS:
             continue
         receiver = _dotted(func.value)
         if receiver is not None and (receiver == "flash"
                                      or receiver.endswith(".flash")):
-            continue
-        if (project.suppressed(module, node.lineno, "TP006")
-                or project.suppressed(module, node.lineno, "TP102")):
-            continue
-        lines.append(node.lineno)
-    return lines
+            continue  # routed through FlashMemory: injector consulted
+        ops.append((node, f"{receiver or '<expr>'}.{func.attr}"))
+    return ops
 
 
 def check_flash_escape(project: Project,
                        engine: FlowEngine) -> List[Finding]:
-    """Flag call sites whose callee transitively bypasses FlashMemory.
+    """Flag flash page operations that bypass FlashMemory, and every
+    call site whose callee transitively performs one.
 
-    Sources are functions outside the flash package containing a
-    direct unrouted page operation (TP006 flags those sites
-    themselves); the taint is closed backwards over the call graph so
-    every caller that reaches a bypass through any number of helpers
-    is reported at its call site — the PR-2
-    ``_invalidate_remaining`` shape, where the mutation hid one
-    helper away from the merge path.
+    A direct unrouted operation outside the flash package is the chain
+    of length zero and is flagged where it stands.  The functions
+    holding one are the taint sources; the taint is closed backwards
+    over the call graph so every caller that reaches a bypass through
+    any number of helpers is reported at its call site — the PR-2
+    ``_invalidate_remaining`` shape, where the mutation hid one helper
+    away from the merge path.  A justified ``# tp: allow=TP102`` on
+    the direct operation clears the whole chain.
     """
-    sources = {fn.qname for fn in project.functions.values()
-               if not _in_flash_package(fn.path)
-               and _direct_bypass_lines(project, fn)}
-    if not sources:
-        return []
-    tainted = engine.reaching(sources)
     findings: List[Finding] = []
+    direct_lines: Dict[str, Set[int]] = {}
+    for module in project.modules.values():
+        if _in_flash_package(module.path):
+            continue  # FlashMemory/Block themselves implement the ops
+        for call, shown in _direct_bypass_ops(module.tree):
+            found = project.finding(
+                module, "TP102", call.lineno, call.col_offset,
+                f"{shown}() operates on flash pages directly; route "
+                "through FlashMemory so the FaultInjector sees the "
+                "operation")
+            if found is not None:
+                findings.append(found)
+                direct_lines.setdefault(module.name, set()).add(
+                    call.lineno)
+    sources = {
+        fn.qname for fn in project.functions.values()
+        if any(fn.line <= line <= getattr(fn.node, "end_lineno", fn.line)
+               for line in direct_lines.get(fn.module, ()))}
+    tainted = engine.reaching(sources)
     for qname in sorted(tainted):
         fn = project.functions[qname]
         if _in_flash_package(fn.path):
             continue
         module = project.modules[fn.module]
         for callee, site in engine.sites_into(qname, tainted):
-            shown = site.target + "()"
-            found = _finding(
-                project, module, "TP102", site.line, site.col,
-                f"{shown} transitively performs a flash page "
+            found = project.finding(
+                module, "TP102", site.line, site.col,
+                f"{site.target}() transitively performs a flash page "
                 f"operation bypassing FlashMemory (reaches "
                 f"{callee}); route the mutation through self.flash "
                 "so the FaultInjector observes it")
@@ -296,16 +278,12 @@ def check_config_escape(project: Project,
                             continue
                         if event.kind not in ("mutcall", "subscript"):
                             continue
-                        module = project.module_for_path(
-                            holder_info.path)
-                        if module is None:
-                            continue
                         how = (f".{event.detail}()"
                                if event.kind == "mutcall"
                                else "item assignment")
-                        found = _finding(
-                            project, module, "TP103", event.line,
-                            event.col,
+                        found = project.finding(
+                            project.modules[holder_info.module],
+                            "TP103", event.line, event.col,
                             f"self.{attr} aliases frozen config "
                             f"field {alias.detail} (bound in "
                             f"{alias.method}()); in-place {how} "
@@ -387,9 +365,8 @@ def check_unordered_iteration(project: Project,
                 described = f"set attribute self.{iterated.attr}"
             if described is None:
                 continue
-            found = _finding(
-                project, module, "TP104", iterated.lineno,
-                iterated.col_offset,
+            found = project.finding(
+                module, "TP104", iterated.lineno, iterated.col_offset,
                 f"iterating over {described} on the simulation path; "
                 "set order is nondeterministic across processes — "
                 "iterate sorted(...) so replay stays deterministic")
@@ -401,54 +378,35 @@ def check_unordered_iteration(project: Project,
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-_RULE_IMPLS: Dict[str, _Rule] = {
-    "TP101": check_state_reset,
-    "TP102": check_flash_escape,
-    "TP103": check_config_escape,
-    "TP104": check_unordered_iteration,
-}
+_Pass = Callable[[Project, FlowEngine], List[Finding]]
+
+#: ``--stats`` label -> the passes timed under it, in run order
+_PASSES: Tuple[Tuple[str, Tuple[_Pass, ...]], ...] = (
+    ("lint", (lambda project, _engine: check_lexical(project),)),
+    ("flow", (check_state_reset, check_flash_escape,
+              check_config_escape, check_unordered_iteration)),
+    ("domains", (check_domains,)),
+    ("protocols", (check_protocols,)),
+)
 
 
-def analyze_project(project: Project,
-                    timings: Optional[Dict[str, float]] = None,
-                    ) -> List[Finding]:
-    """Run every flow rule (TP1xx + the TP2xx domain pass + the TP3xx
-    typestate pass) over an already-parsed project.
+def analyze(project: Project,
+            timings: Optional[Dict[str, float]] = None) -> List[Finding]:
+    """Run every static pass (TP0xx lexical, TP1xx flow, TP2xx domain,
+    TP3xx typestate) over a parsed project; findings sorted by
+    ``(path, line, rule)``.
 
     ``timings`` (when given) collects host-side per-pass wall-clock
-    seconds under the keys ``flow``/``domains``/``protocols`` for the
-    CLI's ``--stats`` line.
+    seconds under the keys ``lint``/``flow``/``domains``/``protocols``
+    for the CLI's ``--stats`` line.
     """
     engine = FlowEngine(project)
     findings: List[Finding] = []
-
-    def timed(label: str, pass_fn: Callable[[], List[Finding]]) -> None:
+    for label, passes in _PASSES:
         started = time.perf_counter()  # tp: allow=TP002 - host-side stats
-        findings.extend(pass_fn())
+        for pass_fn in passes:
+            findings.extend(pass_fn(project, engine))
         if timings is not None:
-            elapsed = time.perf_counter() - started  # tp: allow=TP002 - host-side stats
-            timings[label] = timings.get(label, 0.0) + elapsed
-
-    def run_flow_rules() -> List[Finding]:
-        out: List[Finding] = []
-        for code in sorted(_RULE_IMPLS):
-            out.extend(_RULE_IMPLS[code](project, engine))
-        return out
-
-    timed("flow", run_flow_rules)
-    timed("domains", lambda: check_domains(project, engine))
-    timed("protocols", lambda: check_protocols(project, engine))
+            timings[label] = time.perf_counter() - started  # tp: allow=TP002 - host-side stats
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
-
-
-def analyze_paths(paths: Sequence[str],
-                  exclude: Sequence[str] = ()) -> List[Finding]:
-    """Parse ``paths`` into one project and run the flow rules."""
-    return analyze_project(Project.from_paths(paths, exclude=exclude))
-
-
-def analyze_source(source: str,
-                   path: str = "flowcheck.py") -> List[Finding]:
-    """Run the flow rules over a single in-memory module (tests)."""
-    return analyze_project(Project.from_sources({path: source}))

@@ -1,23 +1,19 @@
-"""SARIF 2.1.0 serialization of lint + flow findings.
+"""SARIF 2.1.0 serialization of the static analysis findings.
 
-One ``run`` with one ``tool.driver`` describing every TP rule (the
-single-file ``TP0xx`` set and the interprocedural ``TP1xx`` set), one
-``result`` per finding.  Grandfathered findings are emitted with a
-``suppressions`` entry of kind ``external`` (the committed baseline)
-instead of being dropped, so code-scanning consumers can distinguish
-"fixed" from "hidden".  Pragma-suppressed findings never reach this
-layer — the analyses drop them at flag time, exactly as the text
-format does.
+One ``run`` with one ``tool.driver`` describing every static rule (the
+one table, :data:`repro.analysis.lint.RULES`), one ``result`` per
+finding.  Pragma-suppressed findings never reach this layer — the
+passes drop them at flag time, exactly as the text format does.
 
-``partialFingerprints`` carries a hash of the baseline key
+``partialFingerprints`` carries a hash of :attr:`Finding.key`
 ``(rule, path, snippet)``, so GitHub code scanning tracks a finding
-across unrelated line moves just like the baseline file does.
+across unrelated line moves.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..lint import RULES, Finding
 
@@ -53,9 +49,9 @@ def _rule_descriptor(code: str, description: str) -> Dict[str, object]:
     }
 
 
-def _result(finding: Finding, rule_index: Dict[str, int],
-            suppressed: bool) -> Dict[str, object]:
-    result: Dict[str, object] = {
+def _result(finding: Finding,
+            rule_index: Dict[str, int]) -> Dict[str, object]:
+    return {
         "ruleId": finding.rule,
         "ruleIndex": rule_index.get(finding.rule, -1),
         "level": rule_severity(finding.rule),
@@ -71,34 +67,20 @@ def _result(finding: Finding, rule_index: Dict[str, int],
             },
         }],
         "partialFingerprints": {
-            "tpBaselineKey/v1": _fingerprint(finding),
+            "tpFindingKey/v1": _fingerprint(finding),
         },
     }
-    if suppressed:
-        result["suppressions"] = [{
-            "kind": "external",
-            "justification": ("grandfathered in the committed "
-                              "analysis baseline"),
-        }]
-    return result
 
 
-def to_sarif(new: Sequence[Finding], grandfathered: Sequence[Finding],
-             all_rules: Dict[str, str],
+def to_sarif(findings: Sequence[Finding],
              tool_version: str = "1.0.0") -> Dict[str, object]:
     """Build the complete SARIF 2.1.0 log document.
 
-    ``all_rules`` maps every reportable rule code to its one-line
-    description (pass ``{**RULES, **FLOW_RULES}``); codes are emitted
+    The driver lists every rule of the one table; codes are emitted
     sorted so ``ruleIndex`` values are stable across runs.
     """
-    codes = sorted(all_rules)
+    codes = sorted(RULES)
     rule_index = {code: i for i, code in enumerate(codes)}
-    results: List[Dict[str, object]] = []
-    for finding in new:
-        results.append(_result(finding, rule_index, suppressed=False))
-    for finding in grandfathered:
-        results.append(_result(finding, rule_index, suppressed=True))
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -108,18 +90,11 @@ def to_sarif(new: Sequence[Finding], grandfathered: Sequence[Finding],
                     "name": "repro.analysis",
                     "informationUri": ("https://github.com/tpftl/repro"),
                     "version": tool_version,
-                    "rules": [_rule_descriptor(code, all_rules[code])
+                    "rules": [_rule_descriptor(code, RULES[code])
                               for code in codes],
                 },
             },
-            "results": results,
+            "results": [_result(f, rule_index) for f in findings],
             "columnKind": "utf16CodeUnits",
         }],
     }
-
-
-def default_rule_table(flow_rules: Dict[str, str]) -> Dict[str, str]:
-    """The combined lint + flow rule table for the SARIF driver."""
-    merged: Dict[str, str] = dict(RULES)
-    merged.update(flow_rules)
-    return merged

@@ -1,7 +1,7 @@
 """Typestate checking over CFGs with exception edges (rules TP301-305).
 
-This module is the protocol-analysis half of the tentpole: it evaluates
-declarative :class:`ProtocolSpec` state machines (acquire/release pairs,
+This module is the protocol-analysis pass: it evaluates declarative
+:class:`ProtocolSpec` state machines (construct/release pairs,
 must-call-before orderings) over the per-function control-flow graphs
 built by :mod:`repro.analysis.flow.cfg`, using the same fixed-point
 worklist engine that powers the TP1xx pass.  The properties it proves
@@ -20,16 +20,12 @@ The repo's real protocols are seeded as built-in specs:
 * ``reset-before-run`` — the per-run device reset must dominate every
   ``serve_request`` dispatch on the run path (TP304).
 
-Module authors can declare additional pairings in-file with a
-``# tp: protocol(name=..., acquire=..., release=..., use=...)`` pragma
-(an enter/exit window on a receiver, with calls that are only legal
-inside it); the spec is scoped to the declaring module.
-
-Abstract states per tracked resource key::
+Abstract states per tracked resource key (a local name bound to a
+constructor call)::
 
     virgin --construct--> inst --start--> held --release--> rel
-      |                    (ctor specs with a start method)    |
-      +--acquire--> held <------------------acquire-----------+
+           (specs with a start method; the others construct
+            straight into held)
     any --escape--> esc   (stored/passed/returned: ownership left)
 
 The analysis is a *may* analysis (union join).  Exception edges leave a
@@ -46,17 +42,15 @@ turns ``shutdown(conn)``-style calls into releases instead of escapes.
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..lint import Finding, _dotted
-from .callgraph import CallSite, FunctionInfo, ModuleInfo, Project
+from .callgraph import FunctionInfo, ModuleInfo, Project, classify_call
 from .cfg import CFG, CFGNode, build_cfg, calls_in
 from .engine import FlowEngine, fixed_point
 
 __all__ = [
-    "PROTOCOL_RULES",
     "PROTOCOL_SPECS",
     "ORDER_SPECS",
     "ProtocolSpec",
@@ -64,62 +58,23 @@ __all__ = [
     "check_protocols",
 ]
 
-PROTOCOL_RULES: Dict[str, str] = {
-    "TP301": (
-        "resource acquired but not released on every path out of the "
-        "function, including exception edges (open() without close(), a "
-        "declared acquire without its release in a finally)"
-    ),
-    "TP302": (
-        "release or held-only call without a dominating acquire: double "
-        "release (a second close()), or a declared use/release reachable "
-        "outside its acquire window"
-    ),
-    "TP303": (
-        "worker lifecycle leak: a started Process is not joined or "
-        "terminated on all exits, or a Pipe connection is neither closed "
-        "nor handed off"
-    ),
-    "TP304": (
-        "run path entered without the per-run reset dominating it: "
-        "serve_request is reachable before _reset_state on some path"
-    ),
-    "TP305": (
-        "with-able resource acquired outside with/try-finally: the "
-        "normal-path release is skipped when an exception unwinds"
-    ),
-}
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A paired acquire/release protocol evaluated over every function.
+    """A paired construct/release protocol evaluated over every function.
 
-    Two flavours share the dataclass.  *Receiver* specs (``acquire`` is
-    non-empty) track any receiver expression the protocol methods are
-    invoked on (``device.take_lease()`` tracks key ``device``,
-    canonicalised through local aliases).  *Constructor* specs
-    (``constructors`` non-empty) track names bound directly to a
-    constructor call (``proc = ctx.Process(...)``), optionally moving
-    through a ``start`` state before the resource is live.
+    Tracks the local names bound directly to one of the ``constructors``
+    (``proc = ctx.Process(...)``), optionally moving through a ``start``
+    state before the resource is live, until one of the ``release``
+    methods is called on the name or ownership leaves the function.
     """
 
     name: str
     resource: str
     leak_rule: str
+    constructors: Tuple[str, ...]
     release: Tuple[str, ...]
-    acquire: Tuple[str, ...] = ()
-    use: Tuple[str, ...] = ()
-    constructors: Tuple[str, ...] = ()
     start: Tuple[str, ...] = ()
     withable: bool = False
-    #: non-empty for pragma-declared specs: only applies in this module.
-    module_scope: Optional[str] = None
-
-    @property
-    def receiver_based(self) -> bool:
-        """True for specs keyed by the method receiver expression."""
-        return bool(self.acquire)
 
 
 @dataclass(frozen=True)
@@ -184,7 +139,6 @@ _REL = "rel"
 _ESC = "esc"
 
 _TRANSITIONS: Dict[str, Dict[str, str]] = {
-    "acquire": {_VIRGIN: _HELD, _INST: _HELD, _HELD: _HELD, _REL: _HELD, _ESC: _ESC},
     "start": {_VIRGIN: _VIRGIN, _INST: _HELD, _HELD: _HELD, _REL: _REL, _ESC: _ESC},
     "release": {_VIRGIN: _VIRGIN, _INST: _REL, _HELD: _REL, _REL: _REL, _ESC: _ESC},
 }
@@ -193,14 +147,12 @@ _TRANSITIONS: Dict[str, Dict[str, str]] = {
 # mid-flight, so only "the resource left our hands" effects are sound.
 _EXC_SAFE_KINDS = frozenset({"release", "escape"})
 
-_PROTOCOL_PRAGMA = re.compile(r"#\s*tp:\s*protocol\(([^)]*)\)")
-
 
 @dataclass(frozen=True)
 class _Event:
     """One protocol-relevant action inside a single CFG node."""
 
-    kind: str  # acquire|construct|start|release|use|escape|before|target
+    kind: str  # construct|start|release|escape|before|target
     spec: str
     key: str
     line: int
@@ -298,26 +250,6 @@ def _release_summary(
     return out
 
 
-def _call_site(call: ast.Call) -> Optional[CallSite]:
-    """Classify a call expression the way the call-graph collector does."""
-    func = call.func
-    line, col = call.lineno, call.col_offset
-    if isinstance(func, ast.Name):
-        return CallSite("name", func.id, line, col)
-    if isinstance(func, ast.Attribute):
-        value = func.value
-        if isinstance(value, ast.Name) and value.id in ("self", "cls"):
-            return CallSite("self", func.attr, line, col)
-        if isinstance(value, ast.Attribute):
-            inner = value.value
-            if isinstance(inner, ast.Name) and inner.id in ("self", "cls"):
-                return CallSite("attr", func.attr, line, col, receiver=value.attr)
-        dotted = _dotted(func)
-        if dotted is not None:
-            return CallSite("name", dotted, line, col)
-    return None
-
-
 def _mapped_param(callee: FunctionInfo, index: Optional[int], keyword: Optional[str]) -> Optional[str]:
     """Name of the callee parameter an argument lands in, if resolvable."""
     if keyword is not None:
@@ -334,76 +266,6 @@ def _mapped_param(callee: FunctionInfo, index: Optional[int], keyword: Optional[
 
 # ---------------------------------------------------------------------------
 # Per-function lexical scans
-
-
-def _binding_counts(fn_node: ast.AST) -> Dict[str, int]:
-    """How many times each local name is (re)bound in the function body."""
-    counts: Dict[str, int] = {}
-
-    def bump(name: str) -> None:
-        counts[name] = counts.get(name, 0) + 1
-
-    def bind_target(target: ast.AST) -> None:
-        if isinstance(target, ast.Name):
-            bump(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                bind_target(elt)
-        elif isinstance(target, ast.Starred):
-            bind_target(target.value)
-
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn_node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                bind_target(target)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
-            bind_target(node.target)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    bind_target(item.optional_vars)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            bump(node.name)
-        elif isinstance(node, ast.NamedExpr):
-            bind_target(node.target)
-        stack.extend(ast.iter_child_nodes(node))
-    return counts
-
-
-def _alias_map(fn_node: ast.AST, counts: Mapping[str, int]) -> Dict[str, str]:
-    """Single-assignment ``name = dotted.chain`` aliases in the body."""
-    aliases: Dict[str, str] = {}
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn_node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and counts.get(node.targets[0].id, 0) == 1
-        ):
-            chain = _dotted(node.value)
-            if chain is not None:
-                aliases[node.targets[0].id] = chain
-        stack.extend(ast.iter_child_nodes(node))
-    return aliases
-
-
-def _canonical(aliases: Mapping[str, str], dotted: str) -> str:
-    """Resolve the head of a dotted chain through local aliases."""
-    seen: Set[str] = set()
-    while True:
-        head, _, rest = dotted.partition(".")
-        if head not in aliases or head in seen:
-            return dotted
-        seen.add(head)
-        dotted = aliases[head] + (f".{rest}" if rest else "")
 
 
 def _line_span(stmt: ast.stmt) -> range:
@@ -457,44 +319,6 @@ def _names_in(expr: ast.AST) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Pragma-declared specs
-
-
-def _pragma_specs(module: ModuleInfo) -> List[ProtocolSpec]:
-    """Parse ``# tp: protocol(name=..., acquire=..., release=...)`` lines."""
-    specs: List[ProtocolSpec] = []
-    for line in module.source_lines:
-        match = _PROTOCOL_PRAGMA.search(line)
-        if match is None:
-            continue
-        fields: Dict[str, str] = {}
-        for part in match.group(1).split(","):
-            key, _, value = part.partition("=")
-            key, value = key.strip(), value.strip()
-            if key and value:
-                fields[key] = value
-        if "name" not in fields or "release" not in fields:
-            continue
-        if "acquire" not in fields and "constructor" not in fields:
-            continue
-        specs.append(
-            ProtocolSpec(
-                name=fields["name"],
-                resource=fields.get("resource", fields["name"]),
-                leak_rule="TP301",
-                acquire=(fields["acquire"],) if "acquire" in fields else (),
-                release=(fields["release"],),
-                use=(fields["use"],) if "use" in fields else (),
-                constructors=(
-                    (fields["constructor"],) if "constructor" in fields else ()
-                ),
-                module_scope=module.name,
-            )
-        )
-    return specs
-
-
-# ---------------------------------------------------------------------------
 # The per-function analysis
 
 
@@ -519,22 +343,14 @@ class _FunctionAnalysis:
         self.may_raise = may_raise
         self.always_raises = always_raises
         self.releases = releases
-        counts = _binding_counts(fn.node)
-        self.aliases = _alias_map(fn.node, counts)
         self.protected_lines, self.finally_lines = _lexical_guards(fn.node)
         # method-name lookup tables for event extraction
-        self.acquire_of: Dict[str, str] = {}
         self.release_of: Dict[str, List[str]] = {}
-        self.use_of: Dict[str, List[str]] = {}
         self.start_of: Dict[str, List[str]] = {}
         self.ctor_of: Dict[str, List[str]] = {}
         for spec in specs:
-            for method in spec.acquire:
-                self.acquire_of[method] = spec.name
             for method in spec.release:
                 self.release_of.setdefault(method, []).append(spec.name)
-            for method in spec.use:
-                self.use_of.setdefault(method, []).append(spec.name)
             for method in spec.start:
                 self.start_of.setdefault(method, []).append(spec.name)
             for ctor in spec.constructors:
@@ -611,7 +427,7 @@ class _FunctionAnalysis:
         self, call: ast.Call, index: Optional[int], keyword: Optional[str]
     ) -> bool:
         """True when every resolved callee releases the passed argument."""
-        site = _call_site(call)
+        site = classify_call(call)
         if site is None:
             return False
         callees = [
@@ -663,19 +479,9 @@ class _FunctionAnalysis:
         receiver = _dotted(func.value)
         if receiver is None:
             return
-        canonical = _canonical(self.aliases, receiver)
-        spec_name = self.acquire_of.get(method)
-        if spec_name is not None:
-            events.append(_Event("acquire", spec_name, canonical, line, col))
         for spec_name in self.release_of.get(method, []):
-            spec = self.specs[spec_name]
-            if spec.receiver_based:
-                events.append(_Event("release", spec_name, canonical, line, col))
-            elif receiver in self.ctor_keys[spec_name]:
+            if receiver in self.ctor_keys[spec_name]:
                 events.append(_Event("release", spec_name, receiver, line, col))
-        for spec_name in self.use_of.get(method, []):
-            if self.specs[spec_name].receiver_based:
-                events.append(_Event("use", spec_name, canonical, line, col))
         for spec_name in self.start_of.get(method, []):
             if receiver in self.ctor_keys[spec_name]:
                 events.append(_Event("start", spec_name, receiver, line, col))
@@ -800,7 +606,7 @@ class _FunctionAnalysis:
 
     def classify(self, call: ast.Call) -> str:
         """Exception strength of one call site (see EXC_STRENGTHS)."""
-        site = _call_site(call)
+        site = classify_call(call)
         if site is None:
             return "weak"
         callees = [
@@ -864,24 +670,6 @@ class _FunctionAnalysis:
             if event.kind == "escape":
                 buckets[bucket_key] = {_ESC}
                 continue
-            if event.kind == "use":
-                if (
-                    report is not None
-                    and states
-                    and not states & {_HELD, _ESC}
-                ):
-                    spec = self.specs[event.spec]
-                    report.append(
-                        (
-                            "TP302",
-                            event.line,
-                            event.col,
-                            f"{self.fn.name}() calls {spec.use[0]}() on "
-                            f"{event.key!r} on a path where {spec.resource} "
-                            "was never acquired (or already released)",
-                        )
-                    )
-                continue
             if event.kind == "release" and report is not None and states:
                 if not states & {_HELD, _INST, _ESC}:
                     spec = self.specs[event.spec]
@@ -937,8 +725,7 @@ class _FunctionAnalysis:
             for event in node_events:
                 if event.kind in ("before", "target"):
                     continue
-                spec = self.specs[event.spec]
-                if spec.receiver_based or event.key in self.ctor_keys[event.spec]:
+                if event.key in self.ctor_keys[event.spec]:
                     seeded.add(_fact(event.spec, event.key, _VIRGIN))
         for order in self.orders:
             seeded.add(_order_fact(order.name))
@@ -988,18 +775,9 @@ class _FunctionAnalysis:
             if dedupe in seen:
                 continue
             seen.add(dedupe)
-            if self.project.suppressed(self.module, line, rule):
-                continue
-            findings.append(
-                Finding(
-                    rule=rule,
-                    path=self.module.path,
-                    line=line,
-                    col=col,
-                    message=message,
-                    snippet=self.project.snippet(self.module, line),
-                )
-            )
+            found = self.project.finding(self.module, rule, line, col, message)
+            if found is not None:
+                findings.append(found)
         return findings
 
     def _acquire_sites(self, spec_name: str, key: str) -> List[Tuple[int, int]]:
@@ -1008,7 +786,7 @@ class _FunctionAnalysis:
             for event in node_events:
                 if event.spec != spec_name or event.key != key:
                     continue
-                if event.kind in ("acquire", "start") or (
+                if event.kind == "start" or (
                     event.kind == "construct" and event.to_state == _HELD
                 ):
                     sites.append((event.line, event.col))
@@ -1090,46 +868,24 @@ class _FunctionAnalysis:
 # Entry point
 
 
-def _specs_for(
-    fn: FunctionInfo, module: ModuleInfo, local_specs: Sequence[ProtocolSpec]
-) -> List[ProtocolSpec]:
-    specs: List[ProtocolSpec] = list(PROTOCOL_SPECS)
-    for spec in local_specs:
-        if spec.module_scope == module.name:
-            specs.append(spec)
-    return specs
-
-
-def check_protocols(project: Project, engine: Optional[FlowEngine] = None) -> List[Finding]:
+def check_protocols(project: Project, engine: FlowEngine) -> List[Finding]:
     """Run the TP3xx typestate pass over every function in the project."""
-    if engine is None:
-        engine = FlowEngine(project)
     may_raise = _may_raise_summary(project, engine)
     always_raises = _always_raises_summary(project)
-    release_methods: Set[str] = set()
-    pragma_specs: List[ProtocolSpec] = []
-    for module in project.modules.values():
-        pragma_specs.extend(_pragma_specs(module))
-    for spec in tuple(PROTOCOL_SPECS) + tuple(pragma_specs):
-        release_methods.update(spec.release)
+    release_methods = {method for spec in PROTOCOL_SPECS for method in spec.release}
     releases = _release_summary(project, release_methods)
     findings: List[Finding] = []
     for qname in sorted(project.functions):
         fn = project.functions[qname]
-        module = project.modules.get(fn.module)
-        if module is None:
-            continue
-        specs = _specs_for(fn, module, pragma_specs)
         analysis = _FunctionAnalysis(
             project,
             fn,
-            module,
-            specs,
+            project.modules[fn.module],
+            PROTOCOL_SPECS,
             ORDER_SPECS,
             may_raise,
             always_raises,
             releases,
         )
         findings.extend(analysis.run())
-    findings.sort(key=lambda finding: (finding.path, finding.line, finding.rule))
     return findings

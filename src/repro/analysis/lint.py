@@ -1,4 +1,4 @@
-"""Custom AST lint pass enforcing the project's structural rules.
+"""The shared analysis vocabulary and the lexical ``TP0xx`` pass.
 
 The simulator's correctness claims rest on properties a generic linter
 cannot know about: deterministic replay (PR 1's ``FaultPlan`` re-fires
@@ -10,32 +10,39 @@ flash entry point (every page operation must pass through
 :class:`~repro.flash.FlashMemory` so the
 :class:`~repro.faults.FaultInjector` sees it).
 
-Each rule has a ``TP0xx`` code (``TP005`` is retired and not reused):
+This module holds what every static pass shares — the :class:`Finding`
+type, the one rule table :data:`RULES` (``TP0xx`` lexical, ``TP1xx``
+flow, ``TP2xx`` domain, ``TP3xx`` typestate; the ``rules`` subcommand,
+the SARIF driver and the documentation test all read it), the
+``# tp: allow=CODE`` pragma parser and the file walker — plus the
+single-node ``TP0xx`` rules themselves (``TP005`` and ``TP006`` are
+retired and not reused; ``TP006`` lives on as the direct form of
+``TP102``):
 
 ========  ==============================================================
 TP001     unseeded / process-global randomness in simulation code
 TP002     wall-clock time in simulation code (breaks deterministic replay)
 TP003     bare ``assert`` (stripped under ``python -O``)
 TP004     mutation of a frozen config dataclass
-TP006     flash page operation bypassing ``FlashMemory``/``FaultInjector``
 ========  ==============================================================
 
-Suppression: append ``# tp: allow=TP0xx`` (comma-separated for several
-codes) to the offending line with a short justification.  Grandfathered
-findings live in a committed baseline file (see :func:`load_baseline`);
-the lint exits non-zero only on findings that are in neither.
+Suppression, for every rule of every pass: append ``# tp: allow=TP0xx``
+(comma-separated for several codes) to the offending line with a short
+justification.  There is no other suppression mechanism.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-#: every lint rule, code -> one-line description
+if TYPE_CHECKING:
+    from .flow.callgraph import ModuleInfo, Project
+
+#: every static rule of every pass, code -> one-line description
 RULES: Dict[str, str] = {
     "TP001": ("unseeded or process-global randomness in simulation code "
               "(use random.Random(seed) so FaultPlan replay stays "
@@ -46,8 +53,45 @@ RULES: Dict[str, str] = {
     "TP003": ("bare assert (stripped under python -O); raise a typed "
               "error from repro.errors instead"),
     "TP004": "mutation of a frozen config dataclass",
-    "TP006": ("direct flash page operation bypassing FlashMemory (and "
-              "therefore the FaultInjector)"),
+    "TP101": ("per-run state mutated on the run path but not "
+              "re-initialized on the reset path (state leaks across "
+              "run() calls)"),
+    "TP102": ("flash page operation bypassing FlashMemory (and "
+              "therefore the FaultInjector), directly or through a "
+              "chain of helper calls"),
+    "TP103": ("mutable field of a frozen config aliased into an "
+              "attribute and mutated in place (writes through to the "
+              "shared config)"),
+    "TP104": ("unordered set iteration on the simulation path "
+              "(replay-visible order is nondeterministic; iterate "
+              "sorted(...))"),
+    "TP201": ("cross-domain value flow: an address of one domain "
+              "(LPN/PPN/VPN/block/offset) reaches a parameter or store "
+              "slot typed as another domain"),
+    "TP202": ("mixed-domain arithmetic or comparison (e.g. lpn + ppn, "
+              "block == ppn) without a conversion idiom such as "
+              "* pages_per_block"),
+    "TP203": ("time-unit mixing: a microsecond-seeded value meets a "
+              "millisecond value across a call, assignment or "
+              "arithmetic"),
+    "TP204": ("bytes vs page/entry counts mixed in the cache-budget "
+              "path (byte budgets and entry counts are different "
+              "units)"),
+    "TP301": ("resource acquired but not released on every path out of "
+              "the function, including exception edges (open() without "
+              "close() in a finally)"),
+    "TP302": ("release without a dominating acquire: a double release "
+              "(a second close()) or a release of a resource that was "
+              "never acquired on that path"),
+    "TP303": ("worker lifecycle leak: a started Process is not joined "
+              "or terminated on all exits, or a Pipe connection is "
+              "neither closed nor handed off"),
+    "TP304": ("run path entered without the per-run reset dominating "
+              "it: serve_request is reachable before _reset_state on "
+              "some path"),
+    "TP305": ("with-able resource acquired outside with/try-finally: "
+              "the normal-path release is skipped when an exception "
+              "unwinds"),
 }
 
 #: process-global random functions (module-level ``random.*``)
@@ -71,29 +115,25 @@ _CONFIG_NAMES = frozenset({
     "tpftl",
 })
 
-#: page-level flash mutators that must only be called on a FlashMemory
-_FLASH_OPS = frozenset({
-    "program", "program_into", "erase", "mark_bad", "invalidate",
-})
-
 _ALLOW_RE = re.compile(r"tp:\s*allow=([A-Z0-9,\s]+)")
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint diagnostic, printable as ``path:line:col CODE message``."""
+    """One diagnostic, printable as ``path:line:col CODE message``."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    #: stripped source line, used for line-number-stable baseline keys
+    #: stripped source line, the line-number-free part of :attr:`key`
     snippet: str
 
     @property
     def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across unrelated line moves."""
+        """Identity that is stable across unrelated line moves (SARIF
+        fingerprints, the mutant harness's before/after delta)."""
         return (self.rule, self.path, self.snippet)
 
     def render(self) -> str:
@@ -127,28 +167,19 @@ def _allowed_codes(source_lines: Sequence[str]) -> Dict[int, Set[str]]:
 
 
 class _FileVisitor(ast.NodeVisitor):
-    """Single-pass rule evaluation over one module's AST."""
+    """Single-pass TP0xx rule evaluation over one module's AST."""
 
-    def __init__(self, path: str, source_lines: Sequence[str],
-                 in_flash_pkg: bool) -> None:
-        self.path = path
-        self.lines = source_lines
-        self.in_flash_pkg = in_flash_pkg
+    def __init__(self, project: "Project", module: "ModuleInfo") -> None:
+        self.project = project
+        self.module = module
         self.findings: List[Finding] = []
-        self.allowed = _allowed_codes(source_lines)
 
-    # -- helpers -------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        if rule in self.allowed.get(line, ()):  # suppressed in-line
-            return
-        snippet = ""
-        if 1 <= line <= len(self.lines):
-            snippet = self.lines[line - 1].strip()
-        self.findings.append(Finding(rule=rule, path=self.path,
-                                     line=line, col=col,
-                                     message=message, snippet=snippet))
+        found = self.project.finding(
+            self.module, rule, getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0), message)
+        if found is not None:
+            self.findings.append(found)
 
     # -- TP003 ---------------------------------------------------------
     def visit_Assert(self, node: ast.Assert) -> None:
@@ -158,9 +189,9 @@ class _FileVisitor(ast.NodeVisitor):
                    "repro.errors instead")
         self.generic_visit(node)
 
-    # -- TP001 / TP002 / TP004 / TP006 (calls) -------------------------
+    # -- TP001 / TP002 / TP004 (calls) ---------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        """Check call sites for TP001/TP002/TP004/TP006."""
+        """Check call sites for TP001/TP002/TP004."""
         name = _dotted(node.func)
         if name is not None:
             self._check_random_call(node, name)
@@ -169,7 +200,6 @@ class _FileVisitor(ast.NodeVisitor):
                 self._flag("TP004", node,
                            "object.__setattr__ mutates a frozen "
                            "dataclass")
-        self._check_flash_call(node)
         self.generic_visit(node)
 
     def _check_random_call(self, node: ast.Call, name: str) -> None:
@@ -199,24 +229,6 @@ class _FileVisitor(ast.NodeVisitor):
                            "time must derive from operation counts")
                 return
 
-    def _check_flash_call(self, node: ast.Call) -> None:
-        if self.in_flash_pkg:
-            return  # FlashMemory/Block themselves implement the ops
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr not in _FLASH_OPS:
-            return
-        receiver = _dotted(func.value)
-        if receiver is not None and (receiver == "flash"
-                                     or receiver.endswith(".flash")):
-            return  # routed through FlashMemory: injector consulted
-        shown = receiver if receiver is not None else "<expr>"
-        self._flag("TP006", node,
-                   f"{shown}.{func.attr}() operates on flash pages "
-                   "directly; route through FlashMemory so the "
-                   "FaultInjector sees the operation")
-
     # -- TP004 (attribute assignment) ----------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         """Check assignment targets for frozen-config mutation (TP004)."""
@@ -241,6 +253,16 @@ class _FileVisitor(ast.NodeVisitor):
                        f"assignment to {receiver}.{target.attr} mutates "
                        "a frozen config; use dataclasses.replace / "
                        ".scaled() instead")
+
+
+def check_lexical(project: "Project") -> List[Finding]:
+    """Run the TP0xx rules over every module of a parsed project."""
+    findings: List[Finding] = []
+    for module in project.modules.values():
+        visitor = _FileVisitor(project, module)
+        visitor.visit(module.tree)
+        findings.extend(visitor.findings)
+    return findings
 
 
 def _default_pruned(component: str) -> bool:
@@ -280,102 +302,22 @@ def iter_python_files(paths: Sequence[str],
                 if not _excluded(f)
                 and not any(_default_pruned(part)
                             for part in f.relative_to(path).parts))
-        elif path.suffix == ".py" and not _excluded(path):
+        elif (path.suffix == ".py" and path.is_file()
+              and not _excluded(path)):
             files.append(path)
     return sorted(set(files))
 
 
 def normalize_path(path: pathlib.Path) -> str:
-    """Canonical finding/baseline path: repo-relative POSIX when the
-    file sits under the current directory, absolute POSIX otherwise.
+    """Canonical finding path: repo-relative POSIX when the file sits
+    under the current directory, absolute POSIX otherwise.
 
-    Every pass (TP0xx lint, TP1xx/TP2xx flow) keys findings and
-    baseline entries by this string, so invoking the CLI as
-    ``lint src`` or ``lint ./src`` or ``lint $PWD/src`` produces
-    identical baselines and ``--fail-stale`` never sees phantom
-    entries from path-spelling drift.
+    Every pass keys findings by this string, so invoking the CLI as
+    ``lint src`` or ``lint ./src`` or ``lint $PWD/src`` reports the
+    same paths (and the same SARIF fingerprints).
     """
     resolved = path.resolve()
     try:
         return resolved.relative_to(pathlib.Path.cwd()).as_posix()
     except ValueError:
         return resolved.as_posix()
-
-
-def lint_source(source: str, path: str = "<string>") -> List[Finding]:
-    """Lint one module's source text."""
-    in_flash = "flash" in pathlib.PurePath(path).parts
-    visitor = _FileVisitor(path, source.splitlines(), in_flash)
-    visitor.visit(ast.parse(source, filename=path))
-    return visitor.findings
-
-
-def lint_parsed(files: Iterable[Tuple[str, Sequence[str], ast.Module]],
-                ) -> List[Finding]:
-    """Lint already-parsed modules given as ``(path, lines, tree)``.
-
-    This is the parse-once entry: the CLI parses every file exactly one
-    time into the flow pass's project and feeds the same trees here,
-    instead of re-reading and re-parsing the whole tree per pass.
-    """
-    findings: List[Finding] = []
-    for path, source_lines, tree in files:
-        in_flash = "flash" in pathlib.PurePath(path).parts
-        visitor = _FileVisitor(path, list(source_lines), in_flash)
-        visitor.visit(tree)
-        findings.extend(visitor.findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
-
-
-def lint_paths(paths: Sequence[str],
-               exclude: Sequence[str] = ()) -> List[Finding]:
-    """Lint every Python file under ``paths``; returns all findings."""
-    parsed: List[Tuple[str, Sequence[str], ast.Module]] = []
-    for file in iter_python_files(paths, exclude=exclude):
-        rel = normalize_path(file)
-        source = file.read_text(encoding="utf-8")
-        parsed.append((rel, source.splitlines(),
-                       ast.parse(source, filename=rel)))
-    return lint_parsed(parsed)
-
-
-# ----------------------------------------------------------------------
-# Baseline (grandfathered findings)
-# ----------------------------------------------------------------------
-def load_baseline(path: pathlib.Path) -> Set[Tuple[str, str, str]]:
-    """Load the committed baseline; missing file means empty baseline."""
-    if not path.exists():
-        return set()
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return {(item["rule"], item["path"], item["snippet"])
-            for item in payload.get("findings", [])}
-
-
-def write_baseline(path: pathlib.Path,
-                   findings: Iterable[Finding]) -> None:
-    """Write the current findings as the new grandfathered baseline."""
-    payload = {
-        "version": 1,
-        "comment": ("Grandfathered repro.analysis lint findings; "
-                    "regenerate with `python -m repro.analysis lint "
-                    "--write-baseline`"),
-        "findings": [
-            {"rule": f.rule, "path": f.path, "snippet": f.snippet}
-            for f in sorted(findings, key=lambda f: f.key)
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def partition_findings(
-        findings: Sequence[Finding],
-        baseline: Set[Tuple[str, str, str]],
-) -> Tuple[List[Finding], List[Finding]]:
-    """Split findings into (new, grandfathered) against a baseline."""
-    new: List[Finding] = []
-    old: List[Finding] = []
-    for finding in findings:
-        (old if finding.key in baseline else new).append(finding)
-    return new, old

@@ -13,14 +13,15 @@ fast-mode window mutants are not reused) cover the TP3xx temporal
 bugs: the supervisor's spawn-failure cleanup removed, a journal
 ``with`` block rewritten as manual ``open``/``close``, a stray second
 ``close()``, an early ``return`` before the ``close()``, and the
-per-run device reset dropped ahead of the serve loop.  Each mutant is
-applied to a
-throwaway copy of ``src/`` and the harness asserts that
+per-run device reset dropped ahead of the serve loop.  The tree is read
+once into a ``{path: source}`` dict; each mutant is applied to a copy
+of that dict (nothing is written anywhere) and the harness asserts that
 
-* the **pristine copy is clean**: zero findings beyond the committed
-  baseline (the analysis does not cry wolf at HEAD), and
-* **every mutant is killed**: the analysis of the mutated copy yields
-  at least one *new* finding of the expected rule in the mutated file.
+* the **pristine tree is clean**: zero findings (the analysis does not
+  cry wolf at HEAD), and
+* **every mutant is killed**: the analysis of the mutated sources
+  yields at least one *new* finding of the expected rule in the
+  mutated file.
 
 Each mutant is an exact-text substitution that must match its file
 exactly once; when the underlying source drifts, the harness fails
@@ -35,15 +36,12 @@ mutants detectable.
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
-import shutil
-import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .flow import analyze_paths
-from .lint import Finding, lint_paths, load_baseline
+from .flow import Project, analyze, read_sources
+from .lint import Finding, normalize_path
 
 __all__ = [
     "DOMAIN_MUTANTS",
@@ -66,7 +64,7 @@ class Mutant:
     """One seeded domain/unit bug: an exact-text substitution."""
 
     mid: str
-    #: file to mutate, relative to the copied ``src`` root
+    #: file to mutate, relative to the ``src`` root
     path: str
     #: rule expected to kill the mutant (TP201..TP204, TP301..TP305)
     rule: str
@@ -223,7 +221,7 @@ class MutantResult:
     """Outcome of one mutant: killed or survived, with the delta."""
 
     mutant: Mutant
-    #: findings present in the mutated copy but not the pristine one
+    #: findings of the mutated sources that the pristine ones lack
     delta: List[Finding]
 
     @property
@@ -238,8 +236,8 @@ class MutantResult:
 class MutationReport:
     """The full harness outcome: pristine check + per-mutant verdicts."""
 
-    #: findings on the pristine copy beyond the committed baseline
-    pristine_new: List[Finding]
+    #: findings on the unmutated tree (must be empty)
+    pristine: List[Finding]
     results: List[MutantResult]
 
     @property
@@ -250,13 +248,13 @@ class MutationReport:
     @property
     def ok(self) -> bool:
         """True when HEAD is clean and every mutant is killed."""
-        return not self.pristine_new and not self.survivors
+        return not self.pristine and not self.survivors
 
     def to_json(self) -> Dict[str, object]:
         """JSON document for ``--format json``."""
         return {
             "tool": "repro.analysis mutants",
-            "pristine_new": [f.render() for f in self.pristine_new],
+            "pristine": [f.render() for f in self.pristine],
             "mutants": [{
                 "id": r.mutant.mid,
                 "path": r.mutant.path,
@@ -269,72 +267,37 @@ class MutationReport:
         }
 
 
-def _analyze(root: pathlib.Path) -> List[Finding]:
-    """Both passes over one tree copy."""
-    paths = [str(root)]
-    return lint_paths(paths) + analyze_paths(paths)
-
-
-def _rebased_key(finding: Finding, copy_root: pathlib.Path,
-                 src_root: pathlib.Path) -> Tuple[str, str, str]:
-    """Baseline key with the tmp-copy path mapped back onto ``src``."""
-    prefix = copy_root.as_posix() + "/"
-    path = finding.path
-    if path.startswith(prefix):
-        path = (src_root / path[len(prefix):]).as_posix()
-    return (finding.rule, path, finding.snippet)
-
-
-def _apply(copy_root: pathlib.Path, mutant: Mutant) -> str:
-    """Apply one mutant in place; returns the original text."""
-    target = copy_root / mutant.path
-    original = target.read_text(encoding="utf-8")
+def _apply(sources: Mapping[str, str], key: str,
+           mutant: Mutant) -> Dict[str, str]:
+    """A copy of ``sources`` with ``mutant`` applied to file ``key``."""
+    original = sources.get(key, "")
     occurrences = original.count(mutant.before)
     if occurrences != 1:
         raise MutantApplyError(
             f"{mutant.mid}: expected exactly one occurrence of the "
             f"before-text in {mutant.path}, found {occurrences} — the "
             "source drifted; update the mutant list")
-    target.write_text(original.replace(mutant.before, mutant.after),
-                      encoding="utf-8")
-    return original
+    return {**sources,
+            key: original.replace(mutant.before, mutant.after)}
 
 
 def run_mutants(src_root: str = "src",
-                baseline: Optional[str] = ".analysis-baseline.json",
                 mutants: Sequence[Mutant] = MUTANTS) -> MutationReport:
-    """Run the full harness against a throwaway copy of ``src_root``.
+    """Run the full harness over the sources under ``src_root``.
 
-    Copies the tree once, analyzes the pristine copy (comparing
-    against the committed ``baseline`` for the HEAD-clean check), then
-    applies/reverts each mutant in turn and records the finding delta.
+    Reads the tree once, analyzes it pristine (the HEAD-clean check),
+    then analyzes one mutated copy of the source dict per mutant — one
+    parse each — and records the finding delta.
     """
-    src = pathlib.Path(src_root)
-    grandfathered = (load_baseline(pathlib.Path(baseline))
-                     if baseline else set())
-    with tempfile.TemporaryDirectory(prefix="tp-mutants-") as tmp:
-        # resolve() so the prefix matches the resolved finding paths
-        # normalize_path() produces for files outside the repo
-        copy_root = pathlib.Path(tmp).resolve() / src.name
-        shutil.copytree(src, copy_root, ignore=shutil.ignore_patterns(
-            "__pycache__", "*.pyc", "*.egg-info"))
-        pristine = _analyze(copy_root)
-        pristine_keys: Set[Tuple[str, str, str]] = {
-            f.key for f in pristine}
-        pristine_new = [
-            f for f in pristine
-            if _rebased_key(f, copy_root, src) not in grandfathered]
-        results: List[MutantResult] = []
-        for mutant in mutants:
-            original = _apply(copy_root, mutant)
-            try:
-                mutated = _analyze(copy_root)
-            finally:
-                (copy_root / mutant.path).write_text(
-                    original, encoding="utf-8")
-            delta = [f for f in mutated if f.key not in pristine_keys]
-            results.append(MutantResult(mutant=mutant, delta=delta))
-    rebased = [dataclasses.replace(
-        f, path=_rebased_key(f, copy_root, src)[1])
-        for f in pristine_new]
-    return MutationReport(pristine_new=rebased, results=results)
+    sources = read_sources([src_root])
+    pristine = analyze(Project.from_sources(sources))
+    pristine_keys = {f.key for f in pristine}
+    results: List[MutantResult] = []
+    for mutant in mutants:
+        key = normalize_path(pathlib.Path(src_root) / mutant.path)
+        mutated = analyze(Project.from_sources(
+            _apply(sources, key, mutant)))
+        results.append(MutantResult(
+            mutant=mutant,
+            delta=[f for f in mutated if f.key not in pristine_keys]))
+    return MutationReport(pristine=pristine, results=results)

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.analysis import Project, analyze
 from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
                           SSDConfig)
 from repro.experiments.runner import encode_result
@@ -25,6 +26,16 @@ from repro.types import Op, Request, Trace
 #: digests frozen from the per-operation reference core before it was
 #: deleted (regenerate: see ``tests/test_fastpath.py``)
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
+
+
+def analyze_source(source: str, path: str = "flowcheck.py"):
+    """Findings of every static pass over one in-memory module."""
+    return analyze(Project.from_sources({path: source}))
+
+
+def analyze_paths(paths):
+    """Findings of every static pass over the files/trees at ``paths``."""
+    return analyze(Project.from_paths([str(p) for p in paths]))
 
 
 def result_digest(result) -> str:

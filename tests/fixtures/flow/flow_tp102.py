@@ -2,10 +2,10 @@
 
 The merge path never touches a flash page directly — it calls a
 helper, and the helper invalidates pages on the raw block, bypassing
-``FlashMemory`` (and therefore the ``FaultInjector``).  The
-single-node TP006 rule flags the helper's direct call; the
-interprocedural TP102 must flag the *merge path's call into the
-helper*, one level of indirection away from the mutation.
+``FlashMemory`` (and therefore the ``FaultInjector``).  TP102 must
+flag both ends of the chain: the helper's direct call (the chain of
+length zero) and the *merge path's call into the helper*, one level of
+indirection away from the mutation.
 """
 
 

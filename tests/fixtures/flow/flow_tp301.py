@@ -1,21 +1,18 @@
-"""Fixture: TP301 — an acquire/release window without a ``finally``.
+"""Fixture: TP301 — a file handle that is never closed.
 
-``replay`` takes the device lease and drops it at the end of the happy
-path, but ``serve`` may raise mid-loop; on that exception edge the
-function unwinds with the lease still held.  The typestate pass must
-flag exactly the acquire site — the bug class ``try/finally`` exists to
-prevent.
+``append_record`` opens the journal and writes to it, but no path out
+of the function — neither the normal return nor the exception edge the
+may-raising ``encode`` opens — closes the handle.  The typestate pass
+must flag exactly the ``open()`` site.
 """
-# tp: protocol(name=lease, acquire=take_lease, release=drop_lease)
 
 
-class Replayer:
-    def replay(self, device, requests):
-        device.take_lease()
-        for request in requests:
-            self.serve(request)
-        device.drop_lease()
+def encode(record):
+    if record is None:
+        raise ValueError("empty record")
+    return repr(record)
 
-    def serve(self, request):
-        if request is None:
-            raise ValueError("empty request slot")
+
+def append_record(path, record):
+    handle = open(path, "a", encoding="utf-8")
+    handle.write(encode(record))

@@ -1,13 +1,15 @@
-"""Fixture: TP302 — a held-only call after the window closed.
+"""Fixture: TP302 — a handle released twice.
 
-``renew`` only makes sense while the lease is held; renewing after
-``drop_lease`` touches a window that no longer exists.  The typestate
-pass must flag exactly the ``renew`` call.
+``append_record`` closes the journal at the end of the happy path and
+again in the ``finally``, so the normal path releases the handle
+twice.  The typestate pass must flag exactly the second ``close()``.
 """
-# tp: protocol(name=lease, acquire=take_lease, release=drop_lease, use=renew)
 
 
-def renew_late(device):
-    device.take_lease()
-    device.drop_lease()
-    device.renew()
+def append_record(path, line):
+    handle = open(path, "a", encoding="utf-8")
+    try:
+        handle.write(line)
+        handle.close()
+    finally:
+        handle.close()

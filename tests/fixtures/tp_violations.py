@@ -29,7 +29,3 @@ def tp004_config_mutation(config) -> None:
     """TP004: mutates a frozen config dataclass."""
     config.page_size = 4096
 
-
-def tp006_flash_bypass(block) -> None:
-    """TP006: flash page operation bypassing FlashMemory."""
-    block.program(0, meta=0)

@@ -1,10 +1,12 @@
-"""The widened lint CLI: formats, baseline knobs, rule/path selection.
+"""The lint CLI: formats, rule/path selection, input errors.
 
 Covers the acceptance surface: ``--format json`` round-trips through
 ``json.loads``, ``--format sarif`` emits the required SARIF 2.1.0
-skeleton (runs / tool / driver / rules / results), and suppression —
-baseline or pragma — yields identical verdicts across all three
-formats.
+skeleton (runs / tool / driver / rules / results), pragma suppression
+yields identical verdicts across all three formats, and input the
+analysis cannot run on (a missing path, no Python files, a syntax
+error, an unknown rule code, ``--output`` without a document format)
+exits 2 with a one-line message instead of a green ``lint clean``.
 """
 
 import json
@@ -13,7 +15,6 @@ import pathlib
 import pytest
 
 from repro.analysis.__main__ import main
-from repro.analysis.flow import DOMAIN_RULES, FLOW_RULES, PROTOCOL_RULES
 from repro.analysis.flow.sarif import SARIF_VERSION
 from repro.analysis.lint import RULES
 
@@ -35,27 +36,22 @@ def _lint(args, capsys):
 # ----------------------------------------------------------------------
 def test_json_round_trips(capsys):
     code, out, err = _lint(
-        [str(AST_FIXTURE), "--no-baseline", "--format", "json"], capsys)
+        [str(AST_FIXTURE), "--format", "json"], capsys)
     assert code == 1
     document = json.loads(out)
     assert document["tool"] == "repro.analysis"
-    assert document["summary"]["new"] == len(document["findings"])
-    assert document["summary"]["grandfathered"] == 0
+    assert document["findings"]
     for finding in document["findings"]:
         assert set(finding) == {"rule", "path", "line", "col",
-                                "message", "snippet", "suppressed"}
-        assert (finding["rule"] in RULES
-                or finding["rule"] in FLOW_RULES
-                or finding["rule"] in DOMAIN_RULES
-                or finding["rule"] in PROTOCOL_RULES)
-        assert finding["suppressed"] is False
+                                "message", "snippet"}
+        assert finding["rule"] in RULES
     # status chatter goes to stderr, keeping stdout machine-parseable
     assert "finding(s)" in err
 
 
 def test_json_includes_flow_findings(capsys):
     code, out, _ = _lint(
-        [str(FLOW_FIXTURE), "--no-baseline", "--format", "json"], capsys)
+        [str(FLOW_FIXTURE), "--format", "json"], capsys)
     assert code == 1
     rules = {f["rule"] for f in json.loads(out)["findings"]}
     assert rules == {"TP101"}
@@ -63,7 +59,7 @@ def test_json_includes_flow_findings(capsys):
 
 def test_json_clean_tree(capsys):
     code, out, _ = _lint(
-        [str(SRC), "--no-baseline", "--format", "json"], capsys)
+        [str(SRC), "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["findings"] == []
 
@@ -77,7 +73,7 @@ def _sarif(args, capsys):
 
 
 def test_sarif_required_fields(capsys):
-    code, document = _sarif([str(AST_FIXTURE), "--no-baseline"], capsys)
+    code, document = _sarif([str(AST_FIXTURE)], capsys)
     assert code == 1
     assert document["version"] == SARIF_VERSION == "2.1.0"
     assert document["$schema"].startswith("https://")
@@ -86,10 +82,7 @@ def test_sarif_required_fields(capsys):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro.analysis"
     rule_ids = [rule["id"] for rule in driver["rules"]]
-    assert rule_ids == sorted(
-        set(RULES) | set(FLOW_RULES) | set(DOMAIN_RULES)
-        | set(PROTOCOL_RULES))
-    assert set(PROTOCOL_RULES) <= set(rule_ids)
+    assert rule_ids == sorted(RULES)
     for rule in driver["rules"]:
         assert rule["shortDescription"]["text"]
         assert rule["defaultConfiguration"]["level"] in (
@@ -101,22 +94,8 @@ def test_sarif_required_fields(capsys):
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"]
         assert location["region"]["startLine"] >= 1
-        assert result["partialFingerprints"]["tpBaselineKey/v1"]
-
-
-def test_sarif_baseline_entries_become_suppressions(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(AST_FIXTURE), "--write-baseline",
-                 "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    code, document = _sarif(
-        [str(AST_FIXTURE), "--baseline", str(baseline)], capsys)
-    assert code == 0
-    results = document["runs"][0]["results"]
-    assert results
-    for result in results:
-        kinds = [s["kind"] for s in result["suppressions"]]
-        assert kinds == ["external"]
+        assert result["partialFingerprints"]["tpFindingKey/v1"]
+        assert "suppressions" not in result
 
 
 def test_sarif_pragma_suppression_matches_text(tmp_path, capsys):
@@ -131,7 +110,7 @@ def test_sarif_pragma_suppression_matches_text(tmp_path, capsys):
     verdicts = {}
     for format_ in ("text", "json", "sarif"):
         code, out, _ = _lint(
-            [str(target), "--no-baseline", "--format", format_], capsys)
+            [str(target), "--format", format_], capsys)
         verdicts[format_] = code
         if format_ == "json":
             assert json.loads(out)["findings"] == []
@@ -141,40 +120,11 @@ def test_sarif_pragma_suppression_matches_text(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# --fail-stale / --disable / --exclude / --output
+# --disable / --exclude / --output
 # ----------------------------------------------------------------------
-def test_fail_stale_flag(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"findings": [
-        {"rule": "TP001", "path": "gone.py", "snippet": "time.time()"}
-    ]}), encoding="utf-8")
-    args = [str(SRC / "repro" / "analysis" / "flow"),
-            "--baseline", str(baseline)]
-    assert main(["lint", *args]) == 0
-    capsys.readouterr()
-    code, _, err = _lint([*args, "--fail-stale", "--format", "json"],
-                         capsys)
-    assert code == 1
-    assert "no longer triggered" in err
-
-
-def test_stale_entries_reported_in_json_summary(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"findings": [
-        {"rule": "TP001", "path": "gone.py", "snippet": "time.time()"}
-    ]}), encoding="utf-8")
-    code, out, _ = _lint(
-        [str(SRC / "repro" / "analysis" / "flow"), "--format", "json",
-         "--baseline", str(baseline)], capsys)
-    assert code == 0
-    stale = json.loads(out)["summary"]["stale_baseline_entries"]
-    assert stale == [{"rule": "TP001", "path": "gone.py",
-                      "snippet": "time.time()"}]
-
-
 def test_disable_filters_rules(capsys):
     code, out, _ = _lint(
-        [str(FLOW_FIXTURE), "--no-baseline", "--format", "json",
+        [str(FLOW_FIXTURE), "--format", "json",
          "--disable", "TP101"], capsys)
     assert code == 0
     assert json.loads(out)["findings"] == []
@@ -182,9 +132,9 @@ def test_disable_filters_rules(capsys):
 
 def test_disable_accepts_comma_separated_codes(capsys):
     code, out, _ = _lint(
-        [str(AST_FIXTURE), str(FLOW_FIXTURE), "--no-baseline",
-         "--format", "json", "--disable",
-         ",".join(sorted(set(RULES) | set(FLOW_RULES)))], capsys)
+        [str(AST_FIXTURE), str(FLOW_FIXTURE),
+         "--format", "json", "--disable", ",".join(sorted(RULES))],
+        capsys)
     assert code == 0
     assert json.loads(out)["findings"] == []
 
@@ -193,16 +143,16 @@ def test_exclude_prunes_subtrees(capsys):
     """The CI test-tree invocation: fixtures excluded, and the rules
     tests legitimately break (assert, direct Block ops) disabled."""
     code, _, _ = _lint(
-        [str(ROOT / "tests"), str(ROOT / "benchmarks"), "--no-baseline",
+        [str(ROOT / "tests"), str(ROOT / "benchmarks"),
          "--exclude", str(FIXTURES),
-         "--disable", "TP003,TP006,TP102"], capsys)
+         "--disable", "TP003,TP102"], capsys)
     assert code == 0
 
 
 def test_output_writes_document_to_file(tmp_path, capsys):
     target = tmp_path / "report.sarif"
     code, out, _ = _lint(
-        [str(AST_FIXTURE), "--no-baseline", "--format", "sarif",
+        [str(AST_FIXTURE), "--format", "sarif",
          "--output", str(target)], capsys)
     assert code == 1
     assert out == ""
@@ -213,6 +163,65 @@ def test_output_writes_document_to_file(tmp_path, capsys):
 def test_unknown_format_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["lint", str(SRC), "--format", "xml"])
+
+
+def test_unknown_disable_code_rejected(capsys):
+    """A typo'd code must not silently disable nothing: the error
+    names the code and the valid ones from the rule table."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", str(FLOW_FIXTURE), "--disable", "TP101,TP9999"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "TP9999" in err
+    assert all(code in err for code in RULES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lint", str(FLOW_FIXTURE), "--output", "report.json"],
+    ["lint", str(FLOW_FIXTURE), "--format", "text",
+     "--output", "report.json"],
+    ["mutants", "--list", "--output", "report.json"],
+])
+def test_output_without_document_format_rejected(
+        argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--output" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+# ----------------------------------------------------------------------
+# input the analysis cannot run on: exit 2, one line, never "lint clean"
+# ----------------------------------------------------------------------
+def test_missing_path_is_an_error_not_a_clean_lint(tmp_path, capsys):
+    code, out, err = _lint(
+        [str(SRC / "repro" / "types.py"), str(tmp_path / "no_such_dir")],
+        capsys)
+    assert code == 2
+    assert "lint clean" not in out + err
+    assert err.startswith("error:") and "no_such_dir" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_path_set_without_python_files_is_an_error(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("not python\n", encoding="utf-8")
+    code, out, err = _lint([str(tmp_path), "--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no Python files")
+    assert len(err.splitlines()) == 1
+
+
+def test_syntax_error_is_reported_not_raised(tmp_path, capsys):
+    broken = tmp_path / "broken.py"
+    broken.write_text("x = 1\ndef f(:\n    pass\n", encoding="utf-8")
+    code, out, err = _lint([str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {broken.resolve().as_posix()}:2: ")
+    assert len(err.splitlines()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +242,7 @@ def test_pycache_and_hidden_dirs_pruned_by_default(tmp_path, capsys):
     (tree / "ok.py").write_text('"""Clean."""\nX = 1\n',
                                 encoding="utf-8")
     code, out, _ = _lint(
-        [str(tree), "--no-baseline", "--format", "json"], capsys)
+        [str(tree), "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["findings"] == []
 
@@ -245,19 +254,18 @@ def test_explicit_file_argument_bypasses_default_pruning(
     trap.parent.mkdir()
     trap.write_text(_WALL_CLOCK, encoding="utf-8")
     code, out, _ = _lint(
-        [str(trap), "--no-baseline", "--format", "json"], capsys)
+        [str(trap), "--format", "json"], capsys)
     assert code == 1
     assert json.loads(out)["findings"]
 
 
 def test_finding_paths_normalize_to_repo_relative(
         monkeypatch, capsys):
-    """Both passes key findings by repo-relative POSIX paths, even
-    when the CLI is invoked with absolute arguments — so TP0xx and
-    TP1xx baseline entries can never disagree on spelling."""
+    """Every pass keys findings by repo-relative POSIX paths, even
+    when the CLI is invoked with absolute arguments."""
     monkeypatch.chdir(ROOT)
     code, out, _ = _lint(
-        [str(AST_FIXTURE), str(FLOW_FIXTURE), "--no-baseline",
+        [str(AST_FIXTURE), str(FLOW_FIXTURE),
          "--format", "json"], capsys)
     assert code == 1
     findings = json.loads(out)["findings"]
@@ -279,9 +287,10 @@ def test_rules_listing_grouped_and_sorted(capsys):
     out = capsys.readouterr().out
     blocks = out.strip().split("\n\n")
     assert len(blocks) == 5
-    expected = [sorted(RULES), sorted(FLOW_RULES),
-                sorted(DOMAIN_RULES), sorted(PROTOCOL_RULES),
-                sorted(SAN_RULES)]
+    expected = [sorted(c for c in RULES if c.startswith(prefix))
+                for prefix in ("TP0", "TP1", "TP2", "TP3")]
+    assert sum(expected, []) == sorted(RULES)
+    expected.append(sorted(SAN_RULES))
     for block, codes in zip(blocks, expected):
         header, *entries = block.splitlines()
         assert header.endswith(":")
@@ -297,7 +306,7 @@ def test_stats_line_reports_every_pass_once(capsys):
     """--stats prints one stderr line with the parse plus all four
     analysis passes; stdout stays machine-parseable."""
     code, out, err = _lint(
-        [str(FLOW_FIXTURE), "--no-baseline", "--format", "json",
+        [str(FLOW_FIXTURE), "--format", "json",
          "--stats"], capsys)
     assert code == 1
     assert json.loads(out)["findings"]

@@ -1,26 +1,22 @@
 """The TP2xx domain/unit pass: lattice, seeding, rules, escapes.
 
 Exercises the abstract-interpretation layer on small in-memory
-programs via ``analyze_source`` (which runs TP1xx + TP2xx; the
-snippets here are crafted to stay TP1xx-clean so every finding is a
+programs via ``analyze`` (which runs every pass; the snippets here are
+crafted to stay clean under the other families so every finding is a
 domain finding), plus unit tests for the lattice operators and the
 name-seeding heuristics.
 """
 
 import pytest
 
-from repro.analysis.flow import analyze_source
+from conftest import analyze_source
 from repro.analysis.flow.domains import (
     BLOCK, BYTES, CONFLICT, LPN, PAGE_OFFSET, PAGES, PPN, TIME_MS,
     TIME_US, UNKNOWN, VPN, _clash, _join, _soft_join, domain_from_name)
 
 
-def _findings(source):
-    return analyze_source(source)
-
-
 def _rules(source):
-    return [f.rule for f in _findings(source)]
+    return [f.rule for f in analyze_source(source)]
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +112,7 @@ def test_tp201_interprocedural_return_propagation():
         "        return found\n\n"
         "    def stamp(self, lpn):\n"
         "        self.flash_table[self.translate(lpn)] = 0\n")
-    findings = _findings(source)
+    findings = analyze_source(source)
     assert [f.rule for f in findings] == ["TP201"]
     assert "flash_table" in findings[0].message
 
@@ -201,14 +197,6 @@ def test_conversion_helper_launders():
         "        self.flash = Flash()\n\n"
         "    def serve(self, lpn):\n"
         "        self.flash.invalidate(to_ppn(lpn))\n")
-    assert _rules(source) == []
-
-
-def test_domain_pragma_retypes_and_suppresses():
-    source = (
-        "def alias(lpn):\n"
-        "    ppn = lpn  # tp: domain(ppn)\n"
-        "    return ppn\n")
     assert _rules(source) == []
 
 

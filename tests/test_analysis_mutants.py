@@ -3,24 +3,25 @@
 The acceptance gate for the flow analyses: every seeded mutant in
 ``repro.analysis.mutants`` — the TP2xx domain corpus and the TP3xx
 protocol corpus alike — must be killed by its expected rule while the
-pristine ``src`` tree stays clean.  One harness run analyzes the tree
-once per mutant plus once pristine (~1 min); everything else here is
-cheap corpus and plumbing checks.
+pristine ``src`` tree stays clean.  One harness run parses and analyzes
+the in-memory sources once per mutant plus once pristine (~20 s);
+everything else here is cheap corpus and plumbing checks.
 """
 
 import pathlib
 
 import pytest
 
+from repro.analysis import RULES
 from repro.analysis.__main__ import main
-from repro.analysis.flow.domains import DOMAIN_RULES
-from repro.analysis.flow.typestate import PROTOCOL_RULES
 from repro.analysis.mutants import (DOMAIN_MUTANTS, MUTANTS,
                                     PROTOCOL_MUTANTS, Mutant,
                                     MutantApplyError, _apply,
                                     run_mutants)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOMAIN_RULES = {code for code in RULES if code.startswith("TP2")}
+PROTOCOL_RULES = {code for code in RULES if code.startswith("TP3")}
 
 
 # ----------------------------------------------------------------------
@@ -44,11 +45,11 @@ def test_corpus_is_well_formed():
 
 
 def test_corpus_covers_every_domain_rule():
-    assert {m.rule for m in DOMAIN_MUTANTS} == set(DOMAIN_RULES)
+    assert {m.rule for m in DOMAIN_MUTANTS} == DOMAIN_RULES
 
 
 def test_corpus_covers_every_protocol_rule():
-    assert {m.rule for m in PROTOCOL_MUTANTS} == set(PROTOCOL_RULES)
+    assert {m.rule for m in PROTOCOL_MUTANTS} == PROTOCOL_RULES
 
 
 def test_protocol_corpus_spans_the_advertised_bug_classes():
@@ -71,33 +72,45 @@ def test_before_text_matches_head_exactly_once():
         assert text.count(mutant.before) == 1, mutant.mid
 
 
-def test_apply_rejects_drifted_before_text(tmp_path):
-    (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
+def test_apply_rejects_drifted_before_text():
+    sources = {"src/mod.py": "x = 1\n"}
     drifted = Mutant(mid="MX", path="mod.py", rule="TP201",
                      description="drifted", before="y = 2", after="y")
     with pytest.raises(MutantApplyError, match="MX"):
-        _apply(tmp_path, drifted)
+        _apply(sources, "src/mod.py", drifted)
+    with pytest.raises(MutantApplyError, match="MX"):
+        _apply(sources, "src/moved.py", drifted)
 
 
-def test_apply_and_restore_round_trip(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("x = 1\n", encoding="utf-8")
+def test_apply_and_restore_round_trip():
+    """Applying a mutant yields a mutated copy; the pristine sources
+    need no restoring because they were never touched."""
+    sources = {"src/mod.py": "x = 1\n", "src/other.py": "y = 1\n"}
     mutant = Mutant(mid="MY", path="mod.py", rule="TP201",
                     description="swap", before="x = 1", after="x = 2")
-    original = _apply(tmp_path, mutant)
-    assert target.read_text(encoding="utf-8") == "x = 2\n"
-    target.write_text(original, encoding="utf-8")
-    assert target.read_text(encoding="utf-8") == "x = 1\n"
+    mutated = _apply(sources, "src/mod.py", mutant)
+    assert mutated == {"src/mod.py": "x = 2\n", "src/other.py": "y = 1\n"}
+    assert sources["src/mod.py"] == "x = 1\n"
+
+
+def test_cli_reports_a_drifted_mutant_as_a_one_line_error(
+        tmp_path, capsys):
+    """A tree the corpus does not apply to exits 2, not a traceback."""
+    (tmp_path / "repro").mkdir()
+    (tmp_path / "repro" / "mod.py").write_text("x = 1\n",
+                                               encoding="utf-8")
+    assert main(["mutants", "--src", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: M01:")
+    assert len(err.splitlines()) == 1
 
 
 # ----------------------------------------------------------------------
 # The acceptance gate (one full harness run)
 # ----------------------------------------------------------------------
 def test_every_mutant_killed_and_head_clean():
-    report = run_mutants(
-        src_root=str(ROOT / "src"),
-        baseline=str(ROOT / ".analysis-baseline.json"))
-    assert report.pristine_new == [], report.pristine_new
+    report = run_mutants(src_root=str(ROOT / "src"))
+    assert report.pristine == [], report.pristine
     survivors = [(r.mutant.mid, r.mutant.rule)
                  for r in report.survivors]
     assert survivors == []

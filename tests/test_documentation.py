@@ -15,7 +15,6 @@ import re
 import pytest
 
 from repro.analysis.checkers import SAN_RULES
-from repro.analysis.flow import DOMAIN_RULES, FLOW_RULES, PROTOCOL_RULES
 from repro.analysis.lint import RULES
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -93,13 +92,11 @@ def test_architecture_rule_tables_match_registries():
     Adding a rule without documenting it — or documenting a rule that
     no longer exists — fails here, keeping the rule tables (TP lint,
     TP flow, TP domain, TP typestate, SAN sanitizer) from drifting out
-    of sync with ``RULES``, ``FLOW_RULES``, ``DOMAIN_RULES``,
-    ``PROTOCOL_RULES`` and ``SAN_RULES``.
+    of sync with the one static table ``RULES`` and ``SAN_RULES``.
     """
     text = (SRC.parent.parent / "docs" / "architecture.md").read_text(
         "utf-8")
     documented_tp = _documented_codes(text, "TP")
     documented_san = _documented_codes(text, "SAN")
-    assert documented_tp == (set(RULES) | set(FLOW_RULES)
-                             | set(DOMAIN_RULES) | set(PROTOCOL_RULES))
+    assert documented_tp == set(RULES)
     assert documented_san == set(SAN_RULES)
