@@ -14,7 +14,8 @@ Rule map (paper sections in parentheses):
 ========  ============================================================
 SAN001    shadow page-map cross-validation (all FTLs)
 SAN002    two-level LRU structural well-formedness (§4.1/§4.2)
-SAN003    TP-node hotness bookkeeping: ``hot_sum``/``dirty_count`` (§4.2)
+SAN003    TP-node hotness bookkeeping: ``hot_sum``/``dirty_count`` and
+          the stored ``hotness`` quotient (§4.2)
 SAN004    byte-budget recount vs. ``ByteBudget``/capacity accounting
 SAN005    prefetch never crosses a translation-page boundary (§4.5)
 SAN006    prefetch-induced eviction confined to one TP node (§4.5)
@@ -22,7 +23,7 @@ SAN007    clean-first victim choice (§4.4)
 SAN008    batch-update postcondition: only the victim leaves, the rest
           of its node turns clean (§4.4)
 SAN009    flash page state machine: counters match states, BAD pages
-          and RETIRED blocks are terminal
+          and RETIRED blocks are terminal, victim index exact
 ========  ============================================================
 
 SAN005–SAN008 are *event* rules checked inline by FTLSan's
@@ -156,7 +157,9 @@ def check_two_level_lru(ftl: "TPFTL", fail: FailFn) -> None:
 
 
 def check_hotness(ftl: "TPFTL", fail: FailFn) -> None:
-    """§4.2 bookkeeping: ``hot_sum``/``dirty_count`` match recounts."""
+    """§4.2 bookkeeping: ``hot_sum``/``dirty_count`` match recounts and
+    the stored ``hotness`` is their quotient (a stale one would steer
+    the page list by a hotness the node no longer has)."""
     for node in ftl.page_list:
         hot = 0
         dirty = 0
@@ -173,6 +176,11 @@ def check_hotness(ftl: "TPFTL", fail: FailFn) -> None:
             fail("SAN003",
                  f"TP node {node.vtpn} dirty_count {node.dirty_count} "
                  f"!= recounted {dirty}")
+            return
+        if node.entries and node.hotness != hot / len(node.entries):
+            fail("SAN003",
+                 f"TP node {node.vtpn} stored hotness {node.hotness} != "
+                 f"{hot} / {len(node.entries)}")
             return
 
 
@@ -263,13 +271,17 @@ def check_flash_state(flash: "FlashMemory", fail: FailFn,
       ``free_count``);
     * pages once BAD stay BAD (terminal across erases);
     * blocks once RETIRED stay RETIRED (terminal);
-    * blocks in the free pool hold no valid pages.
+    * blocks in the free pool hold no valid pages;
+    * the victim index is exact: every in-service block with invalid
+      pages sits in the bucket of its count, and nothing else is
+      indexed (a stale id would be collected twice, a missing one never).
 
     ``memory`` persists the previously-seen BAD pages and RETIRED block
     ids between invocations (terminal-state tracking needs history).
     """
     seen_bad = memory.setdefault("bad_pages", set())
     seen_retired = memory.setdefault("retired", set())
+    indexed = 0
     for block in flash.blocks:
         valid = invalid = bad = 0
         for offset in range(block.pages_per_block):
@@ -302,6 +314,19 @@ def check_flash_state(flash: "FlashMemory", fail: FailFn,
             return
         if block.kind is BlockKind.RETIRED:
             seen_retired.add(block.block_id)
+        elif invalid and not block.is_free:
+            if block.block_id not in flash.victim_index[invalid]:
+                fail("SAN009",
+                     f"block {block.block_id} has {invalid} invalid pages "
+                     "but is missing from that victim-index bucket")
+                return
+            indexed += 1
+    stale = sum(len(bucket) for bucket in flash.victim_index) - indexed
+    if stale:
+        fail("SAN009",
+             f"victim index holds {stale} stale id(s): a free or retired "
+             "block, or one filed under a count it no longer has")
+        return
     for block_id, offset in seen_bad:
         if flash.blocks[block_id].state(offset) is not PageState.BAD:
             fail("SAN009",

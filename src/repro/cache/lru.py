@@ -8,14 +8,21 @@ TP nodes keep their entries in a bare ``OrderedDict`` with the same
 orientation.
 
 ``LRUList`` is the one hand-written structure left: an intrusive doubly
-linked list of :class:`LRUNode` objects between two sentinels, head =
-MRU, matching the paper's figures, which draw the hottest node
-leftmost.  It exists for TPFTL's hotness-ordered page-level list, which
-splices a node a few slots up or down from where it already sits — an
-operation an ``OrderedDict`` cannot express — and it offers only what
-that list uses.  Misuse (double-insert, removing an unlinked node)
-raises :class:`~repro.errors.SimInvariantError`, which survives
-``python -O``.
+linked list of :class:`LRUNode` objects, head = MRU, matching the
+paper's figures, which draw the hottest node leftmost.  It exists for
+TPFTL's page-level list, which is ordered by a float key each node
+carries (``hotness``) and re-seats a node a few slots up or down from
+where it already sits — an operation an ``OrderedDict`` cannot express —
+and it offers only what that list uses.  The list owns the walk
+(:meth:`LRUList.settle`): its sentinels are keyed ``+inf`` and ``-inf``
+and an unlinked node's pointers rest on a marker node, not ``None``, so
+the walk compares keys and nothing else.  The order is *local*: the
+owner may change a key without settling the node (TPFTL does on every
+eviction), so a settled node can have to move either way — colder-ward
+past a neighbour that grew hotter unsettled — and any in-order shortcut
+taken before ``settle`` must look at both neighbours.  Misuse
+(double-insert, removing or settling an unlinked node) raises
+:class:`~repro.errors.SimInvariantError`, which survives ``python -O``.
 """
 
 from __future__ import annotations
@@ -28,19 +35,30 @@ from ..errors import SimInvariantError
 
 
 class LRUNode:
-    """A list node; subclass and add payload fields via ``__slots__``."""
+    """A list node; subclass and add payload fields via ``__slots__``.
 
-    __slots__ = ("prev", "next")
+    ``hotness`` is the key :meth:`LRUList.settle` orders by; whoever
+    changes it decides when the node is settled.
+    """
+
+    __slots__ = ("prev", "next", "hotness")
 
     def __init__(self) -> None:
-        self.prev: Optional["LRUNode"] = None
-        self.next: Optional["LRUNode"] = None
+        self.prev: LRUNode = _UNLINKED
+        self.next: LRUNode = _UNLINKED
+        self.hotness = 0.0
 
     @property
     def linked(self) -> bool:
         """True when the node is currently in a list."""
-        return self.prev is not None
+        return self.prev is not _UNLINKED
 
+
+#: where an unlinked node's pointers rest; keyed ``-inf``, colder than
+#: any key, so an unlinked node never passes for one sitting in order
+_UNLINKED = LRUNode.__new__(LRUNode)
+_UNLINKED.prev = _UNLINKED.next = _UNLINKED
+_UNLINKED.hotness = float("-inf")
 
 N = TypeVar("N", bound=LRUNode)
 
@@ -51,8 +69,10 @@ class LRUList(Generic[N]):
     __slots__ = ("_head", "_tail", "_size")
 
     def __init__(self) -> None:
-        self._head = LRUNode()  # sentinel before MRU
-        self._tail = LRUNode()  # sentinel after LRU
+        self._head = LRUNode()  # sentinel before MRU, hotter than any node
+        self._tail = LRUNode()  # sentinel after LRU, colder than any node
+        self._head.hotness = float("inf")
+        self._tail.hotness = float("-inf")
         self._head.next = self._tail
         self._tail.prev = self._head
         self._size = 0
@@ -72,64 +92,68 @@ class LRUList(Generic[N]):
         node = self._tail.prev
         return cast(N, node) if node is not self._head else None
 
-    def prev_of(self, node: N) -> Optional[N]:
-        """Neighbour toward the MRU end, or None at the head."""
-        prev = node.prev
-        return cast(N, prev) if prev is not self._head else None
-
-    def next_of(self, node: N) -> Optional[N]:
-        """Neighbour toward the LRU end, or None at the tail."""
-        nxt = node.next
-        return cast(N, nxt) if nxt is not self._tail else None
-
     def push_mru(self, node: N) -> None:
         """Insert an unlinked node at the MRU end."""
-        self._require_unlinked(node)
-        self._insert_after(self._head, node)
-
-    def push_lru(self, node: N) -> None:
-        """Insert an unlinked node at the LRU end."""
-        self._require_unlinked(node)
-        self._insert_after(cast(LRUNode, self._tail.prev), node)
-
-    def insert_before(self, anchor: N, node: N) -> None:
-        """Insert ``node`` immediately toward-MRU of ``anchor``."""
-        self._require_unlinked(node)
-        if not anchor.linked and anchor is not self._tail:
-            raise SimInvariantError(
-                "insert_before anchor is not in the list")
-        self._insert_after(cast(LRUNode, anchor.prev), node)
+        if node.prev is not _UNLINKED:
+            raise SimInvariantError("node is already in a list")
+        head = self._head
+        self._link(head, node, head.next)
+        self._size += 1
 
     def remove(self, node: N) -> None:
         """Unlink a node from the list."""
-        if not node.linked:
+        if node.prev is _UNLINKED:
             raise SimInvariantError("cannot remove an unlinked node")
-        prev = cast(LRUNode, node.prev)
-        nxt = cast(LRUNode, node.next)
+        node.prev.next = node.next
+        node.next.prev = node.prev
+        node.prev = node.next = _UNLINKED
+        self._size -= 1
+
+    def settle(self, node: N) -> None:
+        """Re-seat a linked node whose ``hotness`` changed.
+
+        The node moves toward the MRU end past every neighbour strictly
+        colder than it; failing that, toward the LRU end past every
+        neighbour strictly hotter; it stays put when neither neighbour
+        is out of order.  Key changes move a node only a few slots in
+        practice, so the walk is O(distance).
+        """
+        hotness = node.hotness
+        prev, nxt = node.prev, node.next
+        if prev is _UNLINKED:
+            raise SimInvariantError("cannot settle an unlinked node")
+        if prev.hotness < hotness:
+            after = prev
+            before = after.prev
+            while before.hotness < hotness:
+                after = before
+                before = after.prev
+        elif nxt.hotness > hotness:
+            before = nxt
+            after = before.next
+            while after.hotness > hotness:
+                before = after
+                after = before.next
+        else:
+            return
         prev.next = nxt
         nxt.prev = prev
-        node.prev = node.next = None
-        self._size -= 1
+        self._link(before, node, after)
 
     def __iter__(self) -> Iterator[N]:
         """Iterate from MRU to LRU; do not mutate while iterating."""
-        node = cast(LRUNode, self._head.next)
+        node = self._head.next
         while node is not self._tail:
             yield cast(N, node)
-            node = cast(LRUNode, node.next)
+            node = node.next
 
     @staticmethod
-    def _require_unlinked(node: LRUNode) -> None:
-        if node.linked:
-            raise SimInvariantError("node is already in a list")
-
-    def _insert_after(self, anchor: LRUNode, node: N) -> None:
-        nxt = cast(LRUNode, anchor.next)
-        node.prev = anchor
-        node.next = nxt
-        anchor.next = node
-        nxt.prev = node
-        self._size += 1
+    def _link(before: LRUNode, node: LRUNode, after: LRUNode) -> None:
+        """Splice ``node`` between two adjacent nodes."""
+        node.prev = before
+        node.next = after
+        before.next = node
+        after.prev = node
 
 
 K = TypeVar("K", bound=Hashable)

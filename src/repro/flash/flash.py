@@ -9,9 +9,10 @@ extends.
 
 Every operation has one body.  What makes it cheap on an ideal device is
 bookkeeping the array always keeps: operation counts are plain integers on
-:class:`FlashStats`, a lazy victim heap makes greedy GC selection
-O(log blocks) instead of a full scan, and an erase-count histogram keeps
-the device-wide wear spread exact so wear-leveling checks are O(1).
+:class:`FlashStats`, a counting victim index — one set of block ids per
+invalid-page count — lets greedy GC selection read the fullest bucket
+instead of scanning every block, and an erase-count histogram keeps the
+device-wide wear spread exact so wear-leveling checks are O(1).
 
 Reliability is handled here, below the FTLs, the way real controllers do,
 through one per-operation hook: when the :class:`~repro.faults.FaultInjector`
@@ -36,10 +37,10 @@ a power cut observe every operation.  Both leave the same array behind.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Deque, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..config import SSDConfig
 from ..errors import (DeviceWornOutError, EraseError, FlashError,
@@ -82,11 +83,12 @@ class FlashMemory:
         #: free-pool level at which GC triggers (cached off the config
         #: so the per-page ``gc_needed`` check stays one comparison).
         self._gc_trigger = config.gc_trigger_blocks
-        #: lazy greedy-victim index: ``(-invalid, erase_count, id)``
-        #: entries pushed on every invalidation; stale entries (the
-        #: block's counts moved on, or it left service) are dropped at
-        #: pop time.
-        self.victim_heap: List[Tuple[int, int, int]] = []
+        #: greedy-victim index: ``victim_index[n]`` holds the ids of the
+        #: in-service blocks with exactly ``n`` invalid pages, n > 0
+        #: (bucket 0 stays empty).  Exact, not lazy: a block moves one
+        #: bucket per invalidation and leaves when erased or retired.
+        self.victim_index: List[Set[int]] = [
+            set() for _ in range(config.pages_per_block + 1)]
         #: exact running max/min erase counts over every block.
         self.max_erase = 0
         self.min_erase = 0
@@ -333,10 +335,10 @@ class FlashMemory:
             states[offset] = PageState.INVALID
             page_meta[offset] = None
         block.valid_count -= count
+        index = self.victim_index
+        index[block.invalid_count].discard(block.block_id)
         block.invalid_count += count
-        heapq.heappush(self.victim_heap,
-                       (-block.invalid_count, block.erase_count,
-                        block.block_id))
+        index[block.invalid_count].add(block.block_id)
         return metas, ppns
 
     def read(self, ppn: int, kind: PageKind) -> int:
@@ -379,12 +381,13 @@ class FlashMemory:
         """Invalidate the page at ``ppn`` (its content was superseded).
 
         Out-of-band bookkeeping, not a flash operation: the injector is
-        not consulted.  Refreshes the block's victim-index entry.
+        not consulted.  Moves the block up one victim-index bucket.
         """
-        block = self.blocks[ppn // self.pages_per_block]
+        block_id = ppn // self.pages_per_block
+        block = self.blocks[block_id]
         offset = ppn % self.pages_per_block
         # Block.invalidate inlined (same check, same transition): this
-        # plus the heap push runs once per superseded page.
+        # plus the index move runs once per superseded page.
         states = block._states
         if states[offset] is not PageState.VALID:
             raise ProgramError(
@@ -395,8 +398,9 @@ class FlashMemory:
         block.valid_count -= 1
         invalid = block.invalid_count + 1
         block.invalid_count = invalid
-        heapq.heappush(self.victim_heap,
-                       (-invalid, block.erase_count, block.block_id))
+        index = self.victim_index
+        index[invalid - 1].discard(block_id)
+        index[invalid].add(block_id)
 
     def erase(self, block_id: int) -> bool:
         """Erase a block; True if it returned to the free pool.
@@ -428,6 +432,9 @@ class FlashMemory:
                 self.stats.record_erase_failure()
                 self._retire(block)
                 return False
+        # only now does the block's state change: a power cut raised by
+        # the injector above leaves the victim indexed, and selectable
+        self.victim_index[block.invalid_count].discard(block_id)
         block.erase()
         if kind is BlockKind.DATA:
             self.stats.data_erases += 1
@@ -469,6 +476,7 @@ class FlashMemory:
 
     def _retire(self, block: Block) -> None:
         """Take ``block`` out of service permanently."""
+        self.victim_index[block.invalid_count].discard(block.block_id)
         block.kind = BlockKind.RETIRED
         self.retired_block_ids.append(block.block_id)
         self.stats.record_block_retired()

@@ -23,7 +23,6 @@ implicit (no byte arrays to maintain).
 from __future__ import annotations
 
 import abc
-import heapq
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ..config import SimulationConfig
@@ -440,49 +439,39 @@ class BaseFTL(abc.ABC):
 
     def _select_victim(self) -> Optional[Block]:
         if type(self.victim_policy) is GreedyPolicy:
-            return self._select_victim_heap()
+            return self._select_victim_indexed()
         return self.victim_policy.select(self._gc_candidates(),
                                          now_seq=self.flash.op_seq)
 
-    def _select_victim_heap(self) -> Optional[Block]:
-        """Greedy selection off the flash array's lazy victim heap.
+    def _select_victim_indexed(self) -> Optional[Block]:
+        """Greedy selection off the flash array's counting victim index.
 
-        The heap invariant (every collectible block has an entry with
-        its *current* counts) makes the top accurate entry exactly the
-        block :class:`GreedyPolicy` would pick from a full candidate
-        scan: max invalid count, ties to min erase count, then min
-        block id — the first-encountered block in the scan order.
-        Stale entries (counts moved on, or the block was erased) are
-        dropped; entries for the active write frontiers are deferred
-        and re-pushed, since those blocks become candidates as soon as
-        the frontier moves past them, without any further invalidation.
-        The winning entry is left in place: it invalidates itself when
-        the victim is erased.
+        Walking the buckets from the highest invalid count down, the
+        first one holding a block that is not a write frontier holds
+        exactly the blocks :class:`GreedyPolicy` would rank top in a
+        full candidate scan; among them it takes the min erase count,
+        then the min block id — the first-encountered block in scan
+        order.  Frontier blocks stay indexed: they become candidates as
+        soon as the frontier moves past them.
         """
         flash = self.flash
-        heap = flash.victim_heap
         blocks = flash.blocks
         active_data = flash.active_block(BlockKind.DATA)
         active_trans = flash.active_block(BlockKind.TRANSLATION)
-        deferred: List[Tuple[int, int, int]] = []
-        victim: Optional[Block] = None
-        while heap:
-            neg_invalid, erase_count, block_id = heap[0]
-            block = blocks[block_id]
-            if (block.invalid_count != -neg_invalid
-                    or block.erase_count != erase_count
-                    or block.is_free
-                    or block.kind is BlockKind.RETIRED):
-                heapq.heappop(heap)
-                continue
-            if block is active_data or block is active_trans:
-                deferred.append(heapq.heappop(heap))
-                continue
-            victim = block
-            break
-        for entry in deferred:
-            heapq.heappush(heap, entry)
-        return victim
+        for bucket in reversed(flash.victim_index):
+            victim: Optional[Block] = None
+            for block_id in bucket:
+                block = blocks[block_id]
+                if block is active_data or block is active_trans:
+                    continue
+                if (victim is None
+                        or block.erase_count < victim.erase_count
+                        or (block.erase_count == victim.erase_count
+                            and block_id < victim.block_id)):
+                    victim = block
+            if victim is not None:
+                return victim
+        return None
 
     def _collect(self, victim: Block, result: AccessResult) -> None:
         kind = victim.kind

@@ -66,17 +66,16 @@ class TPNode(LRUNode):
         self.vtpn = vtpn
         #: LPN -> entry node; first = LRU, last = MRU
         self.entries: OrderedDict[int, EntryNode] = OrderedDict()
+        #: sum of the entries' ``hot_seq``; the inherited ``hotness``
+        #: slot is the page-level hotness (§4.2), ``hot_sum /
+        #: len(entries)``, refreshed wherever either changes: ``add``,
+        #: ``drop`` and ``TPFTL._touch``.  It stays that float quotient:
+        #: cross-multiplied integers break float ties differently.
         self.hot_sum = 0
         self.dirty_count = 0
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def hotness(self) -> float:
-        """Page-level hotness: mean hotness of the entry nodes (§4.2)."""
-        count = len(self.entries)
-        return self.hot_sum / count if count else 0.0
 
     def add(self, entry: EntryNode) -> None:
         """Insert an entry node at the MRU end of this TP node."""
@@ -85,6 +84,7 @@ class TPNode(LRUNode):
                 f"LPN {entry.lpn} is already cached in TP node {self.vtpn}")
         self.entries[entry.lpn] = entry
         self.hot_sum += entry.hot_seq
+        self.hotness = self.hot_sum / len(self.entries)
 
     def drop(self, entry: EntryNode) -> None:
         """Remove an entry node from this TP node."""
@@ -92,6 +92,8 @@ class TPNode(LRUNode):
             raise SimInvariantError(
                 f"LPN {entry.lpn} is not cached in TP node {self.vtpn}")
         self.hot_sum -= entry.hot_seq
+        count = len(self.entries)
+        self.hotness = self.hot_sum / count if count else 0.0
         if entry.dirty:
             self.dirty_count -= 1
 
@@ -141,7 +143,9 @@ class TPFTL(BaseFTL):
     def _translate(self, lpn: int, op: Op, request: Optional[Request],
                    result: AccessResult) -> int:
         self.metrics.lookups += 1
-        vtpn = self.geometry.vtpn_of(lpn)
+        # ``_serve_page`` bounds-checked the LPN: plain arithmetic here,
+        # in ``_record_mapping`` and in ``_insert_entry``
+        vtpn = lpn // self.geometry.entries_per_page
         node = self.by_vtpn.get(vtpn)
         if node is not None:
             entry = node.entries.get(lpn)
@@ -167,7 +171,7 @@ class TPFTL(BaseFTL):
 
     def _record_mapping(self, lpn: int, ppn: int,
                         result: AccessResult) -> None:
-        node = self.by_vtpn.get(self.geometry.vtpn_of(lpn))
+        node = self.by_vtpn.get(lpn // self.geometry.entries_per_page)
         entry = node.entries.get(lpn) if node is not None else None
         if node is None or entry is None:  # pragma: no cover - installed
             raise FTLError(f"write to LPN {lpn} without a cached entry")
@@ -212,82 +216,56 @@ class TPFTL(BaseFTL):
     # Hotness maintenance (§4.2)
     # ==================================================================
     def _touch(self, node: TPNode, entry: EntryNode) -> None:
-        """Bump an entry's hotness and re-sort its TP node."""
-        self._hot_seq += 1
-        node.hot_sum += self._hot_seq - entry.hot_seq
-        entry.hot_seq = self._hot_seq
-        node.entries.move_to_end(entry.lpn)
-        self._reposition(node)
+        """Bump an entry's hotness; re-seat its TP node if that put it
+        out of order with a neighbour.
 
-    def _reposition(self, node: TPNode) -> None:
-        """Restore hotness ordering of the page-level list around ``node``.
-
-        Hotness-changing events move a node only a few slots in practice,
-        so a local walk is cheap and keeps every operation O(distance).
+        Most touches leave the node where it is, and those end at the
+        two compares.  Both are needed although a touch only heats the
+        node: evictions raise a node's hotness without re-sorting (see
+        :meth:`_drop_entry`), so the colder neighbour may have overtaken
+        it since it was last settled, and it then moves *down*.
         """
-        hotness = node.hotness
-        lst = self.page_list
-        prev = lst.prev_of(node)
-        if prev is not None and prev.hotness < hotness:
-            anchor = prev
-            while True:
-                up = lst.prev_of(anchor)
-                if up is None or up.hotness >= hotness:
-                    break
-                anchor = up
-            lst.remove(node)
-            lst.insert_before(anchor, node)
-            return
-        nxt = lst.next_of(node)
-        if nxt is not None and nxt.hotness > hotness:
-            anchor = nxt
-            while True:
-                down = lst.next_of(anchor)
-                if down is None or down.hotness <= hotness:
-                    break
-                anchor = down
-            lst.remove(node)
-            # place immediately colder than ``anchor``
-            after = lst.next_of(anchor)
-            if after is None:
-                lst.push_lru(node)
-            else:
-                lst.insert_before(after, node)
+        seq = self._hot_seq = self._hot_seq + 1
+        node.hot_sum += seq - entry.hot_seq
+        entry.hot_seq = seq
+        entries = node.entries
+        entries.move_to_end(entry.lpn)
+        hotness = node.hotness = node.hot_sum / len(entries)
+        if node.prev.hotness < hotness or node.next.hotness > hotness:
+            self.page_list.settle(node)
 
     # ==================================================================
     # Loading policy (§4.3)
     # ==================================================================
     def _plan_prefetch(self, lpn: int, vtpn: int,
                        request: Optional[Request]) -> List[int]:
-        """LPNs to prefetch alongside a missed ``lpn`` (page-bounded)."""
-        last_in_page = self.geometry.last_lpn(vtpn)
-        plan: List[int] = []
-        planned = set()
-        if (self.techniques.request_prefetch and request is not None
+        """LPNs to prefetch alongside a missed ``lpn`` (page-bounded).
+
+        Both techniques ask for a run that starts right after ``lpn``,
+        so the plan is one range up to the farther of the two ends.
+        """
+        techniques = self.techniques
+        stop = lpn  # last LPN wanted; ``lpn`` itself means none
+        if (techniques.request_prefetch and request is not None
                 and request.npages > 1):
             # Translate the whole request at once: load every entry the
             # request still needs from this translation page.
-            stop = min(request.end_lpn - 1, last_in_page)
-            for candidate in range(lpn + 1, stop + 1):
-                plan.append(candidate)
-                planned.add(candidate)
-        if self.techniques.selective_prefetch and self.selective_active:
+            stop = request.end_lpn - 1
+        if techniques.selective_prefetch and self.selective_active:
             # Length = number of cached predecessors consecutive to the
             # demanded entry within the same translation page.
             node = self.by_vtpn.get(vtpn)
-            length = 0
             if node is not None:
                 probe = lpn - 1
                 first_in_page = self.geometry.first_lpn(vtpn)
                 while probe >= first_in_page and probe in node.entries:
-                    length += 1
                     probe -= 1
-            for candidate in range(lpn + 1, min(lpn + length,
-                                                last_in_page) + 1):
-                if candidate not in planned:
-                    plan.append(candidate)
-                    planned.add(candidate)
-        return plan
+                length = lpn - 1 - probe
+                stop = max(stop, lpn + length)
+        if stop <= lpn:
+            return []
+        return list(range(
+            lpn + 1, min(stop, self.geometry.last_lpn(vtpn)) + 1))
 
     def _prefetch(self, lpns: Iterable[int], result: AccessResult,
                   protect: Optional[EntryNode] = None) -> None:
@@ -311,7 +289,7 @@ class TPFTL(BaseFTL):
                                        else 0)
             if not self.budget.fits(need):
                 if not restricted:
-                    allowed_victim = self._coldest_node()
+                    allowed_victim = self.page_list.lru
                     restricted = True
                 if not self._make_room(need, result,
                                        only_node=allowed_victim,
@@ -326,9 +304,6 @@ class TPFTL(BaseFTL):
         if self.sanitizer is not None:
             self.sanitizer.note_prefetch_end()
 
-    def _coldest_node(self) -> Optional[TPNode]:
-        return self.page_list.lru
-
     # ==================================================================
     # Insertion and replacement (§4.4)
     # ==================================================================
@@ -336,25 +311,24 @@ class TPFTL(BaseFTL):
                       result: AccessResult,
                       make_room: bool = True) -> Optional[EntryNode]:
         """Create an entry node (and TP node if needed) in the cache."""
-        vtpn = self.geometry.vtpn_of(lpn)
+        vtpn = lpn // self.geometry.entries_per_page
         node = self.by_vtpn.get(vtpn)
         need = self.entry_bytes + (self.node_bytes if node is None else 0)
         if not self.budget.fits(need):
-            if not make_room:
+            if not make_room or not self._make_room(need, result):
                 return None
-            if not self._make_room(need, result):
+            # The node may have been evicted while making room (it can
+            # be the coldest); re-check and re-price.
+            node = self.by_vtpn.get(vtpn)
+            need = self.entry_bytes + (self.node_bytes if node is None
+                                       else 0)
+            if not self.budget.fits(need):  # pragma: no cover - defensive
                 return None
-        # The node may have been evicted while making room (it can be the
-        # coldest); re-check and re-price.
-        node = self.by_vtpn.get(vtpn)
-        need = self.entry_bytes + (self.node_bytes if node is None else 0)
-        if not self.budget.fits(need):  # pragma: no cover - defensive
-            return None
         if node is None:
             node = TPNode(vtpn)
             self.by_vtpn[vtpn] = node
             # A new node carries the newest (hottest) entry, so it starts
-            # at the hot end; _reposition then settles it exactly.
+            # at the hot end; settle then seats it exactly.
             self.page_list.push_mru(node)
             self.budget.charge(self.node_bytes)
             self._bump_counter(+1)
@@ -362,7 +336,7 @@ class TPFTL(BaseFTL):
         entry = EntryNode(lpn, ppn, self._hot_seq, prefetched=prefetched)
         node.add(entry)
         self.budget.charge(self.entry_bytes)
-        self._reposition(node)
+        self.page_list.settle(node)
         return entry
 
     def _make_room(self, need: int, result: AccessResult,

@@ -24,7 +24,7 @@ from repro.experiments.runner import encode_result
 from repro.types import Op, Request, Trace
 
 #: digests frozen from the per-operation reference core before it was
-#: deleted (regenerate: see ``tests/test_fastpath.py``)
+#: deleted (regenerate: see ``tests/golden_cells.py``)
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
 
 

@@ -110,6 +110,20 @@ def test_san003_hot_sum_drift(sanitized_config):
     assert excinfo.value.code == "SAN003"
 
 
+def test_san003_stale_stored_hotness(sanitized_config):
+    """The page list is ordered by the stored quotient, so a refresh
+    missed after a ``hot_sum`` change must not go unnoticed."""
+    ftl = _warm_tpftl(sanitized_config)
+    node = next(iter(ftl.page_list))
+    entry = next(iter(node.entries.values()))
+    node.hot_sum += 5  # a consistent bump that skips the refresh
+    entry.hot_seq += 5
+    with pytest.raises(SanitizerError) as excinfo:
+        _san(ftl).run_checks()
+    assert excinfo.value.code == "SAN003"
+    assert "stored hotness" in str(excinfo.value)
+
+
 def test_san004_budget_leak(sanitized_config):
     ftl = _warm_tpftl(sanitized_config)
     # leak one entry's worth of accounting: recount > budget.used
@@ -215,6 +229,26 @@ def test_san009_counter_corruption(sanitized_config):
     _warm(ftl, 50, trims=False, seed=13)
     ftl.flash.blocks[0].valid_count += 1
     with pytest.raises(SanitizerError) as excinfo:
+        _san(ftl).run_checks(full=True)
+    assert excinfo.value.code == "SAN009"
+
+
+def test_san009_victim_index_drift(sanitized_config):
+    """A block missing from its bucket is never collected; a stale id
+    (here: a free block's) would be collected when it should not be."""
+    ftl = make_ftl("dftl", sanitized_config)
+    _warm(ftl, 50, trims=False, seed=13)
+    flash = ftl.flash
+    _san(ftl).run_checks(full=True)  # exact as the FTL left it
+    dirty = next(block for block in flash.blocks if block.invalid_count)
+    bucket = flash.victim_index[dirty.invalid_count]
+    bucket.discard(dirty.block_id)
+    with pytest.raises(SanitizerError, match="missing") as excinfo:
+        _san(ftl).run_checks(full=True)
+    assert excinfo.value.code == "SAN009"
+    bucket.add(dirty.block_id)
+    flash.victim_index[1].add(flash._free[0])
+    with pytest.raises(SanitizerError, match="stale") as excinfo:
         _san(ftl).run_checks(full=True)
     assert excinfo.value.code == "SAN009"
 

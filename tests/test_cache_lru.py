@@ -3,14 +3,25 @@
 import pytest
 
 from repro.cache import LRUDict, LRUList, LRUNode
+from repro.errors import SimInvariantError
 
 
 class Node(LRUNode):
     __slots__ = ("tag",)
 
-    def __init__(self, tag):
+    def __init__(self, tag, hotness=0.0):
         super().__init__()
         self.tag = tag
+        self.hotness = hotness
+
+
+def keyed_list(*hotness):
+    """A list whose nodes, MRU first, carry these keys as tag and key."""
+    lst = LRUList()
+    nodes = [Node(key, key) for key in hotness]
+    for node in reversed(nodes):
+        lst.push_mru(node)
+    return lst, nodes
 
 
 def tags(lst):
@@ -33,12 +44,6 @@ class TestLRUList:
         assert lst.mru.tag == "c"
         assert lst.lru.tag == "a"
 
-    def test_push_lru(self):
-        lst = LRUList()
-        lst.push_mru(Node("a"))
-        lst.push_lru(Node("z"))
-        assert tags(lst) == ["a", "z"]
-
     def test_remove_middle(self):
         lst = LRUList()
         nodes = [Node(i) for i in range(3)]
@@ -48,23 +53,52 @@ class TestLRUList:
         assert tags(lst) == [2, 0]
         assert not nodes[1].linked
 
-    def test_insert_before(self):
-        lst = LRUList()
-        a, c = Node("a"), Node("c")
-        lst.push_mru(a)
-        lst.push_lru(c)
-        lst.insert_before(c, Node("b"))
-        assert tags(lst) == ["a", "b", "c"]
+    def test_settle_in_order_node_stays(self):
+        lst, nodes = keyed_list(9.0, 5.0, 5.0, 1.0)
+        for node in nodes:
+            lst.settle(node)
+        assert tags(lst) == [9.0, 5.0, 5.0, 1.0]
 
-    def test_neighbours(self):
-        lst = LRUList()
-        a, b = Node("a"), Node("b")
-        lst.push_mru(a)
-        lst.push_lru(b)
-        assert lst.prev_of(a) is None
-        assert lst.next_of(a) is b
-        assert lst.prev_of(b) is a
-        assert lst.next_of(b) is None
+    def test_settle_moves_past_strictly_colder_neighbours(self):
+        lst, nodes = keyed_list(9.0, 5.0, 5.0, 1.0)
+        nodes[3].hotness = 5.0  # ties do not yield: stops below the 5s
+        lst.settle(nodes[3])
+        assert tags(lst) == [9.0, 5.0, 5.0, 1.0]
+        nodes[3].hotness = 7.0
+        lst.settle(nodes[3])
+        assert tags(lst) == [9.0, 1.0, 5.0, 5.0]
+        nodes[3].hotness = 99.0  # stops at the head sentinel
+        lst.settle(nodes[3])
+        assert lst.mru is nodes[3]
+
+    def test_settle_moves_past_strictly_hotter_neighbours(self):
+        lst, nodes = keyed_list(9.0, 5.0, 5.0, 1.0)
+        nodes[0].hotness = 5.0
+        lst.settle(nodes[0])
+        assert lst.mru is nodes[0]
+        nodes[0].hotness = 3.0
+        lst.settle(nodes[0])
+        assert tags(lst) == [5.0, 5.0, 9.0, 1.0]
+        nodes[0].hotness = -99.0  # stops at the tail sentinel
+        lst.settle(nodes[0])
+        assert lst.lru is nodes[0]
+        assert len(lst) == 4
+
+    def test_settle_prefers_the_hot_end_when_both_sides_disagree(self):
+        """Keys may drift unsettled, so the order is only local."""
+        lst, nodes = keyed_list(1.0, 5.0, 9.0)
+        lst.settle(nodes[1])
+        assert tags(lst) == [5.0, 1.0, 9.0]
+
+    def test_misuse_raises(self):
+        lst, nodes = keyed_list(2.0, 1.0)
+        loose = Node("loose")
+        with pytest.raises(SimInvariantError):
+            lst.push_mru(nodes[0])
+        for misuse in (lst.remove, lst.settle):
+            with pytest.raises(SimInvariantError):
+                misuse(loose)
+        assert tags(lst) == [2.0, 1.0]
 
 
 class TestLRUDict:

@@ -2,19 +2,14 @@
 
 Until PR 12 a second, per-operation core served as the living oracle
 for the batched one.  The oracle is now ``tests/golden_digests.json``:
-every cell below (plus the tenant mixes of ``tests/test_traffic.py``)
-was run through that reference core at the last commit that had it, and
-the sha256 of the run cache's JSON encoding — for fault cells, of the
-result together with the injector counters and the block-for-block
-flash end state — was frozen.  The one core must reproduce each byte
-for byte.  Regenerate only when a PR changes results on purpose::
-
-    PYTHONPATH=src:tests python -c "import test_fastpath as t; t.write_golden()"
+the one core must reproduce every cell of ``tests/golden_cells.py``
+(which says how each was frozen, and regenerates the table) byte for
+byte.
 
 What legitimately stays dual inside the one core is cross-checked
 directly: chunk-filled prefill/GC migration (ideal device) against the
-page-by-page order a live fault plan gets, and the lazy victim heap and
-running erase-count spread against full scans.
+page-by-page order a live fault plan gets, and the counting victim
+index and running erase-count spread against full scans.
 
 Also here, unchanged: the regressions for two bugs fixed alongside the
 batched core — ``CacheSampler.maybe_sample`` fired on every request
@@ -24,211 +19,31 @@ background GC could push the "fraction" past 1.
 """
 
 import dataclasses
-import hashlib
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
-                          SSDConfig)
+from repro.config import CacheConfig, SimulationConfig
 from repro.errors import DeviceWornOutError, PowerLossError, ReadError
-from repro.experiments.common import ExperimentScale
-from repro.experiments.faults import _config_for as media_fault_config
-from repro.experiments.runner import (RunSpec, decode_result,
-                                      encode_result, execute_spec)
+from repro.experiments.runner import (decode_result, encode_result,
+                                      execute_spec)
 from repro.faults import FaultInjector, FaultPlan
 from repro.flash import FlashMemory
-from repro.ftl import FTL_NAMES, OptimalFTL, make_ftl
+from repro.ftl import OptimalFTL, make_ftl
 from repro.gc import GreedyPolicy, WearLeveler
 from repro.metrics import CacheSampler
-from repro.ssd import DeviceModel, run_fast
-from repro.types import PageKind
+from repro.ssd import DeviceModel
+from repro.types import AccessResult, BlockKind, PageKind
 from repro.workloads import make_preset
 
-from conftest import (GOLDEN_PATH, golden_digests, make_trace, random_ops,
-                      result_digest)
+from conftest import golden_digests, make_trace, random_ops, result_digest
+from golden_cells import (FAULT_CELLS, FTLS, GC_HEAVY, POWER_CUT_AFTER,
+                          ROOMY, RUN_CELLS, SPEC_CELLS, TIER1_WORKLOADS,
+                          TINY, TINY_SSD, all_cells, check, flash_state,
+                          gc_heavy_trace, media_fault_config, sanitized_run,
+                          small_trace)
 from test_background_gc import bursty_write_trace
-
-#: the tier-1 cells at CI size (the cell set the old parity matrix ran)
-PARITY_SCALE = ExperimentScale(num_requests=2_500, warmup_requests=500)
-#: a device small enough that every FTL collects data blocks, and the
-#: demand-based ones translation blocks too, within the run
-ZOO_SCALE = ExperimentScale(num_requests=6_000, warmup_requests=1_000,
-                            financial_pages=4_096)
-TIER1_WORKLOADS = ("financial1", "financial2", "msr-src", "msr-ts")
-FTLS = ("dftl", "tpftl", "optimal")
-
-TINY_SSD = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
-TINY = SimulationConfig(ssd=TINY_SSD)
-ROOMY = SimulationConfig(ssd=TINY_SSD, cache=CacheConfig(budget_bytes=2048))
-GC_HEAVY = SimulationConfig(ssd=TINY_SSD,
-                            cache=CacheConfig(budget_bytes=1024))
-SANITIZED = dataclasses.replace(ROOMY, sanitizer=SanitizerConfig(
-    enabled=True, interval=1, full_every=32))
-#: the power cut fires on flash operation 778 of the replay, after GC
-#: of both block kinds has started
-POWER_CUT_AFTER = 777
-
-
-def small_trace(count=1_500, seed=11):
-    return make_trace(random_ops(count, 512, seed=seed))
-
-
-def gc_heavy_trace():
-    return make_trace(random_ops(2_000, 512, seed=21, write_ratio=0.9))
-
-
-# ----------------------------------------------------------------------
-# The cells
-# ----------------------------------------------------------------------
-#: runner cells: tier-1 matrix, every FTL, 4 channels, and the eight
-#: cells of the retired BENCH_fastpath.json at its committed scale
-SPEC_CELLS = {f"tier1/{workload}:{ftl}": RunSpec(
-    workload=workload, ftl=ftl, scale=PARITY_SCALE, sample_interval=400)
-    for workload in TIER1_WORKLOADS for ftl in FTLS}
-SPEC_CELLS.update({f"zoo/financial1:{ftl}": RunSpec(
-    workload="financial1", ftl=ftl, scale=ZOO_SCALE, cache_fraction=1 / 4)
-    for ftl in FTL_NAMES})
-SPEC_CELLS.update({f"bench/{workload}:{ftl}": RunSpec(
-    workload=workload, ftl=ftl, scale=ExperimentScale())
-    for workload in TIER1_WORKLOADS for ftl in ("dftl", "optimal")})
-SPEC_CELLS["channels4/financial2:dftl"] = RunSpec(
-    workload="financial2", ftl="dftl", scale=PARITY_SCALE, channels=4)
-
-
-def sanitized_run():
-    """-> (result, ftl, pages served)"""
-    ops = random_ops(800, 512, seed=5)
-    ftl = make_ftl("tpftl", SANITIZED)
-    return (DeviceModel(ftl).run(make_trace(ops)), ftl,
-            sum(n for _, _, n in ops))
-
-
-def follow_up_after_abort_run():
-    """A replay on a device whose previous replay died mid-loop."""
-    ftl = make_ftl("dftl", ROOMY)
-    device = DeviceModel(ftl)
-    original, served = ftl.serve_request, [0]
-
-    def exploding(request):
-        served[0] += 1
-        if served[0] == 151:
-            raise RuntimeError("injected mid-run fault")
-        return original(request)
-
-    ftl.serve_request = exploding
-    with pytest.raises(RuntimeError, match="injected"):
-        device.run(small_trace(count=400))
-    ftl.serve_request = original
-    return device.run(small_trace(count=120, seed=21))
-
-
-#: hand-built devices (background GC, FTLSan, warmup, heavy GC, reuse)
-RUN_CELLS = {
-    "device/warmup-dftl": lambda: DeviceModel(
-        make_ftl("dftl", ROOMY), sample_interval=200).run(
-            small_trace(), warmup_requests=300),
-    "device/background-gc-optimal": lambda: DeviceModel(
-        OptimalFTL(TINY), background_gc=True).run(
-            bursty_write_trace(bursts=60)),
-    "device/sanitized-tpftl": lambda: sanitized_run()[0],
-    "device/gc-heavy-dftl": lambda: DeviceModel(
-        make_ftl("dftl", GC_HEAVY)).run(gc_heavy_trace()),
-    "device/follow-up-after-abort": follow_up_after_abort_run,
-}
-
-
-def flash_state(flash):
-    """The array block for block, as JSON-safe rows."""
-    return [[block.kind.value, block.erase_count, block.valid_count,
-             block.invalid_count, block.bad_count, block._write_ptr,
-             block.last_program_seq, list(block._meta)]
-            for block in flash.blocks]
-
-
-def fault_outcome(ftl, trace, arm_cut_after=None):
-    """Digest of a run under faults: result (or the typed failure),
-    injector counters and the flash end state."""
-    flash = ftl.flash
-    injector = flash.injector
-    if arm_cut_after is not None:
-        injector.arm_power_loss(arm_cut_after)
-    try:
-        outcome = encode_result(DeviceModel(ftl).run(trace))
-    except (PowerLossError, DeviceWornOutError) as exc:
-        outcome = f"{type(exc).__name__}: {exc}"
-    stats = flash.stats
-    payload = json.dumps({
-        "outcome": outcome,
-        "ops_seen": injector.ops_seen,
-        "injected": [injector.injected_read_errors,
-                     injector.injected_program_failures,
-                     injector.injected_erase_failures,
-                     injector.power_cuts],
-        "op_seq": flash.op_seq,
-        "counts": [stats.data_reads, stats.translation_reads,
-                   stats.data_writes, stats.translation_writes,
-                   stats.total_erases],
-        "faults": stats.fault_summary(),
-        "retired": flash.retired_block_ids,
-        "flash": flash_state(flash),
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def media_fault_cell(ftl_name):
-    """Read + program + erase faults as in ``experiments/faults.py``."""
-    config = media_fault_config(ftl_name, program_faults=True)
-    trace = make_preset("financial1", num_requests=2_000,
-                        logical_pages=config.ssd.logical_pages)
-    return fault_outcome(make_ftl(ftl_name, config), trace)
-
-
-#: three fault plans: read-only, read+program+erase, an armed power cut
-FAULT_CELLS = {
-    "faults/read-only-optimal": lambda: fault_outcome(
-        OptimalFTL(SimulationConfig(ssd=dataclasses.replace(
-            TINY_SSD, read_error_rate=0.01))), small_trace(count=600)),
-    "faults/media-dftl": lambda: media_fault_cell("dftl"),
-    "faults/media-tpftl": lambda: media_fault_cell("tpftl"),
-    "faults/power-cut-dftl": lambda: fault_outcome(
-        make_ftl("dftl", TINY), small_trace(count=600),
-        arm_cut_after=POWER_CUT_AFTER),
-}
-
-
-def cell(name):
-    """Compute one cell's frozen string from scratch."""
-    if name in SPEC_CELLS:
-        return result_digest(execute_spec(SPEC_CELLS[name]))
-    if name in RUN_CELLS:
-        return result_digest(RUN_CELLS[name]())
-    return FAULT_CELLS[name]()
-
-
-def all_cells():
-    import test_traffic
-    return {**{name: (lambda name=name: cell(name))
-               for name in (*SPEC_CELLS, *RUN_CELLS, *FAULT_CELLS)},
-            **test_traffic.GOLDEN_CELLS}
-
-
-def write_golden():
-    """Recompute every cell and rewrite ``golden_digests.json``."""
-    table = {
-        "cells": {name: run() for name, run in sorted(all_cells().items())},
-        "specs": {name[len("bench/"):]: spec.digest
-                  for name, spec in SPEC_CELLS.items()
-                  if name.startswith("bench/")},
-    }
-    GOLDEN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True)
-                           + "\n", encoding="utf-8")
-
-
-def check(name):
-    assert cell(name) == golden_digests()["cells"][name]
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +207,7 @@ class TestPlanSelectsMechanics:
 
 
 def check_every_selection(ftl):
-    """Wrap victim selection: the heap's pick must be the full scan's,
+    """Wrap victim selection: the index's pick must be the full scan's,
     and the running erase-count spread a full scan's; -> call counter."""
     flash, select, checks = ftl.flash, ftl._select_victim, [0]
 
@@ -409,8 +224,15 @@ def check_every_selection(ftl):
     return checks
 
 
-class TestVictimHeapEquivalence:
-    """The lazy heap and the running spread against full scans."""
+def gc_ready_ftl():
+    """DFTL on the tiny device, run until GC has victims to choose from."""
+    ftl = make_ftl("dftl", GC_HEAVY)
+    DeviceModel(ftl).run(gc_heavy_trace())
+    return ftl
+
+
+class TestVictimIndexEquivalence:
+    """The counting index and the running spread against full scans."""
 
     @given(seed=st.integers(0, 2 ** 16),
            write_ratio=st.floats(0.5, 1.0),
@@ -439,9 +261,9 @@ class TestVictimHeapEquivalence:
             pass
         assert checks[0] > 0
 
-    def test_worn_array_reaches_the_heap(self):
+    def test_worn_array_reaches_the_index(self):
         """Bad pages and retired blocks, which the old fast mode
-        refused, select through the same heap."""
+        refused, select through the same index."""
         ftl = make_ftl("dftl", media_fault_config("dftl", True))
         checks = check_every_selection(ftl)
         trace = make_preset("financial1", num_requests=2_000,
@@ -454,17 +276,39 @@ class TestVictimHeapEquivalence:
         assert ftl.flash.bad_page_count > 0
         assert ftl.flash.retired_block_count > 0
 
+    def test_power_cut_on_the_erase_leaves_the_victim_selectable(self):
+        """The index forgets a block where its state changes, which is
+        after the injector had its say on the erase."""
+        ftl = gc_ready_ftl()
+        flash, victim = ftl.flash, ftl._select_victim()
+
+        def erase_as_power_dies(block_id):
+            flash.injector.arm_power_loss(0)
+            return type(flash).erase(flash, block_id)
+
+        flash.erase = erase_as_power_dies
+        with pytest.raises(PowerLossError):
+            ftl._collect(victim, AccessResult())
+        assert victim.valid_count == 0 and not victim.is_free
+        assert ftl._select_victim() is victim
+
+    def test_failed_erase_leaves_the_block_in_no_bucket(self):
+        ftl = gc_ready_ftl()
+        victim = ftl._select_victim()
+        ftl.flash.injector.erase_fails = lambda: True
+        ftl._collect(victim, AccessResult())
+        assert victim.kind is BlockKind.RETIRED and victim.invalid_count
+        assert not any(victim.block_id in bucket
+                       for bucket in ftl.flash.victim_index)
+        assert ftl._select_victim() is not victim
+
 
 class TestGCTimeFractionInvariant:
     """Regression: background GC used to push the fraction past 1."""
 
-    @pytest.mark.parametrize("fast", (False, True))
-    def test_fraction_bounded_with_background_gc(self, tiny_config,
-                                                 fast):
+    def test_fraction_bounded_with_background_gc(self, tiny_config):
         device = DeviceModel(OptimalFTL(tiny_config), background_gc=True)
-        trace = bursty_write_trace(bursts=80)
-        runner = run_fast if fast else type(device).run
-        result = runner(device, trace)
+        result = device.run(bursty_write_trace(bursts=80))
         # the setup reproduces the bug: plenty of background GC time
         # relative to request service time
         assert result.background_gc_time_us > 0.0

@@ -7,7 +7,7 @@ from repro.config import (CacheConfig, SimulationConfig, SSDConfig,
 from repro.errors import SimInvariantError
 from repro.ftl import TPFTL
 from repro.ftl.tpftl import EntryNode, TPNode
-from repro.types import Op, Request
+from repro.types import AccessResult, Op, Request
 
 
 def make_tpftl(monogram: str = "rsbc", entry_slots: int = 8,
@@ -112,6 +112,40 @@ class TestPageLevelHotness:
         # touch one entry of A: A's mean stays below B's
         ftl.read_page(0)
         assert ftl.page_list.mru.vtpn == ftl.geometry.vtpn_of(epp)
+        ftl.assert_invariants()
+
+    def test_touch_that_keeps_the_order_moves_nothing(self):
+        ftl = make_tpftl("-", entry_slots=12)
+        epp = ftl.geometry.entries_per_page
+        for lpn in (2 * epp, epp, epp + 1, epp + 2, 0):
+            ftl.read_page(lpn)
+        order = [node.vtpn for node in ftl.page_list]
+        assert order == [0, 1, 2]
+        middle = ftl.by_vtpn[1]
+        neighbours = (middle.prev, middle.next)
+        ftl.read_page(epp)  # mean (3 + 4 + 6) / 3 stays under node 0's 5
+        assert (middle.prev, middle.next) == neighbours
+        assert [node.vtpn for node in ftl.page_list] == order
+        assert middle.hotness == middle.hot_sum / len(middle) == 13 / 3
+        ftl.assert_invariants()
+
+    def test_touched_node_moves_down_past_a_neighbour_evictions_heated(
+            self):
+        """Evictions heat a node without re-sorting it, so a touch can
+        find the *colder* neighbour hotter than the touched node; looking
+        hotter-ward only would leave the two out of order for good."""
+        ftl = make_tpftl("-", entry_slots=12)
+        epp = ftl.geometry.entries_per_page
+        for lpn in (epp, epp + 1, 0, 1, 2, 2 * epp, epp + 2):
+            ftl.read_page(lpn)
+        assert [node.vtpn for node in ftl.page_list] == [2, 0, 1]
+        heated = ftl.by_vtpn[1]
+        for _ in range(2):  # drop its two cold entries: mean 10/3 -> 7
+            assert ftl._evict_one(heated, AccessResult())
+        assert [node.vtpn for node in ftl.page_list] == [2, 0, 1]
+        assert heated.hotness == 7.0 > heated.prev.hotness
+        ftl.read_page(0)  # node 0: 4 -> 17/3, under node 2's 6
+        assert [node.vtpn for node in ftl.page_list] == [2, 1, 0]
         ftl.assert_invariants()
 
     def test_eviction_comes_from_coldest_node(self):

@@ -14,6 +14,7 @@ from repro.errors import SimInvariantError
 keys = st.integers(min_value=0, max_value=20)
 values = st.integers()
 picks = st.integers(min_value=0, max_value=1 << 16)
+list_keys = st.integers(min_value=0, max_value=4).map(float)
 
 
 class LRUDictMachine(RuleBasedStateMachine):
@@ -78,12 +79,27 @@ TestLRUDictMachine.settings = settings(max_examples=40,
                                        deadline=None)
 
 
+def settle_model(model, node):
+    """``LRUList.settle`` on a plain list (index 0 = MRU)."""
+    at, key = model.index(node), node.hotness
+    to = at
+    if at > 0 and model[at - 1].hotness < key:
+        while to > 0 and model[to - 1].hotness < key:
+            to -= 1
+    else:
+        while to + 1 < len(model) and model[to + 1].hotness > key:
+            to += 1
+    model.insert(to, model.pop(at))
+
+
 class LRUListMachine(RuleBasedStateMachine):
     """Drive LRUList and a plain list (index 0 = MRU) with the same ops.
 
     Removed nodes go back to a free pool and are re-inserted later, so
-    the remove + ``insert_before``/``push_lru`` splice that TPFTL's
-    ``_reposition`` performs is exercised on nodes with a history.
+    ``settle`` splices nodes with a history.  Keys come from a handful
+    of values so ties are common, and ``drift`` changes a key without
+    settling — what a TPFTL eviction does — so the list is sorted only
+    locally and ``settle`` has to move nodes toward either end.
     """
 
     def __init__(self):
@@ -92,30 +108,26 @@ class LRUListMachine(RuleBasedStateMachine):
         self.model = []
         self.free = [LRUNode() for _ in range(6)]
 
-    def _take_free(self, pick):
-        return self.free.pop(pick % len(self.free))
-
     @precondition(lambda self: self.free)
-    @rule(pick=picks)
-    def push_mru(self, pick):
-        node = self._take_free(pick)
+    @rule(pick=picks, key=list_keys)
+    def push_mru(self, pick, key):
+        node = self.free.pop(pick % len(self.free))
+        node.hotness = key
         self.dut.push_mru(node)
         self.model.insert(0, node)
 
-    @precondition(lambda self: self.free)
-    @rule(pick=picks)
-    def push_lru(self, pick):
-        node = self._take_free(pick)
-        self.dut.push_lru(node)
-        self.model.append(node)
+    @precondition(lambda self: self.model)
+    @rule(at=picks, key=list_keys)
+    def settle(self, at, key):
+        node = self.model[at % len(self.model)]
+        node.hotness = key
+        self.dut.settle(node)
+        settle_model(self.model, node)
 
-    @precondition(lambda self: self.free and self.model)
-    @rule(pick=picks, at=picks)
-    def insert_before(self, pick, at):
-        node = self._take_free(pick)
-        index = at % len(self.model)
-        self.dut.insert_before(self.model[index], node)
-        self.model.insert(index, node)
+    @precondition(lambda self: self.model)
+    @rule(at=picks, key=list_keys)
+    def drift(self, at, key):
+        self.model[at % len(self.model)].hotness = key
 
     @precondition(lambda self: self.model)
     @rule(at=picks)
@@ -127,20 +139,15 @@ class LRUListMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.model)
     @rule(at=picks)
     def inserting_a_linked_node_is_rejected(self, at):
-        node = self.model[at % len(self.model)]
-        for insert in (self.dut.push_mru, self.dut.push_lru,
-                       lambda n: self.dut.insert_before(self.model[0], n)):
-            with pytest.raises(SimInvariantError):
-                insert(node)
+        with pytest.raises(SimInvariantError):
+            self.dut.push_mru(self.model[at % len(self.model)])
 
-    @precondition(lambda self: len(self.free) >= 2)
+    @precondition(lambda self: self.free)
     @rule()
     def unlinked_nodes_are_rejected(self):
-        anchor, node = self.free[:2]
-        with pytest.raises(SimInvariantError):
-            self.dut.remove(node)
-        with pytest.raises(SimInvariantError):
-            self.dut.insert_before(anchor, node)
+        for misuse in (self.dut.remove, self.dut.settle):
+            with pytest.raises(SimInvariantError):
+                misuse(self.free[0])
 
     @invariant()
     def same_order_and_size(self):
@@ -151,10 +158,12 @@ class LRUListMachine(RuleBasedStateMachine):
 
     @invariant()
     def same_neighbours(self):
-        padded = [None] + self.model + [None]
-        for index, node in enumerate(self.model, start=1):
-            assert self.dut.prev_of(node) is padded[index - 1]
-            assert self.dut.next_of(node) is padded[index + 1]
+        """Both pointers of every node, the sentinels' keys at the ends."""
+        for before, node in zip(self.model, self.model[1:]):
+            assert before.next is node and node.prev is before
+        if self.model:
+            assert self.model[0].prev.hotness == float("inf")
+            assert self.model[-1].next.hotness == float("-inf")
 
     @invariant()
     def linked_iff_listed(self):

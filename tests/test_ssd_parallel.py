@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigError, WorkloadError
 from repro.ftl import DFTL, OptimalFTL
-from repro.ssd import DeviceModel, make_device
+from repro.ssd import DeviceModel
 from repro.types import Op, Request, Trace
 
 from conftest import make_trace, random_ops
@@ -70,12 +70,6 @@ class TestChannelDevice:
             make_trace([(Op.READ, 0, 1)]))
         assert result.channels == 4
         assert result.summary()["channels"] == 4
-
-
-class TestMakeDevice:
-    def test_invalid_count_rejected(self, tiny_config):
-        with pytest.raises(ConfigError):
-            make_device(OptimalFTL(tiny_config), channels=0)
 
 
 class TestQueueDelayAttribution:

@@ -23,7 +23,7 @@ from repro.experiments.runner import (RunSpec, clear_run_caches,
                                       decode_result, encode_result,
                                       execute_spec)
 from repro.ftl import make_ftl
-from repro.ssd import DeviceModel, run_fast, simulate
+from repro.ssd import DeviceModel, simulate
 from repro.types import Op, Request, Trace
 from repro.workloads import (ARRIVAL_KINDS, ArrivalModel, TenantSpec,
                              TrafficSpec, compose, uniform_mix)
@@ -67,7 +67,7 @@ def mix_digest(qos, channels=1, weights=None):
 
 
 #: tenant-mix cells of ``tests/golden_digests.json`` (frozen from the
-#: reference core; ``test_fastpath.write_golden`` regenerates them)
+#: reference core; ``golden_cells.write_golden`` regenerates them)
 GOLDEN_CELLS = {
     "traffic/fifo": lambda: mix_digest("fifo"),
     "traffic/fair": lambda: mix_digest("fair", weights=(4.0, 2.0, 1.0)),
@@ -299,8 +299,6 @@ class TestDeviceTenancy:
         device = DeviceModel(make_ftl("dftl", tiny_config))
         with pytest.raises(WorkloadError, match="non-decreasing"):
             device.run(trace)
-        with pytest.raises(WorkloadError, match="non-decreasing"):
-            run_fast(DeviceModel(make_ftl("dftl", tiny_config)), trace)
 
     def test_channel_parallel_service_stripes_from_cursor_zero(
             self, tiny_config):
