@@ -225,7 +225,3 @@ def _write_manifest(runner) -> Optional[Path]:
         return runner.write_failure_manifest(target)
     except OSError:
         return None
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

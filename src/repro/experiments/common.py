@@ -13,7 +13,7 @@ instantly once any of them has run, even across interpreter restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..config import CacheConfig, SimulationConfig, SSDConfig, TPFTLConfig
 from ..errors import ConfigError
@@ -37,7 +37,8 @@ CACHE_FRACTIONS = (1 / 128, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4,
 class ExperimentScale:
     """Runtime/fidelity knobs shared by every experiment.
 
-    ``small`` is sized for CI and pytest-benchmark; ``full`` runs the
+    ``small`` is the default scale: the one CI runs and the one
+    EXPERIMENTS.md and ``BENCH_runner.json`` record; ``full`` runs the
     default preset sizes with longer traces (minutes per figure).
     """
 
@@ -79,6 +80,23 @@ class ExperimentScale:
                    sample_interval=10_000)
 
 
+class ClaimVerdict(NamedTuple):
+    """One row of :mod:`~repro.experiments.claims` judged on a result."""
+
+    ref: str
+    text: str
+    #: ``"✓"`` holds, ``"✗"`` refuted (or the predicate raised),
+    #: ``"n/a"`` the run is shorter than the row's request floor
+    mark: str
+    #: why a row is not ``✓``: the floor, or the exception text
+    detail: str
+
+    def line(self) -> str:
+        """The verdict as ``render()`` prints it."""
+        return (f"{self.mark} {self.ref}: {self.text}"
+                + (f" ({self.detail})" if self.detail else ""))
+
+
 @dataclass
 class ExperimentResult:
     """A rendered experiment: a title, a table, and raw data."""
@@ -90,17 +108,23 @@ class ExperimentResult:
     notes: str = ""
     #: machine-readable payload for tests and downstream tooling
     data: Dict[str, object] = field(default_factory=dict)
+    #: the paper's claims about this artifact, judged by
+    #: :func:`~repro.experiments.registry.run_experiment`
+    verdicts: List[ClaimVerdict] = field(default_factory=list)
 
     def render(self, precision: int = 4) -> str:
-        """Render the result as an aligned text table."""
+        """Render the result as an aligned text table, the free-text
+        paper note and one verdict line per claim."""
         text = format_table(self.headers, self.rows, precision=precision,
                             title=f"[{self.experiment_id}] {self.title}")
         if self.notes:
             text += f"\n{self.notes}"
+        for verdict in self.verdicts:
+            text += f"\n{verdict.line()}"
         return text
 
     def to_json(self) -> str:
-        """Serialise the result (headers, rows, data) as JSON.
+        """Serialise the result (headers, rows, data, claims) as JSON.
 
         Non-string dictionary keys in ``data`` (tuples, floats) are
         stringified so the payload is loadable anywhere; intended for
@@ -122,6 +146,7 @@ class ExperimentResult:
             "rows": keyed(self.rows),
             "notes": self.notes,
             "data": keyed(self.data),
+            "claims": [verdict._asdict() for verdict in self.verdicts],
         }, indent=2)
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from ..errors import ExperimentError
-from . import (analysis, channels, faults, fig1, fig2, fig6, fig7, fig8,
-               fig9, fig10, model_check, table2, threshold_sweep,
+from . import (analysis, channels, claims, faults, fig1, fig2, fig6, fig7,
+               fig8, fig9, fig10, model_check, table2, threshold_sweep,
                traffic)
 from .common import ExperimentResult, ExperimentScale
 
@@ -45,7 +45,8 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentScale], ExperimentResult]] = {
 
 def run_experiment(experiment_id: str,
                    scale: ExperimentScale = None) -> ExperimentResult:
-    """Run one experiment by id (e.g. ``"fig6a"``)."""
+    """Run one experiment by id (e.g. ``"fig6a"``) and judge the
+    paper's claims about it (:mod:`~repro.experiments.claims`)."""
     if scale is None:
         scale = ExperimentScale.small()
     try:
@@ -54,4 +55,6 @@ def run_experiment(experiment_id: str,
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; choose from "
             f"{', '.join(EXPERIMENTS)}") from None
-    return runner(scale)
+    result = runner(scale)
+    result.verdicts = claims.evaluate(result, scale)
+    return result

@@ -17,8 +17,9 @@ regardless of scale, workload mix or FTL configuration.
 Every cell routes through the supervised
 :class:`~repro.experiments.runner.ParallelRunner` (content-addressed
 cache, watchdog/retry, ``--jobs`` fan-out).  ``python -m
-repro.experiments.traffic`` runs the sweep and writes the trajectory to
-``BENCH_traffic.json``::
+repro.experiments traffic --json DIR`` runs the sweep; the ``data`` of
+``DIR/traffic_small.json`` is the trajectory ``BENCH_traffic.json``
+records::
 
     {"bench": "traffic", "schema": 1, "load_sweep": [0.5, ...],
      "cells": [{"load": 2.0, "qos": "fair",
@@ -28,11 +29,7 @@ repro.experiments.traffic`` runs the sweep and writes the trajectory to
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..errors import ExperimentError
 from ..metrics import ResponseStats
@@ -176,45 +173,3 @@ def run(scale: ExperimentScale) -> ExperimentResult:
             "cells": cells,
         },
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: run the sweep and write ``BENCH_traffic.json``."""
-    parser = argparse.ArgumentParser(
-        prog="traffic",
-        description="Sweep multi-tenant offered load under FIFO vs "
-                    "fair-share dispatch and archive the trajectory")
-    parser.add_argument("--requests", type=int, default=None,
-                        help="total trace requests across tenants "
-                             "(default: the small scale)")
-    parser.add_argument("--warmup", type=int, default=None,
-                        help="warmup requests before measurement")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for independent cells")
-    parser.add_argument("--out", metavar="FILE",
-                        default="BENCH_traffic.json",
-                        help="where to write the measured trajectory")
-    args = parser.parse_args(argv)
-    scale = ExperimentScale.small()
-    overrides = {}
-    if args.requests is not None:
-        overrides["num_requests"] = args.requests
-    if args.warmup is not None:
-        overrides["warmup_requests"] = args.warmup
-    if overrides:
-        import dataclasses
-        scale = dataclasses.replace(scale, **overrides)
-    if args.jobs is not None:
-        from .runner import configure_runner
-        configure_runner(jobs=args.jobs)
-    result = run(scale)
-    print(result.render(), file=sys.stderr)
-    Path(args.out).write_text(
-        json.dumps(result.data, indent=2, sort_keys=False) + "\n",
-        encoding="utf-8")
-    print(f"traffic trajectory -> {args.out}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

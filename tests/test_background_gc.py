@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from repro.config import SimulationConfig, SSDConfig
 from repro.ftl import OptimalFTL, make_ftl
 from repro.ssd import DeviceModel
 from repro.types import Op, Request, Trace
+from repro.workloads import financial1
 
 
 def bursty_write_trace(pages=512, bursts=40, burst_len=20,
@@ -65,6 +67,21 @@ class TestBackgroundGC:
         ftl = OptimalFTL(tiny_config)
         assisted = DeviceModel(ftl, background_gc=True).run(trace)
         assert assisted.response.mean <= plain.response.mean
+
+    def test_background_gc_does_not_slow_tpftl_on_financial1(self):
+        """The translation-block side of idle GC: on an OLTP trace with
+        real idle gaps TPFTL's foreground response must not pay for
+        it."""
+        pages = 16_384
+        config = SimulationConfig(ssd=SSDConfig(logical_pages=pages))
+        trace = financial1(logical_pages=pages, num_requests=10_000)
+        means = {}
+        for enabled in (False, True):
+            device = DeviceModel(make_ftl("tpftl", config),
+                                 background_gc=enabled)
+            means[enabled] = device.run(
+                trace, warmup_requests=2_500).response.mean
+        assert means[True] <= means[False] * 1.05
 
     def test_background_gc_preserves_consistency(self, tiny_config):
         ftl = make_ftl("tpftl", tiny_config)

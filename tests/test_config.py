@@ -175,6 +175,23 @@ class TestNANDProfiles:
         assert slc.read_us < mlc.read_us < tlc.read_us
         assert slc.erase_us < mlc.erase_us < tlc.erase_us
 
+    def test_slower_programs_widen_tpftls_gain_over_dftl(self):
+        """§3.3 quantified: every translation write TPFTL avoids is
+        worth more on slower flash."""
+        from repro.ftl import make_ftl
+        from repro.ssd import simulate
+        from repro.workloads import financial1
+        trace = financial1(logical_pages=4096, num_requests=4_000)
+        gain = {}
+        for nand, profile in (("slc", SSDConfig.slc),
+                              ("tlc", SSDConfig.tlc)):
+            config = SimulationConfig(ssd=profile(logical_pages=4096))
+            mean = {name: simulate(make_ftl(name, config), trace,
+                                   warmup_requests=1_000).response.mean
+                    for name in ("dftl", "tpftl")}
+            gain[nand] = 1.0 - mean["tpftl"] / mean["dftl"]
+        assert gain["tlc"] >= gain["slc"] - 0.03
+
     def test_overrides_respected(self):
         mlc = SSDConfig.mlc(logical_pages=4096, write_us=800.0)
         assert mlc.logical_pages == 4096

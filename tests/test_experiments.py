@@ -1,19 +1,26 @@
 """The experiment runners produce well-formed, paper-shaped results.
 
 Runs at a micro scale (a few thousand requests) so the whole module
-stays fast; the shape assertions here are deliberately loose — the
-benchmarks run the real scales and EXPERIMENTS.md records the numbers.
+stays fast.  The paper's orderings live in one table,
+``repro.experiments.claims``; the figure tests here assert that none of
+an artifact's claims is refuted at micro scale, and EXPERIMENTS.md
+records the same verdicts from a small-scale run.
 """
+
+import dataclasses
+import itertools
+import json
+import re
 
 import pytest
 
 from repro.config import TPFTLConfig
 from repro.errors import ConfigError, ExperimentError
-from repro.experiments import (EXPERIMENTS, ExperimentScale,
-                               run_experiment)
-from repro.experiments.common import (ABLATION_CONFIGS, WORKLOADS,
-                                      build_workload, run_one,
-                                      simulation_config)
+from repro.experiments import (EXPERIMENTS, ExperimentResult,
+                               ExperimentScale, run_experiment)
+from repro.experiments.claims import CLAIMS, evaluate
+from repro.experiments.common import (ABLATION_CONFIGS, build_workload,
+                                      run_one, simulation_config)
 from repro.experiments.runner import (RunSpec, clear_run_caches,
                                       execute_spec)
 
@@ -79,123 +86,122 @@ class TestRegistry:
             run_experiment("fig99", MICRO)
 
 
+def claims_hold(experiment_id):
+    """Run one artifact at micro scale; none of its claims may be ✗."""
+    result = run_experiment(experiment_id, MICRO)
+    assert result.verdicts, experiment_id
+    assert "✗" not in [v.mark for v in result.verdicts], result.render()
+    return result
+
+
+def holds(experiment_id):
+    """A test method whose whole body is :func:`claims_hold`."""
+    def test(self):
+        claims_hold(experiment_id)
+    return test
+
+
 class TestHeadlineShapes:
     """The paper's directional claims at micro scale."""
 
-    def test_fig6a_tpftl_prd_lowest_demand_based(self):
-        result = run_experiment("fig6a", MICRO)
-        for workload in WORKLOADS:
-            row = result.data[workload]
-            assert row["tpftl"] < row["dftl"]
-            assert row["tpftl"] <= row["sftl"] + 0.02
-            assert row["optimal"] == 0.0
-
-    def test_fig6b_tpftl_beats_dftl(self):
-        result = run_experiment("fig6b", MICRO)
-        for workload in WORKLOADS:
-            row = result.data[workload]
-            assert row["tpftl"] > row["dftl"] - 0.02
-            assert row["optimal"] == 1.0
-
-    def test_fig6d_tpftl_reduces_translation_writes(self):
-        result = run_experiment("fig6d", MICRO)
-        for workload in WORKLOADS:
-            row = result.data[workload]
-            assert row["tpftl"] < row["dftl"]
-
-    def test_fig6e_tpftl_not_slower_than_dftl(self):
-        result = run_experiment("fig6e", MICRO)
-        for workload in WORKLOADS:
-            row = result.data[workload]
-            assert row["tpftl"] <= row["dftl"] * 1.02
-
-    def test_fig6f_wa_ordering(self):
-        result = run_experiment("fig6f", MICRO)
-        for workload in WORKLOADS:
-            row = result.data[workload]
-            assert row["optimal"] <= row["tpftl"] + 0.05
-            assert row["tpftl"] <= row["dftl"] + 0.05
-
-    def test_table2_deviations_positive(self):
-        result = run_experiment("table2", MICRO)
-        for workload in WORKLOADS:
-            assert result.data[workload]["performance"] > 0.0
-            # erasure deviation can be ~0 at micro scale on read-heavy
-            # workloads (barely any GC in 2.5k requests)
-            assert result.data[workload]["erasure"] >= 0.0
-
-    def test_fig7a_tpftl_erases_fewer_blocks(self):
-        result = run_experiment("fig7a", MICRO)
-        for workload in WORKLOADS:
-            assert result.data[workload]["tpftl"] < 1.0  # vs DFTL
+    test_fig6a_tpftl_prd_lowest_demand_based = holds("fig6a")
+    test_fig6b_tpftl_beats_dftl = holds("fig6b")
+    test_fig6d_tpftl_reduces_translation_writes = holds("fig6d")
+    test_fig6e_tpftl_not_slower_than_dftl = holds("fig6e")
+    test_fig6f_wa_ordering = holds("fig6f")
+    test_table2_deviations_positive = holds("table2")
+    test_fig7a_tpftl_erases_fewer_blocks = holds("fig7a")
 
 
 class TestObservationFigures:
-    def test_fig1a_entries_well_below_page_capacity(self):
-        result = run_experiment("fig1a", MICRO)
-        # paper observation: a small fraction of each page is cached
-        for row in result.rows:
-            mean = row[2]
-            assert mean < 1024
+    test_fig1a_entries_well_below_page_capacity = holds("fig1a")
+    test_fig2b_series_collected = holds("fig2b")
 
     def test_fig1b_multi_dirty_pages_exist(self):
-        result = run_experiment("fig1b", MICRO)
-        for workload, payload in result.data.items():
-            assert payload["fraction_pages_multi_dirty"] > 0.0
+        for payload in claims_hold("fig1b").data.values():
             assert payload["cdf"]  # non-empty CDF
 
     def test_fig2a_density_map_rendered(self):
-        result = run_experiment("fig2a", MICRO)
-        assert result.data["density_map"]
-        assert result.data["requests"] == MICRO.num_requests
-
-    def test_fig2b_series_collected(self):
-        result = run_experiment("fig2b", MICRO)
-        assert len(result.data["series"]) > 0
+        assert claims_hold("fig2a").data["requests"] == MICRO.num_requests
 
 
 class TestAblationAndSweeps:
+    test_fig7c_prefetching_helps_hit_ratio = holds("fig7c")
+    test_fig8a_complete_tpftl_beats_dftl = holds("fig8a")
+    test_fig8c_prd_vanishes_with_full_cache = holds("fig8c")
+    test_fig9a_hit_ratio_improves_with_cache = holds("fig9a")
+    test_fig9c_wa_shrinks_with_cache = holds("fig9c")
+    test_fig10_improvement_bounded = holds("fig10")
+
     def test_fig7b_batch_update_cuts_prd(self):
-        result = run_experiment("fig7b", MICRO)
-        data = result.data
-        assert set(data) == set(ABLATION_CONFIGS)
-        assert data["b"] < data["-"]
-        assert data["rsbc"] < data["dftl"]
+        assert set(claims_hold("fig7b").data) == set(ABLATION_CONFIGS)
 
-    def test_fig7c_prefetching_helps_hit_ratio(self):
+
+class TestClaimsTable:
+    """The table itself: coverage, floors, failure modes, rendering."""
+
+    def test_every_paper_artifact_has_a_referenced_claim(self):
+        paper = [i for i in EXPERIMENTS
+                 if i == "table2" or i.startswith("fig")]
+        assert len(paper) == 21 and set(paper) <= set(CLAIMS)
+        assert set(CLAIMS) <= set(EXPERIMENTS)
+        rows = list(itertools.chain.from_iterable(CLAIMS.values()))
+        for claim in rows:
+            assert re.search(r"(Fig \d+[a-f]?|Table \d+)$", claim.ref)
+            assert claim.text and "\n" not in claim.text
+        assert len([c for c in rows if c.min_requests]) == 4
+
+    @pytest.mark.parametrize("experiment_id", CLAIMS)
+    def test_micro_scale_passes_every_row_above_its_floor(
+            self, experiment_id):
+        """Every artifact, including those without a named test above
+        (Fig 6c, 8b, 9b, the threshold sweep): all ✓ but the floored."""
+        verdicts = run_experiment(experiment_id, MICRO).verdicts
+        assert [v.mark for v in verdicts] == [
+            "n/a" if claim.min_requests > MICRO.num_requests else "✓"
+            for claim in CLAIMS[experiment_id]], verdicts
+
+    def test_doctored_result_is_refuted(self):
+        result = run_experiment("fig6a", MICRO)
+        assert {v.mark for v in result.verdicts} == {"✓"}
+        for row in result.data.values():
+            row["tpftl"], row["dftl"] = row["dftl"], row["tpftl"]
+        marks = {v.text: v.mark for v in evaluate(result, MICRO)}
+        assert marks["TPFTL's Prd is below DFTL's"] == "✗"
+        assert marks["optimal never replaces a dirty entry"] == "✓"
+
+    def test_floor_decides_between_na_and_a_verdict(self):
         result = run_experiment("fig7c", MICRO)
-        data = result.data
-        assert data["rs"] >= data["-"] - 0.02
+        index, = [n for n, claim in enumerate(CLAIMS["fig7c"])
+                  if claim.min_requests]
+        floor = CLAIMS["fig7c"][index].min_requests
+        assert result.verdicts[index].mark == "n/a"
+        assert str(floor) in result.verdicts[index].detail
+        # micro's 's' bar equals '-' to the digit: judged, it is refuted
+        judged = evaluate(
+            result, dataclasses.replace(MICRO, num_requests=floor))[index]
+        assert (judged.mark, judged.detail) == ("✗", "")
 
-    def test_fig8a_complete_tpftl_beats_dftl(self):
-        result = run_experiment("fig8a", MICRO)
-        assert result.data["rsbc"] < result.data["dftl"]
+    def test_raising_predicate_is_refuted_with_the_exception_text(
+            self, monkeypatch):
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig6a", lambda scale: ExperimentResult(
+                "fig6a", "malformed", ["Workload"], [],
+                data={"financial1": {"dftl": 0.5}}))
+        verdicts = run_experiment("fig6a", MICRO).verdicts
+        assert [v.mark for v in verdicts] == ["✗"] * 4
+        assert verdicts[0].detail == "KeyError: 'tpftl'"
 
-    def test_fig8c_prd_vanishes_with_full_cache(self):
-        result = run_experiment("fig8c", MICRO)
-        for workload in WORKLOADS:
-            assert result.data[workload][1.0] == pytest.approx(0.0)
-
-    def test_fig9a_hit_ratio_improves_with_cache(self):
-        result = run_experiment("fig9a", MICRO)
-        for workload in WORKLOADS:
-            series = result.data[workload]
-            # at micro scale compulsory (cold) misses keep the full-table
-            # cache below the paper's asymptotic 100%
-            assert series[1.0] >= 0.7
-            assert series[1.0] >= series[1 / 32] - 1e-9
-
-    def test_fig9c_wa_shrinks_with_cache(self):
-        result = run_experiment("fig9c", MICRO)
-        for workload in WORKLOADS:
-            series = result.data[workload]
-            assert series[1.0] <= series[1 / 32] + 0.05
-
-    def test_fig10_improvement_bounded(self):
-        result = run_experiment("fig10", MICRO)
-        for workload in WORKLOADS:
-            for improvement in result.data[workload].values():
-                assert improvement <= 0.34  # the 8B/6B bound
+    def test_render_and_json_carry_the_verdicts(self):
+        result = run_experiment("fig7c", MICRO)
+        lines = result.render().splitlines()
+        count = len(result.verdicts)
+        assert lines[-count - 1].startswith("paper:")
+        assert lines[-count:] == [v.line() for v in result.verdicts]
+        assert lines[-count].startswith("✓ Fig 7c: ")
+        assert lines[-count + 1].startswith("n/a Fig 7c: ")
+        assert json.loads(result.to_json())["claims"] == [
+            v._asdict() for v in result.verdicts]
 
 
 class TestRendering:

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.flash.block import Block
+from repro.ftl import make_ftl
 from repro.gc import CostBenefitPolicy, GreedyPolicy, WearLeveler
+from repro.ssd import simulate
 from repro.types import BlockKind
+
+from conftest import make_trace, random_ops
 
 
 def make_block(block_id, pages=8, valid=0, invalid=0, erase_count=0,
@@ -84,3 +88,16 @@ class TestWearLeveler:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             WearLeveler(threshold=0)
+
+
+
+@pytest.mark.parametrize("policy", [GreedyPolicy(), CostBenefitPolicy()],
+                         ids=["greedy", "cost-benefit"])
+def test_policy_collects_under_tpftl_and_keeps_the_mapping(tiny_config,
+                                                           policy):
+    """The policies driving a whole FTL, not hand-built blocks."""
+    ftl = make_ftl("tpftl", tiny_config, victim_policy=policy)
+    trace = make_trace(random_ops(1500, 512, seed=4, write_ratio=0.8))
+    assert simulate(ftl, trace).metrics.gc_data_collections > 0
+    ftl.flush()
+    ftl.check_consistency()
