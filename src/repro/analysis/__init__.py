@@ -10,7 +10,7 @@ Two pillars, both specific to this codebase:
   :mod:`repro.analysis.flow` add ``TP1xx`` (run-path state missing
   from the reset path, flash page operations bypassing
   :class:`~repro.flash.FlashMemory` directly or through helpers,
-  frozen-config aliasing, nondeterministic set iteration), ``TP2xx``
+  nondeterministic set iteration), ``TP2xx``
   (address-domain and unit confusion) and ``TP3xx`` (resource and
   ordering protocols across exception edges).  Every rule is listed
   in the one table :data:`RULES`; ``# tp: allow=CODE`` is the one

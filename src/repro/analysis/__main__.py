@@ -15,8 +15,8 @@ Subcommands:
   invocation (tests legitimately use ``assert``, so CI lints them with
   ``--disable TP003``); ``--stats`` prints the per-pass wall-clock
   split.
-* ``mutants`` — self-validate the TP2xx domain pass and the TP3xx
-  protocol pass: apply the seeded mutants from
+* ``mutants`` — self-validate the TP1xx flow, TP2xx domain and TP3xx
+  protocol passes: apply the seeded mutants from
   :mod:`repro.analysis.mutants` to the in-memory sources of ``src``
   and fail unless every mutant is flagged while the pristine tree
   stays clean.
@@ -77,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the per-pass wall-clock split (parse once, then "
              "lint/flow/domains/protocols over the shared project)")
     mutants = sub.add_parser(
-        "mutants", help="self-validate the TP2xx domain and TP3xx "
-                        "protocol passes against the seeded mutant "
-                        "corpus")
+        "mutants", help="self-validate the TP1xx flow, TP2xx domain "
+                        "and TP3xx protocol passes against the seeded "
+                        "mutant corpus")
     mutants.add_argument(
         "--src", default="src", metavar="DIR",
         help="source tree to read and mutate in memory (default: src)")
@@ -216,7 +216,8 @@ def _run_mutants(args: argparse.Namespace) -> int:
 #: ``rules`` subcommand titles them (the SAN table follows)
 _RULE_FAMILIES = (
     ("TP0", "TP0xx AST lint rules (python -m repro.analysis lint):"),
-    ("TP1", "TP1xx interprocedural flow rules (same lint subcommand):"),
+    ("TP1", "TP1xx interprocedural flow rules (same lint subcommand; "
+            "self-validated by the mutants subcommand):"),
     ("TP2", "TP2xx domain/unit rules (same lint subcommand; "
             "self-validated by the mutants subcommand):"),
     ("TP3", "TP3xx typestate/protocol rules (same lint subcommand; "

@@ -14,8 +14,6 @@ TP102     flash bypass: a direct flash page operation outside the flash
           package (the retired TP006), and every call chain that
           reaches one through helpers (the PR-2
           ``_invalidate_remaining`` class)
-TP103     a mutable field of a frozen config aliased into an attribute
-          and later mutated in place (writes through to the config)
 TP104     unordered ``set`` iteration feeding simulation-visible state
           on the run path (nondeterministic replay order)
 ========  ==============================================================
@@ -41,12 +39,15 @@ __all__ = [
     "RESET_METHODS",
     "RUN_ROOTS",
     "analyze",
+    "run_path",
 ]
 
 #: methods that constitute a class's per-run reset protocol
 RESET_METHODS: Tuple[str, ...] = ("_reset_state", "reset")
-#: entry points of the serve/run path
-RUN_ROOTS: Tuple[str, ...] = ("run", "serve_request")
+#: entry points of the serve/run path.  ``_serve_page`` is one because
+#: ``serve_request`` calls it through a local alias of the bound method
+#: (``serve = self._serve_page``), which the call graph does not follow.
+RUN_ROOTS: Tuple[str, ...] = ("run", "serve_request", "_serve_page")
 
 #: page-level flash mutators that must only be called on a FlashMemory
 _FLASH_OPS = frozenset({
@@ -247,54 +248,6 @@ def check_flash_escape(project: Project,
 
 
 # ----------------------------------------------------------------------
-# TP103: frozen-config escape
-# ----------------------------------------------------------------------
-def check_config_escape(project: Project,
-                        engine: FlowEngine) -> List[Finding]:
-    """Flag in-place mutation of attributes aliasing config fields.
-
-    An alias ``self.x = config.field`` is harmless until some method —
-    possibly in a subclass, possibly far from the alias — mutates
-    ``self.x`` in place: the "frozen" config then changes under every
-    other holder of the same object.  Rebinding stores and augmented
-    assigns are exempt (they replace the reference instead of writing
-    through it, or are ambiguous for immutable fields).
-    """
-    findings: List[Finding] = []
-    for cls_qname in sorted(project.classes):
-        info = project.classes[cls_qname]
-        if info.state is None or not info.state.aliases:
-            continue
-        related = [cls_qname] + sorted(project.descendants(cls_qname))
-        for attr in sorted(info.state.aliases):
-            alias = info.state.aliases[attr]
-            for holder in related:
-                holder_info = project.classes.get(holder)
-                if holder_info is None or holder_info.state is None:
-                    continue
-                for method in sorted(holder_info.state.mutations):
-                    for event in holder_info.state.mutations[method]:
-                        if event.attr != attr:
-                            continue
-                        if event.kind not in ("mutcall", "subscript"):
-                            continue
-                        how = (f".{event.detail}()"
-                               if event.kind == "mutcall"
-                               else "item assignment")
-                        found = project.finding(
-                            project.modules[holder_info.module],
-                            "TP103", event.line, event.col,
-                            f"self.{attr} aliases frozen config "
-                            f"field {alias.detail} (bound in "
-                            f"{alias.method}()); in-place {how} "
-                            "writes through to the shared config — "
-                            "copy the field before mutating it")
-                        if found is not None:
-                            findings.append(found)
-    return findings
-
-
-# ----------------------------------------------------------------------
 # TP104: nondeterministic iteration
 # ----------------------------------------------------------------------
 def _family_set_attrs(project: Project, cls_qname: str) -> Set[str]:
@@ -330,22 +283,26 @@ def _iter_loops(fn_node: ast.AST) -> List[Tuple[ast.AST, ast.expr]]:
     return loops
 
 
+def run_path(project: Project, engine: FlowEngine) -> Set[str]:
+    """Qualified names of every function the simulation can reach: the
+    forward closure of every method named in :data:`RUN_ROOTS`."""
+    return engine.reachable_from(
+        [fn.qname for fn in project.functions.values()
+         if fn.cls is not None and fn.name in RUN_ROOTS])
+
+
 def check_unordered_iteration(project: Project,
                               engine: FlowEngine) -> List[Finding]:
     """Flag set iteration in functions reachable from the run path.
 
-    Only functions the simulation can actually reach (the forward
-    closure of every ``run``/``serve_request`` method) are checked, so
-    pure tooling/reporting code may iterate sets freely.  ``dict``
+    Only functions on :func:`run_path` are checked, so pure
+    tooling/reporting code may iterate sets freely.  ``dict``
     iteration is insertion-ordered in the supported interpreters and
     is exempt; wrapping the set in ``sorted(...)`` silences the rule
     structurally.
     """
-    roots = [fn.qname for fn in project.functions.values()
-             if fn.cls is not None and fn.name in RUN_ROOTS]
-    reachable = engine.reachable_from(roots)
     findings: List[Finding] = []
-    for qname in sorted(reachable):
+    for qname in sorted(run_path(project, engine)):
         fn = project.functions[qname]
         module = project.modules[fn.module]
         set_names = _set_locals(fn.node)
@@ -384,7 +341,7 @@ _Pass = Callable[[Project, FlowEngine], List[Finding]]
 _PASSES: Tuple[Tuple[str, Tuple[_Pass, ...]], ...] = (
     ("lint", (lambda project, _engine: check_lexical(project),)),
     ("flow", (check_state_reset, check_flash_escape,
-              check_config_escape, check_unordered_iteration)),
+              check_unordered_iteration)),
     ("domains", (check_domains,)),
     ("protocols", (check_protocols,)),
 )

@@ -9,8 +9,6 @@ what happens to ``self.<attr>``:
   augmented assigns (``self.x += ...``), subscript stores and deletes
   (``self.busy[ch] = ...``), and in-place mutator calls
   (``self.queue.append(...)``, ``.clear()``, ``.update()`` ...);
-* **config aliases** — attributes bound to a *field of a frozen
-  config* (``self.rules = config.rules``), the TP103 seed;
 * **attribute types** — a light inference (``self.flash =
   FlashMemory(...)``, annotated ``__init__`` parameters) that lets the
   call graph resolve ``self.flash.program(...)`` to a real method;
@@ -29,7 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
-from ..lint import _CONFIG_NAMES, _dotted
+from ..lint import _dotted
 
 __all__ = [
     "AttrEvent",
@@ -56,7 +54,7 @@ class AttrEvent:
     ``kind`` is one of ``assign`` (rebinding store), ``augassign``,
     ``subscript`` (item store/delete through the attribute) or
     ``mutcall`` (in-place mutator method call); ``detail`` carries the
-    mutator name or the aliased config chain where relevant.
+    mutator name, or ``selfref`` on a self-referential rebind.
     """
 
     attr: str
@@ -77,29 +75,10 @@ class ClassState:
     mutations: Dict[str, List[AttrEvent]] = field(default_factory=dict)
     #: method name -> rebinding-store events (for run-path reporting)
     assign_events: Dict[str, List[AttrEvent]] = field(default_factory=dict)
-    #: attr -> the config field chain it aliases (``config.rules``)
-    aliases: Dict[str, AttrEvent] = field(default_factory=dict)
     #: attr -> inferred class qname (for call resolution)
     attr_types: Dict[str, str] = field(default_factory=dict)
     #: attrs initialized from set literals/constructors/comprehensions
     set_attrs: Set[str] = field(default_factory=set)
-
-    def assigned_in(self, methods: Set[str]) -> Set[str]:
-        """Attrs rebound by a plain assignment in any of ``methods``."""
-        out: Set[str] = set()
-        for name in methods:
-            out |= self.assigns.get(name, set())
-        return out
-
-    def events_in(self, methods: Set[str],
-                  include_assigns: bool = False) -> List[AttrEvent]:
-        """Mutation events in ``methods`` (optionally also rebinds)."""
-        events: List[AttrEvent] = []
-        for name in sorted(methods):
-            events.extend(self.mutations.get(name, []))
-            if include_assigns:
-                events.extend(self.assign_events.get(name, []))
-        return events
 
 
 def _reads_self_attr(node: ast.AST, attr: str) -> bool:
@@ -130,25 +109,6 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-def _config_chain(node: ast.AST) -> Optional[str]:
-    """The aliased frozen-config field chain, or None.
-
-    Matches ``config.<field>...`` / ``cfg.<field>...`` (any name in the
-    lint pass's frozen-config convention) and the attribute form
-    ``self.config.<field>...``.  A bare config reference (no field) is
-    not an alias — TP004 already polices stores through it.
-    """
-    dotted = _dotted(node)
-    if dotted is None:
-        return None
-    parts = dotted.split(".")
-    if parts[0] in ("self", "cls"):
-        parts = parts[1:]
-    if len(parts) >= 2 and parts[0] in _CONFIG_NAMES:
-        return ".".join(parts)
-    return None
-
-
 class _MethodScanner(ast.NodeVisitor):
     """Collect :class:`AttrEvent` records from one method body."""
 
@@ -175,11 +135,6 @@ class _MethodScanner(ast.NodeVisitor):
                       detail=detail))
         if value is None:
             return
-        chain = _config_chain(value)
-        if chain is not None:
-            self.state.aliases.setdefault(attr, AttrEvent(
-                attr=attr, kind="alias", method=self.method,
-                line=node.lineno, col=node.col_offset, detail=chain))
         if _is_set_expr(value):
             self.state.set_attrs.add(attr)
         self._infer_type(attr, value)

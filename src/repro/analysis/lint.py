@@ -15,9 +15,9 @@ type, the one rule table :data:`RULES` (``TP0xx`` lexical, ``TP1xx``
 flow, ``TP2xx`` domain, ``TP3xx`` typestate; the ``rules`` subcommand,
 the SARIF driver and the documentation test all read it), the
 ``# tp: allow=CODE`` pragma parser and the file walker — plus the
-single-node ``TP0xx`` rules themselves (``TP005`` and ``TP006`` are
-retired and not reused; ``TP006`` lives on as the direct form of
-``TP102``):
+single-node ``TP0xx`` rules themselves (``TP005``, ``TP006`` and
+``TP103`` are retired and not reused; ``TP006`` lives on as the direct
+form of ``TP102``):
 
 ========  ==============================================================
 TP001     unseeded / process-global randomness in simulation code
@@ -59,9 +59,6 @@ RULES: Dict[str, str] = {
     "TP102": ("flash page operation bypassing FlashMemory (and "
               "therefore the FaultInjector), directly or through a "
               "chain of helper calls"),
-    "TP103": ("mutable field of a frozen config aliased into an "
-              "attribute and mutated in place (writes through to the "
-              "shared config)"),
     "TP104": ("unordered set iteration on the simulation path "
               "(replay-visible order is nondeterministic; iterate "
               "sorted(...))"),

@@ -1,4 +1,4 @@
-"""Mutation self-validation of the TP2xx domain and TP3xx protocol passes.
+"""Mutation self-validation of the TP1xx, TP2xx and TP3xx flow passes.
 
 A static analysis that never fires is indistinguishable from one that
 works.  This harness keeps the flow passes honest from both sides: it
@@ -13,8 +13,12 @@ fast-mode window mutants are not reused) cover the TP3xx temporal
 bugs: the supervisor's spawn-failure cleanup removed, a journal
 ``with`` block rewritten as manual ``open``/``close``, a stray second
 ``close()``, an early ``return`` before the ``close()``, and the
-per-run device reset dropped ahead of the serve loop.  The tree is read
-once into a ``{path: source}`` dict; each mutant is applied to a copy
+per-run device reset dropped ahead of the serve loop.  The **flow
+mutants** (``F01``–``F03``) re-seed bugs this repository had, one per
+TP1xx rule: the channel cursor missing from the per-run reset (PR 4),
+the hybrid merge invalidating pages behind ``FlashMemory``'s back
+(PR 2), and GC walking its translation pages in set order.  The tree is
+read once into a ``{path: source}`` dict; each mutant is applied to a copy
 of that dict (nothing is written anywhere) and the harness asserts that
 
 * the **pristine tree is clean**: zero findings (the analysis does not
@@ -45,6 +49,7 @@ from .lint import Finding, normalize_path
 
 __all__ = [
     "DOMAIN_MUTANTS",
+    "FLOW_MUTANTS",
     "MUTANTS",
     "Mutant",
     "MutantApplyError",
@@ -66,7 +71,7 @@ class Mutant:
     mid: str
     #: file to mutate, relative to the ``src`` root
     path: str
-    #: rule expected to kill the mutant (TP201..TP204, TP301..TP305)
+    #: rule expected to kill the mutant (TP1xx, TP2xx or TP3xx)
     rule: str
     description: str
     before: str
@@ -212,8 +217,36 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
 )
 
 
-#: the full corpus the CLI and CI run: domain + protocol mutants
-MUTANTS: Tuple[Mutant, ...] = DOMAIN_MUTANTS + PROTOCOL_MUTANTS
+#: the seeded flow mutants, each a bug this repository once had: every
+#: one must be killed by TP1xx
+FLOW_MUTANTS: Tuple[Mutant, ...] = (
+    Mutant(
+        mid="F01", path="repro/ssd/device.py", rule="TP101",
+        description="channel cursor dropped from the per-run reset: "
+                    "striping resumes where the previous run stopped",
+        before="        self._cursor = 0\n",
+        after=""),
+    Mutant(
+        mid="F02", path="repro/ftl/hybrid.py", rule="TP102",
+        description="switch merge invalidates the old data block's "
+                    "pages on the Block, behind FlashMemory (no fault "
+                    "injector, no victim index)",
+        before="            self.flash.invalidate("
+               "self.flash.ppn_of(block_id, offset))",
+        after="            self.flash.blocks[block_id].invalidate("
+              "offset)"),
+    Mutant(
+        mid="F03", path="repro/ftl/base.py", rule="TP104",
+        description="dropped sorted(): GC updates the translation "
+                    "pages of migrated data in set order",
+        before="        for vtpn in sorted(moved_by_vtpn):",
+        after="        for vtpn in set(moved_by_vtpn):"),
+)
+
+
+#: the full corpus the CLI and CI run
+MUTANTS: Tuple[Mutant, ...] = (DOMAIN_MUTANTS + PROTOCOL_MUTANTS
+                               + FLOW_MUTANTS)
 
 
 @dataclass

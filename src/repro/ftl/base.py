@@ -11,7 +11,9 @@
 
 Subclasses provide only the *mapping-cache policy*: how a translation is
 served (:meth:`_translate`), how a fresh mapping is recorded
-(:meth:`_record_mapping`), and how GC probes/flushes the cache.
+(:meth:`_record_mapping`), and how GC probes/flushes the cache.  Every
+policy hook has a default, and the defaults together are the FTL with no
+cache to manage — the whole table in RAM (§5.1's optimal FTL).
 
 A key representation choice: ``flash_table[lpn]`` always holds what the
 on-flash translation pages currently say.  Cached dirty entries diverge
@@ -22,7 +24,6 @@ implicit (no byte arrays to maintain).
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ..config import SimulationConfig
@@ -46,8 +47,20 @@ _READ_CAUSES = ("load", "writeback", "gc", "migration")
 _WRITE_CAUSES = ("writeback", "gc_update", "migration")
 
 
-class BaseFTL(abc.ABC):
-    """Abstract demand-based page-level FTL over a flash array."""
+def _page_request(op: Op, lpn: int) -> Request:
+    """The one-page request ``read_page`` / ``write_page`` stand for.
+
+    ``Request`` refuses a negative LPN with a bare ``ValueError``; at an
+    FTL entry point it is as untranslatable as an LPN past the end.
+    """
+    try:
+        return Request(0.0, op, lpn, 1)
+    except ValueError as exc:
+        raise TranslationError(str(exc)) from None
+
+
+class BaseFTL:
+    """Page-level FTL over a flash array, minus the mapping-cache policy."""
 
     #: short identifier used by the factory and reports
     name: str = "base"
@@ -83,21 +96,26 @@ class BaseFTL(abc.ABC):
             self.prefill()
 
     # ------------------------------------------------------------------
-    # Policy hooks (the mapping cache) — what subclasses implement
+    # Policy hooks (the mapping cache) — what subclasses override.  The
+    # defaults are the table-in-RAM FTL: with nothing cached apart from
+    # it, ``flash_table`` doubles as the RAM table, so every lookup
+    # hits, GC updates it in place and nothing is ever dirty.
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
+    def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
         """Resolve ``lpn`` to its current PPN, managing the cache.
 
         Must count exactly one lookup (and hit, if served from cache) in
         ``self.metrics`` and charge any flash traffic to ``result`` via
         the ``read_translation_page``/``write_translation_page`` helpers.
-        ``request`` is the host request being served (None for synthetic
-        single-page accesses) so request-aware policies can prefetch.
+        ``request`` is the host request being served, so request-aware
+        policies can prefetch.
         """
+        metrics = self.metrics
+        metrics.lookups += 1
+        metrics.hits += 1
+        return self.flash_table[lpn]
 
-    @abc.abstractmethod
     def _record_mapping(self, lpn: int, ppn: int,
                         result: AccessResult) -> None:
         """Record a fresh LPN->PPN mapping after a user write.
@@ -106,42 +124,38 @@ class BaseFTL(abc.ABC):
         demand-based caches are guaranteed to hold the entry; marking it
         dirty must not incur flash traffic here.
         """
+        self.flash_table[lpn] = ppn
 
-    @abc.abstractmethod
     def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
         """GC hook: update a cached entry in place (making it dirty).
 
         Returns True on a GC hit (entry was cached), False otherwise.
         Must not touch flash.
         """
+        self.flash_table[lpn] = ppn
+        return True
 
     def _gc_flush_extras(self, vtpn: int) -> Dict[int, int]:
         """GC hook: extra cached dirty entries to fold into a forced
         update of translation page ``vtpn`` (TPFTL's piggyback).  The
-        implementation must mark those entries clean.  Default: none."""
+        implementation must mark those entries clean."""
         return {}
 
-    @abc.abstractmethod
+    def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
+        """:meth:`flush` hook, the whole-cache form of the one above:
+        hand over every cached dirty entry as {vtpn: {lpn: ppn}} and
+        mark them all clean."""
+        return {}
+
     def cache_snapshot(self) -> List[Tuple[int, int]]:
         """Describe the cache as (entries, dirty) per cached translation
         page, for the Fig 1/2 sampler."""
-
-    @abc.abstractmethod
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
-        """All dirty cached entries, grouped as {vtpn: {lpn: ppn}}.
-
-        Used by :meth:`flush`; implementations must also expose a way for
-        flush to mark them clean (see :meth:`_mark_all_clean`).
-        """
-
-    def _mark_all_clean(self) -> None:
-        """Mark every cached entry clean (called by :meth:`flush`)."""
-        raise NotImplementedError
+        return []
 
     def cache_peek(self, lpn: int) -> Optional[int]:
         """The cached PPN for ``lpn`` without touching recency, or None.
 
-        Only used by tests and debugging; default None (no cache).
+        Only used by tests and debugging.
         """
         return None
 
@@ -149,26 +163,38 @@ class BaseFTL(abc.ABC):
     # Public API
     # ------------------------------------------------------------------
     def serve_request(self, request: Request) -> AccessResult:
-        """Serve one host request; returns its flash-operation costs."""
+        """Serve one host request; returns its flash-operation costs.
+
+        The one way into the per-page data path.  The request's LPN
+        range is checked first, so a request that leaves the device is
+        refused before any of its pages is served or counted; FTLSan
+        (when attached) sees every page right after :meth:`_serve_page`
+        returned — translation, flash traffic, mapping update and GC all
+        done, the point where every invariant should hold.
+        """
+        first = request.lpn
+        stop = first + request.npages
+        if first < 0 or stop > self.ssd.logical_pages:
+            raise TranslationError(
+                f"LPNs [{first}, {stop}) outside device "
+                f"({self.ssd.logical_pages} pages)")
         result = AccessResult()
         op = request.op
         serve = self._serve_page
-        first = request.lpn
-        for lpn in range(first, first + request.npages):
+        sanitizer = self.sanitizer
+        for lpn in range(first, stop):
             serve(lpn, op, request, result)
+            if sanitizer is not None:
+                sanitizer.after_op(lpn, op)
         return result
 
     def read_page(self, lpn: int) -> AccessResult:
-        """Serve a single-page read (convenience API)."""
-        result = AccessResult()
-        self._serve_page(lpn, Op.READ, None, result)
-        return result
+        """Serve a single-page read: a one-page request."""
+        return self.serve_request(_page_request(Op.READ, lpn))
 
     def write_page(self, lpn: int) -> AccessResult:
-        """Serve a single-page write (convenience API)."""
-        result = AccessResult()
-        self._serve_page(lpn, Op.WRITE, None, result)
-        return result
+        """Serve a single-page write: a one-page request."""
+        return self.serve_request(_page_request(Op.WRITE, lpn))
 
     def lookup_current(self, lpn: int) -> int:
         """The authoritative current PPN for ``lpn`` (cache wins)."""
@@ -184,10 +210,9 @@ class BaseFTL(abc.ABC):
         for tests and for users who want a consistent shutdown.
         """
         result = AccessResult()
-        for vtpn, updates in sorted(self._dirty_entries_by_page().items()):
+        for vtpn, updates in sorted(self._take_dirty_entries().items()):
             self.read_translation_page(vtpn, "writeback", result)
             self.write_translation_page(vtpn, updates, "writeback", result)
-        self._mark_all_clean()
         self._run_gc(result)
         return result
 
@@ -249,13 +274,10 @@ class BaseFTL(abc.ABC):
     # ------------------------------------------------------------------
     # The data path
     # ------------------------------------------------------------------
-    def _serve_page(self, lpn: int, op: Op, request: Optional[Request],
+    def _serve_page(self, lpn: int, op: Op, request: Request,
                     result: AccessResult) -> None:
-        if not 0 <= lpn < self.ssd.logical_pages:
-            raise TranslationError(
-                f"LPN {lpn} outside device ({self.ssd.logical_pages} pages)")
         metrics = self.metrics
-        ppn_old = self._translate(lpn, op, request, result)
+        ppn_old = self._translate(lpn, request, result)
         if op is Op.READ:
             metrics.user_page_reads += 1
             if ppn_old == UNMAPPED:
@@ -284,18 +306,6 @@ class BaseFTL(abc.ABC):
         if (len(flash._free) <= flash._gc_trigger
                 or self.wear_leveler is not None):
             self._run_gc(result)
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.after_op(lpn, op)
-
-    def _sanitize_op(self, lpn: int, op: Op) -> None:
-        """Feed one completed page operation to FTLSan (when attached).
-
-        Subclasses that override :meth:`_serve_page` wholesale must call
-        this at every exit point of their data path.
-        """
-        if self.sanitizer is not None:
-            self.sanitizer.after_op(lpn, op)
 
     # ------------------------------------------------------------------
     # Translation-page flash traffic (helpers for subclasses)

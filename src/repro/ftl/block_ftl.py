@@ -10,13 +10,12 @@ mapping wins; not part of the paper's measured figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..config import SimulationConfig
 from ..errors import ConfigError, FTLError
-from ..metrics import FTLMetrics
 from ..gc import VictimPolicy, WearLeveler
-from ..types import AccessResult, Op, PageKind, Request, UNMAPPED
+from ..types import AccessResult, Op, PageKind, Request
 from .base import BaseFTL
 
 
@@ -32,55 +31,58 @@ class BlockFTL(BaseFTL):
                  prefill: bool = True) -> None:
         if config.ssd.logical_pages % config.ssd.pages_per_block:
             raise ConfigError(
-                "BlockFTL needs logical_pages to be a multiple of "
-                "pages_per_block")
+                f"{type(self).__name__} needs logical_pages to be a "
+                "multiple of pages_per_block")
         if config.ssd.program_fail_rate > 0:
             raise ConfigError(
-                "BlockFTL cannot run under program-fault injection: its "
-                "rigid block mapping needs full, offset-aligned blocks, "
-                "which bad pages break (read/erase faults and power "
-                "loss are supported)")
+                f"{type(self).__name__} cannot run under program-fault "
+                "injection: block-mapped data needs full, offset-aligned "
+                "blocks, which bad pages break (read/erase faults and "
+                "power loss are supported)")
         #: logical block -> physical block id
         self.block_map: List[int] = []
         super().__init__(config, victim_policy=victim_policy,
                          wear_leveler=wear_leveler, prefill=prefill)
 
     def prefill(self) -> None:
-        """Sequential prefill lands each logical block in one physical
-        block, establishing the rigid block mapping."""
+        """The sequential fill lands each logical block in one physical
+        block, which establishes the rigid block mapping."""
+        super().prefill()
         ppb = self.ssd.pages_per_block
-        self.block_map = [UNMAPPED] * (self.ssd.logical_pages // ppb)
-        for lpn in range(self.ssd.logical_pages):
-            ppn = self.flash.program(PageKind.DATA, lpn)
-            self.flash_table[lpn] = ppn
-            if lpn % ppb == 0:
-                self.block_map[lpn // ppb] = self.flash.block_id_of(ppn)
-        self.flash.stats.reset()
-        self.metrics = FTLMetrics()
+        self.block_map = [self.flash.block_id_of(ppn)
+                          for ppn in self.flash_table[::ppb]]
 
     # ------------------------------------------------------------------
-    # Data path (overridden wholesale: no out-of-place page writes)
+    # Data path (overridden wholesale: no out-of-place page writes, and
+    # so no garbage to collect — every merge erases what it supersedes)
     # ------------------------------------------------------------------
-    def _serve_page(self, lpn: int, op: Op, request: Optional[Request],
+    def _serve_page(self, lpn: int, op: Op, request: Request,
                     result: AccessResult) -> None:
         if op is Op.TRIM:
             raise FTLError(
-                "BlockFTL does not support TRIM (rigid block mapping "
-                "has no per-page unmap)")
-        self.metrics.lookups += 1
-        self.metrics.hits += 1  # the block table is fully RAM-resident
+                f"{type(self).__name__} does not support TRIM "
+                "(block-mapped data has no per-page unmap)")
+        metrics = self.metrics
+        metrics.lookups += 1
+        metrics.hits += 1  # the mapping tables are fully RAM-resident
+        if op is Op.READ:
+            metrics.user_page_reads += 1
+            self.flash.read(self._current_ppn(lpn), PageKind.DATA)
+            result.data_reads += 1
+        else:
+            metrics.user_page_writes += 1
+            self._write(lpn, result)
+
+    def _current_ppn(self, lpn: int) -> int:
+        """Where the block table places ``lpn``."""
+        lbn, offset = divmod(lpn, self.ssd.pages_per_block)
+        return self.flash.ppn_of(self.block_map[lbn], offset)
+
+    def _write(self, lpn: int, result: AccessResult) -> None:
+        """Copy-merge: rewrite the whole block, new page in place."""
         ppb = self.ssd.pages_per_block
         lbn, offset = divmod(lpn, ppb)
         old_block = self.block_map[lbn]
-        if op is Op.READ:
-            self.metrics.user_page_reads += 1
-            self.flash.read(self.flash.ppn_of(old_block, offset),
-                            PageKind.DATA)
-            result.data_reads += 1
-            self._sanitize_op(lpn, op)
-            return
-        self.metrics.user_page_writes += 1
-        # Copy-merge: rewrite the whole block with the new page in place.
         base_lpn = lbn * ppb
         for i in range(ppb):
             src_ppn = self.flash.ppn_of(old_block, i)
@@ -104,29 +106,3 @@ class BlockFTL(BaseFTL):
             result.erases += 1
             self.metrics.erases_data += 1
         self.metrics.gc_data_collections += 1
-        self._sanitize_op(lpn, op)
-
-    # ------------------------------------------------------------------
-    # Hooks unused by this FTL (no demand cache, no translation pages)
-    # ------------------------------------------------------------------
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
-                   result: AccessResult) -> int:  # pragma: no cover
-        raise NotImplementedError("BlockFTL overrides _serve_page")
-
-    def _record_mapping(self, lpn: int, ppn: int,
-                        result: AccessResult) -> None:  # pragma: no cover
-        raise NotImplementedError("BlockFTL overrides _serve_page")
-
-    def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
-        self.flash_table[lpn] = ppn
-        return True
-
-    def cache_snapshot(self) -> List[Tuple[int, int]]:
-        """(entries, dirty) per cached translation page."""
-        return []
-
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
-        return {}
-
-    def _mark_all_clean(self) -> None:
-        pass

@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cache import LRUDict
 from ..config import SimulationConfig
-from ..errors import CacheCapacityError, SimInvariantError
+from ..errors import CacheCapacityError, FTLError, SimInvariantError
 from ..gc import VictimPolicy, WearLeveler
-from ..types import AccessResult, Op, Request
+from ..types import AccessResult, Request
 from .base import BaseFTL
 
 #: indexes into a CMT cell
@@ -75,7 +75,7 @@ class CDFTL(BaseFTL):
     # ------------------------------------------------------------------
     # Mapping-cache policy
     # ------------------------------------------------------------------
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
+    def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
         self.metrics.lookups += 1
         cell = self.cmt.get(lpn)
@@ -165,11 +165,7 @@ class CDFTL(BaseFTL):
                         result: AccessResult) -> None:
         cell = self.cmt.get(lpn, touch=True)
         if cell is None:  # pragma: no cover - translate installs
-            self._install_cmt(lpn, ppn, result)
-            cell = self.cmt.get(lpn, touch=False)
-            if cell is None:
-                raise SimInvariantError(
-                    f"CMT lost LPN {lpn} right after install")
+            raise FTLError(f"write to LPN {lpn} without a cached entry")
         cell[_PPN] = ppn
         cell[_DIRTY] = True
 
@@ -213,19 +209,15 @@ class CDFTL(BaseFTL):
             bucket[1] += len(page.overrides)
         return [(entries, dirty) for entries, dirty in per_page.values()]
 
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
+    def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
         for vtpn, page in self.ctp.items_mru_to_lru():
             if page.overrides:
-                grouped.setdefault(vtpn, {}).update(page.overrides)
+                grouped[vtpn] = page.overrides
+                page.overrides = {}
         for lpn, cell in self.cmt.items_mru_to_lru():
             if cell[_DIRTY]:
                 vtpn = self.geometry.vtpn_of(lpn)
                 grouped.setdefault(vtpn, {})[lpn] = cell[_PPN]
+                cell[_DIRTY] = False
         return grouped
-
-    def _mark_all_clean(self) -> None:
-        for _lpn, cell in self.cmt.items_mru_to_lru():
-            cell[_DIRTY] = False
-        for _vtpn, page in self.ctp.items_mru_to_lru():
-            page.overrides.clear()

@@ -17,9 +17,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cache import LRUDict
 from ..config import SimulationConfig
-from ..errors import CacheCapacityError, SimInvariantError
+from ..errors import CacheCapacityError, FTLError, SimInvariantError
 from ..gc import VictimPolicy, WearLeveler
-from ..types import AccessResult, Op, Request
+from ..types import AccessResult, Request
 from .base import BaseFTL
 
 #: index of the PPN / dirty flag in a CMT value cell
@@ -51,7 +51,7 @@ class DFTL(BaseFTL):
     # ------------------------------------------------------------------
     # Mapping-cache policy
     # ------------------------------------------------------------------
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
+    def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
         self.metrics.lookups += 1
         cell = self.cmt.get(lpn)
@@ -86,8 +86,7 @@ class DFTL(BaseFTL):
                         result: AccessResult) -> None:
         cell = self.cmt.get(lpn, touch=True)
         if cell is None:  # pragma: no cover - translate always installs
-            self.cmt.put(lpn, [ppn, True])
-            return
+            raise FTLError(f"write to LPN {lpn} without a cached entry")
         cell[_PPN] = ppn
         cell[_DIRTY] = True
 
@@ -118,17 +117,14 @@ class DFTL(BaseFTL):
                 bucket[1] += 1
         return [(entries, dirty) for entries, dirty in per_page.values()]
 
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
+    def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
         for lpn, cell in self.cmt.items_mru_to_lru():
             if cell[_DIRTY]:
                 vtpn = self.geometry.vtpn_of(lpn)
                 grouped.setdefault(vtpn, {})[lpn] = cell[_PPN]
+                cell[_DIRTY] = False
         return grouped
-
-    def _mark_all_clean(self) -> None:
-        for _lpn, cell in self.cmt.items_mru_to_lru():
-            cell[_DIRTY] = False
 
     @property
     def cached_entry_count(self) -> int:

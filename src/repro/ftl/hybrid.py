@@ -18,46 +18,34 @@ as in FlashSim's hybrid comparators.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set
 
 from ..config import SimulationConfig
-from ..errors import ConfigError, FTLError, SimInvariantError
+from ..errors import ConfigError, SimInvariantError
 from ..flash.block import Block
-from ..metrics import FTLMetrics
 from ..gc import VictimPolicy, WearLeveler
-from ..types import (AccessResult, BlockKind, Op, PageKind, Request,
-                     UNMAPPED)
-from .base import BaseFTL
+from ..types import AccessResult, BlockKind, PageKind
+from .block_ftl import BlockFTL
 
 #: number of shared log blocks (FAST uses a handful)
 DEFAULT_LOG_BLOCKS = 8
 
 
-class HybridFTL(BaseFTL):
-    """Block-mapped data area plus a shared page-mapped log buffer."""
+class HybridFTL(BlockFTL):
+    """Block-mapped data area plus a shared page-mapped log buffer: a
+    :class:`BlockFTL` whose writes go to the log and whose lookups try
+    the log first."""
 
     name = "hybrid"
-    uses_translation_pages = False
 
     def __init__(self, config: SimulationConfig,
                  victim_policy: Optional[VictimPolicy] = None,
                  wear_leveler: Optional[WearLeveler] = None,
                  prefill: bool = True,
                  log_blocks: int = DEFAULT_LOG_BLOCKS) -> None:
-        if config.ssd.logical_pages % config.ssd.pages_per_block:
-            raise ConfigError(
-                "HybridFTL needs logical_pages to be a multiple of "
-                "pages_per_block")
-        if config.ssd.program_fail_rate > 0:
-            raise ConfigError(
-                "HybridFTL cannot run under program-fault injection: "
-                "its block-mapped data area needs full, offset-aligned "
-                "blocks, which bad pages break (read/erase faults and "
-                "power loss are supported)")
         if log_blocks < 1:
             raise ConfigError("log_blocks must be >= 1")
         self.max_log_blocks = log_blocks
-        self.block_map: List[int] = []
         #: LPN -> PPN for pages whose newest version lives in the log
         self.log_map: Dict[int, int] = {}
         #: log block ids, oldest first
@@ -69,46 +57,15 @@ class HybridFTL(BaseFTL):
         self.merges_full = 0
         self.merges_switch = 0
 
-    def prefill(self) -> None:
-        """Write every logical page once and reset statistics."""
-        ppb = self.ssd.pages_per_block
-        self.block_map = [UNMAPPED] * (self.ssd.logical_pages // ppb)
-        for lpn in range(self.ssd.logical_pages):
-            ppn = self.flash.program(PageKind.DATA, lpn)
-            self.flash_table[lpn] = ppn
-            if lpn % ppb == 0:
-                self.block_map[lpn // ppb] = self.flash.block_id_of(ppn)
-        self.flash.stats.reset()
-        self.metrics = FTLMetrics()
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def _serve_page(self, lpn: int, op: Op, request: Optional[Request],
-                    result: AccessResult) -> None:
-        if op is Op.TRIM:
-            raise FTLError(
-                "HybridFTL does not support TRIM (block-mapped data "
-                "area has no per-page unmap)")
-        self.metrics.lookups += 1
-        self.metrics.hits += 1  # both tables are RAM-resident
-        if op is Op.READ:
-            self.metrics.user_page_reads += 1
-            ppn = self.log_map.get(lpn, self._data_ppn(lpn))
-            self.flash.read(ppn, PageKind.DATA)
-            result.data_reads += 1
-            self._sanitize_op(lpn, op)
-            return
-        self.metrics.user_page_writes += 1
-        self._append_to_log(lpn, result)
-        self._sanitize_op(lpn, op)
+    def _current_ppn(self, lpn: int) -> int:
+        ppn = self.log_map.get(lpn)
+        return super()._current_ppn(lpn) if ppn is None else ppn
 
-    def _data_ppn(self, lpn: int) -> int:
-        ppb = self.ssd.pages_per_block
-        lbn, offset = divmod(lpn, ppb)
-        return self.flash.ppn_of(self.block_map[lbn], offset)
-
-    def _append_to_log(self, lpn: int, result: AccessResult) -> None:
+    def _write(self, lpn: int, result: AccessResult) -> None:
+        """Append the new version to the log, merging first if full."""
         frontier = self._log_frontier
         if frontier is None or frontier.is_full:
             if frontier is not None:
@@ -122,9 +79,7 @@ class HybridFTL(BaseFTL):
         # invalidation is out-of-band bookkeeping, not a flash op), and
         # the reverse order would lose the page if power died after the
         # invalidate but before the program.
-        old = self.log_map.get(lpn)
-        if old is None:
-            old = self._data_ppn(lpn)
+        old = self._current_ppn(lpn)
         ppn = self.flash.program_into(frontier, PageKind.DATA, lpn)
         result.data_writes += 1
         self.flash.invalidate(old)
@@ -201,7 +156,7 @@ class HybridFTL(BaseFTL):
             result.data_reads += 1
             result.gc_data_reads += 1
             self.metrics.data_reads_migration += 1
-            # program before invalidating, as in _append_to_log: the old
+            # program before invalidating, as in _write: the old
             # copy must stay valid until the new one exists on flash.
             ppn = self.flash.program_into(new_block, PageKind.DATA, lpn)
             result.data_writes += 1
@@ -220,28 +175,3 @@ class HybridFTL(BaseFTL):
         block = self.flash.blocks[block_id]
         for offset in block.valid_offsets():
             self.flash.invalidate(self.flash.ppn_of(block_id, offset))
-
-    # ------------------------------------------------------------------
-    # Hooks unused by this FTL
-    # ------------------------------------------------------------------
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
-                   result: AccessResult) -> int:  # pragma: no cover
-        raise NotImplementedError("HybridFTL overrides _serve_page")
-
-    def _record_mapping(self, lpn: int, ppn: int,
-                        result: AccessResult) -> None:  # pragma: no cover
-        raise NotImplementedError("HybridFTL overrides _serve_page")
-
-    def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
-        self.flash_table[lpn] = ppn
-        return True
-
-    def cache_snapshot(self) -> List[Tuple[int, int]]:
-        """(entries, dirty) per cached translation page."""
-        return []
-
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
-        return {}
-
-    def _mark_all_clean(self) -> None:
-        pass

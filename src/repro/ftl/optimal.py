@@ -5,13 +5,15 @@ translation is a cache hit, nothing is ever written back, and flash holds
 no translation pages at all, so GC only ever touches data blocks.  Any
 demand-based FTL's deviation from this FTL is the cost of address
 translation — exactly what Table 2 quantifies for DFTL.
+
+That behaviour is :class:`~repro.ftl.base.BaseFTL`'s own: with no
+translation pages there is nothing for a cached entry to diverge from,
+so ``flash_table`` doubles as the in-RAM mapping and every policy hook
+keeps its default.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from ..types import AccessResult, Op, Request
 from .base import BaseFTL
 
 
@@ -20,32 +22,3 @@ class OptimalFTL(BaseFTL):
 
     name = "optimal"
     uses_translation_pages = False
-
-    # The RAM table and the "on-flash" table coincide: with no translation
-    # pages there is nothing for a cached entry to diverge from, so
-    # ``flash_table`` doubles as the in-RAM mapping.
-
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
-                   result: AccessResult) -> int:
-        metrics = self.metrics
-        metrics.lookups += 1
-        metrics.hits += 1
-        return self.flash_table[lpn]
-
-    def _record_mapping(self, lpn: int, ppn: int,
-                        result: AccessResult) -> None:
-        self.flash_table[lpn] = ppn
-
-    def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
-        self.flash_table[lpn] = ppn
-        return True
-
-    def cache_snapshot(self) -> List[Tuple[int, int]]:
-        """(entries, dirty) per cached translation page."""
-        return []
-
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
-        return {}
-
-    def _mark_all_clean(self) -> None:
-        pass

@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cache import ByteBudget, LRUDict
 from ..config import SimulationConfig
-from ..errors import CacheCapacityError
+from ..errors import CacheCapacityError, FTLError
 from ..gc import VictimPolicy, WearLeveler
-from ..types import AccessResult, Op, Request, UNMAPPED
+from ..types import AccessResult, Request, UNMAPPED
 from .base import BaseFTL
 
 #: bytes per cached run: (start offset, start PPN, length)
@@ -126,7 +126,7 @@ class SFTL(BaseFTL):
     # ------------------------------------------------------------------
     # Mapping-cache policy
     # ------------------------------------------------------------------
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
+    def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
         self.metrics.lookups += 1
         vtpn = self.geometry.vtpn_of(lpn)
@@ -224,12 +224,10 @@ class SFTL(BaseFTL):
             self._apply_update(page, lpn, ppn, result)
             return
         buffered = self.buffer.get(vtpn)
-        if buffered is not None and lpn in buffered:
-            buffered[lpn] = ppn
-            return
-        # pragma: no cover — translate always installs one of the above
-        page = self._load_page(vtpn, result)
-        self._apply_update(page, lpn, ppn, result)
+        if buffered is None or lpn not in buffered:  # pragma: no cover
+            # translate always installs the page or finds the entry parked
+            raise FTLError(f"write to LPN {lpn} without a cached entry")
+        buffered[lpn] = ppn
 
     def _apply_update(self, page: CachedPage, lpn: int, ppn: int,
                       result: AccessResult) -> None:
@@ -294,19 +292,12 @@ class SFTL(BaseFTL):
             snapshot.append((len(entries), len(entries)))
         return snapshot
 
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
+    def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
         for vtpn, page in self.pages.items_mru_to_lru():
             if page.overrides:
-                grouped[vtpn] = dict(page.overrides)
-        for vtpn, entries in self.buffer.items():
-            grouped.setdefault(vtpn, {}).update(entries)
+                grouped[vtpn] = page.overrides
+                page.overrides = {}
+        for vtpn in list(self.buffer):
+            grouped.setdefault(vtpn, {}).update(self._gc_flush_extras(vtpn))
         return grouped
-
-    def _mark_all_clean(self) -> None:
-        for _vtpn, page in self.pages.items_mru_to_lru():
-            page.overrides.clear()
-        if self.buffer_budget is not None:
-            parked = sum(len(v) for v in self.buffer.values())
-            self.buffer_budget.release(parked * BUFFER_ENTRY_BYTES)
-        self.buffer.clear()

@@ -37,7 +37,7 @@ from ..config import SimulationConfig, TPFTLConfig
 from ..errors import (CacheCapacityError, FTLError, SanitizerError,
                       SimInvariantError)
 from ..gc import VictimPolicy, WearLeveler
-from ..types import AccessResult, Op, Request
+from ..types import AccessResult, Request
 from .base import BaseFTL
 
 
@@ -140,10 +140,10 @@ class TPFTL(BaseFTL):
     # ==================================================================
     # Mapping-cache policy
     # ==================================================================
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
+    def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
         self.metrics.lookups += 1
-        # ``_serve_page`` bounds-checked the LPN: plain arithmetic here,
+        # ``serve_request`` bounds-checked the LPN: plain arithmetic here,
         # in ``_record_mapping`` and in ``_insert_entry``
         vtpn = lpn // self.geometry.entries_per_page
         node = self.by_vtpn.get(vtpn)
@@ -238,7 +238,7 @@ class TPFTL(BaseFTL):
     # Loading policy (§4.3)
     # ==================================================================
     def _plan_prefetch(self, lpn: int, vtpn: int,
-                       request: Optional[Request]) -> List[int]:
+                       request: Request) -> List[int]:
         """LPNs to prefetch alongside a missed ``lpn`` (page-bounded).
 
         Both techniques ask for a run that starts right after ``lpn``,
@@ -246,8 +246,7 @@ class TPFTL(BaseFTL):
         """
         techniques = self.techniques
         stop = lpn  # last LPN wanted; ``lpn`` itself means none
-        if (techniques.request_prefetch and request is not None
-                and request.npages > 1):
+        if techniques.request_prefetch and request.npages > 1:
             # Translate the whole request at once: load every entry the
             # request still needs from this translation page.
             stop = request.end_lpn - 1
@@ -450,17 +449,13 @@ class TPFTL(BaseFTL):
         return [(len(node), node.dirty_count)
                 for node in self.by_vtpn.values()]
 
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
+    def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
         for vtpn, node in self.by_vtpn.items():
-            if node.dirty_count:
-                grouped[vtpn] = {e.lpn: e.ppn for e in node.dirty_entries()}
-        return grouped
-
-    def _mark_all_clean(self) -> None:
-        for node in self.by_vtpn.values():
             for entry in node.dirty_entries():
+                grouped.setdefault(vtpn, {})[entry.lpn] = entry.ppn
                 node.set_dirty(entry, False)
+        return grouped
 
     @property
     def cached_entry_count(self) -> int:

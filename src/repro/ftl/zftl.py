@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from ..config import SimulationConfig
 from ..errors import CacheCapacityError
 from ..gc import VictimPolicy, WearLeveler
-from ..types import AccessResult, Op, Request
+from ..types import AccessResult, Request
 from .base import BaseFTL
 
 #: bytes per entry buffered in the first tier (LPN + PPN)
@@ -90,7 +90,7 @@ class ZFTL(BaseFTL):
     # ------------------------------------------------------------------
     # Mapping-cache policy
     # ------------------------------------------------------------------
-    def _translate(self, lpn: int, op: Op, request: Optional[Request],
+    def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
         self.metrics.lookups += 1
         zone = self.zone_of(lpn)
@@ -223,14 +223,10 @@ class ZFTL(BaseFTL):
                         for count in tier1_pages.values())
         return snapshot
 
-    def _dirty_entries_by_page(self) -> Dict[int, Dict[int, int]]:
+    def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
-        for lpn, ppn in self.zone_dirty.items():
-            grouped.setdefault(self.geometry.vtpn_of(lpn), {})[lpn] = ppn
-        for lpn, ppn in self.tier1.items():
-            grouped.setdefault(self.geometry.vtpn_of(lpn), {})[lpn] = ppn
+        for dirty in (self.zone_dirty, self.tier1):
+            for lpn, ppn in dirty.items():
+                grouped.setdefault(self.geometry.vtpn_of(lpn), {})[lpn] = ppn
+            dirty.clear()
         return grouped
-
-    def _mark_all_clean(self) -> None:
-        self.zone_dirty.clear()
-        self.tier1.clear()

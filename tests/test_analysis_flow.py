@@ -12,6 +12,7 @@ import pathlib
 from conftest import analyze_paths, analyze_source
 from repro.analysis import RULES
 from repro.analysis.flow import FlowEngine, Project, fixed_point
+from repro.analysis.flow.rules import run_path
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -35,7 +36,7 @@ def test_each_fixture_triggers_exactly_its_rule():
     covers those) has a fixture that fires it and nothing else: once,
     except that the TP102 chain is flagged at both of its ends."""
     codes = sorted(code for code in RULES if not code.startswith("TP0"))
-    assert len(codes) == 13
+    assert len(codes) == 12
     for code in codes:
         fixture = FLOW_FIXTURES / f"flow_{code.lower()}.py"
         findings = analyze_paths([str(fixture)])
@@ -197,31 +198,21 @@ def test_hybrid_ftl_merge_paths_are_tp102_clean():
 
 
 # ----------------------------------------------------------------------
-# TP103 / TP104
+# TP104
 # ----------------------------------------------------------------------
-def test_tp103_alias_then_mutate_in_subclass():
-    source = (
-        "class Base:\n"
-        "    def __init__(self, config):\n"
-        "        self.rules = config.rules\n"
-        "class Sub(Base):\n"
-        "    def mute(self, code):\n"
-        "        self.rules.discard(code)\n"
-    )
-    findings = [f for f in analyze_source(source) if f.rule == "TP103"]
-    assert len(findings) == 1
-    assert "config.rules" in findings[0].message
-
-
-def test_tp103_rebinding_is_not_an_escape():
-    source = (
-        "class Harness:\n"
-        "    def __init__(self, config):\n"
-        "        self.rules = config.rules\n"
-        "    def mute(self, code):\n"
-        "        self.rules = self.rules - {code}\n"
-    )
-    assert "TP103" not in _codes(source)
+def test_run_path_reaches_the_ftl_flash_and_cache_layers():
+    """``serve_request`` calls ``_serve_page`` through a local alias of
+    the bound method, which the call graph does not follow; rooted at
+    ``serve_request`` alone the closure held no function of
+    ``repro.ftl``, ``repro.flash`` or ``repro.cache`` and TP104 checked
+    none of them."""
+    project = Project.from_paths([str(SRC)])
+    reachable = run_path(project, FlowEngine(project))
+    for qname in ("repro.ftl.base.BaseFTL._gc_update_mappings",
+                  "repro.ftl.tpftl.TPFTL._translate",
+                  "repro.flash.flash.FlashMemory.program",
+                  "repro.cache.lru.LRUList.settle"):
+        assert qname in reachable, qname
 
 
 def test_tp104_sorted_iteration_is_clean():

@@ -1,11 +1,12 @@
-"""Mutation self-validation of the TP2xx domain and TP3xx protocol passes.
+"""Mutation self-validation of the TP1xx, TP2xx and TP3xx passes.
 
 The acceptance gate for the flow analyses: every seeded mutant in
-``repro.analysis.mutants`` — the TP2xx domain corpus and the TP3xx
-protocol corpus alike — must be killed by its expected rule while the
-pristine ``src`` tree stays clean.  One harness run parses and analyzes
-the in-memory sources once per mutant plus once pristine (~20 s);
-everything else here is cheap corpus and plumbing checks.
+``repro.analysis.mutants`` — the TP2xx domain corpus, the TP3xx
+protocol corpus and the TP1xx flow corpus alike — must be killed by its
+expected rule while the pristine ``src`` tree stays clean.  One harness
+run parses and analyzes the in-memory sources once per mutant plus once
+pristine (~25 s); everything else here is cheap corpus and plumbing
+checks.
 """
 
 import pathlib
@@ -14,14 +15,15 @@ import pytest
 
 from repro.analysis import RULES
 from repro.analysis.__main__ import main
-from repro.analysis.mutants import (DOMAIN_MUTANTS, MUTANTS,
-                                    PROTOCOL_MUTANTS, Mutant,
+from repro.analysis.mutants import (DOMAIN_MUTANTS, FLOW_MUTANTS,
+                                    MUTANTS, PROTOCOL_MUTANTS, Mutant,
                                     MutantApplyError, _apply,
                                     run_mutants)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOMAIN_RULES = {code for code in RULES if code.startswith("TP2")}
 PROTOCOL_RULES = {code for code in RULES if code.startswith("TP3")}
+FLOW_RULES = {code for code in RULES if code.startswith("TP1")}
 
 
 # ----------------------------------------------------------------------
@@ -30,7 +32,8 @@ PROTOCOL_RULES = {code for code in RULES if code.startswith("TP3")}
 def test_corpus_is_well_formed():
     assert len(DOMAIN_MUTANTS) >= 10
     assert len(PROTOCOL_MUTANTS) >= 5
-    assert MUTANTS == DOMAIN_MUTANTS + PROTOCOL_MUTANTS
+    assert len(FLOW_MUTANTS) >= 3
+    assert MUTANTS == DOMAIN_MUTANTS + PROTOCOL_MUTANTS + FLOW_MUTANTS
     assert len({m.mid for m in MUTANTS}) == len(MUTANTS)
     for mutant in DOMAIN_MUTANTS:
         assert mutant.rule in DOMAIN_RULES
@@ -39,6 +42,8 @@ def test_corpus_is_well_formed():
         assert mutant.rule in PROTOCOL_RULES
         assert mutant.path.startswith(
             ("repro/ftl/", "repro/ssd/", "repro/experiments/"))
+    for mutant in FLOW_MUTANTS:
+        assert mutant.rule in FLOW_RULES
     for mutant in MUTANTS:
         assert mutant.before != mutant.after
         assert (ROOT / "src" / mutant.path).is_file()
@@ -50,6 +55,13 @@ def test_corpus_covers_every_domain_rule():
 
 def test_corpus_covers_every_protocol_rule():
     assert {m.rule for m in PROTOCOL_MUTANTS} == PROTOCOL_RULES
+
+
+def test_every_rule_beyond_the_lexical_family_has_a_mutant():
+    """A TP1xx-TP3xx rule nothing in the corpus is killed by has no
+    evidence that it works: give it a mutant or retire it."""
+    assert {m.rule for m in MUTANTS} == {
+        code for code in RULES if not code.startswith("TP0")}
 
 
 def test_protocol_corpus_spans_the_advertised_bug_classes():

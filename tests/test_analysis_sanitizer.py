@@ -44,6 +44,28 @@ def test_full_rate_10k_ops_clean(name):
     assert row[3] > 0  # full sweeps actually ran
 
 
+@pytest.mark.parametrize("name", FTL_NAMES)
+def test_after_op_fires_once_per_page_served(sanitized_config, name):
+    """``serve_request`` owns the FTLSan call, so the FTLs that replace
+    ``_serve_page`` wholesale (block, hybrid) are observed like the
+    rest: once per page, in order, through every entry point."""
+    ftl = make_ftl(name, sanitized_config)
+    sanitizer = _san(ftl)
+    after_op, seen = sanitizer.after_op, []
+
+    def counting(lpn, op):
+        seen.append((lpn, op))
+        after_op(lpn, op)
+
+    sanitizer.after_op = counting
+    ftl.serve_request(Request(arrival=0.0, op=Op.WRITE, lpn=10, npages=4))
+    ftl.read_page(11)
+    ftl.write_page(12)
+    assert seen == [(10, Op.WRITE), (11, Op.WRITE), (12, Op.WRITE),
+                    (13, Op.WRITE), (11, Op.READ), (12, Op.WRITE)]
+    assert sanitizer.op_seq == sanitizer.checks_run == 6
+
+
 def test_sanitizer_absent_when_disabled(roomy_config):
     ftl = make_ftl("tpftl", roomy_config)
     assert ftl.sanitizer is None

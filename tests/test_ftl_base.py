@@ -1,11 +1,13 @@
 """Tests of the shared FTL machinery via the optimal FTL (no cache
 policy in the way) — prefill, write path, GC of both block kinds."""
 
+import copy
+
 import pytest
 
 from repro.config import SimulationConfig, SSDConfig
 from repro.errors import TranslationError
-from repro.ftl import DFTL, OptimalFTL
+from repro.ftl import DFTL, FTL_NAMES, OptimalFTL, make_ftl
 from repro.types import Op, Request, UNMAPPED
 
 
@@ -65,6 +67,53 @@ class TestReadWritePath:
         assert optimal.metrics.user_page_writes == 4
 
 
+def unvalidated_request(op, lpn, npages):
+    """A ``Request`` that skipped its own ``__post_init__`` check, as an
+    unpickled one does."""
+    request = Request(arrival=0.0, op=op, lpn=0, npages=npages)
+    vars(request)["lpn"] = lpn
+    return request
+
+
+#: entry point -> how it asks for ``npages`` pages from ``lpn`` on
+ENTRY_POINTS = {
+    "serve_request": lambda ftl, lpn, npages: ftl.serve_request(
+        unvalidated_request(Op.WRITE, lpn, npages)),
+    "read_page": lambda ftl, lpn, npages: ftl.read_page(lpn),
+    "write_page": lambda ftl, lpn, npages: ftl.write_page(lpn),
+}
+#: range -> (first LPN on a device of ``pages`` logical pages, npages)
+BAD_RANGES = {"lpn-minus-1": (lambda pages: -1, 1),
+              "lpn-at-end": (lambda pages: pages, 1),
+              "straddles-end": (lambda pages: pages - 2, 4)}
+#: only ``serve_request`` can ask for more than one page
+BAD_CALLS = [(entry, bad) for entry in ENTRY_POINTS for bad in BAD_RANGES
+             if entry == "serve_request" or BAD_RANGES[bad][1] == 1]
+
+
+class TestLpnRangeCheckedOnce:
+    """``serve_request`` refuses a request that leaves the device before
+    serving or counting any of its pages, for every FTL and through
+    every entry point (the block-mapped FTLs used to serve LPN -1 from
+    their last block and die of an ``IndexError`` one past the end)."""
+
+    @pytest.mark.parametrize("entry,bad", BAD_CALLS)
+    @pytest.mark.parametrize("name", FTL_NAMES)
+    def test_bad_range_is_refused_untouched(self, roomy_config, name,
+                                            entry, bad):
+        first_lpn, npages = BAD_RANGES[bad]
+        ftl = make_ftl(name, roomy_config)
+        ftl.write_page(3)  # counters off zero, cache populated
+        lpn = first_lpn(ftl.ssd.logical_pages)
+        metrics = copy.deepcopy(ftl.metrics)
+        stats = copy.deepcopy(ftl.flash.stats)
+        with pytest.raises(TranslationError):
+            ENTRY_POINTS[entry](ftl, lpn, npages)
+        assert ftl.metrics == metrics
+        assert ftl.flash.stats == stats
+        ftl.check_consistency()
+
+
 class TestGarbageCollection:
     def overwrite(self, ftl, rounds=30):
         """Hammer a few pages so GC must trigger."""
@@ -122,9 +171,10 @@ class TestFlush:
         ftl = DFTL(tiny_config)
         for lpn in range(8):
             ftl.write_page(lpn)
-        assert ftl._dirty_entries_by_page()
+        assert sum(dirty for _, dirty in ftl.cache_snapshot()) == 8
         ftl.flush()
-        assert not ftl._dirty_entries_by_page()
+        assert sum(dirty for _, dirty in ftl.cache_snapshot()) == 0
+        assert ftl._take_dirty_entries() == {}
 
     def test_flush_makes_cache_agree_with_flash(self, tiny_config):
         ftl = DFTL(tiny_config)

@@ -96,9 +96,12 @@ class TestWriteSemantics:
     def test_write_marks_entry_dirty(self):
         ftl = small_dftl(4)
         ftl.write_page(5)
-        grouped = ftl._dirty_entries_by_page()
-        vtpn = ftl.geometry.vtpn_of(5)
-        assert 5 in grouped[vtpn]
+        assert ftl.cmt.get(5, touch=False)[1]  # the dirty flag
+        new_ppn = ftl.cache_peek(5)
+        # the flush hook hands the dirty set over and cleans it
+        assert ftl._take_dirty_entries() == {
+            ftl.geometry.vtpn_of(5): {5: new_ppn}}
+        assert not ftl.cmt.get(5, touch=False)[1]
 
     def test_write_then_read_hits_cache(self):
         ftl = small_dftl(4)

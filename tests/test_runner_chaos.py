@@ -359,6 +359,25 @@ class TestDegradeToSerial:
         degraded = next(e for e in events if e["event"] == "degraded")
         assert "spawn refused" in degraded["reason"]
 
+    def test_failed_spawn_closes_both_pipe_ends(self):
+        """The runtime twin of static rule TP303: every pipe end a
+        refused spawn had already acquired is closed before the retry,
+        none is left to the garbage collector."""
+        ends = []
+
+        class RecordingContext(_BrokenContext):
+            def Pipe(self, duplex=True):
+                pair = super().Pipe(duplex)
+                ends.extend(pair)
+                return pair
+
+        supervisor = Supervisor(jobs=2, timeout_s=5.0, retry=FAST_RETRY,
+                                mp_context=RecordingContext())
+        report = supervisor.run([Task(key="t", label="t", fn=_double,
+                                      args=(21,))])
+        assert report.results == {"t": 42} and report.degraded
+        assert len(ends) >= 2 and all(end.closed for end in ends)
+
     def test_degraded_runner_still_serves_matrix(self, tmp_path):
         runner = ParallelRunner(jobs=2, cache=RunCache(tmp_path / "rc"),
                                 retry=FAST_RETRY)
