@@ -282,6 +282,7 @@ _SIGNATURES: Dict[str, _Sig] = {
     "FlashMemory.program_into": _Sig({"meta": CONFLICT}, returns=PPN),
     "FlashMemory.read": _Sig({"ppn": PPN}, returns=CONFLICT),
     "FlashMemory.invalidate": _Sig({"ppn": PPN}),
+    "FlashMemory.relocate": _Sig({"ppns": PPN}),
     "FlashMemory.is_valid": _Sig({"ppn": PPN}),
     "FlashMemory.erase": _Sig({"block_id": BLOCK}),
     "FlashMemory.ppn_of": _Sig({"block_id": BLOCK,

@@ -4,10 +4,11 @@ A static analysis that never fires is indistinguishable from one that
 works.  This harness keeps the flow passes honest from both sides: it
 applies a curated list of **seeded mutants** — each the minimal,
 realistic version of a bug class a pass exists for.  The **domain
-mutants** (``M01``–``M10``) cover the TP2xx value bugs: swapped
+mutants** (``M01``–``M11``) cover the TP2xx value bugs: swapped
 ``lpn``/``ppn`` arguments, an ``lpn``-indexed structure indexed by
-VPN, a dropped ``* pages_per_block`` conversion, milliseconds handed
-to a microsecond parameter, a byte budget stored as an entry count.
+VPN, VTPNs handed to the flash array where it takes PTPNs, a dropped
+``* pages_per_block`` conversion, milliseconds handed to a microsecond
+parameter, a byte budget stored as an entry count.
 The **protocol mutants** (``P05``–``P11``; the ids of the retired
 fast-mode window mutants are not reused) cover the TP3xx temporal
 bugs: the supervisor's spawn-failure cleanup removed, a journal
@@ -96,10 +97,8 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
         mid="M03", path="repro/ftl/base.py", rule="TP201",
         description="flash_table indexed by PPN and fed an LPN on the "
                     "translation-write path",
-        before="            self.flash_table[lpn] = ppn\n"
-               "        old_ptpn",
-        after="            self.flash_table[ppn] = lpn\n"
-              "        old_ptpn"),
+        before="            flash_table[lpn] = ppn\n",
+        after="            flash_table[ppn] = lpn\n"),
     Mutant(
         mid="M04", path="repro/ftl/base.py", rule="TP201",
         description="GC migration derives the VTPN from the new PPN "
@@ -150,6 +149,12 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
                     "the block's base LPN",
         before="        base_lpn = lbn * ppb",
         after="        base_lpn = lbn"),
+    Mutant(
+        mid="M11", path="repro/ftl/base.py", rule="TP201",
+        description="GC's forced rewrite hands relocate the VTPNs "
+                    "instead of the PTPNs the GTD holds for them",
+        before="self.flash.relocate(ptpns, PageKind.TRANSLATION)",
+        after="self.flash.relocate(forced_vtpns, PageKind.TRANSLATION)"),
 )
 
 

@@ -10,14 +10,18 @@ the experiment it ran and ``render()`` prints the verdicts under the
 table, so ``python -m repro.experiments <id>`` is where a claim is read
 and tier-1 (``tests/test_experiments.py``) is where it is enforced.
 
-Four rows carry a floor on ``scale.num_requests`` and read ``n/a``
+Five rows carry a floor on ``scale.num_requests`` and read ``n/a``
 under it.  On the small geometry, the only one the CLI reaches, Fig
 2b's sampler has five points from 4 000 requests and its count first
 moves between 2 000 and 3 000, Fig 7c's ``s`` bar leaves ``-`` at
-2 000, and all four rows hold at every length tried from 5 000 to
+2 000, and those four rows hold at every length tried from 5 000 to
 60 000.  The tier-1 micro scale (2 500 requests) is under the floor;
 its devices have four and eight translation pages, which never leave
 the cache, so there the same rows stay flat at any trace length.
+Table 2's performance row is the fifth: DFTL's loss on msr-src is 2.8%
+at 2 000 requests and 4.2% at 2 800, passes 5% at 3 000 (8.0%) and holds
+at every length tried from there to 60 000.  The erasure row needs no
+floor: it holds from 1 000 on, as 0 against 0 until DFTL first erases.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def _dftl_ratio(data: Dict[str, Any], workloads: Sequence[str]) -> float:
 CLAIMS: Dict[str, Tuple[Claim, ...]] = {
     "table2": (
         Claim("Table 2", "DFTL loses over 5% of optimal's performance",
-              _each(lambda w: w["performance"] > 0.05)),
+              _each(lambda w: w["performance"] > 0.05), min_requests=3_000),
         Claim("Table 2", "DFTL erases no fewer blocks than optimal",
               _each(lambda w: w["erasure"] >= 0.0)),
     ),

@@ -69,8 +69,9 @@ class Block:
 
     def valid_offsets(self) -> List[int]:
         """Offsets of currently valid pages (ascending)."""
-        return [i for i in range(self._write_ptr)
-                if self._states[i] is PageState.VALID]
+        valid = PageState.VALID
+        return [offset for offset, state in enumerate(self._states)
+                if state is valid]
 
     # ------------------------------------------------------------------
     # Mutations

@@ -28,11 +28,14 @@ capacity; when more blocks retire than the over-provisioning can absorb,
 the array raises :class:`~repro.errors.DeviceWornOutError`.
 
 Two mechanics differ with the hook, and the choice is the injector's
-liveness, never a flag: bulk moves (:meth:`FlashMemory.program_batch`,
-:meth:`FlashMemory.migrate_valid`) chunk-fill the write frontier on an
-ideal device, and go page by page — read, program, invalidate, in
-controller order — under a live injector, because the fault RNG stream and
-a power cut observe every operation.  Both leave the same array behind.
+liveness, never a flag: the bulk fill (:meth:`FlashMemory.program_batch`)
+and the one page mover (behind :meth:`FlashMemory.migrate_valid` for a
+data or translation victim and :meth:`FlashMemory.relocate` for the
+scattered translation pages GC is forced to rewrite) work in batches and
+chunk-fill the write frontier on an ideal device, and go page by page —
+read, program, invalidate, in controller order — under a live injector,
+because the fault RNG stream and a power cut observe every operation.
+Both leave the same array behind.
 """
 
 from __future__ import annotations
@@ -298,48 +301,70 @@ class FlashMemory:
             self.stats.translation_writes += total
         return ppns
 
+    def relocate(self, ppns: Iterable[int],
+                 kind: PageKind) -> Tuple[List[int], List[int]]:
+        """Move the valid pages at ``ppns``, wherever they sit, to the
+        region frontier; ``(metas, new_ppns)`` in the order given."""
+        ppb = self.pages_per_block
+        blocks = self.blocks
+        return self._move(
+            [(blocks[ppn // ppb], (ppn % ppb,)) for ppn in ppns], kind)
+
     def migrate_valid(self, block: Block,
                       kind: PageKind) -> Tuple[List[int], List[int]]:
-        """GC helper: move every valid page of ``block`` to the frontier.
+        """GC helper: the same for every valid page of ``block``, in
+        ascending source-offset order."""
+        return self._move([(block, block.valid_offsets())], kind)
 
-        Returns ``(metas, new_ppns)`` in ascending source-offset order
-        and counts one read and one program per page.  On an ideal
-        device the three steps run as batches (scan, chunk-fill, one
-        victim-index refresh); under a live injector each page is read,
-        programmed and invalidated in turn, so a fault or power cut
-        lands between exactly the operations it would on hardware.
+    def _move(self, sources: Sequence[Tuple[Block, Sequence[int]]],
+              kind: PageKind) -> Tuple[List[int], List[int]]:
+        """The one page mover: ``(block, offsets)`` runs to the frontier,
+        one read and one program counted per page.
+
+        Under a live injector each page is read, programmed and
+        invalidated in turn, so a fault or power cut lands between
+        exactly the operations it would on hardware.  On an ideal device
+        nothing can observe the order of the three steps, so they run as
+        batches: every page is checked, read and invalidated (one
+        victim-index move per run), then the copies chunk-fill the
+        frontier.  Either way a page that is not valid is refused, so
+        none moves twice.
         """
-        offsets = block.valid_offsets()
         metas: List[int] = []
-        ppns: List[int] = []
-        if not offsets:
-            return metas, ppns
+        ppb = self.pages_per_block
         if self.injector.live:
-            base = block.block_id * self.pages_per_block
-            for offset in offsets:
-                meta = self.read(base + offset, kind)
-                metas.append(meta)
-                ppns.append(self.program(kind, meta))
-                self.invalidate(base + offset)
-            return metas, ppns
-        count = len(offsets)
-        states = block._states
-        page_meta = block._meta
-        metas = [page_meta[offset] for offset in offsets]
-        if kind is PageKind.DATA:
-            self.stats.data_reads += count
-        else:
-            self.stats.translation_reads += count
-        ppns = self.program_batch(kind, metas)
-        for offset in offsets:
-            states[offset] = PageState.INVALID
-            page_meta[offset] = None
-        block.valid_count -= count
+            new_ppns: List[int] = []
+            for block, offsets in sources:
+                base = block.block_id * ppb
+                for offset in offsets:
+                    meta = self.read(base + offset, kind)
+                    metas.append(meta)
+                    new_ppns.append(self.program(kind, meta))
+                    self.invalidate(base + offset)
+            return metas, new_ppns
+        valid, invalid = PageState.VALID, PageState.INVALID
         index = self.victim_index
-        index[block.invalid_count].discard(block.block_id)
-        block.invalid_count += count
-        index[block.invalid_count].add(block.block_id)
-        return metas, ppns
+        for block, offsets in sources:
+            states = block._states
+            page_meta = block._meta
+            for offset in offsets:
+                if states[offset] is not valid:
+                    raise FlashError(
+                        f"read of {states[offset].name} page at PPN "
+                        f"{block.block_id * ppb + offset}")
+                states[offset] = invalid
+                metas.append(page_meta[offset])
+                page_meta[offset] = None
+            if offsets:
+                block.valid_count -= len(offsets)
+                index[block.invalid_count].discard(block.block_id)
+                block.invalid_count += len(offsets)
+                index[block.invalid_count].add(block.block_id)
+        if kind is PageKind.DATA:
+            self.stats.data_reads += len(metas)
+        else:
+            self.stats.translation_reads += len(metas)
+        return metas, self.program_batch(kind, metas)
 
     def read(self, ppn: int, kind: PageKind) -> int:
         """Read a page; returns its metadata (LPN/VTPN).

@@ -41,10 +41,8 @@ from .mappings import TranslationGeometry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.sanitizer import FTLSan
 
-#: causes a translation-page read can be charged to
-_READ_CAUSES = ("load", "writeback", "gc", "migration")
-#: causes a translation-page write can be charged to
-_WRITE_CAUSES = ("writeback", "gc_update", "migration")
+#: what the mapping cache reads a translation page for (GC counts its own)
+_READ_CAUSES = ("load", "writeback")
 
 
 def _page_request(op: Op, lpn: int) -> Request:
@@ -212,7 +210,7 @@ class BaseFTL:
         result = AccessResult()
         for vtpn, updates in sorted(self._take_dirty_entries().items()):
             self.read_translation_page(vtpn, "writeback", result)
-            self.write_translation_page(vtpn, updates, "writeback", result)
+            self.write_translation_page(vtpn, updates, result)
         self._run_gc(result)
         return result
 
@@ -266,8 +264,7 @@ class BaseFTL:
             ptpns = flash.program_batch(
                 PageKind.TRANSLATION,
                 range(self.geometry.translation_pages))
-            for vtpn, ptpn in enumerate(ptpns):
-                self.gtd.update(vtpn, ptpn)
+            self.gtd.update_all(range(len(ptpns)), ptpns)
         flash.stats.reset()
         self.metrics = FTLMetrics()
 
@@ -315,49 +312,41 @@ class BaseFTL:
         """Read translation page ``vtpn``, charging to ``cause``."""
         if cause not in _READ_CAUSES:
             raise FTLError(f"unknown translation-read cause {cause!r}")
-        ptpn = self.gtd.lookup(vtpn)
-        self.flash.read(ptpn, PageKind.TRANSLATION)
+        self.flash.read(self.gtd.lookup(vtpn), PageKind.TRANSLATION)
         result.translation_reads += 1
         if cause == "load":
             self.metrics.trans_reads_load += 1
-        elif cause == "writeback":
-            self.metrics.trans_reads_writeback += 1
-        elif cause == "gc":
-            self.metrics.trans_reads_gc += 1
-            result.gc_translation_reads += 1
         else:
-            self.metrics.trans_reads_migration += 1
-            result.gc_translation_reads += 1
+            self.metrics.trans_reads_writeback += 1
 
     def write_translation_page(self, vtpn: int, updates: Dict[int, int],
-                               cause: str, result: AccessResult) -> None:
-        """Rewrite translation page ``vtpn`` applying ``updates``.
+                               result: AccessResult) -> None:
+        """Write back translation page ``vtpn`` applying ``updates``.
 
         ``updates`` maps LPN -> new PPN for the entries changing in this
         update; unchanged entries are carried over implicitly (the
         flash_table already holds them).
         """
-        if cause not in _WRITE_CAUSES:
-            raise FTLError(f"unknown translation-write cause {cause!r}")
-        for lpn, ppn in updates.items():
-            if self.geometry.vtpn_of(lpn) != vtpn:
-                raise FTLError(
-                    f"update for LPN {lpn} does not belong to VTPN {vtpn}")
-            self.flash_table[lpn] = ppn
-        old_ptpn = self.gtd.get(vtpn)
+        self._fold(vtpn, updates)
         ptpn = self.flash.program(PageKind.TRANSLATION, vtpn)
+        old_ptpn = self.gtd.update(vtpn, ptpn)
         if old_ptpn != UNMAPPED:
             self.flash.invalidate(old_ptpn)
-        self.gtd.update(vtpn, ptpn)
         result.translation_writes += 1
-        if cause == "writeback":
-            self.metrics.trans_writes_writeback += 1
-        elif cause == "gc_update":
-            self.metrics.trans_writes_gc_update += 1
-            result.gc_translation_writes += 1
-        else:
-            self.metrics.trans_writes_migration += 1
-            result.gc_translation_writes += 1
+        self.metrics.trans_writes_writeback += 1
+
+    def _fold(self, vtpn: int, updates: Dict[int, int]) -> None:
+        """Fold ``updates`` (LPN -> PPN) into ``flash_table``; every LPN
+        must be one of translation page ``vtpn``'s."""
+        flash_table = self.flash_table
+        entries = self.geometry.entries_per_page
+        first = vtpn * entries
+        stop = min(first + entries, len(flash_table))
+        for lpn, ppn in updates.items():
+            if not first <= lpn < stop:
+                raise FTLError(
+                    f"update for LPN {lpn} does not belong to VTPN {vtpn}")
+            flash_table[lpn] = ppn
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -538,21 +527,50 @@ class BaseFTL:
         remainder force one read-modify-write of the translation page
         (GC misses, batched).  Subclasses may piggyback extra cached
         dirty entries onto that forced write via :meth:`_gc_flush_extras`.
+
+        The forced rewrites of one victim are themselves batched: the
+        loop folds each page's updates into ``flash_table`` and only
+        collects its VTPN; one ``relocate`` call then moves all of them.
+        The order is safe because the cache hooks never touch flash and
+        the rewrites never touch the cache: "all folds, then all
+        rewrites" issues the same flash operations, in ascending VTPN
+        order, as rewriting each page inside the loop would.
         """
+        metrics = self.metrics
+        forced_vtpns: List[int] = []
         for vtpn in sorted(moved_by_vtpn):
+            moved = moved_by_vtpn[vtpn]
             missed: Dict[int, int] = {}
-            for lpn, new_ppn in moved_by_vtpn[vtpn]:
-                self.metrics.gc_update_lookups += 1
-                if self._cache_update_if_present(lpn, new_ppn):
-                    self.metrics.gc_update_hits += 1
-                else:
+            for lpn, new_ppn in moved:
+                if not self._cache_update_if_present(lpn, new_ppn):
                     missed[lpn] = new_ppn
+            metrics.gc_update_lookups += len(moved)
+            metrics.gc_update_hits += len(moved) - len(missed)
             if missed:
-                extras = self._gc_flush_extras(vtpn)
-                missed.update(extras)
-                self.read_translation_page(vtpn, "gc", result)
-                self.write_translation_page(vtpn, missed, "gc_update",
-                                            result)
+                missed.update(self._gc_flush_extras(vtpn))
+                self._fold(vtpn, missed)
+                forced_vtpns.append(vtpn)
+        if not forced_vtpns:
+            return
+        ptpns = [self.gtd.lookup(vtpn) for vtpn in forced_vtpns]
+        vtpns, new_ptpns = self.flash.relocate(ptpns, PageKind.TRANSLATION)
+        if vtpns != forced_vtpns:
+            raise FTLError(
+                f"GTD slots of VTPNs {forced_vtpns} hold pages {vtpns}")
+        self._translation_pages_moved(vtpns, new_ptpns, result)
+        metrics.trans_reads_gc += len(vtpns)
+        metrics.trans_writes_gc_update += len(vtpns)
+
+    def _translation_pages_moved(self, vtpns: List[int], ptpns: List[int],
+                                 result: AccessResult) -> None:
+        """GC moved translation pages: repoint their GTD slots and
+        charge one read and one write each to GC."""
+        self.gtd.update_all(vtpns, ptpns)
+        moved = len(vtpns)
+        result.translation_reads += moved
+        result.gc_translation_reads += moved
+        result.translation_writes += moved
+        result.gc_translation_writes += moved
 
     def _collect_translation_block(self, victim: Block,
                                    result: AccessResult) -> None:
@@ -562,14 +580,9 @@ class BaseFTL:
             victim, PageKind.TRANSLATION)
         moved = len(vtpns)
         metrics.gc_trans_valid_migrated += moved
-        result.translation_reads += moved
-        result.gc_translation_reads += moved
-        result.translation_writes += moved
-        result.gc_translation_writes += moved
         metrics.trans_reads_migration += moved
         metrics.trans_writes_migration += moved
-        for vtpn, new_ptpn in zip(vtpns, new_ptpns):
-            self.gtd.update(vtpn, new_ptpn)
+        self._translation_pages_moved(vtpns, new_ptpns, result)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(pages={self.ssd.logical_pages})"

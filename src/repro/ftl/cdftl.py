@@ -107,8 +107,7 @@ class CDFTL(BaseFTL):
                 self.metrics.dirty_replacements += 1
                 # whole page cached: single full-page program
                 self.write_translation_page(
-                    victim.vtpn, dict(victim.overrides), "writeback",
-                    result)
+                    victim.vtpn, dict(victim.overrides), result)
         page = CTPPage(vtpn)
         self.ctp.put(vtpn, page)
         return page
@@ -157,7 +156,7 @@ class CDFTL(BaseFTL):
         self.metrics.dirty_replacements += 1
         self.read_translation_page(vtpn, "writeback", result)
         self.write_translation_page(vtpn, {fallback_lpn: cell[_PPN]},
-                                    "writeback", result)
+                                    result)
         self.cmt.remove(fallback_lpn)
         return True
 

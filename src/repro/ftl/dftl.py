@@ -80,7 +80,7 @@ class DFTL(BaseFTL):
                 # Partial overwrite: read the page, merge one entry, write.
                 self.read_translation_page(vtpn, "writeback", result)
                 self.write_translation_page(
-                    vtpn, {victim_lpn: cell[_PPN]}, "writeback", result)
+                    vtpn, {victim_lpn: cell[_PPN]}, result)
 
     def _record_mapping(self, lpn: int, ppn: int,
                         result: AccessResult) -> None:

@@ -8,7 +8,7 @@ against the cache budget by every demand-based FTL here.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
 
 from ..config import GTD_SLOT_BYTES
 from ..errors import TranslationError
@@ -58,3 +58,9 @@ class GlobalTranslationDirectory:
         self._table[vtpn] = ptpn
         self.updates += 1
         return old
+
+    def update_all(self, vtpns: Iterable[int], ptpns: Iterable[int]) -> None:
+        """Point each of ``vtpns`` at its new PTPN."""
+        for vtpn, ptpn in zip(vtpns, ptpns):
+            self._table[vtpn] = ptpn
+            self.updates += 1

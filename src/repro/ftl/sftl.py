@@ -199,8 +199,7 @@ class SFTL(BaseFTL):
                 return
         self.metrics.dirty_replacements += 1
         # whole page is cached: a single full-page program suffices
-        self.write_translation_page(vtpn, dict(page.overrides),
-                                    "writeback", result)
+        self.write_translation_page(vtpn, dict(page.overrides), result)
 
     def _flush_buffer_group(self, result: AccessResult) -> None:
         """Write back the buffer's largest per-page group of entries."""
@@ -214,7 +213,7 @@ class SFTL(BaseFTL):
         self.metrics.replacements += 1
         # partial update: read-modify-write
         self.read_translation_page(vtpn, "writeback", result)
-        self.write_translation_page(vtpn, entries, "writeback", result)
+        self.write_translation_page(vtpn, entries, result)
 
     def _record_mapping(self, lpn: int, ppn: int,
                         result: AccessResult) -> None:

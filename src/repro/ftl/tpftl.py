@@ -176,14 +176,15 @@ class TPFTL(BaseFTL):
         if node is None or entry is None:  # pragma: no cover - installed
             raise FTLError(f"write to LPN {lpn} without a cached entry")
         entry.ppn = ppn
-        node.set_dirty(entry, True)
+        if not entry.dirty:  # ``node.set_dirty(entry, True)``, inlined
+            entry.dirty = True
+            node.dirty_count += 1
         self._touch(node, entry)
 
     def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
-        node = self.by_vtpn.get(self.geometry.vtpn_of(lpn))
-        if node is None:
-            return False
-        entry = node.entries.get(lpn)
+        # the LPN is a valid page's metadata: in range, as in _translate
+        node = self.by_vtpn.get(lpn // self.geometry.entries_per_page)
+        entry = node.entries.get(lpn) if node is not None else None
         if entry is None:
             return False
         entry.ppn = ppn
@@ -350,7 +351,7 @@ class TPFTL(BaseFTL):
         while not self.budget.fits(need):
             victim_node = (only_node if only_node is not None
                            else self.page_list.lru)
-            if victim_node is None or not len(victim_node):
+            if victim_node is None or not victim_node.entries:
                 return False
             if not self._evict_one(victim_node, result, protect=protect):
                 return False
@@ -408,14 +409,14 @@ class TPFTL(BaseFTL):
             self.metrics.batch_cleaned_entries += batched
         node.set_dirty(victim, False)
         self.read_translation_page(node.vtpn, "writeback", result)
-        self.write_translation_page(node.vtpn, updates, "writeback", result)
+        self.write_translation_page(node.vtpn, updates, result)
         if self.sanitizer is not None:
             self.sanitizer.note_writeback(self, node, victim)
 
     def _drop_entry(self, node: TPNode, entry: EntryNode) -> None:
         node.drop(entry)
         self.budget.release(self.entry_bytes)
-        if not len(node):
+        if not node.entries:
             self.page_list.remove(node)
             del self.by_vtpn[node.vtpn]
             self.budget.release(self.node_bytes)

@@ -146,8 +146,7 @@ class ZFTL(BaseFTL):
             self.metrics.replacements += 1
             self.metrics.dirty_replacements += 1
             # whole page resident: single program, no read-modify-write
-            self.write_translation_page(vtpn, grouped[vtpn],
-                                        "writeback", result)
+            self.write_translation_page(vtpn, grouped[vtpn], result)
         self.zone_dirty.clear()
 
     def _record_mapping(self, lpn: int, ppn: int,
@@ -171,7 +170,7 @@ class ZFTL(BaseFTL):
         self.metrics.dirty_replacements += 1
         self.metrics.batch_cleaned_entries += len(updates) - 1
         self.read_translation_page(vtpn, "writeback", result)
-        self.write_translation_page(vtpn, updates, "writeback", result)
+        self.write_translation_page(vtpn, updates, result)
 
     def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
         if self.zone_of(lpn) == self.active_zone:

@@ -322,20 +322,28 @@ class DeviceModel:
         sort defensively and the synthetic/traffic generators emit
         ordered schedules, so an unordered trace here is a caller bug.
         """
-        max_lpn = trace.max_lpn()
-        if max_lpn is not None and max_lpn >= self.ftl.ssd.logical_pages:
-            raise WorkloadError(
-                f"trace touches LPN {max_lpn} but the device has only "
-                f"{self.ftl.ssd.logical_pages} logical pages")
+        pages = self.ftl.ssd.logical_pages
+        end = 0  # one past the last LPN touched
         previous = 0.0
+        unordered = None  # first (index, arrival, arrival before it)
         for index, request in enumerate(trace.requests):
-            if request.arrival < previous:
-                raise WorkloadError(
-                    f"trace arrivals are not non-decreasing: request "
-                    f"{index} arrives at {request.arrival} after "
-                    f"{previous}; sort the trace (the parsers do) or "
-                    f"fix the generator")
-            previous = request.arrival
+            stop = request.lpn + request.npages
+            if stop > end:
+                end = stop
+            arrival = request.arrival
+            if arrival < previous and unordered is None:
+                unordered = (index, arrival, previous)
+            previous = arrival
+        if end > pages:
+            raise WorkloadError(
+                f"trace touches LPN {end - 1} but the device has only "
+                f"{pages} logical pages")
+        if unordered is not None:
+            index, arrival, previous = unordered
+            raise WorkloadError(
+                f"trace arrivals are not non-decreasing: request "
+                f"{index} arrives at {arrival} after {previous}; sort "
+                f"the trace (the parsers do) or fix the generator")
 
     # ------------------------------------------------------------------
     # The replay loop

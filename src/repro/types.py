@@ -118,7 +118,7 @@ class Request:
         return iter(range(self.lpn, self.lpn + self.npages))
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessResult:
     """Cost breakdown of serving one page access (or whole request).
 

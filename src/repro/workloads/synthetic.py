@@ -101,81 +101,76 @@ class _Stream:
     remaining: int = 0
 
 
-def _geometric_pages(rng: random.Random, mean: float, cap: int) -> int:
-    """Draw a request length >= 1 with the given mean, capped."""
-    if mean <= 1.0:
-        return 1
-    p = 1.0 / mean
-    # inverse-CDF geometric on (0, 1]
-    u = 1.0 - rng.random()
-    k = int(math.log(u) / math.log(1.0 - p)) + 1
-    return max(1, min(k, cap))
-
-
-def _scatter_stride(pages: int, rng: random.Random) -> int:
+def _scatter_stride(pages: int) -> int:
     """An odd stride coprime with ``pages``, near the golden ratio.
 
     Multiplying ranks by this stride spreads the hot head of the rank
     distribution across the whole address space.
     """
     stride = int(pages * 0.6180339887) | 1
-    stride = max(stride, 1)
     while math.gcd(stride, pages) != 1:
         stride += 2
     return stride
 
 
 def generate(spec: SyntheticSpec) -> Trace:
-    """Generate a deterministic trace from ``spec``."""
+    """Generate a deterministic trace from ``spec``.
+
+    What a request cannot change is bound once, before the loop, and its
+    draws are written out in place, so a request costs no helper call.
+    The RNG is consulted in a fixed order per request (trim?, write?,
+    length, sequential?, placement, arrival), pinned request for request
+    by the ``traces/`` cells of ``tests/golden_digests.json``.
+    """
     rng = random.Random(spec.seed)
+    rand = rng.random
+    randrange = rng.randrange
+    log = math.log
     pages = spec.logical_pages
-    stride = _scatter_stride(pages, rng)
-    base = rng.randrange(pages)
-    # separate stream sets per direction so read- and write-sequentiality
-    # are independently controllable (Table 4 reports them separately)
-    streams = {
-        Op.READ: [_Stream() for _ in range(spec.streams)],
-        Op.WRITE: [_Stream() for _ in range(spec.streams)],
-    }
-    current = {Op.READ: 0, Op.WRITE: 0}
+    stride = _scatter_stride(pages)
+    base = randrange(pages)
+    align = spec.stream_align
+    slots = max(1, pages // align)
+    slot_stride = _scatter_stride(slots)
+    slot_base = randrange(slots)
+    trim_fraction = spec.trim_fraction
+    write_ratio = spec.write_ratio
+    zipf_alpha = spec.zipf_alpha
+    start_alpha = spec.stream_start_alpha
+    run_rate = 1.0 / spec.mean_stream_pages
+    # 0.0 = the clock stands still, no draw
+    arrival_rate = (1.0 / spec.mean_interarrival_us
+                    if spec.mean_interarrival_us > 0 else 0.0)
+    # Per-direction tables, indexed by ``is_write``: read- and write-
+    # sequentiality are separately controllable (as Table 4 reports them).
+    seq_fractions = (spec.seq_read_fraction, spec.seq_write_fraction)
+    # log(1 - p) of the geometric request length, p = 1 / mean; 0.0 =
+    # mean <= 1, always one page, no draw
+    log_misses = tuple(log(1.0 - 1.0 / mean) if mean > 1.0 else 0.0
+                       for mean in (spec.mean_read_pages,
+                                    spec.mean_write_pages))
+    streams = tuple([_Stream() for _ in range(spec.streams)]
+                    for _ in range(2))
+    current = [0, 0]
     requests: List[Request] = []
+    append = requests.append
     clock = 0.0
-
-    def random_lpn() -> int:
-        u = rng.random()
-        rank = int(pages * (u ** spec.zipf_alpha))
-        if rank >= pages:
-            rank = pages - 1
-        return (rank * stride + base) % pages
-
-    slots = max(1, pages // spec.stream_align)
-    slot_stride = _scatter_stride(slots, rng)
-    slot_base = rng.randrange(slots)
-
-    def stream_start() -> int:
-        u = rng.random()
-        rank = int(slots * (u ** spec.stream_start_alpha))
-        if rank >= slots:
-            rank = slots - 1
-        slot = (rank * slot_stride + slot_base) % slots
-        return slot * spec.stream_align
-
     for _ in range(spec.num_requests):
-        if spec.trim_fraction and rng.random() < spec.trim_fraction:
+        if trim_fraction and rand() < trim_fraction:
             op = Op.TRIM
             is_write = True  # trims follow the write placement model
         else:
-            is_write = rng.random() < spec.write_ratio
+            is_write = rand() < write_ratio
             op = Op.WRITE if is_write else Op.READ
-        seq_fraction = (spec.seq_write_fraction if is_write
-                        else spec.seq_read_fraction)
-        mean_pages = (spec.mean_write_pages if is_write
-                      else spec.mean_read_pages)
-        npages = _geometric_pages(rng, mean_pages, cap=pages)
-        direction = Op.WRITE if is_write else Op.READ
-        if seq_fraction and rng.random() < seq_fraction:
-            pool = streams[direction]
-            stream = pool[current[direction]]
+        npages = 1
+        log_miss = log_misses[is_write]
+        if log_miss:
+            # inverse-CDF geometric on (0, 1]; both logs are <= 0: k >= 1
+            npages = min(int(log(1.0 - rand()) / log_miss) + 1, pages)
+        seq_fraction = seq_fractions[is_write]
+        if seq_fraction and rand() < seq_fraction:
+            pool = streams[is_write]
+            stream = pool[current[is_write]]
             if stream.remaining < npages:
                 # Rotate to another stream, preferring one whose live
                 # run can absorb this request; a stream is only
@@ -186,28 +181,32 @@ def generate(spec: SyntheticSpec) -> Trace:
                 eligible = [i for i, s in enumerate(pool)
                             if s.remaining >= npages]
                 if eligible:
-                    current[direction] = eligible[
-                        rng.randrange(len(eligible))]
+                    chosen = eligible[randrange(len(eligible))]
                 else:
-                    current[direction] = rng.randrange(len(pool))
-                stream = pool[current[direction]]
+                    chosen = randrange(len(pool))
+                current[is_write] = chosen
+                stream = pool[chosen]
                 if stream.remaining < npages:
-                    stream.position = stream_start()
-                    run = max(npages, int(rng.expovariate(
-                        1.0 / spec.mean_stream_pages)) + 1)
-                    stream.remaining = run
+                    rank = min(int(slots * (rand() ** start_alpha)),
+                               slots - 1)
+                    stream.position = ((rank * slot_stride + slot_base)
+                                       % slots * align)
+                    stream.remaining = max(
+                        npages, int(rng.expovariate(run_rate)) + 1)
             lpn = stream.position
             if lpn + npages > pages:
                 lpn = 0
-                stream.position = 0
             stream.position = lpn + npages
             stream.remaining -= npages
         else:
-            lpn = random_lpn()
+            rank = int(pages * (rand() ** zipf_alpha))
+            if rank >= pages:
+                rank = pages - 1
+            lpn = (rank * stride + base) % pages
             if lpn + npages > pages:
                 lpn = pages - npages
-        if spec.mean_interarrival_us > 0:
-            clock += rng.expovariate(1.0 / spec.mean_interarrival_us)
-        requests.append(Request(arrival=clock, op=op, lpn=lpn,
-                                npages=npages))
+        if arrival_rate:
+            # random.expovariate's own expression
+            clock += -log(1.0 - rand()) / arrival_rate
+        append(Request(clock, op, lpn, npages))
     return Trace(requests=requests, logical_pages=pages, name=spec.name)

@@ -20,12 +20,13 @@ import pytest
 from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
                           SSDConfig)
 from repro.errors import DeviceWornOutError, PowerLossError
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import ExperimentScale, build_workload
 from repro.experiments.faults import _config_for as media_fault_config
 from repro.experiments.runner import RunSpec, encode_result, execute_spec
 from repro.ftl import FTL_NAMES, OptimalFTL, make_ftl
 from repro.ssd import DeviceModel
-from repro.workloads import make_preset
+from repro.workloads import (ArrivalModel, SyntheticSpec, TenantSpec,
+                             TrafficSpec, compose, generate, make_preset)
 
 from conftest import (GOLDEN_PATH, golden_digests, make_trace, random_ops,
                       result_digest)
@@ -179,19 +180,78 @@ FAULT_CELLS = {
 }
 
 
+def trace_digest(trace):
+    """sha256 over every request of a trace, field by field."""
+    digest = hashlib.sha256()
+    for request in trace:
+        digest.update(repr((request.arrival, request.op.value, request.lpn,
+                            request.npages, request.tenant)).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def synthetic(name, **fields):
+    """A small mixed read/write stream, one branch of ``generate`` bent."""
+    params = dict(name=name, logical_pages=4_096, num_requests=4_000,
+                  write_ratio=0.6, seq_read_fraction=0.2,
+                  seq_write_fraction=0.3, mean_read_pages=2.0,
+                  mean_write_pages=1.5, zipf_alpha=4.0, stream_align=8,
+                  stream_start_alpha=3.0, seed=5)
+    params.update(fields)
+    return generate(SyntheticSpec(**params))
+
+
+def ledger_mix():
+    """``tenants-fair`` of ``benchmarks/perf/perf_cells.py`` at seed 0."""
+    tenants = tuple(
+        TenantSpec(name=name, workload=preset, num_requests=20_000,
+                   pages=32_768, weight=weight, seed=7 + index,
+                   arrival=ArrivalModel(kind=kind,
+                                        mean_interarrival_us=2_500.0))
+        for index, (name, preset, weight, kind) in enumerate((
+            ("oltp", "financial1", 4.0, "poisson"),
+            ("read", "financial2", 2.0, "bursty"),
+            ("batch", "msr-src", 1.0, "diurnal"))))
+    return compose(TrafficSpec(name="mix3", tenants=tenants, seed=7))
+
+
+#: trace synthesis request for request: the Table 4 presets at the small
+#: scale, the branches of ``generate`` no preset takes (TRIMs, a frozen
+#: clock, the no-draw request length, streams wrapping to LPN 0) and the
+#: ledger's tenant mix
+TRACE_CELLS = {f"traces/{workload}": (
+    lambda workload=workload: build_workload(workload,
+                                             ExperimentScale.small()))
+    for workload in TIER1_WORKLOADS}
+TRACE_CELLS.update({
+    "traces/trim": lambda: synthetic("trim", trim_fraction=0.1),
+    "traces/zero-interarrival": lambda: synthetic(
+        "zero-interarrival", mean_interarrival_us=0.0),
+    "traces/one-page": lambda: synthetic(
+        "one-page", mean_read_pages=1.0, mean_write_pages=1.0),
+    "traces/wrapping-streams": lambda: synthetic(
+        "wrapping-streams", logical_pages=256, seq_read_fraction=0.9,
+        seq_write_fraction=0.9, mean_read_pages=4.0, mean_write_pages=4.0,
+        streams=2, stream_align=1, stream_start_alpha=1.0),
+    "traces/ledger-mix": ledger_mix,
+})
+
+
 def cell(name):
     """Compute one cell's frozen string from scratch."""
     if name in SPEC_CELLS:
         return result_digest(execute_spec(SPEC_CELLS[name]))
     if name in RUN_CELLS:
         return result_digest(RUN_CELLS[name]())
+    if name in TRACE_CELLS:
+        return trace_digest(TRACE_CELLS[name]())
     return FAULT_CELLS[name]()
 
 
 def all_cells():
     import test_traffic
     return {**{name: (lambda name=name: cell(name))
-               for name in (*SPEC_CELLS, *RUN_CELLS, *FAULT_CELLS)},
+               for name in (*SPEC_CELLS, *RUN_CELLS, *FAULT_CELLS,
+                            *TRACE_CELLS)},
             **test_traffic.GOLDEN_CELLS}
 
 

@@ -233,8 +233,7 @@ def test_san008_forgotten_batch(sanitized_config, monkeypatch):
         node.set_dirty(victim, False)
         ftl.read_translation_page(node.vtpn, "writeback", result)
         ftl.write_translation_page(node.vtpn,
-                                   {victim.lpn: victim.ppn},
-                                   "writeback", result)
+                                   {victim.lpn: victim.ppn}, result)
         _san(ftl).note_writeback(ftl, node, victim)
 
     monkeypatch.setattr(ftl, "_writeback", lazy_writeback)

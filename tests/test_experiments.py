@@ -149,7 +149,7 @@ class TestClaimsTable:
         for claim in rows:
             assert re.search(r"(Fig \d+[a-f]?|Table \d+)$", claim.ref)
             assert claim.text and "\n" not in claim.text
-        assert len([c for c in rows if c.min_requests]) == 4
+        assert len([c for c in rows if c.min_requests]) == 5
 
     @pytest.mark.parametrize("experiment_id", CLAIMS)
     def test_micro_scale_passes_every_row_above_its_floor(
@@ -181,6 +181,19 @@ class TestClaimsTable:
         judged = evaluate(
             result, dataclasses.replace(MICRO, num_requests=floor))[index]
         assert (judged.mark, judged.detail) == ("✗", "")
+
+    def test_table2_floor_spares_short_runs_a_false_refutation(self):
+        """CI's chaos matrix runs Table 2 on 2 000 requests, where the
+        small geometry's DFTL is not yet 5% behind on msr-src: the row
+        reads n/a, not ✗.  Judged, micro's own devices still pass it."""
+        result = run_experiment("table2", MICRO)
+        floor = CLAIMS["table2"][0].min_requests
+        assert 2_000 < floor
+        assert [(v.mark, v.detail) for v in result.verdicts] == [
+            ("n/a", f"needs >= {floor} requests, ran 2500"), ("✓", "")]
+        judged = evaluate(
+            result, dataclasses.replace(MICRO, num_requests=floor))
+        assert [v.mark for v in judged] == ["✓", "✓"]
 
     def test_raising_predicate_is_refuted_with_the_exception_text(
             self, monkeypatch):

@@ -19,13 +19,15 @@ background GC could push the "fraction" past 1.
 """
 
 import dataclasses
+import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, SimulationConfig
-from repro.errors import DeviceWornOutError, PowerLossError, ReadError
+from repro.errors import (DeviceWornOutError, FlashError, PowerLossError,
+                          ReadError)
 from repro.experiments.runner import (decode_result, encode_result,
                                       execute_spec)
 from repro.faults import FaultInjector, FaultPlan
@@ -40,9 +42,9 @@ from repro.workloads import make_preset
 from conftest import golden_digests, make_trace, random_ops, result_digest
 from golden_cells import (FAULT_CELLS, FTLS, GC_HEAVY, POWER_CUT_AFTER,
                           ROOMY, RUN_CELLS, SPEC_CELLS, TIER1_WORKLOADS,
-                          TINY, TINY_SSD, all_cells, check, flash_state,
-                          gc_heavy_trace, media_fault_config, sanitized_run,
-                          small_trace)
+                          TINY, TINY_SSD, TRACE_CELLS, all_cells, check,
+                          flash_state, gc_heavy_trace, media_fault_config,
+                          sanitized_run, small_trace)
 from test_background_gc import bursty_write_trace
 
 
@@ -51,8 +53,8 @@ from test_background_gc import bursty_write_trace
 # ----------------------------------------------------------------------
 class TestGoldenTable:
     @pytest.mark.parametrize("name", [
-        name for name in (*SPEC_CELLS, *FAULT_CELLS)
-        if name.startswith(("zoo/", "bench/", "faults/media"))])
+        name for name in (*SPEC_CELLS, *FAULT_CELLS, *TRACE_CELLS)
+        if name.startswith(("zoo/", "bench/", "faults/media", "traces/"))])
     def test_cell_matches_reference(self, name):
         check(name)
 
@@ -301,6 +303,104 @@ class TestVictimIndexEquivalence:
         assert not any(victim.block_id in bucket
                        for bucket in ftl.flash.victim_index)
         assert ftl._select_victim() is not victim
+
+
+def aged_flash(seed, live=False):
+    """A tiny array aged by a seeded script of programs, invalidations
+    and erases of both page kinds -> (flash, valid PPNs per kind).
+    ``live`` attaches an injector that is consulted on every operation
+    and never fires."""
+    flash = FlashMemory(TINY_SSD, injector=FaultInjector(FaultPlan(
+        power_cut_after_ops=10 ** 12)) if live else None)
+    rng = random.Random(seed)
+    valid = {kind: [] for kind in PageKind}
+    for meta in range(rng.randrange(120, 320)):
+        kind = PageKind.DATA if rng.random() < 0.7 else PageKind.TRANSLATION
+        valid[kind].append(flash.program(kind, meta))
+        pool = valid[rng.choice(list(PageKind))]
+        if pool and rng.random() < 0.5:
+            flash.invalidate(pool.pop(rng.randrange(len(pool))))
+    for block in flash.blocks:
+        if (block.invalid_count and not block.valid_count
+                and block is not flash.active_block(block.kind)):
+            flash.erase(block.block_id)
+    return flash, valid
+
+
+def array_state(flash):
+    """Everything a bulk move may leave behind."""
+    return (flash_state(flash), flash.op_seq, flash.victim_index,
+            flash.stats, flash.free_block_count)
+
+
+class TestRelocate:
+    """The one page mover: scattered pages against whole victims, the
+    batched ideal-device path against the per-page live-injector one."""
+
+    @given(seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(list(PageKind)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ideal_and_live_arrays_agree(self, seed, kind, data):
+        ideal, valid = aged_flash(seed)
+        live, _ = aged_flash(seed, live=True)
+        assert array_state(ideal) == array_state(live)
+        pool = valid[kind]
+        assume(pool)
+        ppns = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        frontier = ideal.active_block(BlockKind(kind.value))
+        if ideal.block_of(pool[-1]) is frontier and pool[-1] not in ppns:
+            ppns.append(pool[-1])  # a source inside the block being filled
+        metas = [ideal.block_of(ppn).meta(ideal.offset_of(ppn))
+                 for ppn in ppns]
+        ops_seen = live.injector.ops_seen
+        moved = ideal.relocate(ppns, kind)
+        assert moved == live.relocate(ppns, kind)
+        assert moved[0] == metas and len(set(moved[1])) == len(ppns)
+        assert array_state(ideal) == array_state(live)
+        assert ideal.injector.ops_seen == 0
+        assert live.injector.ops_seen == ops_seen + 2 * len(ppns)
+
+    @given(seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(list(PageKind)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_whole_victim_is_its_valid_pages(self, seed, kind, data):
+        whole, _ = aged_flash(seed)
+        piecewise, _ = aged_flash(seed)
+        frontier = whole.active_block(BlockKind(kind.value))
+        victims = [block.block_id for block in whole.blocks
+                   if block.kind is frontier.kind and block is not frontier]
+        assume(victims)
+        victim = data.draw(st.sampled_from(victims))
+        ppns = [whole.ppn_of(victim, offset)
+                for offset in whole.blocks[victim].valid_offsets()]
+        assert (whole.migrate_valid(whole.blocks[victim], kind)
+                == piecewise.relocate(ppns, kind))
+        assert array_state(whole) == array_state(piecewise)
+        assert not whole.blocks[victim].valid_count
+
+    @pytest.mark.parametrize("live", (False, True))
+    def test_a_page_that_is_not_valid_is_refused(self, live):
+        flash, valid = aged_flash(3, live=live)
+        stale = valid[PageKind.DATA][0]
+        flash.invalidate(stale)
+        with pytest.raises(FlashError, match=f"INVALID page at PPN {stale}"):
+            flash.relocate([valid[PageKind.DATA][1], stale], PageKind.DATA)
+        free = flash.ppn_of(flash._free[0], 0)
+        with pytest.raises(FlashError, match=f"FREE page at PPN {free}"):
+            flash.relocate([free], PageKind.DATA)
+
+    @pytest.mark.parametrize("live", (False, True))
+    def test_a_page_cannot_be_moved_twice(self, live):
+        flash, valid = aged_flash(3, live=live)
+        ppn = valid[PageKind.TRANSLATION][0]
+        with pytest.raises(FlashError, match=f"INVALID page at PPN {ppn}"):
+            flash.relocate([ppn, ppn], PageKind.TRANSLATION)
+
+    def test_an_empty_list_moves_and_allocates_nothing(self):
+        flash = FlashMemory(TINY_SSD)
+        assert flash.relocate([], PageKind.TRANSLATION) == ([], [])
+        assert flash.active_block(BlockKind.TRANSLATION) is None
+        assert array_state(flash) == array_state(FlashMemory(TINY_SSD))
 
 
 class TestGCTimeFractionInvariant:

@@ -6,9 +6,9 @@ import copy
 import pytest
 
 from repro.config import SimulationConfig, SSDConfig
-from repro.errors import TranslationError
+from repro.errors import FTLError, TranslationError
 from repro.ftl import DFTL, FTL_NAMES, OptimalFTL, make_ftl
-from repro.types import Op, Request, UNMAPPED
+from repro.types import AccessResult, Op, Request, UNMAPPED
 
 
 @pytest.fixture
@@ -164,6 +164,32 @@ class TestGarbageCollection:
             ftl.write_page(0)  # stays cached: GC updates should hit
         assert ftl.metrics.gc_update_hits >= 0  # smoke: no crash
         ftl.check_consistency()
+
+
+    def test_forced_rewrite_refuses_a_corrupt_gtd_slot(self, tiny_config):
+        """The batch hands the flash array PTPNs and gets the pages'
+        own VTPNs back: a GTD slot pointing at another page is caught
+        before any slot is repointed."""
+        ftl = DFTL(tiny_config)
+        table = ftl.gtd._table
+        table[2], table[5] = table[5], table[2]
+        first = ftl.geometry.first_lpn
+        moved = {vtpn: [(first(vtpn), ftl.flash_table[first(vtpn)])]
+                 for vtpn in (2, 3, 5)}
+        with pytest.raises(FTLError, match=r"VTPNs \[2, 3, 5\] hold "
+                                           r"pages \[5, 3, 2\]"):
+            ftl._gc_update_mappings(moved, AccessResult())
+        assert ftl.gtd.updates == ftl.geometry.translation_pages
+
+    def test_update_for_another_pages_lpn_is_refused(self, tiny_config):
+        ftl = DFTL(tiny_config)
+        writes = ftl.flash.stats.translation_writes
+        for stray in (ftl.geometry.last_lpn(3) + 1,
+                      ftl.geometry.first_lpn(3) - 1):
+            with pytest.raises(FTLError, match=f"LPN {stray} does not "
+                                               "belong to VTPN 3"):
+                ftl.write_translation_page(3, {stray: 0}, AccessResult())
+        assert ftl.flash.stats.translation_writes == writes
 
 
 class TestFlush:

@@ -8,6 +8,7 @@ from repro.faults import powerloss
 from repro.ftl import make_ftl
 from repro.types import Op, PageKind
 
+from golden_cells import GC_HEAVY
 from test_integration import ALL_FTLS, config_for
 
 #: FTLs whose block-granular layout forbids TRIM
@@ -134,3 +135,36 @@ class TestInjectorContract:
         ftl.flash.injector.disarm_power_loss()
         powerloss.verify_crash_state(
             ftl.flash, tiny_config.ssd.logical_pages, acked={})
+
+    @pytest.mark.parametrize("name", ("dftl", "tpftl"))
+    def test_cut_inside_the_forced_rewrite_batch(self, name):
+        """GC rewrites a victim's translation pages as one batch.  Power
+        dies after the first page of a batch was programmed, as the
+        second is about to be read: every VTPN still has exactly one
+        valid copy (the scan raises on two) and nothing acknowledged is
+        lost."""
+        ftl = make_ftl(name, GC_HEAVY)
+        flash, batches = ftl.flash, []
+
+        def relocate_as_power_dies(ppns, kind):
+            if len(ppns) > 1 and not flash.injector.live:
+                batches.append((kind, list(ppns)))
+                flash.injector.arm_power_loss(2)  # read, program | read
+            return type(flash).relocate(flash, ppns, kind)
+
+        flash.relocate = relocate_as_power_dies
+        acked = {}
+        with pytest.raises(PowerLossError, match="after 2 flash"):
+            for _, lpn in powerloss.default_ops(
+                    2_000, GC_HEAVY.ssd.logical_pages, write_ratio=1.0):
+                ftl.write_page(lpn)
+                acked[lpn] = Op.WRITE
+        flash.injector.disarm_power_loss()
+        (kind, ptpns), = batches
+        assert kind is PageKind.TRANSLATION
+        # the first page moved, the rest of the batch did not
+        assert [flash.block_of(ptpn).meta(flash.offset_of(ptpn)) is None
+                for ptpn in ptpns] == [True] + [False] * (len(ptpns) - 1)
+        state = powerloss.verify_crash_state(
+            flash, GC_HEAVY.ssd.logical_pages, acked, in_flight_lpn=lpn)
+        assert len(state.gtd) == ftl.geometry.translation_pages
