@@ -1,29 +1,44 @@
 """A NAND flash block: the unit of erase.
 
-Each block tracks per-page state and the metadata written alongside each
-page (the LPN for data pages, the VTPN for translation pages) — the
-simulator's stand-in for the out-of-band area real FTLs use to rebuild
-mappings.  Programming is enforced to be sequential within a block and
+Page state lives in two flat arrays indexed by PPN and owned by the flash
+array: one state byte per physical page (the ``PageState`` values: 0 FREE,
+1 VALID, 2 INVALID, 3 BAD) and one metadata word (the LPN for data pages,
+the VTPN for translation pages) — the simulator's stand-in for the
+out-of-band area real FTLs use to rebuild mappings.  A ``Block`` is a
+window onto them at ``block_id * pages_per_block`` and keeps only its
+counters and write pointer; built on its own it allocates two block-sized
+arrays.  The word is never blanked: only a VALID page has metadata, so
+:meth:`Block.meta` derives "none" from the state byte and no value is
+reserved.  Programming is enforced to be sequential within a block and
 erase is only legal once no valid pages remain, so GC bugs surface as
 exceptions instead of silent corruption.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
 from ..errors import EraseError, ProgramError
 from ..types import BlockKind, PageState
+
+#: the state bytes (one definition: ``PageState``, whose values index it)
+_PAGE_STATES = tuple(PageState)
+FREE, VALID, INVALID, BAD = (state.value for state in _PAGE_STATES)
+#: ``bytes.translate`` table of an erase: every page FREE, BAD stays BAD
+_ERASED = bytes(BAD if value == BAD else FREE for value in range(256))
 
 
 class Block:
     """One erase block of ``pages_per_block`` pages."""
 
     __slots__ = ("block_id", "pages_per_block", "kind", "erase_count",
-                 "last_program_seq", "_states", "_meta", "_write_ptr",
-                 "valid_count", "invalid_count", "bad_count")
+                 "last_program_seq", "_states", "_meta", "_base",
+                 "_write_ptr", "valid_count", "invalid_count", "bad_count")
 
-    def __init__(self, block_id: int, pages_per_block: int) -> None:
+    def __init__(self, block_id: int, pages_per_block: int,
+                 states: Optional[bytearray] = None,
+                 metas: Optional["array[int]"] = None) -> None:
         self.block_id = block_id
         self.pages_per_block = pages_per_block
         self.kind = BlockKind.FREE
@@ -31,9 +46,13 @@ class Block:
         #: global operation sequence of the most recent program into this
         #: block; lets cost-benefit GC estimate block age without wall time.
         self.last_program_seq = 0
-        self._states: List[PageState] = [PageState.FREE] * pages_per_block
-        #: per-page metadata (LPN or VTPN of the content), None when free.
-        self._meta: List[Optional[int]] = [None] * pages_per_block
+        #: the arrays this block is a window onto, at pages ``[_base,
+        #: _base + pages_per_block)``; a fresh array is all 0, all FREE
+        self._base = 0 if states is None else block_id * pages_per_block
+        self._states: bytearray = (bytearray(pages_per_block)
+                                   if states is None else states)
+        self._meta: "array[int]" = (array("q", [0]) * pages_per_block
+                                    if metas is None else metas)
         self._write_ptr = 0
         self.valid_count = 0
         self.invalid_count = 0
@@ -46,8 +65,8 @@ class Block:
     @property
     def free_count(self) -> int:
         """Programmable pages left in this block (bad pages excluded)."""
-        return sum(1 for state in self._states[self._write_ptr:]
-                   if state is PageState.FREE)
+        return self._states.count(FREE, self._base + self._write_ptr,
+                                  self._base + self.pages_per_block)
 
     @property
     def is_full(self) -> bool:
@@ -61,17 +80,23 @@ class Block:
 
     def state(self, offset: int) -> PageState:
         """Lifecycle state of the page at ``offset``."""
-        return self._states[offset]
+        if not 0 <= offset < self.pages_per_block:
+            # the arrays are shared: past the block is a neighbour's page
+            raise IndexError(
+                f"offset {offset} outside block {self.block_id}")
+        return _PAGE_STATES[self._states[self._base + offset]]
 
     def meta(self, offset: int) -> Optional[int]:
-        """LPN/VTPN recorded when the page at ``offset`` was programmed."""
-        return self._meta[offset]
+        """LPN/VTPN recorded when the page at ``offset`` was programmed;
+        None unless the page is still VALID."""
+        if self.state(offset) is not PageState.VALID:
+            return None
+        return self._meta[self._base + offset]
 
     def valid_offsets(self) -> List[int]:
         """Offsets of currently valid pages (ascending)."""
-        valid = PageState.VALID
-        return [offset for offset, state in enumerate(self._states)
-                if state is valid]
+        window = self._states[self._base:self._base + self.pages_per_block]
+        return [i for i, state in enumerate(window) if state == VALID]
 
     # ------------------------------------------------------------------
     # Mutations
@@ -84,7 +109,7 @@ class Block:
         makes :attr:`is_full` a plain comparison.
         """
         while (self._write_ptr < self.pages_per_block
-               and self._states[self._write_ptr] is not PageState.FREE):
+               and self._states[self._base + self._write_ptr] != FREE):
             self._write_ptr += 1
 
     def program(self, meta: int, seq: int = 0) -> int:
@@ -100,11 +125,12 @@ class Block:
         if self.is_full:
             raise ProgramError(f"block {self.block_id} is full")
         offset = self._write_ptr
-        if self._states[offset] is not PageState.FREE:
+        index = self._base + offset
+        if self._states[index] != FREE:
             raise ProgramError(
                 f"page {offset} of block {self.block_id} is not free")
-        self._states[offset] = PageState.VALID
-        self._meta[offset] = meta
+        self._states[index] = VALID
+        self._meta[index] = meta
         self._write_ptr += 1
         self.valid_count += 1
         self.last_program_seq = seq
@@ -123,20 +149,19 @@ class Block:
         if self.is_full:
             raise ProgramError(f"block {self.block_id} is full")
         offset = self._write_ptr
-        self._states[offset] = PageState.BAD
-        self._meta[offset] = None
+        self._states[self._base + offset] = BAD
         self.bad_count += 1
         self._advance()
         return offset
 
     def invalidate(self, offset: int) -> None:
         """Mark a valid page invalid (its content was superseded)."""
-        if self._states[offset] is not PageState.VALID:
+        state = self.state(offset)
+        if state is not PageState.VALID:
             raise ProgramError(
                 f"page {offset} of block {self.block_id} is "
-                f"{self._states[offset].name}, cannot invalidate")
-        self._states[offset] = PageState.INVALID
-        self._meta[offset] = None
+                f"{state.name}, cannot invalidate")
+        self._states[self._base + offset] = INVALID
         self.valid_count -= 1
         self.invalid_count += 1
 
@@ -150,16 +175,14 @@ class Block:
             raise EraseError(
                 f"block {self.block_id} still has {self.valid_count} "
                 "valid pages")
-        self._meta = [None] * self.pages_per_block
+        base = self._base
+        end = base + self.pages_per_block
+        # bad pages survive the erase and the write pointer skips any
+        # leading ones
+        self._states[base:end] = self._states[base:end].translate(_ERASED)
         self._write_ptr = 0
         if self.bad_count:
-            # bad pages survive the erase (their metadata is already
-            # None) and the write pointer skips any leading ones
-            self._states = [state if state is PageState.BAD
-                            else PageState.FREE for state in self._states]
             self._advance()
-        else:
-            self._states = [PageState.FREE] * self.pages_per_block
         self.valid_count = 0
         self.invalid_count = 0
         self.erase_count += 1

@@ -7,6 +7,11 @@ garbage, which block to victimise, and how mappings change are decisions of
 the FTL layered on top.  This mirrors the split in FlashSim that the paper
 extends.
 
+The array owns the per-page state: a ``bytearray`` of state bytes and an
+``array('q')`` of metadata words, both indexed by PPN (layout and values:
+:mod:`~repro.flash.block`).  Each :class:`Block` is a window onto them,
+so read, invalidate and program reach a page without finding its block.
+
 Every operation has one body.  What makes it cheap on an ideal device is
 bookkeeping the array always keeps: operation counts are plain integers on
 :class:`FlashStats`, a counting victim index — one set of block ids per
@@ -41,6 +46,7 @@ Both leave the same array behind.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from typing import (Deque, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
@@ -50,7 +56,7 @@ from ..errors import (DeviceWornOutError, EraseError, FlashError,
                       OutOfSpaceError, ProgramError, ReadError)
 from ..faults import FaultInjector
 from ..types import BlockKind, PageKind, PageState
-from .block import Block
+from .block import Block, INVALID, VALID
 from .stats import FlashStats
 
 
@@ -61,8 +67,12 @@ class FlashMemory:
                  injector: Optional[FaultInjector] = None) -> None:
         self.config = config
         self.pages_per_block = config.pages_per_block
+        #: one state byte and one metadata word per physical page,
+        #: indexed by PPN; every block is a window onto them
+        self._states: bytearray = bytearray(config.physical_pages)
+        self._meta: "array[int]" = array("q", [0]) * config.physical_pages
         self.blocks: List[Block] = [
-            Block(i, config.pages_per_block)
+            Block(i, config.pages_per_block, self._states, self._meta)
             for i in range(config.physical_blocks)
         ]
         self._free: Deque[int] = deque(range(config.physical_blocks))
@@ -224,8 +234,9 @@ class FlashMemory:
             # the write pointer always rests on a FREE page (bad pages
             # are skipped when it moves), so the transition is direct
             offset = block._write_ptr
-            block._states[offset] = PageState.VALID
-            block._meta[offset] = meta
+            ppn = block._base + offset
+            self._states[ppn] = VALID
+            self._meta[ppn] = meta
             block._write_ptr = offset + 1
             block.valid_count += 1
             block.last_program_seq = seq
@@ -235,7 +246,7 @@ class FlashMemory:
                 self.stats.data_writes += 1
             else:
                 self.stats.translation_writes += 1
-            return block.block_id * ppb + offset
+            return ppn
 
     def allocate_block(self, region: BlockKind) -> Block:
         """Take a free block for dedicated use (not the region frontier).
@@ -285,15 +296,14 @@ class FlashMemory:
                                        else BlockKind.TRANSLATION)
             write_ptr = block._write_ptr
             take = min(total - i, ppb - write_ptr)
-            end = write_ptr + take
-            block._states[write_ptr:end] = [PageState.VALID] * take
-            block._meta[write_ptr:end] = metas[i:i + take]
-            block._write_ptr = end
+            first = block._base + write_ptr
+            self._states[first:first + take] = bytes((VALID,)) * take
+            self._meta[first:first + take] = array("q", metas[i:i + take])
+            block._write_ptr = write_ptr + take
             block.valid_count += take
             self.op_seq += take
             block.last_program_seq = self.op_seq
-            base = block.block_id * ppb + write_ptr
-            ppns.extend(range(base, base + take))
+            ppns.extend(range(first, first + take))
             i += take
         if data:
             self.stats.data_writes += total
@@ -331,30 +341,28 @@ class FlashMemory:
         none moves twice.
         """
         metas: List[int] = []
-        ppb = self.pages_per_block
         if self.injector.live:
             new_ppns: List[int] = []
             for block, offsets in sources:
-                base = block.block_id * ppb
                 for offset in offsets:
-                    meta = self.read(base + offset, kind)
+                    meta = self.read(block._base + offset, kind)
                     metas.append(meta)
                     new_ppns.append(self.program(kind, meta))
-                    self.invalidate(base + offset)
+                    self.invalidate(block._base + offset)
             return metas, new_ppns
-        valid, invalid = PageState.VALID, PageState.INVALID
+        states = self._states
+        page_meta = self._meta
         index = self.victim_index
         for block, offsets in sources:
-            states = block._states
-            page_meta = block._meta
+            base = block._base
             for offset in offsets:
-                if states[offset] is not valid:
+                ppn = base + offset
+                if states[ppn] != VALID:
                     raise FlashError(
-                        f"read of {states[offset].name} page at PPN "
-                        f"{block.block_id * ppb + offset}")
-                states[offset] = invalid
-                metas.append(page_meta[offset])
-                page_meta[offset] = None
+                        f"read of {PageState(states[ppn]).name} page at "
+                        f"PPN {ppn}")
+                states[ppn] = INVALID
+                metas.append(page_meta[ppn])
             if offsets:
                 block.valid_count -= len(offsets)
                 index[block.invalid_count].discard(block.block_id)
@@ -375,11 +383,10 @@ class FlashMemory:
         flash operation.  Exhausting the budget raises
         :class:`~repro.errors.ReadError`.
         """
-        block = self.blocks[ppn // self.pages_per_block]
-        offset = ppn % self.pages_per_block
-        if block._states[offset] is not PageState.VALID:
+        if self._states[ppn] != VALID:
             raise FlashError(
-                f"read of {block._states[offset].name} page at PPN {ppn}")
+                f"read of {PageState(self._states[ppn]).name} page at "
+                f"PPN {ppn}")
         injector = self.injector
         if injector.live:
             injector.on_operation()
@@ -400,7 +407,7 @@ class FlashMemory:
             self.stats.data_reads += 1
         else:
             self.stats.translation_reads += 1
-        return block._meta[offset]
+        return self._meta[ppn]
 
     def invalidate(self, ppn: int) -> None:
         """Invalidate the page at ``ppn`` (its content was superseded).
@@ -409,17 +416,15 @@ class FlashMemory:
         not consulted.  Moves the block up one victim-index bucket.
         """
         block_id = ppn // self.pages_per_block
-        block = self.blocks[block_id]
-        offset = ppn % self.pages_per_block
         # Block.invalidate inlined (same check, same transition): this
         # plus the index move runs once per superseded page.
-        states = block._states
-        if states[offset] is not PageState.VALID:
+        states = self._states
+        if states[ppn] != VALID:
             raise ProgramError(
-                f"page {offset} of block {block.block_id} is "
-                f"{states[offset].name}, cannot invalidate")
-        states[offset] = PageState.INVALID
-        block._meta[offset] = None
+                f"page {ppn % self.pages_per_block} of block {block_id} "
+                f"is {PageState(states[ppn]).name}, cannot invalidate")
+        states[ppn] = INVALID
+        block = self.blocks[block_id]
         block.valid_count -= 1
         invalid = block.invalid_count + 1
         block.invalid_count = invalid

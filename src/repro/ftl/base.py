@@ -19,11 +19,14 @@ A key representation choice: ``flash_table[lpn]`` always holds what the
 on-flash translation pages currently say.  Cached dirty entries diverge
 from it until a translation-page write folds them back in.  This gives a
 ground truth for consistency tests and makes translation-page content
-implicit (no byte arrays to maintain).
+implicit (no byte arrays to maintain).  The table is an ``array('q')``,
+8 B per logical page; reading an entry boxes an int, so a loop over a
+whole translation page should slice (``flash_table[a:b].tolist()``).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ..config import SimulationConfig
@@ -43,6 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: what the mapping cache reads a translation page for (GC counts its own)
 _READ_CAUSES = ("load", "writeback")
+#: logical pages :meth:`BaseFTL.prefill` programs per batch, which bounds
+#: the transient list of boxed PPNs a batch hands back
+_PREFILL_CHUNK = 4096
 
 
 def _page_request(op: Op, lpn: int) -> Request:
@@ -80,7 +86,8 @@ class BaseFTL:
         self.gtd = GlobalTranslationDirectory(self.geometry.translation_pages)
         #: authoritative on-flash mapping: LPN -> PPN as the translation
         #: pages currently record it.
-        self.flash_table: List[int] = [UNMAPPED] * config.ssd.logical_pages
+        self.flash_table: "array[int]" = (
+            array("q", [UNMAPPED]) * config.ssd.logical_pages)
         self.metrics = FTLMetrics()
         self.victim_policy = victim_policy or GreedyPolicy()
         self.wear_leveler = wear_leveler
@@ -258,8 +265,10 @@ class BaseFTL:
         """
         flash = self.flash
         pages = self.ssd.logical_pages
-        self.flash_table[:pages] = flash.program_batch(
-            PageKind.DATA, range(pages))
+        for first in range(0, pages, _PREFILL_CHUNK):
+            lpns = range(first, min(first + _PREFILL_CHUNK, pages))
+            self.flash_table[first:lpns.stop] = array(
+                "q", flash.program_batch(PageKind.DATA, lpns))
         if self.uses_translation_pages:
             ptpns = flash.program_batch(
                 PageKind.TRANSLATION,

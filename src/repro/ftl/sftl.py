@@ -103,14 +103,17 @@ class SFTL(BaseFTL):
     # ------------------------------------------------------------------
     def _count_runs(self, vtpn: int) -> int:
         """Sequential runs in the page's current content."""
+        first = self.geometry.first_lpn(vtpn)
+        # one slice, not a boxed read per entry: flash_table is an array
+        ppns = self.flash_table[
+            first:self.geometry.last_lpn(vtpn) + 1].tolist()
+        for lpn, ppn in self.buffer.get(vtpn, {}).items():
+            ppns[lpn - first] = ppn
         runs = 0
-        prev_ppn: Optional[int] = None
-        overrides = self.buffer.get(vtpn, {})
-        for lpn in self.geometry.lpns_of(vtpn):
-            ppn = overrides.get(lpn, self.flash_table[lpn])
-            if ppn == UNMAPPED:
-                ppn = -10  # never-sequential sentinel
-            if prev_ppn is None or ppn != prev_ppn + 1:
+        prev_ppn = UNMAPPED
+        for ppn in ppns:
+            # nothing follows an unmapped entry sequentially, PPN 0 included
+            if ppn != prev_ppn + 1 or prev_ppn == UNMAPPED:
                 runs += 1
             prev_ppn = ppn
         return max(1, runs)

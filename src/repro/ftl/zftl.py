@@ -99,10 +99,12 @@ class ZFTL(BaseFTL):
             self.metrics.hits += 1
             return self.zone_dirty.get(lpn, self.flash_table[lpn])
         if lpn in self.tier1:
-            # buffered out-of-zone update: resident mapping info
+            # buffered out-of-zone update: resident mapping info (read
+            # before the stray is noted: a switch moves the entry)
+            ppn = self.tier1[lpn]
             self._note_stray(zone, result)
             self.metrics.hits += 1
-            return self.tier1[lpn]
+            return ppn
         self._note_stray(zone, result)
         if zone == self.active_zone:
             # _note_stray switched to this zone; everything is resident
@@ -133,6 +135,10 @@ class ZFTL(BaseFTL):
             self.read_translation_page(vtpn, "load", result)
         self.active_zone = zone
         self.zone_dirty.clear()
+        # the zone's buffered first-tier updates are its newest mappings;
+        # inside the active zone only zone_dirty is consulted
+        for lpn in [lpn for lpn in self.tier1 if self.zone_of(lpn) == zone]:
+            self.zone_dirty[lpn] = self.tier1.pop(lpn)
         self._stray_streak = 0
         self._stray_zone = None
         self.zone_switches += 1

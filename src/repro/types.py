@@ -77,7 +77,7 @@ class BlockKind(enum.Enum):
     RETIRED = "retired"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One host I/O request, 4KB-page aligned.
 

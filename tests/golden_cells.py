@@ -125,7 +125,8 @@ def flash_state(flash):
     """The array block for block, as JSON-safe rows."""
     return [[block.kind.value, block.erase_count, block.valid_count,
              block.invalid_count, block.bad_count, block._write_ptr,
-             block.last_program_seq, list(block._meta)]
+             block.last_program_seq,
+             [block.meta(offset) for offset in range(block.pages_per_block)]]
             for block in flash.blocks]
 
 

@@ -22,7 +22,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, SimulationConfig
@@ -32,11 +32,12 @@ from repro.experiments.runner import (decode_result, encode_result,
                                       execute_spec)
 from repro.faults import FaultInjector, FaultPlan
 from repro.flash import FlashMemory
+from repro.flash.block import Block
 from repro.ftl import OptimalFTL, make_ftl
 from repro.gc import GreedyPolicy, WearLeveler
 from repro.metrics import CacheSampler
 from repro.ssd import DeviceModel
-from repro.types import AccessResult, BlockKind, PageKind
+from repro.types import AccessResult, BlockKind, PageKind, PageState
 from repro.workloads import make_preset
 
 from conftest import golden_digests, make_trace, random_ops, result_digest
@@ -401,6 +402,98 @@ class TestRelocate:
         assert flash.relocate([], PageKind.TRANSLATION) == ([], [])
         assert flash.active_block(BlockKind.TRANSLATION) is None
         assert array_state(flash) == array_state(FlashMemory(TINY_SSD))
+
+
+def take_as_frontier(flash, block_id):
+    """Allocate ``block_id`` out of the free pool as the data frontier."""
+    flash._free.remove(block_id)
+    flash._free.appendleft(block_id)
+    return flash._allocate(BlockKind.DATA)
+
+
+def window_state(block):
+    """Everything a ``Block`` knows about itself and its pages."""
+    offsets = range(block.pages_per_block)
+    return ([block.state(offset) for offset in offsets],
+            [block.meta(offset) for offset in offsets], block.kind,
+            block.valid_count, block.invalid_count, block.bad_count,
+            block.free_count, block._write_ptr, block.erase_count,
+            block.last_program_seq)
+
+
+def raw_pages(flash, block_id):
+    """The bytes block ``block_id`` occupies in the two flat arrays."""
+    first = block_id * flash.pages_per_block
+    stop = first + flash.pages_per_block
+    return (bytes(flash._states[first:stop]),
+            flash._meta[first:stop].tobytes())
+
+
+class TestBlockWindow:
+    """A block of the array is a window onto two flat arrays: it must
+    behave as a stand-alone ``Block`` does and stay inside its window
+    (an in-block offset used as a PPN, or a slice that forgets the
+    base, lands in another block)."""
+
+    @given(k=st.integers(1, TINY_SSD.physical_blocks - 2),
+           ops=st.lists(st.tuples(
+               st.sampled_from(["program", "invalidate", "bad", "erase"]),
+               st.integers(0, 7)), max_size=40))
+    @example(k=1, ops=[("bad", 0), ("program", 2), ("bad", 0),
+                       ("program", 7), ("invalidate", 1), ("invalidate", 0),
+                       ("invalidate", 0), ("invalidate", 0),
+                       ("invalidate", 0), ("invalidate", 0), ("erase", 0),
+                       ("program", 3)])
+    @settings(max_examples=60, deadline=None)
+    def test_window_matches_a_stand_alone_block(self, k, ops):
+        ppb = TINY_SSD.pages_per_block
+        flash = FlashMemory(TINY_SSD)
+        for neighbour in (k - 1, k + 1):
+            take_as_frontier(flash, neighbour)
+            ppns = flash.program_batch(
+                PageKind.DATA, range(neighbour * 100, neighbour * 100 + ppb))
+            flash.invalidate(ppns[neighbour % ppb])
+        before = [(raw_pages(flash, b), window_state(flash.blocks[b]))
+                  for b in (k - 1, k + 1)]
+        window = flash.blocks[k]
+        alone = Block(k, ppb)
+        meta = 0
+        for op, n in ops:
+            if op in ("program", "bad") and not alone.is_full:
+                if alone.is_free:
+                    alone.kind = BlockKind.DATA
+                    take_as_frontier(flash, k)
+                if op == "bad":
+                    # stay under the count at which an erase retires
+                    if alone.bad_count + 1 < flash._bad_retire_pages:
+                        assert alone.mark_bad() == window.mark_bad()
+                    continue
+                metas = list(range(meta, meta + min(n + 1, alone.free_count)))
+                meta += len(metas)
+                # the chunk fill is the ideal device's, which never
+                # grows a bad page; past one, program page by page
+                ppns = (flash.program_batch(PageKind.DATA, metas)
+                        if not window.bad_count else
+                        [flash.program(PageKind.DATA, m) for m in metas])
+                assert ppns == [flash.ppn_of(k, alone.program(m, flash.op_seq))
+                                for m in metas]
+            elif op == "invalidate" and alone.valid_count:
+                valid = alone.valid_offsets()
+                assert valid == window.valid_offsets()
+                alone.invalidate(valid[n % len(valid)])
+                flash.invalidate(flash.ppn_of(k, valid[n % len(valid)]))
+            elif (op == "erase" and not alone.is_free
+                  and not alone.valid_count):
+                alone.erase()
+                assert flash.erase(k)
+            assert window_state(alone) == window_state(window)
+            # ... and right, not merely alike: bad pages outlive erases
+            states = window_state(window)[0]
+            assert [states.count(state) for state in PageState] == [
+                window.free_count, window.valid_count,
+                window.invalid_count, window.bad_count]
+        assert before == [(raw_pages(flash, b), window_state(flash.blocks[b]))
+                          for b in (k - 1, k + 1)]
 
 
 class TestGCTimeFractionInvariant:

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.config import SSDConfig
 from repro.errors import EraseError, ProgramError
+from repro.flash import FlashMemory
 from repro.flash.block import Block
-from repro.types import BlockKind, PageState
+from repro.types import BlockKind, PageKind, PageState
 
 
 @pytest.fixture
@@ -105,3 +107,33 @@ class TestQueries:
 
     def test_fresh_block_is_free_kind(self):
         assert Block(0, 4).is_free
+
+    def test_meta_is_none_unless_the_page_is_valid(self, block):
+        block.mark_bad()
+        gone = block.program(meta=7)
+        kept = block.program(meta=-1)  # no value of the word is reserved
+        block.invalidate(gone)
+        assert [block.meta(offset) for offset in range(4)] == [
+            None, None, -1, None]  # BAD, INVALID, VALID, FREE
+        block.invalidate(kept)
+        block.erase()
+        assert [block.meta(offset) for offset in range(4)] == [None] * 4
+
+
+class TestWindowedBlock:
+    """A block of a ``FlashMemory`` shares the array's page arrays: an
+    offset outside it must be refused, not served from a neighbour."""
+
+    @pytest.fixture
+    def window(self) -> Block:
+        flash = FlashMemory(SSDConfig(logical_pages=64, pages_per_block=4))
+        flash.program_batch(PageKind.DATA, range(12))  # blocks 0, 1, 2
+        return flash.blocks[1]
+
+    @pytest.mark.parametrize("offset", [-1, 4])
+    def test_offset_outside_the_block_is_an_index_error(self, window,
+                                                        offset):
+        with pytest.raises(IndexError):
+            window.state(offset)
+        with pytest.raises(IndexError):
+            window.meta(offset)

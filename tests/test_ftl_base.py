@@ -71,7 +71,7 @@ def unvalidated_request(op, lpn, npages):
     """A ``Request`` that skipped its own ``__post_init__`` check, as an
     unpickled one does."""
     request = Request(arrival=0.0, op=op, lpn=0, npages=npages)
-    vars(request)["lpn"] = lpn
+    request.__setstate__((0.0, op, lpn, npages, None))
     return request
 
 

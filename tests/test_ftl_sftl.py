@@ -1,9 +1,14 @@
 """S-FTL behaviour: page-granular caching, compression, dirty buffer."""
 
+import random
+
+import pytest
+
 from repro.config import CacheConfig, SimulationConfig, SSDConfig
 from repro.ftl import SFTL
 from repro.ftl.sftl import (BUFFER_ENTRY_BYTES, PAGE_HEADER_BYTES,
                             RUN_BYTES, SPARSE_DIRTY_LIMIT)
+from repro.types import UNMAPPED
 
 
 def make_sftl(budget: int = 1024, buffer_fraction: float = 0.1,
@@ -46,6 +51,63 @@ class TestPageGranularCaching:
         page = ftl.pages.get(0, touch=False)
         assert page.runs > 1
         assert page.charged_bytes > PAGE_HEADER_BYTES + RUN_BYTES
+
+
+def count_runs_reference(ftl: SFTL, vtpn: int) -> int:
+    """``SFTL._count_runs`` as it was before it sliced the table: one
+    table read and one override probe per entry."""
+    runs = 0
+    prev_ppn = None
+    overrides = ftl.buffer.get(vtpn, {})
+    for lpn in ftl.geometry.lpns_of(vtpn):
+        ppn = overrides.get(lpn, ftl.flash_table[lpn])
+        if ppn == UNMAPPED:
+            ppn = -10  # never-sequential sentinel
+        if prev_ppn is None or ppn != prev_ppn + 1:
+            runs += 1
+        prev_ppn = ppn
+    return max(1, runs)
+
+
+class TestCountRuns:
+    """The compressed size S-FTL charges must not move by a byte."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tables_with_parked_overrides(self, seed):
+        ftl = make_sftl(logical_pages=500)  # last page: 52 entries
+        rng = random.Random(seed)
+        ppn = 0
+        for lpn in range(500):
+            roll = rng.random()
+            if roll < 0.15:
+                ppn = UNMAPPED
+            elif roll < 0.5 or ppn == UNMAPPED:
+                ppn = rng.randrange(4096)
+            else:
+                ppn += 1
+            ftl.flash_table[lpn] = ppn
+        for lpn in rng.sample(range(500), 40):
+            ftl.buffer.setdefault(ftl.geometry.vtpn_of(lpn), {})[lpn] = (
+                rng.choice([UNMAPPED, 0, ftl.flash_table[lpn - 1] + 1,
+                            rng.randrange(4096)]))
+        assert ftl.geometry.entries_in(7) == 52
+        for vtpn in range(ftl.geometry.translation_pages):
+            assert ftl._count_runs(vtpn) == count_runs_reference(ftl, vtpn)
+
+    def test_ppn_zero_after_an_unmapped_entry_starts_a_run(self):
+        ftl = make_sftl()
+        ftl.flash_table[10] = UNMAPPED
+        ftl.flash_table[11] = 0
+        ftl.flash_table[12] = 1
+        # [0..9], [10], [11, 12], [13..63]
+        assert ftl._count_runs(0) == count_runs_reference(ftl, 0) == 4
+
+    def test_all_unmapped_page_is_one_run_per_entry(self):
+        ftl = make_sftl()
+        epp = ftl.geometry.entries_per_page
+        for lpn in range(epp):
+            ftl.flash_table[lpn] = UNMAPPED
+        assert ftl._count_runs(0) == count_runs_reference(ftl, 0) == epp
 
 
 class TestReplacement:

@@ -1,11 +1,13 @@
 """TPFTL behaviour: two-level lists, r/s/b/c techniques, §4.5 rules."""
 
+import tracemalloc
+
 import pytest
 
 from repro.config import (CacheConfig, SimulationConfig, SSDConfig,
                           TPFTLConfig)
 from repro.errors import SimInvariantError
-from repro.ftl import TPFTL
+from repro.ftl import TPFTL, make_ftl
 from repro.ftl.tpftl import EntryNode, TPNode
 from repro.types import AccessResult, Op, Request
 
@@ -74,6 +76,25 @@ class TestTwoLevelStructure:
         # the byte-budget model prices entry and TP nodes as fixed-size
         assert not hasattr(EntryNode(0, 0, 1), "__dict__")
         assert not hasattr(TPNode(0), "__dict__")
+
+    def test_device_and_trace_footprint(self):
+        """What a cell holds per item: a request without an instance
+        dict, and a prefilled device in flat arrays — one state byte
+        and one metadata word per physical page, one table word per
+        logical page (per-block lists of boxed values were 96 B
+        retained and 113 B at the peak of the prefill)."""
+        assert not hasattr(Request(0.0, Op.READ, 0, 1), "__dict__")
+        pages = 16_384
+        tracemalloc.start()
+        try:
+            ftl = make_ftl("optimal", SimulationConfig(
+                ssd=SSDConfig(logical_pages=pages)))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ftl.flash_table) == pages
+        assert retained <= 32 * pages
+        assert peak <= 48 * pages
 
     def test_add_of_cached_lpn_is_an_invariant_error(self):
         node = TPNode(0)

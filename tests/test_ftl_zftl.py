@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from repro.config import CacheConfig, SimulationConfig, SSDConfig
+from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
+                          SSDConfig)
 from repro.ftl import ZFTL
 from repro.recovery import verify_recovery
+from repro.types import Op, Request
 
 
 def make_zftl(budget: int = 600, switch_threshold: int = 4,
@@ -116,6 +118,50 @@ class TestFirstTier:
         hits = ftl.metrics.hits
         ftl.read_page(far)
         assert ftl.metrics.hits == hits + 1
+
+
+#: ``golden_cells.gc_heavy_trace()`` shrunk to the six requests that
+#: break a ZFTL which forgets the first tier on a zone switch: the first
+#: activates the last zone, the next fifteen pages stray into zone 0 and
+#: buffer LPN 1's new mapping in the first tier, and the sixteenth
+#: (LPN 4) switches to zone 0 — where only ``zone_dirty`` is consulted.
+SWITCH_INTO_BUFFERED_ZONE = [
+    (Op.WRITE, 506, 2), (Op.WRITE, 186, 3), (Op.READ, 162, 4),
+    (Op.READ, 136, 4), (Op.WRITE, 81, 1), (Op.WRITE, 1, 4)]
+
+
+class TestSwitchIntoBufferedZone:
+    """A zone switch must carry the incoming zone's first-tier updates
+    into ``zone_dirty``; left behind, the stale on-flash mapping is
+    served (SAN001, then a ``ProgramError`` on the next overwrite)."""
+
+    @pytest.mark.parametrize("budget", [1024, 1536, 2048])
+    def test_shrunk_trace_is_clean_under_full_rate_ftlsan(self, budget):
+        ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
+        ftl = ZFTL(SimulationConfig(
+            ssd=ssd, cache=CacheConfig(budget_bytes=budget),
+            sanitizer=SanitizerConfig(enabled=True, interval=1,
+                                      full_every=1)))
+        for op, lpn, npages in SWITCH_INTO_BUFFERED_ZONE:
+            ftl.serve_request(Request(0.0, op, lpn, npages))
+        assert ftl.zone_switches == 2
+        ftl.check_consistency()
+
+    def test_first_tier_hit_that_switches_returns_buffered_ppn(self):
+        ftl = make_zftl(switch_threshold=2)
+        ftl.read_page(0)
+        far = (ftl.zone_tpages * ftl.geometry.entries_per_page) % 512
+        if ftl.zone_of(far) == ftl.active_zone:
+            pytest.skip("zone covers the whole device at this budget")
+        ftl.write_page(far)  # stray 1: buffered in the first tier
+        buffered = ftl.tier1[far]
+        # stray 2 hits the first tier and crosses the threshold; a stale
+        # PPN would make the data read raise (the old page is INVALID)
+        result = ftl.read_page(far)
+        assert result.data_reads == 1
+        assert ftl.active_zone == ftl.zone_of(far)
+        assert far not in ftl.tier1
+        assert ftl.cache_peek(far) == buffered
 
 
 class TestEndToEnd:
