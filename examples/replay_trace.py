@@ -4,8 +4,8 @@
 If you have the paper's original traces (UMass Financial1/2 in SPC
 format, MSR-ts/MSR-src in MSR CSV format), point this script at them to
 run the evaluation on the real inputs.  Without a file, it writes a
-small demonstration SPC trace and replays that, so the example always
-runs.
+small demonstration SPC trace to a temporary directory and replays
+that, so the example always runs and leaves nothing behind.
 
 Run:  python examples/replay_trace.py [TRACE] [--format spc|msr]
       python examples/replay_trace.py Financial1.spc --ftl tpftl
@@ -13,13 +13,12 @@ Run:  python examples/replay_trace.py [TRACE] [--format spc|msr]
 
 import argparse
 import random
+import tempfile
 from pathlib import Path
 
 from repro import SimulationConfig, SSDConfig, make_ftl, simulate
 from repro.workloads import (characterize, load_msr_trace,
                              load_spc_trace)
-
-DEMO_PATH = Path("demo_trace.spc")
 
 
 def write_demo_trace(path: Path, requests: int = 5_000,
@@ -53,13 +52,16 @@ def main() -> None:
                              "pages (default: size to the trace)")
     args = parser.parse_args()
 
-    path = Path(args.trace) if args.trace else DEMO_PATH
-    if args.trace is None and not path.exists():
-        print(f"no trace given; writing a demo trace to {path}")
-        write_demo_trace(path)
-
-    loader = load_spc_trace if args.format == "spc" else load_msr_trace
-    trace = loader(path, wrap_pages=args.device_pages)
+    if args.trace is None:
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "demo_trace.spc"
+            print("no trace given; replaying a demo SPC trace")
+            write_demo_trace(path)
+            trace = load_spc_trace(path, wrap_pages=args.device_pages)
+    else:
+        path = Path(args.trace)
+        loader = load_spc_trace if args.format == "spc" else load_msr_trace
+        trace = loader(path, wrap_pages=args.device_pages)
     stats = characterize(trace)
     print("Loaded:", stats.as_table4_row())
 

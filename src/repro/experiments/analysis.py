@@ -16,7 +16,7 @@ their workload share of trims is folded into writes.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Iterator, List
 
 from ..config import (CacheConfig, SanitizerConfig, SimulationConfig,
                       SSDConfig)
@@ -37,10 +37,9 @@ NO_TRIM = ("block", "hybrid")
 
 
 def _build_ops(num_ops: int, trims: bool,
-               seed: int) -> List[Request]:
+               seed: int) -> Iterator[Request]:
     """Deterministic mixed single/multi-page read/write/trim stream."""
     rng = random.Random(seed)
-    requests: List[Request] = []
     for index in range(num_ops):
         draw = rng.random()
         npages = rng.choice((1, 1, 1, 2, 4))
@@ -51,9 +50,8 @@ def _build_ops(num_ops: int, trims: bool,
         else:
             op, npages = Op.TRIM, 1
         lpn = rng.randrange(SAN_PAGES - npages + 1)
-        requests.append(Request(arrival=float(index) * 100.0, op=op,
-                                lpn=lpn, npages=npages))
-    return requests
+        yield Request(arrival=float(index) * 100.0, op=op, lpn=lpn,
+                      npages=npages)
 
 
 def _sweep_row(ftl_name: str, num_ops: int) -> List[object]:

@@ -71,7 +71,7 @@ def _media_row(ftl_name: str, scale: ExperimentScale) -> List[object]:
     served = 0
     worn_out = False
     try:
-        for request in trace.requests:
+        for request in trace:
             ftl.serve_request(request)
             served += 1
     except DeviceWornOutError:

@@ -321,25 +321,16 @@ class DeviceModel:
         delay for every request it jumped ahead of.  The trace parsers
         sort defensively and the synthetic/traffic generators emit
         ordered schedules, so an unordered trace here is a caller bug.
+        Both facts were computed once, when the trace's columns were
+        built, so a replay pays nothing per request for them.
         """
         pages = self.ftl.ssd.logical_pages
-        end = 0  # one past the last LPN touched
-        previous = 0.0
-        unordered = None  # first (index, arrival, arrival before it)
-        for index, request in enumerate(trace.requests):
-            stop = request.lpn + request.npages
-            if stop > end:
-                end = stop
-            arrival = request.arrival
-            if arrival < previous and unordered is None:
-                unordered = (index, arrival, previous)
-            previous = arrival
-        if end > pages:
+        if trace.end_lpn > pages:
             raise WorkloadError(
-                f"trace touches LPN {end - 1} but the device has only "
-                f"{pages} logical pages")
-        if unordered is not None:
-            index, arrival, previous = unordered
+                f"trace touches LPN {trace.end_lpn - 1} but the device has "
+                f"only {pages} logical pages")
+        if trace.unordered is not None:
+            index, arrival, previous = trace.unordered
             raise WorkloadError(
                 f"trace arrivals are not non-decreasing: request "
                 f"{index} arrives at {arrival} after {previous}; sort "
@@ -367,13 +358,12 @@ class DeviceModel:
         read_us = ftl.ssd.read_us
         write_us = ftl.ssd.write_us
         erase_us = ftl.ssd.erase_us
-        measured = trace.requests
-        if warmup_requests > 0:
-            for request in trace.requests[:warmup_requests]:
+        warmup = max(warmup_requests, 0)
+        if warmup:
+            for request in trace.rows(0, warmup):
                 ftl.serve_request(request)
             ftl.metrics = FTLMetrics()
             ftl.flash.stats.reset()
-            measured = trace.requests[warmup_requests:]
         metrics = ftl.metrics
         keep = self.keep_response_samples
         response = ResponseStats(keep_samples=keep)
@@ -388,7 +378,7 @@ class DeviceModel:
         background_gc_us = 0.0
         background_collections = 0
         makespan = 0.0
-        for request in measured:
+        for request in trace.rows(warmup):
             arrival = request.arrival
             if background_gc:
                 idle = arrival - min(busy)
@@ -452,7 +442,7 @@ class DeviceModel:
         return RunResult(
             ftl_name=ftl.name,
             trace_name=trace.name,
-            requests=len(measured),
+            requests=max(len(trace) - warmup, 0),
             metrics=metrics,
             response=response,
             sampler=sampler,

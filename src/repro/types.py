@@ -9,8 +9,12 @@ block number); the type aliases below only document intent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+import itertools
+import operator
+from array import array
+from dataclasses import dataclass
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 # Type aliases used throughout the package (documentation only).
 LPN = int  # logical page number
@@ -77,8 +81,18 @@ class BlockKind(enum.Enum):
     RETIRED = "retired"
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
+class _RequestFields(NamedTuple):
+    """The fields of a :class:`Request`, in row order."""
+
+    arrival: float
+    op: Op
+    lpn: LPN
+    npages: int
+    #: tenant stream this request belongs to (None = unattributed)
+    tenant: Optional[str] = None
+
+
+class Request(_RequestFields):
     """One host I/O request, 4KB-page aligned.
 
     ``arrival`` is in simulated microseconds from trace start.  ``lpn`` is
@@ -88,20 +102,22 @@ class Request:
     :mod:`repro.workloads.traffic`); ``None`` — the default for every
     single-stream trace — means the request is unattributed and the
     device keeps no per-tenant statistics for it.
+
+    A named tuple: immutable, equal to a request with equal fields, and
+    cheap to build, because a :class:`Trace` makes one per request it
+    yields.  The constructor validates; a trace's rows come from columns
+    already validated and skip it (``tuple.__new__``).
     """
 
-    arrival: float
-    op: Op
-    lpn: LPN
-    npages: int
-    #: tenant stream this request belongs to (None = unattributed)
-    tenant: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.npages <= 0:
-            raise ValueError(f"npages must be positive, got {self.npages}")
-        if self.lpn < 0:
-            raise ValueError(f"lpn must be non-negative, got {self.lpn}")
+    def __new__(cls, arrival: float, op: Op, lpn: LPN, npages: int,
+                tenant: Optional[str] = None) -> "Request":
+        if npages <= 0:
+            raise ValueError(f"npages must be positive, got {npages}")
+        if lpn < 0:
+            raise ValueError(f"lpn must be non-negative, got {lpn}")
+        return tuple.__new__(cls, (arrival, op, lpn, npages, tenant))
 
     @property
     def is_write(self) -> bool:
@@ -169,26 +185,133 @@ class AccessResult:
                 + self.erases * erase_us)
 
 
-@dataclass
-class Trace:
-    """An ordered sequence of requests plus its address-space size."""
+#: the ``ops`` column's codes: ``OPS[code]`` is the request's :class:`Op`
+OPS = (Op.READ, Op.WRITE, Op.TRIM)
+_OP_CODES = {op: code for code, op in enumerate(OPS)}
+#: tenant names a trace can hold (the ``tenants`` column is one byte and
+#: code 0 is the unattributed ``None``)
+MAX_TENANTS = 255
 
-    requests: List[Request] = field(default_factory=list)
-    #: number of logical pages addressed by the trace's device
-    logical_pages: int = 0
-    name: str = ""
+
+class Trace:
+    """An ordered sequence of requests plus its address-space size.
+
+    Stored as five parallel columns and nothing else, about 27 B per
+    request:
+
+    * ``arrivals`` — ``array('d')``, simulated microseconds;
+    * ``ops`` — ``array('B')``, an index into :data:`OPS`;
+    * ``lpns`` / ``npages`` — ``array('q')``;
+    * ``tenants`` — ``array('B')``, an index into ``tenant_names``,
+      whose slot 0 is ``None`` (unattributed).
+
+    :class:`Request` rows exist only while iterating (:meth:`rows`,
+    ``iter``, ``trace[i]``).  Two facts the device checks before a
+    replay are computed once, when the columns are adopted: ``end_lpn``,
+    one past the last LPN touched (0 when empty), and ``unordered``, the
+    first request arriving before the one ahead of it as ``(index,
+    arrival, previous)``, or ``None``.  The columns are not to be
+    changed afterwards.
+    """
+
+    __slots__ = ("arrivals", "ops", "lpns", "npages", "tenants",
+                 "tenant_names", "logical_pages", "name", "end_lpn",
+                 "unordered")
+
+    def __init__(self, requests: Iterable[Request] = (),
+                 logical_pages: int = 0, name: str = "") -> None:
+        arrivals = array("d")
+        ops = array("B")
+        lpns = array("q")
+        npages = array("q")
+        tenants = array("B")
+        codes: Dict[Optional[str], int] = {None: 0}
+        for request in requests:
+            arrivals.append(request.arrival)
+            ops.append(_OP_CODES[request.op])
+            lpns.append(request.lpn)
+            npages.append(request.npages)
+            code = codes.get(request.tenant)
+            if code is None:
+                if len(codes) > MAX_TENANTS:
+                    raise ValueError(
+                        f"a trace holds at most {MAX_TENANTS} tenants")
+                code = codes[request.tenant] = len(codes)
+            tenants.append(code)
+        self._adopt(arrivals, ops, lpns, npages, tenants, tuple(codes),
+                    logical_pages, name)
+
+    @classmethod
+    def from_columns(cls, arrivals: array, ops: array, lpns: array,
+                     npages: array, tenants: Optional[array] = None,
+                     tenant_names: Tuple[Optional[str], ...] = (None,),
+                     logical_pages: int = 0, name: str = "") -> "Trace":
+        """A trace over columns a generator built (see the class
+        docstring for their types); ``tenants=None`` leaves every
+        request unattributed.  The values are trusted: no request is
+        validated."""
+        count = len(arrivals)
+        if tenants is None:
+            tenants = array("B", [0]) * count
+        if not (len(ops) == len(lpns) == len(npages) == len(tenants)
+                == count):
+            raise ValueError("trace columns differ in length")
+        trace = cls.__new__(cls)
+        trace._adopt(arrivals, ops, lpns, npages, tenants, tenant_names,
+                     logical_pages, name)
+        return trace
+
+    def _adopt(self, arrivals: array, ops: array, lpns: array,
+               npages: array, tenants: array,
+               tenant_names: Tuple[Optional[str], ...],
+               logical_pages: int, name: str) -> None:
+        self.arrivals = arrivals
+        self.ops = ops
+        self.lpns = lpns
+        self.npages = npages
+        self.tenants = tenants
+        self.tenant_names = tenant_names
+        #: number of logical pages addressed by the trace's device
+        self.logical_pages = logical_pages
+        self.name = name
+        self.end_lpn: LPN = max(map(operator.add, lpns, npages), default=0)
+        # each arrival against the one before it (0.0 before the first)
+        late = itertools.compress(itertools.count(), map(
+            operator.lt, arrivals, itertools.chain((0.0,), arrivals)))
+        index = next(late, None)
+        self.unordered: Optional[Tuple[int, float, float]] = (
+            None if index is None else
+            (index, arrivals[index], arrivals[index - 1] if index else 0.0))
+
+    def rows(self, start: int = 0,
+             stop: Optional[int] = None) -> Iterator[Request]:
+        """The requests ``[start, stop)`` as rows, built one at a time."""
+        names = self.tenant_names
+        columns: Iterator[tuple] = zip(
+            self.arrivals, map(OPS.__getitem__, self.ops), self.lpns,
+            self.npages,
+            map(names.__getitem__, self.tenants) if len(names) > 1
+            else itertools.repeat(None))
+        if start or stop is not None:
+            columns = itertools.islice(columns, start, stop)
+        return map(tuple.__new__, itertools.repeat(Request), columns)
+
+    @property
+    def requests(self) -> List[Request]:
+        """Every request as a list of rows (a convenience for tests)."""
+        return list(self.rows())
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.arrivals)
 
     def __iter__(self) -> Iterator[Request]:
-        return iter(self.requests)
+        return self.rows()
 
     def __getitem__(self, index: int) -> Request:
-        return self.requests[index]
+        return tuple.__new__(Request, (
+            self.arrivals[index], OPS[self.ops[index]], self.lpns[index],
+            self.npages[index], self.tenant_names[self.tenants[index]]))
 
     def max_lpn(self) -> Optional[LPN]:
         """Largest LPN touched, or None for an empty trace."""
-        if not self.requests:
-            return None
-        return max(r.end_lpn - 1 for r in self.requests)
+        return self.end_lpn - 1 if len(self) else None

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from typing import List
 
 from ..errors import WorkloadError
-from ..types import Op, Request, Trace
+from ..types import OPS, Op, Trace
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,9 @@ def generate(spec: SyntheticSpec) -> Trace:
     """Generate a deterministic trace from ``spec``.
 
     What a request cannot change is bound once, before the loop, and its
-    draws are written out in place, so a request costs no helper call.
-    The RNG is consulted in a fixed order per request (trim?, write?,
+    draws are written out in place, so a request costs no helper call;
+    its fields go straight onto the trace's columns.  The RNG is
+    consulted in a fixed order per request (trim?, write?,
     length, sequential?, placement, arrival), pinned request for request
     by the ``traces/`` cells of ``tests/golden_digests.json``.
     """
@@ -152,16 +153,23 @@ def generate(spec: SyntheticSpec) -> Trace:
     streams = tuple([_Stream() for _ in range(spec.streams)]
                     for _ in range(2))
     current = [0, 0]
-    requests: List[Request] = []
-    append = requests.append
+    arrivals = array("d")
+    ops = array("B")
+    lpns = array("q")
+    sizes = array("q")
+    add_arrival = arrivals.append
+    add_op = ops.append
+    add_lpn = lpns.append
+    add_size = sizes.append
+    trim = OPS.index(Op.TRIM)
     clock = 0.0
     for _ in range(spec.num_requests):
         if trim_fraction and rand() < trim_fraction:
-            op = Op.TRIM
+            op = trim
             is_write = True  # trims follow the write placement model
         else:
             is_write = rand() < write_ratio
-            op = Op.WRITE if is_write else Op.READ
+            op = is_write  # OPS[False] is READ, OPS[True] WRITE
         npages = 1
         log_miss = log_misses[is_write]
         if log_miss:
@@ -208,5 +216,9 @@ def generate(spec: SyntheticSpec) -> Trace:
         if arrival_rate:
             # random.expovariate's own expression
             clock += -log(1.0 - rand()) / arrival_rate
-        append(Request(clock, op, lpn, npages))
-    return Trace(requests=requests, logical_pages=pages, name=spec.name)
+        add_arrival(clock)
+        add_op(op)
+        add_lpn(lpn)
+        add_size(npages)
+    return Trace.from_columns(arrivals, ops, lpns, sizes,
+                              logical_pages=pages, name=spec.name)

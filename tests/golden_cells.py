@@ -201,10 +201,11 @@ def synthetic(name, **fields):
     return generate(SyntheticSpec(**params))
 
 
-def ledger_mix():
+def ledger_mix(requests_per_tenant=20_000):
     """``tenants-fair`` of ``benchmarks/perf/perf_cells.py`` at seed 0."""
     tenants = tuple(
-        TenantSpec(name=name, workload=preset, num_requests=20_000,
+        TenantSpec(name=name, workload=preset,
+                   num_requests=requests_per_tenant,
                    pages=32_768, weight=weight, seed=7 + index,
                    arrival=ArrivalModel(kind=kind,
                                         mean_interarrival_us=2_500.0))

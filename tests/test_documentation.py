@@ -2,15 +2,19 @@
 
 Every module, public class and public function in ``repro`` must carry
 a docstring (deliverable (e) of the reproduction: doc comments on every
-public item), the README's quickstart snippet must actually run, and
+public item), the README's quickstart snippet and the trace-replay
+example must actually run, and
 the rule tables in ``docs/architecture.md`` must list exactly the
 codes the analysis registries define (no phantom or undocumented
 rules).
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -70,6 +74,21 @@ def test_readme_quickstart_runs():
                               "warmup_requests=200")
     namespace = {}
     exec(compile(snippet, "<README quickstart>", "exec"), namespace)
+
+
+def test_replay_trace_example_leaves_nothing_behind(tmp_path):
+    """``examples/replay_trace.py`` with no trace writes its demo SPC
+    file to a temporary directory: run from an empty one, it exits 0
+    and leaves it empty.  End to end, this is the SPC parser, a
+    ``Trace(requests=...)`` turned into columns, and a replay."""
+    script = SRC.parent.parent / "examples" / "replay_trace.py"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "mean_response_us" in done.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_design_and_experiments_docs_exist():

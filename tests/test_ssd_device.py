@@ -98,11 +98,36 @@ class TestSingleServerOracle:
 
 
 class TestValidation:
+    """Both checks read facts the trace computed when it was built."""
+
     def test_trace_bigger_than_device_rejected(self, tiny_config):
         ftl = OptimalFTL(tiny_config)
         trace = make_trace([(Op.READ, 511, 2)])  # touches LPN 512
         with pytest.raises(WorkloadError):
             simulate(ftl, trace)
+
+    def test_oversized_trace_message_and_nothing_served(self, tiny_config):
+        ftl = OptimalFTL(tiny_config)
+        programs = ftl.flash.stats.total_writes
+        trace = make_trace([(Op.WRITE, 3, 1), (Op.READ, 600, 2),
+                            (Op.READ, 0, 1)])
+        with pytest.raises(WorkloadError) as raised:
+            simulate(ftl, trace)
+        assert str(raised.value) == ("trace touches LPN 601 but the device "
+                                     "has only 512 logical pages")
+        assert ftl.flash.stats.total_writes == programs
+
+    def test_unordered_trace_message_names_the_first_late_request(
+            self, tiny_config):
+        trace = Trace(requests=[
+            Request(arrival=arrival, op=Op.READ, lpn=0, npages=1)
+            for arrival in (10.0, 30.0, 20.0, 5.0)], logical_pages=512)
+        with pytest.raises(WorkloadError) as raised:
+            simulate(OptimalFTL(tiny_config), trace)
+        assert str(raised.value) == (
+            "trace arrivals are not non-decreasing: request 2 arrives at "
+            "20.0 after 30.0; sort the trace (the parsers do) or fix the "
+            "generator")
 
 
 class TestWarmup:
@@ -113,6 +138,15 @@ class TestWarmup:
         assert result.requests == 5
         assert result.metrics.user_page_writes == 5
         assert result.response.count == 5
+
+    def test_warmup_longer_than_the_trace(self, tiny_config):
+        ftl = OptimalFTL(tiny_config)
+        before = ftl.flash_table[:10].tolist()
+        ops = [(Op.WRITE, i, 1) for i in range(10)]
+        result = simulate(ftl, make_trace(ops), warmup_requests=25)
+        assert result.requests == 0 and result.response.count == 0
+        # every warmup write was served: each LPN moved to a new page
+        assert all(a != b for a, b in zip(before, ftl.flash_table[:10]))
 
     def test_warmup_state_persists(self, tiny_config):
         """Warmup must age the device even though stats reset."""

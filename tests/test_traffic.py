@@ -10,9 +10,10 @@ reference digests on traffic workloads, the runner's digest-neutral spec extensi
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -26,9 +27,11 @@ from repro.ftl import make_ftl
 from repro.ssd import DeviceModel, simulate
 from repro.types import Op, Request, Trace
 from repro.workloads import (ARRIVAL_KINDS, ArrivalModel, TenantSpec,
-                             TrafficSpec, compose, uniform_mix)
+                             TrafficSpec, compose, make_preset, uniform_mix)
+from repro.workloads import traffic
 
 from conftest import golden_digests, result_digest
+from golden_cells import ledger_mix
 
 TINY = ExperimentScale(
     name="tiny", num_requests=900, warmup_requests=200,
@@ -199,6 +202,65 @@ class TestCompose:
             == [(r.op, r.lpn, r.npages) for r in preset.requests]
         assert all(r.tenant == "financial1-0" for r in trace.requests)
 
+    def test_merge_is_the_arrival_index_sequence_sort(self):
+        """The arg-sort merge against a tuple sort built from scratch."""
+        spec = tiny_mix(tenants=3, requests=250, kind="bursty")
+        keyed, base = [], 0
+        for index, tenant in enumerate(spec.tenants):
+            stream = make_preset(tenant.workload, logical_pages=tenant.pages,
+                                 num_requests=tenant.num_requests,
+                                 seed=tenant.seed)
+            rng = random.Random(f"{spec.seed}:{index}:{tenant.seed}")
+            arrivals = tenant.arrival.arrivals(len(stream), rng)
+            for seq, (request, arrival) in enumerate(zip(stream, arrivals)):
+                keyed.append(((arrival, index, seq), Request(
+                    arrival, request.op, request.lpn + base,
+                    request.npages, tenant.name)))
+            base += tenant.pages
+        keyed.sort(key=lambda item: item[0])
+        assert compose(spec).requests == [item[1] for item in keyed]
+
+    def test_arg_sort_is_stable_on_ties(self):
+        rng = random.Random(9)
+        arrivals = array("d", [rng.choice((0.0, 0.5, 7.25, 1e9))
+                               for _ in range(2_000)])
+        assert traffic._arrival_order(arrivals).tolist() \
+            == sorted(range(len(arrivals)), key=arrivals.__getitem__)
+        assert traffic._arrival_order(array("d")).tolist() == []
+
+    def test_stream_escaping_its_namespace_rejected(self, monkeypatch):
+        spec = tiny_mix(tenants=2, requests=50, pages=256)
+        monkeypatch.setattr(
+            traffic, "make_preset",
+            lambda name, **kwargs: make_preset(
+                name, **dict(kwargs, logical_pages=512)))
+        with pytest.raises(WorkloadError, match="escapes its 256-page"):
+            compose(spec)
+
+    def test_tenant_count_fits_the_tenant_column(self):
+        tenants = tuple(TenantSpec(name=f"t{index}", workload="financial1",
+                                   num_requests=1, pages=64)
+                        for index in range(256))
+        with pytest.raises(WorkloadError, match="at most 255 tenants"):
+            TrafficSpec(name="crowd", tenants=tenants)
+        trace = compose(TrafficSpec(name="full", tenants=tenants[:255]))
+        assert trace.tenant_names == (None, *(t.name for t in tenants[:255]))
+
+    def test_ledger_mix_peaks_under_64_bytes_per_request(self):
+        """The sort's keys sit beside one column, and each column is
+        replaced by its sorted copy in turn (a tuple sort over a list of
+        requests peaked at 290 B).  A quarter of the ledger's mix keeps
+        the traced allocations quick."""
+        tracemalloc.start()
+        try:
+            trace = ledger_mix(requests_per_tenant=5_000)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 15_000
+        assert retained <= 32 * len(trace)
+        assert peak <= 64 * len(trace)
+
 
 class TestDeviceTenancy:
     def _run(self, trace, qos="fifo", weights=None, channels=1,
@@ -239,8 +301,7 @@ class TestDeviceTenancy:
         """Tenant labels must not perturb the paper's timing at all."""
         trace = compose(tiny_mix(tenants=1, requests=400))
         stripped = Trace(
-            requests=[dataclasses.replace(r, tenant=None)
-                      for r in trace.requests],
+            requests=[r._replace(tenant=None) for r in trace],
             logical_pages=trace.logical_pages, name=trace.name)
         labelled = self._run(trace)
         plain = self._run(stripped)

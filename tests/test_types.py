@@ -1,9 +1,13 @@
 """Unit tests for the shared value types."""
 
+import random
+from array import array
+
 import pytest
 
 from repro.metrics import ResponseStats
-from repro.types import AccessResult, Op, Request, Trace, UNMAPPED
+from repro.types import (MAX_TENANTS, OPS, AccessResult, Op, Request, Trace,
+                         UNMAPPED)
 
 
 class TestOp:
@@ -41,6 +45,16 @@ class TestRequest:
         request = Request(arrival=0.0, op=Op.READ, lpn=0, npages=1)
         with pytest.raises(AttributeError):
             request.lpn = 5
+        with pytest.raises(AttributeError):
+            request.extra = 5
+
+    def test_equal_fields_are_equal(self):
+        first = Request(1.5, Op.TRIM, 7, 2, tenant="a")
+        second = Request(arrival=1.5, op=Op.TRIM, lpn=7, npages=2,
+                         tenant="a")
+        assert first == second and hash(first) == hash(second)
+        assert first != second._replace(tenant=None)
+        assert isinstance(second._replace(lpn=9), Request)
 
 
 class TestAccessResult:
@@ -115,6 +129,84 @@ class TestTrace:
 
     def test_max_lpn_empty(self):
         assert Trace().max_lpn() is None
+
+
+def _mixed_requests():
+    """Every op, two tenants and unattributed requests, ties in time."""
+    rng = random.Random(3)
+    tenants = (None, "oltp", "batch")
+    requests, clock = [], 0.0
+    for _ in range(300):
+        clock += rng.choice((0.0, 0.5, 120.0))
+        requests.append(Request(clock, rng.choice(list(Op)),
+                                rng.randrange(1_000), rng.randint(1, 9),
+                                rng.choice(tenants)))
+    return requests
+
+
+class TestColumnarTrace:
+    """A trace is five columns; its rows must be the requests it got."""
+
+    def test_rows_round_trip(self):
+        requests = _mixed_requests()
+        trace = Trace(requests=requests, logical_pages=1_024, name="mix")
+        assert list(trace) == requests
+        assert trace.requests == requests
+        assert all(type(row) is Request for row in trace)
+        assert len(trace) == len(requests)
+        assert trace.max_lpn() == max(r.end_lpn - 1 for r in requests)
+        assert trace.end_lpn == max(r.end_lpn for r in requests)
+        assert trace.name == "mix" and trace.logical_pages == 1_024
+
+    def test_indexing_and_row_windows(self):
+        requests = _mixed_requests()
+        trace = Trace(requests=requests)
+        for index in (0, 1, 150, len(requests) - 1, -1):
+            assert trace[index] == requests[index]
+        assert [r.tenant for r in trace] == [r.tenant for r in requests]
+        for start, stop in ((0, 10), (10, None), (290, 400), (5, 5),
+                            (0, None), (300, None)):
+            assert list(trace.rows(start, stop)) == requests[start:stop]
+
+    def test_layout_is_one_column_per_field(self):
+        trace = Trace(requests=_mixed_requests())
+        assert (trace.arrivals.typecode, trace.ops.typecode,
+                trace.lpns.typecode, trace.npages.typecode,
+                trace.tenants.typecode) == ("d", "B", "q", "q", "B")
+        assert trace.tenant_names[0] is None
+        assert set(trace.tenant_names) == {None, "oltp", "batch"}
+        assert [OPS[code] for code in trace.ops] \
+            == [r.op for r in _mixed_requests()]
+
+    def test_from_columns_trusts_but_checks_lengths(self):
+        trace = Trace.from_columns(
+            array("d", [0.0, 2.0]), array("B", [1, 0]), array("q", [4, 5]),
+            array("q", [1, 3]), logical_pages=16, name="cols")
+        assert list(trace) == [Request(0.0, Op.WRITE, 4, 1),
+                               Request(2.0, Op.READ, 5, 3)]
+        assert trace.end_lpn == 8 and trace.unordered is None
+        with pytest.raises(ValueError, match="length"):
+            Trace.from_columns(array("d", [0.0]), array("B"), array("q"),
+                               array("q"))
+
+    def test_unordered_fact_is_the_first_late_arrival(self):
+        def trace_of(*arrivals):
+            return Trace(requests=[Request(a, Op.READ, 0, 1)
+                                   for a in arrivals])
+        assert trace_of(0.0, 1.0, 1.0).unordered is None
+        assert trace_of(5.0, 9.0, 7.0, 3.0).unordered == (2, 7.0, 9.0)
+        # the first request is compared against time zero
+        assert trace_of(-1.0, 2.0).unordered == (0, -1.0, 0.0)
+        assert Trace().unordered is None and Trace().end_lpn == 0
+
+    def test_tenant_names_fit_one_byte(self):
+        requests = [Request(0.0, Op.READ, 0, 1, tenant=f"t{index}")
+                    for index in range(MAX_TENANTS)]
+        names = Trace(requests=requests).tenant_names
+        assert len(names) == MAX_TENANTS + 1
+        with pytest.raises(ValueError, match="at most 255 tenants"):
+            Trace(requests=requests + [Request(0.0, Op.READ, 0, 1,
+                                               tenant="one-too-many")])
 
 
 def test_unmapped_sentinel_is_negative():

@@ -1,9 +1,12 @@
 """The synthetic workload generator: determinism, bounds, knobs."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads import SyntheticSpec, characterize, generate
+from repro.workloads import (SyntheticSpec, characterize, generate,
+                             make_preset)
 
 
 def spec(**overrides) -> SyntheticSpec:
@@ -46,6 +49,21 @@ class TestBounds:
     def test_zero_interarrival_allowed(self):
         trace = generate(spec(mean_interarrival_us=0.0))
         assert all(r.arrival == 0.0 for r in trace)
+
+
+def test_trace_holds_its_columns_only():
+    """A generated trace is its five columns: at most 32 B per request
+    under ``tracemalloc`` (a list of request objects was 136), and the
+    generator builds nothing larger on the way."""
+    tracemalloc.start()
+    try:
+        trace = make_preset("financial1", num_requests=20_000)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert retained <= 32 * len(trace)
+    assert peak <= 32 * len(trace)
 
 
 class TestKnobs:
