@@ -11,10 +11,11 @@ VPN, VTPNs handed to the flash array where it takes PTPNs, a dropped
 parameter, a byte budget stored as an entry count.
 The **protocol mutants** (``P05``–``P11``; the ids of the retired
 fast-mode window mutants are not reused) cover the TP3xx temporal
-bugs: the supervisor's spawn-failure cleanup removed, a journal
-``with`` block rewritten as manual ``open``/``close``, a stray second
-``close()``, an early ``return`` before the ``close()``, and the
-per-run device reset dropped ahead of the serve loop.  The **flow
+bugs: the supervisor's spawn-failure cleanup removed, the
+``repro.tools`` summary writer's ``with open(...)`` block rewritten as
+manual ``open``/``close``, with a stray second ``close()`` or with an
+early ``return`` before the ``close()``, and the per-run device reset
+dropped ahead of the serve loop.  The **flow
 mutants** (``F01``–``F03``) re-seed bugs this repository had, one per
 TP1xx rule: the channel cursor missing from the per-run reset (PR 4),
 the hybrid merge invalidating pages behind ``FlashMemory``'s back
@@ -167,20 +168,18 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
                     "path",
         before="                self._discard_spawn(parent_conn, "
                "child_conn, process)\n"
-               "                self._spawn_failures += 1",
-        after="                self._spawn_failures += 1"),
+               "                attempt_failed(",
+        after="                attempt_failed("),
     Mutant(
-        mid="P06", path="repro/experiments/supervisor.py", rule="TP305",
-        description="journal append rewritten as manual open/close "
+        mid="P06", path="repro/tools.py", rule="TP305",
+        description="summary writer rewritten as manual open/close "
                     "outside with/try-finally",
-        before="            with open(self.path, \"a\", "
+        before="            with open(args.json, \"w\", "
                "encoding=\"utf-8\") as handle:\n"
-               "                handle.write(json.dumps(payload) + "
-               "\"\\n\")",
-        after="            handle = open(self.path, \"a\", "
+               "                handle.write(payload)",
+        after="            handle = open(args.json, \"w\", "
               "encoding=\"utf-8\")\n"
-              "            handle.write(json.dumps(payload) + "
-              "\"\\n\")\n"
+              "            handle.write(payload)\n"
               "            handle.close()"),
     Mutant(
         mid="P08", path="repro/ssd/device.py", rule="TP304",
@@ -190,32 +189,28 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
                "        self._reset_state()",
         after="        self._validate_trace(trace)"),
     Mutant(
-        mid="P10", path="repro/experiments/supervisor.py", rule="TP301",
-        description="early return before the journal handle is closed",
-        before="            with open(self.path, \"a\", "
+        mid="P10", path="repro/tools.py", rule="TP301",
+        description="early return before the summary file is closed",
+        before="            with open(args.json, \"w\", "
                "encoding=\"utf-8\") as handle:\n"
-               "                handle.write(json.dumps(payload) + "
-               "\"\\n\")",
-        after="            handle = open(self.path, \"a\", "
+               "                handle.write(payload)",
+        after="            handle = open(args.json, \"w\", "
               "encoding=\"utf-8\")\n"
               "            if not payload:\n"
-              "                return\n"
-              "            handle.write(json.dumps(payload) + "
-              "\"\\n\")\n"
+              "                return 1\n"
+              "            handle.write(payload)\n"
               "            handle.close()"),
     Mutant(
-        mid="P11", path="repro/experiments/supervisor.py", rule="TP302",
-        description="journal append rewritten by hand with a stray "
+        mid="P11", path="repro/tools.py", rule="TP302",
+        description="summary writer rewritten by hand with a stray "
                     "second close(): double release of the handle",
-        before="            with open(self.path, \"a\", "
+        before="            with open(args.json, \"w\", "
                "encoding=\"utf-8\") as handle:\n"
-               "                handle.write(json.dumps(payload) + "
-               "\"\\n\")",
-        after="            handle = open(self.path, \"a\", "
+               "                handle.write(payload)",
+        after="            handle = open(args.json, \"w\", "
               "encoding=\"utf-8\")\n"
               "            try:\n"
-              "                handle.write(json.dumps(payload) + "
-              "\"\\n\")\n"
+              "                handle.write(payload)\n"
               "                handle.close()\n"
               "            finally:\n"
               "                handle.close()"),

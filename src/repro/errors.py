@@ -163,7 +163,7 @@ class WorkerCrashError(RunnerError):
 
     Covers OOM kills, segfaults in native code, ``os._exit`` and the
     shapes that surface as ``BrokenProcessPool`` under a shared pool.
-    Always transient: the cell is requeued with backoff.
+    Always transient: the cell is requeued.
     """
 
 
@@ -172,8 +172,7 @@ class CellFailure:
     """Structured record of one permanently failed cell.
 
     This is data, not an exception: a quarantined cell becomes one of
-    these in the bench report, the journal and the failure manifest,
-    while the rest of the matrix keeps running.  ``transient`` records
+    these in the bench report and on the CLI's stderr, while the rest of the matrix keeps running.  ``transient`` records
     whether the attempts were retryable (worker death, timeout,
     ``OSError``) or the first attempt failed deterministically.
     """
@@ -188,14 +187,8 @@ class CellFailure:
     transient: bool
 
     def to_payload(self) -> Dict[str, Any]:
-        """The record as a JSON-safe dict (journal/manifest encoding)."""
+        """The record as a JSON-safe dict (bench-report encoding)."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "CellFailure":
-        """Rebuild a record from :meth:`to_payload` output."""
-        return cls(**{f.name: payload[f.name]
-                      for f in dataclasses.fields(cls)})
 
     def summary(self) -> str:
         """One-line human-readable description of the failure."""
@@ -211,7 +204,7 @@ class MatrixFailureError(RunnerError):
 
     Raised *after* every other cell of the batch has completed (and
     been committed to the run cache), so no finished work is lost: a
-    rerun — or ``--resume`` — only retries the failed cells.  Carries
+    rerun only retries the failed cells.  Carries
     the :class:`CellFailure` records as :attr:`failures`.
     """
 

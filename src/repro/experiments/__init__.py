@@ -11,12 +11,9 @@ from .common import ExperimentResult, ExperimentScale, run_matrix
 from .registry import EXPERIMENTS, run_experiment
 from .runner import (ParallelRunner, RunCache, RunSpec, configure_runner,
                      get_runner)
-from .supervisor import (Journal, JournalState, RetryPolicy,
-                         SupervisionReport, Supervisor, Task)
+from .supervisor import SupervisionReport, Supervisor, Task
 
 __all__ = ["ExperimentResult", "ExperimentScale", "run_matrix",
            "EXPERIMENTS", "run_experiment",
            "ParallelRunner", "RunCache", "RunSpec", "configure_runner",
-           "get_runner",
-           "Journal", "JournalState", "RetryPolicy",
-           "SupervisionReport", "Supervisor", "Task"]
+           "get_runner", "SupervisionReport", "Supervisor", "Task"]

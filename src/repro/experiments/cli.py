@@ -14,40 +14,50 @@ with ``--cache-dir``/``$REPRO_RUNCACHE``, disable with ``--no-cache``,
 reset with ``--wipe-cache``), so re-runs only simulate what changed.
 
 Execution is supervised: ``--timeout`` arms a per-cell watchdog,
-``--retries`` bounds backoff retries of transient failures, persistent
-failures become a structured manifest (``failure-manifest.json`` next
-to the cache) instead of an escaped traceback, and Ctrl-C drains
-completed cells into the cache before exiting so ``--resume`` can
-finish an interrupted matrix without repeating any work.
+``--retries`` bounds the attempts a transiently failing cell gets, and
+a quarantined cell exits 1 with its summary and traceback on stderr
+instead of an escaped traceback.  Ctrl-C drains completed cells into
+the cache before exiting 130.  The cache is the resume: rerunning the
+same command simulates only the cells that are not cached yet.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
 
-from ..errors import ConfigError, RunnerError
+from ..errors import ConfigError, ExperimentError, RunnerError
 from .common import ExperimentScale
 from .registry import EXPERIMENTS, run_experiment
 from .runner import configure_runner
 
-#: manifest written next to the run cache when cells are quarantined
-MANIFEST_NAME = "failure-manifest.json"
 
-
-def _attempt_budget(text: str) -> int:
-    """``--retries`` argument type: a total attempt budget >= 1."""
+def _at_least_one(text: str) -> int:
+    """``--jobs`` / ``--retries`` argument type: an int >= 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}")
     if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _timeout_seconds(text: str) -> float:
+    """``--timeout`` argument type: a finite number of seconds > 0."""
+    try:
+        value = float(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"attempt budget must be >= 1, got {value}")
+            f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text}")
     return value
 
 
@@ -77,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="DIR", default=None,
         help="also write each result as JSON into this directory")
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_at_least_one, default=None, metavar="N",
         help="worker processes for independent simulation cells "
              "(default: $REPRO_JOBS or 1 = serial)")
     parser.add_argument(
@@ -96,24 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
              "serial, cache hits) to this JSON file, e.g. "
              "BENCH_runner.json")
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SEC",
+        "--timeout", type=_timeout_seconds, default=None, metavar="SEC",
         help="per-cell wall-clock watchdog: a cell exceeding this is "
-             "killed, requeued with backoff, and eventually quarantined "
+             "killed, requeued, and eventually quarantined "
              "(default: no watchdog)")
     parser.add_argument(
-        "--retries", type=_attempt_budget, default=None, metavar="N",
+        "--retries", type=_at_least_one, default=3, metavar="N",
         help="total attempt budget per cell (first try included) for "
              "transient failures — worker death, OSError, watchdog "
              "timeouts; must be >= 1 (default 3)")
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted/failed session: append to the "
-             "runner journal and serve previously completed cells from "
-             "the run cache")
-    parser.add_argument(
-        "--fail-fast", action="store_true",
-        help="abort the matrix at the first quarantined cell instead "
-             "of completing the remaining cells first")
     return parser
 
 
@@ -146,27 +147,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         scale = resolve_scale(args)
-    except ConfigError as exc:
+        runner = configure_runner(
+            jobs=args.jobs,
+            cache_dir=(False if args.no_cache
+                       else args.cache_dir if args.cache_dir is not None
+                       else True),
+            timeout_s=args.timeout,
+            max_attempts=args.retries)
+    except (ConfigError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    runner = configure_runner(
-        jobs=args.jobs,
-        cache_dir=(False if args.no_cache
-                   else args.cache_dir if args.cache_dir is not None
-                   else True),
-        timeout_s=args.timeout,
-        retries=args.retries,
-        fail_fast=args.fail_fast,
-        resume=args.resume)
     if args.wipe_cache and runner.cache is not None:
         removed = runner.cache.wipe()
         print(f"wiped {removed} cached runs", file=sys.stderr)
-    if args.resume and runner.journal is not None:
-        prior = runner.journal.prior
-        print(f"resuming: {len(prior.completed)} cells previously "
-              f"completed, {len(prior.failed)} previously failed"
-              + (", session was interrupted" if prior.interrupted
-                 else ""), file=sys.stderr)
     json_dir = None
     if args.json is not None:
         json_dir = Path(args.json)
@@ -185,17 +178,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         cached = (runner.cache.stats()["stores"]
                   if runner.cache is not None else 0)
         print(f"\ninterrupted: {cached} completed cells committed to "
-              f"the run cache; rerun with --resume to finish the "
+              f"the run cache; rerun the same command to finish the "
               f"remaining cells", file=sys.stderr)
         _write_bench(runner, args)
         return 130
     except RunnerError as exc:
-        manifest = _write_manifest(runner)
         print(f"supervision: {exc}", file=sys.stderr)
         for failure in runner.failures:
             print(f"  quarantined {failure.summary()}", file=sys.stderr)
-        if manifest is not None:
-            print(f"failure manifest -> {manifest}", file=sys.stderr)
+            if failure.traceback:
+                print(failure.traceback.rstrip(), file=sys.stderr)
         _write_bench(runner, args)
         return 1
     _write_bench(runner, args)
@@ -214,14 +206,3 @@ def _write_bench(runner, args) -> None:
           f"speedup vs serial {totals['speedup_vs_serial']:.2f}x "
           f"-> {target}", file=sys.stderr)
 
-
-def _write_manifest(runner) -> Optional[Path]:
-    """Write the failure manifest next to the run cache (or results/)."""
-    if runner.cache is not None and runner.cache.directory is not None:
-        target = runner.cache.directory / MANIFEST_NAME
-    else:
-        target = Path("results") / MANIFEST_NAME
-    try:
-        return runner.write_failure_manifest(target)
-    except OSError:
-        return None

@@ -15,23 +15,21 @@ as wiscsee use to stay fast:
   cache survives interpreter restarts but never a code change.  Corrupt
   files are quarantined to ``corrupt/`` and recomputed (surfaced via
   :meth:`RunCache.stats`), never fatal; stale-version files are misses.
+  The cache is also the resume: a rerun serves every committed cell.
 * :class:`ParallelRunner` — fans cells out across supervised worker
   processes (``--jobs N`` / ``REPRO_JOBS``), deduplicates identical
   cells, consults the cache first, and records per-cell wall-clock so
   :meth:`ParallelRunner.write_bench` can emit ``BENCH_runner.json``
   (wall-clock per cell, speedup vs serial, cache hit counts).  With
-  ``jobs=1`` it degrades to a plain serial loop with no worker
-  processes, so tests and small runs behave exactly as before.
+  ``jobs=1`` it runs a plain serial loop with no worker processes, so
+  tests and small runs behave exactly as before.
 
 Execution is *supervised* (see :mod:`repro.experiments.supervisor`):
 cells get a wall-clock watchdog (``--timeout``), transient failures —
-worker death, ``BrokenProcessPool``, ``OSError`` — are retried with
-exponential backoff and seeded jitter (``--retries``), persistently
-failing cells are quarantined as structured
-:class:`~repro.errors.CellFailure` records instead of aborting the
-matrix, a JSONL journal under the cache directory makes interrupted
-matrices resumable (``--resume``), and repeated worker-spawn failures
-degrade the batch to serial instead of dying.
+worker death, a refused spawn, ``OSError`` — are retried up to an
+attempt budget (``--retries``), and persistently failing cells are
+quarantined as structured :class:`~repro.errors.CellFailure` records
+instead of aborting the matrix.
 
 Every cell is deterministic: traces are generated from per-workload
 seeds and the simulator itself contains no unseeded randomness (the TP
@@ -60,8 +58,7 @@ from ..ssd import RunResult, simulate
 from ..types import Trace
 from ..workloads import TrafficSpec, compose, make_preset
 from .common import ExperimentScale, simulation_config
-from .supervisor import (JOURNAL_NAME, Journal, RetryPolicy, Supervisor,
-                         Task)
+from .supervisor import Supervisor, Task
 
 #: bump when the cache-file layout or RunResult encoding changes
 #: (3: RunResult grew ``background_gc_time_us``; 4: per-tenant
@@ -74,8 +71,6 @@ JOBS_ENV = "REPRO_JOBS"
 CACHE_ENV = "REPRO_RUNCACHE"
 #: default on-disk cache location, relative to the working directory
 DEFAULT_CACHE_DIR = Path("results") / ".runcache"
-#: in-memory decoded-result entries kept per cache (L1 over the disk L2)
-MEMORY_CACHE_ENTRIES = 64
 #: generated traces memoised per process (they are deterministic)
 TRACE_MEMO_ENTRIES = 4
 
@@ -367,16 +362,13 @@ def code_fingerprint() -> str:
 # RunCache: content-addressed, persistent, self-invalidating
 # ----------------------------------------------------------------------
 class RunCache:
-    """Two-level cache of finished cells, keyed by :attr:`RunSpec.digest`.
+    """Persistent cache of finished cells, keyed by :attr:`RunSpec.digest`.
 
-    Level 1 is a small in-process dict of decoded results (bounded to
-    :data:`MEMORY_CACHE_ENTRIES`, evicting the oldest entry — unlike its
-    predecessor ``_MATRIX_CACHE`` it cannot grow without bound).  Level 2
-    is one JSON file per cell under ``directory``; files from another
+    One JSON file per cell under ``directory``; files from another
     schema or code version are misses, and undecodable files are
     quarantined into ``directory/corrupt/`` and counted in
     :meth:`stats` — a flaky disk surfaces as a number, not a silent
-    recompute.
+    recompute.  ``directory=None`` (or ``False``) caches nothing.
     """
 
     #: subdirectory receiving quarantined (undecodable) cache files
@@ -388,9 +380,8 @@ class RunCache:
             directory = default_cache_dir()
         elif directory is False:
             directory = None
-        #: ``None`` disables the persistent level entirely
+        #: ``None`` disables caching entirely
         self.directory = Path(directory) if directory is not None else None
-        self._memory: Dict[str, Tuple[RunResult, float]] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -402,17 +393,11 @@ class RunCache:
     # -- lookup ---------------------------------------------------------
     def get(self, spec: RunSpec) -> Optional[Tuple[RunResult, float]]:
         """Return ``(result, original_elapsed_s)`` for a cached cell."""
-        digest = spec.digest
-        entry = self._memory.get(digest)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        entry = self._read_disk(digest)
+        entry = self._read_disk(spec.digest)
         if entry is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        self._remember(digest, entry)
+        else:
+            self.hits += 1
         return entry
 
     def _read_disk(self, digest: str) -> Optional[Tuple[RunResult, float]]:
@@ -456,11 +441,10 @@ class RunCache:
     # -- store ----------------------------------------------------------
     def put(self, spec: RunSpec, result: RunResult,
             elapsed_s: float) -> None:
-        """Persist one finished cell (atomically) and remember it."""
-        digest = spec.digest
-        self._remember(digest, (result, elapsed_s))
+        """Persist one finished cell (atomically)."""
         if self.directory is None:
             return
+        digest = spec.digest
         payload = {
             "schema": CACHE_SCHEMA,
             "fingerprint": code_fingerprint(),
@@ -493,22 +477,10 @@ class RunCache:
                     f"writable ({exc}); results will not persist "
                     f"across runs", RuntimeWarning, stacklevel=2)
 
-    def _remember(self, digest: str,
-                  entry: Tuple[RunResult, float]) -> None:
-        self._memory.pop(digest, None)
-        while len(self._memory) >= MEMORY_CACHE_ENTRIES:
-            self._memory.pop(next(iter(self._memory)))
-        self._memory[digest] = entry
-
     # -- maintenance ----------------------------------------------------
-    def clear_memory(self) -> None:
-        """Drop the in-process level (tests use this to control memory)."""
-        self._memory.clear()
-
     def wipe(self) -> int:
         """Delete every persistent entry (quarantined files included);
         returns the number removed."""
-        self.clear_memory()
         if self.directory is None or not self.directory.is_dir():
             return 0
         removed = 0
@@ -590,46 +562,30 @@ class ParallelRunner:
     modules had before this runner existed.  ``jobs>1`` (or any
     watchdog timeout) fans cache misses out across supervised worker
     processes: stuck cells are killed and requeued, transient failures
-    (worker death, ``BrokenProcessPool``, ``OSError``) are retried with
-    backoff, persistent failures are quarantined as
-    :class:`~repro.errors.CellFailure` records, and repeated
-    worker-spawn failures degrade the batch to serial instead of
-    failing.  Completed cells are committed to the cache the moment
-    they finish, so a SIGINT (or a later ``--resume``) never loses
-    finished work.
+    (worker death, a refused spawn, ``OSError``) are retried up to
+    ``max_attempts`` attempts, and persistent failures are quarantined
+    as :class:`~repro.errors.CellFailure` records.  Completed cells are
+    committed to the cache the moment they finish, so a SIGINT never
+    loses finished work and a rerun simulates only what is missing.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[RunCache] = None,
                  timeout_s: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 fail_fast: bool = False,
-                 journal: Optional[Journal] = None) -> None:
+                 max_attempts: int = 3) -> None:
         self.jobs = resolve_jobs(jobs)
         #: ``None`` disables caching (every cell recomputes)
         self.cache = cache
         #: per-cell wall-clock watchdog (``None`` = no watchdog)
         self.timeout_s = timeout_s
-        #: transient-failure retry/backoff policy
-        self.retry = retry if retry is not None else RetryPolicy()
-        #: quarantine the batch at the first failed cell
-        self.fail_fast = fail_fast
-        #: checkpoint/resume journal (``None`` = no journal)
-        self.journal = journal
+        #: attempt budget per cell for transient failures
+        self.max_attempts = max_attempts
+        self._supervisor = Supervisor(jobs=self.jobs, timeout_s=timeout_s,
+                                      max_attempts=max_attempts)
         #: quarantine records accumulated across batches
         self.failures: List[CellFailure] = []
         self.outcomes: List[CellOutcome] = []
         self._batches: List[Dict[str, Any]] = []
-        self._degraded = False
-
-    def _make_supervisor(self) -> Supervisor:
-        """A supervisor configured with this runner's policy."""
-        supervisor = Supervisor(jobs=self.jobs, timeout_s=self.timeout_s,
-                                retry=self.retry,
-                                fail_fast=self.fail_fast,
-                                journal=self.journal)
-        supervisor.degraded = self._degraded
-        return supervisor
 
     # -- cell batches ---------------------------------------------------
     def run_specs(self, specs: Sequence[RunSpec],
@@ -661,7 +617,6 @@ class ParallelRunner:
         attempts: Dict[str, int] = {}
         retries = 0
         if pending:
-            supervisor = self._make_supervisor()
             tasks = [Task(key=spec.digest, label=spec.label(),
                           fn=_timed_execute, args=(spec,))
                      for spec in pending]
@@ -674,8 +629,7 @@ class ParallelRunner:
                     self.cache.put(unique[key], result, elapsed)
                 done[key] = (result, elapsed, False)
 
-            report = supervisor.run(tasks, on_complete=commit)
-            self._degraded = self._degraded or supervisor.degraded
+            report = self._supervisor.run(tasks, on_complete=commit)
             failures = report.failures
             attempts = report.attempts
             retries = report.retries
@@ -693,15 +647,13 @@ class ParallelRunner:
                     elapsed_s=elapsed, cached=cached,
                     attempts=attempts.get(digest,
                                           0 if cached else 1)))
-            elif digest in failures:
+            else:
                 failure = failures[digest]
                 misses += 1
                 self.outcomes.append(CellOutcome(
                     digest=digest, label=unique[digest].label(),
                     elapsed_s=failure.elapsed_s, cached=False,
                     attempts=failure.attempts, failed=True))
-            # cells abandoned by fail-fast are neither counted nor
-            # recorded: they never ran, and a resume will run them
         wall = time.perf_counter() - batch_started  # tp: allow=TP002 - harness timing
         self._batches.append({
             "cells": len(unique),
@@ -714,11 +666,6 @@ class ParallelRunner:
             "speedup_vs_serial": (serial_equivalent / wall) if wall > 0
             else 1.0,
         })
-        if self.journal is not None:
-            self.journal.record("batch", cells=len(unique),
-                                cache_hits=hits, failed=len(failures),
-                                retries=retries,
-                                wall_clock_s=round(wall, 4))
         if failures and not allow_failures:
             raise MatrixFailureError(
                 [failures[d] for d in unique if d in failures])
@@ -733,8 +680,8 @@ class ParallelRunner:
         ``fn`` must be a module-level (picklable) callable; with
         ``jobs=1`` and no watchdog this is a plain loop (exceptions
         propagate raw, as they always did).  Otherwise items run under
-        the same supervision as :meth:`run_specs` — watchdog, retry
-        with backoff, degrade-to-serial — and persistent failures raise
+        the same supervision as :meth:`run_specs` — watchdog and
+        retry — and persistent failures raise
         :class:`~repro.errors.MatrixFailureError` after the remaining
         items complete.  Results are not cached — use :meth:`run_specs`
         for content-addressed cells.
@@ -745,9 +692,7 @@ class ParallelRunner:
             tasks = [Task(key=f"map:{index:04d}:{name}",
                           label=f"{name}[{index}]", fn=fn, args=args)
                      for index, (fn, args) in enumerate(payloads)]
-            supervisor = self._make_supervisor()
-            report = supervisor.run(tasks)
-            self._degraded = self._degraded or supervisor.degraded
+            report = self._supervisor.run(tasks)
             if report.failures:
                 self.failures.extend(report.failures.values())
                 raise MatrixFailureError(
@@ -770,9 +715,7 @@ class ParallelRunner:
             "jobs": self.jobs,
             "supervision": {
                 "timeout_s": self.timeout_s,
-                "max_attempts": self.retry.max_attempts,
-                "fail_fast": self.fail_fast,
-                "degraded_to_serial": self._degraded,
+                "max_attempts": self.max_attempts,
             },
             "cells": [dataclasses.asdict(outcome)
                       for outcome in self.outcomes],
@@ -803,33 +746,6 @@ class ParallelRunner:
                           + "\n", encoding="utf-8")
         return target
 
-    # -- failure manifest ----------------------------------------------
-    def failure_manifest(self) -> Dict[str, Any]:
-        """Every quarantined cell so far, as a JSON-safe manifest."""
-        return {
-            "manifest": "runner-failures",
-            "schema": 1,
-            "failed": len(self.failures),
-            "degraded_to_serial": self._degraded,
-            "supervision": {
-                "jobs": self.jobs,
-                "timeout_s": self.timeout_s,
-                "max_attempts": self.retry.max_attempts,
-                "fail_fast": self.fail_fast,
-            },
-            "failures": [failure.to_payload()
-                         for failure in self.failures],
-        }
-
-    def write_failure_manifest(self, path: "Path | str") -> Path:
-        """Write :meth:`failure_manifest` as JSON; returns the path."""
-        target = Path(path)
-        if target.parent != Path(""):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.failure_manifest(), indent=2)
-                          + "\n", encoding="utf-8")
-        return target
-
 
 # ----------------------------------------------------------------------
 # The process-wide default runner (what run_matrix & friends use)
@@ -841,48 +757,27 @@ def get_runner() -> ParallelRunner:
     """The shared runner, created on first use from the environment."""
     global _DEFAULT_RUNNER
     if _DEFAULT_RUNNER is None:
-        cache = RunCache()
-        journal = (Journal(cache.directory / JOURNAL_NAME)
-                   if cache.directory is not None else None)
-        _DEFAULT_RUNNER = ParallelRunner(cache=cache, journal=journal)
+        _DEFAULT_RUNNER = ParallelRunner(cache=RunCache())
     return _DEFAULT_RUNNER
 
 
 def configure_runner(jobs: Optional[int] = None,
                      cache_dir: "Path | str | None | bool" = True,
                      timeout_s: Optional[float] = None,
-                     retries: Optional[int] = None,
-                     fail_fast: bool = False,
-                     resume: bool = False,
-                     journal: bool = True) -> ParallelRunner:
+                     max_attempts: int = 3) -> ParallelRunner:
     """Install (and return) a new default runner.
 
     ``cache_dir=True`` keeps the environment-resolved default location,
     ``None``/``False`` disables persistent caching, and a path uses that
-    directory.  ``timeout_s``/``retries``/``fail_fast`` configure the
-    supervision layer; ``resume`` appends to (instead of rotating) the
-    journal under the cache directory, replaying the previous session's
-    completed/failed counts into :attr:`Journal.prior`.  ``journal=False``
-    disables journalling entirely (it is also off whenever persistent
-    caching is off — there is nothing to resume from without a cache).
+    directory.  ``timeout_s``/``max_attempts`` configure the supervision
+    layer.  Raises :class:`~repro.errors.ExperimentError` on a bad job
+    count, timeout or attempt budget, before anything runs.
     """
     global _DEFAULT_RUNNER
-    if cache_dir in (None, False):
-        cache = RunCache(directory=False)
-    elif cache_dir is True:
-        cache = RunCache()
-    else:
-        cache = RunCache(directory=Path(cache_dir))
-    journal_obj = None
-    if journal and cache.directory is not None:
-        journal_obj = Journal(cache.directory / JOURNAL_NAME,
-                              resume=resume)
-    retry = (RetryPolicy(max_attempts=retries) if retries is not None
-             else RetryPolicy())
+    cache = RunCache(directory=False if cache_dir is None else cache_dir)
     _DEFAULT_RUNNER = ParallelRunner(jobs=jobs, cache=cache,
-                                     timeout_s=timeout_s, retry=retry,
-                                     fail_fast=fail_fast,
-                                     journal=journal_obj)
+                                     timeout_s=timeout_s,
+                                     max_attempts=max_attempts)
     return _DEFAULT_RUNNER
 
 
@@ -893,9 +788,7 @@ def reset_runner() -> None:
 
 
 def clear_run_caches() -> None:
-    """Drop in-process memoisation: the default runner's L1 cache and
-    the per-process trace memo.  Persistent cache files are untouched
-    (use :meth:`RunCache.wipe` for those)."""
+    """Drop in-process memoisation: the per-process trace memo.
+    Persistent cache files are untouched (use :meth:`RunCache.wipe` for
+    those)."""
     _TRACE_MEMO.clear()
-    if _DEFAULT_RUNNER is not None and _DEFAULT_RUNNER.cache is not None:
-        _DEFAULT_RUNNER.cache.clear_memory()

@@ -1,47 +1,37 @@
-"""Supervised execution: watchdogs, retry/backoff, journal, degrade.
+"""Supervised execution: per-cell processes, watchdog, retry, quarantine.
 
 The :class:`~repro.experiments.runner.ParallelRunner` fans independent
 simulation cells out across processes.  Without supervision, a fleet of
-cells is only as reliable as its weakest member: one OOM-killed worker
-(``BrokenProcessPool``), one hung cell or one Ctrl-C aborts the whole
-matrix and discards every in-flight result.  This module applies the
-discipline the paper demands of the FTL itself — never lose committed
-state, degrade instead of dying — to the harness:
+cells is only as reliable as its weakest member: one OOM-killed worker,
+one hung cell or one Ctrl-C aborts the whole matrix and discards every
+in-flight result.  This module applies the discipline the paper demands
+of the FTL itself — never lose committed state — to the harness:
 
 * **Watchdog** — every cell runs in its own worker process with a
   wall-clock deadline (``timeout_s``).  A cell that overruns is killed
   (``SIGTERM`` then ``SIGKILL``) and requeued; the attempt is recorded
   as a :class:`~repro.errors.CellTimeoutError`.
-* **Retry with backoff** — transient failures (worker death, ``OSError``,
-  ``BrokenProcessPool``, timeouts) are retried up to
-  :attr:`RetryPolicy.max_attempts` with exponential backoff plus
-  *seeded* jitter, so replays of a chaos scenario are deterministic.
-  Deterministic simulator errors are never retried: the simulation is
-  seeded, so the second attempt would fail identically.
+* **Retry** — transient failures (worker death, a refused spawn,
+  ``OSError``, timeouts) are requeued at once, up to ``max_attempts``
+  attempts per cell.  Deterministic simulator errors are never
+  retried: the simulation is seeded, so the second attempt would fail
+  identically.
 * **Quarantine** — a cell that exhausts its budget becomes a structured
   :class:`~repro.errors.CellFailure` record (exception type, message,
   traceback, attempts, elapsed) instead of an escaped traceback; the
   rest of the batch keeps running.
-* **Journal** — an append-only JSONL file under the run-cache directory
-  records starts, completions, retries, failures and interrupts.  A
-  SIGINT drains already-completed workers into the cache, journals the
-  interrupt and only then re-raises ``KeyboardInterrupt``; ``--resume``
-  replays the journal for reporting while the run cache serves every
-  previously completed cell.
-* **Degrade to serial** — if worker processes repeatedly cannot be
-  spawned (restricted environments, fork bombs elsewhere on the host),
-  the supervisor falls back to in-process execution.  The watchdog
-  cannot kill an in-process cell, so degradation is journalled and
-  surfaced on the report rather than silent.
+* **Interrupt** — a SIGINT drains already-completed workers through
+  ``on_complete`` (the runner commits them to the run cache) and only
+  then raises ``KeyboardInterrupt``.  There is no separate resume
+  record: a rerun with the same cache serves every committed cell.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import multiprocessing
 import os
-import random
 import signal
 import threading
 import time
@@ -49,9 +39,7 @@ import traceback
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as _wait_connections
-from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import CellFailure, ExperimentError
 
@@ -64,207 +52,11 @@ TRANSIENT_ERRORS: Tuple[type, ...] = (OSError, BrokenProcessPool,
 #: how long the event loop sleeps waiting for worker messages
 POLL_INTERVAL_S = 0.05
 
-#: consecutive worker-spawn failures before degrading to serial
-SPAWN_FAILURE_THRESHOLD = 2
-
-#: environment variable naming a chaos-plan JSON file (test hook)
-CHAOS_ENV = "REPRO_CHAOS"
-
-#: journal file name inside the run-cache directory
-JOURNAL_NAME = "journal.jsonl"
-
-#: bump when the journal event shapes change incompatibly
-JOURNAL_SCHEMA = 1
-
-
-# ----------------------------------------------------------------------
-# Retry policy: bounded attempts, exponential backoff, seeded jitter
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """How transient failures are retried.
-
-    ``delay_s`` grows exponentially per attempt and is salted with
-    jitter from a :class:`random.Random` seeded by ``(seed, key,
-    attempt)`` — deterministic for a given cell and attempt, decorrelated
-    across cells, and compliant with the TP001 no-unseeded-randomness
-    rule.
-    """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 5.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ExperimentError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ExperimentError("backoff delays must be >= 0")
-        if self.jitter < 0:
-            raise ExperimentError("jitter must be >= 0")
-
-    def delay_s(self, key: str, attempt: int) -> float:
-        """Backoff before retrying ``key`` after failed ``attempt``."""
-        exponent = max(0, attempt - 1)
-        base = min(self.backoff_max_s,
-                   self.backoff_base_s * self.backoff_factor ** exponent)
-        rng = random.Random(f"{self.seed}:{key}:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
-
-
-# ----------------------------------------------------------------------
-# Journal: append-only JSONL record of a supervised session
-# ----------------------------------------------------------------------
-@dataclasses.dataclass
-class JournalState:
-    """What a journal file says happened: the replayable summary."""
-
-    #: digest -> last ``done`` event payload
-    completed: Dict[str, Dict[str, Any]] = dataclasses.field(
-        default_factory=dict)
-    #: digest -> failure payload, for cells never completed afterwards
-    failed: Dict[str, Dict[str, Any]] = dataclasses.field(
-        default_factory=dict)
-    #: a SIGINT (or crash of the harness itself) ended the session
-    interrupted: bool = False
-    #: undecodable lines skipped while loading (torn writes)
-    corrupt_lines: int = 0
-    #: total events replayed
-    events: int = 0
-
-
-class Journal:
-    """Append-only JSONL journal enabling checkpoint/resume.
-
-    Every event is one JSON object per line, flushed on write, so a
-    crash mid-session loses at most the line being written — and
-    :meth:`load` tolerates exactly that torn tail.  Without ``resume``
-    the file is rotated (truncated) at construction: a journal always
-    describes one logical session, possibly spanning several resumed
-    invocations.
-    """
-
-    def __init__(self, path: "Path | str", resume: bool = False) -> None:
-        self.path = Path(path)
-        #: state replayed from the previous session (empty when fresh)
-        self.prior = JournalState()
-        if resume:
-            self.prior = self.load(self.path)
-        elif self.path.exists():
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-        if resume:
-            self.record("resume",
-                        completed=len(self.prior.completed),
-                        failed=len(self.prior.failed),
-                        interrupted=self.prior.interrupted)
-
-    def record(self, event: str, **fields: Any) -> None:
-        """Append one event line; never raises (best-effort durability)."""
-        payload = {"event": event, "schema": JOURNAL_SCHEMA,
-                   "ts": time.time()}  # tp: allow=TP002 - journal timestamps, not simulation
-        payload.update(fields)
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload) + "\n")
-        except OSError:
-            pass
-
-    @staticmethod
-    def load(path: "Path | str") -> JournalState:
-        """Replay a journal file into a :class:`JournalState`.
-
-        Corrupt lines (torn writes from a crash) are counted and
-        skipped, never fatal — the same contract the run cache gives
-        corrupt entries.
-        """
-        state = JournalState()
-        path = Path(path)
-        if not path.exists():
-            return state
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return state
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-                kind = event["event"]
-            except Exception:
-                state.corrupt_lines += 1
-                continue
-            state.events += 1
-            if kind == "done":
-                key = event.get("key", "")
-                state.completed[key] = event
-                state.failed.pop(key, None)
-            elif kind == "failed":
-                failure = event.get("failure", {})
-                key = failure.get("key", event.get("key", ""))
-                if key not in state.completed:
-                    state.failed[key] = failure
-            elif kind == "interrupted":
-                state.interrupted = True
-            elif kind == "resume":
-                state.interrupted = False
-        return state
-
-
-# ----------------------------------------------------------------------
-# Chaos hook (test-only, env-gated): deterministic fault injection
-# ----------------------------------------------------------------------
-def inject_chaos(key: str, label: str, attempt: int) -> None:
-    """Test hook: fail this attempt if the chaos plan says so.
-
-    Reads the JSON file named by :data:`CHAOS_ENV` — a list of rules
-    ``{"match": substring, "mode": crash|hang|raise|oserror,
-    "attempts": [1, ...] | null}`` — and injects the matching failure.
-    A missing/unreadable plan is a no-op, so production runs never pay
-    for this.  The chaos suite (``tests/test_runner_chaos.py``) is the
-    only intended user.
-    """
-    path = os.environ.get(CHAOS_ENV)
-    if not path:
-        return
-    try:
-        rules = json.loads(Path(path).read_text(encoding="utf-8"))
-    except Exception:
-        return
-    for rule in rules:
-        match = rule.get("match", "")
-        if match not in label and match not in key:
-            continue
-        attempts = rule.get("attempts")
-        if attempts is not None and attempt not in attempts:
-            continue
-        mode = rule.get("mode")
-        if mode == "crash":
-            os._exit(int(rule.get("code", 29)))
-        elif mode == "hang":
-            time.sleep(float(rule.get("seconds", 3600.0)))
-        elif mode == "raise":
-            raise RuntimeError(rule.get(
-                "message", f"chaos: injected failure for {label}"))
-        elif mode == "oserror":
-            raise OSError(rule.get(
-                "message", f"chaos: injected transient fault for {label}"))
-
 
 # ----------------------------------------------------------------------
 # Worker process entry
 # ----------------------------------------------------------------------
-def _worker_entry(conn: Any, fn: Callable[..., Any], args: Tuple,
-                  key: str, label: str, attempt: int) -> None:
+def _worker_entry(conn: Any, fn: Callable[..., Any], args: Tuple) -> None:
     """Child-process entry point: run the task, ship the outcome back.
 
     Outcomes are tuples: ``("ok", value)`` or ``("error", type_name,
@@ -274,7 +66,7 @@ def _worker_entry(conn: Any, fn: Callable[..., Any], args: Tuple,
 
     Workers share the terminal's foreground process group, so a Ctrl-C
     would deliver SIGINT here too and be misreported as a permanent
-    cell failure; the parent owns interrupt handling (drain, journal,
+    cell failure; the parent owns interrupt handling (drain, then
     re-raise), so the worker ignores SIGINT and lets the parent decide
     its fate.
     """
@@ -283,7 +75,6 @@ def _worker_entry(conn: Any, fn: Callable[..., Any], args: Tuple,
     except (ValueError, OSError):
         pass
     try:
-        inject_chaos(key, label, attempt)
         value = fn(*args)
         conn.send(("ok", value))
     except BaseException as exc:
@@ -319,7 +110,6 @@ class _TaskState:
 
     task: Task
     attempts: int = 0
-    not_before: float = 0.0
     elapsed_s: float = 0.0
 
 
@@ -346,8 +136,6 @@ class SupervisionReport:
     attempts: Dict[str, int]
     #: transient-failure retries performed across the batch
     retries: int
-    #: the process layer broke and execution fell back to in-process
-    degraded: bool
 
 
 class Supervisor:
@@ -357,6 +145,8 @@ class Supervisor:
     and no ``timeout_s`` tasks run in-process (the historical serial
     path — zero overhead); any watchdog requires real child processes,
     because only a separate process can be killed mid-simulation.
+    ``max_attempts`` is the per-task attempt budget for transient
+    failures, the first try included.
 
     ``on_complete(key, value, elapsed_s, attempts)`` fires the moment a
     task succeeds — the runner uses it to commit results to the run
@@ -366,25 +156,23 @@ class Supervisor:
 
     def __init__(self, jobs: int = 1,
                  timeout_s: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 fail_fast: bool = False,
-                 journal: Optional[Journal] = None,
+                 max_attempts: int = 3,
                  mp_context: Any = None) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if timeout_s is not None and timeout_s <= 0:
+        if timeout_s is not None and not (math.isfinite(timeout_s)
+                                          and timeout_s > 0):
             raise ExperimentError(
-                f"timeout_s must be positive, got {timeout_s}")
+                f"timeout_s must be finite and positive, got {timeout_s}")
+        if max_attempts < 1:
+            raise ExperimentError(
+                f"max_attempts must be >= 1, got {max_attempts}")
         self.jobs = jobs
         self.timeout_s = timeout_s
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.fail_fast = fail_fast
-        self.journal = journal
+        self.max_attempts = max_attempts
         self._ctx = (mp_context if mp_context is not None
                      else multiprocessing.get_context())
-        self.degraded = False
         self._interrupted = False
-        self._spawn_failures = 0
 
     # -- public API -----------------------------------------------------
     def run(self, tasks: Sequence[Task],
@@ -395,8 +183,7 @@ class Supervisor:
 
         Returns a :class:`SupervisionReport`; raises
         ``KeyboardInterrupt`` after a SIGINT, but only once completed
-        workers have been drained (and ``on_complete``'d) and the
-        interrupt journalled.
+        workers have been drained (and ``on_complete``'d).
         """
         states = {t.key: _TaskState(task=t) for t in tasks}
         if len(states) != len(tasks):
@@ -406,8 +193,7 @@ class Supervisor:
         results: Dict[str, Any] = {}
         failures: Dict[str, CellFailure] = {}
         retries = 0
-        use_processes = (not self.degraded
-                         and (self.jobs > 1 or self.timeout_s is not None))
+        use_processes = self.jobs > 1 or self.timeout_s is not None
         self._interrupted = False
 
         previous_handler: Any = None
@@ -425,77 +211,44 @@ class Supervisor:
             results[key] = value
             if on_complete is not None:
                 on_complete(key, value, state.elapsed_s, state.attempts)
-            if self.journal is not None:
-                self.journal.record("done", key=key,
-                                    label=state.task.label,
-                                    attempts=state.attempts,
-                                    elapsed_s=round(state.elapsed_s, 6))
 
         def attempt_failed(state: _TaskState, error_type: str,
                            message: str, tb_text: str,
                            transient: bool) -> None:
             nonlocal retries
             key = state.task.key
-            if transient and state.attempts < self.retry.max_attempts:
-                delay = self.retry.delay_s(key, state.attempts)
-                state.not_before = _now() + delay
+            if transient and state.attempts < self.max_attempts:
                 retries += 1
-                if self.journal is not None:
-                    self.journal.record("retry", key=key,
-                                        label=state.task.label,
-                                        attempt=state.attempts,
-                                        error_type=error_type,
-                                        message=message,
-                                        delay_s=round(delay, 4))
                 queue.append(state)
                 return
-            failure = CellFailure(
+            failures[key] = CellFailure(
                 key=key, label=state.task.label, error_type=error_type,
                 message=message, traceback=tb_text,
                 attempts=state.attempts,
                 elapsed_s=round(state.elapsed_s, 6),
                 transient=transient)
-            failures[key] = failure
-            if self.journal is not None:
-                self.journal.record("failed", key=key,
-                                    failure=failure.to_payload())
-            if self.fail_fast:
-                queue.clear()
-                self._terminate(running, reason="fail-fast")
 
         try:
             while queue or running:
                 if self._interrupted:
                     break
-                now = _now()
-                launched = self._launch_ready(
-                    queue, running, now, use_processes, finish,
-                    attempt_failed)
-                if launched == "degraded":
-                    use_processes = False
-                    continue
+                self._launch_ready(queue, running, use_processes, finish,
+                                   attempt_failed)
                 if running:
                     self._poll(running, finish, attempt_failed)
-                elif queue:
-                    # everything pending is backing off: sleep it out
-                    wake = min(s.not_before for s in queue)
-                    pause = min(max(0.0, wake - _now()),
-                                POLL_INTERVAL_S * 4)
-                    if pause > 0:
-                        time.sleep(pause)
         finally:
             if handler_installed:
                 signal.signal(signal.SIGINT, previous_handler)
 
         if self._interrupted:
-            drained = self._drain(running, finish, attempt_failed)
-            self._terminate(running, reason="interrupted")
-            if self.journal is not None:
-                self.journal.record(
-                    "interrupted", completed=len(results),
-                    drained=drained, failed=len(failures),
-                    pending=sorted([s.task.key for s in queue]
-                                   + list(running)))
+            # collect what workers already delivered, kill the rest
+            for key in list(running):
+                message = self._receive(running[key])
+                if message is not None:
+                    self._settle(running, key, message, finish,
+                                 attempt_failed)
+            for key in list(running):
+                self._kill(running.pop(key))
             raise KeyboardInterrupt(
                 f"interrupted: {len(results)} cells completed and "
                 f"committed, {len(queue) + len(running)} abandoned")
@@ -505,7 +258,7 @@ class Supervisor:
             attempts={key: state.attempts
                       for key, state in states.items()
                       if state.attempts},
-            retries=retries, degraded=self.degraded)
+            retries=retries)
 
     # -- internals ------------------------------------------------------
     def _on_sigint(self, signum: int, frame: Any) -> None:
@@ -515,34 +268,31 @@ class Supervisor:
         self._interrupted = True
 
     def _launch_ready(self, queue: "deque[_TaskState]",
-                      running: Dict[str, _Running], now: float,
+                      running: Dict[str, _Running],
                       use_processes: bool,
                       finish: Callable[[_TaskState, Any], None],
-                      attempt_failed: Callable[..., None]
-                      ) -> Optional[str]:
-        """Start eligible tasks until the job slots are full."""
+                      attempt_failed: Callable[..., None]) -> None:
+        """Start queued tasks until the job slots are full.
+
+        A spawn that raises consumes an attempt like any other failure
+        (transient for ``OSError``), so a host that always refuses to
+        spawn quarantines its tasks instead of looping forever.
+        """
         while queue and len(running) < self.jobs:
             if self._interrupted:
-                return None
-            index = next((i for i, s in enumerate(queue)
-                          if s.not_before <= now), None)
-            if index is None:
-                return None
-            queue.rotate(-index)
+                return
             state = queue.popleft()
-            queue.rotate(index)
             if not use_processes:
                 self._run_inline(state, finish, attempt_failed)
                 continue
             task = state.task
-            attempt = state.attempts + 1
+            state.attempts += 1
             parent_conn = child_conn = process = None
             try:
                 parent_conn, child_conn = self._ctx.Pipe(duplex=False)
                 process = self._ctx.Process(
                     target=_worker_entry,
-                    args=(child_conn, task.fn, task.args, task.key,
-                          task.label, attempt),
+                    args=(child_conn, task.fn, task.args),
                     daemon=True)
                 process.start()
                 child_conn.close()
@@ -550,30 +300,17 @@ class Supervisor:
                 # a partially-spawned worker must not leak its pipe ends
                 # or a started-but-untracked process
                 self._discard_spawn(parent_conn, child_conn, process)
-                self._spawn_failures += 1
-                queue.appendleft(state)
-                if self._spawn_failures >= SPAWN_FAILURE_THRESHOLD:
-                    self.degraded = True
-                    if self.journal is not None:
-                        self.journal.record(
-                            "degraded",
-                            reason=f"{type(exc).__name__}: {exc}",
-                            spawn_failures=self._spawn_failures)
-                    return "degraded"
-                return None
-            self._spawn_failures = 0
-            state.attempts = attempt
+                attempt_failed(state, type(exc).__name__, str(exc),
+                               traceback.format_exc(),
+                               isinstance(exc, TRANSIENT_ERRORS))
+                continue
             started = _now()
             deadline = (started + self.timeout_s
                         if self.timeout_s is not None else float("inf"))
-            if self.journal is not None:
-                self.journal.record("start", key=task.key,
-                                    label=task.label, attempt=attempt)
             running[task.key] = _Running(state=state, process=process,
                                          conn=parent_conn,
                                          started=started,
                                          deadline=deadline)
-        return None
 
     @staticmethod
     def _discard_spawn(parent_conn: Optional[Any],
@@ -602,19 +339,10 @@ class Supervisor:
     def _run_inline(self, state: _TaskState,
                     finish: Callable[[_TaskState, Any], None],
                     attempt_failed: Callable[..., None]) -> None:
-        """Serial fallback: run one attempt in-process (no watchdog)."""
-        delay = state.not_before - _now()
-        if delay > 0:
-            time.sleep(delay)
+        """Serial path: run one attempt in-process (no watchdog)."""
         state.attempts += 1
-        if self.journal is not None:
-            self.journal.record("start", key=state.task.key,
-                                label=state.task.label,
-                                attempt=state.attempts, inline=True)
         started = _now()
         try:
-            inject_chaos(state.task.key, state.task.label,
-                         state.attempts)
             value = state.task.fn(*state.task.args)
         except Exception as exc:
             state.elapsed_s += _now() - started
@@ -636,23 +364,12 @@ class Supervisor:
             pass
         now = _now()
         for key in list(running):
-            # attempt_failed may fail-fast and _terminate every sibling
-            # mid-iteration, so the snapshot can hold dead keys
-            record = running.get(key)
-            if record is None:
-                continue
+            record = running[key]
             state = record.state
             message = self._receive(record)
             if message is not None:
-                self._reap(record)
-                del running[key]
-                state.elapsed_s += now - record.started
-                if message[0] == "ok":
-                    finish(state, message[1])
-                else:
-                    _, etype, emsg, tb_text, transient = message
-                    attempt_failed(state, etype, emsg, tb_text,
-                                   transient)
+                self._settle(running, key, message, finish,
+                             attempt_failed)
             elif not record.process.is_alive():
                 self._reap(record)
                 del running[key]
@@ -712,35 +429,19 @@ class Supervisor:
         except Exception:
             pass
 
-    def _drain(self, running: Dict[str, _Running],
-               finish: Callable[[_TaskState, Any], None],
-               attempt_failed: Callable[..., None]) -> int:
-        """Collect results workers already delivered (SIGINT path)."""
-        drained = 0
-        for key in list(running):
-            record = running.get(key)
-            if record is None:
-                continue
-            message = self._receive(record)
-            if message is None:
-                continue
-            del running[key]
-            record.state.elapsed_s += _now() - record.started
-            self._reap(record)
-            if message[0] == "ok":
-                finish(record.state, message[1])
-                drained += 1
-            else:
-                _, etype, emsg, tb_text, transient = message
-                attempt_failed(record.state, etype, emsg, tb_text,
-                               transient)
-        return drained
-
-    def _terminate(self, running: Dict[str, _Running],
-                   reason: str) -> None:
-        """Kill every still-running worker (fail-fast / interrupt)."""
-        for key in list(running):
-            self._kill(running.pop(key))
+    def _settle(self, running: Dict[str, _Running], key: str,
+                message: Tuple,
+                finish: Callable[[_TaskState, Any], None],
+                attempt_failed: Callable[..., None]) -> None:
+        """Retire a worker that reported ``message`` and act on it."""
+        record = running.pop(key)
+        record.state.elapsed_s += _now() - record.started
+        self._reap(record)
+        if message[0] == "ok":
+            finish(record.state, message[1])
+        else:
+            _, etype, emsg, tb_text, transient = message
+            attempt_failed(record.state, etype, emsg, tb_text, transient)
 
 
 def _now() -> float:

@@ -41,7 +41,8 @@ def test_corpus_is_well_formed():
     for mutant in PROTOCOL_MUTANTS:
         assert mutant.rule in PROTOCOL_RULES
         assert mutant.path.startswith(
-            ("repro/ftl/", "repro/ssd/", "repro/experiments/"))
+            ("repro/ftl/", "repro/ssd/", "repro/experiments/",
+             "repro/tools.py"))
     for mutant in FLOW_MUTANTS:
         assert mutant.rule in FLOW_RULES
     for mutant in MUTANTS:

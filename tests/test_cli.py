@@ -1,7 +1,10 @@
 """The experiments CLI: argument parsing and scale resolution."""
 
+import json
+
 import pytest
 
+from repro.experiments import runner as runner_module
 from repro.experiments.cli import build_parser, main, resolve_scale
 from repro.experiments.runner import reset_runner
 
@@ -54,23 +57,18 @@ class TestParser:
 
     def test_supervision_flags(self):
         args = build_parser().parse_args(
-            ["fig6a", "--timeout", "30.5", "--retries", "5",
-             "--resume", "--fail-fast"])
+            ["fig6a", "--timeout", "30.5", "--retries", "5"])
         assert args.timeout == 30.5
         assert args.retries == 5
-        assert args.resume is True
-        assert args.fail_fast is True
 
     def test_supervision_flag_defaults(self):
         args = build_parser().parse_args(["fig6a"])
         assert args.timeout is None
-        assert args.retries is None
-        assert args.resume is False
-        assert args.fail_fast is False
+        assert args.retries == 3
 
     def test_retries_rejects_non_positive_budget(self, capsys):
         # a friendly argparse error (exit 2), not a raw ExperimentError
-        # traceback from RetryPolicy deep inside configure_runner
+        # traceback from deep inside configure_runner
         for bad in ("0", "-1", "two"):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(["fig6a", "--retries", bad])
@@ -118,7 +116,33 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == "error: channels must be >= 1\n"
         assert captured.out == ""
-        # no cell ran, nothing was quarantined, no manifest written
+        # no cell ran, nothing was cached
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("flags, jobs_env", [
+        (["--jobs", "0"], None),
+        (["--timeout", "0"], None),
+        (["--timeout", "-5"], None),
+        (["--timeout", "nan"], None),
+        (["--timeout", "inf"], None),
+        ([], "0"),
+    ], ids=["jobs=0", "timeout=0", "timeout=-5", "timeout=nan",
+            "timeout=inf", "REPRO_JOBS=0"])
+    def test_bad_supervision_argument_exits_2(self, flags, jobs_env,
+                                              tmp_path, capsys,
+                                              monkeypatch):
+        # a NaN deadline never expires, so it must not reach the
+        # watchdog; every bad value stops at the edge with one line
+        if jobs_env is not None:
+            monkeypatch.setenv("REPRO_JOBS", jobs_env)
+        cache = tmp_path / "rc"
+        try:
+            code = main(["table2", "--cache-dir", str(cache)] + flags)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
         assert not cache.exists()
 
     def test_runs_one_experiment(self, capsys):
@@ -128,7 +152,6 @@ class TestMain:
         assert "[fig2a]" in out
 
     def test_parallel_cached_run_emits_bench(self, tmp_path, capsys):
-        import json
         argv = ["fig2b", "--requests", "400", "--warmup", "100",
                 "--jobs", "2", "--cache-dir", str(tmp_path / "rc"),
                 "--bench", str(tmp_path / "BENCH_runner.json")]
@@ -149,14 +172,37 @@ class TestMain:
         assert main(argv) == 0
         runner = get_runner()
         assert runner.timeout_s == 120
-        assert runner.retry.max_attempts == 5
+        assert runner.max_attempts == 5
 
-    def test_resume_reports_prior_session(self, tmp_path, capsys):
-        argv = ["fig2a", "--requests", "500", "--warmup", "100",
-                "--cache-dir", str(tmp_path / "rc")]
+    def test_quarantined_cell_exits_1_and_rerun_simulates_only_it(
+            self, tmp_path, capsys, monkeypatch):
+        real_execute = runner_module._timed_execute
+
+        def failing_execute(spec):
+            if spec.label() == "financial1:dftl":
+                raise RuntimeError("injected failure")
+            return real_execute(spec)
+
+        monkeypatch.setattr(runner_module, "_timed_execute",
+                            failing_execute)
+        bench = tmp_path / "bench.json"
+        argv = ["table2", "--requests", "400", "--warmup", "100",
+                "--jobs", "1", "--cache-dir", str(tmp_path / "rc"),
+                "--bench", str(bench)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert ("quarantined financial1:dftl: RuntimeError: injected "
+                "failure") in err
+        assert "Traceback (most recent call last)" in err
+        totals = json.loads(bench.read_text())["totals"]
+        assert totals["cells"] == 8 and totals["failed"] == 1
+        # every healthy cell was committed before the exit
+        assert len(list((tmp_path / "rc").glob("*.json"))) == 7
+        # the cache is the resume: a plain rerun simulates one cell
+        monkeypatch.setattr(runner_module, "_timed_execute", real_execute)
         assert main(argv) == 0
-        assert main(argv + ["--resume"]) == 0
-        assert "resuming:" in capsys.readouterr().err
+        totals = json.loads(bench.read_text())["totals"]
+        assert totals["cache_hits"] == 7 and totals["cache_misses"] == 1
 
     def test_wipe_cache(self, tmp_path, capsys):
         argv = ["fig2b", "--requests", "400", "--warmup", "100",

@@ -58,8 +58,7 @@ def test_matrix_failure_message_and_payload_round_trip():
         error_type="OSError", message="disk on fire",
         traceback="Traceback ...", attempts=3, elapsed_s=1.25,
         transient=True)
-    assert errors.CellFailure.from_payload(failure.to_payload()) \
-        == failure
+    assert errors.CellFailure(**failure.to_payload()) == failure
     exc = errors.MatrixFailureError([failure])
     assert exc.failures == [failure]
     assert "1 cell quarantined" in str(exc)

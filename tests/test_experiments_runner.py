@@ -16,6 +16,7 @@ import pytest
 from repro.config import TPFTLConfig
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentScale
+from repro.experiments import runner as runner_module
 from repro.experiments.common import run_matrix, run_one
 from repro.experiments.runner import (CACHE_SCHEMA, ParallelRunner,
                                       RunCache, RunSpec, clear_run_caches,
@@ -171,14 +172,6 @@ class TestRunCache:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert RunCache(tmp_path).get(spec) is None
 
-    def test_disabled_directory_keeps_memory_level(self):
-        spec = tiny_spec()
-        cache = RunCache(directory=False)
-        assert cache.directory is None
-        result = execute_spec(spec)
-        cache.put(spec, result, 0.1)
-        assert cache.get(spec)[0] == result  # L1 still works
-
     def test_wipe_removes_entries(self, tmp_path):
         spec = tiny_spec()
         cache = RunCache(tmp_path)
@@ -219,7 +212,7 @@ class TestRunCache:
             cache.put(tiny_spec(ftl="tpftl"), result, 0.1)
         assert cache.stats()["write_errors"] == 2
         assert cache.stores == 0
-        assert cache.get(spec)[0] == result  # L1 still serves the run
+        assert cache.get(spec) is None  # nothing persisted: a miss
 
 
 class TestParallelRunner:
@@ -323,8 +316,9 @@ class TestDefaultRunnerIntegration:
     def test_clear_run_caches_clears_memory_only(self):
         run_one("financial1", "dftl", TINY)
         runner = get_runner()
+        assert runner_module._TRACE_MEMO
         clear_run_caches()
-        assert len(runner.cache._memory) == 0
+        assert not runner_module._TRACE_MEMO
         # disk level still warm: rerun is a hit, not a simulation
         misses_before = runner.cache.stats()["misses"]
         run_one("financial1", "dftl", TINY)

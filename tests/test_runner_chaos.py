@@ -1,19 +1,24 @@
 """Chaos harness for the supervised runner.
 
 Injects worker crashes, hangs, deterministic and transient exceptions,
-SIGINT and corrupt cache files into real (tiny) matrices via the
-env-gated ``REPRO_CHAOS`` hook, and asserts the supervision contract:
-transient faults are retried with seeded backoff, stuck workers are
-killed by the watchdog and requeued, persistent failures become
-structured :class:`~repro.errors.CellFailure` records instead of
-escaped tracebacks, completed cells are committed to the run cache the
-moment they finish, and an interrupted matrix resumes to full
-completion with every previously completed cell served from cache.
+refused spawns, SIGINT and corrupt cache files into real (tiny)
+matrices from the test side: ``run_specs`` goes through
+``runner._timed_execute``, which the tests replace with
+:func:`_faulty_execute`; ``map`` and :class:`Supervisor` run the
+module-level fault tasks below.  Every fault function is picklable,
+and a "once" fault is keyed on a marker file so the retried attempt
+runs clean.  The suite asserts the supervision contract: transient
+faults are retried, stuck workers are killed by the watchdog and
+requeued, persistent failures become structured
+:class:`~repro.errors.CellFailure` records instead of escaped
+tracebacks, completed cells are committed to the run cache the moment
+they finish, and a plain rerun serves every committed cell from the
+cache.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import multiprocessing
 import os
 import signal
@@ -24,31 +29,29 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import (CellFailure, ExperimentError,
-                          MatrixFailureError, RunnerError)
+from repro.errors import ExperimentError, MatrixFailureError, RunnerError
 from repro.experiments import ExperimentScale
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import (ParallelRunner, RunCache, RunSpec,
                                       clear_run_caches, configure_runner,
                                       reset_runner)
-from repro.experiments.supervisor import (CHAOS_ENV, JOURNAL_NAME,
-                                          Journal, RetryPolicy,
-                                          Supervisor, Task)
+from repro.experiments.supervisor import Supervisor, Task
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+TESTS = str(Path(__file__).resolve().parent)
 
 TINY = ExperimentScale(
     name="tiny", num_requests=600, warmup_requests=100,
     financial_pages=2048, msr_pages=4096,
     cache_fractions=(1 / 32, 1.0), sample_interval=300)
 
-#: fast backoff so the whole chaos suite stays in seconds
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01,
-                         backoff_factor=2.0, backoff_max_s=0.05)
+#: the real cell executor, captured before any test replaces it
+_REAL_EXECUTE = runner_module._timed_execute
 
 
 @pytest.fixture(autouse=True)
 def _fresh_default_runner(tmp_path):
-    """Isolate the default runner; never leak chaos into other tests."""
+    """Isolate the default runner from other tests."""
     configure_runner(jobs=1, cache_dir=tmp_path / "default-cache")
     yield
     reset_runner()
@@ -62,83 +65,61 @@ def tiny_spec(**overrides) -> RunSpec:
     return RunSpec(**params)
 
 
-def arm_chaos(tmp_path, monkeypatch, rules) -> Path:
-    """Write a chaos plan and point ``REPRO_CHAOS`` at it."""
-    plan = tmp_path / "chaos-plan.json"
-    plan.write_text(json.dumps(rules), encoding="utf-8")
-    monkeypatch.setenv(CHAOS_ENV, str(plan))
-    return plan
+# ----------------------------------------------------------------------
+# Fault injection (module-level, so worker processes can unpickle it)
+# ----------------------------------------------------------------------
+def _inject(mode: str, marker) -> None:
+    """Fail the current attempt as ``mode`` says.
+
+    With a ``marker`` path the fault fires once: the first attempt
+    creates the file, later attempts see it and run clean.
+    """
+    if marker is not None:
+        if os.path.exists(marker):
+            return
+        Path(marker).touch()
+    if mode == "crash":
+        os._exit(29)
+    elif mode == "hang":
+        time.sleep(300)
+    elif mode == "raise":
+        raise RuntimeError("injected failure")
+    elif mode == "oserror":
+        raise OSError("injected transient fault")
 
 
-class TestRetryPolicy:
-    def test_jitter_is_seeded_and_deterministic(self):
-        policy = RetryPolicy(seed=7)
-        assert policy.delay_s("cell", 1) == policy.delay_s("cell", 1)
-        assert policy.delay_s("cell", 1) != policy.delay_s("cell", 2)
-        assert policy.delay_s("cell", 1) != policy.delay_s("other", 1)
-        assert (RetryPolicy(seed=8).delay_s("cell", 1)
-                != policy.delay_s("cell", 1))
-
-    def test_backoff_grows_and_is_bounded(self):
-        policy = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0,
-                             backoff_max_s=0.4, jitter=0.0)
-        delays = [policy.delay_s("k", attempt)
-                  for attempt in (1, 2, 3, 4, 5)]
-        assert delays == [0.1, 0.2, 0.4, 0.4, 0.4]
-        jittered = RetryPolicy(backoff_base_s=0.1, backoff_max_s=0.4,
-                               jitter=0.5)
-        assert all(jittered.delay_s("k", a) <= 0.4 * 1.5
-                   for a in range(1, 8))
-
-    def test_invalid_policies_rejected(self):
-        with pytest.raises(ExperimentError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ExperimentError):
-            RetryPolicy(backoff_base_s=-1.0)
-        with pytest.raises(ExperimentError):
-            RetryPolicy(jitter=-0.1)
+def _faulty_execute(plan, spec):
+    """``_timed_execute`` with faults: ``plan`` holds ``(label, mode,
+    marker)`` rules matched on the cell label."""
+    for label, mode, marker in plan:
+        if spec.label() == label:
+            _inject(mode, marker)
+    return _REAL_EXECUTE(spec)
 
 
-class TestJournal:
-    def test_load_missing_file_is_empty(self, tmp_path):
-        state = Journal.load(tmp_path / "nope.jsonl")
-        assert state.events == 0 and not state.interrupted
+def arm(monkeypatch, *rules) -> None:
+    """Route every ``run_specs`` cell through :func:`_faulty_execute`."""
+    monkeypatch.setattr(runner_module, "_timed_execute",
+                        functools.partial(_faulty_execute, rules))
 
-    def test_rotation_vs_resume(self, tmp_path):
-        path = tmp_path / JOURNAL_NAME
-        Journal(path).record("done", key="a", label="a", attempts=1,
-                             elapsed_s=0.1)
-        # fresh session rotates; the old event is gone
-        fresh = Journal(path)
-        assert Journal.load(path).events == 0
-        fresh.record("done", key="b", label="b", attempts=1,
-                     elapsed_s=0.1)
-        # resume appends and replays the prior state
-        resumed = Journal(path, resume=True)
-        assert "b" in resumed.prior.completed
-        state = Journal.load(path)
-        assert state.events >= 2  # done + resume marker
 
-    def test_corrupt_lines_skipped_not_fatal(self, tmp_path):
-        path = tmp_path / JOURNAL_NAME
-        journal = Journal(path)
-        journal.record("done", key="a", label="a", attempts=1,
-                       elapsed_s=0.1)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "done", "key": "torn')  # torn write
-        state = Journal.load(path)
-        assert state.corrupt_lines == 1
-        assert "a" in state.completed
+def _abs_oserror_once(marker: str, value: int) -> int:
+    """``abs`` whose first call on 3 raises a transient ``OSError``."""
+    if value == 3:
+        _inject("oserror", marker)
+    return abs(value)
 
-    def test_failed_then_done_counts_as_completed(self, tmp_path):
-        path = tmp_path / JOURNAL_NAME
-        journal = Journal(path)
-        journal.record("failed", key="a",
-                       failure={"key": "a", "label": "a"})
-        journal.record("done", key="a", label="a", attempts=2,
-                       elapsed_s=0.1)
-        state = Journal.load(path)
-        assert "a" in state.completed and "a" not in state.failed
+
+def _abs_rejecting_negatives(value: int) -> int:
+    """``abs`` that fails deterministically on a negative input."""
+    if value < 0:
+        raise RuntimeError(f"negative input {value}")
+    return value
+
+
+def _double(value):
+    """Module-level helper task (picklable) for supervisor tests."""
+    return value * 2
 
 
 class TestWorkerCrash:
@@ -146,12 +127,9 @@ class TestWorkerCrash:
                                                   monkeypatch):
         clean = ParallelRunner(jobs=2, cache=None).run_specs(
             [tiny_spec(), tiny_spec(ftl="tpftl")])
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "crash",
-             "attempts": [1]}])
-        journal = Journal(tmp_path / JOURNAL_NAME)
-        runner = ParallelRunner(jobs=2, cache=RunCache(tmp_path / "rc"),
-                                retry=FAST_RETRY, journal=journal)
+        arm(monkeypatch,
+            ("financial1:dftl", "crash", str(tmp_path / "crashed")))
+        runner = ParallelRunner(jobs=2, cache=RunCache(tmp_path / "rc"))
         results = runner.run_specs([tiny_spec(), tiny_spec(ftl="tpftl")])
         assert results == clean  # determinism survives the retry
         report = runner.bench_report()
@@ -160,51 +138,41 @@ class TestWorkerCrash:
         crashed = next(o for o in runner.outcomes
                        if o.label == "financial1:dftl")
         assert crashed.attempts == 2 and not crashed.failed
-        events = [json.loads(line) for line in
-                  (tmp_path / JOURNAL_NAME).read_text().splitlines()]
-        retry = next(e for e in events if e["event"] == "retry")
-        assert retry["error_type"] == "WorkerCrashError"
 
 
 class TestWatchdog:
     def test_hung_cell_is_killed_and_requeued(self, tmp_path,
                                               monkeypatch):
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "hang", "seconds": 60,
-             "attempts": [1]}])
-        journal = Journal(tmp_path / JOURNAL_NAME)
-        runner = ParallelRunner(jobs=2, cache=None, retry=FAST_RETRY,
-                                timeout_s=2.0, journal=journal)
+        arm(monkeypatch,
+            ("financial1:dftl", "hang", str(tmp_path / "hung")))
+        runner = ParallelRunner(jobs=2, cache=None, timeout_s=2.0)
         started = time.monotonic()  # tp: allow=TP002 - harness timing
         results = runner.run_specs([tiny_spec()])
         elapsed = time.monotonic() - started  # tp: allow=TP002 - harness timing
         assert results[0] is not None
-        assert elapsed < 30  # killed at ~2s, nowhere near the 60s hang
+        assert elapsed < 30  # killed at ~2s, nowhere near the 300s hang
         assert runner.outcomes[-1].attempts == 2
-        events = [json.loads(line) for line in
-                  (tmp_path / JOURNAL_NAME).read_text().splitlines()]
-        retry = next(e for e in events if e["event"] == "retry")
-        assert retry["error_type"] == "CellTimeoutError"
+        assert runner.bench_report()["totals"]["retries"] == 1
 
     def test_watchdog_requires_positive_timeout(self):
-        with pytest.raises(ExperimentError):
-            Supervisor(jobs=1, timeout_s=0.0)
+        for bad in (0.0, -5.0, float("nan"), float("inf")):
+            with pytest.raises(ExperimentError):
+                Supervisor(jobs=1, timeout_s=bad)
 
 
 class TestQuarantine:
     def test_deterministic_failure_not_retried(self, tmp_path,
                                                monkeypatch):
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "raise"}])
+        arm(monkeypatch, ("financial1:dftl", "raise", None))
         cache = RunCache(tmp_path / "rc")
-        runner = ParallelRunner(jobs=2, cache=cache, retry=FAST_RETRY)
+        runner = ParallelRunner(jobs=2, cache=cache)
         with pytest.raises(MatrixFailureError) as excinfo:
             runner.run_specs([tiny_spec(), tiny_spec(ftl="tpftl")])
         failure = excinfo.value.failures[0]
         assert failure.error_type == "RuntimeError"
         assert failure.attempts == 1  # deterministic: no retry budget
         assert not failure.transient
-        assert "chaos" in failure.message
+        assert "injected" in failure.message
         assert failure.traceback  # full traceback captured, not escaped
         # the healthy cell completed and was committed before the raise
         assert cache.stats()["stores"] == 1
@@ -213,21 +181,19 @@ class TestQuarantine:
 
     def test_transient_failure_exhausts_attempt_budget(self, tmp_path,
                                                        monkeypatch):
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "oserror"}])
-        runner = ParallelRunner(jobs=2, cache=None, retry=FAST_RETRY)
+        arm(monkeypatch, ("financial1:dftl", "oserror", None))
+        runner = ParallelRunner(jobs=2, cache=None, max_attempts=3)
         with pytest.raises(MatrixFailureError) as excinfo:
             runner.run_specs([tiny_spec()])
         failure = excinfo.value.failures[0]
         assert failure.error_type == "OSError"
-        assert failure.attempts == FAST_RETRY.max_attempts
+        assert failure.attempts == 3
         assert failure.transient
 
     def test_allow_failures_returns_none_slots(self, tmp_path,
                                                monkeypatch):
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "raise"}])
-        runner = ParallelRunner(jobs=2, cache=None, retry=FAST_RETRY)
+        arm(monkeypatch, ("financial1:dftl", "raise", None))
+        runner = ParallelRunner(jobs=2, cache=None)
         results = runner.run_specs(
             [tiny_spec(), tiny_spec(ftl="tpftl")], allow_failures=True)
         assert results[0] is None
@@ -239,152 +205,82 @@ class TestQuarantine:
         failed_cell = next(c for c in report["cells"] if c["failed"])
         assert failed_cell["label"] == "financial1:dftl"
 
-    def test_failure_manifest_round_trips(self, tmp_path, monkeypatch):
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "raise"}])
-        runner = ParallelRunner(jobs=2, cache=None, retry=FAST_RETRY)
-        runner.run_specs([tiny_spec()], allow_failures=True)
-        target = runner.write_failure_manifest(tmp_path / "manifest.json")
-        payload = json.loads(target.read_text(encoding="utf-8"))
-        assert payload["manifest"] == "runner-failures"
-        assert payload["failed"] == 1
-        restored = CellFailure.from_payload(payload["failures"][0])
-        assert restored == runner.failures[0]
-        assert "RuntimeError" in restored.summary()
-
-    def test_fail_fast_abandons_remaining_cells(self, tmp_path,
-                                                monkeypatch):
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "raise"}])
-        cache = RunCache(tmp_path / "rc")
-        runner = ParallelRunner(jobs=1, cache=cache, retry=FAST_RETRY,
-                                fail_fast=True)
-        results = runner.run_specs(
-            [tiny_spec(), tiny_spec(ftl="tpftl")], allow_failures=True)
-        assert results == [None, None]  # second cell abandoned
-        assert len(runner.failures) == 1
-        assert cache.stats()["stores"] == 0
-
-    def test_fail_fast_with_parallel_workers_still_running(
-            self, tmp_path, monkeypatch):
-        # the quarantined cell settles while a sibling worker is still
-        # alive: fail-fast must terminate it mid-_poll without the
-        # stale running-table snapshot blowing up (KeyError regression)
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "raise"},
-            {"match": "financial1:tpftl", "mode": "hang",
-             "seconds": 120}])
-        runner = ParallelRunner(jobs=2, cache=None, retry=FAST_RETRY,
-                                fail_fast=True)
-        started = time.monotonic()  # tp: allow=TP002 - harness timing
-        results = runner.run_specs(
-            [tiny_spec(), tiny_spec(ftl="tpftl")], allow_failures=True)
-        elapsed = time.monotonic() - started  # tp: allow=TP002 - harness timing
-        assert results == [None, None]
-        assert len(runner.failures) == 1
-        assert runner.failures[0].label == "financial1:dftl"
-        assert elapsed < 60  # hung sibling was killed, not waited out
-
-    def test_fail_fast_parallel_raises_structured_error(
-            self, tmp_path, monkeypatch):
-        # without allow_failures the same scenario must surface as a
-        # MatrixFailureError (caught by the CLI), never a raw KeyError
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "raise"},
-            {"match": "financial1:tpftl", "mode": "hang",
-             "seconds": 120}])
-        runner = ParallelRunner(jobs=2, cache=None, retry=FAST_RETRY,
-                                fail_fast=True)
-        with pytest.raises(MatrixFailureError) as excinfo:
-            runner.run_specs([tiny_spec(), tiny_spec(ftl="tpftl")])
-        assert excinfo.value.failures[0].label == "financial1:dftl"
-
 
 class TestMapSupervision:
-    def test_map_retries_transient_failures(self, tmp_path,
-                                            monkeypatch):
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "abs[0]", "mode": "oserror", "attempts": [1]}])
-        runner = ParallelRunner(jobs=2, retry=FAST_RETRY)
-        assert runner.map(abs, [(3,), (-4,), (5,)]) == [3, 4, 5]
+    def test_map_retries_transient_failures(self, tmp_path):
+        marker = str(tmp_path / "faulted")
+        runner = ParallelRunner(jobs=2)
+        assert runner.map(_abs_oserror_once,
+                          [(marker, 3), (marker, -4), (marker, 5)]) \
+            == [3, 4, 5]
+        assert os.path.exists(marker)  # the fault did fire once
 
-    def test_map_quarantines_persistent_failures(self, tmp_path,
-                                                 monkeypatch):
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "abs[1]", "mode": "raise"}])
-        runner = ParallelRunner(jobs=2, retry=FAST_RETRY)
+    def test_map_quarantines_persistent_failures(self):
+        runner = ParallelRunner(jobs=2)
         with pytest.raises(MatrixFailureError) as excinfo:
-            runner.map(abs, [(3,), (-4,), (5,)])
-        assert excinfo.value.failures[0].label == "abs[1]"
+            runner.map(_abs_rejecting_negatives, [(3,), (-4,), (5,)])
+        assert excinfo.value.failures[0].label == \
+            "_abs_rejecting_negatives[1]"
 
-    def test_map_serial_no_watchdog_propagates_raw(self, tmp_path,
-                                                   monkeypatch):
+    def test_map_serial_no_watchdog_propagates_raw(self):
         # jobs=1 without a watchdog is the historical plain loop
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "anything", "mode": "raise"}])
         runner = ParallelRunner(jobs=1)
         with pytest.raises(TypeError):
             runner.map(abs, [("not a number",)])
 
 
-class _BrokenContext:
-    """A multiprocessing context whose process spawns always fail."""
+class _RefusingContext:
+    """A multiprocessing context that refuses the first ``refusals``
+    process spawns and records every pipe end it hands out."""
+
+    def __init__(self, refusals: float) -> None:
+        self.refusals = refusals
+        self.ends = []
+        self._real = multiprocessing.get_context()
 
     def Pipe(self, duplex=True):
-        return multiprocessing.get_context().Pipe(duplex)
+        pair = self._real.Pipe(duplex)
+        self.ends.extend(pair)
+        return pair
 
     def Process(self, *args, **kwargs):
-        raise OSError("chaos: process spawn refused")
-
-
-def _double(value):
-    """Module-level helper task (picklable) for supervisor tests."""
-    return value * 2
+        if self.refusals > 0:
+            self.refusals -= 1
+            raise OSError("process spawn refused")
+        return self._real.Process(*args, **kwargs)
 
 
 class TestDegradeToSerial:
-    def test_repeated_spawn_failure_degrades_not_dies(self, tmp_path):
-        journal = Journal(tmp_path / JOURNAL_NAME)
-        supervisor = Supervisor(jobs=2, timeout_s=5.0, retry=FAST_RETRY,
-                                journal=journal,
-                                mp_context=_BrokenContext())
-        tasks = [Task(key=f"t{i}", label=f"t{i}", fn=_double,
-                      args=(i,)) for i in range(4)]
-        report = supervisor.run(tasks)
-        assert report.results == {f"t{i}": i * 2 for i in range(4)}
-        assert report.degraded and supervisor.degraded
-        assert not report.failures
-        events = [json.loads(line) for line in
-                  (tmp_path / JOURNAL_NAME).read_text().splitlines()]
-        degraded = next(e for e in events if e["event"] == "degraded")
-        assert "spawn refused" in degraded["reason"]
+    """A refused spawn, which once degraded the batch to serial, is a
+    transient failed attempt that must release what it acquired."""
 
     def test_failed_spawn_closes_both_pipe_ends(self):
         """The runtime twin of static rule TP303: every pipe end a
         refused spawn had already acquired is closed before the retry,
         none is left to the garbage collector."""
-        ends = []
-
-        class RecordingContext(_BrokenContext):
-            def Pipe(self, duplex=True):
-                pair = super().Pipe(duplex)
-                ends.extend(pair)
-                return pair
-
-        supervisor = Supervisor(jobs=2, timeout_s=5.0, retry=FAST_RETRY,
-                                mp_context=RecordingContext())
+        context = _RefusingContext(refusals=1)
+        supervisor = Supervisor(jobs=2, timeout_s=30.0,
+                                mp_context=context)
         report = supervisor.run([Task(key="t", label="t", fn=_double,
                                       args=(21,))])
-        assert report.results == {"t": 42} and report.degraded
-        assert len(ends) >= 2 and all(end.closed for end in ends)
+        assert report.results == {"t": 42}
+        assert report.attempts == {"t": 2} and report.retries == 1
+        assert len(context.ends) == 4
+        assert all(end.closed for end in context.ends)
 
-    def test_degraded_runner_still_serves_matrix(self, tmp_path):
-        runner = ParallelRunner(jobs=2, cache=RunCache(tmp_path / "rc"),
-                                retry=FAST_RETRY)
-        runner._degraded = True  # as if a previous batch degraded
-        results = runner.run_specs([tiny_spec()])
-        assert results[0] is not None
-        assert runner.bench_report()["supervision"]["degraded_to_serial"]
+    def test_always_refused_spawn_is_quarantined_as_transient(self):
+        context = _RefusingContext(refusals=float("inf"))
+        supervisor = Supervisor(jobs=2, timeout_s=5.0, max_attempts=3,
+                                mp_context=context)
+        report = supervisor.run([Task(key="t", label="t", fn=_double,
+                                      args=(21,))])
+        assert report.results == {}
+        failure = report.failures["t"]
+        assert failure.error_type == "OSError"
+        assert "spawn refused" in failure.message
+        assert failure.transient and failure.attempts == 3
+        assert len(context.ends) == 6
+        assert all(end.closed for end in context.ends)
 
     def test_duplicate_task_keys_rejected(self):
         supervisor = Supervisor(jobs=1)
@@ -420,12 +316,16 @@ class TestCorruptCacheChaos:
 class TestSigintResume:
     def _driver_source(self, cache_dir: Path) -> str:
         return f"""
+import functools
 import sys
-sys.path.insert(0, {SRC!r})
+sys.path[:0] = [{SRC!r}, {TESTS!r}]
 from repro.experiments import ExperimentScale
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import ParallelRunner, RunCache, RunSpec
-from repro.experiments.supervisor import Journal
+from test_runner_chaos import _faulty_execute
 
+runner_module._timed_execute = functools.partial(
+    _faulty_execute, (("msr-ts:dftl", "hang", None),))
 scale = ExperimentScale(
     name="tiny", num_requests=600, warmup_requests=100,
     financial_pages=2048, msr_pages=4096,
@@ -434,9 +334,7 @@ specs = [RunSpec(workload="financial1", ftl="dftl", scale=scale,
                  sample_interval=300),
          RunSpec(workload="msr-ts", ftl="dftl", scale=scale,
                  sample_interval=300)]
-journal = Journal({str(cache_dir / JOURNAL_NAME)!r})
-runner = ParallelRunner(jobs=2, cache=RunCache({str(cache_dir)!r}),
-                        journal=journal)
+runner = ParallelRunner(jobs=2, cache=RunCache({str(cache_dir)!r}))
 try:
     runner.run_specs(specs)
 except KeyboardInterrupt:
@@ -445,59 +343,45 @@ sys.exit(0)
 """
 
     def test_sigint_drains_completed_cells_then_resume_finishes(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         cache_dir = tmp_path / "rc"
         cache_dir.mkdir()
-        plan = arm_chaos(tmp_path, monkeypatch, [
-            {"match": "msr-ts", "mode": "hang", "seconds": 300}])
-        env = dict(os.environ)
-        env[CHAOS_ENV] = str(plan)
-        process = subprocess.Popen(
-            [sys.executable, "-c", self._driver_source(cache_dir)],
-            env=env, cwd=str(tmp_path),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        try:
-            # wait for the fast cell to land in the cache...
-            deadline = time.monotonic() + 60  # tp: allow=TP002 - harness timing
-            while time.monotonic() < deadline:  # tp: allow=TP002 - harness timing
-                if list(cache_dir.glob("*.json")):
-                    break
-                if process.poll() is not None:
-                    break
-                time.sleep(0.1)
-            assert list(cache_dir.glob("*.json")), (
-                process.communicate(timeout=5))
-            # ... then interrupt while the chaos cell hangs
-            process.send_signal(signal.SIGINT)
-            returncode = process.wait(timeout=60)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
+        with subprocess.Popen(
+                [sys.executable, "-c", self._driver_source(cache_dir)],
+                cwd=str(tmp_path),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+            try:
+                # wait for the fast cell to land in the cache...
+                deadline = time.monotonic() + 60  # tp: allow=TP002 - harness timing
+                while time.monotonic() < deadline:  # tp: allow=TP002 - harness timing
+                    if list(cache_dir.glob("*.json")):
+                        break
+                    if process.poll() is not None:
+                        break
+                    time.sleep(0.1)
+                assert list(cache_dir.glob("*.json")), (
+                    process.communicate(timeout=5))
+                # ... then interrupt while the other cell hangs
+                process.send_signal(signal.SIGINT)
+                returncode = process.wait(timeout=60)
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=30)
         assert returncode == 130
-        state = Journal.load(cache_dir / JOURNAL_NAME)
-        assert state.interrupted
-        assert len(state.completed) == 1
-        # resume without chaos: full completion, the completed cell is
-        # served from cache and only the abandoned cell simulates
-        monkeypatch.delenv(CHAOS_ENV)
-        journal = Journal(cache_dir / JOURNAL_NAME, resume=True)
-        assert journal.prior.interrupted
-        assert len(journal.prior.completed) == 1
-        runner = ParallelRunner(jobs=1, cache=RunCache(cache_dir),
-                                journal=journal)
+        assert len(list(cache_dir.glob("*.json"))) == 1
+        # the cache is the resume: a plain rerun serves the completed
+        # cell from the cache and simulates only the abandoned one
+        runner = ParallelRunner(jobs=1, cache=RunCache(cache_dir))
         specs = [tiny_spec(), tiny_spec(workload="msr-ts")]
         results = runner.run_specs(specs)
         assert all(result is not None for result in results)
         stats = runner.cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
-        resumed = Journal.load(cache_dir / JOURNAL_NAME)
-        assert not resumed.interrupted
-        assert len(resumed.completed) == 2
 
 
 class TestAcceptanceScenario:
-    """The ISSUE's acceptance matrix: crash + hang + corrupt cache."""
+    """Crash + hang + corrupt cache + a persistent failure, then rerun."""
 
     def test_chaos_matrix_completes_then_resumes_clean(self, tmp_path,
                                                        monkeypatch):
@@ -507,20 +391,16 @@ class TestAcceptanceScenario:
                  tiny_spec(ftl="sftl"),             # corrupt cache entry
                  tiny_spec(ftl="optimal")]          # persistent failure
         # pre-populate the sftl cell, then corrupt it on disk
-        seed_cache = RunCache(cache_dir)
-        ParallelRunner(jobs=1, cache=seed_cache).run_specs([specs[2]])
+        ParallelRunner(jobs=1, cache=RunCache(cache_dir)).run_specs(
+            [specs[2]])
         (cache_dir / f"{specs[2].digest}.json").write_text(
             "\x00garbage", encoding="utf-8")
-        arm_chaos(tmp_path, monkeypatch, [
-            {"match": "financial1:dftl", "mode": "crash",
-             "attempts": [1]},
-            {"match": "financial1:tpftl", "mode": "hang",
-             "seconds": 120, "attempts": [1]},
-            {"match": "financial1:optimal", "mode": "raise"}])
-        journal = Journal(cache_dir / JOURNAL_NAME)
+        arm(monkeypatch,
+            ("financial1:dftl", "crash", str(tmp_path / "crashed")),
+            ("financial1:tpftl", "hang", str(tmp_path / "hung")),
+            ("financial1:optimal", "raise", None))
         runner = ParallelRunner(jobs=2, cache=RunCache(cache_dir),
-                                retry=FAST_RETRY, timeout_s=3.0,
-                                journal=journal)
+                                timeout_s=3.0)
         results = runner.run_specs(specs, allow_failures=True)
         # crash, hang and corruption all recovered; only the
         # deterministic failure is quarantined — as a record, not a
@@ -528,23 +408,17 @@ class TestAcceptanceScenario:
         assert [result is not None for result in results] == \
             [True, True, True, False]
         assert runner.cache.stats()["corrupt"] == 1
-        manifest = runner.failure_manifest()
-        assert manifest["failed"] == 1
-        assert manifest["failures"][0]["label"] == "financial1:optimal"
-        assert manifest["failures"][0]["traceback"]
         report = runner.bench_report()
+        assert report["totals"]["failed"] == 1
+        assert report["failures"][0]["label"] == "financial1:optimal"
+        assert report["failures"][0]["traceback"]
         assert report["totals"]["retries"] >= 2  # crash + hang retries
-        # resume with chaos disarmed: every previously completed cell
-        # is served from cache; only the quarantined cell simulates
-        monkeypatch.delenv(CHAOS_ENV)
-        resumed_journal = Journal(cache_dir / JOURNAL_NAME, resume=True)
-        assert len(resumed_journal.prior.failed) == 1
-        resumed = ParallelRunner(jobs=2, cache=RunCache(cache_dir),
-                                 retry=FAST_RETRY, timeout_s=3.0,
-                                 journal=resumed_journal)
-        final = resumed.run_specs(specs)
+        # rerun with the faults disarmed: every previously completed
+        # cell is served from cache; only the quarantined cell simulates
+        monkeypatch.setattr(runner_module, "_timed_execute", _REAL_EXECUTE)
+        rerun = ParallelRunner(jobs=2, cache=RunCache(cache_dir),
+                               timeout_s=3.0)
+        final = rerun.run_specs(specs)
         assert all(result is not None for result in final)
-        stats = resumed.cache.stats()
+        stats = rerun.cache.stats()
         assert stats["hits"] == 3 and stats["misses"] == 1
-        state = Journal.load(cache_dir / JOURNAL_NAME)
-        assert len(state.failed) == 0
