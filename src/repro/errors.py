@@ -161,8 +161,7 @@ class CellTimeoutError(RunnerError):
 class WorkerCrashError(RunnerError):
     """A worker process died without delivering a result.
 
-    Covers OOM kills, segfaults in native code, ``os._exit`` and the
-    shapes that surface as ``BrokenProcessPool`` under a shared pool.
+    Covers OOM kills, segfaults in native code and ``os._exit``.
     Always transient: the cell is requeued.
     """
 

@@ -37,7 +37,6 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -46,8 +45,7 @@ from ..errors import CellFailure, ExperimentError
 #: exception types worth retrying: the environment, not the simulation,
 #: failed.  ``PermissionError`` is an ``OSError`` subclass; worker
 #: crashes and watchdog timeouts are classified transient directly.
-TRANSIENT_ERRORS: Tuple[type, ...] = (OSError, BrokenProcessPool,
-                                      EOFError, ConnectionError)
+TRANSIENT_ERRORS: Tuple[type, ...] = (OSError, EOFError, ConnectionError)
 
 #: how long the event loop sleeps waiting for worker messages
 POLL_INTERVAL_S = 0.05
@@ -248,7 +246,7 @@ class Supervisor:
                     self._settle(running, key, message, finish,
                                  attempt_failed)
             for key in list(running):
-                self._kill(running.pop(key))
+                self._stop(running.pop(key), terminate=True)
             raise KeyboardInterrupt(
                 f"interrupted: {len(results)} cells completed and "
                 f"committed, {len(queue) + len(running)} abandoned")
@@ -371,7 +369,7 @@ class Supervisor:
                 self._settle(running, key, message, finish,
                              attempt_failed)
             elif not record.process.is_alive():
-                self._reap(record)
+                self._stop(record)
                 del running[key]
                 state.elapsed_s += now - record.started
                 attempt_failed(
@@ -380,7 +378,7 @@ class Supervisor:
                     f"{record.process.exitcode} before reporting a "
                     f"result", "", True)
             elif now > record.deadline:
-                self._kill(record)
+                self._stop(record, terminate=True)
                 del running[key]
                 state.elapsed_s += now - record.started
                 attempt_failed(
@@ -399,26 +397,15 @@ class Supervisor:
         return None
 
     @staticmethod
-    def _reap(record: _Running) -> None:
-        """Join a finished worker and release its pipe."""
+    def _stop(record: _Running, terminate: bool = False) -> None:
+        """Stop a worker and release its pipe: join a finished one, or
+        SIGTERM a stuck one (``terminate``); SIGKILL it if it lingers."""
         try:
-            record.process.join(timeout=5.0)
-            if record.process.is_alive():
-                record.process.kill()
+            if terminate:
+                record.process.terminate()
+                record.process.join(timeout=2.0)
+            else:
                 record.process.join(timeout=5.0)
-        except Exception:
-            pass
-        try:
-            record.conn.close()
-        except Exception:
-            pass
-
-    @staticmethod
-    def _kill(record: _Running) -> None:
-        """Forcibly stop a stuck worker: SIGTERM, then SIGKILL."""
-        try:
-            record.process.terminate()
-            record.process.join(timeout=2.0)
             if record.process.is_alive():
                 record.process.kill()
                 record.process.join(timeout=5.0)
@@ -436,7 +423,7 @@ class Supervisor:
         """Retire a worker that reported ``message`` and act on it."""
         record = running.pop(key)
         record.state.elapsed_s += _now() - record.started
-        self._reap(record)
+        self._stop(record)
         if message[0] == "ok":
             finish(record.state, message[1])
         else:

@@ -9,6 +9,12 @@ rolls its own :class:`random.Random` (seeded from the plan), so a fault
 sequence is a pure function of (plan, operation order) — rerunning a workload reproduces every fault at the same
 operation, which is what makes fault regressions debuggable.
 
+A live injector is *ordered* when the order of operations can change a
+result (a cut was armed, a program can fail, an oracle was stubbed);
+only then do the array's bulk moves go page by page.  Otherwise a batch
+rolls its reads in one call (:meth:`roll_reads`) and counts its
+programs at once.
+
 The injector also owns the power-cut countdown.  Power loss is raised at
 the *start* of the operation on which power dies, before any state
 mutates: the flash then holds exactly the operations that completed,
@@ -21,7 +27,7 @@ sequence numbers on real hardware), not a separate flash operation.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, PowerLossError
 from .plan import FaultPlan
@@ -40,9 +46,12 @@ class FaultInjector:
         #: True once anything here can fire; the flash array consults
         #: the injector only then.  Raised by a plan that is not a
         #: no-op, by :meth:`arm_power_loss` and by stubbing an oracle;
-        #: never lowered, so a once-faulty array keeps its per-operation
-        #: order for the rest of its life.
+        #: never lowered, like :attr:`ordered`.
         self.live = not self.plan.is_noop
+        #: True once the order of operations can change a result: a cut
+        #: armed, a program that can fail, or a stubbed oracle.
+        self.ordered = (self.plan.power_cut_after_ops is not None
+                        or self.plan.program_fail_rate > 0.0)
         #: flash operations started while live (and not cut short): on
         #: an always-idle injector this stays 0.
         self.ops_seen = 0
@@ -59,6 +68,7 @@ class FaultInjector:
         # nobody would ever ask it, so the swap itself goes live
         if name in _ORACLES:
             object.__setattr__(self, "live", True)  # tp: allow=TP004 - own attribute, not a frozen config
+            object.__setattr__(self, "ordered", True)  # tp: allow=TP004 - own attribute, not a frozen config
         object.__setattr__(self, name, value)  # tp: allow=TP004 - own attribute, not a frozen config
 
     # ------------------------------------------------------------------
@@ -80,6 +90,7 @@ class FaultInjector:
             raise ConfigError("after_ops must be non-negative")
         self._cut_at = self.ops_seen + after_ops
         self.live = True
+        self.ordered = True
 
     def disarm_power_loss(self) -> None:
         """Cancel a pending power cut (the harness 'reconnects power')."""
@@ -98,6 +109,10 @@ class FaultInjector:
                 f"power lost after {self.ops_seen} flash operations")
         self.ops_seen += 1
 
+    def count_operations(self, count: int) -> None:
+        """Account ``count`` programs that cannot fail (unordered)."""
+        self.ops_seen += count
+
     # ------------------------------------------------------------------
     # Media faults
     # ------------------------------------------------------------------
@@ -109,6 +124,35 @@ class FaultInjector:
             self.injected_read_errors += 1
             return True
         return False
+
+    def roll_reads(self, pages: int) -> List[Tuple[int, int]]:
+        """Roll ``pages`` reads in order, retries included, in one call
+        (unordered only): the draws and counts of :meth:`on_operation`
+        and :meth:`read_attempt_fails` read by read.  -> ``(index,
+        failed attempts)`` per read that failed at least once, ending
+        at a read that failed past the retry budget."""
+        rate = self.plan.read_error_rate
+        if rate <= 0.0:
+            self.ops_seen += pages
+            return []
+        draw = self._rng.random
+        budget = self.plan.max_read_retries
+        faults: List[Tuple[int, int]] = []
+        retries = 0
+        for index in range(pages):
+            if draw() >= rate:
+                continue
+            failures = 1
+            while failures <= budget and draw() < rate:
+                failures += 1
+            self.injected_read_errors += failures
+            faults.append((index, failures))
+            if failures > budget:
+                self.ops_seen += index + 1 + retries + budget
+                return faults
+            retries += failures
+        self.ops_seen += pages + retries
+        return faults
 
     def program_fails(self) -> bool:
         """Roll one program attempt; True marks the target page bad."""

@@ -32,15 +32,15 @@ array runs the same code as a pristine one.  Retirement eats the spare
 capacity; when more blocks retire than the over-provisioning can absorb,
 the array raises :class:`~repro.errors.DeviceWornOutError`.
 
-Two mechanics differ with the hook, and the choice is the injector's
-liveness, never a flag: the bulk fill (:meth:`FlashMemory.program_batch`)
+Two mechanics differ with the hook, and the choice is whether the
+injector is *ordered* (a cut armed, a program that can fail, a stubbed
+oracle), never a flag: the bulk fill (:meth:`FlashMemory.program_batch`)
 and the one page mover (behind :meth:`FlashMemory.migrate_valid` for a
-data or translation victim and :meth:`FlashMemory.relocate` for the
-scattered translation pages GC is forced to rewrite) work in batches and
-chunk-fill the write frontier on an ideal device, and go page by page —
-read, program, invalidate, in controller order — under a live injector,
-because the fault RNG stream and a power cut observe every operation.
-Both leave the same array behind.
+victim and :meth:`FlashMemory.relocate` for the scattered translation
+pages GC is forced to rewrite) chunk-fill the write frontier, and go
+page by page — read, program, invalidate — only under an ordered
+injector, whose faults and cut observe every operation.  Read and erase
+faults keep the batches; both leave the same array behind.
 """
 
 from __future__ import annotations
@@ -277,13 +277,14 @@ class FlashMemory:
                       metas: Sequence[int]) -> List[int]:
         """Program ``metas`` in order at the region frontier; returns PPNs.
 
-        On an ideal device the frontier is chunk-filled: mechanically
-        identical to programming one page at a time (same frontier
-        allocations from the free pool, same final ``op_seq`` and
-        per-block ``last_program_seq``), minus the per-op bookkeeping.
-        Under a live injector every program consults it individually.
+        The frontier is chunk-filled: mechanically identical to
+        programming one page at a time (same frontier allocations from
+        the free pool, same final ``op_seq`` and per-block
+        ``last_program_seq``), minus the per-op bookkeeping.  Under an
+        ordered injector every program consults it individually.
         """
-        if self.injector.live:
+        injector = self.injector
+        if injector.ordered:
             return [self.program(kind, meta) for meta in metas]
         data = kind is PageKind.DATA
         ppb = self.pages_per_block
@@ -296,6 +297,8 @@ class FlashMemory:
                                        else BlockKind.TRANSLATION)
             write_ptr = block._write_ptr
             take = min(total - i, ppb - write_ptr)
+            if injector.live:
+                injector.count_operations(take)
             first = block._base + write_ptr
             self._states[first:first + take] = bytes((VALID,)) * take
             self._meta[first:first + take] = array("q", metas[i:i + take])
@@ -331,17 +334,18 @@ class FlashMemory:
         """The one page mover: ``(block, offsets)`` runs to the frontier,
         one read and one program counted per page.
 
-        Under a live injector each page is read, programmed and
-        invalidated in turn, so a fault or power cut lands between
-        exactly the operations it would on hardware.  On an ideal device
-        nothing can observe the order of the three steps, so they run as
-        batches: every page is checked, read and invalidated (one
-        victim-index move per run), then the copies chunk-fill the
-        frontier.  Either way a page that is not valid is refused, so
-        none moves twice.
+        Under an ordered injector each page is read, programmed and
+        invalidated in turn, so a program fault or power cut lands
+        between exactly the operations it would on hardware.  Otherwise
+        the steps run as batches: a live injector rolls every read first
+        (an uncorrectable one raises before any page moves), then every
+        page is checked, read and invalidated (one victim-index move per
+        run), then the copies chunk-fill the frontier.  Either way a
+        page that is not valid is refused, so none moves twice.
         """
         metas: List[int] = []
-        if self.injector.live:
+        injector = self.injector
+        if injector.ordered:
             new_ppns: List[int] = []
             for block, offsets in sources:
                 for offset in offsets:
@@ -350,6 +354,15 @@ class FlashMemory:
                     new_ppns.append(self.program(kind, meta))
                     self.invalidate(block._base + offset)
             return metas, new_ppns
+        if injector.live:
+            faults = injector.roll_reads(
+                sum(len(offsets) for _, offsets in sources))
+            if faults:
+                ppns = [b._base + o for b, run in sources for o in run]
+                for index, failures in faults:
+                    for failed in range(1, failures + 1):
+                        self._read_failed(ppns[index], failed)
+                    self.stats.record_ecc_recovery()
         states = self._states
         page_meta = self._meta
         index = self.victim_index
@@ -393,14 +406,9 @@ class FlashMemory:
             failures = 0
             while injector.read_attempt_fails():
                 failures += 1
-                if failures > injector.plan.max_read_retries:
-                    self.stats.record_uncorrectable_read()
-                    raise ReadError(
-                        f"uncorrectable error at PPN {ppn} after "
-                        f"{failures} attempts")
-                injector.on_operation()
-                self.stats.record_read_retry(
-                    backoff_us=self.config.read_us * (2 ** (failures - 1)))
+                if failures <= injector.plan.max_read_retries:
+                    injector.on_operation()
+                self._read_failed(ppn, failures)
             if failures:
                 self.stats.record_ecc_recovery()
         if kind is PageKind.DATA:
@@ -408,6 +416,17 @@ class FlashMemory:
         else:
             self.stats.translation_reads += 1
         return self._meta[ppn]
+
+    def _read_failed(self, ppn: int, failures: int) -> None:
+        """Charge failed attempt number ``failures`` of a read of ``ppn``:
+        one ECC retry with exponential backoff or, past the plan's retry
+        budget, an uncorrectable :class:`~repro.errors.ReadError`."""
+        if failures > self.injector.plan.max_read_retries:
+            self.stats.record_uncorrectable_read()
+            raise ReadError(
+                f"uncorrectable error at PPN {ppn} after {failures} attempts")
+        self.stats.record_read_retry(
+            backoff_us=self.config.read_us * (2 ** (failures - 1)))
 
     def invalidate(self, ppn: int) -> None:
         """Invalidate the page at ``ppn`` (its content was superseded).

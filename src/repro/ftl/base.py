@@ -260,8 +260,9 @@ class BaseFTL:
         all translation pages, then zeroes the statistics so experiments
         measure only the trace.  The fill is purely mechanical, so it
         goes through :meth:`~repro.flash.FlashMemory.program_batch`:
-        chunk-filled on an ideal device, one injector-consulted program
-        per page under a live fault plan.
+        chunk-filled unless the fault plan is ordered (a program can
+        fail or a cut is armed), one injector-consulted program per page
+        when it is.
         """
         flash = self.flash
         pages = self.ssd.logical_pages

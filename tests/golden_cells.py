@@ -160,19 +160,23 @@ def fault_outcome(ftl, trace, arm_cut_after=None):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def media_fault_cell(ftl_name):
-    """Read + program + erase faults as in ``experiments/faults.py``."""
-    config = media_fault_config(ftl_name, program_faults=True)
+def media_fault_cell(ftl_name, program_faults=True):
+    """Read + erase (+ program) faults as in ``experiments/faults.py``."""
+    config = media_fault_config(ftl_name, program_faults=program_faults)
     trace = make_preset("financial1", num_requests=2_000,
                         logical_pages=config.ssd.logical_pages)
     return fault_outcome(make_ftl(ftl_name, config), trace)
 
 
-#: three fault plans: read-only, read+program+erase, an armed power cut
+#: four fault plans: read-only, read+erase (the plan the media sweep
+#: gives block-mapped FTLs), read+program+erase, an armed power cut; the
+#: first two batch GC moves, the last two go page by page
 FAULT_CELLS = {
     "faults/read-only-optimal": lambda: fault_outcome(
         OptimalFTL(SimulationConfig(ssd=dataclasses.replace(
             TINY_SSD, read_error_rate=0.01))), small_trace(count=600)),
+    "faults/read-erase-dftl": lambda: media_fault_cell("dftl", False),
+    "faults/read-erase-tpftl": lambda: media_fault_cell("tpftl", False),
     "faults/media-dftl": lambda: media_fault_cell("dftl"),
     "faults/media-tpftl": lambda: media_fault_cell("tpftl"),
     "faults/power-cut-dftl": lambda: fault_outcome(

@@ -7,9 +7,11 @@ the one core must reproduce every cell of ``tests/golden_cells.py``
 byte.
 
 What legitimately stays dual inside the one core is cross-checked
-directly: chunk-filled prefill/GC migration (ideal device) against the
-page-by-page order a live fault plan gets, and the counting victim
-index and running erase-count spread against full scans.
+directly: chunk-filled prefill/GC migration (an ideal device, or a plan
+that can fail only reads and erases) against the page-by-page order an
+ordered plan gets (an armed cut, program faults or a stubbed oracle),
+and the counting victim index and running erase-count spread against
+full scans.
 
 Also here, unchanged: the regressions for two bugs fixed alongside the
 batched core — ``CacheSampler.maybe_sample`` fired on every request
@@ -55,7 +57,8 @@ from test_background_gc import bursty_write_trace
 class TestGoldenTable:
     @pytest.mark.parametrize("name", [
         name for name in (*SPEC_CELLS, *FAULT_CELLS, *TRACE_CELLS)
-        if name.startswith(("zoo/", "bench/", "faults/media", "traces/"))])
+        if name.startswith(("zoo/", "bench/", "faults/media",
+                            "faults/read-erase", "traces/"))])
     def test_cell_matches_reference(self, name):
         check(name)
 
@@ -101,8 +104,10 @@ class TestDeviceLevelParity:
         check("device/background-gc-optimal")
 
     def test_fault_plan_falls_back_to_reference(self):
-        """A live plan falls back to the reference's per-operation
-        order for bulk moves, and reproduces its digest."""
+        """A read-only plan keeps the batched prefill and GC mover and
+        still reproduces the digest frozen when live plans went page by
+        page (the ``faults/read-erase-*`` cells pin the same for a
+        read + erase plan over two demand-based FTLs)."""
         check("faults/read-only-optimal")
 
     def test_power_cut_fires_at_the_reference_operation(self):
@@ -177,19 +182,41 @@ class TestOpsSeen:
 # ----------------------------------------------------------------------
 # What stays dual inside the one core, against its own reference
 # ----------------------------------------------------------------------
-def never_firing(name, config):
-    """``name`` over an array whose plan is live but can never fire."""
+def with_plan(name, config, plan):
+    """``name`` over an array built, and prefilled, under ``plan``."""
     ftl = make_ftl(name, config, prefill=False)
-    ftl.flash = FlashMemory(config.ssd, injector=FaultInjector(
-        FaultPlan(power_cut_after_ops=10 ** 12)))
+    ftl.flash = FlashMemory(config.ssd, injector=FaultInjector(plan))
     ftl.prefill()
     return ftl
 
 
+def never_firing(name, config):
+    """``name`` over an array whose plan is ordered but can never fire."""
+    return with_plan(name, config, FaultPlan(power_cut_after_ops=10 ** 12))
+
+
+def programs_in_one_migration(injector):
+    """``FlashMemory.program`` calls one ``migrate_valid`` of a data
+    block with seven valid pages makes under ``injector``."""
+    flash = FlashMemory(TINY_SSD, injector=injector)
+    ppns = flash.program_batch(PageKind.DATA,
+                               range(TINY_SSD.pages_per_block + 1))
+    flash.invalidate(ppns[0])
+    program, calls = flash.program, [0]
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return program(*args, **kwargs)
+
+    flash.program = spy
+    flash.migrate_valid(flash.block_of(ppns[0]), PageKind.DATA)
+    return calls[0]
+
+
 class TestPlanSelectsMechanics:
-    """Chunk-filled prefill/GC migration (ideal plan) and the
-    page-by-page read -> program -> invalidate order (live plan) are
-    the same machine."""
+    """Chunk-filled prefill/GC migration (an unordered plan: ideal, or
+    read and erase faults only) and the page-by-page read -> program ->
+    invalidate order (an ordered plan) are the same machine."""
 
     @pytest.mark.parametrize("name", ("dftl", "tpftl"))
     def test_batched_and_per_op_migration_agree(self, name):
@@ -207,6 +234,66 @@ class TestPlanSelectsMechanics:
         assert batched.flash.op_seq == per_op.flash.op_seq
         assert batched.flash.injector.ops_seen == 0
         assert per_op.flash.injector.ops_seen > per_op.flash.op_seq / 2
+
+    @pytest.mark.parametrize("name", ("dftl", "tpftl"))
+    def test_read_faults_batch_and_agree_with_page_by_page(self, name):
+        """A read-only plan batches; the same plan made ordered by a
+        never-firing cut goes page by page.  Same draws in the same
+        order, so everything the two leave behind is equal."""
+        plan = FaultPlan(seed=3, read_error_rate=0.05)
+        batched = with_plan(name, GC_HEAVY, plan)
+        per_op = with_plan(name, GC_HEAVY, dataclasses.replace(
+            plan, power_cut_after_ops=10 ** 12))
+        assert batched.flash.injector.live
+        assert not batched.flash.injector.ordered
+        assert per_op.flash.injector.ordered
+        flash, move, retried = batched.flash, batched.flash._move, []
+
+        def move_counting_retries(sources, kind):
+            before = flash.stats.read_retries
+            moved = move(sources, kind)
+            retried.append(flash.stats.read_retries - before)
+            return moved
+
+        flash._move = move_counting_retries
+        results = [DeviceModel(ftl).run(gc_heavy_trace())
+                   for ftl in (batched, per_op)]
+        assert results[0].metrics.gc_data_collections > 0
+        assert results[0].metrics.gc_translation_collections > 0
+        assert sum(retried) > 0  # ECC retries inside batched moves
+        assert result_digest(results[0]) == result_digest(results[1])
+        assert flash_state(batched.flash) == flash_state(per_op.flash)
+        assert batched.flash.op_seq == per_op.flash.op_seq
+        injectors = [ftl.flash.injector for ftl in (batched, per_op)]
+        assert len({(injector.ops_seen, injector.injected_read_errors,
+                     injector.injected_program_failures,
+                     injector.injected_erase_failures,
+                     injector._rng.getstate())
+                    for injector in injectors}) == 1
+        assert (batched.flash.stats.fault_summary()
+                == per_op.flash.stats.fault_summary())
+
+    @pytest.mark.parametrize("trigger", (
+        "cut", "program_fail_rate", "read_attempt_fails", "program_fails",
+        "erase_fails"))
+    def test_each_ordered_trigger_goes_page_by_page(self, trigger):
+        injector = FaultInjector(FaultPlan(
+            read_error_rate=0.01,
+            program_fail_rate=1e-12 if trigger == "program_fail_rate" else 0))
+        if trigger == "cut":
+            injector.arm_power_loss(10 ** 6)
+        elif trigger != "program_fail_rate":
+            setattr(injector, trigger, lambda: False)
+        assert injector.ordered
+        assert programs_in_one_migration(injector) == 7
+
+    def test_read_and_erase_faults_alone_keep_the_batch(self):
+        for plan in (FaultPlan(read_error_rate=0.01),
+                     FaultPlan(erase_fail_rate=0.01),
+                     FaultPlan(read_error_rate=0.01, erase_fail_rate=0.01)):
+            injector = FaultInjector(plan)
+            assert injector.live and not injector.ordered
+            assert programs_in_one_migration(injector) == 0
 
 
 def check_every_selection(ftl):
@@ -309,8 +396,8 @@ class TestVictimIndexEquivalence:
 def aged_flash(seed, live=False):
     """A tiny array aged by a seeded script of programs, invalidations
     and erases of both page kinds -> (flash, valid PPNs per kind).
-    ``live`` attaches an injector that is consulted on every operation
-    and never fires."""
+    ``live`` attaches an ordered injector that is consulted on every
+    operation and never fires."""
     flash = FlashMemory(TINY_SSD, injector=FaultInjector(FaultPlan(
         power_cut_after_ops=10 ** 12)) if live else None)
     rng = random.Random(seed)
@@ -336,7 +423,7 @@ def array_state(flash):
 
 class TestRelocate:
     """The one page mover: scattered pages against whole victims, the
-    batched ideal-device path against the per-page live-injector one."""
+    batched ideal-device path against the per-page ordered one."""
 
     @given(seed=st.integers(0, 2 ** 16),
            kind=st.sampled_from(list(PageKind)), data=st.data())

@@ -14,7 +14,14 @@ from repro.ftl import make_ftl
 from repro.recovery import verify_recovery
 from repro.types import BlockKind, PageKind, PageState
 
+from golden_cells import flash_state
 from test_integration import ALL_FTLS, config_for
+
+
+def draws(seed, count):
+    """The first ``count`` draws of a plan's fault RNG."""
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(count)]
 
 
 def faulty_ssd(**kwargs) -> SSDConfig:
@@ -81,6 +88,36 @@ class TestInjectorDeterminism:
             inj.on_operation()
         assert inj.ops_seen == 5
 
+    @pytest.mark.parametrize("rate, budget", [
+        (0.0, 8), (0.3, 8), (0.6, 2), (0.9, 1), (1.0, 3)])
+    def test_batched_read_roll_draws_what_reads_one_by_one_draw(
+            self, rate, budget):
+        """``roll_reads`` against the per-attempt loop ``FlashMemory.read``
+        runs: the same draws, counters and verdicts, stopping at the
+        first read that fails past the budget."""
+        plan = FaultPlan(seed=5, read_error_rate=rate,
+                         max_read_retries=budget)
+        batched, one_by_one = FaultInjector(plan), FaultInjector(plan)
+        faults = batched.roll_reads(40)
+        expected = []
+        for index in range(40):
+            one_by_one.on_operation()
+            failures = 0
+            while one_by_one.read_attempt_fails():
+                failures += 1
+                if failures > budget:
+                    break
+                one_by_one.on_operation()
+            if failures:
+                expected.append((index, failures))
+            if failures > budget:
+                break
+        assert faults == expected
+        assert (batched.ops_seen, batched.injected_read_errors,
+                batched._rng.getstate()) == (
+            one_by_one.ops_seen, one_by_one.injected_read_errors,
+            one_by_one._rng.getstate())
+
 
 class TestReadFaults:
     def test_transient_errors_recovered_and_counted(self):
@@ -102,6 +139,41 @@ class TestReadFaults:
         stats = ftl.flash.stats
         assert stats.uncorrectable_reads == 1
         assert stats.read_retries == 3
+
+    @pytest.mark.parametrize("rate, budget, failing", [(1.0, 3, 0),
+                                                       (0.5, 0, 2)])
+    def test_uncorrectable_read_inside_a_batch_moves_nothing(
+            self, rate, budget, failing):
+        """A GC move rolls every page's reads before any page moves, so
+        an uncorrectable page leaves the array as it was.  Until read
+        faults kept the batched mover, every live plan moved page by
+        page: the pages before the failing one had already moved, and
+        the FTL's mappings of them were left stale."""
+        seed = next(seed for seed in range(1_000) if [
+            draw < rate for draw in draws(seed, failing + 1)]
+            == [False] * failing + [True])
+        flash = FlashMemory(faulty_ssd(read_error_rate=rate,
+                                       max_read_retries=budget,
+                                       fault_seed=seed))
+        ppns = flash.program_batch(PageKind.DATA, range(9))
+        flash.invalidate(ppns[-2])
+        injector = flash.injector
+        assert not injector.ordered
+        before = (flash_state(flash), flash.op_seq,
+                  flash.active_block(BlockKind.DATA),
+                  flash.active_block(BlockKind.TRANSLATION),
+                  [set(bucket) for bucket in flash.victim_index])
+        ops_seen = injector.ops_seen
+        with pytest.raises(ReadError, match=f"PPN {ppns[failing]} after "
+                                            f"{budget + 1} attempts"):
+            flash.migrate_valid(flash.block_of(ppns[0]), PageKind.DATA)
+        assert before == (flash_state(flash), flash.op_seq,
+                          flash.active_block(BlockKind.DATA),
+                          flash.active_block(BlockKind.TRANSLATION),
+                          flash.victim_index)
+        assert injector.ops_seen == ops_seen + failing + 1 + budget
+        assert flash.stats.uncorrectable_reads == 1
+        assert flash.stats.read_retries == budget
 
     def test_read_error_is_flash_error(self):
         assert issubclass(ReadError, FlashError)
