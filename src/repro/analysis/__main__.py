@@ -16,7 +16,7 @@ Subcommands:
   ``--disable TP003``); ``--stats`` prints the per-pass wall-clock
   split.
 * ``mutants`` — self-validate the TP1xx flow, TP2xx domain and TP3xx
-  protocol passes: apply the seeded mutants from
+  protocol passes and TP007: apply the seeded mutants from
   :mod:`repro.analysis.mutants` to the in-memory sources of ``src``
   and fail unless every mutant is flagged while the pristine tree
   stays clean.
@@ -77,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the per-pass wall-clock split (parse once, then "
              "lint/flow/domains/protocols over the shared project)")
     mutants = sub.add_parser(
-        "mutants", help="self-validate the TP1xx flow, TP2xx domain "
-                        "and TP3xx protocol passes against the seeded "
-                        "mutant corpus")
+        "mutants", help="self-validate TP007 and the TP1xx flow, "
+                        "TP2xx domain and TP3xx protocol passes "
+                        "against the seeded mutant corpus")
     mutants.add_argument(
         "--src", default="src", metavar="DIR",
         help="source tree to read and mutate in memory (default: src)")

@@ -30,14 +30,11 @@ from .cfg import CFG, build_cfg
 from .engine import FlowEngine, fixed_point
 from .rules import analyze
 from .sarif import to_sarif
-from .typestate import (ORDER_SPECS, PROTOCOL_SPECS, OrderSpec,
-                        ProtocolSpec)
+from .typestate import PROTOCOL_SPECS, ProtocolSpec
 
 __all__ = [
     "CFG",
     "FlowEngine",
-    "ORDER_SPECS",
-    "OrderSpec",
     "PROTOCOL_SPECS",
     "Project",
     "ProtocolSpec",

@@ -1,8 +1,8 @@
 """Per-function control-flow graphs with explicit exception edges.
 
 The typestate pass (:mod:`repro.analysis.flow.typestate`) checks
-*temporal* protocols — "the handle is closed on every path out of
-this region, including the path where the write raised".  That
+*temporal* protocols — "the worker is joined on every path out of
+this region, including the path where the spawn raised".  That
 question cannot be asked of a syntax tree; it needs a CFG whose edges
 include the ways control *abnormally* leaves a statement:
 

@@ -24,7 +24,7 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                 "master/Schemata/sarif-schema-2.1.0.json")
 
 #: rules whose findings are advisory rather than correctness-breaking
-_WARNING_RULES = frozenset({"TP104", "TP305"})
+_WARNING_RULES = frozenset({"TP104"})
 
 
 def rule_severity(code: str) -> str:

@@ -1,24 +1,19 @@
-"""Typestate checking over CFGs with exception edges (rules TP301-305).
+"""Typestate checking over CFGs with exception edges (rule TP303).
 
 This module is the protocol-analysis pass: it evaluates declarative
-:class:`ProtocolSpec` state machines (construct/release pairs,
-must-call-before orderings) over the per-function control-flow graphs
-built by :mod:`repro.analysis.flow.cfg`, using the same fixed-point
-worklist engine that powers the TP1xx pass.  The properties it proves
+:class:`ProtocolSpec` state machines (construct/release pairs) over the
+per-function control-flow graphs built by
+:mod:`repro.analysis.flow.cfg`, using the same fixed-point worklist
+engine that powers the TP1xx pass.  The properties it proves
 are *temporal*: not "is this value well-formed" but "does every path out
 of this function — including the paths that unwind through exception
 edges — restore the invariant".
 
-The repo's real protocols are seeded as built-in specs:
-
-* ``process``/``pipe`` — supervisor worker lifecycles: a started
-  ``Process`` must be joined/terminated on all exits and both ``Pipe``
-  ends must be closed or handed off (TP303).
-* ``file`` — ``open()`` handles must be closed on all paths (TP301),
-  exactly once (TP302), and with-able resources should use
-  ``with``/``try-finally`` (TP305).
-* ``reset-before-run`` — the per-run device reset must dominate every
-  ``serve_request`` dispatch on the run path (TP304).
+The repo's one real protocol is seeded as two built-in specs, the
+``process``/``pipe`` supervisor worker lifecycles: a started
+``Process`` must be joined/terminated on all exits and both ``Pipe``
+ends must be closed or handed off (TP303).  File handles are the
+lexical ``TP007``'s (:mod:`repro.analysis.lint`).
 
 Abstract states per tracked resource key (a local name bound to a
 constructor call)::
@@ -52,9 +47,7 @@ from .engine import FlowEngine, fixed_point
 
 __all__ = [
     "PROTOCOL_SPECS",
-    "ORDER_SPECS",
     "ProtocolSpec",
-    "OrderSpec",
     "check_protocols",
 ]
 
@@ -74,24 +67,6 @@ class ProtocolSpec:
     constructors: Tuple[str, ...]
     release: Tuple[str, ...]
     start: Tuple[str, ...] = ()
-    withable: bool = False
-
-
-@dataclass(frozen=True)
-class OrderSpec:
-    """A must-call-before ordering: ``before`` dominates ``target``.
-
-    Applies to functions whose name is in ``entry_names`` and that call
-    ``target`` at all; methods additionally need a ``before`` method in
-    their class's effective method table (so arbitrary ``run`` methods
-    on unrelated classes stay out of scope).
-    """
-
-    name: str
-    rule: str
-    entry_names: Tuple[str, ...]
-    before: Tuple[str, ...]
-    target: Tuple[str, ...]
 
 
 PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
@@ -109,24 +84,6 @@ PROTOCOL_SPECS: Tuple[ProtocolSpec, ...] = (
         leak_rule="TP303",
         constructors=("Pipe",),
         release=("close",),
-    ),
-    ProtocolSpec(
-        name="file",
-        resource="file handle",
-        leak_rule="TP301",
-        constructors=("open",),
-        release=("close",),
-        withable=True,
-    ),
-)
-
-ORDER_SPECS: Tuple[OrderSpec, ...] = (
-    OrderSpec(
-        name="reset-before-run",
-        rule="TP304",
-        entry_names=("run",),
-        before=("_reset_state",),
-        target=("serve_request",),
     ),
 )
 
@@ -152,7 +109,7 @@ _EXC_SAFE_KINDS = frozenset({"release", "escape"})
 class _Event:
     """One protocol-relevant action inside a single CFG node."""
 
-    kind: str  # construct|start|release|escape|before|target
+    kind: str  # construct|start|release|escape
     spec: str
     key: str
     line: int
@@ -163,10 +120,6 @@ class _Event:
 
 def _fact(spec: str, key: str, state: str) -> str:
     return f"{spec}|{key}|{state}"
-
-
-def _order_fact(name: str) -> str:
-    return f"order:{name}||missing"
 
 
 # ---------------------------------------------------------------------------
@@ -264,46 +217,6 @@ def _mapped_param(callee: FunctionInfo, index: Optional[int], keyword: Optional[
     return None
 
 
-# ---------------------------------------------------------------------------
-# Per-function lexical scans
-
-
-def _line_span(stmt: ast.stmt) -> range:
-    end = getattr(stmt, "end_lineno", None) or stmt.lineno
-    return range(stmt.lineno, end + 1)
-
-
-def _lexical_guards(fn_node: ast.AST) -> Tuple[Set[int], Set[int]]:
-    """Lines protected by a try-with-finally, and lines inside finallys."""
-    protected: Set[int] = set()
-    finally_lines: Set[int] = set()
-
-    def walk(stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(stmt, ast.Try) and stmt.finalbody:
-                for inner in stmt.body + stmt.orelse:
-                    protected.update(_line_span(inner))
-                for handler in stmt.handlers:
-                    for inner in handler.body:
-                        protected.update(_line_span(inner))
-                for inner in stmt.finalbody:
-                    finally_lines.update(_line_span(inner))
-            for name in ("body", "orelse", "finalbody"):
-                inner = getattr(stmt, name, None)
-                if isinstance(inner, list) and inner and isinstance(inner[0], ast.stmt):
-                    walk(inner)
-            for handler in getattr(stmt, "handlers", []) or []:
-                walk(handler.body)
-            for case in getattr(stmt, "cases", []) or []:
-                walk(case.body)
-
-    body = getattr(fn_node, "body", [])
-    walk([stmt for stmt in body if isinstance(stmt, ast.stmt)])
-    return protected, finally_lines
-
-
 def _names_in(expr: ast.AST) -> Set[str]:
     """Name identifiers appearing in an expression (skipping lambdas)."""
     names: Set[str] = set()
@@ -331,7 +244,6 @@ class _FunctionAnalysis:
         fn: FunctionInfo,
         module: ModuleInfo,
         specs: Sequence[ProtocolSpec],
-        orders: Sequence[OrderSpec],
         may_raise: Set[str],
         always_raises: Set[str],
         releases: Mapping[str, Set[str]],
@@ -343,7 +255,6 @@ class _FunctionAnalysis:
         self.may_raise = may_raise
         self.always_raises = always_raises
         self.releases = releases
-        self.protected_lines, self.finally_lines = _lexical_guards(fn.node)
         # method-name lookup tables for event extraction
         self.release_of: Dict[str, List[str]] = {}
         self.start_of: Dict[str, List[str]] = {}
@@ -355,29 +266,10 @@ class _FunctionAnalysis:
                 self.start_of.setdefault(method, []).append(spec.name)
             for ctor in spec.constructors:
                 self.ctor_of.setdefault(ctor, []).append(spec.name)
-        self.orders = [order for order in orders if self._order_in_scope(order)]
-        # keys bound by constructor calls / safely bound inside `with`
+        # keys bound by constructor calls
         self.ctor_keys: Dict[str, Set[str]] = {name: set() for name in self.specs}
-        self.safe_keys: Dict[str, Set[str]] = {name: set() for name in self.specs}
         self._collect_ctor_keys()
         self.events: Dict[int, List[_Event]] = {}
-
-    # -- scoping ----------------------------------------------------------
-
-    def _order_in_scope(self, order: OrderSpec) -> bool:
-        fn = self.fn
-        if fn.name not in order.entry_names:
-            return False
-        has_target = any(
-            isinstance(call.func, ast.Attribute) and call.func.attr in order.target
-            for call in calls_in(fn.node)
-        )
-        if not has_target:
-            return False
-        if fn.cls is None:
-            return True
-        table = self.project.effective_methods(fn.cls)
-        return any(method in table for method in order.before)
 
     # -- constructor key discovery ----------------------------------------
 
@@ -403,16 +295,7 @@ class _FunctionAnalysis:
                             for elt in target.elts:
                                 if isinstance(elt, ast.Name):
                                     self.ctor_keys[spec_name].add(elt.id)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if not isinstance(item.context_expr, ast.Call):
-                        continue
-                    for spec_name in self._ctor_specs_for(item.context_expr):
-                        if isinstance(item.optional_vars, ast.Name):
-                            self.safe_keys[spec_name].add(item.optional_vars.id)
             stack.extend(ast.iter_child_nodes(node))
-        for spec_name in self.ctor_keys:
-            self.ctor_keys[spec_name] -= self.safe_keys[spec_name]
 
     # -- event extraction --------------------------------------------------
 
@@ -485,11 +368,6 @@ class _FunctionAnalysis:
         for spec_name in self.start_of.get(method, []):
             if receiver in self.ctor_keys[spec_name]:
                 events.append(_Event("start", spec_name, receiver, line, col))
-        for order in self.orders:
-            if method in order.before:
-                events.append(_Event("before", f"order:{order.name}", "", line, col))
-            if method in order.target:
-                events.append(_Event("target", f"order:{order.name}", "", line, col))
 
     def _emit_escape(self, expr: ast.AST, events: List[_Event], line: int, col: int) -> None:
         tracked = {
@@ -627,40 +505,17 @@ class _FunctionAnalysis:
 
     # -- dataflow ----------------------------------------------------------
 
+    @staticmethod
     def _step(
-        self,
         events: Sequence[_Event],
         buckets: Dict[Tuple[str, str], Set[str]],
         exceptional: bool,
-        report: Optional[List[Tuple[str, int, int, str]]] = None,
     ) -> None:
-        """Apply a node's events to state buckets, in program order.
-
-        With ``report`` set (the diagnostics pass over the solved entry
-        facts) protocol violations are appended as
-        ``(rule, line, col, message)`` tuples.
-        """
+        """Apply a node's events to state buckets, in program order."""
         for event in events:
             if exceptional and event.kind not in _EXC_SAFE_KINDS:
                 continue
             bucket_key = (event.spec, event.key)
-            if event.kind == "before":
-                buckets.pop((event.spec, event.key), None)
-                continue
-            if event.kind == "target":
-                if report is not None and "missing" in buckets.get(bucket_key, ()):
-                    report.append(
-                        (
-                            "TP304",
-                            event.line,
-                            event.col,
-                            f"{self.fn.name}() can reach "
-                            f"{self.module.source_lines[event.line - 1].strip()!r} "
-                            "before the per-run reset has executed on this "
-                            "path; call the reset first on every path",
-                        )
-                    )
-                continue
             states = buckets.get(bucket_key)
             if event.kind == "construct":
                 buckets[bucket_key] = {event.to_state}
@@ -670,23 +525,6 @@ class _FunctionAnalysis:
             if event.kind == "escape":
                 buckets[bucket_key] = {_ESC}
                 continue
-            if event.kind == "release" and report is not None and states:
-                if not states & {_HELD, _INST, _ESC}:
-                    spec = self.specs[event.spec]
-                    flavour = (
-                        "already released earlier on this path (double release)"
-                        if _REL in states
-                        else "never acquired on this path"
-                    )
-                    report.append(
-                        (
-                            "TP302",
-                            event.line,
-                            event.col,
-                            f"{self.fn.name}() releases {spec.resource} "
-                            f"{event.key!r} which was {flavour}",
-                        )
-                    )
             transitions = _TRANSITIONS[event.kind]
             buckets[bucket_key] = {transitions[state] for state in states}
 
@@ -723,12 +561,8 @@ class _FunctionAnalysis:
         seeded: Set[str] = set()
         for node_events in self.events.values():
             for event in node_events:
-                if event.kind in ("before", "target"):
-                    continue
                 if event.key in self.ctor_keys[event.spec]:
                     seeded.add(_fact(event.spec, event.key, _VIRGIN))
-        for order in self.orders:
-            seeded.add(_order_fact(order.name))
         return frozenset(seeded)
 
     def _solve(
@@ -756,18 +590,7 @@ class _FunctionAnalysis:
     def _diagnose(
         self, cfg: CFG, solved: Mapping[str, FrozenSet[str]]
     ) -> List[Finding]:
-        reports: List[Tuple[str, int, int, str]] = []
-        for nid in cfg.nodes:
-            node_events = self.events.get(nid)
-            if not node_events:
-                continue
-            facts = solved.get(f"n{nid}")
-            if not facts:
-                continue
-            buckets = self._parse_facts(facts)
-            self._step(node_events, buckets, exceptional=False, report=reports)
-        reports.extend(self._leak_reports(cfg, solved))
-        reports.extend(self._withable_reports())
+        reports = self._leak_reports(cfg, solved)
         findings: List[Finding] = []
         seen: Set[Tuple[str, int, str]] = set()
         for rule, line, col, message in reports:
@@ -804,7 +627,7 @@ class _FunctionAnalysis:
             if not facts:
                 continue
             for (spec_name, key), states in self._parse_facts(facts).items():
-                if _HELD in states and not spec_name.startswith("order:"):
+                if _HELD in states:
                     exit_descs.setdefault((spec_name, key), []).append(desc)
         reports: List[Tuple[str, int, int, str]] = []
         for (spec_name, key), descs in exit_descs.items():
@@ -827,43 +650,6 @@ class _FunctionAnalysis:
             )
         return reports
 
-    def _withable_reports(self) -> List[Tuple[str, int, int, str]]:
-        reports: List[Tuple[str, int, int, str]] = []
-        for node_events in self.events.values():
-            for event in node_events:
-                if event.kind != "construct":
-                    continue
-                spec = self.specs[event.spec]
-                if not spec.withable:
-                    continue
-                releases = [
-                    other
-                    for evs in self.events.values()
-                    for other in evs
-                    if other.kind == "release"
-                    and other.spec == event.spec
-                    and other.key == event.key
-                ]
-                if not releases:
-                    continue  # the no-release case is TP301's leak report
-                if event.line in self.protected_lines:
-                    continue
-                if any(rel.line in self.finally_lines for rel in releases):
-                    continue
-                reports.append(
-                    (
-                        "TP305",
-                        event.line,
-                        event.col,
-                        f"{self.fn.name}() acquires {spec.resource} "
-                        f"{event.key!r} outside with/try-finally; an "
-                        "exception between acquire and release leaks it — "
-                        "use a with block",
-                    )
-                )
-        return reports
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 
@@ -882,7 +668,6 @@ def check_protocols(project: Project, engine: FlowEngine) -> List[Finding]:
             fn,
             project.modules[fn.module],
             PROTOCOL_SPECS,
-            ORDER_SPECS,
             may_raise,
             always_raises,
             releases,

@@ -15,15 +15,19 @@ type, the one rule table :data:`RULES` (``TP0xx`` lexical, ``TP1xx``
 flow, ``TP2xx`` domain, ``TP3xx`` typestate; the ``rules`` subcommand,
 the SARIF driver and the documentation test all read it), the
 ``# tp: allow=CODE`` pragma parser and the file walker — plus the
-single-node ``TP0xx`` rules themselves (``TP005``, ``TP006`` and
-``TP103`` are retired and not reused; ``TP006`` lives on as the direct
-form of ``TP102``):
+single-node ``TP0xx`` rules themselves (``TP005``, ``TP006``,
+``TP103``, ``TP301``, ``TP302``, ``TP304`` and ``TP305`` are retired and
+not reused; ``TP006`` lives on as the direct form of ``TP102``,
+``TP301``/``TP302``/``TP305`` as ``TP007``, and ``TP304``'s dropped
+per-run reset is caught at runtime by
+``tests/test_ssd_parallel.py::TestQueueStateReset``):
 
 ========  ==============================================================
 TP001     unseeded / process-global randomness in simulation code
 TP002     wall-clock time in simulation code (breaks deterministic replay)
 TP003     bare ``assert`` (stripped under ``python -O``)
 TP004     mutation of a frozen config dataclass
+TP007     builtin ``open()`` outside a ``with`` statement
 ========  ==============================================================
 
 Suppression, for every rule of every pass: append ``# tp: allow=TP0xx``
@@ -53,6 +57,8 @@ RULES: Dict[str, str] = {
     "TP003": ("bare assert (stripped under python -O); raise a typed "
               "error from repro.errors instead"),
     "TP004": "mutation of a frozen config dataclass",
+    "TP007": ("builtin open() outside a with statement (an early return "
+              "or an exception before close() leaks the handle)"),
     "TP101": ("per-run state mutated on the run path but not "
               "re-initialized on the reset path (state leaks across "
               "run() calls)"),
@@ -74,21 +80,9 @@ RULES: Dict[str, str] = {
     "TP204": ("bytes vs page/entry counts mixed in the cache-budget "
               "path (byte budgets and entry counts are different "
               "units)"),
-    "TP301": ("resource acquired but not released on every path out of "
-              "the function, including exception edges (open() without "
-              "close() in a finally)"),
-    "TP302": ("release without a dominating acquire: a double release "
-              "(a second close()) or a release of a resource that was "
-              "never acquired on that path"),
     "TP303": ("worker lifecycle leak: a started Process is not joined "
               "or terminated on all exits, or a Pipe connection is "
               "neither closed nor handed off"),
-    "TP304": ("run path entered without the per-run reset dominating "
-              "it: serve_request is reachable before _reset_state on "
-              "some path"),
-    "TP305": ("with-able resource acquired outside with/try-finally: "
-              "the normal-path release is skipped when an exception "
-              "unwinds"),
 }
 
 #: process-global random functions (module-level ``random.*``)
@@ -170,6 +164,8 @@ class _FileVisitor(ast.NodeVisitor):
         self.project = project
         self.module = module
         self.findings: List[Finding] = []
+        #: context expressions of ``with`` items seen so far (TP007)
+        self._managed: Set[ast.AST] = set()
 
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
         found = self.project.finding(
@@ -186,9 +182,22 @@ class _FileVisitor(ast.NodeVisitor):
                    "repro.errors instead")
         self.generic_visit(node)
 
-    # -- TP001 / TP002 / TP004 (calls) ---------------------------------
+    # -- TP007 ---------------------------------------------------------
+    def visit_With(self, node: ast.With) -> None:
+        """Mark the items' context expressions: the one place a
+        builtin ``open()`` may appear (TP007)."""
+        self._managed.update(item.context_expr for item in node.items)
+        self.generic_visit(node)
+
+    # -- TP001 / TP002 / TP004 / TP007 (calls) -------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        """Check call sites for TP001/TP002/TP004."""
+        """Check call sites for TP001/TP002/TP004/TP007."""
+        if (isinstance(node.func, ast.Name) and node.func.id == "open"
+                and node not in self._managed):
+            self._flag("TP007", node,
+                       "open() outside a with statement; an early "
+                       "return or an exception before close() leaks "
+                       "the handle — use `with open(...)`")
         name = _dotted(node.func)
         if name is not None:
             self._check_random_call(node, name)

@@ -1,4 +1,5 @@
-"""Mutation self-validation of the TP1xx, TP2xx and TP3xx flow passes.
+"""Mutation self-validation of the TP1xx, TP2xx and TP3xx flow passes
+and of the lexical TP007.
 
 A static analysis that never fires is indistinguishable from one that
 works.  This harness keeps the flow passes honest from both sides: it
@@ -10,12 +11,18 @@ VPN, VTPNs handed to the flash array where it takes PTPNs, a dropped
 ``* pages_per_block`` conversion, milliseconds handed to a microsecond
 parameter, a byte budget stored as an entry count.
 The **protocol mutants** (``P05``–``P11``; the ids of the retired
-fast-mode window mutants are not reused) cover the TP3xx temporal
-bugs: the supervisor's spawn-failure cleanup removed, the
+fast-mode window mutants and of ``P08`` are not reused) cover the
+resource bugs: the supervisor's spawn-failure cleanup removed (TP303),
+and the
 ``repro.tools`` summary writer's ``with open(...)`` block rewritten as
 manual ``open``/``close``, with a stray second ``close()`` or with an
-early ``return`` before the ``close()``, and the per-run device reset
-dropped ahead of the serve loop.  The **flow
+early ``return`` before the ``close()`` (TP007).  ``P08``, the per-run
+device reset dropped ahead of the serve loop, left the corpus with
+the rule that caught it: its runtime twin
+``tests/test_ssd_parallel.py::TestQueueStateReset::test_channel_queues_reset_between_runs``
+fails under it, as
+``tests/test_runner_chaos.py::TestDegradeToSerial::test_failed_spawn_closes_both_pipe_ends``
+does under ``P05``.  The **flow
 mutants** (``F01``–``F03``) re-seed bugs this repository had, one per
 TP1xx rule: the channel cursor missing from the per-run reset (PR 4),
 the hybrid merge invalidating pages behind ``FlashMemory``'s back
@@ -73,7 +80,7 @@ class Mutant:
     mid: str
     #: file to mutate, relative to the ``src`` root
     path: str
-    #: rule expected to kill the mutant (TP1xx, TP2xx or TP3xx)
+    #: rule expected to kill the mutant (TP007, TP1xx, TP2xx or TP3xx)
     rule: str
     description: str
     before: str
@@ -159,7 +166,8 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
 )
 
 
-#: the seeded protocol mutants: every one must be killed by TP3xx
+#: the seeded protocol mutants: every one must be killed by TP303 or
+#: TP007
 PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         mid="P05", path="repro/experiments/supervisor.py", rule="TP303",
@@ -171,7 +179,7 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
                "                attempt_failed(",
         after="                attempt_failed("),
     Mutant(
-        mid="P06", path="repro/tools.py", rule="TP305",
+        mid="P06", path="repro/tools.py", rule="TP007",
         description="summary writer rewritten as manual open/close "
                     "outside with/try-finally",
         before="            with open(args.json, \"w\", "
@@ -182,14 +190,7 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
               "            handle.write(payload)\n"
               "            handle.close()"),
     Mutant(
-        mid="P08", path="repro/ssd/device.py", rule="TP304",
-        description="dropped per-run reset in DeviceModel.run: "
-                    "serve_request reachable without the reset",
-        before="        self._validate_trace(trace)\n"
-               "        self._reset_state()",
-        after="        self._validate_trace(trace)"),
-    Mutant(
-        mid="P10", path="repro/tools.py", rule="TP301",
+        mid="P10", path="repro/tools.py", rule="TP007",
         description="early return before the summary file is closed",
         before="            with open(args.json, \"w\", "
                "encoding=\"utf-8\") as handle:\n"
@@ -201,7 +202,7 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
               "            handle.write(payload)\n"
               "            handle.close()"),
     Mutant(
-        mid="P11", path="repro/tools.py", rule="TP302",
+        mid="P11", path="repro/tools.py", rule="TP007",
         description="summary writer rewritten by hand with a stray "
                     "second close(): double release of the handle",
         before="            with open(args.json, \"w\", "

@@ -585,7 +585,8 @@ class ParallelRunner:
         #: quarantine records accumulated across batches
         self.failures: List[CellFailure] = []
         self.outcomes: List[CellOutcome] = []
-        self._batches: List[Dict[str, Any]] = []
+        #: wall-clock summed over the :meth:`run_specs` batches
+        self._wall_s = 0.0
 
     # -- cell batches ---------------------------------------------------
     def run_specs(self, specs: Sequence[RunSpec],
@@ -615,7 +616,6 @@ class ParallelRunner:
                 pending.append(spec)
         failures: Dict[str, CellFailure] = {}
         attempts: Dict[str, int] = {}
-        retries = 0
         if pending:
             tasks = [Task(key=spec.digest, label=spec.label(),
                           fn=_timed_execute, args=(spec,))
@@ -632,16 +632,10 @@ class ParallelRunner:
             report = self._supervisor.run(tasks, on_complete=commit)
             failures = report.failures
             attempts = report.attempts
-            retries = report.retries
             self.failures.extend(failures.values())
-        hits = misses = 0
-        serial_equivalent = 0.0
         for digest in unique:
             if digest in done:
                 result, elapsed, cached = done[digest]
-                hits += cached
-                misses += not cached
-                serial_equivalent += elapsed
                 self.outcomes.append(CellOutcome(
                     digest=digest, label=unique[digest].label(),
                     elapsed_s=elapsed, cached=cached,
@@ -649,23 +643,11 @@ class ParallelRunner:
                                           0 if cached else 1)))
             else:
                 failure = failures[digest]
-                misses += 1
                 self.outcomes.append(CellOutcome(
                     digest=digest, label=unique[digest].label(),
                     elapsed_s=failure.elapsed_s, cached=False,
                     attempts=failure.attempts, failed=True))
-        wall = time.perf_counter() - batch_started  # tp: allow=TP002 - harness timing
-        self._batches.append({
-            "cells": len(unique),
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "failed": len(failures),
-            "retries": retries,
-            "wall_clock_s": wall,
-            "serial_equivalent_s": serial_equivalent,
-            "speedup_vs_serial": (serial_equivalent / wall) if wall > 0
-            else 1.0,
-        })
+        self._wall_s += time.perf_counter() - batch_started  # tp: allow=TP002 - harness timing
         if failures and not allow_failures:
             raise MatrixFailureError(
                 [failures[d] for d in unique if d in failures])
@@ -704,11 +686,11 @@ class ParallelRunner:
     # -- bench trajectory ----------------------------------------------
     def bench_report(self) -> Dict[str, Any]:
         """Everything measured so far, in ``BENCH_runner.json`` shape."""
-        total_serial = sum(b["serial_equivalent_s"] for b in self._batches)
-        total_wall = sum(b["wall_clock_s"] for b in self._batches)
-        hits = sum(b["cache_hits"] for b in self._batches)
-        misses = sum(b["cache_misses"] for b in self._batches)
-        retries = sum(b.get("retries", 0) for b in self._batches)
+        outcomes = self.outcomes
+        hits = sum(outcome.cached for outcome in outcomes)
+        serial = sum(outcome.elapsed_s for outcome in outcomes
+                     if not outcome.failed)
+        wall = self._wall_s
         return {
             "bench": "runner",
             "schema": CACHE_SCHEMA,
@@ -717,21 +699,19 @@ class ParallelRunner:
                 "timeout_s": self.timeout_s,
                 "max_attempts": self.max_attempts,
             },
-            "cells": [dataclasses.asdict(outcome)
-                      for outcome in self.outcomes],
-            "batches": list(self._batches),
+            "cells": [dataclasses.asdict(outcome) for outcome in outcomes],
             "failures": [failure.to_payload()
                          for failure in self.failures],
             "totals": {
-                "cells": hits + misses,
+                "cells": len(outcomes),
                 "cache_hits": hits,
-                "cache_misses": misses,
+                "cache_misses": len(outcomes) - hits,
                 "failed": len(self.failures),
-                "retries": retries,
-                "wall_clock_s": total_wall,
-                "serial_equivalent_s": total_serial,
-                "speedup_vs_serial": (total_serial / total_wall)
-                if total_wall > 0 else 1.0,
+                "retries": sum(max(outcome.attempts - 1, 0)
+                               for outcome in outcomes),
+                "wall_clock_s": wall,
+                "serial_equivalent_s": serial,
+                "speedup_vs_serial": serial / wall if wall > 0 else 1.0,
             },
             "cache": (self.cache.stats() if self.cache is not None
                       else None),

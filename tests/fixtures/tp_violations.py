@@ -29,3 +29,11 @@ def tp004_config_mutation(config) -> None:
     """TP004: mutates a frozen config dataclass."""
     config.page_size = 4096
 
+
+
+def tp007_bare_open(path: str) -> str:
+    """TP007: ``open()`` outside ``with``; a raising read leaks it."""
+    handle = open(path, encoding="utf-8")
+    text = handle.read()
+    handle.close()
+    return text

@@ -5,6 +5,8 @@ import pathlib
 import re
 import tokenize
 
+import pytest
+
 from conftest import analyze_paths, analyze_source
 from repro.analysis import RULES, Project, analyze
 from repro.analysis.__main__ import main
@@ -27,7 +29,8 @@ def test_src_tree_is_lint_clean():
 def test_fixture_triggers_every_rule():
     findings = analyze_paths([FIXTURE])
     fired = {finding.rule for finding in findings}
-    assert fired == TP0XX == {"TP001", "TP002", "TP003", "TP004"}
+    assert fired == TP0XX == {"TP001", "TP002", "TP003", "TP004",
+                              "TP007"}
     # exactly one violation was planted per rule
     assert len(findings) == len(TP0XX)
 
@@ -105,6 +108,65 @@ def test_tp006_only_flags_non_flash_receivers():
     # modules inside the flash package implement the ops themselves
     assert "TP102" not in _codes("block.erase()\n",
                                  path="src/repro/flash/flash.py")
+
+
+_MANUAL_CLOSE = (
+    "def save(path, payload):\n"
+    "    handle = open(path, 'w')\n"
+    "    handle.write(payload)\n"
+    "    handle.close()\n"
+)
+
+
+@pytest.mark.parametrize("source", [
+    _MANUAL_CLOSE,
+    ("def save(path, payload):\n"
+     "    handle = open(path, 'w')\n"
+     "    if not payload:\n"
+     "        return 1\n"
+     "    handle.write(payload)\n"
+     "    handle.close()\n"),
+    ("def save(path, payload):\n"
+     "    handle = open(path, 'w')\n"
+     "    try:\n"
+     "        handle.write(payload)\n"
+     "        handle.close()\n"
+     "    finally:\n"
+     "        handle.close()\n"),
+    ("def save(path, payload):\n"
+     "    handle = open(path, 'w')\n"
+     "    try:\n"
+     "        handle.write(payload)\n"
+     "    finally:\n"
+     "        handle.close()\n"),
+], ids=["manual-close", "early-return", "double-close", "try-finally"])
+def test_tp007_flags_open_outside_with(source):
+    findings = analyze_source(source, "src/repro/sim.py")
+    assert [(f.rule, f.line) for f in findings] == [("TP007", 2)]
+
+
+@pytest.mark.parametrize("source", [
+    ("def save(path, payload):\n"
+     "    with open(path, 'w') as handle:\n"
+     "        handle.write(payload)\n"),
+    ("def copy(src, dst):\n"
+     "    with open(src) as inp, open(dst, 'w') as out:\n"
+     "        out.write(inp.read())\n"),
+    ("def save(path, fd, payload):\n"
+     "    handle = path.open('w')\n"
+     "    handle.write(payload)\n"
+     "    handle.close()\n"
+     "    os.fdopen(fd, 'w').write(payload)\n"),
+], ids=["with", "two-item-with", "path-open-and-fdopen"])
+def test_tp007_accepts_with_and_non_builtin_opens(source):
+    assert _codes(source) == set()
+
+
+def test_tp007_pragma_suppression():
+    allowed = _MANUAL_CLOSE.replace(
+        "open(path, 'w')", "open(path, 'w')  # tp: allow=TP007 - demo")
+    assert "TP007" in _codes(_MANUAL_CLOSE)
+    assert _codes(allowed) == set()
 
 
 def test_pragma_suppression():

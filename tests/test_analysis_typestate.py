@@ -1,17 +1,19 @@
-"""The typestate pass: exception-edge CFGs, summaries, TP301-305.
+"""The typestate pass: exception-edge CFGs, summaries, TP303.
 
 Unit coverage for ``flow.cfg`` and ``flow.typestate``.  The CFG tests pin
 the exception model (weak calls raise only inside ``try``, strong calls
 always, finally bodies duplicated per continuation kind); the summary
 tests pin the three interprocedural facts the checker consumes; the
-rule tests exercise each TP3xx rule on minimal violating and guarded
-snippets.  The acceptance-critical pair lives at the bottom: the
+rule tests exercise TP303 on minimal violating and guarded snippets,
+across exception edges, summaries and the pragma.  The acceptance-critical pair lives at the bottom: the
 leaky-supervisor fixture must be flagged by TP303 while the fixed
 ``src/repro/experiments/supervisor.py`` stays protocol-clean.
 """
 
 import ast
 import pathlib
+
+import pytest
 
 from conftest import analyze_paths, analyze_source
 from repro.analysis.flow import FlowEngine, Project, build_cfg
@@ -168,122 +170,6 @@ def test_release_summary_names_the_released_params():
 
 
 # ----------------------------------------------------------------------
-# TP301: acquire without release on every path
-# ----------------------------------------------------------------------
-_BOOM = (
-    "def boom(trace):\n"
-    "    if not trace:\n"
-    "        raise ValueError(trace)\n"
-    "    return trace\n"
-)
-
-
-def test_tp301_leak_on_the_normal_exit():
-    source = (
-        "def run(path, trace):\n"
-        "    handle = open(path)\n"
-        "    handle.write(trace)\n"
-    )
-    assert _codes(source) == {"TP301"}
-
-
-def test_tp301_leak_on_the_exception_edge_only():
-    """The release exists on the normal path; a resolved may-raise
-    callee opens an exception path that skips it."""
-    source = _BOOM + (
-        "def run(path, trace):\n"
-        "    handle = open(path)\n"
-        "    boom(trace)\n"
-        "    handle.close()\n"
-    )
-    findings = [f for f in analyze_source(source) if f.rule == "TP301"]
-    assert len(findings) == 1
-    assert findings[0].line == 6
-    assert "exception path" in findings[0].message
-    assert "normal return path" not in findings[0].message
-
-
-def test_tp301_try_finally_guard_is_clean():
-    source = _BOOM + (
-        "def run(path, trace):\n"
-        "    handle = open(path)\n"
-        "    try:\n"
-        "        boom(trace)\n"
-        "    finally:\n"
-        "        handle.close()\n"
-    )
-    assert _codes(source) == set()
-
-
-def test_tp301_weak_calls_outside_try_stay_quiet():
-    """Unknown callees between acquire and release do not fabricate an
-    exception path — only resolved may-raise callees do.  (The manual
-    open/close pair is still TP305's style finding.)"""
-    source = (
-        "def run(path, trace):\n"
-        "    handle = open(path)\n"
-        "    handle.write(trace)\n"
-        "    handle.close()\n"
-    )
-    assert _codes(source) == {"TP305"}
-
-
-def test_tp301_pragma_suppression():
-    source = (
-        "def run(path, trace):\n"
-        "    handle = open(path)  # tp: allow=TP301 - caller exits\n"
-        "    handle.write(trace)\n"
-    )
-    assert _codes(source) == set()
-
-
-# ----------------------------------------------------------------------
-# TP302: release without a dominating acquire
-# ----------------------------------------------------------------------
-def test_tp302_double_release():
-    source = (
-        "def run(path):\n"
-        "    handle = open(path)\n"
-        "    handle.close()\n"
-        "    handle.close()\n"
-    )
-    findings = [f for f in analyze_source(source) if f.rule == "TP302"]
-    assert len(findings) == 1
-    assert findings[0].line == 4
-    assert "double release" in findings[0].message
-
-
-def test_tp302_interprocedural_release_then_close_again():
-    """The "releases what it was passed" summary turns the helper call
-    into a release, so the second close is a double release."""
-    source = (
-        "def shutdown(conn):\n"
-        "    conn.close()\n"
-        "def run(ctx):\n"
-        "    parent, child = ctx.Pipe()\n"
-        "    child.close()\n"
-        "    shutdown(parent)\n"
-        "    parent.close()\n"
-    )
-    findings = [f for f in analyze_source(source) if f.rule == "TP302"]
-    assert len(findings) == 1
-    assert findings[0].line == 7
-
-
-def test_tp302_escaped_resource_is_never_reported():
-    """Passing the connection to an unknown sink transfers ownership;
-    whatever happens to it afterwards is the sink's problem."""
-    source = (
-        "def run(ctx, sink):\n"
-        "    parent, child = ctx.Pipe()\n"
-        "    child.close()\n"
-        "    sink.consume(parent)\n"
-        "    parent.close()\n"
-    )
-    assert _codes(source) == set()
-
-
-# ----------------------------------------------------------------------
 # TP303: worker/pipe lifecycle
 # ----------------------------------------------------------------------
 def test_tp303_started_process_never_joined():
@@ -325,80 +211,60 @@ def test_tp303_one_pipe_end_left_open():
     assert "'parent'" in findings[0].message
 
 
-# ----------------------------------------------------------------------
-# TP304: reset-before-run ordering
-# ----------------------------------------------------------------------
-_TP304_CLASS = (
-    "class Dev:\n"
-    "    def _reset_state(self):\n"
-    "        self.total = 0\n"
-    "    def serve_request(self, request):\n"
-    "        self.total += 1\n"
-    "    def run(self, trace):\n"
-    "{run_body}"
+_BOOM = (
+    "def boom(trace):\n"
+    "    if not trace:\n"
+    "        raise ValueError(trace)\n"
+    "    return trace\n"
 )
 
 
-def test_tp304_run_without_reset_is_flagged():
-    source = _TP304_CLASS.format(run_body=(
-        "        for request in trace:\n"
-        "            self.serve_request(request)\n"))
-    assert "TP304" in _codes(source)
-
-
-def test_tp304_reset_dominating_the_dispatch_is_clean():
-    source = _TP304_CLASS.format(run_body=(
-        "        self._reset_state()\n"
-        "        for request in trace:\n"
-        "            self.serve_request(request)\n"))
-    assert "TP304" not in _codes(source)
-
-
-def test_tp304_classes_without_a_reset_method_are_out_of_scope():
-    source = (
-        "class Pump:\n"
-        "    def serve_request(self, request):\n"
-        "        return request\n"
-        "    def run(self, trace):\n"
-        "        for request in trace:\n"
-        "            self.serve_request(request)\n"
-    )
-    assert "TP304" not in _codes(source)
-
-
-# ----------------------------------------------------------------------
-# TP305: with-able resources outside with/try-finally
-# ----------------------------------------------------------------------
-def test_tp305_manual_open_close_pair():
-    source = (
-        "def load(path):\n"
-        "    handle = open(path)\n"
-        "    data = handle.read()\n"
-        "    handle.close()\n"
-        "    return data\n"
-    )
-    assert _codes(source) == {"TP305"}
-
-
-def test_tp305_with_block_is_clean():
-    source = (
-        "def load(path):\n"
-        "    with open(path) as handle:\n"
-        "        return handle.read()\n"
-    )
-    assert _codes(source) == set()
-
-
-def test_tp305_try_finally_close_is_clean():
-    source = (
-        "def load(path):\n"
-        "    handle = open(path)\n"
+@pytest.mark.parametrize("source,expected", [
+    # the close exists on the normal path; a resolved may-raise callee
+    # opens an exception path that skips it
+    (_BOOM + (
+        "def run(ctx, trace):\n"
+        "    parent, child = ctx.Pipe()\n"
+        "    child.close()\n"
+        "    boom(trace)\n"
+        "    parent.close()\n"),
+     [(6, "'parent' but an exception path can leave")]),
+    # unknown callees outside a try fabricate no exception path
+    ((
+        "def run(ctx, trace):\n"
+        "    parent, child = ctx.Pipe()\n"
+        "    child.close()\n"
+        "    parent.send(trace)\n"
+        "    parent.close()\n"), []),
+    (_BOOM + (
+        "def run(ctx, trace):\n"
+        "    parent, child = ctx.Pipe()\n"
+        "    child.close()\n"
         "    try:\n"
-        "        return handle.read()\n"
+        "        boom(trace)\n"
         "    finally:\n"
-        "        handle.close()\n"
-    )
-    assert _codes(source) == set()
+        "        parent.close()\n"), []),
+    # "releases what it was passed" resolves the helper's join
+    ((
+        "def stop(worker):\n"
+        "    worker.join()\n"
+        "def launch(ctx, fn):\n"
+        "    process = ctx.Process(target=fn)\n"
+        "    process.start()\n"
+        "    stop(process)\n"), []),
+    ((
+        "def make(ctx):\n"
+        "    parent, child = ctx.Pipe()  # tp: allow=TP303 - caller closes\n"
+        "    child.close()\n"), []),
+], ids=["exception-edge-only", "weak-calls-outside-try",
+        "try-finally-guard", "release-through-summary", "pragma"])
+def test_tp303_exception_edges_guards_summaries_and_pragma(source,
+                                                           expected):
+    findings = analyze_source(source)
+    assert [(f.line, f.rule) for f in findings] == [
+        (line, "TP303") for line, _ in expected]
+    for finding, (_, phrase) in zip(findings, expected):
+        assert phrase in finding.message
 
 
 # ----------------------------------------------------------------------
