@@ -10,9 +10,8 @@ Two pillars, both specific to this codebase:
   :mod:`repro.analysis.flow` add ``TP1xx`` (run-path state missing
   from the reset path, flash page operations bypassing
   :class:`~repro.flash.FlashMemory` directly or through helpers,
-  nondeterministic set iteration), ``TP2xx``
-  (address-domain and unit confusion) and ``TP3xx`` (resource and
-  ordering protocols across exception edges).  Every rule is listed
+  nondeterministic set iteration) and ``TP2xx``
+  (address-domain and unit confusion).  Every rule is listed
   in the one table :data:`RULES`; ``# tp: allow=CODE`` is the one
   suppression.  Run it as ``python -m repro.analysis lint src``
   (``--format sarif`` emits SARIF 2.1.0 for GitHub code scanning).

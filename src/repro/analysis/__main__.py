@@ -5,24 +5,22 @@ Subcommands:
 * ``lint [paths...]`` — parse the Python sources under ``paths``
   (default: ``src``) exactly once into a project and run every static
   pass over it (the lexical TP0xx rules, the interprocedural TP1xx
-  flow rules, the TP2xx domain/unit pass and the TP3xx
-  typestate/protocol pass).  Exits 1 when there are findings, 2 when
-  the input cannot be analyzed (a path that does not exist, no Python
-  files, a syntax error).  ``--format text|json|sarif`` picks the
+  flow rules and the TP2xx domain/unit pass).  Exits 1 when there are
+  findings, 2 when the input cannot be analyzed (a path that does not
+  exist, no Python files, a syntax error).  ``--format text|json|sarif`` picks the
   report format (SARIF 2.1.0 feeds GitHub code scanning) and
   ``--output`` sends the json/sarif document to a file;
   ``--disable``/``--exclude`` select rules and prune subtrees per
   invocation (tests legitimately use ``assert``, so CI lints them with
   ``--disable TP003``); ``--stats`` prints the per-pass wall-clock
   split.
-* ``mutants`` — self-validate the TP1xx flow, TP2xx domain and TP3xx
-  protocol passes and TP007: apply the seeded mutants from
-  :mod:`repro.analysis.mutants` to the in-memory sources of ``src``
-  and fail unless every mutant is flagged while the pristine tree
-  stays clean.
+* ``mutants`` — self-validate the TP1xx flow and TP2xx domain passes
+  and TP007: apply the seeded mutants from :mod:`repro.analysis.mutants`
+  to the in-memory sources of ``src`` and fail unless every mutant is
+  flagged while the pristine tree stays clean.
 * ``rules`` — print every rule family (TP0xx lint, TP1xx flow, TP2xx
-  domain, TP3xx typestate, SAN sanitizer), grouped and sorted, with
-  one-line descriptions.
+  domain, SAN sanitizer), grouped and sorted, with one-line
+  descriptions.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ FORMATS = ("text", "json", "sarif")
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Project-specific static analysis (TP0xx-TP3xx "
+        description="Project-specific static analysis (TP0xx-TP2xx "
                     "rules over one shared parse) and rule listing for "
                     "the FTLSan runtime sanitizer.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,11 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--stats", action="store_true",
         help="print the per-pass wall-clock split (parse once, then "
-             "lint/flow/domains/protocols over the shared project)")
+             "lint/flow/domains over the shared project)")
     mutants = sub.add_parser(
-        "mutants", help="self-validate TP007 and the TP1xx flow, "
-                        "TP2xx domain and TP3xx protocol passes "
-                        "against the seeded mutant corpus")
+        "mutants", help="self-validate TP007 and the TP1xx flow and "
+                        "TP2xx domain passes against the seeded mutant "
+                        "corpus")
     mutants.add_argument(
         "--src", default="src", metavar="DIR",
         help="source tree to read and mutate in memory (default: src)")
@@ -95,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the mutant corpus without running the analysis")
     sub.add_parser(
         "rules", help="list every rule family (TP0xx lint, TP1xx "
-                      "flow, TP2xx domain, TP3xx typestate, SAN "
-                      "sanitizer)")
+                      "flow, TP2xx domain, SAN sanitizer)")
     return parser
 
 
@@ -220,9 +217,6 @@ _RULE_FAMILIES = (
             "self-validated by the mutants subcommand):"),
     ("TP2", "TP2xx domain/unit rules (same lint subcommand; "
             "self-validated by the mutants subcommand):"),
-    ("TP3", "TP3xx typestate/protocol rules (same lint subcommand; "
-            "CFGs with exception edges, self-validated by the mutants "
-            "subcommand):"),
 )
 
 

@@ -9,10 +9,8 @@ graph; :mod:`~repro.analysis.flow.rules` implements the ``TP1xx``
 rules on top (state-reset, flash bypass, frozen-config aliasing,
 nondeterministic iteration) and holds :func:`analyze`, the one driver
 that runs them together with the lexical ``TP0xx`` pass of
-:mod:`repro.analysis.lint`, the ``TP2xx`` domain pass of
-:mod:`~repro.analysis.flow.domains` and the ``TP3xx`` typestate pass
-of :mod:`~repro.analysis.flow.typestate` (over the per-function
-exception-edge CFGs of :mod:`~repro.analysis.flow.cfg`); and
+:mod:`repro.analysis.lint` and the ``TP2xx`` domain pass of
+:mod:`~repro.analysis.flow.domains`; and
 :mod:`~repro.analysis.flow.sarif` serializes the findings as SARIF
 2.1.0 for GitHub code scanning.
 
@@ -26,20 +24,14 @@ or from Python: ``analyze(Project.from_paths(["src"]))``.
 from __future__ import annotations
 
 from .callgraph import Project, read_sources
-from .cfg import CFG, build_cfg
 from .engine import FlowEngine, fixed_point
 from .rules import analyze
 from .sarif import to_sarif
-from .typestate import PROTOCOL_SPECS, ProtocolSpec
 
 __all__ = [
-    "CFG",
     "FlowEngine",
-    "PROTOCOL_SPECS",
     "Project",
-    "ProtocolSpec",
     "analyze",
-    "build_cfg",
     "fixed_point",
     "read_sources",
     "to_sarif",

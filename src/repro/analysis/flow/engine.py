@@ -7,43 +7,36 @@ mutation") until nothing changes, then report where a fact meets a
 syntactic pattern.  :class:`FlowEngine` owns the propagation so each
 rule stays a few lines of seeding plus a few lines of reporting.
 
-The solver is a classic worklist **forward may-analysis**: node facts
-are sets, the join is union, and a transfer function maps the incoming
-union to the node's contribution.  Monotone transfers over the finite
-fact powerset guarantee termination.
+The solver is a classic worklist **may-analysis**: node facts are
+sets, the join is union, and every node passes on all it holds.  The
+fact powerset is finite and facts only grow, so the solver
+terminates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from .callgraph import CallSite, Project
 
 __all__ = ["FlowEngine", "fixed_point"]
 
-#: a transfer function: (node, incoming facts) -> facts added at node
-Transfer = Callable[[str, FrozenSet[str]], FrozenSet[str]]
-
-_IDENTITY: Transfer = lambda _node, facts: facts  # noqa: E731
-
 
 def fixed_point(edges: Mapping[str, Iterable[str]],
-                seeds: Mapping[str, FrozenSet[str]],
-                transfer: Transfer = _IDENTITY,
+                seeds: Mapping[str, FrozenSet[str]]
                 ) -> Dict[str, FrozenSet[str]]:
     """Solve a union-join dataflow problem to a fixed point.
 
     ``edges[n]`` lists the nodes facts flow *to* from ``n``;
     ``seeds[n]`` are the facts generated at ``n`` regardless of flow.
-    ``transfer`` filters/extends the facts a node passes on (default:
-    pass everything through).  Returns the stable fact set per node.
+    Returns the stable fact set per node.
     """
     facts: Dict[str, FrozenSet[str]] = {n: frozenset(s)
                                         for n, s in seeds.items()}
     worklist: List[str] = list(facts)
     while worklist:
         node = worklist.pop()
-        outgoing = transfer(node, facts.get(node, frozenset()))
+        outgoing = facts[node]
         if not outgoing:
             continue
         for successor in edges.get(node, ()):

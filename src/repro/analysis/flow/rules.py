@@ -1,11 +1,11 @@
 """The interprocedural ``TP1xx`` rules and the one pass driver.
 
 Each rule is a function ``(project, engine) -> findings``;
-:func:`analyze` runs them together with the lexical ``TP0xx`` pass,
-the ``TP2xx`` domain pass and the ``TP3xx`` typestate pass over one
-parsed :class:`~repro.analysis.flow.callgraph.Project` — the only way
-to run the static analysis (the CLI, the mutant harness and the tests
-all call it).
+:func:`analyze` runs them together with the lexical ``TP0xx`` pass and
+the ``TP2xx`` domain pass over one parsed
+:class:`~repro.analysis.flow.callgraph.Project` — the only way to run
+the static analysis (the CLI, the mutant harness and the tests all
+call it).
 
 ========  ==============================================================
 TP101     per-run state mutated on the run path but never re-initialized
@@ -33,7 +33,6 @@ from .callgraph import FunctionInfo, Project
 from .domains import check_domains
 from .engine import FlowEngine
 from .state import AttrEvent, _is_set_expr
-from .typestate import check_protocols
 
 __all__ = [
     "RESET_METHODS",
@@ -343,19 +342,17 @@ _PASSES: Tuple[Tuple[str, Tuple[_Pass, ...]], ...] = (
     ("flow", (check_state_reset, check_flash_escape,
               check_unordered_iteration)),
     ("domains", (check_domains,)),
-    ("protocols", (check_protocols,)),
 )
 
 
 def analyze(project: Project,
             timings: Optional[Dict[str, float]] = None) -> List[Finding]:
-    """Run every static pass (TP0xx lexical, TP1xx flow, TP2xx domain,
-    TP3xx typestate) over a parsed project; findings sorted by
-    ``(path, line, rule)``.
+    """Run every static pass (TP0xx lexical, TP1xx flow, TP2xx domain)
+    over a parsed project; findings sorted by ``(path, line, rule)``.
 
     ``timings`` (when given) collects host-side per-pass wall-clock
-    seconds under the keys ``lint``/``flow``/``domains``/``protocols``
-    for the CLI's ``--stats`` line.
+    seconds under the keys ``lint``/``flow``/``domains`` for the CLI's
+    ``--stats`` line.
     """
     engine = FlowEngine(project)
     findings: List[Finding] = []

@@ -12,15 +12,15 @@ flash entry point (every page operation must pass through
 
 This module holds what every static pass shares — the :class:`Finding`
 type, the one rule table :data:`RULES` (``TP0xx`` lexical, ``TP1xx``
-flow, ``TP2xx`` domain, ``TP3xx`` typestate; the ``rules`` subcommand,
-the SARIF driver and the documentation test all read it), the
-``# tp: allow=CODE`` pragma parser and the file walker — plus the
-single-node ``TP0xx`` rules themselves (``TP005``, ``TP006``,
-``TP103``, ``TP301``, ``TP302``, ``TP304`` and ``TP305`` are retired and
-not reused; ``TP006`` lives on as the direct form of ``TP102``,
-``TP301``/``TP302``/``TP305`` as ``TP007``, and ``TP304``'s dropped
-per-run reset is caught at runtime by
-``tests/test_ssd_parallel.py::TestQueueStateReset``):
+flow, ``TP2xx`` domain; the ``rules`` subcommand, the SARIF driver and
+the documentation test all read it), the ``# tp: allow=CODE`` pragma
+parser and the file walker — plus the single-node ``TP0xx`` rules
+themselves (``TP005``, ``TP006``, ``TP103``, ``TP301``–``TP305`` are
+retired and not reused; ``TP006`` lives on as the direct form of
+``TP102``, ``TP301``/``TP302``/``TP305`` as ``TP007``, and the bugs
+behind ``TP303`` (worker/pipe lifecycle) and ``TP304`` (per-run reset)
+fail ``tests/test_runner_chaos.py::TestDegradeToSerial`` and
+``tests/test_ssd_parallel.py::TestQueueStateReset`` at runtime):
 
 ========  ==============================================================
 TP001     unseeded / process-global randomness in simulation code
@@ -80,9 +80,6 @@ RULES: Dict[str, str] = {
     "TP204": ("bytes vs page/entry counts mixed in the cache-budget "
               "path (byte budgets and entry counts are different "
               "units)"),
-    "TP303": ("worker lifecycle leak: a started Process is not joined "
-              "or terminated on all exits, or a Pipe connection is "
-              "neither closed nor handed off"),
 }
 
 #: process-global random functions (module-level ``random.*``)

@@ -1,5 +1,5 @@
-"""Mutation self-validation of the TP1xx, TP2xx and TP3xx flow passes
-and of the lexical TP007.
+"""Mutation self-validation of the TP1xx and TP2xx flow passes and of
+the lexical TP007.
 
 A static analysis that never fires is indistinguishable from one that
 works.  This harness keeps the flow passes honest from both sides: it
@@ -10,24 +10,25 @@ mutants** (``M01``–``M11``) cover the TP2xx value bugs: swapped
 VPN, VTPNs handed to the flash array where it takes PTPNs, a dropped
 ``* pages_per_block`` conversion, milliseconds handed to a microsecond
 parameter, a byte budget stored as an entry count.
-The **protocol mutants** (``P05``–``P11``; the ids of the retired
-fast-mode window mutants and of ``P08`` are not reused) cover the
-resource bugs: the supervisor's spawn-failure cleanup removed (TP303),
-and the
-``repro.tools`` summary writer's ``with open(...)`` block rewritten as
-manual ``open``/``close``, with a stray second ``close()`` or with an
-early ``return`` before the ``close()`` (TP007).  ``P08``, the per-run
-device reset dropped ahead of the serve loop, left the corpus with
-the rule that caught it: its runtime twin
-``tests/test_ssd_parallel.py::TestQueueStateReset::test_channel_queues_reset_between_runs``
-fails under it, as
+The **protocol mutants** (``P06``, ``P10``, ``P11``; the ids of the
+retired fast-mode window mutants, ``P05`` and ``P08`` are not reused)
+cover the resource bugs: the ``repro.tools`` summary writer's
+``with open(...)`` block rewritten as manual ``open``/``close``, with a
+stray second ``close()`` or with an early ``return`` before the
+``close()`` (TP007).  Two protocol mutants left the corpus with the
+rules that caught them, because runtime twins in the tests fail under
+them.  ``P05``, the supervisor's spawn-failure cleanup dropped, fails
 ``tests/test_runner_chaos.py::TestDegradeToSerial::test_failed_spawn_closes_both_pipe_ends``
-does under ``P05``.  The **flow
-mutants** (``F01``–``F03``) re-seed bugs this repository had, one per
-TP1xx rule: the channel cursor missing from the per-run reset (PR 4),
-the hybrid merge invalidating pages behind ``FlashMemory``'s back
-(PR 2), and GC walking its translation pages in set order.  The tree is
-read once into a ``{path: source}`` dict; each mutant is applied to a copy
+(pipe ends left open) and
+``tests/test_runner_chaos.py::TestDegradeToSerial::test_failed_start_terminates_the_started_worker``
+(a started worker left alive with its pipe ends open).  ``P08``, the
+per-run device reset dropped ahead of the serve loop, fails
+``tests/test_ssd_parallel.py::TestQueueStateReset::test_channel_queues_reset_between_runs``.
+The **flow mutants** (``F01``–``F03``) re-seed bugs this repository
+had, one per TP1xx rule: the channel cursor missing from the per-run
+reset (PR 4), the hybrid merge invalidating pages behind
+``FlashMemory``'s back (PR 2), and GC walking its translation pages in
+set order.  The tree is read once into a ``{path: source}`` dict; each mutant is applied to a copy
 of that dict (nothing is written anywhere) and the harness asserts that
 
 * the **pristine tree is clean**: zero findings (the analysis does not
@@ -80,7 +81,7 @@ class Mutant:
     mid: str
     #: file to mutate, relative to the ``src`` root
     path: str
-    #: rule expected to kill the mutant (TP007, TP1xx, TP2xx or TP3xx)
+    #: rule expected to kill the mutant (TP007, TP1xx or TP2xx)
     rule: str
     description: str
     before: str
@@ -166,18 +167,8 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
 )
 
 
-#: the seeded protocol mutants: every one must be killed by TP303 or
-#: TP007
+#: the seeded protocol mutants: every one must be killed by TP007
 PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
-    Mutant(
-        mid="P05", path="repro/experiments/supervisor.py", rule="TP303",
-        description="dropped spawn-failure cleanup: a partially-spawned "
-                    "worker's pipe ends and process leak on the retry "
-                    "path",
-        before="                self._discard_spawn(parent_conn, "
-               "child_conn, process)\n"
-               "                attempt_failed(",
-        after="                attempt_failed("),
     Mutant(
         mid="P06", path="repro/tools.py", rule="TP007",
         description="summary writer rewritten as manual open/close "

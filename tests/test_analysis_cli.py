@@ -280,15 +280,15 @@ def test_finding_paths_normalize_to_repo_relative(
 # rules listing
 # ----------------------------------------------------------------------
 def test_rules_listing_grouped_and_sorted(capsys):
-    """Snapshot of the rules subcommand structure: five family blocks
-    in TP0xx/TP1xx/TP2xx/TP3xx/SANxxx order, each sorted by code."""
+    """Snapshot of the rules subcommand structure: four family blocks
+    in TP0xx/TP1xx/TP2xx/SANxxx order, each sorted by code."""
     from repro.analysis.checkers import SAN_RULES
     assert main(["rules"]) == 0
     out = capsys.readouterr().out
     blocks = out.strip().split("\n\n")
-    assert len(blocks) == 5
+    assert len(blocks) == 4
     expected = [sorted(c for c in RULES if c.startswith(prefix))
-                for prefix in ("TP0", "TP1", "TP2", "TP3")]
+                for prefix in ("TP0", "TP1", "TP2")]
     assert sum(expected, []) == sorted(RULES)
     expected.append(sorted(SAN_RULES))
     for block, codes in zip(blocks, expected):
@@ -296,14 +296,13 @@ def test_rules_listing_grouped_and_sorted(capsys):
         assert header.endswith(":")
         assert [line.split()[0] for line in entries] == codes
     assert blocks[2].startswith("TP2xx")
-    assert blocks[3].startswith("TP3xx")
 
 
 # ----------------------------------------------------------------------
 # --stats: one shared parse, per-pass wall-clock
 # ----------------------------------------------------------------------
 def test_stats_line_reports_every_pass_once(capsys):
-    """--stats prints one stderr line with the parse plus all four
+    """--stats prints one stderr line with the parse plus all three
     analysis passes; stdout stays machine-parseable."""
     code, out, err = _lint(
         [str(FLOW_FIXTURE), "--format", "json",
@@ -313,7 +312,7 @@ def test_stats_line_reports_every_pass_once(capsys):
     stats_lines = [line for line in err.splitlines()
                    if line.startswith("stats:")]
     assert len(stats_lines) == 1
-    for label in ("parse", "lint", "flow", "domains", "protocols"):
+    for label in ("parse", "lint", "flow", "domains"):
         assert f" {label} " in f" {stats_lines[0]} ".replace(
             "stats: ", " "), (label, stats_lines[0])
     assert "one shared parse" in stats_lines[0]

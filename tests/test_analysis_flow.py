@@ -36,7 +36,7 @@ def test_each_fixture_triggers_exactly_its_rule():
     covers those) has a fixture that fires it and nothing else: once,
     except that the TP102 chain is flagged at both of its ends."""
     codes = sorted(code for code in RULES if not code.startswith("TP0"))
-    assert len(codes) == 8
+    assert len(codes) == 7
     for code in codes:
         fixture = FLOW_FIXTURES / f"flow_{code.lower()}.py"
         findings = analyze_paths([str(fixture)])

@@ -1,8 +1,8 @@
-"""Mutation self-validation of the TP1xx, TP2xx and TP3xx passes and
-of TP007.
+"""Mutation self-validation of the TP1xx and TP2xx passes and of
+TP007.
 
 The acceptance gate for the flow analyses: every seeded mutant in
-``repro.analysis.mutants`` — the TP2xx domain corpus, the TP303/TP007
+``repro.analysis.mutants`` — the TP2xx domain corpus, the TP007
 protocol corpus and the TP1xx flow corpus alike — must be killed by its
 expected rule while the pristine ``src`` tree stays clean.  One harness
 run parses and analyzes the in-memory sources once per mutant plus once
@@ -23,8 +23,7 @@ from repro.analysis.mutants import (DOMAIN_MUTANTS, FLOW_MUTANTS,
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOMAIN_RULES = {code for code in RULES if code.startswith("TP2")}
-PROTOCOL_RULES = {code for code in RULES if code.startswith("TP3")} | {
-    "TP007"}
+PROTOCOL_RULES = {"TP007"}
 FLOW_RULES = {code for code in RULES if code.startswith("TP1")}
 
 
@@ -33,7 +32,7 @@ FLOW_RULES = {code for code in RULES if code.startswith("TP1")}
 # ----------------------------------------------------------------------
 def test_corpus_is_well_formed():
     assert len(DOMAIN_MUTANTS) >= 10
-    assert len(PROTOCOL_MUTANTS) >= 4
+    assert len(PROTOCOL_MUTANTS) >= 3
     assert len(FLOW_MUTANTS) >= 3
     assert MUTANTS == DOMAIN_MUTANTS + PROTOCOL_MUTANTS + FLOW_MUTANTS
     assert len({m.mid for m in MUTANTS}) == len(MUTANTS)
@@ -61,7 +60,7 @@ def test_corpus_covers_every_protocol_rule():
 
 
 def test_every_rule_beyond_the_lexical_family_has_a_mutant():
-    """A TP1xx-TP3xx rule nothing in the corpus is killed by has no
+    """A TP1xx-TP2xx rule nothing in the corpus is killed by has no
     evidence that it works: give it a mutant or retire it.  Of the
     lexical family only TP007 has mutants."""
     assert {m.rule for m in MUTANTS} == {
@@ -69,14 +68,15 @@ def test_every_rule_beyond_the_lexical_family_has_a_mutant():
 
 
 def test_protocol_corpus_spans_the_advertised_bug_classes():
-    """The named mutant classes are all represented: a dropped
-    lifecycle cleanup, a with block rewritten as manual open/close, a
-    double release, and an early return before the release.  (The
-    dropped per-run reset is caught at runtime by
-    ``test_ssd_parallel.py::TestQueueStateReset``.)"""
+    """The named mutant classes are all represented: a with block
+    rewritten as manual open/close, a double release, and an early
+    return before the release.  (The dropped spawn-failure cleanup is
+    caught at runtime by ``test_runner_chaos.py::TestDegradeToSerial``'s
+    ``test_failed_spawn_closes_both_pipe_ends`` and
+    ``test_failed_start_terminates_the_started_worker``, the dropped
+    per-run reset by ``test_ssd_parallel.py::TestQueueStateReset``.)"""
     blurbs = " | ".join(m.description.lower() for m in PROTOCOL_MUTANTS)
-    for needle in ("dropped spawn-failure cleanup",
-                   "manual open/close", "double release",
+    for needle in ("manual open/close", "double release",
                    "early return"):
         assert needle in blurbs, needle
 

@@ -250,14 +250,40 @@ class _RefusingContext:
         return self._real.Process(*args, **kwargs)
 
 
+class _FailingStartContext(_RefusingContext):
+    """A context whose first process really starts — a sleeping worker
+    — and then reports the start as failed, so the spawn path holds a
+    live process it never tracked; later spawns are real."""
+
+    def __init__(self) -> None:
+        super().__init__(refusals=0)
+        self.workers = []
+
+    def Process(self, *args, **kwargs):
+        if self.workers:
+            return super().Process(*args, **kwargs)
+        worker = self._real.Process(target=time.sleep, args=(60,),
+                                    daemon=True)
+        self.workers.append(worker)
+        real_start = worker.start
+
+        def start():
+            real_start()
+            raise OSError("worker started, then the spawn failed")
+
+        worker.start = start
+        return worker
+
+
 class TestDegradeToSerial:
     """A refused spawn, which once degraded the batch to serial, is a
     transient failed attempt that must release what it acquired."""
 
     def test_failed_spawn_closes_both_pipe_ends(self):
-        """The runtime twin of static rule TP303: every pipe end a
-        refused spawn had already acquired is closed before the retry,
-        none is left to the garbage collector."""
+        """A runtime twin of mutant P05 (the spawn-failure cleanup
+        dropped): every pipe end a refused spawn had already acquired
+        is closed before the retry, none is left to the garbage
+        collector."""
         context = _RefusingContext(refusals=1)
         supervisor = Supervisor(jobs=2, timeout_s=30.0,
                                 mp_context=context)
@@ -267,6 +293,28 @@ class TestDegradeToSerial:
         assert report.attempts == {"t": 2} and report.retries == 1
         assert len(context.ends) == 4
         assert all(end.closed for end in context.ends)
+
+    def test_failed_start_terminates_the_started_worker(self):
+        """The other runtime twin of mutant P05: a spawn that fails
+        after its process started terminates and reaps that worker and
+        closes its pipe ends before the retry."""
+        context = _FailingStartContext()
+        supervisor = Supervisor(jobs=2, timeout_s=30.0,
+                                mp_context=context)
+        try:
+            report = supervisor.run([Task(key="t", label="t",
+                                          fn=_double, args=(21,))])
+            assert report.results == {"t": 42}
+            assert report.attempts == {"t": 2}
+            assert len(context.ends) == 4
+            assert all(end.closed for end in context.ends)
+            assert len(context.workers) == 1
+            assert not context.workers[0].is_alive()
+        finally:
+            for worker in context.workers:
+                if worker.is_alive():
+                    worker.terminate()
+                    worker.join()
 
     def test_always_refused_spawn_is_quarantined_as_transient(self):
         context = _RefusingContext(refusals=float("inf"))
