@@ -1,26 +1,22 @@
-"""The shared analysis vocabulary and the lexical ``TP0xx`` pass.
+"""The static analysis: one parse and one lexical ``TP0xx`` pass.
 
 The simulator's correctness claims rest on properties a generic linter
 cannot know about: deterministic replay (PR 1's ``FaultPlan`` re-fires
 the same faults only if nothing consults wall-clock time or a shared
 RNG), invariant checks that must survive ``python -O`` (so no bare
 ``assert`` in ``src/``), frozen configuration (results are only
-comparable if a run cannot mutate its config mid-flight), and a single
-flash entry point (every page operation must pass through
-:class:`~repro.flash.FlashMemory` so the
-:class:`~repro.faults.FaultInjector` sees it).
+comparable if a run cannot mutate its config mid-flight), and file
+handles that cannot leak on an early return.
 
-This module holds what every static pass shares — the :class:`Finding`
-type, the one rule table :data:`RULES` (``TP0xx`` lexical, ``TP1xx``
-flow, ``TP2xx`` domain; the ``rules`` subcommand, the SARIF driver and
-the documentation test all read it), the ``# tp: allow=CODE`` pragma
-parser and the file walker — plus the single-node ``TP0xx`` rules
-themselves (``TP005``, ``TP006``, ``TP103``, ``TP301``–``TP305`` are
-retired and not reused; ``TP006`` lives on as the direct form of
-``TP102``, ``TP301``/``TP302``/``TP305`` as ``TP007``, and the bugs
-behind ``TP303`` (worker/pipe lifecycle) and ``TP304`` (per-run reset)
-fail ``tests/test_runner_chaos.py::TestDegradeToSerial`` and
-``tests/test_ssd_parallel.py::TestQueueStateReset`` at runtime):
+This module is the whole static half: :func:`read_sources` reads the
+tree, :func:`analyze` parses each module once and runs the rules over
+it, :class:`Finding` is what it reports and :data:`RULES` is the one
+rule table (the ``rules`` subcommand, ``--disable`` validation and the
+documentation test all read it).  ``TP005``, ``TP006``, ``TP101``–
+``TP104``, ``TP201``–``TP204`` and ``TP301``–``TP305`` are retired and
+not reused; ``docs/architecture.md`` names the tier-1 test that now
+fails on each one's bug class, and :mod:`repro.analysis.mutants`
+re-checks those tests:
 
 ========  ==============================================================
 TP001     unseeded / process-global randomness in simulation code
@@ -30,8 +26,8 @@ TP004     mutation of a frozen config dataclass
 TP007     builtin ``open()`` outside a ``with`` statement
 ========  ==============================================================
 
-Suppression, for every rule of every pass: append ``# tp: allow=TP0xx``
-(comma-separated for several codes) to the offending line with a short
+Suppression, for every rule: append ``# tp: allow=TP0xx`` (comma-
+separated for several codes) to the offending line with a short
 justification.  There is no other suppression mechanism.
 """
 
@@ -41,12 +37,9 @@ import ast
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
-if TYPE_CHECKING:
-    from .flow.callgraph import ModuleInfo, Project
-
-#: every static rule of every pass, code -> one-line description
+#: every static rule, code -> one-line description
 RULES: Dict[str, str] = {
     "TP001": ("unseeded or process-global randomness in simulation code "
               "(use random.Random(seed) so FaultPlan replay stays "
@@ -59,27 +52,6 @@ RULES: Dict[str, str] = {
     "TP004": "mutation of a frozen config dataclass",
     "TP007": ("builtin open() outside a with statement (an early return "
               "or an exception before close() leaks the handle)"),
-    "TP101": ("per-run state mutated on the run path but not "
-              "re-initialized on the reset path (state leaks across "
-              "run() calls)"),
-    "TP102": ("flash page operation bypassing FlashMemory (and "
-              "therefore the FaultInjector), directly or through a "
-              "chain of helper calls"),
-    "TP104": ("unordered set iteration on the simulation path "
-              "(replay-visible order is nondeterministic; iterate "
-              "sorted(...))"),
-    "TP201": ("cross-domain value flow: an address of one domain "
-              "(LPN/PPN/VPN/block/offset) reaches a parameter or store "
-              "slot typed as another domain"),
-    "TP202": ("mixed-domain arithmetic or comparison (e.g. lpn + ppn, "
-              "block == ppn) without a conversion idiom such as "
-              "* pages_per_block"),
-    "TP203": ("time-unit mixing: a microsecond-seeded value meets a "
-              "millisecond value across a call, assignment or "
-              "arithmetic"),
-    "TP204": ("bytes vs page/entry counts mixed in the cache-budget "
-              "path (byte budgets and entry counts are different "
-              "units)"),
 }
 
 #: process-global random functions (module-level ``random.*``)
@@ -115,14 +87,8 @@ class Finding:
     line: int
     col: int
     message: str
-    #: stripped source line, the line-number-free part of :attr:`key`
+    #: the stripped source line
     snippet: str
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        """Identity that is stable across unrelated line moves (SARIF
-        fingerprints, the mutant harness's before/after delta)."""
-        return (self.rule, self.path, self.snippet)
 
     def render(self) -> str:
         """Human-readable ``path:line:col [CODE] message`` diagnostic."""
@@ -157,19 +123,26 @@ def _allowed_codes(source_lines: Sequence[str]) -> Dict[int, Set[str]]:
 class _FileVisitor(ast.NodeVisitor):
     """Single-pass TP0xx rule evaluation over one module's AST."""
 
-    def __init__(self, project: "Project", module: "ModuleInfo") -> None:
-        self.project = project
-        self.module = module
+    def __init__(self, path: str, source_lines: Sequence[str]) -> None:
+        self.path = path
+        self.source_lines = source_lines
+        #: line -> suppressed rule codes (``# tp: allow=TP001,TP004``)
+        self.allowed = _allowed_codes(source_lines)
         self.findings: List[Finding] = []
         #: context expressions of ``with`` items seen so far (TP007)
         self._managed: Set[ast.AST] = set()
 
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
-        found = self.project.finding(
-            self.module, rule, getattr(node, "lineno", 1),
-            getattr(node, "col_offset", 0), message)
-        if found is not None:
-            self.findings.append(found)
+        line = getattr(node, "lineno", 1)
+        if rule in self.allowed.get(line, ()):
+            return
+        snippet = ""
+        if 1 <= line <= len(self.source_lines):
+            snippet = self.source_lines[line - 1].strip()
+        self.findings.append(Finding(
+            rule=rule, path=self.path, line=line,
+            col=getattr(node, "col_offset", 0), message=message,
+            snippet=snippet))
 
     # -- TP003 ---------------------------------------------------------
     def visit_Assert(self, node: ast.Assert) -> None:
@@ -258,13 +231,16 @@ class _FileVisitor(ast.NodeVisitor):
                        ".scaled() instead")
 
 
-def check_lexical(project: "Project") -> List[Finding]:
-    """Run the TP0xx rules over every module of a parsed project."""
+def analyze(sources: Mapping[str, str]) -> List[Finding]:
+    """Every finding in ``{path: source}``, sorted by ``(path, line,
+    rule)``; each module is parsed once (a syntax error raises
+    :class:`SyntaxError`)."""
     findings: List[Finding] = []
-    for module in project.modules.values():
-        visitor = _FileVisitor(project, module)
-        visitor.visit(module.tree)
+    for path, source in sources.items():
+        visitor = _FileVisitor(path, source.splitlines())
+        visitor.visit(ast.parse(source, filename=path))
         findings.extend(visitor.findings)
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
 
@@ -315,12 +291,20 @@ def normalize_path(path: pathlib.Path) -> str:
     """Canonical finding path: repo-relative POSIX when the file sits
     under the current directory, absolute POSIX otherwise.
 
-    Every pass keys findings by this string, so invoking the CLI as
-    ``lint src`` or ``lint ./src`` or ``lint $PWD/src`` reports the
-    same paths (and the same SARIF fingerprints).
+    Findings are keyed by this string, so invoking the CLI as ``lint
+    src`` or ``lint ./src`` or ``lint $PWD/src`` reports the same
+    paths.
     """
     resolved = path.resolve()
     try:
         return resolved.relative_to(pathlib.Path.cwd()).as_posix()
     except ValueError:
         return resolved.as_posix()
+
+
+def read_sources(paths: Sequence[str],
+                 exclude: Sequence[str] = ()) -> Dict[str, str]:
+    """``{normalized path: source text}`` of every ``*.py`` under
+    ``paths`` — the input of :func:`analyze`."""
+    return {normalize_path(file): file.read_text(encoding="utf-8")
+            for file in iter_python_files(paths, exclude=exclude)}

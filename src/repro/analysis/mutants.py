@@ -1,138 +1,155 @@
-"""Mutation self-validation of the TP1xx and TP2xx flow passes and of
-the lexical TP007.
+"""The seeded-bug corpus and the harness that checks tier-1 catches it.
 
-A static analysis that never fires is indistinguishable from one that
-works.  This harness keeps the flow passes honest from both sides: it
-applies a curated list of **seeded mutants** — each the minimal,
-realistic version of a bug class a pass exists for.  The **domain
-mutants** (``M01``–``M11``) cover the TP2xx value bugs: swapped
-``lpn``/``ppn`` arguments, an ``lpn``-indexed structure indexed by
-VPN, VTPNs handed to the flash array where it takes PTPNs, a dropped
-``* pages_per_block`` conversion, milliseconds handed to a microsecond
-parameter, a byte budget stored as an entry count.
-The **protocol mutants** (``P06``, ``P10``, ``P11``; the ids of the
-retired fast-mode window mutants, ``P05`` and ``P08`` are not reused)
-cover the resource bugs: the ``repro.tools`` summary writer's
-``with open(...)`` block rewritten as manual ``open``/``close``, with a
-stray second ``close()`` or with an early ``return`` before the
-``close()`` (TP007).  Two protocol mutants left the corpus with the
-rules that caught them, because runtime twins in the tests fail under
-them.  ``P05``, the supervisor's spawn-failure cleanup dropped, fails
-``tests/test_runner_chaos.py::TestDegradeToSerial::test_failed_spawn_closes_both_pipe_ends``
-(pipe ends left open) and
-``tests/test_runner_chaos.py::TestDegradeToSerial::test_failed_start_terminates_the_started_worker``
-(a started worker left alive with its pipe ends open).  ``P08``, the
-per-run device reset dropped ahead of the serve loop, fails
-``tests/test_ssd_parallel.py::TestQueueStateReset::test_channel_queues_reset_between_runs``.
-The **flow mutants** (``F01``–``F03``) re-seed bugs this repository
-had, one per TP1xx rule: the channel cursor missing from the per-run
-reset (PR 4), the hybrid merge invalidating pages behind
-``FlashMemory``'s back (PR 2), and GC walking its translation pages in
-set order.  The tree is read once into a ``{path: source}`` dict; each mutant is applied to a copy
-of that dict (nothing is written anywhere) and the harness asserts that
+A test suite that never fails is indistinguishable from one that
+works.  This harness keeps tier-1 honest: it applies a curated list of
+**seeded mutants** — each the minimal, realistic version of a bug
+class — and asserts that the one tier-1 test each mutant names, its
+**twin**, fails under it.  The ids keep their families:
 
-* the **pristine tree is clean**: zero findings (the analysis does not
-  cry wolf at HEAD), and
-* **every mutant is killed**: the analysis of the mutated sources
-  yields at least one *new* finding of the expected rule in the
-  mutated file.
+* ``M01``–``M11``, value bugs: swapped ``lpn``/``ppn`` arguments, an
+  LPN-indexed table indexed by VTPN, VTPNs handed to the flash array
+  where it takes PTPNs, a dropped ``* pages_per_block``, milliseconds
+  where microseconds are expected, a byte budget stored as an entry
+  count.  Most change a golden digest in ``tests/test_fastpath.py``.
+* ``P06``, ``P10``, ``P11``, file handles: ``repro.tools``' summary
+  writer rewritten around a bare ``open()`` — closed by hand, after an
+  early return, or twice.  TP007 flags each, so their twin is
+  ``test_src_tree_is_lint_clean``.  (``P05`` and ``P08`` are not
+  reused; ``docs/architecture.md`` names the tests that catch them.)
+* ``F01``–``F03``, bugs this repository had: the channel cursor
+  missing from the per-run reset, a merge invalidating pages behind
+  ``FlashMemory``'s back (FTLSan's victim-index check fails), GC
+  walking its translation pages in set order.
 
-Each mutant is an exact-text substitution that must match its file
-exactly once; when the underlying source drifts, the harness fails
-loudly (:class:`MutantApplyError`) instead of silently validating
-nothing.  Run it as ``python -m repro.analysis mutants`` (CI does, in
-the ``analysis-mutants`` job) or through
-``tests/test_analysis_mutants.py``.
+:func:`run_mutants` works in four steps:
 
-Any rewrite of the translation hot loops has to keep all of these
-mutants detectable.
+1. apply every mutant to the in-memory sources, so a before-text that
+   no longer matches its file exactly once fails loudly
+   (:class:`MutantApplyError`) before anything runs;
+2. run the distinct twins once on a pristine copy: they must pass,
+   or no mutant runs;
+3. per mutant, copy ``src/``, ``tests/`` and ``pyproject.toml`` into a
+   temporary directory, write the mutated file there and run ``pytest
+   -x`` on the twin.  Only pytest's exit code 1 (tests failed) is a
+   kill; 4 or 5 (no such test, nothing collected) is an error, never a
+   kill;
+4. the mutants run on a thread pool, one worker per CPU.
+
+``tests/`` is copied with ``src/`` because the twins find the source
+tree from their own path (``test_src_tree_is_lint_clean`` lints
+``<tests>/../src``).  Run it as ``python -m repro.analysis mutants``
+or through ``tests/test_analysis_mutants.py``.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .flow import Project, analyze, read_sources
-from .lint import Finding, normalize_path
+from .lint import normalize_path, read_sources
 
 __all__ = [
-    "DOMAIN_MUTANTS",
-    "FLOW_MUTANTS",
     "MUTANTS",
     "Mutant",
     "MutantApplyError",
     "MutantResult",
     "MutationReport",
-    "PROTOCOL_MUTANTS",
     "run_mutants",
 ]
 
+#: pytest's exit codes: tests failed, usage error (an unknown node id),
+#: no tests collected
+_FAILED, _USAGE, _NO_TESTS = 1, 4, 5
+
 
 class MutantApplyError(RuntimeError):
-    """A mutant's before-text no longer matches its file exactly once."""
+    """A mutant's before-text no longer matches its file exactly once,
+    or a twin is not a test pytest can run."""
 
 
 @dataclass(frozen=True)
 class Mutant:
-    """One seeded domain/unit bug: an exact-text substitution."""
+    """One seeded bug: an exact-text substitution and its twin test."""
 
     mid: str
     #: file to mutate, relative to the ``src`` root
     path: str
-    #: rule expected to kill the mutant (TP007, TP1xx or TP2xx)
-    rule: str
+    #: tier-1 node id, relative to the repository root, that must fail
+    twin: str
     description: str
     before: str
     after: str
 
 
-#: the seeded domain/unit mutants: every one must be killed by TP2xx
-DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
+_GOLDEN = ("tests/test_fastpath.py::TestGoldenTable::"
+           "test_cell_matches_reference")
+_BENCH_DFTL = _GOLDEN + "[bench/financial1:dftl]"
+_BENCH_OPTIMAL = _GOLDEN + "[bench/financial1:optimal]"
+_LINT_CLEAN = "tests/test_analysis_lint.py::test_src_tree_is_lint_clean"
+
+
+#: the seeded bugs, each with the tier-1 test that must fail under it
+MUTANTS: Tuple[Mutant, ...] = (
+    # value bugs: an address or a unit of the wrong domain
     Mutant(
-        mid="M01", path="repro/ftl/base.py", rule="TP201",
+        mid="M01", path="repro/ftl/base.py",
+        twin=_BENCH_DFTL,
         description="read-modify-write reads the LPN instead of the "
                     "old PPN",
         before="self.flash.read(ppn_old, PageKind.DATA)",
         after="self.flash.read(lpn, PageKind.DATA)"),
     Mutant(
-        mid="M02", path="repro/ftl/base.py", rule="TP201",
+        mid="M02", path="repro/ftl/base.py",
+        twin=_BENCH_DFTL,
         description="swapped lpn/ppn arguments when recording a "
                     "mapping",
         before="self._record_mapping(lpn, ppn_new, result)",
         after="self._record_mapping(ppn_new, lpn, result)"),
     Mutant(
-        mid="M03", path="repro/ftl/base.py", rule="TP201",
+        mid="M03", path="repro/ftl/base.py",
+        twin=_BENCH_DFTL,
         description="flash_table indexed by PPN and fed an LPN on the "
                     "translation-write path",
         before="            flash_table[lpn] = ppn\n",
         after="            flash_table[ppn] = lpn\n"),
     Mutant(
-        mid="M04", path="repro/ftl/base.py", rule="TP201",
+        mid="M04", path="repro/ftl/base.py",
+        twin=_BENCH_DFTL,
         description="GC migration derives the VTPN from the new PPN "
                     "instead of the LPN",
         before="vtpn = self.geometry.vtpn_of(lpn)",
         after="vtpn = self.geometry.vtpn_of(new_ppn)"),
     Mutant(
-        mid="M05", path="repro/ftl/base.py", rule="TP202",
+        mid="M05", path="repro/ftl/base.py",
+        twin=_GOLDEN + "[zoo/financial1:dftl]",
         description="unmapped-check compares a PPN against an LPN",
         before="if ppn_old == UNMAPPED:",
         after="if ppn_old == lpn:"),
     Mutant(
-        mid="M06", path="repro/ftl/dftl.py", rule="TP201",
+        mid="M06", path="repro/ftl/dftl.py",
+        twin=_BENCH_DFTL,
         description="double translation: flash_table indexed by VTPN "
                     "instead of LPN",
         before="ppn = self.flash_table[lpn]",
         after="ppn = self.flash_table[self.geometry.vtpn_of(lpn)]"),
     Mutant(
-        mid="M07", path="repro/ftl/dftl.py", rule="TP204",
+        mid="M07", path="repro/ftl/dftl.py",
+        twin="tests/test_edge_cases.py::TestCacheExactlyOneUnit::"
+             "test_dftl_single_entry_cache",
         description="byte budget stored as an entry count (missing "
                     "// entry_bytes)",
         before="self.capacity_entries = budget // entry_bytes",
         after="self.capacity_entries = budget"),
     Mutant(
-        mid="M08", path="repro/ssd/device.py", rule="TP203",
+        mid="M08", path="repro/ssd/device.py",
+        twin=_BENCH_OPTIMAL,
         description="per-request service time converted to ms and "
                     "dispatched where µs are expected",
         before="            service = (reads * read_us + writes * "
@@ -144,7 +161,8 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
               "1000.0\n"
               "            service = response_ms\n"),
     Mutant(
-        mid="M09", path="repro/ssd/device.py", rule="TP203",
+        mid="M09", path="repro/ssd/device.py",
+        twin=_BENCH_OPTIMAL,
         description="single-channel finish time adds milliseconds to "
                     "a microsecond clock",
         before="            start = arrival if arrival > free else free\n"
@@ -153,24 +171,24 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
               "            start = arrival if arrival > free else free\n"
               "            busy[0] = finish = start + service_ms\n"),
     Mutant(
-        mid="M10", path="repro/ftl/block_ftl.py", rule="TP201",
+        mid="M10", path="repro/ftl/block_ftl.py",
+        twin="tests/test_ftl_block_hybrid.py::TestBlockFTL::"
+             "test_consistency_after_many_writes",
         description="dropped * pages_per_block: a block index used as "
                     "the block's base LPN",
         before="        base_lpn = lbn * ppb",
         after="        base_lpn = lbn"),
     Mutant(
-        mid="M11", path="repro/ftl/base.py", rule="TP201",
+        mid="M11", path="repro/ftl/base.py",
+        twin=_BENCH_DFTL,
         description="GC's forced rewrite hands relocate the VTPNs "
                     "instead of the PTPNs the GTD holds for them",
         before="self.flash.relocate(ptpns, PageKind.TRANSLATION)",
         after="self.flash.relocate(forced_vtpns, PageKind.TRANSLATION)"),
-)
-
-
-#: the seeded protocol mutants: every one must be killed by TP007
-PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
+    # file handles: the summary writer's with block opened by hand
     Mutant(
-        mid="P06", path="repro/tools.py", rule="TP007",
+        mid="P06", path="repro/tools.py",
+        twin=_LINT_CLEAN,
         description="summary writer rewritten as manual open/close "
                     "outside with/try-finally",
         before="            with open(args.json, \"w\", "
@@ -181,7 +199,8 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
               "            handle.write(payload)\n"
               "            handle.close()"),
     Mutant(
-        mid="P10", path="repro/tools.py", rule="TP007",
+        mid="P10", path="repro/tools.py",
+        twin=_LINT_CLEAN,
         description="early return before the summary file is closed",
         before="            with open(args.json, \"w\", "
                "encoding=\"utf-8\") as handle:\n"
@@ -193,7 +212,8 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
               "            handle.write(payload)\n"
               "            handle.close()"),
     Mutant(
-        mid="P11", path="repro/tools.py", rule="TP007",
+        mid="P11", path="repro/tools.py",
+        twin=_LINT_CLEAN,
         description="summary writer rewritten by hand with a stray "
                     "second close(): double release of the handle",
         before="            with open(args.json, \"w\", "
@@ -206,29 +226,29 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
               "                handle.close()\n"
               "            finally:\n"
               "                handle.close()"),
-)
-
-
-#: the seeded flow mutants, each a bug this repository once had: every
-#: one must be killed by TP1xx
-FLOW_MUTANTS: Tuple[Mutant, ...] = (
+    # bugs this repository had
     Mutant(
-        mid="F01", path="repro/ssd/device.py", rule="TP101",
+        mid="F01", path="repro/ssd/device.py",
+        twin="tests/test_ssd_parallel.py::TestQueueStateReset::"
+             "test_channel_queues_reset_between_runs",
         description="channel cursor dropped from the per-run reset: "
                     "striping resumes where the previous run stopped",
         before="        self._cursor = 0\n",
         after=""),
     Mutant(
-        mid="F02", path="repro/ftl/hybrid.py", rule="TP102",
-        description="switch merge invalidates the old data block's "
-                    "pages on the Block, behind FlashMemory (no fault "
-                    "injector, no victim index)",
-        before="            self.flash.invalidate("
-               "self.flash.ppn_of(block_id, offset))",
-        after="            self.flash.blocks[block_id].invalidate("
-              "offset)"),
+        mid="F02", path="repro/ftl/hybrid.py",
+        twin="tests/test_analysis_sanitizer.py::"
+             "test_full_rate_10k_ops_clean[hybrid]",
+        description="full merge invalidates each migrated page on the "
+                    "Block, behind FlashMemory (no fault injector, no "
+                    "victim index)",
+        before="            self.flash.invalidate(src)\n",
+        after="            self.flash.blocks[self.flash.block_id_of(src)]"
+              ".invalidate(\n"
+              "                self.flash.offset_of(src))\n"),
     Mutant(
-        mid="F03", path="repro/ftl/base.py", rule="TP104",
+        mid="F03", path="repro/ftl/base.py",
+        twin=_BENCH_DFTL,
         description="dropped sorted(): GC updates the translation "
                     "pages of migrated data in set order",
         before="        for vtpn in sorted(moved_by_vtpn):",
@@ -236,60 +256,40 @@ FLOW_MUTANTS: Tuple[Mutant, ...] = (
 )
 
 
-#: the full corpus the CLI and CI run
-MUTANTS: Tuple[Mutant, ...] = (DOMAIN_MUTANTS + PROTOCOL_MUTANTS
-                               + FLOW_MUTANTS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MutantResult:
-    """Outcome of one mutant: killed or survived, with the delta."""
+    """One mutant's outcome: pytest's exit code for its twin."""
 
     mutant: Mutant
-    #: findings of the mutated sources that the pristine ones lack
-    delta: List[Finding]
+    exit_code: int
+    #: the tail of pytest's output
+    output: str
 
     @property
     def killed(self) -> bool:
-        """True when the expected rule fired in the mutated file."""
-        return any(f.rule == self.mutant.rule
-                   and f.path.endswith(self.mutant.path)
-                   for f in self.delta)
+        """True when the twin failed on the mutated copy."""
+        return self.exit_code == _FAILED
 
 
 @dataclass
 class MutationReport:
-    """The full harness outcome: pristine check + per-mutant verdicts."""
+    """The harness outcome: the pristine run + per-mutant verdicts."""
 
-    #: findings on the unmutated tree (must be empty)
-    pristine: List[Finding]
+    #: pytest's output when a twin fails on the pristine tree, else ""
+    pristine_failure: str
     results: List[MutantResult]
 
     @property
     def survivors(self) -> List[MutantResult]:
-        """Mutants the analysis failed to flag."""
+        """Mutants whose twin did not fail."""
         return [r for r in self.results if not r.killed]
 
     @property
     def ok(self) -> bool:
-        """True when HEAD is clean and every mutant is killed."""
-        return not self.pristine and not self.survivors
-
-    def to_json(self) -> Dict[str, object]:
-        """JSON document for ``--format json``."""
-        return {
-            "tool": "repro.analysis mutants",
-            "pristine": [f.render() for f in self.pristine],
-            "mutants": [{
-                "id": r.mutant.mid,
-                "path": r.mutant.path,
-                "rule": r.mutant.rule,
-                "description": r.mutant.description,
-                "killed": r.killed,
-                "delta": [f.render() for f in r.delta],
-            } for r in self.results],
-            "ok": self.ok,
-        }
+        """True when the twins pass pristine and every mutant is killed."""
+        return not self.pristine_failure and not self.survivors
 
 
 def _apply(sources: Mapping[str, str], key: str,
@@ -306,23 +306,66 @@ def _apply(sources: Mapping[str, str], key: str,
             key: original.replace(mutant.before, mutant.after)}
 
 
+def _copy_tree(src_root: pathlib.Path, dest: pathlib.Path) -> None:
+    """``src_root`` as ``dest/src``, with its sibling ``tests/`` and
+    ``pyproject.toml`` beside it."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(src_root, dest / "src", ignore=ignore)
+    tests = src_root.parent / "tests"
+    if tests.is_dir():
+        shutil.copytree(tests, dest / "tests", ignore=ignore)
+    pyproject = src_root.parent / "pyproject.toml"
+    if pyproject.is_file():
+        shutil.copy(pyproject, dest)
+
+
+def _pytest(label: str, root: pathlib.Path,
+            args: Sequence[str]) -> Tuple[int, str]:
+    """Run pytest in ``root`` on its own ``src``; the exit code and the
+    output's last lines.  An exit code of 4 or 5 raises."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *args],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, check=False)
+    lines = (done.stdout + done.stderr).splitlines()
+    if done.returncode in (_USAGE, _NO_TESTS):
+        reason = next((line for line in lines
+                       if line.startswith("ERROR")),
+                      "no tests collected")
+        raise MutantApplyError(
+            f"{label}: pytest exited {done.returncode} on the twin: "
+            f"{reason}")
+    return done.returncode, "\n".join(lines[-20:])
+
+
 def run_mutants(src_root: str = "src",
                 mutants: Sequence[Mutant] = MUTANTS) -> MutationReport:
-    """Run the full harness over the sources under ``src_root``.
-
-    Reads the tree once, analyzes it pristine (the HEAD-clean check),
-    then analyzes one mutated copy of the source dict per mutant — one
-    parse each — and records the finding delta.
-    """
-    sources = read_sources([src_root])
-    pristine = analyze(Project.from_sources(sources))
-    pristine_keys = {f.key for f in pristine}
-    results: List[MutantResult] = []
+    """Run the full harness against the tree at ``src_root`` (its
+    ``tests/`` and ``pyproject.toml`` are taken from beside it)."""
+    root = pathlib.Path(src_root).resolve()
+    sources = read_sources([str(root)])
+    planned: List[Tuple[Mutant, str]] = []
     for mutant in mutants:
-        key = normalize_path(pathlib.Path(src_root) / mutant.path)
-        mutated = analyze(Project.from_sources(
-            _apply(sources, key, mutant)))
-        results.append(MutantResult(
-            mutant=mutant,
-            delta=[f for f in mutated if f.key not in pristine_keys]))
-    return MutationReport(pristine=pristine, results=results)
+        key = normalize_path(root / mutant.path)
+        planned.append((mutant, _apply(sources, key, mutant)[key]))
+
+    twins = sorted({mutant.twin for mutant in mutants})
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy_tree(root, pathlib.Path(tmp))
+        code, output = _pytest("pristine", pathlib.Path(tmp), twins)
+    if code:
+        return MutationReport(pristine_failure=output, results=[])
+
+    def kill(plan: Tuple[Mutant, str]) -> MutantResult:
+        mutant, text = plan
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = pathlib.Path(tmp)
+            _copy_tree(root, copy)
+            (copy / "src" / mutant.path).write_text(text, encoding="utf-8")
+            code, output = _pytest(mutant.mid, copy, ["-x", mutant.twin])
+        return MutantResult(mutant=mutant, exit_code=code, output=output)
+
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        results = list(pool.map(kill, planned))
+    return MutationReport(pristine_failure="", results=results)

@@ -100,7 +100,8 @@ class HybridFTL(BlockFTL):
                 raise SimInvariantError("switch-merge victim lost meta")
             lbn = first_lpn // ppb
             old_data = self.block_map[lbn]
-            self._invalidate_remaining(old_data)
+            # _write invalidated each of its pages when the newer copy
+            # reached the log; erase raises EraseError if one is left
             if self.flash.erase(old_data):
                 result.erases += 1
                 self.metrics.erases_data += 1
@@ -170,8 +171,3 @@ class HybridFTL(BlockFTL):
             if self.flash.erase(old_data):
                 result.erases += 1
                 self.metrics.erases_data += 1
-
-    def _invalidate_remaining(self, block_id: int) -> None:
-        block = self.flash.blocks[block_id]
-        for offset in block.valid_offsets():
-            self.flash.invalidate(self.flash.ppn_of(block_id, offset))

@@ -1,12 +1,11 @@
 """The lint CLI: formats, rule/path selection, input errors.
 
 Covers the acceptance surface: ``--format json`` round-trips through
-``json.loads``, ``--format sarif`` emits the required SARIF 2.1.0
-skeleton (runs / tool / driver / rules / results), pragma suppression
-yields identical verdicts across all three formats, and input the
-analysis cannot run on (a missing path, no Python files, a syntax
-error, an unknown rule code, ``--output`` without a document format)
-exits 2 with a one-line message instead of a green ``lint clean``.
+``json.loads``, ``--disable``/``--exclude`` select rules and trees, and
+input the analysis cannot run on (a missing path, no Python files, a
+syntax error, an unknown rule code, ``--output`` without a document
+format) exits 2 with a one-line message instead of a green ``lint
+clean``.
 """
 
 import json
@@ -15,14 +14,12 @@ import pathlib
 import pytest
 
 from repro.analysis.__main__ import main
-from repro.analysis.flow.sarif import SARIF_VERSION
 from repro.analysis.lint import RULES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 FIXTURES = ROOT / "tests" / "fixtures"
 AST_FIXTURE = FIXTURES / "tp_violations.py"
-FLOW_FIXTURE = FIXTURES / "flow" / "flow_tp101.py"
 
 
 def _lint(args, capsys):
@@ -49,14 +46,6 @@ def test_json_round_trips(capsys):
     assert "finding(s)" in err
 
 
-def test_json_includes_flow_findings(capsys):
-    code, out, _ = _lint(
-        [str(FLOW_FIXTURE), "--format", "json"], capsys)
-    assert code == 1
-    rules = {f["rule"] for f in json.loads(out)["findings"]}
-    assert rules == {"TP101"}
-
-
 def test_json_clean_tree(capsys):
     code, out, _ = _lint(
         [str(SRC), "--format", "json"], capsys)
@@ -65,74 +54,20 @@ def test_json_clean_tree(capsys):
 
 
 # ----------------------------------------------------------------------
-# sarif format
-# ----------------------------------------------------------------------
-def _sarif(args, capsys):
-    code, out, _ = _lint([*args, "--format", "sarif"], capsys)
-    return code, json.loads(out)
-
-
-def test_sarif_required_fields(capsys):
-    code, document = _sarif([str(AST_FIXTURE)], capsys)
-    assert code == 1
-    assert document["version"] == SARIF_VERSION == "2.1.0"
-    assert document["$schema"].startswith("https://")
-    assert len(document["runs"]) == 1
-    run = document["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro.analysis"
-    rule_ids = [rule["id"] for rule in driver["rules"]]
-    assert rule_ids == sorted(RULES)
-    for rule in driver["rules"]:
-        assert rule["shortDescription"]["text"]
-        assert rule["defaultConfiguration"]["level"] in (
-            "error", "warning", "note")
-    assert run["results"], "fixture must produce results"
-    for result in run["results"]:
-        assert rule_ids[result["ruleIndex"]] == result["ruleId"]
-        assert result["message"]["text"]
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"]
-        assert location["region"]["startLine"] >= 1
-        assert result["partialFingerprints"]["tpFindingKey/v1"]
-        assert "suppressions" not in result
-
-
-def test_sarif_pragma_suppression_matches_text(tmp_path, capsys):
-    source = (
-        '"""Fixture."""\n'
-        "class Dev:\n"
-        "    def run(self, trace):\n"
-        "        for lpn in {1, 2}:  # tp: allow=TP104 - commutative\n"
-        "            self.emit(lpn)\n")
-    target = tmp_path / "suppressed.py"
-    target.write_text(source, encoding="utf-8")
-    verdicts = {}
-    for format_ in ("text", "json", "sarif"):
-        code, out, _ = _lint(
-            [str(target), "--format", format_], capsys)
-        verdicts[format_] = code
-        if format_ == "json":
-            assert json.loads(out)["findings"] == []
-        if format_ == "sarif":
-            assert json.loads(out)["runs"][0]["results"] == []
-    assert verdicts == {"text": 0, "json": 0, "sarif": 0}
-
-
-# ----------------------------------------------------------------------
 # --disable / --exclude / --output
 # ----------------------------------------------------------------------
 def test_disable_filters_rules(capsys):
     code, out, _ = _lint(
-        [str(FLOW_FIXTURE), "--format", "json",
-         "--disable", "TP101"], capsys)
-    assert code == 0
-    assert json.loads(out)["findings"] == []
+        [str(AST_FIXTURE), "--format", "json",
+         "--disable", "TP003"], capsys)
+    assert code == 1
+    rules = {f["rule"] for f in json.loads(out)["findings"]}
+    assert rules == set(RULES) - {"TP003"}
 
 
 def test_disable_accepts_comma_separated_codes(capsys):
     code, out, _ = _lint(
-        [str(AST_FIXTURE), str(FLOW_FIXTURE),
+        [str(AST_FIXTURE),
          "--format", "json", "--disable", ",".join(sorted(RULES))],
         capsys)
     assert code == 0
@@ -140,24 +75,23 @@ def test_disable_accepts_comma_separated_codes(capsys):
 
 
 def test_exclude_prunes_subtrees(capsys):
-    """The CI test-tree invocation: fixtures excluded, and the rules
-    tests legitimately break (assert, direct Block ops) disabled."""
+    """The CI test-tree invocation: fixtures excluded, and the one
+    rule tests legitimately break (assert) disabled."""
     code, _, _ = _lint(
         [str(ROOT / "tests"), str(ROOT / "benchmarks"),
-         "--exclude", str(FIXTURES),
-         "--disable", "TP003,TP102"], capsys)
+         "--exclude", str(FIXTURES), "--disable", "TP003"], capsys)
     assert code == 0
 
 
 def test_output_writes_document_to_file(tmp_path, capsys):
-    target = tmp_path / "report.sarif"
+    target = tmp_path / "report.json"
     code, out, _ = _lint(
-        [str(AST_FIXTURE), "--format", "sarif",
+        [str(AST_FIXTURE), "--format", "json",
          "--output", str(target)], capsys)
     assert code == 1
     assert out == ""
     document = json.loads(target.read_text(encoding="utf-8"))
-    assert document["version"] == SARIF_VERSION
+    assert document["tool"] == "repro.analysis"
 
 
 def test_unknown_format_rejected(capsys):
@@ -169,7 +103,7 @@ def test_unknown_disable_code_rejected(capsys):
     """A typo'd code must not silently disable nothing: the error
     names the code and the valid ones from the rule table."""
     with pytest.raises(SystemExit) as excinfo:
-        main(["lint", str(FLOW_FIXTURE), "--disable", "TP101,TP9999"])
+        main(["lint", str(AST_FIXTURE), "--disable", "TP001,TP9999"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "TP9999" in err
@@ -177,10 +111,9 @@ def test_unknown_disable_code_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["lint", str(FLOW_FIXTURE), "--output", "report.json"],
-    ["lint", str(FLOW_FIXTURE), "--format", "text",
+    ["lint", str(AST_FIXTURE), "--output", "report.json"],
+    ["lint", str(AST_FIXTURE), "--format", "text",
      "--output", "report.json"],
-    ["mutants", "--list", "--output", "report.json"],
 ])
 def test_output_without_document_format_rejected(
         argv, tmp_path, monkeypatch, capsys):
@@ -261,58 +194,29 @@ def test_explicit_file_argument_bypasses_default_pruning(
 
 def test_finding_paths_normalize_to_repo_relative(
         monkeypatch, capsys):
-    """Every pass keys findings by repo-relative POSIX paths, even
-    when the CLI is invoked with absolute arguments."""
+    """Findings are keyed by repo-relative POSIX paths, even when the
+    CLI is invoked with absolute arguments."""
     monkeypatch.chdir(ROOT)
     code, out, _ = _lint(
-        [str(AST_FIXTURE), str(FLOW_FIXTURE),
-         "--format", "json"], capsys)
+        [str(AST_FIXTURE), "--format", "json"], capsys)
     assert code == 1
-    findings = json.loads(out)["findings"]
-    paths = {f["path"] for f in findings}
-    assert paths == {"tests/fixtures/tp_violations.py",
-                     "tests/fixtures/flow/flow_tp101.py"}
-    assert {f["rule"] for f in findings
-            if f["path"].endswith("flow_tp101.py")} == {"TP101"}
+    paths = {f["path"] for f in json.loads(out)["findings"]}
+    assert paths == {"tests/fixtures/tp_violations.py"}
 
 
 # ----------------------------------------------------------------------
 # rules listing
 # ----------------------------------------------------------------------
 def test_rules_listing_grouped_and_sorted(capsys):
-    """Snapshot of the rules subcommand structure: four family blocks
-    in TP0xx/TP1xx/TP2xx/SANxxx order, each sorted by code."""
+    """Snapshot of the rules subcommand structure: a TP block, then a
+    SAN block, each sorted by code."""
     from repro.analysis.checkers import SAN_RULES
     assert main(["rules"]) == 0
     out = capsys.readouterr().out
     blocks = out.strip().split("\n\n")
-    assert len(blocks) == 4
-    expected = [sorted(c for c in RULES if c.startswith(prefix))
-                for prefix in ("TP0", "TP1", "TP2")]
-    assert sum(expected, []) == sorted(RULES)
-    expected.append(sorted(SAN_RULES))
-    for block, codes in zip(blocks, expected):
+    assert len(blocks) == 2
+    for block, codes in zip(blocks, (sorted(RULES), sorted(SAN_RULES))):
         header, *entries = block.splitlines()
         assert header.endswith(":")
         assert [line.split()[0] for line in entries] == codes
-    assert blocks[2].startswith("TP2xx")
-
-
-# ----------------------------------------------------------------------
-# --stats: one shared parse, per-pass wall-clock
-# ----------------------------------------------------------------------
-def test_stats_line_reports_every_pass_once(capsys):
-    """--stats prints one stderr line with the parse plus all three
-    analysis passes; stdout stays machine-parseable."""
-    code, out, err = _lint(
-        [str(FLOW_FIXTURE), "--format", "json",
-         "--stats"], capsys)
-    assert code == 1
-    assert json.loads(out)["findings"]
-    stats_lines = [line for line in err.splitlines()
-                   if line.startswith("stats:")]
-    assert len(stats_lines) == 1
-    for label in ("parse", "lint", "flow", "domains"):
-        assert f" {label} " in f" {stats_lines[0]} ".replace(
-            "stats: ", " "), (label, stats_lines[0])
-    assert "one shared parse" in stats_lines[0]
+    assert blocks[1].startswith("SANxxx")

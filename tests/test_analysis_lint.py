@@ -8,9 +8,8 @@ import tokenize
 import pytest
 
 from conftest import analyze_paths, analyze_source
-from repro.analysis import RULES, Project, analyze
+from repro.analysis import RULES, analyze, read_sources
 from repro.analysis.__main__ import main
-from repro.analysis.flow import read_sources
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -22,7 +21,7 @@ TP0XX = {code for code in RULES if code.startswith("TP0")}
 # The two acceptance gates: src lints clean, the fixture lints dirty
 # ----------------------------------------------------------------------
 def test_src_tree_is_lint_clean():
-    """Every pass, one parse: no findings and nothing grandfathered."""
+    """No findings and nothing grandfathered."""
     assert analyze_paths([SRC]) == []
 
 
@@ -55,7 +54,7 @@ def test_every_allow_pragma_in_src_suppresses_exactly_one_finding():
             lines[row - 1] = lines[row - 1][:col].rstrip() + "\n"
         stripped[path] = "".join(lines)
     assert len(expected) >= 10, "src/ is known to carry pragmas"
-    findings = analyze(Project.from_sources(stripped))
+    findings = analyze(stripped)
     assert {(f.path, f.line, f.rule) for f in findings} == expected
 
 
@@ -98,16 +97,6 @@ def test_tp004_setattr_and_augassign():
     assert "TP004" in _codes("object.__setattr__(cfg, 'x', 1)\n")
     assert "TP004" in _codes("self.config.interval += 1\n")
     assert "TP004" not in _codes("self.metrics.hits += 1\n")
-
-
-def test_tp006_only_flags_non_flash_receivers():
-    """The retired TP006 lives on as the direct form of TP102: a direct
-    page operation, even at module level, is the chain of length zero."""
-    assert _codes("block.erase()\n") == {"TP102"}
-    assert "TP102" not in _codes("self.flash.erase(3)\n")
-    # modules inside the flash package implement the ops themselves
-    assert "TP102" not in _codes("block.erase()\n",
-                                 path="src/repro/flash/flash.py")
 
 
 _MANUAL_CLOSE = (
@@ -179,5 +168,5 @@ def test_pragma_suppression():
 def test_rules_subcommand(capsys):
     assert main(["rules"]) == 0
     out = capsys.readouterr().out
-    assert "TP001" in out and "TP102" in out and "TP006" not in out
+    assert "TP001" in out and "TP007" in out and "TP006" not in out
     assert "SAN001" in out and "SAN009" in out

@@ -1,81 +1,67 @@
-"""Mutation self-validation of the TP1xx and TP2xx passes and of
-TP007.
+"""The seeded-mutant harness: every mutant fails its named tier-1 twin.
 
-The acceptance gate for the flow analyses: every seeded mutant in
-``repro.analysis.mutants`` — the TP2xx domain corpus, the TP007
-protocol corpus and the TP1xx flow corpus alike — must be killed by its
-expected rule while the pristine ``src`` tree stays clean.  One harness
-run parses and analyzes the in-memory sources once per mutant plus once
-pristine (~25 s); everything else here is cheap corpus and plumbing
+The acceptance gate for the test suite itself: every seeded mutant in
+``repro.analysis.mutants`` must make its twin test fail on a mutated
+copy of the tree, while every twin passes on a pristine copy.  One
+harness run copies the tree and runs one twin per mutant (~25 s on two
+CPUs); the edge cases of the harness run on a one-module tree under
+``tmp_path``, and everything else here is cheap corpus and plumbing
 checks.
 """
 
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from repro.analysis import RULES
+from conftest import analyze_source
 from repro.analysis.__main__ import main
-from repro.analysis.mutants import (DOMAIN_MUTANTS, FLOW_MUTANTS,
-                                    MUTANTS, PROTOCOL_MUTANTS, Mutant,
-                                    MutantApplyError, _apply,
-                                    run_mutants)
+from repro.analysis.mutants import (MUTANTS, Mutant, MutantApplyError,
+                                    _apply, run_mutants)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DOMAIN_RULES = {code for code in RULES if code.startswith("TP2")}
-PROTOCOL_RULES = {"TP007"}
-FLOW_RULES = {code for code in RULES if code.startswith("TP1")}
 
 
 # ----------------------------------------------------------------------
 # Corpus shape
 # ----------------------------------------------------------------------
 def test_corpus_is_well_formed():
-    assert len(DOMAIN_MUTANTS) >= 10
-    assert len(PROTOCOL_MUTANTS) >= 3
-    assert len(FLOW_MUTANTS) >= 3
-    assert MUTANTS == DOMAIN_MUTANTS + PROTOCOL_MUTANTS + FLOW_MUTANTS
+    assert len(MUTANTS) == 17
     assert len({m.mid for m in MUTANTS}) == len(MUTANTS)
-    for mutant in DOMAIN_MUTANTS:
-        assert mutant.rule in DOMAIN_RULES
-        assert mutant.path.startswith(("repro/ftl/", "repro/ssd/"))
-    for mutant in PROTOCOL_MUTANTS:
-        assert mutant.rule in PROTOCOL_RULES
-        assert mutant.path.startswith(
-            ("repro/ftl/", "repro/ssd/", "repro/experiments/",
-             "repro/tools.py"))
-    for mutant in FLOW_MUTANTS:
-        assert mutant.rule in FLOW_RULES
     for mutant in MUTANTS:
+        assert mutant.mid[0] in "MPF", mutant.mid
         assert mutant.before != mutant.after
         assert (ROOT / "src" / mutant.path).is_file()
-
-
-def test_corpus_covers_every_domain_rule():
-    assert {m.rule for m in DOMAIN_MUTANTS} == DOMAIN_RULES
+        assert mutant.twin.startswith("tests/test_"), mutant.twin
+        assert "::" in mutant.twin, mutant.twin
 
 
 def test_corpus_covers_every_protocol_rule():
-    assert {m.rule for m in PROTOCOL_MUTANTS} == PROTOCOL_RULES
-
-
-def test_every_rule_beyond_the_lexical_family_has_a_mutant():
-    """A TP1xx-TP2xx rule nothing in the corpus is killed by has no
-    evidence that it works: give it a mutant or retire it.  Of the
-    lexical family only TP007 has mutants."""
-    assert {m.rule for m in MUTANTS} == {
-        code for code in RULES if not code.startswith("TP0")} | {"TP007"}
+    """The file-handle mutants are TP007's corpus: linting each mutated
+    file finds a TP007 the pristine one lacks, which is how their twin,
+    ``test_src_tree_is_lint_clean``, fails."""
+    protocol = [m for m in MUTANTS if m.mid.startswith("P")]
+    assert protocol
+    for mutant in protocol:
+        assert mutant.twin.endswith("::test_src_tree_is_lint_clean")
+        path = f"src/{mutant.path}"
+        text = (ROOT / path).read_text(encoding="utf-8")
+        mutated = _apply({path: text}, path, mutant)[path]
+        assert "TP007" not in {f.rule for f in analyze_source(text, path)}
+        assert "TP007" in {f.rule for f in analyze_source(mutated, path)}
 
 
 def test_protocol_corpus_spans_the_advertised_bug_classes():
     """The named mutant classes are all represented: a with block
     rewritten as manual open/close, a double release, and an early
     return before the release.  (The dropped spawn-failure cleanup is
-    caught at runtime by ``test_runner_chaos.py::TestDegradeToSerial``'s
+    caught by ``test_runner_chaos.py::TestDegradeToSerial``'s
     ``test_failed_spawn_closes_both_pipe_ends`` and
     ``test_failed_start_terminates_the_started_worker``, the dropped
     per-run reset by ``test_ssd_parallel.py::TestQueueStateReset``.)"""
-    blurbs = " | ".join(m.description.lower() for m in PROTOCOL_MUTANTS)
+    blurbs = " | ".join(m.description.lower() for m in MUTANTS
+                        if m.mid.startswith("P"))
     for needle in ("manual open/close", "double release",
                    "early return"):
         assert needle in blurbs, needle
@@ -89,9 +75,22 @@ def test_before_text_matches_head_exactly_once():
         assert text.count(mutant.before) == 1, mutant.mid
 
 
+def test_every_twin_is_collected():
+    """Each twin is a node id pytest collects from the repository root
+    (a typo would otherwise surface only as a harness error)."""
+    twins = sorted({m.twin for m in MUTANTS})
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only",
+         "-p", "no:cacheprovider", *twins],
+        cwd=ROOT, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stdout + done.stderr
+    collected = set(done.stdout.split())
+    assert set(twins) <= collected, set(twins) - collected
+
+
 def test_apply_rejects_drifted_before_text():
     sources = {"src/mod.py": "x = 1\n"}
-    drifted = Mutant(mid="MX", path="mod.py", rule="TP201",
+    drifted = Mutant(mid="MX", path="mod.py", twin="tests/t.py::t",
                      description="drifted", before="y = 2", after="y")
     with pytest.raises(MutantApplyError, match="MX"):
         _apply(sources, "src/mod.py", drifted)
@@ -103,7 +102,7 @@ def test_apply_and_restore_round_trip():
     """Applying a mutant yields a mutated copy; the pristine sources
     need no restoring because they were never touched."""
     sources = {"src/mod.py": "x = 1\n", "src/other.py": "y = 1\n"}
-    mutant = Mutant(mid="MY", path="mod.py", rule="TP201",
+    mutant = Mutant(mid="MY", path="mod.py", twin="tests/t.py::t",
                     description="swap", before="x = 1", after="x = 2")
     mutated = _apply(sources, "src/mod.py", mutant)
     assert mutated == {"src/mod.py": "x = 2\n", "src/other.py": "y = 1\n"}
@@ -123,18 +122,68 @@ def test_cli_reports_a_drifted_mutant_as_a_one_line_error(
 
 
 # ----------------------------------------------------------------------
+# Harness edges, on a one-module tree
+# ----------------------------------------------------------------------
+def _tiny_tree(root: pathlib.Path, expected: int) -> pathlib.Path:
+    """``root/src/repro/mod.py`` and a test asserting its value."""
+    (root / "src" / "repro").mkdir(parents=True)
+    (root / "src" / "repro" / "mod.py").write_text(
+        "VALUE = 1\n", encoding="utf-8")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_mod.py").write_text(
+        "from repro.mod import VALUE\n\n\n"
+        f"def test_value():\n    assert VALUE == {expected}\n",
+        encoding="utf-8")
+    return root / "src"
+
+
+def _tiny_mutant(twin: str = "tests/test_mod.py::test_value") -> Mutant:
+    return Mutant(mid="MT", path="repro/mod.py", twin=twin,
+                  description="off by one", before="VALUE = 1",
+                  after="VALUE = 2")
+
+
+def test_real_kill_is_reported_killed(tmp_path):
+    src = _tiny_tree(tmp_path, expected=1)
+    report = run_mutants(src_root=str(src), mutants=[_tiny_mutant()])
+    assert report.pristine_failure == ""
+    assert [(r.mutant.mid, r.exit_code) for r in report.results] == [
+        ("MT", 1)]
+    assert report.ok
+    # the harness mutated a copy, never the tree itself
+    assert (src / "repro" / "mod.py").read_text() == "VALUE = 1\n"
+
+
+def test_unknown_twin_is_an_error_not_a_kill(tmp_path, monkeypatch,
+                                             capsys):
+    src = _tiny_tree(tmp_path, expected=1)
+    monkeypatch.setattr(
+        "repro.analysis.__main__.MUTANTS",
+        (_tiny_mutant("tests/test_mod.py::test_no_such_test"),))
+    assert main(["mutants", "--src", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert "killed" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_twin_failing_on_the_pristine_tree_is_not_ok(tmp_path):
+    src = _tiny_tree(tmp_path, expected=2)
+    report = run_mutants(src_root=str(src), mutants=[_tiny_mutant()])
+    assert report.pristine_failure
+    assert not report.ok
+
+
+# ----------------------------------------------------------------------
 # The acceptance gate (one full harness run)
 # ----------------------------------------------------------------------
 def test_every_mutant_killed_and_head_clean():
     report = run_mutants(src_root=str(ROOT / "src"))
-    assert report.pristine == [], report.pristine
-    survivors = [(r.mutant.mid, r.mutant.rule)
+    assert report.pristine_failure == "", report.pristine_failure
+    survivors = [(r.mutant.mid, r.exit_code, r.output)
                  for r in report.survivors]
     assert survivors == []
-    # each mutant is killed by its *expected* rule, not a bystander
-    for result in report.results:
-        rules = {f.rule for f in result.delta}
-        assert result.mutant.rule in rules, (result.mutant.mid, rules)
+    assert [r.mutant for r in report.results] == list(MUTANTS)
     assert report.ok
 
 

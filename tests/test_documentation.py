@@ -110,8 +110,8 @@ def test_architecture_rule_tables_match_registries():
 
     Adding a rule without documenting it — or documenting a rule that
     no longer exists — fails here, keeping the rule tables (TP lint,
-    TP flow, TP domain, SAN sanitizer) from drifting out
-    of sync with the one static table ``RULES`` and ``SAN_RULES``.
+    SAN sanitizer) from drifting out of sync with ``RULES`` and
+    ``SAN_RULES``.
     """
     text = (SRC.parent.parent / "docs" / "architecture.md").read_text(
         "utf-8")
