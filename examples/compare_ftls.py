@@ -2,17 +2,15 @@
 """Compare every FTL on the paper's four workload types.
 
 A miniature of the paper's Fig 6: DFTL, TPFTL, S-FTL and the optimal
-FTL (plus CDFTL with the larger cache it needs) on Financial- and
-MSR-like traces, reporting hit ratio, Prd, translation traffic, write
-amplification and response time.
+FTL on Financial- and MSR-like traces, reporting hit ratio, Prd,
+translation traffic, write amplification and response time.
 
 Run:  python examples/compare_ftls.py [--requests N]
 """
 
 import argparse
 
-from repro import (CacheConfig, SimulationConfig, SSDConfig, make_ftl,
-                   simulate)
+from repro import SimulationConfig, SSDConfig, make_ftl, simulate
 from repro.metrics import format_table
 from repro.workloads import make_preset
 
@@ -42,24 +40,11 @@ def main() -> None:
                 m.write_amplification, run.response.mean,
                 m.total_erases,
             ])
-        # CDFTL needs a cache of at least one uncompressed page
-        cdftl_config = SimulationConfig(
-            ssd=config.ssd,
-            cache=CacheConfig(budget_bytes=max(
-                12 * 1024, config.ssd.paper_cache_bytes())))
-        run = simulate(make_ftl("cdftl", cdftl_config), trace,
-                       warmup_requests=args.warmup)
-        m = run.metrics
-        rows.append(["cdftl*", m.hit_ratio, m.p_replace_dirty,
-                     m.translation_page_reads,
-                     m.translation_page_writes, m.write_amplification,
-                     run.response.mean, m.total_erases])
         print(format_table(
             ["FTL", "Hr", "Prd", "T-reads", "T-writes", "WA",
              "Resp(us)", "Erases"],
             rows, precision=3,
             title=f"\n=== {workload} ({args.requests} requests) ==="))
-        print("(*cdftl runs with the larger cache it requires)")
 
 
 if __name__ == "__main__":

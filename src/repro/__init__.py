@@ -2,10 +2,11 @@
 
 A from-scratch, trace-driven reproduction of *"An Efficient Page-level
 FTL to Optimize Address Translation in Flash Memory"* (Zhou et al.,
-EuroSys 2015): the TPFTL mapping-cache design, its comparators (optimal,
-DFTL, S-FTL, CDFTL, block-level, hybrid), the NAND flash substrate they
-run on, the paper's analytical models, workload tooling, and one
-experiment runner per table/figure of the evaluation.
+EuroSys 2015): the TPFTL mapping-cache design, the three comparators
+the paper evaluates it against (optimal, DFTL, S-FTL) plus ZFTL, the
+NAND flash substrate they run on, the paper's analytical models,
+workload tooling, and one experiment runner per table/figure of the
+evaluation.
 
 Quickstart::
 
@@ -24,8 +25,8 @@ from .errors import (CacheError, ConfigError, DeviceWornOutError,
                      ExperimentError, FlashError, FTLError, PowerLossError,
                      ReadError, ReproError, WorkloadError)
 from .faults import FaultInjector, FaultPlan
-from .ftl import (CDFTL, DFTL, FTL_NAMES, SFTL, TPFTL, ZFTL, BaseFTL,
-                  BlockFTL, HybridFTL, OptimalFTL, make_ftl)
+from .ftl import (DFTL, FTL_NAMES, SFTL, TPFTL, ZFTL, BaseFTL,
+                  OptimalFTL, make_ftl)
 from .ssd import DeviceModel, RunResult, simulate
 from .types import Op, Request, Trace
 
@@ -33,8 +34,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "SSDConfig", "CacheConfig", "TPFTLConfig", "SimulationConfig",
-    "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL", "CDFTL",
-    "BlockFTL", "HybridFTL", "ZFTL", "make_ftl", "FTL_NAMES",
+    "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL", "ZFTL",
+    "make_ftl", "FTL_NAMES",
     "DeviceModel", "RunResult", "simulate",
     "Op", "Request", "Trace",
     "ReproError", "ConfigError", "FlashError", "CacheError", "FTLError",

@@ -192,9 +192,8 @@ def check_budget(ftl: "BaseFTL", fail: FailFn) -> None:
 
     Dispatches on the FTL: TPFTL and S-FTL carry :class:`ByteBudget`
     instances whose ``used`` must equal a from-scratch recount and never
-    exceed capacity; DFTL/CDFTL carry entry/page capacities (CDFTL's CMT
-    may over-fill by one slot when every entry is pinned dirty — see
-    ``CDFTL._install_cmt``).  FTLs without a bounded cache are skipped.
+    exceed capacity; DFTL carries an entry capacity.  FTLs without a
+    bounded cache are skipped.
     """
     name = getattr(ftl, "name", "")
     if name == "tpftl":
@@ -206,15 +205,6 @@ def check_budget(ftl: "BaseFTL", fail: FailFn) -> None:
             fail("SAN004",
                  f"DFTL CMT holds {len(ftl.cmt)} entries, "  # type: ignore[attr-defined]
                  f"capacity {ftl.capacity_entries}")  # type: ignore[attr-defined]
-    elif name == "cdftl":
-        if len(ftl.cmt) > ftl.cmt_capacity + 1:  # type: ignore[attr-defined]
-            fail("SAN004",
-                 f"CDFTL CMT holds {len(ftl.cmt)} entries, "  # type: ignore[attr-defined]
-                 f"capacity {ftl.cmt_capacity} (+1 pinned slack)")  # type: ignore[attr-defined]
-        if len(ftl.ctp) > ftl.ctp_capacity:  # type: ignore[attr-defined]
-            fail("SAN004",
-                 f"CDFTL CTP holds {len(ftl.ctp)} pages, "  # type: ignore[attr-defined]
-                 f"capacity {ftl.ctp_capacity}")  # type: ignore[attr-defined]
 
 
 def _check_tpftl_budget(ftl: "TPFTL", fail: FailFn) -> None:

@@ -6,20 +6,20 @@ works.  This harness keeps tier-1 honest: it applies a curated list of
 class — and asserts that the one tier-1 test each mutant names, its
 **twin**, fails under it.  The ids keep their families:
 
-* ``M01``–``M11``, value bugs: swapped ``lpn``/``ppn`` arguments, an
-  LPN-indexed table indexed by VTPN, VTPNs handed to the flash array
-  where it takes PTPNs, a dropped ``* pages_per_block``, milliseconds
-  where microseconds are expected, a byte budget stored as an entry
-  count.  Most change a golden digest in ``tests/test_fastpath.py``.
+* ``M01``–``M09`` and ``M11``, value bugs: swapped ``lpn``/``ppn``
+  arguments, an LPN-indexed table indexed by VTPN, VTPNs handed to the
+  flash array where it takes PTPNs, milliseconds where microseconds are
+  expected, a byte budget stored as an entry count.  Most change a
+  golden digest in ``tests/test_fastpath.py``.
 * ``P06``, ``P10``, ``P11``, file handles: ``repro.tools``' summary
   writer rewritten around a bare ``open()`` — closed by hand, after an
   early return, or twice.  TP007 flags each, so their twin is
   ``test_src_tree_is_lint_clean``.  (``P05`` and ``P08`` are not
   reused; ``docs/architecture.md`` names the tests that catch them.)
 * ``F01``–``F03``, bugs this repository had: the channel cursor
-  missing from the per-run reset, a merge invalidating pages behind
-  ``FlashMemory``'s back (FTLSan's victim-index check fails), GC
-  walking its translation pages in set order.
+  missing from the per-run reset, a user write invalidating its old
+  page behind ``FlashMemory``'s back (FTLSan's victim-index check
+  fails), GC walking its translation pages in set order.
 
 :func:`run_mutants` works in four steps:
 
@@ -171,14 +171,6 @@ MUTANTS: Tuple[Mutant, ...] = (
               "            start = arrival if arrival > free else free\n"
               "            busy[0] = finish = start + service_ms\n"),
     Mutant(
-        mid="M10", path="repro/ftl/block_ftl.py",
-        twin="tests/test_ftl_block_hybrid.py::TestBlockFTL::"
-             "test_consistency_after_many_writes",
-        description="dropped * pages_per_block: a block index used as "
-                    "the block's base LPN",
-        before="        base_lpn = lbn * ppb",
-        after="        base_lpn = lbn"),
-    Mutant(
         mid="M11", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,
         description="GC's forced rewrite hands relocate the VTPNs "
@@ -236,16 +228,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         before="        self._cursor = 0\n",
         after=""),
     Mutant(
-        mid="F02", path="repro/ftl/hybrid.py",
+        mid="F02", path="repro/ftl/base.py",
         twin="tests/test_analysis_sanitizer.py::"
-             "test_full_rate_10k_ops_clean[hybrid]",
-        description="full merge invalidates each migrated page on the "
-                    "Block, behind FlashMemory (no fault injector, no "
-                    "victim index)",
-        before="            self.flash.invalidate(src)\n",
-        after="            self.flash.blocks[self.flash.block_id_of(src)]"
-              ".invalidate(\n"
-              "                self.flash.offset_of(src))\n"),
+             "test_full_rate_10k_ops_clean[dftl]",
+        description="user write invalidates the old page on the Block, "
+                    "behind FlashMemory (no fault injector, no victim "
+                    "index)",
+        before="                self.flash.invalidate(ppn_old)\n"
+               "            self._record_mapping(lpn, ppn_new, result)\n",
+        after="                self.flash.blocks[self.flash.block_id_of("
+              "ppn_old)].invalidate(\n"
+              "                    self.flash.offset_of(ppn_old))\n"
+              "            self._record_mapping(lpn, ppn_new, result)\n"),
     Mutant(
         mid="F03", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,

@@ -3,9 +3,8 @@
 ``LRUDict`` is a keyed LRU map: a thin class over one
 :class:`collections.OrderedDict` whose *last* item is the MRU one, so a
 hit is ``move_to_end`` and an eviction is ``popitem(last=False)``.  It
-backs DFTL's CMT, CDFTL's CMT and CTP and S-FTL's page cache; TPFTL's
-TP nodes keep their entries in a bare ``OrderedDict`` with the same
-orientation.
+backs DFTL's CMT and S-FTL's page cache; TPFTL's TP nodes keep their
+entries in a bare ``OrderedDict`` with the same orientation.
 
 ``LRUList`` is the one hand-written structure left: an intrusive doubly
 linked list of :class:`LRUNode` objects, head = MRU, matching the

@@ -8,9 +8,6 @@ set, with the O(device) sweeps throttled), then forces one final full
 validation.  A clean run demonstrates that the §4.2/§4.4/§4.5 invariant
 checkers, the shadow page map and the flash state-machine rules hold
 across the whole matrix — the runtime half of ``repro.analysis``.
-
-The block-mapped FTLs (``block``, ``hybrid``) reject TRIM by design, so
-their workload share of trims is folded into writes.
 """
 
 from __future__ import annotations
@@ -31,9 +28,6 @@ SAN_PAGE_SIZE = 256
 SAN_PAGES_PER_BLOCK = 8
 #: cache budget roomy enough for the page-granular FTLs on this geometry
 SAN_CACHE_BYTES = 2_048
-
-#: FTLs whose block-granular mapping has no per-page unmap
-NO_TRIM = ("block", "hybrid")
 
 
 def _build_ops(num_ops: int, trims: bool,
@@ -64,8 +58,7 @@ def _sweep_row(ftl_name: str, num_ops: int) -> List[object]:
                                   full_every=64),
     )
     ftl = make_ftl(ftl_name, config)
-    for request in _build_ops(num_ops, trims=ftl_name not in NO_TRIM,
-                              seed=1215):
+    for request in _build_ops(num_ops, trims=True, seed=1215):
         ftl.serve_request(request)
     sanitizer = ftl.sanitizer
     if sanitizer is None:  # pragma: no cover - config enables it

@@ -5,10 +5,7 @@ Two sweeps over every registered FTL:
 * **media faults** — replay a synthetic hot/cold workload with injected
   transient read errors, program failures and erase failures, and report
   how the device degraded: ECC retries, grown bad pages, retired blocks
-  and remaining spare capacity.  The block-mapped FTLs run with program
-  faults off (their rigid offset-aligned layout cannot tolerate grown
-  bad pages; they reject the configuration) but take the read and erase
-  faults like everyone else.
+  and remaining spare capacity.
 * **power loss** — a cut-point sweep with the torture harness: power
   dies after the N-th flash operation, the mapping state is rebuilt by
   scanning flash, and the invalidate-before-publish and read-your-writes
@@ -41,29 +38,25 @@ READ_ERROR_RATE = 0.01
 PROGRAM_FAIL_RATE = 0.002
 ERASE_FAIL_RATE = 0.01
 
-#: FTLs whose block-granular layout cannot absorb grown bad pages
-BLOCK_MAPPED = ("block", "hybrid")
 
-
-def _config_for(ftl_name: str, program_faults: bool) -> SimulationConfig:
+def _config_for(ftl_name: str) -> SimulationConfig:
     ssd = SSDConfig(
         logical_pages=FAULT_PAGES,
         page_size=FAULT_PAGE_SIZE,
         pages_per_block=FAULT_PAGES_PER_BLOCK,
         read_error_rate=READ_ERROR_RATE,
-        program_fail_rate=PROGRAM_FAIL_RATE if program_faults else 0.0,
+        program_fail_rate=PROGRAM_FAIL_RATE,
         erase_fail_rate=ERASE_FAIL_RATE,
         fault_seed=17,
     )
     cache = None
-    if ftl_name in ("sftl", "cdftl"):
+    if ftl_name == "sftl":
         cache = CacheConfig(budget_bytes=4_096)
     return SimulationConfig(ssd=ssd, cache=cache)
 
 
 def _media_row(ftl_name: str, scale: ExperimentScale) -> List[object]:
-    program_faults = ftl_name not in BLOCK_MAPPED
-    config = _config_for(ftl_name, program_faults)
+    config = _config_for(ftl_name)
     ftl = make_ftl(ftl_name, config)
     trace = make_preset("financial1", logical_pages=FAULT_PAGES,
                         num_requests=max(2_000,
@@ -79,7 +72,7 @@ def _media_row(ftl_name: str, scale: ExperimentScale) -> List[object]:
     stats = ftl.flash.stats
     return [
         ftl_name,
-        "on" if program_faults else "off",
+        "on",
         served,
         stats.ecc_recovered_reads,
         stats.uncorrectable_reads,
@@ -95,13 +88,11 @@ def _powerloss_row(ftl_name: str, scale: ExperimentScale) -> List[object]:
                     page_size=FAULT_PAGE_SIZE,
                     pages_per_block=FAULT_PAGES_PER_BLOCK)
     cache = None
-    if ftl_name in ("sftl", "cdftl"):
+    if ftl_name == "sftl":
         cache = CacheConfig(budget_bytes=4_096)
     config = SimulationConfig(ssd=ssd, cache=cache)
     cuts = 120 if scale.name == "full" else 50
-    trim_ratio = 0.0 if ftl_name in BLOCK_MAPPED else 0.05
-    ops = powerloss.default_ops(600, FAULT_PAGES, seed=23,
-                                trim_ratio=trim_ratio)
+    ops = powerloss.default_ops(600, FAULT_PAGES, seed=23, trim_ratio=0.05)
     report = powerloss.torture_sweep(
         ftl_name, config, ops=ops,
         cut_points=powerloss.default_cut_points(cuts, start=1, stride=11))

@@ -18,10 +18,10 @@ every cut point:
   the cut interrupted) is exempt, exactly like a real disk's contract.
 
 The cut fires at the *start* of a flash operation, so the recovered
-state is precisely "everything that completed".  GC, merges and
-translation-page writebacks all run under the same countdown, which is
-what makes the sweep a torture test: cut points land inside collections,
-cache writebacks and hybrid merges, not just between user requests.
+state is precisely "everything that completed".  GC and translation-page
+writebacks run under the same countdown, which is what makes the sweep a
+torture test: cut points land inside collections and cache writebacks,
+not just between user requests.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ def default_ops(count: int, logical_pages: int, seed: int = 0,
                 trim_ratio: float = 0.0) -> List[PageOp]:
     """A deterministic random page-op workload for torture runs.
 
-    ``trim_ratio`` defaults to zero because the block-mapped FTLs
-    (``block``, ``hybrid``) reject TRIM; page-level sweeps can enable it.
+    ``trim_ratio`` defaults to zero: :func:`torture_sweep`'s default
+    stream is reads and writes only, and a sweep that wants TRIM in its
+    mix (``experiments/faults.py`` uses 0.05) asks for it.
     """
     rng = random.Random(seed)
     ops: List[PageOp] = []

@@ -189,31 +189,21 @@ class FlashMemory:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def program(self, kind: PageKind, meta: int,
-                into: Optional[Block] = None) -> int:
+    def program(self, kind: PageKind, meta: int) -> int:
         """Program one page of the given kind; returns its PPN.
 
         ``meta`` is the logical identity of the content (LPN for data
         pages, VTPN for translation pages), recorded so GC can find the
         owner of every valid page.  The page goes to the region's write
-        frontier, or to the next page of ``into`` (see
-        :meth:`program_into`).  An injected program failure marks the
-        target page bad and retries on the next programmable page
-        (allocating a fresh frontier block if needed), as a real
-        controller's write path does.
+        frontier.  An injected program failure marks the target page bad
+        and retries on the next programmable page (allocating a fresh
+        frontier block if needed), as a real controller's write path
+        does.
         """
         ppb = self.pages_per_block
         injector = self.injector
         while True:
-            if into is not None:
-                block = into
-                if block.kind is BlockKind.FREE:
-                    raise ProgramError(
-                        f"block {block.block_id} programmed before "
-                        "allocation")
-                if block._write_ptr >= ppb:
-                    raise ProgramError(f"block {block.block_id} is full")
-            elif kind is PageKind.DATA:
+            if kind is PageKind.DATA:
                 block = self._active_data
                 if block is None or block._write_ptr >= ppb:
                     block = self._allocate(BlockKind.DATA)
@@ -247,31 +237,6 @@ class FlashMemory:
             else:
                 self.stats.translation_writes += 1
             return ppn
-
-    def allocate_block(self, region: BlockKind) -> Block:
-        """Take a free block for dedicated use (not the region frontier).
-
-        Used by block-granular FTLs that fill whole blocks themselves
-        (e.g. hybrid-FTL merges); pair with :meth:`program_into`.
-        """
-        if region is BlockKind.FREE or region is BlockKind.RETIRED:
-            raise FlashError(
-                f"cannot allocate a block as {region.value.upper()}")
-        if not self._free:
-            raise OutOfSpaceError(
-                "no free blocks left; GC failed to reclaim space")
-        block = self.blocks[self._free.popleft()]
-        block.kind = region
-        return block
-
-    def program_into(self, block: Block, kind: PageKind, meta: int) -> int:
-        """Program the next page of a specific block; returns its PPN.
-
-        A program failure marks the page bad and retries within the same
-        block; callers that need full, contiguous blocks (block-mapped
-        FTLs) must not enable program-fault injection.
-        """
-        return self.program(kind, meta, into=block)
 
     def program_batch(self, kind: PageKind,
                       metas: Sequence[int]) -> List[int]:

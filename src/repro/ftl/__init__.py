@@ -1,4 +1,4 @@
-"""Flash translation layers: the paper's TPFTL and all comparators.
+"""Flash translation layers: the four the paper evaluates in §5, and ZFTL.
 
 Public surface:
 
@@ -7,19 +7,15 @@ Public surface:
 * :class:`DFTL` — demand-based baseline (Gupta et al., ASPLOS'09).
 * :class:`TPFTL` — the paper's contribution, with switchable techniques.
 * :class:`SFTL` — page-granularity compressed cache (Jiang et al.).
-* :class:`CDFTL` — two-tier CMT/CTP cache (Qin et al.).
-* :class:`BlockFTL`, :class:`HybridFTL`, :class:`ZFTL` — comparators
-  from the paper's background section (extensions).
+* :class:`ZFTL` — zone-based two-tier cache (Mingbang et al.), a
+  comparator the paper discusses in §2.2 but leaves out of its figures.
 * :func:`make_ftl` — factory by name, used by experiments and benches.
 """
 
 from .base import BaseFTL
-from .block_ftl import BlockFTL
-from .cdftl import CDFTL
 from .dftl import DFTL
 from .factory import FTL_NAMES, make_ftl
 from .gtd import GlobalTranslationDirectory
-from .hybrid import HybridFTL
 from .mappings import TranslationGeometry
 from .optimal import OptimalFTL
 from .sftl import SFTL
@@ -27,7 +23,7 @@ from .tpftl import TPFTL
 from .zftl import ZFTL
 
 __all__ = [
-    "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL", "CDFTL",
-    "BlockFTL", "HybridFTL", "ZFTL", "GlobalTranslationDirectory",
-    "TranslationGeometry", "make_ftl", "FTL_NAMES",
+    "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL", "ZFTL",
+    "GlobalTranslationDirectory", "TranslationGeometry", "make_ftl",
+    "FTL_NAMES",
 ]

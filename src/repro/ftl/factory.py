@@ -12,10 +12,7 @@ from ..config import SimulationConfig
 from ..errors import ExperimentError
 from ..gc import VictimPolicy, WearLeveler
 from .base import BaseFTL
-from .block_ftl import BlockFTL
-from .cdftl import CDFTL
 from .dftl import DFTL
-from .hybrid import HybridFTL
 from .optimal import OptimalFTL
 from .sftl import SFTL
 from .tpftl import TPFTL
@@ -26,9 +23,6 @@ _REGISTRY: Dict[str, Callable[..., BaseFTL]] = {
     DFTL.name: DFTL,
     TPFTL.name: TPFTL,
     SFTL.name: SFTL,
-    CDFTL.name: CDFTL,
-    BlockFTL.name: BlockFTL,
-    HybridFTL.name: HybridFTL,
     ZFTL.name: ZFTL,
 }
 
@@ -42,9 +36,8 @@ def make_ftl(name: str, config: SimulationConfig,
              prefill: bool = True) -> BaseFTL:
     """Instantiate the FTL called ``name`` over a fresh flash array.
 
-    Valid names: ``optimal``, ``dftl``, ``tpftl``, ``sftl``, ``cdftl``,
-    ``block``, ``hybrid``, ``zftl``.  TPFTL's technique switches come from
-    ``config.tpftl``.
+    Valid names: ``optimal``, ``dftl``, ``tpftl``, ``sftl``, ``zftl``.  TPFTL's
+    technique switches come from ``config.tpftl``.
     """
     try:
         cls = _REGISTRY[name.lower()]

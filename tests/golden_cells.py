@@ -162,15 +162,18 @@ def fault_outcome(ftl, trace, arm_cut_after=None):
 
 def media_fault_cell(ftl_name, program_faults=True):
     """Read + erase (+ program) faults as in ``experiments/faults.py``."""
-    config = media_fault_config(ftl_name, program_faults=program_faults)
+    config = media_fault_config(ftl_name)
+    if not program_faults:
+        config = dataclasses.replace(config, ssd=dataclasses.replace(
+            config.ssd, program_fail_rate=0.0))
     trace = make_preset("financial1", num_requests=2_000,
                         logical_pages=config.ssd.logical_pages)
     return fault_outcome(make_ftl(ftl_name, config), trace)
 
 
-#: four fault plans: read-only, read+erase (the plan the media sweep
-#: gives block-mapped FTLs), read+program+erase, an armed power cut; the
-#: first two batch GC moves, the last two go page by page
+#: four fault plans: read-only, read+erase, read+program+erase, an
+#: armed power cut; the first two batch GC moves, the last two go page
+#: by page
 FAULT_CELLS = {
     "faults/read-only-optimal": lambda: fault_outcome(
         OptimalFTL(SimulationConfig(ssd=dataclasses.replace(

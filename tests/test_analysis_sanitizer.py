@@ -46,9 +46,8 @@ def test_full_rate_10k_ops_clean(name):
 
 @pytest.mark.parametrize("name", FTL_NAMES)
 def test_after_op_fires_once_per_page_served(sanitized_config, name):
-    """``serve_request`` owns the FTLSan call, so the FTLs that replace
-    ``_serve_page`` wholesale (block, hybrid) are observed like the
-    rest: once per page, in order, through every entry point."""
+    """``serve_request`` owns the FTLSan call, so every FTL is observed
+    once per page, in order, through every entry point."""
     ftl = make_ftl(name, sanitized_config)
     sanitizer = _san(ftl)
     after_op, seen = sanitizer.after_op, []

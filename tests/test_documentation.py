@@ -6,7 +6,8 @@ public item), the README's quickstart snippet and the trace-replay
 example must actually run, and
 the rule tables in ``docs/architecture.md`` must list exactly the
 codes the analysis registries define (no phantom or undocumented
-rules).
+rules), and ``docs/ftls.md`` must give one section to each registered
+FTL.
 """
 
 import ast
@@ -20,6 +21,7 @@ import pytest
 
 from repro.analysis.checkers import SAN_RULES
 from repro.analysis.lint import RULES
+from repro.ftl import FTL_NAMES
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
@@ -119,3 +121,18 @@ def test_architecture_rule_tables_match_registries():
     documented_san = _documented_codes(text, "SAN")
     assert documented_tp == set(RULES)
     assert documented_san == set(SAN_RULES)
+
+
+def test_ftl_guide_sections_match_registry():
+    """docs/ftls.md has one ``## <name>`` section per registered FTL.
+
+    The per-FTL sections sit between the data-path section and the GC
+    policy section; an FTL added without a section, or a section left
+    behind by a removed FTL, fails here.
+    """
+    text = (SRC.parent.parent / "docs" / "ftls.md").read_text("utf-8")
+    start = text.index("\n## The data path")
+    end = text.index("\n## Choosing GC policies")
+    headings = re.findall(r"^## (\S+)", text[start:end], flags=re.MULTILINE)
+    del headings[0]  # the data-path section itself
+    assert sorted(headings) == list(FTL_NAMES)

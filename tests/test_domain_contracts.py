@@ -16,12 +16,11 @@ contract across every demand-cached FTL:
 
 import pytest
 
-from repro.ftl import CDFTL, DFTL, TPFTL
+from repro.ftl import DFTL, TPFTL
 from repro.types import PageKind
 
 
-@pytest.fixture(params=[DFTL, TPFTL, CDFTL],
-                ids=["dftl", "tpftl", "cdftl"])
+@pytest.fixture(params=[DFTL, TPFTL], ids=["dftl", "tpftl"])
 def ftl(request, roomy_config):
     return request.param(roomy_config)
 

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.config import CacheConfig, SimulationConfig, SSDConfig
+from repro.config import (DFTL_ENTRY_BYTES, TPFTL_ENTRY_BYTES,
+                          TPFTL_NODE_BYTES, CacheConfig, SimulationConfig,
+                          SSDConfig)
+from repro.errors import CacheCapacityError
 from repro.ftl import make_ftl
+from repro.ftl.sftl import PAGE_HEADER_BYTES, RUN_BYTES
 from repro.ssd import simulate
 from repro.types import Op, Request, Trace
 
@@ -99,6 +103,31 @@ class TestRepeatedHammering:
         assert m.mean_valid_in_data_victims < 2.0
 
 
+#: each cached FTL's documented minimum entry budget (bytes after the
+#: GTD): one DFTL entry, one TP node with one entry, one S-FTL page of
+#: one run.  S-FTL runs without its dirty buffer here, so its whole
+#: entry budget is its page area.
+MINIMUM_ENTRY_BYTES = {
+    "dftl": DFTL_ENTRY_BYTES,
+    "tpftl": TPFTL_NODE_BYTES + TPFTL_ENTRY_BYTES,
+    "sftl": PAGE_HEADER_BYTES + RUN_BYTES,
+}
+
+
+def minimum_cache_config(name, extra_bytes=0):
+    ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
+    budget = ssd.gtd_bytes + MINIMUM_ENTRY_BYTES[name] + extra_bytes
+    return SimulationConfig(ssd=ssd, cache=CacheConfig(
+        budget_bytes=budget, sftl_dirty_buffer_fraction=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(MINIMUM_ENTRY_BYTES))
+def test_budget_below_minimum_refused_at_construction(name):
+    make_ftl(name, minimum_cache_config(name))  # the minimum itself builds
+    with pytest.raises(CacheCapacityError):
+        make_ftl(name, minimum_cache_config(name, extra_bytes=-1))
+
+
 class TestCacheExactlyOneUnit:
     def test_dftl_single_entry_cache(self):
         ssd = SSDConfig(logical_pages=512, page_size=256,
@@ -123,6 +152,16 @@ class TestCacheExactlyOneUnit:
         ftl.write_page(100)
         ftl.read_page(200)
         ftl.assert_invariants()
+        ftl.flush()
+        ftl.check_consistency()
+
+    def test_sftl_single_page_cache(self):
+        ftl = make_ftl("sftl", minimum_cache_config("sftl"))
+        assert ftl.page_budget.capacity == PAGE_HEADER_BYTES + RUN_BYTES
+        ftl.write_page(0)
+        ftl.write_page(100)  # another translation page: evicts the first
+        assert ftl.metrics.dirty_replacements == 1
+        ftl.read_page(200)
         ftl.flush()
         ftl.check_consistency()
 

@@ -354,7 +354,7 @@ class TestVictimIndexEquivalence:
     def test_worn_array_reaches_the_index(self):
         """Bad pages and retired blocks, which the old fast mode
         refused, select through the same index."""
-        ftl = make_ftl("dftl", media_fault_config("dftl", True))
+        ftl = make_ftl("dftl", media_fault_config("dftl"))
         checks = check_every_selection(ftl)
         trace = make_preset("financial1", num_requests=2_000,
                             logical_pages=ftl.ssd.logical_pages)

@@ -310,25 +310,6 @@ class TestEndToEndDegradation:
             for _ in range(100_000):
                 ftl.write_page(rng.randrange(512))
 
-    @pytest.mark.parametrize("name", ("block", "hybrid"))
-    def test_block_mapped_ftls_reject_program_faults(self, name):
-        ssd = faulty_ssd(program_fail_rate=0.1)
-        with pytest.raises(ConfigError):
-            make_ftl(name, SimulationConfig(ssd=ssd))
-
-    @pytest.mark.parametrize("name", ("block", "hybrid"))
-    def test_block_mapped_ftls_take_read_and_erase_faults(self, name):
-        ssd = faulty_ssd(read_error_rate=0.02, erase_fail_rate=0.005,
-                         fault_seed=5)
-        ftl = make_ftl(name, SimulationConfig(ssd=ssd))
-        rng = random.Random(2)
-        try:
-            for _ in range(1200):
-                ftl.write_page(rng.randrange(512))
-        except DeviceWornOutError:
-            pass  # graceful wear-out is an acceptable ending
-        assert ftl.flash.stats.ecc_recovered_reads > 0
-
     @pytest.mark.parametrize("name", ALL_FTLS)
     def test_no_faults_by_default(self, name):
         ftl = make_ftl(name, config_for(name))

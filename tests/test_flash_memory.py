@@ -94,39 +94,20 @@ class TestErase:
         assert flash.active_block(BlockKind.DATA) is None
 
 
-class TestDedicatedAllocation:
-    def test_allocate_block_does_not_move_frontier(self, flash):
-        frontier_ppn = flash.program(PageKind.DATA, meta=1)
-        block = flash.allocate_block(BlockKind.DATA)
-        assert block.block_id != flash.block_id_of(frontier_ppn)
-        next_ppn = flash.program(PageKind.DATA, meta=2)
-        assert (flash.block_id_of(next_ppn)
-                == flash.block_id_of(frontier_ppn))
-
-    def test_program_into_specific_block(self, flash):
-        block = flash.allocate_block(BlockKind.DATA)
-        ppn = flash.program_into(block, PageKind.DATA, meta=5)
-        assert flash.block_id_of(ppn) == block.block_id
-        assert flash.read(ppn, PageKind.DATA) == 5
-
-    def test_allocate_free_kind_rejected(self, flash):
-        with pytest.raises(FlashError):
-            flash.allocate_block(BlockKind.FREE)
-
-
 class TestSpaceAccounting:
     def test_gc_needed_threshold(self, flash):
         threshold = (flash.config.gc_threshold_blocks
                      + flash.config.gc_reserve_blocks)
         assert not flash.gc_needed
         while flash.free_block_count > threshold:
-            flash.allocate_block(BlockKind.DATA)
+            flash.program(PageKind.DATA, meta=0)
         assert flash.gc_needed
 
     def test_out_of_space_raises(self, flash):
+        pages = len(flash.blocks) * flash.pages_per_block
         with pytest.raises(OutOfSpaceError):
-            for _ in range(len(flash.blocks) + 1):
-                flash.allocate_block(BlockKind.DATA)
+            for _ in range(pages + 1):
+                flash.program(PageKind.DATA, meta=0)
 
     def test_total_erase_count(self, flash):
         ppn = flash.program(PageKind.DATA, meta=1)

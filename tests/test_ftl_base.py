@@ -92,8 +92,7 @@ BAD_CALLS = [(entry, bad) for entry in ENTRY_POINTS for bad in BAD_RANGES
 class TestLpnRangeCheckedOnce:
     """``serve_request`` refuses a request that leaves the device before
     serving or counting any of its pages, for every FTL and through
-    every entry point (the block-mapped FTLs used to serve LPN -1 from
-    their last block and die of an ``IndexError`` one past the end)."""
+    every entry point."""
 
     @pytest.mark.parametrize("entry,bad", BAD_CALLS)
     @pytest.mark.parametrize("name", FTL_NAMES)

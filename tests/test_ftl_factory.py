@@ -4,8 +4,7 @@ import pytest
 
 import repro
 from repro.errors import ExperimentError
-from repro.ftl import (CDFTL, DFTL, FTL_NAMES, SFTL, TPFTL, BlockFTL,
-                       HybridFTL, OptimalFTL, make_ftl)
+from repro.ftl import DFTL, FTL_NAMES, SFTL, TPFTL, OptimalFTL, make_ftl
 
 
 class TestFactory:
@@ -13,8 +12,6 @@ class TestFactory:
         ("optimal", OptimalFTL),
         ("dftl", DFTL),
         ("tpftl", TPFTL),
-        ("block", BlockFTL),
-        ("hybrid", HybridFTL),
     ])
     def test_builds_named_ftl(self, tiny_config, name, cls):
         ftl = make_ftl(name, tiny_config)
@@ -23,7 +20,6 @@ class TestFactory:
 
     def test_page_granular_ftls_need_roomier_cache(self, roomy_config):
         assert isinstance(make_ftl("sftl", roomy_config), SFTL)
-        assert isinstance(make_ftl("cdftl", roomy_config), CDFTL)
 
     def test_case_insensitive(self, tiny_config):
         assert isinstance(make_ftl("TPFTL", tiny_config), TPFTL)
@@ -33,10 +29,7 @@ class TestFactory:
             make_ftl("nope", tiny_config)
 
     def test_registry_names_sorted_and_complete(self):
-        assert FTL_NAMES == tuple(sorted(FTL_NAMES))
-        assert set(FTL_NAMES) == {
-            "optimal", "dftl", "tpftl", "sftl", "cdftl", "block",
-            "hybrid", "zftl"}
+        assert FTL_NAMES == ("dftl", "optimal", "sftl", "tpftl", "zftl")
 
     def test_tpftl_receives_technique_config(self, tiny_config):
         from dataclasses import replace

@@ -12,13 +12,13 @@ from repro.types import Op, Request, Trace
 
 from conftest import make_trace, random_ops
 
-DEMAND_FTLS = ("dftl", "tpftl", "sftl", "cdftl", "zftl")
-ALL_FTLS = DEMAND_FTLS + ("optimal", "block", "hybrid")
+DEMAND_FTLS = ("dftl", "tpftl", "sftl", "zftl")
+ALL_FTLS = DEMAND_FTLS + ("optimal",)
 
 
 def config_for(name: str) -> SimulationConfig:
     ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
-    if name in ("sftl", "cdftl"):
+    if name == "sftl":
         return SimulationConfig(ssd=ssd,
                                 cache=CacheConfig(budget_bytes=2048))
     return SimulationConfig(ssd=ssd)

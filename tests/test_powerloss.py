@@ -11,14 +11,10 @@ from repro.types import Op, PageKind
 from golden_cells import GC_HEAVY
 from test_integration import ALL_FTLS, config_for
 
-#: FTLs whose block-granular layout forbids TRIM
-BLOCK_MAPPED = ("block", "hybrid")
 
-
-def ops_for(name, config, count=300, seed=3):
-    trim = 0.0 if name in BLOCK_MAPPED else 0.1
+def ops_for(config, count=300, seed=3):
     return powerloss.default_ops(count, config.ssd.logical_pages,
-                                 seed=seed, trim_ratio=trim)
+                                 seed=seed, trim_ratio=0.1)
 
 
 class TestSweep:
@@ -28,7 +24,7 @@ class TestSweep:
         must recover with both crash invariants intact."""
         config = config_for(name)
         report = powerloss.torture_sweep(
-            name, config, ops=ops_for(name, config),
+            name, config, ops=ops_for(config),
             cut_points=powerloss.default_cut_points(50))
         assert len(report.outcomes) == 50
         # the sweep must actually exercise crashes, not run to completion
@@ -37,7 +33,7 @@ class TestSweep:
     @pytest.mark.parametrize("name", ("dftl", "tpftl"))
     def test_sweep_is_deterministic(self, name):
         config = config_for(name)
-        ops = ops_for(name, config, count=120)
+        ops = ops_for(config, count=120)
         cuts = powerloss.default_cut_points(8, start=5, stride=13)
         first = powerloss.torture_sweep(name, config, ops=ops,
                                         cut_points=cuts)
@@ -46,14 +42,14 @@ class TestSweep:
         assert first.outcomes == second.outcomes
 
     def test_late_cut_point_lets_workload_finish(self, tiny_config):
-        ops = ops_for("dftl", tiny_config, count=20)
+        ops = ops_for(tiny_config, count=20)
         outcome = powerloss.run_with_cut("dftl", tiny_config, ops,
                                          cut_after=10_000_000)
         assert not outcome.fired
         assert outcome.ops_acknowledged == len(ops)
 
     def test_acknowledged_ops_grow_with_cut_point(self, tiny_config):
-        ops = ops_for("dftl", tiny_config, count=200)
+        ops = ops_for(tiny_config, count=200)
         early = powerloss.run_with_cut("dftl", tiny_config, ops, 5)
         late = powerloss.run_with_cut("dftl", tiny_config, ops, 400)
         assert early.fired and late.fired
@@ -117,7 +113,7 @@ class TestHelpers:
         assert any(op is Op.WRITE for op, _ in a)
 
     def test_report_properties(self, tiny_config):
-        ops = ops_for("dftl", tiny_config, count=60)
+        ops = ops_for(tiny_config, count=60)
         report = powerloss.torture_sweep(
             "dftl", tiny_config, ops=ops,
             cut_points=powerloss.default_cut_points(4))

@@ -24,14 +24,14 @@ def build(name: str, monogram: str = "rsbc"):
     ssd = SSDConfig(logical_pages=PAGES, page_size=256,
                     pages_per_block=8)
     cache = (CacheConfig(budget_bytes=1536)
-             if name in ("sftl", "cdftl") else None)
+             if name == "sftl" else None)
     config = SimulationConfig(
         ssd=ssd, cache=cache,
         tpftl=TPFTLConfig.from_monogram(monogram))
     return make_ftl(name, config)
 
 
-@pytest.mark.parametrize("name", ["dftl", "sftl", "cdftl", "optimal"])
+@pytest.mark.parametrize("name", ["dftl", "sftl", "optimal"])
 @given(sequence=ops)
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.errors import FTLError
 from repro.ftl import make_ftl
 from repro.recovery import verify_recovery
 from repro.types import Op, Request, UNMAPPED
 
-from test_integration import DEMAND_FTLS, config_for
-
-PAGE_LEVEL = DEMAND_FTLS + ("optimal",)
+from test_integration import ALL_FTLS, config_for
 
 
 def trim(ftl, lpn, npages=1):
@@ -18,14 +15,14 @@ def trim(ftl, lpn, npages=1):
 
 
 class TestTrimSemantics:
-    @pytest.mark.parametrize("name", PAGE_LEVEL)
+    @pytest.mark.parametrize("name", ALL_FTLS)
     def test_trim_unmaps(self, name):
         ftl = make_ftl(name, config_for(name))
         trim(ftl, 5)
         assert ftl.lookup_current(5) == UNMAPPED
         assert ftl.metrics.user_page_trims == 1
 
-    @pytest.mark.parametrize("name", PAGE_LEVEL)
+    @pytest.mark.parametrize("name", ALL_FTLS)
     def test_trim_invalidates_flash_page(self, name):
         ftl = make_ftl(name, config_for(name))
         old_ppn = ftl.flash_table[5]
@@ -33,7 +30,7 @@ class TestTrimSemantics:
         block = ftl.flash.block_of(old_ppn)
         assert block.meta(ftl.flash.offset_of(old_ppn)) is None
 
-    @pytest.mark.parametrize("name", PAGE_LEVEL)
+    @pytest.mark.parametrize("name", ALL_FTLS)
     def test_read_after_trim_served_as_zeroes(self, name):
         ftl = make_ftl(name, config_for(name))
         trim(ftl, 5)
@@ -43,7 +40,7 @@ class TestTrimSemantics:
         assert ftl.flash.stats.data_reads == reads_before
         assert ftl.metrics.unmapped_reads == 1
 
-    @pytest.mark.parametrize("name", PAGE_LEVEL)
+    @pytest.mark.parametrize("name", ALL_FTLS)
     def test_write_after_trim_remaps(self, name):
         ftl = make_ftl(name, config_for(name))
         trim(ftl, 5)
@@ -73,7 +70,7 @@ class TestTrimPersistence:
         ftl.flush()
         assert ftl.flash_table[5] == UNMAPPED
 
-    @pytest.mark.parametrize("name", PAGE_LEVEL)
+    @pytest.mark.parametrize("name", ALL_FTLS)
     def test_recovery_agrees_after_trims(self, name):
         import random
         ftl = make_ftl(name, config_for(name))
@@ -111,14 +108,6 @@ class TestTrimHelpsGC:
 
         assert (trimming.metrics.data_writes_migration
                 < plain.metrics.data_writes_migration)
-
-
-class TestCoarseFTLsRejectTrim:
-    @pytest.mark.parametrize("name", ["block", "hybrid"])
-    def test_trim_rejected(self, name):
-        ftl = make_ftl(name, config_for(name))
-        with pytest.raises(FTLError):
-            trim(ftl, 0)
 
 
 class TestTrimWorkloads:
