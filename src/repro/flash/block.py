@@ -43,8 +43,9 @@ class Block:
         self.pages_per_block = pages_per_block
         self.kind = BlockKind.FREE
         self.erase_count = 0
-        #: global operation sequence of the most recent program into this
-        #: block; lets cost-benefit GC estimate block age without wall time.
+        #: global operation sequence (``FlashMemory.op_seq``) of the most
+        #: recent program into this block; no policy reads it, but the
+        #: golden fault digests hash it, so it pins program order.
         self.last_program_seq = 0
         #: the arrays this block is a window onto, at pages ``[_base,
         #: _base + pages_per_block)``; a fresh array is all 0, all FREE

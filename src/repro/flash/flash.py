@@ -16,8 +16,7 @@ Every operation has one body.  What makes it cheap on an ideal device is
 bookkeeping the array always keeps: operation counts are plain integers on
 :class:`FlashStats`, a counting victim index — one set of block ids per
 invalid-page count — lets greedy GC selection read the fullest bucket
-instead of scanning every block, and an erase-count histogram keeps the
-device-wide wear spread exact so wear-leveling checks are O(1).
+instead of scanning every block.
 
 Reliability is handled here, below the FTLs, the way real controllers do,
 through one per-operation hook: when the :class:`~repro.faults.FaultInjector`
@@ -48,7 +47,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from typing import (Deque, Dict, Iterable, List, Optional, Sequence, Set,
+from typing import (Deque, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
 from ..config import SSDConfig
@@ -102,11 +101,6 @@ class FlashMemory:
         #: bucket per invalidation and leaves when erased or retired.
         self.victim_index: List[Set[int]] = [
             set() for _ in range(config.pages_per_block + 1)]
-        #: exact running max/min erase counts over every block.
-        self.max_erase = 0
-        self.min_erase = 0
-        #: blocks per erase-count level, backing ``min_erase``.
-        self._erase_hist: Dict[int, int] = {0: config.physical_blocks}
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -454,19 +448,6 @@ class FlashMemory:
             self.stats.data_erases += 1
         else:
             self.stats.translation_erases += 1
-        # keep the erase-count spread exact: histogram + running max
-        hist = self._erase_hist
-        count = block.erase_count
-        remaining = hist[count - 1] - 1
-        if remaining:
-            hist[count - 1] = remaining
-        else:
-            del hist[count - 1]
-        hist[count] = hist.get(count, 0) + 1
-        if count > self.max_erase:
-            self.max_erase = count
-        while self.min_erase not in hist:
-            self.min_erase += 1
         if block.bad_count >= self._bad_retire_pages:
             self._retire(block)
             return False

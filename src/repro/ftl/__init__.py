@@ -1,4 +1,4 @@
-"""Flash translation layers: the four the paper evaluates in §5, and ZFTL.
+"""Flash translation layers: the four the paper evaluates in §5.
 
 Public surface:
 
@@ -7,8 +7,6 @@ Public surface:
 * :class:`DFTL` — demand-based baseline (Gupta et al., ASPLOS'09).
 * :class:`TPFTL` — the paper's contribution, with switchable techniques.
 * :class:`SFTL` — page-granularity compressed cache (Jiang et al.).
-* :class:`ZFTL` — zone-based two-tier cache (Mingbang et al.), a
-  comparator the paper discusses in §2.2 but leaves out of its figures.
 * :func:`make_ftl` — factory by name, used by experiments and benches.
 """
 
@@ -20,10 +18,9 @@ from .mappings import TranslationGeometry
 from .optimal import OptimalFTL
 from .sftl import SFTL
 from .tpftl import TPFTL
-from .zftl import ZFTL
 
 __all__ = [
-    "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL", "ZFTL",
+    "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL",
     "GlobalTranslationDirectory", "TranslationGeometry", "make_ftl",
     "FTL_NAMES",
 ]

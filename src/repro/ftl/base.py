@@ -34,7 +34,6 @@ from ..errors import (DeviceWornOutError, FTLError, OutOfSpaceError,
                       TranslationError)
 from ..flash import FlashMemory
 from ..flash.block import Block
-from ..gc import GreedyPolicy, VictimPolicy, WearLeveler
 from ..metrics import FTLMetrics
 from ..types import (AccessResult, BlockKind, Op, PageKind, Request,
                      UNMAPPED)
@@ -73,8 +72,6 @@ class BaseFTL:
     uses_translation_pages: bool = True
 
     def __init__(self, config: SimulationConfig,
-                 victim_policy: Optional[VictimPolicy] = None,
-                 wear_leveler: Optional[WearLeveler] = None,
                  prefill: bool = True) -> None:
         self.config = config
         self.ssd = config.ssd
@@ -89,8 +86,6 @@ class BaseFTL:
         self.flash_table: "array[int]" = (
             array("q", [UNMAPPED]) * config.ssd.logical_pages)
         self.metrics = FTLMetrics()
-        self.victim_policy = victim_policy or GreedyPolicy()
-        self.wear_leveler = wear_leveler
         #: FTLSan runtime checker, or None when config.sanitizer is off.
         #: Imported lazily: repro.analysis imports FTL types for checks.
         self.sanitizer: Optional["FTLSan"] = None
@@ -307,11 +302,9 @@ class BaseFTL:
                 self.flash.invalidate(ppn_old)
                 self._record_mapping(lpn, UNMAPPED, result)
         # ``flash.gc_needed`` inlined (one len() compare) so pages that
-        # trigger no GC skip the ``_run_gc`` call frame; with a wear
-        # leveler attached its nominate tail must still run every page.
+        # trigger no GC skip the ``_run_gc`` call frame
         flash = self.flash
-        if (len(flash._free) <= flash._gc_trigger
-                or self.wear_leveler is not None):
+        if len(flash._free) <= flash._gc_trigger:
             self._run_gc(result)
 
     # ------------------------------------------------------------------
@@ -398,7 +391,6 @@ class BaseFTL:
         """
         limit = self.ssd.gc_max_collections_per_access
         collected = 0
-        guard = 0
         while self.flash.gc_needed:
             if collected >= limit and not self.flash.exhausted:
                 break
@@ -417,24 +409,11 @@ class BaseFTL:
                 break
             self._collect(victim, result)
             collected += 1
-            guard += 1
-            if guard > len(self.flash.blocks):
+            if collected > len(self.flash.blocks):
                 raise FTLError("GC did not converge")  # pragma: no cover
-        if self.wear_leveler is not None:
-            # O(1) prefilter: the running max/min erase counts are
-            # exact, and the minimum over all blocks lower-bounds the
-            # minimum over the candidates — when the device-wide spread
-            # is below the threshold no candidate can clear it, so the
-            # nominate scan is provably a no-op.
-            if (self.flash.max_erase - self.flash.min_erase
-                    < self.wear_leveler.threshold):
-                return
-            nominee = self.wear_leveler.nominate(
-                self._gc_candidates(), max_erase=self.flash.max_erase)
-            if nominee is not None:
-                self._collect(nominee, result)
 
     def _gc_candidates(self) -> List[Block]:
+        """The in-service, non-free blocks minus the write frontiers."""
         active = {
             block for block in (
                 self.flash.active_block(BlockKind.DATA),
@@ -447,21 +426,15 @@ class BaseFTL:
                 and block not in active]
 
     def _select_victim(self) -> Optional[Block]:
-        if type(self.victim_policy) is GreedyPolicy:
-            return self._select_victim_indexed()
-        return self.victim_policy.select(self._gc_candidates(),
-                                         now_seq=self.flash.op_seq)
-
-    def _select_victim_indexed(self) -> Optional[Block]:
         """Greedy selection off the flash array's counting victim index.
 
         Walking the buckets from the highest invalid count down, the
         first one holding a block that is not a write frontier holds
-        exactly the blocks :class:`GreedyPolicy` would rank top in a
-        full candidate scan; among them it takes the min erase count,
-        then the min block id — the first-encountered block in scan
-        order.  Frontier blocks stay indexed: they become candidates as
-        soon as the frontier moves past them.
+        exactly the blocks :class:`~repro.gc.GreedyPolicy` would rank
+        top in a full scan of :meth:`_gc_candidates`; among them it takes
+        the min erase count, then the min block id — the first-encountered
+        block in scan order.  Frontier blocks stay indexed: they become
+        candidates as soon as the frontier moves past them.
         """
         flash = self.flash
         blocks = flash.blocks

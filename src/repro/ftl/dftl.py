@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 from ..cache import LRUDict
 from ..config import SimulationConfig
 from ..errors import CacheCapacityError, FTLError, SimInvariantError
-from ..gc import VictimPolicy, WearLeveler
 from ..types import AccessResult, Request
 from .base import BaseFTL
 
@@ -32,11 +31,8 @@ class DFTL(BaseFTL):
     name = "dftl"
 
     def __init__(self, config: SimulationConfig,
-                 victim_policy: Optional[VictimPolicy] = None,
-                 wear_leveler: Optional[WearLeveler] = None,
                  prefill: bool = True) -> None:
-        super().__init__(config, victim_policy=victim_policy,
-                         wear_leveler=wear_leveler, prefill=prefill)
+        super().__init__(config, prefill=prefill)
         cache_cfg = config.resolved_cache()
         entry_bytes = cache_cfg.dftl_entry_bytes
         budget = cache_cfg.entry_budget_bytes(self.gtd.size_bytes)

@@ -6,24 +6,21 @@ paper uses in its figures; this keeps the mapping in one place.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..gc import VictimPolicy, WearLeveler
 from .base import BaseFTL
 from .dftl import DFTL
 from .optimal import OptimalFTL
 from .sftl import SFTL
 from .tpftl import TPFTL
-from .zftl import ZFTL
 
 _REGISTRY: Dict[str, Callable[..., BaseFTL]] = {
     OptimalFTL.name: OptimalFTL,
     DFTL.name: DFTL,
     TPFTL.name: TPFTL,
     SFTL.name: SFTL,
-    ZFTL.name: ZFTL,
 }
 
 #: the names accepted by :func:`make_ftl`
@@ -31,13 +28,11 @@ FTL_NAMES = tuple(sorted(_REGISTRY))
 
 
 def make_ftl(name: str, config: SimulationConfig,
-             victim_policy: Optional[VictimPolicy] = None,
-             wear_leveler: Optional[WearLeveler] = None,
              prefill: bool = True) -> BaseFTL:
     """Instantiate the FTL called ``name`` over a fresh flash array.
 
-    Valid names: ``optimal``, ``dftl``, ``tpftl``, ``sftl``, ``zftl``.  TPFTL's
-    technique switches come from ``config.tpftl``.
+    Valid names: ``optimal``, ``dftl``, ``tpftl``, ``sftl``.  Everything
+    else, TPFTL's technique switches included, comes from ``config``.
     """
     try:
         cls = _REGISTRY[name.lower()]
@@ -45,5 +40,4 @@ def make_ftl(name: str, config: SimulationConfig,
         raise ExperimentError(
             f"unknown FTL {name!r}; choose from {', '.join(FTL_NAMES)}"
         ) from None
-    return cls(config, victim_policy=victim_policy,
-               wear_leveler=wear_leveler, prefill=prefill)
+    return cls(config, prefill=prefill)

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from ..cache import ByteBudget, LRUDict
 from ..config import SimulationConfig
 from ..errors import CacheCapacityError, FTLError
-from ..gc import VictimPolicy, WearLeveler
 from ..types import AccessResult, Request, UNMAPPED
 from .base import BaseFTL
 
@@ -75,11 +74,8 @@ class SFTL(BaseFTL):
     name = "sftl"
 
     def __init__(self, config: SimulationConfig,
-                 victim_policy: Optional[VictimPolicy] = None,
-                 wear_leveler: Optional[WearLeveler] = None,
                  prefill: bool = True) -> None:
-        super().__init__(config, victim_policy=victim_policy,
-                         wear_leveler=wear_leveler, prefill=prefill)
+        super().__init__(config, prefill=prefill)
         cache_cfg = config.resolved_cache()
         total = cache_cfg.entry_budget_bytes(self.gtd.size_bytes)
         buffer_bytes = int(total * cache_cfg.sftl_dirty_buffer_fraction)

@@ -36,7 +36,6 @@ from ..cache import ByteBudget, LRUList, LRUNode
 from ..config import SimulationConfig, TPFTLConfig
 from ..errors import (CacheCapacityError, FTLError, SanitizerError,
                       SimInvariantError)
-from ..gc import VictimPolicy, WearLeveler
 from ..types import AccessResult, Request
 from .base import BaseFTL
 
@@ -114,11 +113,8 @@ class TPFTL(BaseFTL):
     name = "tpftl"
 
     def __init__(self, config: SimulationConfig,
-                 victim_policy: Optional[VictimPolicy] = None,
-                 wear_leveler: Optional[WearLeveler] = None,
                  prefill: bool = True) -> None:
-        super().__init__(config, victim_policy=victim_policy,
-                         wear_leveler=wear_leveler, prefill=prefill)
+        super().__init__(config, prefill=prefill)
         cache_cfg = config.resolved_cache()
         self.techniques: TPFTLConfig = config.tpftl
         self.entry_bytes = cache_cfg.tpftl_entry_bytes

@@ -1,15 +1,12 @@
-"""Garbage-collection victim policies and wear leveling.
+"""Garbage-collection victim selection: greedy, the paper's one policy.
 
-The paper holds the GC policy fixed (greedy, per §3.1 its effect is "beyond
-the scope") while varying the FTL's caching; we therefore default to greedy
-but also ship cost-benefit selection and an erase-count wear leveler as
-extensions so ablations against the model's Vd/Vt assumptions are possible.
+The paper holds the GC policy fixed (greedy; per §3.1 its effect is
+"beyond the scope") while varying the FTL's caching.  The FTLs select
+greedy victims off the flash array's counting index
+(:meth:`~repro.ftl.BaseFTL._select_victim`); :class:`GreedyPolicy` is the
+full candidate scan that index is checked against.
 """
 
-from .base import VictimPolicy
-from .cost_benefit import CostBenefitPolicy
 from .greedy import GreedyPolicy
-from .wear_leveling import WearLeveler
 
-__all__ = ["VictimPolicy", "GreedyPolicy", "CostBenefitPolicy",
-           "WearLeveler"]
+__all__ = ["GreedyPolicy"]

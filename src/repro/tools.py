@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from .config import (CacheConfig, SimulationConfig, SSDConfig,
                      TPFTLConfig)
-from .errors import ConfigError
+from .errors import CacheError, ConfigError, WorkloadError
 from .ftl import FTL_NAMES, make_ftl
 from .metrics import format_table
 from .ssd import QOS_POLICIES, DeviceModel
@@ -101,6 +101,8 @@ def _load_trace(args: argparse.Namespace):
         return loader(args.trace, wrap_pages=args.pages)
     if args.tenants is not None:
         from .workloads.presets import FINANCIAL_PAGES, MSR_PAGES
+        if args.tenants < 1:
+            raise WorkloadError("tenants must be >= 1")
         total_pages = args.pages or (
             MSR_PAGES if args.workload.startswith("msr")
             else FINANCIAL_PAGES)
@@ -138,14 +140,13 @@ def _build_config(args: argparse.Namespace, logical_pages: int
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    trace = _load_trace(args)
-    logical_pages = args.pages or trace.logical_pages
     try:
-        config = _build_config(args, logical_pages)
-    except ConfigError as exc:
+        trace = _load_trace(args)
+        config = _build_config(args, args.pages or trace.logical_pages)
+        ftl = make_ftl(args.ftl, config)
+    except (ConfigError, CacheError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ftl = make_ftl(args.ftl, config)
     warmup = (args.warmup if args.warmup is not None
               else len(trace) // 4)
     device = DeviceModel(ftl, channels=config.channels, qos=args.qos)

@@ -21,6 +21,7 @@ from repro.analysis import analyze, read_sources
 from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
                           SSDConfig)
 from repro.experiments.runner import encode_result
+from repro.gc import GreedyPolicy
 from repro.types import Op, Request, Trace
 
 #: digests frozen from the per-operation reference core before it was
@@ -105,3 +106,18 @@ def random_ops(count: int, logical_pages: int, seed: int = 0,
         lpn = rng.randrange(logical_pages - npages)
         ops.append((op, lpn, npages))
     return ops
+
+
+def check_every_selection(ftl, policy=GreedyPolicy()):
+    """Wrap victim selection: each pick of the counting index must be
+    the one ``policy``'s full candidate scan makes; -> call counter."""
+    select, checks = ftl._select_victim, [0]
+
+    def checked():
+        victim = select()
+        assert victim is policy.select(ftl._gc_candidates())
+        checks[0] += 1
+        return victim
+
+    ftl._select_victim = checked
+    return checks

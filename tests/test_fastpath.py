@@ -36,13 +36,13 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.flash import FlashMemory
 from repro.flash.block import Block
 from repro.ftl import OptimalFTL, make_ftl
-from repro.gc import GreedyPolicy, WearLeveler
 from repro.metrics import CacheSampler
 from repro.ssd import DeviceModel
 from repro.types import AccessResult, BlockKind, PageKind, PageState
 from repro.workloads import make_preset
 
-from conftest import golden_digests, make_trace, random_ops, result_digest
+from conftest import (check_every_selection, golden_digests, make_trace,
+                      random_ops, result_digest)
 from golden_cells import (FAULT_CELLS, FTLS, GC_HEAVY, POWER_CUT_AFTER,
                           ROOMY, RUN_CELLS, SPEC_CELLS, TIER1_WORKLOADS,
                           TINY, TINY_SSD, TRACE_CELLS, all_cells, check,
@@ -296,24 +296,6 @@ class TestPlanSelectsMechanics:
             assert programs_in_one_migration(injector) == 0
 
 
-def check_every_selection(ftl):
-    """Wrap victim selection: the index's pick must be the full scan's,
-    and the running erase-count spread a full scan's; -> call counter."""
-    flash, select, checks = ftl.flash, ftl._select_victim, [0]
-
-    def checked():
-        victim = select()
-        assert victim is GreedyPolicy().select(ftl._gc_candidates())
-        counts = [block.erase_count for block in flash.blocks]
-        assert (flash.max_erase, flash.min_erase) == (max(counts),
-                                                      min(counts))
-        checks[0] += 1
-        return victim
-
-    ftl._select_victim = checked
-    return checks
-
-
 def gc_ready_ftl():
     """DFTL on the tiny device, run until GC has victims to choose from."""
     ftl = make_ftl("dftl", GC_HEAVY)
@@ -322,26 +304,21 @@ def gc_ready_ftl():
 
 
 class TestVictimIndexEquivalence:
-    """The counting index and the running spread against full scans."""
+    """The counting victim index against full greedy scans."""
 
     @given(seed=st.integers(0, 2 ** 16),
            write_ratio=st.floats(0.5, 1.0),
            program_fail_rate=st.sampled_from((0.0, 0.004, 0.02)),
-           erase_fail_rate=st.sampled_from((0.0, 0.02, 0.1)),
-           wear_threshold=st.sampled_from((None, 2)))
+           erase_fail_rate=st.sampled_from((0.0, 0.02, 0.1)))
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_greedy_selection_matches(self, seed, write_ratio,
-                                      program_fail_rate, erase_fail_rate,
-                                      wear_threshold):
+                                      program_fail_rate, erase_fail_rate):
         ssd = dataclasses.replace(
             TINY_SSD, program_fail_rate=program_fail_rate,
             erase_fail_rate=erase_fail_rate, fault_seed=seed)
-        leveler = (WearLeveler(threshold=wear_threshold)
-                   if wear_threshold else None)
         ftl = make_ftl("dftl", SimulationConfig(
-            ssd=ssd, cache=CacheConfig(budget_bytes=1024)),
-            wear_leveler=leveler)
+            ssd=ssd, cache=CacheConfig(budget_bytes=1024)))
         checks = check_every_selection(ftl)
         trace = make_trace(random_ops(700, 512, seed=seed,
                                       write_ratio=write_ratio))

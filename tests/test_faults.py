@@ -287,8 +287,7 @@ class TestEraseFaultsAndRetirement:
 
 
 class TestEndToEndDegradation:
-    @pytest.mark.parametrize("name", ("dftl", "tpftl", "zftl",
-                                      "optimal"))
+    @pytest.mark.parametrize("name", ("dftl", "tpftl", "optimal"))
     def test_low_rates_stay_consistent(self, name):
         ssd = faulty_ssd(read_error_rate=0.01, program_fail_rate=0.002,
                          fault_seed=11)

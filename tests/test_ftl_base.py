@@ -5,7 +5,6 @@ import copy
 
 import pytest
 
-from repro.config import SimulationConfig, SSDConfig
 from repro.errors import FTLError, TranslationError
 from repro.ftl import DFTL, FTL_NAMES, OptimalFTL, make_ftl
 from repro.types import AccessResult, Op, Request, UNMAPPED
@@ -215,25 +214,3 @@ class TestFlush:
         before = ftl.metrics.trans_writes_writeback
         ftl.flush()
         assert ftl.metrics.trans_writes_writeback > before
-
-
-class TestWearLeveling:
-    def test_wear_leveler_forces_collections(self):
-        from repro.gc import WearLeveler
-        config = SimulationConfig(ssd=SSDConfig(
-            logical_pages=512, page_size=256, pages_per_block=8))
-        leveler = WearLeveler(threshold=3)
-        spread = {}
-        for wear_leveler in (None, leveler):
-            ftl = OptimalFTL(config, wear_leveler=wear_leveler)
-            for round_ in range(200):
-                for lpn in range(8):
-                    ftl.write_page(lpn)
-            counts = [b.erase_count for b in ftl.flash.blocks]
-            spread[wear_leveler] = max(counts) - min(counts)
-            ftl.check_consistency()
-        assert leveler.forced_collections > 0
-        # leveling keeps the spread near the threshold, and narrower
-        # than the same hot-set workload leaves it unlevelled
-        assert spread[leveler] <= 3 * leveler.threshold
-        assert spread[leveler] <= spread[None]

@@ -29,7 +29,7 @@ class TestFactory:
             make_ftl("nope", tiny_config)
 
     def test_registry_names_sorted_and_complete(self):
-        assert FTL_NAMES == ("dftl", "optimal", "sftl", "tpftl", "zftl")
+        assert FTL_NAMES == ("dftl", "optimal", "sftl", "tpftl")
 
     def test_tpftl_receives_technique_config(self, tiny_config):
         from dataclasses import replace

@@ -12,7 +12,7 @@ from repro.types import Op, Request, Trace
 
 from conftest import make_trace, random_ops
 
-DEMAND_FTLS = ("dftl", "tpftl", "sftl", "zftl")
+DEMAND_FTLS = ("dftl", "tpftl", "sftl")
 ALL_FTLS = DEMAND_FTLS + ("optimal",)
 
 

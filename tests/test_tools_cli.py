@@ -71,6 +71,23 @@ class TestMain:
         assert captured.err == "error: channels must be >= 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--tenants", "0"],
+        ["--cache-bytes", "10"],
+        ["--cache-bytes", "520"],
+        ["--pages", "3", "--requests", "50"],
+        ["--requests", "-5"],
+    ], ids=["tenants-0", "gtd-overflow", "tpftl-budget", "tiny-device",
+            "negative-requests"])
+    def test_bad_input_is_a_one_line_error(self, capsys, argv):
+        """Workload, config and FTL-construction errors alike exit 2
+        with one line, before anything runs."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_tpftl_monogram(self, capsys):
         assert main(["--tpftl-config", "bc", "--json", "-"]
                     + self.COMMON) == 0
