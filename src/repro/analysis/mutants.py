@@ -19,7 +19,7 @@ class — and asserts that the one tier-1 test each mutant names, its
 * ``F01``–``F03``, bugs this repository had: the channel cursor
   missing from the per-run reset, a user write invalidating its old
   page behind ``FlashMemory``'s back (FTLSan's victim-index check
-  fails), GC walking its translation pages in set order.
+  fails), GC rewriting its translation pages out of VTPN order.
 
 :func:`run_mutants` works in four steps:
 
@@ -122,10 +122,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         mid="M04", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,
-        description="GC migration derives the VTPN from the new PPN "
-                    "instead of the LPN",
-        before="vtpn = self.geometry.vtpn_of(lpn)",
-        after="vtpn = self.geometry.vtpn_of(new_ppn)"),
+        description="GC's miss grouping derives the VTPN from the new "
+                    "PPN instead of the LPN",
+        before="vtpn = lpn // per_page",
+        after="vtpn = ppn // per_page"),
     Mutant(
         mid="M05", path="repro/ftl/base.py",
         twin=_GOLDEN + "[zoo/financial1:dftl]",
@@ -243,10 +243,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         mid="F03", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,
-        description="dropped sorted(): GC updates the translation "
-                    "pages of migrated data in set order",
-        before="        for vtpn in sorted(moved_by_vtpn):",
-        after="        for vtpn in set(moved_by_vtpn):"),
+        description="dropped sorted(): GC rewrites the translation "
+                    "pages of migrated data in first-miss order",
+        before="forced_vtpns = sorted(updates_by_vtpn)",
+        after="forced_vtpns = list(updates_by_vtpn)"),
 )
 
 

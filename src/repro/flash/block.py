@@ -17,6 +17,7 @@ exceptions instead of silent corruption.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import List, Optional
 
 from ..errors import EraseError, ProgramError
@@ -97,7 +98,8 @@ class Block:
     def valid_offsets(self) -> List[int]:
         """Offsets of currently valid pages (ascending)."""
         window = self._states[self._base:self._base + self.pages_per_block]
-        return [i for i, state in enumerate(window) if state == VALID]
+        return list(compress(range(self.pages_per_block),
+                             map(VALID.__eq__, window)))
 
     # ------------------------------------------------------------------
     # Mutations

@@ -126,14 +126,16 @@ class BaseFTL:
         """
         self.flash_table[lpn] = ppn
 
-    def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
-        """GC hook: update a cached entry in place (making it dirty).
-
-        Returns True on a GC hit (entry was cached), False otherwise.
-        Must not touch flash.
-        """
-        self.flash_table[lpn] = ppn
-        return True
+    def _gc_update_cached(self, lpns: List[int],
+                          ppns: List[int]) -> Dict[int, int]:
+        """GC hook: a data victim's pages moved, ``lpns[i]`` to
+        ``ppns[i]``.  Update the cached entries among them in place
+        (making them dirty) and return the rest, the GC misses, as
+        {lpn: ppn}.  Must not touch flash."""
+        table = self.flash_table
+        for lpn, ppn in zip(lpns, ppns):
+            table[lpn] = ppn
+        return {}
 
     def _gc_flush_extras(self, vtpn: int) -> Dict[int, int]:
         """GC hook: extra cached dirty entries to fold into a forced
@@ -428,8 +430,9 @@ class BaseFTL:
     def _select_victim(self) -> Optional[Block]:
         """Greedy selection off the flash array's counting victim index.
 
-        Walking the buckets from the highest invalid count down, the
-        first one holding a block that is not a write frontier holds
+        Walking the non-empty buckets (``filter`` skips the rest in C)
+        from the highest invalid count down, the first one holding a
+        block that is not a write frontier holds
         exactly the blocks :class:`~repro.gc.GreedyPolicy` would rank
         top in a full scan of :meth:`_gc_candidates`; among them it takes
         the min erase count, then the min block id — the first-encountered
@@ -440,7 +443,7 @@ class BaseFTL:
         blocks = flash.blocks
         active_data = flash.active_block(BlockKind.DATA)
         active_trans = flash.active_block(BlockKind.TRANSLATION)
-        for bucket in reversed(flash.victim_index):
+        for bucket in filter(None, reversed(flash.victim_index)):
             victim: Optional[Block] = None
             for block_id in bucket:
                 block = blocks[block_id]
@@ -479,8 +482,8 @@ class BaseFTL:
         The mechanical slice — reading the valid pages, programming
         their copies at the frontier, invalidating the originals — is
         the flash array's :meth:`~repro.flash.FlashMemory.migrate_valid`;
-        the policy slice (which mappings go where, cache hits,
-        piggybacked flushes) is :meth:`_gc_update_mappings`.
+        the policy slice is :meth:`_gc_update_cached` (the cache hits),
+        then :meth:`_gc_update_mappings` (the misses, if any).
         """
         metrics = self.metrics
         metrics.gc_data_collections += 1
@@ -495,54 +498,41 @@ class BaseFTL:
         result.gc_data_writes += moved
         metrics.data_reads_migration += moved
         metrics.data_writes_migration += moved
-        moved_by_vtpn: Dict[int, List[Tuple[int, int]]] = {}
-        for lpn, new_ppn in zip(lpns, new_ppns):
-            vtpn = self.geometry.vtpn_of(lpn)
-            moved_by_vtpn.setdefault(vtpn, []).append((lpn, new_ppn))
-        self._gc_update_mappings(moved_by_vtpn, result)
+        missed = self._gc_update_cached(lpns, new_ppns)
+        metrics.gc_update_lookups += moved
+        metrics.gc_update_hits += moved - len(missed)
+        if missed:
+            self._gc_update_mappings(missed, result)
 
-    def _gc_update_mappings(
-            self, moved_by_vtpn: Dict[int, List[Tuple[int, int]]],
-            result: AccessResult) -> None:
-        """Update mappings of migrated data pages (DFTL-style batching).
+    def _gc_update_mappings(self, missed: Dict[int, int],
+                            result: AccessResult) -> None:
+        """Rewrite each translation page holding a GC miss once (DFTL's
+        batch update), piggybacking :meth:`_gc_flush_extras` onto it.
 
-        Per-vtpn: cached entries are updated in place (GC hits); the
-        remainder force one read-modify-write of the translation page
-        (GC misses, batched).  Subclasses may piggyback extra cached
-        dirty entries onto that forced write via :meth:`_gc_flush_extras`.
-
-        The forced rewrites of one victim are themselves batched: the
-        loop folds each page's updates into ``flash_table`` and only
-        collects its VTPN; one ``relocate`` call then moves all of them.
-        The order is safe because the cache hooks never touch flash and
-        the rewrites never touch the cache: "all folds, then all
-        rewrites" issues the same flash operations, in ascending VTPN
-        order, as rewriting each page inside the loop would.
+        The hits are already applied, and a page's extras still see them
+        as dirty: each hook touches only its own page's entries.  Every
+        page's updates are folded into ``flash_table`` in ascending VTPN
+        order, then one ``relocate`` call moves all the pages: the cache
+        hooks never touch flash and the rewrites never touch the cache.
         """
-        metrics = self.metrics
-        forced_vtpns: List[int] = []
-        for vtpn in sorted(moved_by_vtpn):
-            moved = moved_by_vtpn[vtpn]
-            missed: Dict[int, int] = {}
-            for lpn, new_ppn in moved:
-                if not self._cache_update_if_present(lpn, new_ppn):
-                    missed[lpn] = new_ppn
-            metrics.gc_update_lookups += len(moved)
-            metrics.gc_update_hits += len(moved) - len(missed)
-            if missed:
-                missed.update(self._gc_flush_extras(vtpn))
-                self._fold(vtpn, missed)
-                forced_vtpns.append(vtpn)
-        if not forced_vtpns:
-            return
+        per_page = self.geometry.entries_per_page
+        updates_by_vtpn: Dict[int, Dict[int, int]] = {}
+        for lpn, ppn in missed.items():
+            vtpn = lpn // per_page
+            updates_by_vtpn.setdefault(vtpn, {})[lpn] = ppn
+        forced_vtpns = sorted(updates_by_vtpn)
+        for vtpn in forced_vtpns:
+            updates = updates_by_vtpn[vtpn]
+            updates.update(self._gc_flush_extras(vtpn))
+            self._fold(vtpn, updates)
         ptpns = [self.gtd.lookup(vtpn) for vtpn in forced_vtpns]
         vtpns, new_ptpns = self.flash.relocate(ptpns, PageKind.TRANSLATION)
         if vtpns != forced_vtpns:
             raise FTLError(
                 f"GTD slots of VTPNs {forced_vtpns} hold pages {vtpns}")
         self._translation_pages_moved(vtpns, new_ptpns, result)
-        metrics.trans_reads_gc += len(vtpns)
-        metrics.trans_writes_gc_update += len(vtpns)
+        self.metrics.trans_reads_gc += len(vtpns)
+        self.metrics.trans_writes_gc_update += len(vtpns)
 
     def _translation_pages_moved(self, vtpns: List[int], ptpns: List[int],
                                  result: AccessResult) -> None:

@@ -86,13 +86,18 @@ class DFTL(BaseFTL):
         cell[_PPN] = ppn
         cell[_DIRTY] = True
 
-    def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
-        cell = self.cmt.get(lpn, touch=False)
-        if cell is None:
-            return False
-        cell[_PPN] = ppn
-        cell[_DIRTY] = True
-        return True
+    def _gc_update_cached(self, lpns: List[int],
+                          ppns: List[int]) -> Dict[int, int]:
+        missed: Dict[int, int] = {}
+        get = self.cmt.get
+        for lpn, ppn in zip(lpns, ppns):
+            cell = get(lpn, touch=False)
+            if cell is None:
+                missed[lpn] = ppn
+            else:
+                cell[_PPN] = ppn
+                cell[_DIRTY] = True
+        return missed
 
     def cache_peek(self, lpn: int) -> Optional[int]:
         """Cached PPN for ``lpn`` without touching recency."""

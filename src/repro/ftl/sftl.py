@@ -243,19 +243,23 @@ class SFTL(BaseFTL):
                 # and drop it (the next access reloads it compact)
                 self._evict_page(page.vtpn, result)
 
-    def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
-        vtpn = self.geometry.vtpn_of(lpn)
-        page = self.pages.get(vtpn, touch=False)
-        if page is not None:
-            # GC updates bypass the size heuristic; sizes refresh on the
-            # next load.  Content correctness is unaffected.
-            page.overrides[lpn] = ppn
-            return True
-        buffered = self.buffer.get(vtpn)
-        if buffered is not None and lpn in buffered:
-            buffered[lpn] = ppn
-            return True
-        return False
+    def _gc_update_cached(self, lpns: List[int],
+                          ppns: List[int]) -> Dict[int, int]:
+        missed: Dict[int, int] = {}
+        per_page = self.geometry.entries_per_page
+        get_page, buffer = self.pages.get, self.buffer
+        for lpn, ppn in zip(lpns, ppns):
+            vtpn = lpn // per_page
+            page = get_page(vtpn, touch=False)
+            if page is not None:
+                # GC updates bypass the size heuristic; sizes refresh on
+                # the next load.  Content correctness is unaffected.
+                page.overrides[lpn] = ppn
+            elif lpn in buffer.get(vtpn, ()):
+                buffer[vtpn][lpn] = ppn
+            else:
+                missed[lpn] = ppn
+        return missed
 
     def _gc_flush_extras(self, vtpn: int) -> Dict[int, int]:
         """Fold buffered entries of ``vtpn`` into a forced GC update."""

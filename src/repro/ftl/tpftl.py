@@ -177,15 +177,23 @@ class TPFTL(BaseFTL):
             node.dirty_count += 1
         self._touch(node, entry)
 
-    def _cache_update_if_present(self, lpn: int, ppn: int) -> bool:
-        # the LPN is a valid page's metadata: in range, as in _translate
-        node = self.by_vtpn.get(lpn // self.geometry.entries_per_page)
-        entry = node.entries.get(lpn) if node is not None else None
-        if entry is None:
-            return False
-        entry.ppn = ppn
-        node.set_dirty(entry, True)
-        return True
+    def _gc_update_cached(self, lpns: List[int],
+                          ppns: List[int]) -> Dict[int, int]:
+        missed: Dict[int, int] = {}
+        per_page = self.geometry.entries_per_page
+        by_vtpn = self.by_vtpn
+        # the LPNs are valid pages' metadata: in range, as in _translate
+        for lpn, ppn in zip(lpns, ppns):
+            node = by_vtpn.get(lpn // per_page)
+            entry = node.entries.get(lpn) if node is not None else None
+            if entry is None:
+                missed[lpn] = ppn
+                continue
+            entry.ppn = ppn
+            if not entry.dirty:  # ``node.set_dirty(entry, True)``, inlined
+                entry.dirty = True
+                node.dirty_count += 1
+        return missed
 
     def _gc_flush_extras(self, vtpn: int) -> Dict[int, int]:
         """Piggyback cached dirty entries onto a forced GC update (§4.4)."""

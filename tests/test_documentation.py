@@ -7,7 +7,7 @@ example must actually run, and
 the rule tables in ``docs/architecture.md`` must list exactly the
 codes the analysis registries define (no phantom or undocumented
 rules), and ``docs/ftls.md`` must give one section to each registered
-FTL.
+FTL and one hook-table row to each policy hook the FTLs override.
 """
 
 import ast
@@ -21,7 +21,8 @@ import pytest
 
 from repro.analysis.checkers import SAN_RULES
 from repro.analysis.lint import RULES
-from repro.ftl import FTL_NAMES
+from repro.ftl import DFTL, FTL_NAMES, SFTL, TPFTL
+from repro.ftl.base import BaseFTL
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
@@ -136,3 +137,20 @@ def test_ftl_guide_sections_match_registry():
     headings = re.findall(r"^## (\S+)", text[start:end], flags=re.MULTILINE)
     del headings[0]  # the data-path section itself
     assert sorted(headings) == list(FTL_NAMES)
+
+
+def test_ftl_hook_table_matches_the_overrides():
+    """docs/ftls.md's hook table names exactly the policy hooks.
+
+    Every hook a row names is a ``BaseFTL`` method, and every
+    ``BaseFTL`` method that DFTL, S-FTL or TPFTL overrides (apart from
+    ``__init__`` and ``name``) is a row: renaming a hook without its row,
+    or adding an override without documenting it, fails here.
+    """
+    text = (SRC.parent.parent / "docs" / "ftls.md").read_text("utf-8")
+    rows = set(re.findall(r"^\| `(\w+)\(", text, flags=re.MULTILINE))
+    assert rows and all(callable(getattr(BaseFTL, row, None))
+                        for row in rows), rows
+    overridden = {name for cls in (DFTL, SFTL, TPFTL) for name in vars(cls)
+                  if name in vars(BaseFTL) and not name.startswith("__")}
+    assert overridden - {"name"} == rows

@@ -1,6 +1,10 @@
 """Unit tests for the NAND block model and its invariants."""
 
+from array import array
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SSDConfig
 from repro.errors import EraseError, ProgramError
@@ -104,6 +108,21 @@ class TestQueries:
         block.program(meta=3)
         block.invalidate(1)
         assert block.valid_offsets() == [0, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(states=st.lists(st.sampled_from(list(PageState)), min_size=24,
+                           max_size=24),
+           block_id=st.integers(0, 2))
+    def test_valid_offsets_match_the_per_page_scan(self, states, block_id):
+        """The C-level scan equals the plain comprehension over a window
+        of FREE / VALID / INVALID / BAD pages, in any block of a shared
+        array (so a neighbour's pages never leak in)."""
+        shared = bytearray(state.value for state in states)
+        block = Block(block_id, 8, shared, array("q", [0]) * 24)
+        window = shared[block_id * 8:block_id * 8 + 8]
+        assert block.valid_offsets() == [
+            i for i, state in enumerate(window)
+            if state == PageState.VALID.value]
 
     def test_fresh_block_is_free_kind(self):
         assert Block(0, 4).is_free

@@ -2,6 +2,7 @@
 policy in the way) — prefill, write path, GC of both block kinds."""
 
 import copy
+import random
 
 import pytest
 
@@ -170,11 +171,11 @@ class TestGarbageCollection:
         table = ftl.gtd._table
         table[2], table[5] = table[5], table[2]
         first = ftl.geometry.first_lpn
-        moved = {vtpn: [(first(vtpn), ftl.flash_table[first(vtpn)])]
-                 for vtpn in (2, 3, 5)}
+        missed = {first(vtpn): ftl.flash_table[first(vtpn)]
+                  for vtpn in (5, 3, 2)}
         with pytest.raises(FTLError, match=r"VTPNs \[2, 3, 5\] hold "
                                            r"pages \[5, 3, 2\]"):
-            ftl._gc_update_mappings(moved, AccessResult())
+            ftl._gc_update_mappings(missed, AccessResult())
         assert ftl.gtd.updates == ftl.geometry.translation_pages
 
     def test_update_for_another_pages_lpn_is_refused(self, tiny_config):
@@ -186,6 +187,52 @@ class TestGarbageCollection:
                                                "belong to VTPN 3"):
                 ftl.write_translation_page(3, {stray: 0}, AccessResult())
         assert ftl.flash.stats.translation_writes == writes
+
+
+class TestGCUpdateCached:
+    """The GC hook's contract, for every FTL: the cached entries among a
+    victim's moved pages take the new PPN in place and turn dirty, the
+    rest come back as the misses, and neither flash nor ``flash_table``
+    is touched (the table-in-RAM default folds everything instead)."""
+
+    @pytest.mark.parametrize("name", FTL_NAMES)
+    def test_hits_updated_in_place_misses_returned(self, roomy_config,
+                                                   name):
+        ftl = make_ftl(name, roomy_config)
+        rng = random.Random(11)
+        first = ftl.geometry.first_lpn
+        # clean and dirty entries across translation pages 0-2; pages
+        # 5-7 are never loaded, so their LPNs miss in every cache
+        touched = [first(vtpn) + offset for vtpn in (0, 1, 2)
+                   for offset in rng.sample(range(8), 4)]
+        written = set(touched[::2])
+        for lpn in touched:
+            if lpn in written:
+                ftl.write_page(lpn)
+            else:
+                ftl.read_page(lpn)
+        cached = touched[1::3]
+        uncached = [first(vtpn) + rng.randrange(8) for vtpn in (5, 6, 7)]
+        lpns = cached + uncached
+        rng.shuffle(lpns)
+        ppns = [100_000 + i for i in range(len(lpns))]
+        new_ppn = dict(zip(lpns, ppns))
+        table = ftl.flash_table.tolist()
+        op_seq = ftl.flash.op_seq
+
+        missed = ftl._gc_update_cached(lpns, ppns)
+
+        assert ftl.flash.op_seq == op_seq
+        if name == "optimal":
+            assert missed == {}
+            assert all(ftl.flash_table[lpn] == new_ppn[lpn] for lpn in lpns)
+            return
+        assert missed == {lpn: new_ppn[lpn] for lpn in uncached}
+        for lpn in cached:
+            assert ftl.cache_peek(lpn) == new_ppn[lpn]
+        assert sum(dirty for _, dirty in ftl.cache_snapshot()) == len(
+            written | set(cached))
+        assert ftl.flash_table.tolist() == table
 
 
 class TestFlush:

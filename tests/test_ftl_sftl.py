@@ -192,12 +192,12 @@ class TestGCIntegration:
     def test_gc_update_hits_cached_page(self):
         ftl = make_sftl(budget=2048)
         ftl.read_page(0)
-        assert ftl._cache_update_if_present(0, 12345)
+        assert ftl._gc_update_cached([0], [12345]) == {}
         assert ftl.cache_peek(0) == 12345
 
     def test_gc_update_misses_uncached_page(self):
         ftl = make_sftl()
-        assert not ftl._cache_update_if_present(0, 12345)
+        assert ftl._gc_update_cached([0], [12345]) == {0: 12345}
 
     def test_flush_extras_drains_buffer_group(self):
         ftl = make_sftl(budget=256, buffer_fraction=0.5)

@@ -249,6 +249,26 @@ class TestBatchUpdate:
         assert 0 in extras
         assert ftl.by_vtpn[vtpn].dirty_count == 0
 
+    def test_gc_hit_rides_its_pages_forced_rewrite(self):
+        """GC applies a victim's cache hits before any forced rewrite:
+        a hit on a translation page where another moved LPN missed is
+        piggybacked onto that page's rewrite and left clean."""
+        ftl = make_tpftl("b", entry_slots=6)
+        ftl.read_page(0)  # cached clean; LPNs 1-7 of its block are not
+        flash = ftl.flash
+        victim = flash.block_of(ftl.flash_table[0])
+        assert {flash.block_of(ftl.flash_table[lpn])
+                for lpn in range(8)} == {victim}
+        node = ftl.by_vtpn[ftl.geometry.vtpn_of(0)]
+        ftl._collect(victim, AccessResult())
+        assert ftl.metrics.gc_update_hits == 1
+        assert ftl.metrics.trans_writes_gc_update == 1
+        assert ftl.metrics.batch_cleaned_entries == 1
+        assert not node.entries[0].dirty and node.dirty_count == 0
+        assert ftl.flash_table[0] == node.entries[0].ppn
+        assert flash.block_of(ftl.flash_table[0]) is not victim
+        ftl.check_consistency()
+
     def test_no_piggyback_without_b(self):
         ftl = make_tpftl("-", entry_slots=6)
         ftl.write_page(0)

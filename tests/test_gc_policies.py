@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash.block import Block
-from repro.ftl import make_ftl
+from repro.ftl import FTL_NAMES, make_ftl
 from repro.gc import GreedyPolicy
 from repro.ssd import simulate
 from repro.types import BlockKind
@@ -52,5 +52,21 @@ def test_policy_collects_under_tpftl_and_keeps_the_mapping(tiny_config,
     trace = make_trace(random_ops(1500, 512, seed=4, write_ratio=0.8))
     assert simulate(ftl, trace).metrics.gc_data_collections > 0
     assert checks[0] > 0
+    ftl.flush()
+    ftl.check_consistency()
+
+
+@pytest.mark.parametrize("name", FTL_NAMES)
+def test_index_pick_matches_the_full_scan_under_every_ftl(roomy_config,
+                                                          name):
+    """The counting index and ``GreedyPolicy``'s full scan agree on every
+    pick of a GC-heavy run, whichever FTL's blocks they are choosing
+    among (DFTL, S-FTL and TPFTL add translation blocks to the mix)."""
+    ftl = make_ftl(name, roomy_config)
+    checks = check_every_selection(ftl)
+    trace = make_trace(random_ops(1500, 512, seed=4, write_ratio=0.8))
+    metrics = simulate(ftl, trace).metrics
+    assert metrics.gc_data_collections > 0
+    assert checks[0] >= metrics.gc_data_collections
     ftl.flush()
     ftl.check_consistency()
