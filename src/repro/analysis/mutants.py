@@ -103,15 +103,15 @@ MUTANTS: Tuple[Mutant, ...] = (
         twin=_BENCH_DFTL,
         description="read-modify-write reads the LPN instead of the "
                     "old PPN",
-        before="self.flash.read(ppn_old, PageKind.DATA)",
-        after="self.flash.read(lpn, PageKind.DATA)"),
+        before="flash.read(ppn_old, DATA_PAGE)",
+        after="flash.read(lpn, DATA_PAGE)"),
     Mutant(
         mid="M02", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,
         description="swapped lpn/ppn arguments when recording a "
                     "mapping",
-        before="self._record_mapping(lpn, ppn_new, result)",
-        after="self._record_mapping(ppn_new, lpn, result)"),
+        before="record_mapping(lpn, ppn_new, result)",
+        after="record_mapping(ppn_new, lpn, result)"),
     Mutant(
         mid="M03", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,
@@ -165,18 +165,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         twin=_BENCH_OPTIMAL,
         description="single-channel finish time adds milliseconds to "
                     "a microsecond clock",
-        before="            start = arrival if arrival > free else free\n"
-               "            busy[0] = finish = start + service_us\n",
-        after="            service_ms = service_us / 1000.0\n"
-              "            start = arrival if arrival > free else free\n"
-              "            busy[0] = finish = start + service_ms\n"),
+        before="                start = arrival if arrival > free else free\n"
+               "                busy[0] = finish = start + service\n",
+        after="                service_ms = service / 1000.0\n"
+              "                start = arrival if arrival > free else free\n"
+              "                busy[0] = finish = start + service_ms\n"),
     Mutant(
         mid="M11", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,
         description="GC's forced rewrite hands relocate the VTPNs "
                     "instead of the PTPNs the GTD holds for them",
-        before="self.flash.relocate(ptpns, PageKind.TRANSLATION)",
-        after="self.flash.relocate(forced_vtpns, PageKind.TRANSLATION)"),
+        before="self.flash.relocate(ptpns, TRANSLATION_PAGE)",
+        after="self.flash.relocate(forced_vtpns, TRANSLATION_PAGE)"),
     # file handles: the summary writer's with block opened by hand
     Mutant(
         mid="P06", path="repro/tools.py",
@@ -234,12 +234,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         description="user write invalidates the old page on the Block, "
                     "behind FlashMemory (no fault injector, no victim "
                     "index)",
-        before="                self.flash.invalidate(ppn_old)\n"
-               "            self._record_mapping(lpn, ppn_new, result)\n",
-        after="                self.flash.blocks[self.flash.block_id_of("
+        before="                    flash.invalidate(ppn_old)\n"
+               "                record_mapping(lpn, ppn_new, result)\n",
+        after="                    flash.blocks[flash.block_id_of("
               "ppn_old)].invalidate(\n"
-              "                    self.flash.offset_of(ppn_old))\n"
-              "            self._record_mapping(lpn, ppn_new, result)\n"),
+              "                        flash.offset_of(ppn_old))\n"
+              "                record_mapping(lpn, ppn_new, result)\n"),
     Mutant(
         mid="F03", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from ..config import SanitizerConfig
 from ..errors import SanitizerError
-from ..types import Op
+from ..types import Op, TRIM, WRITE
 from . import checkers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -89,9 +89,9 @@ class FTLSan:
         point where every invariant should hold.
         """
         self.op_seq += 1
-        if op is Op.WRITE:
+        if op is WRITE:
             self.shadow[lpn] = _WRITTEN
-        elif op is Op.TRIM:
+        elif op is TRIM:
             self.shadow[lpn] = _TRIMMED
         self.touched.add(lpn)
         if self.op_seq % self.config.interval:

@@ -21,7 +21,7 @@ from itertools import compress
 from typing import List, Optional
 
 from ..errors import EraseError, ProgramError
-from ..types import BlockKind, PageState
+from ..types import FREE_BLOCK, PageState
 
 #: the state bytes (one definition: ``PageState``, whose values index it)
 _PAGE_STATES = tuple(PageState)
@@ -42,7 +42,7 @@ class Block:
                  metas: Optional["array[int]"] = None) -> None:
         self.block_id = block_id
         self.pages_per_block = pages_per_block
-        self.kind = BlockKind.FREE
+        self.kind = FREE_BLOCK
         self.erase_count = 0
         #: global operation sequence (``FlashMemory.op_seq``) of the most
         #: recent program into this block; no policy reads it, but the
@@ -78,7 +78,7 @@ class Block:
     @property
     def is_free(self) -> bool:
         """True while the block sits in the free pool."""
-        return self.kind is BlockKind.FREE
+        return self.kind is FREE_BLOCK
 
     def state(self, offset: int) -> PageState:
         """Lifecycle state of the page at ``offset``."""
@@ -122,7 +122,7 @@ class Block:
         Raises :class:`ProgramError` if the block is full or not owned
         (programming a FREE-kind block indicates an allocator bug).
         """
-        if self.kind is BlockKind.FREE:
+        if self.kind is FREE_BLOCK:
             raise ProgramError(
                 f"block {self.block_id} programmed before allocation")
         if self.is_full:
@@ -146,7 +146,7 @@ class Block:
         The page is consumed permanently: erases leave it BAD and the
         write pointer skips over it.  Returns the offset marked.
         """
-        if self.kind is BlockKind.FREE:
+        if self.kind is FREE_BLOCK:
             raise ProgramError(
                 f"block {self.block_id} marked bad before allocation")
         if self.is_full:
@@ -189,7 +189,7 @@ class Block:
         self.valid_count = 0
         self.invalid_count = 0
         self.erase_count += 1
-        self.kind = BlockKind.FREE
+        self.kind = FREE_BLOCK
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Block(id={self.block_id}, kind={self.kind.value}, "

@@ -54,7 +54,8 @@ from ..config import SSDConfig
 from ..errors import (DeviceWornOutError, EraseError, FlashError,
                       OutOfSpaceError, ProgramError, ReadError)
 from ..faults import FaultInjector
-from ..types import BlockKind, PageKind, PageState
+from ..types import (BlockKind, DATA_BLOCK, DATA_PAGE, PageKind, PageState,
+                     RETIRED_BLOCK, TRANSLATION_BLOCK)
 from .block import Block, INVALID, VALID
 from .stats import FlashStats
 
@@ -173,7 +174,7 @@ class FlashMemory:
 
     def active_block(self, kind: BlockKind) -> Optional[Block]:
         """The current write frontier for a region (may be None)."""
-        return (self._active_data if kind is BlockKind.DATA
+        return (self._active_data if kind is DATA_BLOCK
                 else self._active_trans)
 
     def total_erase_count(self) -> int:
@@ -197,14 +198,14 @@ class FlashMemory:
         ppb = self.pages_per_block
         injector = self.injector
         while True:
-            if kind is PageKind.DATA:
+            if kind is DATA_PAGE:
                 block = self._active_data
                 if block is None or block._write_ptr >= ppb:
-                    block = self._allocate(BlockKind.DATA)
+                    block = self._allocate(DATA_BLOCK)
             else:
                 block = self._active_trans
                 if block is None or block._write_ptr >= ppb:
-                    block = self._allocate(BlockKind.TRANSLATION)
+                    block = self._allocate(TRANSLATION_BLOCK)
             if injector.live:
                 injector.on_operation()
                 if injector.program_fails():
@@ -226,7 +227,7 @@ class FlashMemory:
             block.last_program_seq = seq
             if block.bad_count:
                 block._advance()
-            if kind is PageKind.DATA:
+            if kind is DATA_PAGE:
                 self.stats.data_writes += 1
             else:
                 self.stats.translation_writes += 1
@@ -245,15 +246,15 @@ class FlashMemory:
         injector = self.injector
         if injector.ordered:
             return [self.program(kind, meta) for meta in metas]
-        data = kind is PageKind.DATA
+        data = kind is DATA_PAGE
         ppb = self.pages_per_block
         ppns: List[int] = []
         i, total = 0, len(metas)
         while i < total:
             block = self._active_data if data else self._active_trans
             if block is None or block._write_ptr >= ppb:
-                block = self._allocate(BlockKind.DATA if data
-                                       else BlockKind.TRANSLATION)
+                block = self._allocate(DATA_BLOCK if data
+                                       else TRANSLATION_BLOCK)
             write_ptr = block._write_ptr
             take = min(total - i, ppb - write_ptr)
             if injector.live:
@@ -340,7 +341,7 @@ class FlashMemory:
                 index[block.invalid_count].discard(block.block_id)
                 block.invalid_count += len(offsets)
                 index[block.invalid_count].add(block.block_id)
-        if kind is PageKind.DATA:
+        if kind is DATA_PAGE:
             self.stats.data_reads += len(metas)
         else:
             self.stats.translation_reads += len(metas)
@@ -370,7 +371,7 @@ class FlashMemory:
                 self._read_failed(ppn, failures)
             if failures:
                 self.stats.record_ecc_recovery()
-        if kind is PageKind.DATA:
+        if kind is DATA_PAGE:
             self.stats.data_reads += 1
         else:
             self.stats.translation_reads += 1
@@ -422,7 +423,7 @@ class FlashMemory:
         block = self.blocks[block_id]
         if block.is_free:
             raise FlashError(f"block {block_id} is already free")
-        if block.kind is BlockKind.RETIRED:
+        if block.kind is RETIRED_BLOCK:
             raise FlashError(f"block {block_id} is retired")
         if block.valid_count:
             raise EraseError(
@@ -444,7 +445,7 @@ class FlashMemory:
         # the injector above leaves the victim indexed, and selectable
         self.victim_index[block.invalid_count].discard(block_id)
         block.erase()
-        if kind is BlockKind.DATA:
+        if kind is DATA_BLOCK:
             self.stats.data_erases += 1
         else:
             self.stats.translation_erases += 1
@@ -463,7 +464,7 @@ class FlashMemory:
                 "no free blocks left; GC failed to reclaim space")
         block = self.blocks[self._free.popleft()]
         block.kind = region
-        if region is BlockKind.DATA:
+        if region is DATA_BLOCK:
             self._active_data = block
         else:
             self._active_trans = block
@@ -472,7 +473,7 @@ class FlashMemory:
     def _retire(self, block: Block) -> None:
         """Take ``block`` out of service permanently."""
         self.victim_index[block.invalid_count].discard(block.block_id)
-        block.kind = BlockKind.RETIRED
+        block.kind = RETIRED_BLOCK
         self.retired_block_ids.append(block.block_id)
         self.stats.record_block_retired()
         self._check_spares()

@@ -35,8 +35,9 @@ from ..errors import (DeviceWornOutError, FTLError, OutOfSpaceError,
 from ..flash import FlashMemory
 from ..flash.block import Block
 from ..metrics import FTLMetrics
-from ..types import (AccessResult, BlockKind, Op, PageKind, Request,
-                     UNMAPPED)
+from ..types import (AccessResult, DATA_BLOCK, DATA_PAGE, Op, READ,
+                     RETIRED_BLOCK, Request, TRANSLATION_BLOCK,
+                     TRANSLATION_PAGE, UNMAPPED, WRITE)
 from .gtd import GlobalTranslationDirectory
 from .mappings import TranslationGeometry
 
@@ -169,10 +170,11 @@ class BaseFTL:
 
         The one way into the per-page data path.  The request's LPN
         range is checked first, so a request that leaves the device is
-        refused before any of its pages is served or counted; FTLSan
-        (when attached) sees every page right after :meth:`_serve_page`
-        returned — translation, flash traffic, mapping update and GC all
-        done, the point where every invariant should hold.
+        refused before any of its pages is served or counted.  Each page,
+        in LPN order, is translated, read, programmed or trimmed on
+        flash, its mapping recorded and GC run if the free pool is low;
+        FTLSan (when attached) then sees it, the point where every
+        invariant should hold.
         """
         first = request.lpn
         stop = first + request.npages
@@ -182,21 +184,51 @@ class BaseFTL:
                 f"({self.ssd.logical_pages} pages)")
         result = AccessResult()
         op = request.op
-        serve = self._serve_page
+        translate = self._translate
+        record_mapping = self._record_mapping
+        flash = self.flash
+        free = flash._free
+        gc_trigger = flash._gc_trigger
+        metrics = self.metrics
         sanitizer = self.sanitizer
         for lpn in range(first, stop):
-            serve(lpn, op, request, result)
+            ppn_old = translate(lpn, request, result)
+            if op is READ:
+                metrics.user_page_reads += 1
+                if ppn_old == UNMAPPED:
+                    # trimmed/never-written page: real SSDs return
+                    # zeroes without touching flash
+                    metrics.unmapped_reads += 1
+                else:
+                    flash.read(ppn_old, DATA_PAGE)
+                    result.data_reads += 1
+            elif op is WRITE:
+                metrics.user_page_writes += 1
+                ppn_new = flash.program(DATA_PAGE, lpn)
+                result.data_writes += 1
+                if ppn_old != UNMAPPED:
+                    flash.invalidate(ppn_old)
+                record_mapping(lpn, ppn_new, result)
+            else:  # TRIM: unmap without writing new data
+                metrics.user_page_trims += 1
+                if ppn_old != UNMAPPED:
+                    flash.invalidate(ppn_old)
+                    record_mapping(lpn, UNMAPPED, result)
+            # ``flash.gc_needed`` inlined (one len() compare) so pages
+            # that trigger no GC skip the ``_run_gc`` call frame
+            if len(free) <= gc_trigger:
+                self._run_gc(result)
             if sanitizer is not None:
                 sanitizer.after_op(lpn, op)
         return result
 
     def read_page(self, lpn: int) -> AccessResult:
         """Serve a single-page read: a one-page request."""
-        return self.serve_request(_page_request(Op.READ, lpn))
+        return self.serve_request(_page_request(READ, lpn))
 
     def write_page(self, lpn: int) -> AccessResult:
         """Serve a single-page write: a one-page request."""
-        return self.serve_request(_page_request(Op.WRITE, lpn))
+        return self.serve_request(_page_request(WRITE, lpn))
 
     def lookup_current(self, lpn: int) -> int:
         """The authoritative current PPN for ``lpn`` (cache wins)."""
@@ -266,48 +298,14 @@ class BaseFTL:
         for first in range(0, pages, _PREFILL_CHUNK):
             lpns = range(first, min(first + _PREFILL_CHUNK, pages))
             self.flash_table[first:lpns.stop] = array(
-                "q", flash.program_batch(PageKind.DATA, lpns))
+                "q", flash.program_batch(DATA_PAGE, lpns))
         if self.uses_translation_pages:
             ptpns = flash.program_batch(
-                PageKind.TRANSLATION,
+                TRANSLATION_PAGE,
                 range(self.geometry.translation_pages))
             self.gtd.update_all(range(len(ptpns)), ptpns)
         flash.stats.reset()
         self.metrics = FTLMetrics()
-
-    # ------------------------------------------------------------------
-    # The data path
-    # ------------------------------------------------------------------
-    def _serve_page(self, lpn: int, op: Op, request: Request,
-                    result: AccessResult) -> None:
-        metrics = self.metrics
-        ppn_old = self._translate(lpn, request, result)
-        if op is Op.READ:
-            metrics.user_page_reads += 1
-            if ppn_old == UNMAPPED:
-                # trimmed/never-written page: real SSDs return zeroes
-                # without touching flash
-                metrics.unmapped_reads += 1
-            else:
-                self.flash.read(ppn_old, PageKind.DATA)
-                result.data_reads += 1
-        elif op is Op.WRITE:
-            metrics.user_page_writes += 1
-            ppn_new = self.flash.program(PageKind.DATA, lpn)
-            result.data_writes += 1
-            if ppn_old != UNMAPPED:
-                self.flash.invalidate(ppn_old)
-            self._record_mapping(lpn, ppn_new, result)
-        else:  # TRIM: unmap without writing new data
-            metrics.user_page_trims += 1
-            if ppn_old != UNMAPPED:
-                self.flash.invalidate(ppn_old)
-                self._record_mapping(lpn, UNMAPPED, result)
-        # ``flash.gc_needed`` inlined (one len() compare) so pages that
-        # trigger no GC skip the ``_run_gc`` call frame
-        flash = self.flash
-        if len(flash._free) <= flash._gc_trigger:
-            self._run_gc(result)
 
     # ------------------------------------------------------------------
     # Translation-page flash traffic (helpers for subclasses)
@@ -317,7 +315,7 @@ class BaseFTL:
         """Read translation page ``vtpn``, charging to ``cause``."""
         if cause not in _READ_CAUSES:
             raise FTLError(f"unknown translation-read cause {cause!r}")
-        self.flash.read(self.gtd.lookup(vtpn), PageKind.TRANSLATION)
+        self.flash.read(self.gtd.lookup(vtpn), TRANSLATION_PAGE)
         result.translation_reads += 1
         if cause == "load":
             self.metrics.trans_reads_load += 1
@@ -333,7 +331,7 @@ class BaseFTL:
         flash_table already holds them).
         """
         self._fold(vtpn, updates)
-        ptpn = self.flash.program(PageKind.TRANSLATION, vtpn)
+        ptpn = self.flash.program(TRANSLATION_PAGE, vtpn)
         old_ptpn = self.gtd.update(vtpn, ptpn)
         if old_ptpn != UNMAPPED:
             self.flash.invalidate(old_ptpn)
@@ -418,13 +416,13 @@ class BaseFTL:
         """The in-service, non-free blocks minus the write frontiers."""
         active = {
             block for block in (
-                self.flash.active_block(BlockKind.DATA),
-                self.flash.active_block(BlockKind.TRANSLATION),
+                self.flash.active_block(DATA_BLOCK),
+                self.flash.active_block(TRANSLATION_BLOCK),
             ) if block is not None
         }
         return [block for block in self.flash.blocks
                 if not block.is_free
-                and block.kind is not BlockKind.RETIRED
+                and block.kind is not RETIRED_BLOCK
                 and block not in active]
 
     def _select_victim(self) -> Optional[Block]:
@@ -441,8 +439,8 @@ class BaseFTL:
         """
         flash = self.flash
         blocks = flash.blocks
-        active_data = flash.active_block(BlockKind.DATA)
-        active_trans = flash.active_block(BlockKind.TRANSLATION)
+        active_data = flash.active_block(DATA_BLOCK)
+        active_trans = flash.active_block(TRANSLATION_BLOCK)
         for bucket in filter(None, reversed(flash.victim_index)):
             victim: Optional[Block] = None
             for block_id in bucket:
@@ -460,9 +458,9 @@ class BaseFTL:
 
     def _collect(self, victim: Block, result: AccessResult) -> None:
         kind = victim.kind
-        if kind is BlockKind.DATA:
+        if kind is DATA_BLOCK:
             self._collect_data_block(victim, result)
-        elif kind is BlockKind.TRANSLATION:
+        elif kind is TRANSLATION_BLOCK:
             self._collect_translation_block(victim, result)
         else:  # pragma: no cover - selection excludes free blocks
             raise FTLError(f"cannot collect free block {victim.block_id}")
@@ -470,7 +468,7 @@ class BaseFTL:
         # the victim retires instead of rejoining the free pool.
         if self.flash.erase(victim.block_id):
             result.erases += 1
-            if kind is BlockKind.DATA:
+            if kind is DATA_BLOCK:
                 self.metrics.erases_data += 1
             else:
                 self.metrics.erases_translation += 1
@@ -487,7 +485,7 @@ class BaseFTL:
         """
         metrics = self.metrics
         metrics.gc_data_collections += 1
-        lpns, new_ppns = self.flash.migrate_valid(victim, PageKind.DATA)
+        lpns, new_ppns = self.flash.migrate_valid(victim, DATA_PAGE)
         moved = len(lpns)
         metrics.gc_data_valid_migrated += moved
         if not moved:
@@ -526,7 +524,7 @@ class BaseFTL:
             updates.update(self._gc_flush_extras(vtpn))
             self._fold(vtpn, updates)
         ptpns = [self.gtd.lookup(vtpn) for vtpn in forced_vtpns]
-        vtpns, new_ptpns = self.flash.relocate(ptpns, PageKind.TRANSLATION)
+        vtpns, new_ptpns = self.flash.relocate(ptpns, TRANSLATION_PAGE)
         if vtpns != forced_vtpns:
             raise FTLError(
                 f"GTD slots of VTPNs {forced_vtpns} hold pages {vtpns}")
@@ -550,7 +548,7 @@ class BaseFTL:
         metrics = self.metrics
         metrics.gc_translation_collections += 1
         vtpns, new_ptpns = self.flash.migrate_valid(
-            victim, PageKind.TRANSLATION)
+            victim, TRANSLATION_PAGE)
         moved = len(vtpns)
         metrics.gc_trans_valid_migrated += moved
         metrics.trans_reads_migration += moved

@@ -41,15 +41,18 @@ time is ``reads * read_us + writes * write_us + erases * erase_us`` in
 exactly that association, and the accumulators, the queue recurrence and
 the Welford response statistics are order-dependent folds over the
 requests in arrival order.  That is why ``channels == 1`` keeps its own
-branch in :meth:`DeviceModel._dispatch`: it adds the one
-multiply-accumulated service time to the queue horizon, where the
-striping loop would add the same operations one latency at a time and
-round differently.
+branch in :meth:`DeviceModel.run`, the queue recurrence inline: it adds
+the one multiply-accumulated service time to the queue horizon, where
+the striping loop would add the same operations one latency at a time
+and round differently.  For the same reason the fair path memoises each
+request shape's idle-device stripe by its ``(reads, writes, erases)``
+rather than computing it in closed form.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, WorkloadError
@@ -81,7 +84,7 @@ class FairShare:
                  ) -> None:
         self.weights: Dict[str, float] = dict(weights or {})
         for tenant, weight in self.weights.items():
-            if weight <= 0:
+            if not (math.isfinite(weight) and weight > 0):
                 raise ConfigError(
                     f"tenant weight must be positive: {tenant}={weight}")
         #: per-tenant lane horizon (simulated us); reset per run
@@ -90,12 +93,6 @@ class FairShare:
     def reset(self) -> None:
         """Forget all lane state (start of a run)."""
         self.lanes = {}
-
-    def weight(self, tenant: Optional[str]) -> float:
-        """A tenant's fair-share weight (default 1)."""
-        if tenant is None:
-            return 1.0
-        return self.weights.get(tenant, 1.0)
 
     def dispatch(self, arrival: float, service_us: float,
                  tenant: Optional[str]) -> Tuple[float, float]:
@@ -106,13 +103,15 @@ class FairShare:
         ``arrival`` are backlogged and dilute each other's shares in
         weight proportion.
         """
+        weights = self.weights
         lanes = self.lanes
         lane = lanes.get(tenant, 0.0)
-        total = self.weight(tenant)
+        own = 1.0 if tenant is None else weights.get(tenant, 1.0)
+        total = own
         for other, busy in lanes.items():
             if other != tenant and busy > arrival:
-                total += self.weight(other)
-        share = self.weight(tenant) / total
+                total += 1.0 if other is None else weights.get(other, 1.0)
+        share = own / total
         start = arrival if arrival > lane else lane
         finish = start + service_us / share
         lanes[tenant] = finish
@@ -231,6 +230,9 @@ class DeviceModel:
                 "background_gc is only modelled under the FIFO "
                 "dispatch policy (fair-share lanes have no single "
                 "idle-gap notion to absorb idle-time GC into)")
+        #: (reads, writes, erases) -> :meth:`_parallel_service_us`; a
+        #: pure function of the key, as channels and latencies are fixed
+        self._idle_stripes: Dict[Tuple[int, int, int], float] = {}
         self._reset_state()
 
     # ------------------------------------------------------------------
@@ -246,25 +248,6 @@ class DeviceModel:
         if self._fair is not None:
             self._fair.reset()
 
-    def _dispatch(self, arrival: float, reads: int, writes: int,
-                  erases: int, service_us: float) -> Tuple[float, float]:
-        """Queue one request's flash work; return ``(start, finish)``
-        where ``start`` is the first dispatch time."""
-        busy = self._busy
-        if self.channels == 1:
-            # The single-server recurrence on the one multiply-
-            # accumulated service time (not a per-op sum): the
-            # arithmetic the golden digests pin.
-            free = busy[0]
-            start = arrival if arrival > free else free
-            busy[0] = finish = start + service_us
-            return start, finish
-        start, finish = self._stripe(busy, self._cursor, arrival,
-                                     reads, writes, erases)
-        ops = reads + writes + erases
-        self._cursor = (self._cursor + ops) % self.channels
-        return start, finish
-
     def _parallel_service_us(self, reads: int, writes: int, erases: int,
                              service_us: float) -> float:
         """A request's service time with the device to itself.
@@ -277,8 +260,12 @@ class DeviceModel:
         """
         if self.channels == 1:
             return service_us
-        return self._stripe([0.0] * self.channels, 0, 0.0,
-                            reads, writes, erases)[1]
+        key = (reads, writes, erases)
+        parallel = self._idle_stripes.get(key)
+        if parallel is None:
+            parallel = self._idle_stripes[key] = self._stripe(
+                [0.0] * self.channels, 0, 0.0, reads, writes, erases)[1]
+        return parallel
 
     def _stripe(self, busy: List[float], cursor: int, arrival: float,
                 reads: int, writes: int, erases: int
@@ -354,6 +341,7 @@ class DeviceModel:
         self._validate_trace(trace)
         self._reset_state()
         busy = self._busy
+        channels = self.channels
         ftl = self.ftl
         read_us = ftl.ssd.read_us
         write_us = ftl.ssd.write_us
@@ -415,15 +403,24 @@ class DeviceModel:
                 # request completes at arrival and is charged no
                 # queueing delay for flash work it never issued.
                 start = finish = arrival
-            elif fair is None:
-                start, finish = self._dispatch(arrival, reads, writes,
-                                               erases, service)
-            else:
+            elif fair is not None:
                 start, finish = fair.dispatch(
                     arrival,
                     self._parallel_service_us(reads, writes, erases,
                                               service),
                     tenant)
+            elif channels == 1:
+                # The single-server recurrence on the one multiply-
+                # accumulated service time (not a per-op sum): the
+                # arithmetic the golden digests pin.
+                free = busy[0]
+                start = arrival if arrival > free else free
+                busy[0] = finish = start + service
+            else:
+                start, finish = self._stripe(busy, self._cursor, arrival,
+                                             reads, writes, erases)
+                self._cursor = ((self._cursor + reads + writes + erases)
+                                % channels)
             if finish > makespan:
                 makespan = finish
             record(arrival, start, finish)

@@ -187,6 +187,13 @@ class AccessResult:
 
 #: the ``ops`` column's codes: ``OPS[code]`` is the request's :class:`Op`
 OPS = (Op.READ, Op.WRITE, Op.TRIM)
+# The members bound once, for every per-op path to compare against: on
+# CPython <= 3.11 ``Op.READ`` runs ``EnumMeta.__getattr__``'s slot, 161 ns
+# on 3.10 and 126 ns on 3.11 against 12-19 ns for a module global, and
+# no profiler call count shows it.
+READ, WRITE, TRIM = OPS
+DATA_PAGE, TRANSLATION_PAGE = PageKind
+FREE_BLOCK, DATA_BLOCK, TRANSLATION_BLOCK, RETIRED_BLOCK = BlockKind
 _OP_CODES = {op: code for code, op in enumerate(OPS)}
 #: tenant names a trace can hold (the ``tenants`` column is one byte and
 #: code 0 is the unattributed ``None``)

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from repro.config import SimulationConfig, SSDConfig
 from repro.errors import WorkloadError
-from repro.ftl import OptimalFTL, make_ftl
-from repro.ssd import simulate
-from repro.types import Op, Request, Trace
+from repro.ftl import FTL_NAMES, OptimalFTL, make_ftl
+from repro.ssd import DeviceModel, simulate
+from repro.types import BlockKind, Op, PageKind, PageState, Request, Trace
+from repro.workloads import ArrivalModel, compose, uniform_mix
 
 from conftest import make_trace, random_ops
 
@@ -186,3 +188,69 @@ class TestRunResult:
                           keep_response_samples=True)
         assert len(result.response.samples) == 10
         assert result.response.percentile(50) is not None
+
+
+def _gc_heavy_trace() -> Trace:
+    """Random 1-4 page reads and writes over the tiny device, with
+    trims mixed in: every branch of the page loop, and GC throughout."""
+    ops = random_ops(600, 512, seed=11)
+    ops[::25] = [(Op.TRIM, lpn, npages) for _, lpn, npages in ops[::25]]
+    return make_trace(ops)
+
+
+def _hot_path_case(case: str):
+    """``(device, trace)`` for one replay the enum guard watches."""
+    ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
+    if case in FTL_NAMES:
+        return (DeviceModel(make_ftl(case, SimulationConfig(ssd=ssd))),
+                _gc_heavy_trace())
+    if case == "read-faults":
+        ssd = SSDConfig(logical_pages=512, page_size=256,
+                        pages_per_block=8, read_error_rate=0.05,
+                        fault_seed=3)
+        return (DeviceModel(make_ftl("tpftl", SimulationConfig(ssd=ssd))),
+                _gc_heavy_trace())
+    spec = uniform_mix("mix", "financial1", 3, 150, 128,
+                       arrival=ArrivalModel(mean_interarrival_us=250.0),
+                       weights=(1.0, 2.0, 3.0), seed=5)
+    trace = compose(spec)
+    ssd = SSDConfig(logical_pages=trace.logical_pages, page_size=256,
+                    pages_per_block=8)
+    return (DeviceModel(make_ftl("dftl", SimulationConfig(ssd=ssd)),
+                        channels=4, qos="fair",
+                        tenant_weights=spec.weights()), trace)
+
+
+class TestHotPath:
+    @pytest.mark.parametrize(
+        "case", FTL_NAMES + ("fair-mix-4ch", "read-faults"))
+    def test_replay_reads_no_enum_member_through_its_class(self, case):
+        """Per-op code compares against the members ``repro.types``
+        binds once: ``Op.READ`` runs the enum metaclass's attribute
+        slot, several times a module global's cost on CPython <= 3.11,
+        and no profiler call count shows it."""
+        device, trace = _hot_path_case(case)
+        watched = (Op, PageKind, BlockKind, PageState)
+        meta = type(Op)
+        reads = []
+
+        def counting(cls, name):
+            if cls in watched and not (name.startswith("__")
+                                       and name.endswith("__")):
+                reads.append(f"{cls.__name__}.{name}")
+            return type.__getattribute__(cls, name)
+
+        meta.__getattribute__ = counting
+        try:
+            assert Op.WRITE is not None  # the counter is live
+            probe = reads.copy()
+            reads.clear()
+            result = device.run(trace)
+        finally:
+            delattr(meta, "__getattribute__")
+        assert probe == ["Op.WRITE"]
+        assert reads == []
+        assert device.ftl.sanitizer is None
+        assert result.metrics.gc_data_collections > 0
+        if case == "read-faults":
+            assert result.faults["read_retries"] > 0

@@ -10,12 +10,15 @@ reference digests on traffic workloads, the runner's digest-neutral spec extensi
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config import SimulationConfig, SSDConfig
 from repro.errors import ConfigError, WorkloadError
@@ -24,7 +27,7 @@ from repro.experiments.runner import (RunSpec, clear_run_caches,
                                       decode_result, encode_result,
                                       execute_spec)
 from repro.ftl import make_ftl
-from repro.ssd import DeviceModel, simulate
+from repro.ssd import DeviceModel, FairShare, simulate
 from repro.types import Op, Request, Trace
 from repro.workloads import (ARRIVAL_KINDS, ArrivalModel, TenantSpec,
                              TrafficSpec, compose, make_preset, uniform_mix)
@@ -137,9 +140,15 @@ class TestTrafficSpec:
         with pytest.raises(WorkloadError, match="workload"):
             TenantSpec(name="a", workload="nope", num_requests=1,
                        pages=64)
-        with pytest.raises(WorkloadError, match="weight"):
-            TenantSpec(name="a", workload="financial1", num_requests=1,
-                       pages=64, weight=0.0)
+        for weight in (0.0, float("nan"), float("inf")):
+            with pytest.raises(WorkloadError, match="weight"):
+                TenantSpec(name="a", workload="financial1",
+                           num_requests=1, pages=64, weight=weight)
+        # json reads NaN and Infinity, so a payload can carry them
+        for field in ("mean_interarrival_us", "period_us"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(WorkloadError, match=field):
+                    ArrivalModel(**{field: value})
 
     def test_namespaces_are_disjoint_slices_in_order(self):
         spec = tiny_mix(tenants=3, pages=128)
@@ -343,6 +352,13 @@ class TestDeviceTenancy:
             DeviceModel(make_ftl("dftl", tiny_config),
                         tenant_weights={"a": 1.0})
 
+    def test_non_finite_fair_share_weight_rejected(self):
+        # a NaN weight used to be accepted, and every finish time it
+        # touched came out NaN
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="weight"):
+                FairShare({"a": weight})
+
     def test_unknown_qos_rejected(self, tiny_config):
         with pytest.raises(ConfigError, match="qos"):
             DeviceModel(make_ftl("dftl", tiny_config), qos="wfq")
@@ -361,8 +377,15 @@ class TestDeviceTenancy:
         with pytest.raises(WorkloadError, match="non-decreasing"):
             device.run(trace)
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(channels=st.sampled_from((2, 3, 4, 8)),
+           shapes=st.lists(st.tuples(st.integers(0, 12),
+                                     st.integers(0, 12),
+                                     st.integers(0, 3)),
+                           min_size=1, max_size=12))
     def test_channel_parallel_service_stripes_from_cursor_zero(
-            self, tiny_config):
+            self, tiny_config, channels, shapes):
         device = DeviceModel(make_ftl("dftl", tiny_config), channels=2)
         ssd = device.ftl.ssd
         # r,r,r,w round-robined over 2 channels: ch0 = 2 reads,
@@ -371,6 +394,19 @@ class TestDeviceTenancy:
         assert device._parallel_service_us(3, 1, 0, 0.0) == expected
         single = DeviceModel(make_ftl("dftl", tiny_config), channels=1)
         assert single._parallel_service_us(3, 1, 0, 123.0) == 123.0
+        # the stripe is memoised per (reads, writes, erases); with
+        # non-integer latencies the rounding order matters, so the
+        # stored value must be the striping loop's own sum, both on
+        # the first call and on every repeat
+        ssd = dataclasses.replace(tiny_config.ssd, read_us=25.1,
+                                  write_us=200.3, erase_us=1500.7)
+        device = DeviceModel(make_ftl("dftl", SimulationConfig(ssd=ssd)),
+                             channels=channels)
+        for reads, writes, erases in shapes + shapes:
+            fresh = device._stripe([0.0] * channels, 0, 0.0,
+                                   reads, writes, erases)[1]
+            assert device._parallel_service_us(
+                reads, writes, erases, -1.0) == fresh
 
 
 class TestFastpathTrafficParity:
