@@ -77,6 +77,12 @@ SPEC_CELLS.update({f"bench/{workload}:{ftl}": RunSpec(
     for workload in TIER1_WORKLOADS for ftl in ("dftl", "optimal")})
 SPEC_CELLS["channels4/financial2:dftl"] = RunSpec(
     workload="financial2", ftl="dftl", scale=PARITY_SCALE, channels=4)
+#: TPFTL with each technique switch on and off: the seven ablation
+#: monograms of Fig 7/8 on one Financial and one MSR workload
+SPEC_CELLS.update({f"ablation/{workload}:{monogram}": RunSpec.for_ablation(
+    monogram, PARITY_SCALE, workload)
+    for workload in ("financial1", "msr-ts")
+    for monogram in ("-", "b", "c", "bc", "r", "s", "rs")})
 
 
 def sanitized_run():
