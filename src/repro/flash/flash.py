@@ -460,6 +460,11 @@ class FlashMemory:
     # ------------------------------------------------------------------
     def _allocate(self, region: BlockKind) -> Block:
         if not self._free:
+            if self.is_worn:  # the rule ``BaseFTL._run_gc`` applies
+                raise DeviceWornOutError(
+                    "no free blocks left with "
+                    f"{len(self.retired_block_ids)} blocks retired and "
+                    f"{self.bad_page_count} bad pages")
             raise OutOfSpaceError(
                 "no free blocks left; GC failed to reclaim space")
         block = self.blocks[self._free.popleft()]

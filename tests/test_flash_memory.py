@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SSDConfig
-from repro.errors import FlashError, OutOfSpaceError
+from repro.errors import DeviceWornOutError, FlashError, OutOfSpaceError
 from repro.flash import FlashMemory
 from repro.types import BlockKind, PageKind
 
@@ -107,6 +107,18 @@ class TestSpaceAccounting:
         pages = len(flash.blocks) * flash.pages_per_block
         with pytest.raises(OutOfSpaceError):
             for _ in range(pages + 1):
+                flash.program(PageKind.DATA, meta=0)
+
+    def test_worn_array_out_of_space_raises_worn_out(self, flash):
+        """A pool drained after a retirement is wear, not misconfiguration:
+        the array raises what ``_run_gc`` raises for the same state."""
+        ppn = flash.program(PageKind.DATA, meta=0)
+        flash.invalidate(ppn)
+        flash.injector.erase_fails = lambda: True
+        assert not flash.erase(flash.block_id_of(ppn))
+        assert flash.is_worn
+        with pytest.raises(DeviceWornOutError):
+            while True:
                 flash.program(PageKind.DATA, meta=0)
 
     def test_total_erase_count(self, flash):
