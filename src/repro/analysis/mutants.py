@@ -6,10 +6,11 @@ works.  This harness keeps tier-1 honest: it applies a curated list of
 class — and asserts that the one tier-1 test each mutant names, its
 **twin**, fails under it.  The ids keep their families:
 
-* ``M01``–``M09`` and ``M11``, value bugs: swapped ``lpn``/``ppn``
-  arguments, an LPN-indexed table indexed by VTPN, VTPNs handed to the
-  flash array where it takes PTPNs, milliseconds where microseconds are
-  expected, a byte budget stored as an entry count.  Most change a
+* ``M01``–``M09``, ``M11`` and ``M12``, value bugs: swapped
+  ``lpn``/``ppn`` arguments, an LPN-indexed table indexed by VTPN, VTPNs
+  handed to the flash array where it takes PTPNs, milliseconds where
+  microseconds are expected, a byte budget stored as an entry count, an
+  LPN summed where TPFTL sums access sequence numbers.  Most change a
   golden digest in ``tests/test_fastpath.py``.
 * ``P06``, ``P10``, ``P11``, file handles: ``repro.tools``' summary
   writer rewritten around a bare ``open()`` — closed by hand, after an
@@ -177,6 +178,13 @@ MUTANTS: Tuple[Mutant, ...] = (
                     "instead of the PTPNs the GTD holds for them",
         before="self.flash.relocate(ptpns, TRANSLATION_PAGE)",
         after="self.flash.relocate(forced_vtpns, TRANSLATION_PAGE)"),
+    Mutant(
+        mid="M12", path="repro/ftl/tpftl.py",
+        twin=_GOLDEN + "[ablation/financial1:-]",
+        description="a loaded entry adds its LPN, not its access "
+                    "sequence number, to its TP node's hotness sum",
+        before="node.hot_sum += seq\n",
+        after="node.hot_sum += lpn\n"),
     # file handles: the summary writer's with block opened by hand
     Mutant(
         mid="P06", path="repro/tools.py",
@@ -248,8 +256,6 @@ MUTANTS: Tuple[Mutant, ...] = (
         before="forced_vtpns = sorted(updates_by_vtpn)",
         after="forced_vtpns = list(updates_by_vtpn)"),
 )
-
-
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,8 @@ class FTLSan:
         """Validate one entry eviction (SAN006 + SAN007).
 
         Called by ``TPFTL._evict_one`` after the victim is chosen and
-        before it is written back/dropped.
+        before it is written back and dropped from its node and the
+        budget, which that method does inline.
         """
         if self._prefetching and self._wants("SAN006"):
             self._prefetch_victims.add(node.vtpn)

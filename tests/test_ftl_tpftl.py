@@ -97,18 +97,25 @@ class TestTwoLevelStructure:
         assert peak <= 48 * pages
 
     def test_add_of_cached_lpn_is_an_invariant_error(self):
-        node = TPNode(0)
-        node.add(EntryNode(3, 30, hot_seq=1))
+        ftl = make_tpftl("-")
+        ftl._insert_entry(3, 30, prefetched=False, result=AccessResult())
+        node, used = ftl.by_vtpn[0], ftl.budget.used
         with pytest.raises(SimInvariantError):
-            node.add(EntryNode(3, 31, hot_seq=2))
+            ftl._insert_entry(3, 31, prefetched=False,
+                              result=AccessResult())
         assert node.hot_sum == 1 and node.entries[3].ppn == 30
+        assert ftl.budget.used == used
 
     def test_drop_of_uncached_entry_is_an_invariant_error(self):
-        node = TPNode(0)
-        node.add(EntryNode(3, 30, hot_seq=1))
+        ftl = make_tpftl("-")
+        ftl._insert_entry(3, 30, prefetched=False, result=AccessResult())
+        node, used = ftl.by_vtpn[0], ftl.budget.used
+        ftl._choose_victim = lambda node, protect=None: EntryNode(
+            4, 40, hot_seq=2)
         with pytest.raises(SimInvariantError):
-            node.drop(EntryNode(4, 40, hot_seq=2))
+            ftl._evict_one(node, AccessResult())
         assert node.hot_sum == 1 and len(node) == 1
+        assert ftl.budget.used == used
 
 
 class TestPageLevelHotness:
