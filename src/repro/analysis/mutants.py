@@ -6,12 +6,12 @@ works.  This harness keeps tier-1 honest: it applies a curated list of
 class — and asserts that the one tier-1 test each mutant names, its
 **twin**, fails under it.  The ids keep their families:
 
-* ``M01``–``M09``, ``M11`` and ``M12``, value bugs: swapped
+* ``M01``–``M09`` and ``M11``–``M13``, value bugs: swapped
   ``lpn``/``ppn`` arguments, an LPN-indexed table indexed by VTPN, VTPNs
   handed to the flash array where it takes PTPNs, milliseconds where
   microseconds are expected, a byte budget stored as an entry count, an
-  LPN summed where TPFTL sums access sequence numbers.  Most change a
-  golden digest in ``tests/test_fastpath.py``.
+  LPN summed for access sequence numbers, an MRU-end CMT eviction.
+  Most change a golden digest in ``tests/test_fastpath.py``.
 * ``P06``, ``P10``, ``P11``, file handles: ``repro.tools``' summary
   writer rewritten around a bare ``open()`` — closed by hand, after an
   early return, or twice.  TP007 flags each, so their twin is
@@ -185,6 +185,10 @@ MUTANTS: Tuple[Mutant, ...] = (
                     "sequence number, to its TP node's hotness sum",
         before="node.hot_sum += seq\n",
         after="node.hot_sum += lpn\n"),
+    Mutant(
+        mid="M13", path="repro/ftl/dftl.py", twin=_BENCH_DFTL,
+        description="the CMT evicts its MRU end instead of its LRU end",
+        before="cmt.popitem(last=False)", after="cmt.popitem(last=True)"),
     # file handles: the summary writer's with block opened by hand
     Mutant(
         mid="P06", path="repro/tools.py",

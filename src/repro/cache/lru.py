@@ -3,8 +3,8 @@
 ``LRUDict`` is a keyed LRU map: a thin class over one
 :class:`collections.OrderedDict` whose *last* item is the MRU one, so a
 hit is ``move_to_end`` and an eviction is ``popitem(last=False)``.  It
-backs DFTL's CMT and S-FTL's page cache; TPFTL's TP nodes keep their
-entries in a bare ``OrderedDict`` with the same orientation.
+backs S-FTL's page cache only; DFTL's CMT and TPFTL's TP nodes keep
+their entries in a bare ``OrderedDict`` with the same orientation.
 
 ``LRUList`` is the one hand-written structure left: an intrusive doubly
 linked list of :class:`LRUNode` objects, head = MRU, matching the
@@ -63,17 +63,18 @@ N = TypeVar("N", bound=LRUNode)
 
 
 class LRUList(Generic[N]):
-    """Doubly linked list with sentinels; head = MRU, tail = LRU."""
+    """Doubly linked list between sentinels: ``head`` before the MRU
+    node, ``tail`` after the LRU one (``tail.prev`` skips ``lru``'s frame)."""
 
-    __slots__ = ("_head", "_tail", "_size")
+    __slots__ = ("head", "tail", "_size")
 
     def __init__(self) -> None:
-        self._head = LRUNode()  # sentinel before MRU, hotter than any node
-        self._tail = LRUNode()  # sentinel after LRU, colder than any node
-        self._head.hotness = float("inf")
-        self._tail.hotness = float("-inf")
-        self._head.next = self._tail
-        self._tail.prev = self._head
+        self.head = LRUNode()  # sentinel before MRU, hotter than any node
+        self.tail = LRUNode()  # sentinel after LRU, colder than any node
+        self.head.hotness = float("inf")
+        self.tail.hotness = float("-inf")
+        self.head.next = self.tail
+        self.tail.prev = self.head
         self._size = 0
 
     def __len__(self) -> int:
@@ -82,20 +83,20 @@ class LRUList(Generic[N]):
     @property
     def mru(self) -> Optional[N]:
         """The most-recently-used node, or None when empty."""
-        node = self._head.next
-        return cast(N, node) if node is not self._tail else None
+        node = self.head.next
+        return cast(N, node) if node is not self.tail else None
 
     @property
     def lru(self) -> Optional[N]:
         """The least-recently-used node, or None when empty."""
-        node = self._tail.prev
-        return cast(N, node) if node is not self._head else None
+        node = self.tail.prev
+        return cast(N, node) if node is not self.head else None
 
     def push_mru(self, node: N) -> None:
         """Insert an unlinked node at the MRU end."""
         if node.prev is not _UNLINKED:
             raise SimInvariantError("node is already in a list")
-        head = self._head
+        head = self.head
         self._link(head, node, head.next)
         self._size += 1
 
@@ -141,8 +142,8 @@ class LRUList(Generic[N]):
 
     def __iter__(self) -> Iterator[N]:
         """Iterate from MRU to LRU; do not mutate while iterating."""
-        node = self._head.next
-        while node is not self._tail:
+        node = self.head.next
+        while node is not self.tail:
             yield cast(N, node)
             node = node.next
 
@@ -162,9 +163,9 @@ V = TypeVar("V")
 class LRUDict(Generic[K, V]):
     """Dictionary with LRU ordering: O(1) get/put/evict.
 
-    This is the classic CMT shape (DFTL) and also serves S-FTL's
-    page-granularity cache; capacity enforcement is left to the caller
-    because eviction cost is policy (writebacks, batching, ...).
+    It serves S-FTL's page-granularity cache; capacity enforcement is
+    left to the caller because eviction cost is policy (writebacks,
+    batching, ...).
     """
 
     __slots__ = ("_od",)

@@ -13,12 +13,12 @@ implements for everyone.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..cache import LRUDict
 from ..config import SimulationConfig
-from ..errors import CacheCapacityError, FTLError, SimInvariantError
-from ..types import AccessResult, Request
+from ..errors import CacheCapacityError, FTLError
+from ..types import TRANSLATION_PAGE, AccessResult, Request
 from .base import BaseFTL
 
 #: index of the PPN / dirty flag in a CMT value cell
@@ -41,46 +41,50 @@ class DFTL(BaseFTL):
             raise CacheCapacityError(
                 f"cache budget leaves room for "
                 f"{self.capacity_entries} CMT entries")
-        #: CMT: LPN -> [ppn, dirty]
-        self.cmt: LRUDict[int, List[int]] = LRUDict()
+        #: CMT: LPN -> [ppn, dirty]; first = LRU, last = MRU
+        self.cmt: OrderedDict[int, List[int]] = OrderedDict()
 
     # ------------------------------------------------------------------
     # Mapping-cache policy
     # ------------------------------------------------------------------
     def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
-        self.metrics.lookups += 1
-        cell = self.cmt.get(lpn)
+        metrics, cmt = self.metrics, self.cmt
+        metrics.lookups += 1
+        cell = cmt.get(lpn)
         if cell is not None:
-            self.metrics.hits += 1
+            metrics.hits += 1
+            cmt.move_to_end(lpn)
             return cell[_PPN]
-        # Miss: make room, then demand-load the entry from flash.
-        self._evict_until(self.capacity_entries - 1, result)
-        self.read_translation_page(self.geometry.vtpn_of(lpn), "load",
-                                   result)
-        ppn = self.flash_table[lpn]
-        self.cmt.put(lpn, [ppn, False])
-        return ppn
-
-    def _evict_until(self, max_entries: int, result: AccessResult) -> None:
-        """Evict LRU entries until the CMT holds at most ``max_entries``."""
-        while len(self.cmt) > max_entries:
-            popped = self.cmt.pop_lru()
-            if popped is None:  # pragma: no cover - loop guard
-                raise SimInvariantError("CMT emptied during eviction")
-            victim_lpn, cell = popped
-            self.metrics.replacements += 1
-            if cell[_DIRTY]:
-                self.metrics.dirty_replacements += 1
-                vtpn = self.geometry.vtpn_of(victim_lpn)
+        # Miss: evict LRU entries until one slot is free, then load the
+        # entry; both ``read_translation_page`` calls are inlined.
+        flash, gtd = self.flash, self.gtd
+        per_page = self.geometry.entries_per_page
+        while len(cmt) >= self.capacity_entries:
+            victim_lpn, victim = cmt.popitem(last=False)
+            metrics.replacements += 1
+            if victim[_DIRTY]:
+                metrics.dirty_replacements += 1
                 # Partial overwrite: read the page, merge one entry, write.
-                self.read_translation_page(vtpn, "writeback", result)
+                vtpn = victim_lpn // per_page
+                flash.read(gtd.lookup(vtpn), TRANSLATION_PAGE)
+                result.translation_reads += 1
+                metrics.trans_reads_writeback += 1
                 self.write_translation_page(
-                    vtpn, {victim_lpn: cell[_PPN]}, result)
+                    vtpn, {victim_lpn: victim[_PPN]}, result)
+        # ``serve_request`` bounds-checked the LPN
+        flash.read(gtd.lookup(lpn // per_page), TRANSLATION_PAGE)
+        result.translation_reads += 1
+        metrics.trans_reads_load += 1
+        ppn = self.flash_table[lpn]
+        cmt[lpn] = [ppn, False]
+        return ppn
 
     def _record_mapping(self, lpn: int, ppn: int,
                         result: AccessResult) -> None:
-        cell = self.cmt.get(lpn, touch=True)
+        # no touch: ``_translate`` has just put ``lpn`` at the MRU end,
+        # and ``serve_request`` only programs and invalidates in between
+        cell = self.cmt.get(lpn)
         if cell is None:  # pragma: no cover - translate always installs
             raise FTLError(f"write to LPN {lpn} without a cached entry")
         cell[_PPN] = ppn
@@ -91,7 +95,7 @@ class DFTL(BaseFTL):
         missed: Dict[int, int] = {}
         get = self.cmt.get
         for lpn, ppn in zip(lpns, ppns):
-            cell = get(lpn, touch=False)
+            cell = get(lpn)
             if cell is None:
                 missed[lpn] = ppn
             else:
@@ -101,7 +105,7 @@ class DFTL(BaseFTL):
 
     def cache_peek(self, lpn: int) -> Optional[int]:
         """Cached PPN for ``lpn`` without touching recency."""
-        cell = self.cmt.get(lpn, touch=False)
+        cell = self.cmt.get(lpn)
         return cell[_PPN] if cell is not None else None
 
     # ------------------------------------------------------------------
@@ -110,7 +114,7 @@ class DFTL(BaseFTL):
     def cache_snapshot(self) -> List[Tuple[int, int]]:
         """(entries, dirty) per cached translation page."""
         per_page: Dict[int, List[int]] = {}
-        for lpn, cell in self.cmt.items_mru_to_lru():
+        for lpn, cell in reversed(self.cmt.items()):
             vtpn = self.geometry.vtpn_of(lpn)
             bucket = per_page.setdefault(vtpn, [0, 0])
             bucket[0] += 1
@@ -120,7 +124,7 @@ class DFTL(BaseFTL):
 
     def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
-        for lpn, cell in self.cmt.items_mru_to_lru():
+        for lpn, cell in reversed(self.cmt.items()):
             if cell[_DIRTY]:
                 vtpn = self.geometry.vtpn_of(lpn)
                 grouped.setdefault(vtpn, {})[lpn] = cell[_PPN]

@@ -342,16 +342,17 @@ class TPFTL(BaseFTL):
         prefetching); demanded loads pass None and may drain any number
         of nodes, coldest first.  ``protect`` is never chosen as victim.
         """
-        budget = self.budget
+        budget, page_list = self.budget, self.page_list
         while budget.used + need > budget.capacity:
-            victim_node = (only_node if only_node is not None
-                           else self.page_list.lru)
-            if victim_node is None or not victim_node.entries:
+            victim_node: TPNode = page_list.tail.prev  # type: ignore[assignment]
+            if only_node is not None:
+                victim_node = only_node
+            if victim_node is page_list.head or not victim_node.entries:
                 return False
             if not self._evict_one(victim_node, result, protect=protect):
                 return False
-            if only_node is not None and not only_node.linked:
-                # the allowed node was fully drained and removed
+            if only_node is not None and not only_node.entries:
+                # the allowed node was fully drained and unlinked
                 if budget.used + need > budget.capacity:
                     return False
         return True

@@ -97,7 +97,7 @@ def test_san001_trim_left_mapped(sanitized_config):
     # resurrect the stale mapping behind the host's back (the cached
     # cell would mask the table, so drop it too)
     ftl.flash_table[9] = ppn
-    ftl.cmt.remove(9)
+    del ftl.cmt[9]
     with pytest.raises(SanitizerError) as excinfo:
         _san(ftl).run_checks(full=True)
     assert excinfo.value.code == "SAN001"

@@ -92,16 +92,68 @@ class TestEviction:
         assert ftl.metrics.trans_writes_writeback - before == 3
 
 
+class TestCMTOrder:
+    """The CMT is a bare ``OrderedDict``: first = LRU, last = MRU."""
+
+    def test_hit_moves_entry_to_mru_end(self):
+        ftl = small_dftl(4)
+        for lpn in (1, 2, 3):
+            ftl.read_page(lpn)
+        ftl.read_page(1)
+        assert list(ftl.cmt) == [2, 3, 1]
+
+    def test_miss_on_full_cmt_evicts_exactly_the_lru_entry(self):
+        ftl = small_dftl(3)
+        for lpn in (1, 2, 3, 1):  # 2 is now the LRU entry
+            ftl.read_page(lpn)
+        ftl.read_page(4)
+        assert list(ftl.cmt) == [3, 1, 4]
+        assert ftl.metrics.replacements == 1
+
+    def test_clean_victim_costs_no_translation_write(self):
+        ftl = small_dftl(2)
+        ftl.read_page(1)
+        ftl.read_page(2)
+        result = ftl.read_page(3)
+        assert result.translation_reads == 1  # the load alone
+        assert result.translation_writes == 0
+        assert ftl.metrics.trans_reads_writeback == 0
+
+    def test_dirty_victim_folds_only_its_own_entry(self):
+        ftl = small_dftl(3)
+        ftl.write_page(1)
+        ftl.write_page(2)  # same translation page, dirty too
+        ftl.read_page(3)
+        new_1, new_2 = ftl.cache_peek(1), ftl.cache_peek(2)
+        result = ftl.read_page(4)  # evicts dirty 1
+        assert result.translation_reads == 2  # write-back read + load
+        assert result.translation_writes == 1
+        assert ftl.metrics.trans_reads_writeback == 1
+        assert ftl.flash_table[1] == new_1
+        assert ftl.flash_table[2] != new_2  # still dirty in the CMT
+        assert list(ftl.cmt) == [2, 3, 4]
+
+    def test_write_leaves_the_order_translate_set(self):
+        ftl = small_dftl(4)
+        for lpn in (1, 2, 3):
+            ftl.read_page(lpn)
+        ftl.write_page(1)  # a hit, then the record
+        ftl.write_page(5)  # a miss, then the record
+        assert list(ftl.cmt) == [2, 3, 1, 5]
+        assert [cell[1] for cell in ftl.cmt.values()] == [
+            False, False, True, True]
+
+
 class TestWriteSemantics:
     def test_write_marks_entry_dirty(self):
         ftl = small_dftl(4)
         ftl.write_page(5)
-        assert ftl.cmt.get(5, touch=False)[1]  # the dirty flag
+        assert ftl.cmt[5][1]  # the dirty flag
         new_ppn = ftl.cache_peek(5)
         # the flush hook hands the dirty set over and cleans it
         assert ftl._take_dirty_entries() == {
             ftl.geometry.vtpn_of(5): {5: new_ppn}}
-        assert not ftl.cmt.get(5, touch=False)[1]
+        assert not ftl.cmt[5][1]
 
     def test_write_then_read_hits_cache(self):
         ftl = small_dftl(4)

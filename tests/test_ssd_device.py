@@ -6,10 +6,10 @@ from collections import Counter
 
 import pytest
 
-from repro.cache import ByteBudget, LRUList
+from repro.cache import ByteBudget, LRUDict, LRUList
 from repro.config import CacheConfig, SimulationConfig, SSDConfig, TPFTLConfig
 from repro.errors import WorkloadError
-from repro.ftl import FTL_NAMES, OptimalFTL, make_ftl
+from repro.ftl import FTL_NAMES, BaseFTL, OptimalFTL, make_ftl
 from repro.ftl.tpftl import EntryNode, TPNode
 from repro.ssd import DeviceModel, simulate
 from repro.types import BlockKind, Op, PageKind, PageState, Request, Trace
@@ -297,3 +297,34 @@ class TestHotPath:
         # entries come and go far more often than whole nodes do
         assert calls[EntryNode.__init__.__code__] > 10 * loads
         assert result.metrics.replacements > 10 * drains
+
+    def test_dftl_cache_events_cross_no_helper_frame(self):
+        """A DFTL cache event runs in ``_translate``'s body: the CMT is
+        a bare ``OrderedDict`` and the load and the write-back's read
+        are inline.  A dirty victim still calls
+        ``write_translation_page``, so ``_fold`` stays the one writer
+        of ``flash_table``."""
+        ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
+        ftl = make_ftl("dftl", SimulationConfig(
+            ssd=ssd, cache=CacheConfig(budget_bytes=1024)))
+        calls = Counter()
+
+        def counting(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code] += 1
+
+        sys.setprofile(counting)
+        try:
+            result = DeviceModel(ftl).run(_gc_heavy_trace())
+        finally:
+            sys.setprofile(None)
+        assert ftl.sanitizer is None
+        assert result.metrics.gc_data_collections > 0
+        lru_dict = {member.__code__ for member in vars(LRUDict).values()
+                    if hasattr(member, "__code__")}
+        assert not [code.co_name for code in calls if code in lru_dict]
+        assert not [code for code in calls if code.co_name == "_evict_until"]
+        assert calls[BaseFTL.read_translation_page.__code__] == 0
+        assert result.metrics.dirty_replacements > 0
+        assert (calls[BaseFTL.write_translation_page.__code__]
+                == result.metrics.dirty_replacements)
