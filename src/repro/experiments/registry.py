@@ -6,8 +6,7 @@ from typing import Callable, Dict
 
 from ..errors import ExperimentError
 from . import (analysis, channels, claims, faults, fig1, fig2, fig6, fig7,
-               fig8, fig9, fig10, model_check, table2, threshold_sweep,
-               traffic)
+               fig8, fig9, fig10, model_check, table2, threshold_sweep)
 from .common import ExperimentResult, ExperimentScale
 
 #: every table/figure of the paper's evaluation, in paper order
@@ -39,7 +38,6 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentScale], ExperimentResult]] = {
     "faults": faults.run,
     "analysis": analysis.run,
     "channels": channels.run,
-    "traffic": traffic.run,
 }
 
 

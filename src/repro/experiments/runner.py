@@ -61,7 +61,7 @@ from .common import ExperimentScale, simulation_config
 from .supervisor import Supervisor, Task
 
 #: bump when the cache-file layout or RunResult encoding changes
-#: (3: RunResult grew ``background_gc_time_us``; 4: per-tenant
+#: (3: RunResult grew the idle-time GC fields; 4: per-tenant
 #: response statistics and the ``qos`` dispatch-policy field)
 CACHE_SCHEMA = 4
 #: environment variable overriding the worker count (``--jobs`` wins)
@@ -284,8 +284,9 @@ def encode_result(result: RunResult) -> Dict[str, Any]:
         "makespan": result.makespan,
         "gc_time_us": result.gc_time_us,
         "service_time_us": result.service_time_us,
-        "background_gc_time_us": result.background_gc_time_us,
-        "background_collections": result.background_collections,
+        # constants, kept so no golden digest or cache address changes
+        "background_gc_time_us": 0.0,
+        "background_collections": 0,
         "channels": result.channels,
         "faults": dict(result.faults),
         "tenants": {name: _encode_stats(stats)
@@ -322,8 +323,6 @@ def decode_result(payload: Dict[str, Any]) -> RunResult:
         makespan=payload["makespan"],
         gc_time_us=payload["gc_time_us"],
         service_time_us=payload["service_time_us"],
-        background_gc_time_us=payload["background_gc_time_us"],
-        background_collections=payload["background_collections"],
         channels=payload["channels"],
         faults=dict(payload["faults"]),
         tenants={name: _decode_stats(stats)

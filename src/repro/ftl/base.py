@@ -354,33 +354,6 @@ class BaseFTL:
     # ------------------------------------------------------------------
     # Garbage collection
     # ------------------------------------------------------------------
-    def background_collect(self, max_blocks: int = 1) -> AccessResult:
-        """Collect up to ``max_blocks`` victims during host idle time.
-
-        Extension beyond the paper: real controllers use idle periods to
-        pre-free blocks so foreground writes do not stall on GC.  Only
-        collects when the free pool is within 2x of the trigger level —
-        collecting earlier would shrink the effective over-provisioning
-        and raise write amplification for no latency benefit.  Returns
-        the flash costs so the device model can charge them to idle
-        time.
-        """
-        result = AccessResult()
-        if max_blocks < 1:
-            return result
-        worthwhile = (self.flash.free_block_count
-                      <= 2 * self.ssd.gc_trigger_blocks)
-        if not worthwhile:
-            return result
-        for _ in range(max_blocks):
-            victim = self._select_victim()
-            if victim is None:
-                break
-            self._collect(victim, result)
-            if not self.flash.gc_needed:
-                break
-        return result
-
     def _run_gc(self, result: AccessResult) -> None:
         """Collect victim blocks while the free pool is low.
 

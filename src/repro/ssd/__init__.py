@@ -1,7 +1,7 @@
 """The device model: an FTL plus FIFO queueing and response times.
 
 :class:`DeviceModel` is the one timing subsystem (validation, warmup,
-GC accounting, background GC, per-run queue reset, the replay loop
+GC accounting, per-run queue reset, the replay loop
 :meth:`DeviceModel.run`); ``channels=1`` is the paper-faithful
 single-server queue and ``channels=N`` (extension) overlaps operations
 across N flash channels.  :func:`simulate` builds a device and replays

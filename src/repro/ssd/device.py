@@ -75,8 +75,7 @@ class FairShare:
     degenerates to the single-server FIFO recurrence exactly), while
     under contention each tenant's queue grows only with its *own*
     offered load: one tenant driven into overload cannot starve the
-    others, which is the isolation property the ``traffic`` experiment
-    measures.  Unattributed requests (``tenant=None``) share one
+    others.  Unattributed requests (``tenant=None``) share one
     default lane with weight 1.
     """
 
@@ -130,15 +129,11 @@ class RunResult:
     sampler: Optional[CacheSampler]
     #: simulated time at which the last request finished (us)
     makespan: float
-    #: flash time spent on GC operations (us), foreground + background
+    #: flash time spent on GC operations (us), a part of
+    #: ``service_time_us``
     gc_time_us: float = 0.0
     #: total flash service time (us) across measured requests
     service_time_us: float = 0.0
-    #: flash time spent on background (idle-time) GC (us); disjoint from
-    #: ``service_time_us``, which only covers request-triggered work
-    background_gc_time_us: float = 0.0
-    #: victim blocks collected during host idle time
-    background_collections: int = 0
     #: flash channels of the device model that produced this result
     channels: int = 1
     #: reliability counters from FlashStats.fault_summary() (injected
@@ -153,18 +148,11 @@ class RunResult:
 
     @property
     def gc_time_fraction(self) -> float:
-        """GC's share of total flash service time.
-
-        The denominator covers everything the flash actually served:
-        request-triggered work plus background (idle-time) GC.
-        ``gc_time_us`` counts foreground GC (a subset of
-        ``service_time_us``) plus background GC (all of
-        ``background_gc_time_us``), so the fraction is always <= 1.
-        """
-        total = self.service_time_us + self.background_gc_time_us
-        if not total:
+        """GC's share of total flash service time (always <= 1: GC is
+        served inside the requests that trigger it)."""
+        if not self.service_time_us:
             return 0.0
-        return self.gc_time_us / total
+        return self.gc_time_us / self.service_time_us
 
     def summary(self) -> dict:
         """Headline numbers as a flat dict (handy in tests/benches)."""
@@ -196,8 +184,6 @@ class DeviceModel:
     def __init__(self, ftl: BaseFTL, channels: int = 1,
                  sample_interval: int = 0,
                  keep_response_samples: bool = False,
-                 background_gc: bool = False,
-                 background_gc_min_idle_us: float = 2_000.0,
                  qos: str = "fifo",
                  tenant_weights: Optional[Dict[str, float]] = None
                  ) -> None:
@@ -208,9 +194,6 @@ class DeviceModel:
         self.channels = channels
         self.sample_interval = sample_interval
         self.keep_response_samples = keep_response_samples
-        #: collect victims during idle gaps (extension; off = paper model)
-        self.background_gc = background_gc
-        self.background_gc_min_idle_us = background_gc_min_idle_us
         if qos not in QOS_POLICIES:
             raise ConfigError(
                 f"unknown qos policy {qos!r}; choose from "
@@ -225,11 +208,6 @@ class DeviceModel:
         self.qos = qos
         self._fair = (FairShare(tenant_weights) if qos == "fair"
                       else None)
-        if self._fair is not None and background_gc:
-            raise ConfigError(
-                "background_gc is only modelled under the FIFO "
-                "dispatch policy (fair-share lanes have no single "
-                "idle-gap notion to absorb idle-time GC into)")
         #: (reads, writes, erases) -> :meth:`_parallel_service_us`; a
         #: pure function of the key, as channels and latencies are fixed
         self._idle_stripes: Dict[Tuple[int, int, int], float] = {}
@@ -359,29 +337,12 @@ class DeviceModel:
         tenants: Dict[str, ResponseStats] = {}
         sampler = (CacheSampler(interval=self.sample_interval)
                    if self.sample_interval > 0 else None)
-        background_gc = self.background_gc
         fair = self._fair
         gc_time = 0.0
         service_total = 0.0
-        background_gc_us = 0.0
-        background_collections = 0
         makespan = 0.0
         for request in trace.rows(warmup):
             arrival = request.arrival
-            if background_gc:
-                idle = arrival - min(busy)
-                while idle >= self.background_gc_min_idle_us:
-                    bg = ftl.background_collect(max_blocks=1)
-                    bg_service = bg.service_time(read_us, write_us,
-                                                 erase_us)
-                    if bg_service == 0.0:
-                        break
-                    background_collections += bg.erases
-                    # idle-time GC occupies the least-busy channel
-                    busy[busy.index(min(busy))] += bg_service
-                    gc_time += bg_service
-                    background_gc_us += bg_service
-                    idle = arrival - min(busy)
             cost = ftl.serve_request(request)
             reads = cost.data_reads + cost.translation_reads
             writes = cost.data_writes + cost.translation_writes
@@ -446,8 +407,6 @@ class DeviceModel:
             makespan=makespan,
             gc_time_us=gc_time,
             service_time_us=service_total,
-            background_gc_time_us=background_gc_us,
-            background_collections=background_collections,
             channels=self.channels,
             faults=ftl.flash.stats.fault_summary(),
             tenants=tenants,

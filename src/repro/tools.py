@@ -7,14 +7,6 @@ figure-oriented ``tpftl-experiments`` CLI::
     tpftl-sim --ftl dftl --trace Financial1.spc --format spc
     tpftl-sim --ftl tpftl --workload msr-ts --cache-fraction 0.03125
     tpftl-sim --ftl sftl --workload msr-src --channels 4 --json -
-    tpftl-sim --workload financial1 --tenants 4 --qos fair \\
-        --arrival bursty --mean-interarrival-us 2000
-
-``--tenants N`` composes N open-loop tenant streams of the chosen
-preset (disjoint namespaces, per-tenant arrival processes) instead of
-replaying the preset's closed-loop clock; the summary then carries
-per-tenant response statistics, and ``--qos fair`` dispatches through
-weighted fair-share lanes instead of the paper's FIFO queue.
 
 Prints the run summary as a table (or JSON with ``--json``).
 """
@@ -31,10 +23,9 @@ from .config import (CacheConfig, SimulationConfig, SSDConfig,
 from .errors import CacheError, ConfigError, WorkloadError
 from .ftl import FTL_NAMES, make_ftl
 from .metrics import format_table
-from .ssd import QOS_POLICIES, DeviceModel
-from .workloads import (ARRIVAL_KINDS, PRESET_NAMES, ArrivalModel,
-                        compose, load_msr_trace, load_spc_trace,
-                        make_preset, uniform_mix)
+from .ssd import DeviceModel
+from .workloads import (PRESET_NAMES, load_msr_trace, load_spc_trace,
+                        make_preset)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,21 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "r, s, rs, rsbc)")
     parser.add_argument("--channels", type=int, default=1,
                         help="flash channels (1 = the paper's model)")
-    parser.add_argument("--tenants", type=int, default=None, metavar="N",
-                        help="compose N open-loop tenant streams of the "
-                             "preset (disjoint namespaces) instead of "
-                             "its closed-loop clock")
-    parser.add_argument("--arrival", choices=ARRIVAL_KINDS,
-                        default="poisson",
-                        help="tenant arrival process (with --tenants)")
-    parser.add_argument("--mean-interarrival-us", type=float,
-                        default=1_000.0, metavar="US",
-                        help="per-tenant mean inter-arrival time "
-                             "(with --tenants)")
-    parser.add_argument("--qos", choices=QOS_POLICIES, default="fifo",
-                        help="dispatch policy (fifo = the paper's "
-                             "single queue; fair = weighted per-tenant "
-                             "lanes)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", metavar="FILE", default=None,
                         help="write the summary as JSON ('-' = stdout)")
@@ -92,30 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_trace(args: argparse.Namespace):
     if args.trace:
-        if args.tenants is not None:
-            raise SystemExit(
-                "--tenants composes synthetic preset streams; it "
-                "cannot be combined with --trace")
         loader = (load_spc_trace if args.format == "spc"
                   else load_msr_trace)
         return loader(args.trace, wrap_pages=args.pages)
-    if args.tenants is not None:
-        from .workloads.presets import FINANCIAL_PAGES, MSR_PAGES
-        if args.tenants < 1:
-            raise WorkloadError("tenants must be >= 1")
-        total_pages = args.pages or (
-            MSR_PAGES if args.workload.startswith("msr")
-            else FINANCIAL_PAGES)
-        spec = uniform_mix(
-            name=f"{args.workload}x{args.tenants}",
-            workload=args.workload, tenants=args.tenants,
-            requests_per_tenant=max(1, args.requests // args.tenants),
-            pages_per_tenant=max(1, total_pages // args.tenants),
-            arrival=ArrivalModel(
-                kind=args.arrival,
-                mean_interarrival_us=args.mean_interarrival_us),
-            seed=args.seed)
-        return compose(spec)
     kwargs = {"num_requests": args.requests, "seed": args.seed}
     if args.pages:
         kwargs["logical_pages"] = args.pages
@@ -142,14 +97,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         trace = _load_trace(args)
+        warmup = (args.warmup if args.warmup is not None
+                  else len(trace) // 4)
+        if not 0 <= warmup < len(trace):
+            raise WorkloadError(
+                f"warmup must lie in [0, {len(trace)}) so that at "
+                f"least one request is measured (got {warmup})")
         config = _build_config(args, args.pages or trace.logical_pages)
         ftl = make_ftl(args.ftl, config)
     except (ConfigError, CacheError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    warmup = (args.warmup if args.warmup is not None
-              else len(trace) // 4)
-    device = DeviceModel(ftl, channels=config.channels, qos=args.qos)
+    device = DeviceModel(ftl, channels=config.channels)
     run = device.run(trace, warmup_requests=warmup)
     summary = run.summary()
     summary["cache_bytes"] = config.resolved_cache().budget_bytes

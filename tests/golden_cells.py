@@ -30,7 +30,6 @@ from repro.workloads import (ArrivalModel, SyntheticSpec, TenantSpec,
 
 from conftest import (GOLDEN_PATH, golden_digests, make_trace, random_ops,
                       result_digest)
-from test_background_gc import bursty_write_trace
 
 #: the tier-1 cells at CI size (the cell set the old parity matrix ran)
 PARITY_SCALE = ExperimentScale(num_requests=2_500, warmup_requests=500)
@@ -112,14 +111,11 @@ def follow_up_after_abort_run():
     return device.run(small_trace(count=120, seed=21))
 
 
-#: hand-built devices (background GC, FTLSan, warmup, heavy GC, reuse)
+#: hand-built devices (FTLSan, warmup, heavy GC, reuse)
 RUN_CELLS = {
     "device/warmup-dftl": lambda: DeviceModel(
         make_ftl("dftl", ROOMY), sample_interval=200).run(
             small_trace(), warmup_requests=300),
-    "device/background-gc-optimal": lambda: DeviceModel(
-        OptimalFTL(TINY), background_gc=True).run(
-            bursty_write_trace(bursts=60)),
     "device/sanitized-tpftl": lambda: sanitized_run()[0],
     "device/gc-heavy-dftl": lambda: DeviceModel(
         make_ftl("dftl", GC_HEAVY)).run(gc_heavy_trace()),

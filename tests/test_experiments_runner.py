@@ -126,6 +126,26 @@ class TestResultCodec:
         assert all(isinstance(k, int)
                    for k in decoded.sampler.dirty_histogram)
 
+    def test_idle_gc_keys_stay_constant_and_old_entries_decode(self):
+        """Idle-time GC left ``RunResult``, but its two keys stay in the
+        encoding as constants: an entry written before (the same keys,
+        0.0 / 0 on every run without idle GC) decodes to the same
+        result, and the bytes every digest hashes do not move."""
+        fresh = execute_spec(tiny_spec())
+        payload = json.loads(json.dumps(encode_result(fresh)))
+        assert payload["background_gc_time_us"] == 0.0
+        assert isinstance(payload["background_gc_time_us"], float)
+        assert payload["background_collections"] == 0
+        assert isinstance(payload["background_collections"], int)
+        decoded = decode_result(payload)
+        assert decoded == fresh
+        assert decoded.summary() == fresh.summary()
+        # an entry from a run that collected at idle time: the keys are
+        # read by nothing, so the summary is the foreground one
+        payload.update(background_gc_time_us=1_500.0,
+                       background_collections=1)
+        assert decode_result(payload).summary() == fresh.summary()
+
 
 class TestRunCache:
     def test_persists_across_cache_instances(self, tmp_path):

@@ -13,11 +13,9 @@ ordered plan gets (an armed cut, program faults or a stubbed oracle),
 and the counting victim index and running erase-count spread against
 full scans.
 
-Also here, unchanged: the regressions for two bugs fixed alongside the
+Also here, unchanged: the regression for a bug fixed alongside the
 batched core — ``CacheSampler.maybe_sample`` fired on every request
-after a multi-page request jumped several boundaries at once, and
-``RunResult.gc_time_fraction`` divided by request service time only, so
-background GC could push the "fraction" past 1.
+after a multi-page request jumped several boundaries at once.
 """
 
 import dataclasses
@@ -35,7 +33,7 @@ from repro.experiments.runner import (decode_result, encode_result,
 from repro.faults import FaultInjector, FaultPlan
 from repro.flash import FlashMemory
 from repro.flash.block import Block
-from repro.ftl import OptimalFTL, make_ftl
+from repro.ftl import make_ftl
 from repro.metrics import CacheSampler
 from repro.ssd import DeviceModel
 from repro.types import AccessResult, BlockKind, PageKind, PageState
@@ -44,11 +42,10 @@ from repro.workloads import make_preset
 from conftest import (check_every_selection, golden_digests, make_trace,
                       random_ops, result_digest)
 from golden_cells import (FAULT_CELLS, FTLS, GC_HEAVY, POWER_CUT_AFTER,
-                          ROOMY, RUN_CELLS, SPEC_CELLS, TIER1_WORKLOADS,
+                          ROOMY, SPEC_CELLS, TIER1_WORKLOADS,
                           TINY, TINY_SSD, TRACE_CELLS, all_cells, check,
                           flash_state, gc_heavy_trace, media_fault_config,
                           sanitized_run, small_trace)
-from test_background_gc import bursty_write_trace
 
 
 # ----------------------------------------------------------------------
@@ -97,11 +94,6 @@ class TestDeviceLevelParity:
     def test_warmup_parity(self):
         check("device/warmup-dftl")
         check("device/gc-heavy-dftl")
-
-    def test_background_gc_parity(self):
-        result = RUN_CELLS["device/background-gc-optimal"]()
-        assert result.background_collections > 0
-        check("device/background-gc-optimal")
 
     def test_fault_plan_falls_back_to_reference(self):
         """A read-only plan keeps the batched prefill and GC mover and
@@ -562,29 +554,6 @@ class TestBlockWindow:
                 window.invalid_count, window.bad_count]
         assert before == [(raw_pages(flash, b), window_state(flash.blocks[b]))
                           for b in (k - 1, k + 1)]
-
-
-class TestGCTimeFractionInvariant:
-    """Regression: background GC used to push the fraction past 1."""
-
-    def test_fraction_bounded_with_background_gc(self, tiny_config):
-        device = DeviceModel(OptimalFTL(tiny_config), background_gc=True)
-        result = device.run(bursty_write_trace(bursts=80))
-        # the setup reproduces the bug: plenty of background GC time
-        # relative to request service time
-        assert result.background_gc_time_us > 0.0
-        assert result.gc_time_us >= result.background_gc_time_us
-        assert 0.0 <= result.gc_time_fraction <= 1.0
-        # the old denominator (request service time only) blows past 1
-        assert (result.gc_time_us / result.service_time_us) > 1.0
-
-    def test_background_time_disjoint_from_service(self, tiny_config):
-        device = DeviceModel(OptimalFTL(tiny_config), background_gc=True)
-        result = device.run(bursty_write_trace(bursts=80))
-        # foreground GC is part of service time; background GC is not
-        assert result.service_time_us > 0.0
-        assert (result.gc_time_us
-                <= result.service_time_us + result.background_gc_time_us)
 
 
 class TestSamplerCatchUp:

@@ -216,7 +216,7 @@ class TestValidation:
 
 
 class TestFeatureParity:
-    """Sampler, response samples and background GC work on channels."""
+    """The sampler works on channels."""
 
     def test_sampler_attached(self, tiny_config):
         ftl = DFTL(tiny_config)
@@ -225,10 +225,3 @@ class TestFeatureParity:
         result = device.run(make_trace(ops))
         assert result.sampler is not None
         assert len(result.sampler.samples) == 3
-
-    def test_background_gc_collects_in_idle_gaps(self, tiny_config):
-        from test_background_gc import bursty_write_trace
-        ftl = OptimalFTL(tiny_config)
-        device = DeviceModel(ftl, channels=4, background_gc=True)
-        result = device.run(bursty_write_trace(bursts=80))
-        assert result.background_collections > 0

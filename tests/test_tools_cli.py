@@ -23,6 +23,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--ftl", "nope"])
 
+    def test_no_tenant_flags(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--tenants", "2"])
+
 
 class TestMain:
     COMMON = ["--requests", "600", "--warmup", "100",
@@ -72,16 +76,20 @@ class TestMain:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
-        ["--tenants", "0"],
         ["--cache-bytes", "10"],
         ["--cache-bytes", "520"],
         ["--pages", "3", "--requests", "50"],
         ["--requests", "-5"],
-    ], ids=["tenants-0", "gtd-overflow", "tpftl-budget", "tiny-device",
-            "negative-requests"])
+        ["--requests", "50", "--warmup", "-5"],
+        ["--requests", "200", "--warmup", "500"],
+        ["--requests", "0"],
+    ], ids=["gtd-overflow", "tpftl-budget", "tiny-device",
+            "negative-requests", "warmup-negative", "warmup-covers-trace",
+            "no-requests"])
     def test_bad_input_is_a_one_line_error(self, capsys, argv):
         """Workload, config and FTL-construction errors alike exit 2
-        with one line, before anything runs."""
+        with one line, before anything runs; so does a warmup that
+        leaves no request to measure."""
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")

@@ -4,8 +4,8 @@ Covers the composition layer (arrival models, namespace slicing, merge
 determinism), tenant threading through the device models (per-tenant
 response statistics, fair-share lanes, single-tenant degeneration to
 the paper's FIFO arithmetic bit-for-bit), parity with the frozen
-reference digests on traffic workloads, the runner's digest-neutral spec extension, and the
-``traffic`` registry experiment.
+reference digests on traffic workloads, and the runner's
+digest-neutral spec extension.
 """
 
 from __future__ import annotations
@@ -341,11 +341,6 @@ class TestDeviceTenancy:
         light = result.tenants["financial1-1"]
         assert heavy.mean_queue_delay < light.mean_queue_delay
 
-    def test_fair_rejects_background_gc(self, tiny_config):
-        with pytest.raises(ConfigError, match="background_gc"):
-            DeviceModel(make_ftl("dftl", tiny_config), qos="fair",
-                        background_gc=True)
-
     def test_weights_without_fair_rejected(self, tiny_config):
         # FIFO used to drop the weights silently (and unvalidated)
         with pytest.raises(ConfigError, match="tenant_weights"):
@@ -480,60 +475,3 @@ class TestRunnerTrafficSpecs:
         assert decoded.tenants == fresh.tenants
         assert decoded.qos == "fair"
         assert decoded.summary() == fresh.summary()
-
-
-class TestTrafficExperiment:
-    @pytest.fixture(autouse=True)
-    def _isolated_runner(self, tmp_path):
-        from repro.experiments.runner import (configure_runner,
-                                              reset_runner)
-        configure_runner(jobs=1, cache_dir=tmp_path / "cache")
-        yield
-        reset_runner()
-        clear_run_caches()
-
-    def test_sweep_reports_per_tenant_tails(self):
-        from repro.experiments.traffic import (LOAD_SWEEP, QOS_SWEEP,
-                                               run)
-        result = run(TINY)
-        data = result.data
-        assert data["bench"] == "traffic"
-        assert max(data["load_sweep"]) > 1.0  # crosses into overload
-        assert len(data["cells"]) == len(LOAD_SWEEP) * len(QOS_SWEEP)
-        for cell in data["cells"]:
-            assert cell["qos"] in QOS_SWEEP
-            assert cell["aggregate"]["p99_us"] > 0.0
-            assert set(cell["tenants"]) == {"oltp", "read", "batch"}
-            for stats in cell["tenants"].values():
-                assert stats["p99_us"] is not None
-                assert stats["p999_us"] >= stats["p99_us"] * 0.999
-
-    def test_fair_share_protects_heavy_tenant_in_overload(self):
-        from repro.experiments.traffic import LOAD_SWEEP, run
-        data = run(TINY).data
-        top = max(LOAD_SWEEP)
-        fair = next(c for c in data["cells"]
-                    if c["load"] == top and c["qos"] == "fair")
-        # weight-4 oltp must see less queueing than weight-1 batch
-        assert (fair["tenants"]["oltp"]["mean_queue_delay_us"]
-                < fair["tenants"]["batch"]["mean_queue_delay_us"])
-
-
-class TestToolsTenantFlags:
-    def test_cli_composes_tenants_and_reports_them(self, tmp_path,
-                                                   capsys):
-        from repro.tools import main
-        out = tmp_path / "summary.json"
-        code = main(["--workload", "financial1", "--tenants", "2",
-                     "--qos", "fair", "--requests", "600",
-                     "--pages", "2048", "--json", str(out)])
-        assert code == 0
-        summary = json.loads(out.read_text(encoding="utf-8"))
-        assert summary["qos"] == "fair"
-        assert set(summary["tenants"]) == {"financial1-0",
-                                           "financial1-1"}
-
-    def test_cli_rejects_tenants_with_trace_file(self):
-        from repro.tools import main
-        with pytest.raises(SystemExit):
-            main(["--trace", "whatever.spc", "--tenants", "2"])
