@@ -45,6 +45,8 @@ TINY = SimulationConfig(ssd=TINY_SSD)
 ROOMY = SimulationConfig(ssd=TINY_SSD, cache=CacheConfig(budget_bytes=2048))
 GC_HEAVY = SimulationConfig(ssd=TINY_SSD,
                             cache=CacheConfig(budget_bytes=1024))
+GC_HEAVY_UNBUFFERED = dataclasses.replace(GC_HEAVY, cache=CacheConfig(
+    budget_bytes=1024, sftl_dirty_buffer_fraction=0.0))
 SANITIZED = dataclasses.replace(ROOMY, sanitizer=SanitizerConfig(
     enabled=True, interval=1, full_every=32))
 #: the power cut fires on flash operation 778 of the replay, after GC
@@ -82,6 +84,11 @@ SPEC_CELLS.update({f"ablation/{workload}:{monogram}": RunSpec.for_ablation(
     monogram, PARITY_SCALE, workload)
     for workload in ("financial1", "msr-ts")
     for monogram in ("-", "b", "c", "bc", "r", "s", "rs")})
+#: S-FTL at a cache small enough to evict (at 1/8 neither workload does)
+SPEC_CELLS.update({f"small-cache/{workload}:sftl": RunSpec(
+    workload=workload, ftl="sftl", scale=PARITY_SCALE,
+    cache_fraction=1 / 128)
+    for workload in ("financial1", "msr-ts")})
 
 
 def sanitized_run():
@@ -119,6 +126,13 @@ RUN_CELLS = {
     "device/sanitized-tpftl": lambda: sanitized_run()[0],
     "device/gc-heavy-dftl": lambda: DeviceModel(
         make_ftl("dftl", GC_HEAVY)).run(gc_heavy_trace()),
+    # S-FTL evicts, parks sparse pages, flushes buffer groups and
+    # collects translation blocks here; without a buffer every dirty
+    # victim is written back
+    "device/gc-heavy-sftl": lambda: DeviceModel(
+        make_ftl("sftl", GC_HEAVY)).run(gc_heavy_trace()),
+    "device/gc-heavy-sftl-unbuffered": lambda: DeviceModel(
+        make_ftl("sftl", GC_HEAVY_UNBUFFERED)).run(gc_heavy_trace()),
     "device/follow-up-after-abort": follow_up_after_abort_run,
 }
 
