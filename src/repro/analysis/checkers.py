@@ -224,14 +224,9 @@ def _check_tpftl_budget(ftl: "TPFTL", fail: FailFn) -> None:
 
 def _check_sftl_budget(ftl: "BaseFTL", fail: FailFn) -> None:
     from ..ftl.sftl import BUFFER_ENTRY_BYTES
-    pages = ftl.pages  # type: ignore[attr-defined]
     page_budget = ftl.page_budget  # type: ignore[attr-defined]
-    used = 0
-    for vtpn in pages.keys_mru_to_lru():
-        page = pages.get(vtpn, touch=False)
-        if page is None:  # pragma: no cover - LRUDict cannot lose keys
-            continue
-        used += page.charged_bytes
+    used = sum(page.charged_bytes
+               for page in ftl.pages.values())  # type: ignore[attr-defined]
     if used != page_budget.used:
         fail("SAN004",
              f"S-FTL page budget says {page_budget.used}B used but "

@@ -6,11 +6,12 @@ works.  This harness keeps tier-1 honest: it applies a curated list of
 class — and asserts that the one tier-1 test each mutant names, its
 **twin**, fails under it.  The ids keep their families:
 
-* ``M01``–``M09`` and ``M11``–``M13``, value bugs: swapped
+* ``M01``–``M09`` and ``M11``–``M14``, value bugs: swapped
   ``lpn``/``ppn`` arguments, an LPN-indexed table indexed by VTPN, VTPNs
   handed to the flash array where it takes PTPNs, milliseconds where
   microseconds are expected, a byte budget stored as an entry count, an
-  LPN summed for access sequence numbers, an MRU-end CMT eviction.
+  LPN summed for access sequence numbers, an MRU-end CMT eviction, an
+  S-FTL hit sent to the LRU end of the page cache.
   Most change a golden digest in ``tests/test_fastpath.py``.
 * ``P06``, ``P10``, ``P11``, file handles: ``repro.tools``' summary
   writer rewritten around a bare ``open()`` — closed by hand, after an
@@ -189,6 +190,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         mid="M13", path="repro/ftl/dftl.py", twin=_BENCH_DFTL,
         description="the CMT evicts its MRU end instead of its LRU end",
         before="cmt.popitem(last=False)", after="cmt.popitem(last=True)"),
+    Mutant(
+        mid="M14", path="repro/ftl/sftl.py",
+        twin=_GOLDEN + "[device/gc-heavy-sftl]",
+        description="an S-FTL hit moves its page to the LRU end of the "
+                    "page cache instead of the MRU end",
+        before="pages.move_to_end(vtpn)",
+        after="pages.move_to_end(vtpn, last=False)"),
     # file handles: the summary writer's with block opened by hand
     Mutant(
         mid="P06", path="repro/tools.py",

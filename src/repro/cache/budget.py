@@ -24,15 +24,6 @@ class ByteBudget:
         self.capacity = capacity
         self.used = 0
 
-    @property
-    def free(self) -> int:
-        """Bytes remaining in the budget."""
-        return self.capacity - self.used
-
-    def fits(self, nbytes: int) -> bool:
-        """True if ``nbytes`` more would still fit."""
-        return self.used + nbytes <= self.capacity
-
     def charge(self, nbytes: int) -> None:
         """Consume ``nbytes``; the caller must have made room first."""
         if nbytes < 0:
@@ -51,13 +42,6 @@ class ByteBudget:
             raise CacheError(
                 f"release of {nbytes}B exceeds usage {self.used}B")
         self.used -= nbytes
-
-    def require(self, nbytes: int) -> None:
-        """Fail loudly if a single object can never fit."""
-        if nbytes > self.capacity:
-            raise CacheCapacityError(
-                f"object of {nbytes}B cannot fit in a "
-                f"{self.capacity}B cache")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ByteBudget(used={self.used}, capacity={self.capacity})"

@@ -1,12 +1,11 @@
-"""The two ordered containers under the mapping caches.
+"""The ordered container under TPFTL's page-level list.
 
-``LRUDict`` is a keyed LRU map: a thin class over one
+Keyed LRU maps need no class here: DFTL's CMT, S-FTL's page cache and
+TPFTL's TP nodes keep their entries in a bare
 :class:`collections.OrderedDict` whose *last* item is the MRU one, so a
-hit is ``move_to_end`` and an eviction is ``popitem(last=False)``.  It
-backs S-FTL's page cache only; DFTL's CMT and TPFTL's TP nodes keep
-their entries in a bare ``OrderedDict`` with the same orientation.
+hit is ``move_to_end`` and an eviction takes the first key.
 
-``LRUList`` is the one hand-written structure left: an intrusive doubly
+``LRUList`` is the one hand-written structure: an intrusive doubly
 linked list of :class:`LRUNode` objects, head = MRU, matching the
 paper's figures, which draw the hottest node leftmost.  It exists for
 TPFTL's page-level list, which is ordered by a float key each node
@@ -26,9 +25,7 @@ taken before ``settle`` must look at both neighbours.  Misuse
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import (Generic, Hashable, Iterator, Optional, Tuple, TypeVar,
-                    cast)
+from typing import Generic, Iterator, Optional, TypeVar, cast
 
 from ..errors import SimInvariantError
 
@@ -154,71 +151,3 @@ class LRUList(Generic[N]):
         node.next = after
         before.next = node
         after.prev = node
-
-
-K = TypeVar("K", bound=Hashable)
-V = TypeVar("V")
-
-
-class LRUDict(Generic[K, V]):
-    """Dictionary with LRU ordering: O(1) get/put/evict.
-
-    It serves S-FTL's page-granularity cache; capacity enforcement is
-    left to the caller because eviction cost is policy (writebacks,
-    batching, ...).
-    """
-
-    __slots__ = ("_od",)
-
-    def __init__(self) -> None:
-        self._od: OrderedDict[K, V] = OrderedDict()  # last = MRU
-
-    def __len__(self) -> int:
-        return len(self._od)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._od
-
-    def get(self, key: K, touch: bool = True) -> Optional[V]:
-        """Return the value for ``key`` (or None); bump recency if asked."""
-        od = self._od
-        if key not in od:
-            return None
-        if touch:
-            od.move_to_end(key)
-        return od[key]
-
-    def put(self, key: K, value: V) -> None:
-        """Insert or update ``key`` at the MRU position."""
-        od = self._od
-        od[key] = value  # a new key lands last; an old one keeps its slot
-        od.move_to_end(key)
-
-    def touch(self, key: K) -> None:
-        """Promote ``key`` to the MRU position (KeyError if absent)."""
-        self._od.move_to_end(key)
-
-    def remove(self, key: K) -> V:
-        """Remove and return the value for ``key`` (KeyError if absent)."""
-        return self._od.pop(key)
-
-    def lru_key(self) -> Optional[K]:
-        """The key at the LRU end, or None when empty."""
-        return next(iter(self._od), None)
-
-    def pop_lru(self) -> Optional[Tuple[K, V]]:
-        """Remove and return the ``(key, value)`` at the LRU end."""
-        od = self._od
-        return od.popitem(last=False) if od else None
-
-    def keys_mru_to_lru(self) -> Iterator[K]:
-        """Iterate keys from most to least recent."""
-        return reversed(self._od)
-
-    def items_mru_to_lru(self) -> Iterator[Tuple[K, V]]:
-        """Iterate ``(key, value)`` pairs from most to least recent."""
-        return reversed(self._od.items())
-
-    def keys_lru_to_mru(self) -> Iterator[K]:
-        """Iterate keys from least to most recent."""
-        return iter(self._od)

@@ -16,9 +16,10 @@ suffer on random ones (each page compresses poorly, so only a couple fit).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..cache import ByteBudget, LRUDict
+from ..cache import ByteBudget
 from ..config import SimulationConfig
 from ..errors import CacheCapacityError, FTLError
 from ..types import AccessResult, Request, UNMAPPED
@@ -36,36 +37,24 @@ SPARSE_DIRTY_LIMIT = 4
 
 
 class CachedPage:
-    """One cached translation page: overrides plus a compressed-size tag."""
+    """One cached translation page: overrides plus a compressed-size tag.
 
-    __slots__ = ("vtpn", "overrides", "charged_bytes", "runs",
-                 "_last_lpn", "_last_ppn")
+    ``runs`` grows on in-place updates: a write that extends the previous
+    update sequentially (next LPN at ``last_lpn + 1``, next PPN at
+    ``last_ppn + 1``) stays within the same new run; anything else is
+    assumed to split/extend runs pessimistically by one.
+    """
 
-    def __init__(self, vtpn: int, runs: int, charged_bytes: int) -> None:
-        self.vtpn = vtpn
+    __slots__ = ("overrides", "charged_bytes", "runs",
+                 "last_lpn", "last_ppn")
+
+    def __init__(self, runs: int, charged_bytes: int) -> None:
         #: dirty entries not yet on flash: LPN -> PPN
         self.overrides: Dict[int, int] = {}
         self.charged_bytes = charged_bytes
         self.runs = runs
-        self._last_lpn = -2
-        self._last_ppn = -2
-
-    @property
-    def dirty(self) -> bool:
-        """True if the cached page holds un-flushed updates."""
-        return bool(self.overrides)
-
-    def note_update(self, lpn: int, ppn: int, max_runs: int) -> None:
-        """Track run growth on an in-place update.
-
-        A write that extends the previous update sequentially (next LPN,
-        next PPN) stays within the same new run; anything else is assumed
-        to split/extend runs pessimistically by one.
-        """
-        if not (lpn == self._last_lpn + 1 and ppn == self._last_ppn + 1):
-            self.runs = min(self.runs + 1, max_runs)
-        self._last_lpn = lpn
-        self._last_ppn = ppn
+        self.last_lpn = -2
+        self.last_ppn = -2
 
 
 class SFTL(BaseFTL):
@@ -89,8 +78,13 @@ class SFTL(BaseFTL):
         self.buffer_budget = (ByteBudget(buffer_bytes)
                               if buffer_bytes >= BUFFER_ENTRY_BYTES
                               else None)
-        #: page cache: VTPN -> CachedPage, LRU-ordered
-        self.pages: LRUDict[int, CachedPage] = LRUDict()
+        #: a cached page never costs more than its uncompressed form, nor
+        #: more than the whole page area (so one incompressible page can
+        #: still be cached when the budget is very small)
+        self.max_page_bytes = min(PAGE_HEADER_BYTES + self.ssd.page_size,
+                                  page_bytes)
+        #: page cache: VTPN -> CachedPage; first = LRU, last = MRU
+        self.pages: OrderedDict[int, CachedPage] = OrderedDict()
         #: dirty buffer: VTPN -> {LPN -> PPN}
         self.buffer: Dict[int, Dict[int, int]] = {}
 
@@ -114,100 +108,78 @@ class SFTL(BaseFTL):
             prev_ppn = ppn
         return max(1, runs)
 
-    def _size_for_runs(self, runs: int) -> int:
-        # a cached page never costs more than its uncompressed form, nor
-        # more than the whole page area (so one incompressible page can
-        # still be cached when the budget is very small)
-        raw = PAGE_HEADER_BYTES + runs * RUN_BYTES
-        cap = PAGE_HEADER_BYTES + self.ssd.page_size
-        return min(raw, cap, self.page_budget.capacity)
-
     # ------------------------------------------------------------------
     # Mapping-cache policy
     # ------------------------------------------------------------------
     def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
-        self.metrics.lookups += 1
-        vtpn = self.geometry.vtpn_of(lpn)
-        page = self.pages.get(vtpn)  # touches recency
+        metrics, pages = self.metrics, self.pages
+        metrics.lookups += 1
+        # ``serve_request`` bounds-checked the LPN
+        vtpn = lpn // self.geometry.entries_per_page
+        page = pages.get(vtpn)
         if page is not None:
-            self.metrics.hits += 1
+            metrics.hits += 1
+            pages.move_to_end(vtpn)
             return page.overrides.get(lpn, self.flash_table[lpn])
         buffered = self.buffer.get(vtpn)
         if buffered is not None and lpn in buffered:
             # the individual entry is resident in the dirty buffer
-            self.metrics.hits += 1
+            metrics.hits += 1
             return buffered[lpn]
-        page = self._load_page(vtpn, result)
-        return page.overrides.get(lpn, self.flash_table[lpn])
-
-    def _load_page(self, vtpn: int, result: AccessResult) -> CachedPage:
+        # Miss: load the whole page at its compressed size, evicting LRU
+        # pages until it fits.
         self.read_translation_page(vtpn, "load", result)
         runs = self._count_runs(vtpn)
-        size = self._size_for_runs(runs)
-        if not self._make_room(size, result, exclude=vtpn):
-            raise CacheCapacityError(  # pragma: no cover - size is capped
-                "S-FTL page area cannot hold the loaded page")
-        page = CachedPage(vtpn, runs, size)
-        # absorb buffered dirty entries of this page
-        parked = self.buffer.pop(vtpn, None)
-        if parked:
-            page.overrides.update(parked)
-            if self.buffer_budget is not None:
-                self.buffer_budget.release(
-                    len(parked) * BUFFER_ENTRY_BYTES)
-        self.page_budget.charge(size)
-        self.pages.put(vtpn, page)
-        return page
-
-    def _make_room(self, need: int, result: AccessResult,
-                   exclude: Optional[int] = None) -> bool:
-        """Evict pages (except ``exclude``) until ``need`` bytes fit.
-
-        Returns False when only the excluded page remains and the space
-        still does not suffice — the caller then evicts that page itself.
-        """
-        self.page_budget.require(need)
-        while not self.page_budget.fits(need):
-            victim_vtpn = None
-            for key in self.pages.keys_lru_to_mru():
-                if key != exclude:
-                    victim_vtpn = key
-                    break
-            if victim_vtpn is None:
-                return False
-            self._evict_page(victim_vtpn, result)
-        return True
+        size = min(PAGE_HEADER_BYTES + runs * RUN_BYTES, self.max_page_bytes)
+        budget = self.page_budget
+        while budget.used + size > budget.capacity:
+            victim = next(iter(pages), None)
+            if victim is None:  # pragma: no cover - size is capped
+                raise CacheCapacityError(
+                    "S-FTL page area cannot hold the loaded page")
+            self._evict_page(victim, result)
+        page = CachedPage(runs, size)
+        if vtpn in self.buffer:
+            # absorb the page's parked dirty entries
+            page.overrides.update(self._gc_flush_extras(vtpn))
+        budget.used += size  # the loop above made room
+        pages[vtpn] = page
+        return page.overrides.get(lpn, self.flash_table[lpn])
 
     def _evict_page(self, vtpn: int, result: AccessResult) -> None:
-        page: CachedPage = self.pages.remove(vtpn)
-        self.page_budget.release(page.charged_bytes)
+        page = self.pages.pop(vtpn)
+        budget, charged = self.page_budget, page.charged_bytes
+        if charged > budget.used:
+            budget.release(charged)  # raises the underflow CacheError
+        budget.used -= charged
         self.metrics.replacements += 1
-        if not page.dirty:
+        overrides = page.overrides
+        if not overrides:
             return
         # Sparsely dirty pages park their entries in the dirty buffer to
         # postpone the writeback (the S-FTL dirty-buffer optimisation).
-        if (self.buffer_budget is not None
-                and len(page.overrides) <= SPARSE_DIRTY_LIMIT):
-            need = len(page.overrides) * BUFFER_ENTRY_BYTES
-            if not self.buffer_budget.fits(need):
+        buffer_budget = self.buffer_budget
+        if (buffer_budget is not None
+                and len(overrides) <= SPARSE_DIRTY_LIMIT):
+            need = len(overrides) * BUFFER_ENTRY_BYTES
+            if buffer_budget.used + need > buffer_budget.capacity:
                 self._flush_buffer_group(result)
-            if self.buffer_budget.fits(need):
-                self.buffer.setdefault(vtpn, {}).update(page.overrides)
-                self.buffer_budget.charge(need)
+            if buffer_budget.used + need <= buffer_budget.capacity:
+                self.buffer.setdefault(vtpn, {}).update(overrides)
+                buffer_budget.used += need
                 return
         self.metrics.dirty_replacements += 1
         # whole page is cached: a single full-page program suffices
-        self.write_translation_page(vtpn, dict(page.overrides), result)
+        self.write_translation_page(vtpn, dict(overrides), result)
 
     def _flush_buffer_group(self, result: AccessResult) -> None:
         """Write back the buffer's largest per-page group of entries."""
-        if not self.buffer:
+        buffer = self.buffer
+        if not buffer:
             return
-        vtpn = max(self.buffer, key=lambda v: len(self.buffer[v]))
-        entries = self.buffer.pop(vtpn)
-        if self.buffer_budget is not None:
-            self.buffer_budget.release(len(entries) * BUFFER_ENTRY_BYTES)
+        vtpn = max(buffer, key=lambda v: len(buffer[v]))
+        entries = self._gc_flush_extras(vtpn)
         self.metrics.dirty_replacements += 1
         self.metrics.replacements += 1
         # partial update: read-modify-write
@@ -216,32 +188,40 @@ class SFTL(BaseFTL):
 
     def _record_mapping(self, lpn: int, ppn: int,
                         result: AccessResult) -> None:
-        vtpn = self.geometry.vtpn_of(lpn)
-        page = self.pages.get(vtpn, touch=True)
-        if page is not None:
-            self._apply_update(page, lpn, ppn, result)
+        # no touch: ``_translate`` has just put the page at the MRU end,
+        # and ``serve_request`` only programs and invalidates in between
+        vtpn = lpn // self.geometry.entries_per_page
+        page = self.pages.get(vtpn)
+        if page is None:
+            buffered = self.buffer.get(vtpn)
+            if buffered is None or lpn not in buffered:  # pragma: no cover
+                # translate always installs the page or finds it parked
+                raise FTLError(f"write to LPN {lpn} without a cached entry")
+            buffered[lpn] = ppn
             return
-        buffered = self.buffer.get(vtpn)
-        if buffered is None or lpn not in buffered:  # pragma: no cover
-            # translate always installs the page or finds the entry parked
-            raise FTLError(f"write to LPN {lpn} without a cached entry")
-        buffered[lpn] = ppn
-
-    def _apply_update(self, page: CachedPage, lpn: int, ppn: int,
-                      result: AccessResult) -> None:
         page.overrides[lpn] = ppn
-        page.note_update(lpn, ppn, self.geometry.entries_in(page.vtpn))
-        new_size = self._size_for_runs(page.runs)
-        if new_size > page.charged_bytes:
-            grow = new_size - page.charged_bytes
-            if (self.page_budget.fits(grow)
-                    or self._make_room(grow, result, exclude=page.vtpn)):
-                self.page_budget.charge(grow)
-                page.charged_bytes = new_size
+        if not (lpn == page.last_lpn + 1 and ppn == page.last_ppn + 1):
+            page.runs = min(page.runs + 1, self.geometry.entries_in(vtpn))
+        page.last_lpn = lpn
+        page.last_ppn = ppn
+        size = min(PAGE_HEADER_BYTES + page.runs * RUN_BYTES,
+                   self.max_page_bytes)
+        grow = size - page.charged_bytes
+        if grow <= 0:
+            return
+        budget, pages = self.page_budget, self.pages
+        while budget.used + grow > budget.capacity:
+            for victim in pages:  # LRU first, never the growing page
+                if victim != vtpn:
+                    break
             else:
                 # the growing page alone no longer fits: write it back
                 # and drop it (the next access reloads it compact)
-                self._evict_page(page.vtpn, result)
+                self._evict_page(vtpn, result)
+                return
+            self._evict_page(victim, result)
+        budget.used += grow  # the loop above made room
+        page.charged_bytes = size
 
     def _gc_update_cached(self, lpns: List[int],
                           ppns: List[int]) -> Dict[int, int]:
@@ -250,7 +230,7 @@ class SFTL(BaseFTL):
         get_page, buffer = self.pages.get, self.buffer
         for lpn, ppn in zip(lpns, ppns):
             vtpn = lpn // per_page
-            page = get_page(vtpn, touch=False)
+            page = get_page(vtpn)
             if page is not None:
                 # GC updates bypass the size heuristic; sizes refresh on
                 # the next load.  Content correctness is unaffected.
@@ -262,18 +242,26 @@ class SFTL(BaseFTL):
         return missed
 
     def _gc_flush_extras(self, vtpn: int) -> Dict[int, int]:
-        """Fold buffered entries of ``vtpn`` into a forced GC update."""
+        """Pop ``vtpn``'s parked entries and free their buffer bytes.
+
+        GC folds them into a forced update; a load absorbs them and a
+        buffer-group flush writes them back.
+        """
         entries = self.buffer.pop(vtpn, None)
         if not entries:
             return {}
-        if self.buffer_budget is not None:
-            self.buffer_budget.release(len(entries) * BUFFER_ENTRY_BYTES)
+        buffer_budget = self.buffer_budget
+        if buffer_budget is not None:
+            freed = len(entries) * BUFFER_ENTRY_BYTES
+            if freed > buffer_budget.used:
+                buffer_budget.release(freed)  # raises the underflow CacheError
+            buffer_budget.used -= freed
         return entries
 
     def cache_peek(self, lpn: int) -> Optional[int]:
         """Cached PPN for ``lpn`` without touching recency."""
         vtpn = self.geometry.vtpn_of(lpn)
-        page = self.pages.get(vtpn, touch=False)
+        page = self.pages.get(vtpn)
         if page is not None and lpn in page.overrides:
             return page.overrides[lpn]
         buffered = self.buffer.get(vtpn)
@@ -287,7 +275,7 @@ class SFTL(BaseFTL):
     def cache_snapshot(self) -> List[Tuple[int, int]]:
         """(entries, dirty) per cached translation page."""
         snapshot: List[Tuple[int, int]] = []
-        for vtpn, page in self.pages.items_mru_to_lru():
+        for vtpn, page in reversed(self.pages.items()):
             snapshot.append((self.geometry.entries_in(vtpn),
                              len(page.overrides)))
         for vtpn, entries in self.buffer.items():
@@ -296,7 +284,7 @@ class SFTL(BaseFTL):
 
     def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
-        for vtpn, page in self.pages.items_mru_to_lru():
+        for vtpn, page in reversed(self.pages.items()):
             if page.overrides:
                 grouped[vtpn] = page.overrides
                 page.overrides = {}

@@ -177,13 +177,6 @@ class AccessResult:
         """All page programs, across kinds."""
         return self.data_writes + self.translation_writes
 
-    def service_time(self, read_us: float, write_us: float,
-                     erase_us: float) -> float:
-        """Total flash time implied by this result, in microseconds."""
-        return (self.total_reads * read_us
-                + self.total_writes * write_us
-                + self.erases * erase_us)
-
 
 #: the ``ops`` column's codes: ``OPS[code]`` is the request's :class:`Op`
 OPS = (Op.READ, Op.WRITE, Op.TRIM)

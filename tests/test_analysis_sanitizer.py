@@ -182,7 +182,7 @@ def test_san006_eviction_spans_nodes(sanitized_config, monkeypatch):
     def scattering_make_room(need, result, only_node=None, protect=None):
         # buggy replacement: rotates victims across every TP node,
         # ignoring the single-node confinement rule
-        while not ftl.budget.fits(need):
+        while ftl.budget.used + need > ftl.budget.capacity:
             nodes = [node for node in ftl.page_list if len(node)]
             victim = nodes[state["turn"] % len(nodes)]
             state["turn"] += 1

@@ -11,15 +11,8 @@ class TestByteBudget:
         budget = ByteBudget(100)
         budget.charge(60)
         assert budget.used == 60
-        assert budget.free == 40
         budget.release(20)
         assert budget.used == 40
-
-    def test_fits(self):
-        budget = ByteBudget(10)
-        budget.charge(6)
-        assert budget.fits(4)
-        assert not budget.fits(5)
 
     def test_overcharge_rejected(self):
         budget = ByteBudget(10)
@@ -42,9 +35,3 @@ class TestByteBudget:
     def test_zero_capacity_rejected(self):
         with pytest.raises(CacheCapacityError):
             ByteBudget(0)
-
-    def test_require_oversized_object(self):
-        budget = ByteBudget(10)
-        with pytest.raises(CacheCapacityError):
-            budget.require(11)
-        budget.require(10)  # exactly fits: fine

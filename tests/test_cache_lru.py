@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import LRUDict, LRUList, LRUNode
+from repro.cache import LRUList, LRUNode
 from repro.errors import SimInvariantError
 
 
@@ -100,70 +100,3 @@ class TestLRUList:
                 misuse(loose)
         assert tags(lst) == [2.0, 1.0]
 
-
-class TestLRUDict:
-    def test_put_get(self):
-        cache = LRUDict()
-        cache.put("k", 1)
-        assert cache.get("k") == 1
-        assert "k" in cache
-        assert len(cache) == 1
-
-    def test_get_missing_returns_none(self):
-        assert LRUDict().get("nope") is None
-
-    def test_get_touch_promotes(self):
-        cache = LRUDict()
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")
-        assert cache.lru_key() == "b"
-
-    def test_get_without_touch_keeps_order(self):
-        cache = LRUDict()
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a", touch=False)
-        assert cache.lru_key() == "a"
-
-    def test_put_existing_updates_and_promotes(self):
-        cache = LRUDict()
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)
-        assert cache.get("a", touch=False) == 10
-        assert cache.lru_key() == "b"
-
-    def test_pop_lru_order(self):
-        cache = LRUDict()
-        for i in range(3):
-            cache.put(i, i * 10)
-        assert cache.pop_lru() == (0, 0)
-        assert cache.pop_lru() == (1, 10)
-        assert len(cache) == 1
-
-    def test_pop_lru_empty(self):
-        assert LRUDict().pop_lru() is None
-
-    def test_remove(self):
-        cache = LRUDict()
-        cache.put("a", 1)
-        assert cache.remove("a") == 1
-        assert "a" not in cache
-        with pytest.raises(KeyError):
-            cache.remove("a")
-
-    def test_key_iteration_orders(self):
-        cache = LRUDict()
-        for i in range(4):
-            cache.put(i, i)
-        cache.get(0)  # promote
-        assert list(cache.keys_mru_to_lru()) == [0, 3, 2, 1]
-        assert list(cache.keys_lru_to_mru()) == [1, 2, 3, 0]
-
-    def test_touch(self):
-        cache = LRUDict()
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.touch("a")
-        assert list(cache.keys_mru_to_lru()) == ["a", "b"]

@@ -35,7 +35,7 @@ class TestPageGranularCaching:
     def test_sequential_prefilled_page_compresses_to_one_run(self):
         ftl = make_sftl()
         ftl.read_page(0)
-        page = ftl.pages.get(0, touch=False)
+        page = ftl.pages.get(0)
         assert page.runs == 1
         assert page.charged_bytes == PAGE_HEADER_BYTES + RUN_BYTES
 
@@ -48,7 +48,7 @@ class TestPageGranularCaching:
         ftl.pages = type(ftl.pages)()  # drop cache state
         ftl.page_budget.used = 0
         ftl.read_page(0)
-        page = ftl.pages.get(0, touch=False)
+        page = ftl.pages.get(0)
         assert page.runs > 1
         assert page.charged_bytes > PAGE_HEADER_BYTES + RUN_BYTES
 
@@ -156,23 +156,25 @@ class TestDirtyBuffer:
         epp = ftl.geometry.entries_per_page
         ftl.write_page(0)  # one dirty entry: sparse
         writes_before = ftl.metrics.trans_writes_writeback
-        for vtpn in range(1, 6):
+        # seven more pages overflow the page area and evict page 0
+        for vtpn in range(1, 8):
             ftl.read_page(vtpn * epp)
         # the sparse page avoided a writeback via the buffer
-        if 0 not in ftl.pages:
-            assert 0 in ftl.buffer
-            assert ftl.metrics.trans_writes_writeback == writes_before
+        assert 0 not in ftl.pages
+        assert 0 in ftl.buffer
+        assert ftl.metrics.trans_writes_writeback == writes_before
 
     def test_buffered_entry_still_hits(self):
         ftl = make_sftl(budget=256, buffer_fraction=0.5)
         epp = ftl.geometry.entries_per_page
         ftl.write_page(0)
-        for vtpn in range(1, 6):
+        for vtpn in range(1, 8):
             ftl.read_page(vtpn * epp)
-        if 0 in ftl.buffer:
-            hits_before = ftl.metrics.hits
-            ftl.read_page(0)
-            assert ftl.metrics.hits == hits_before + 1
+        assert 0 not in ftl.pages
+        assert 0 in ftl.buffer
+        hits_before = ftl.metrics.hits
+        ftl.read_page(0)
+        assert ftl.metrics.hits == hits_before + 1
 
     def test_densely_dirty_page_not_buffered(self):
         ftl = make_sftl(budget=256, buffer_fraction=0.5)

@@ -1,82 +1,16 @@
-"""Property-based tests: LRUDict and LRUList against model implementations."""
-
-from collections import OrderedDict
+"""Property-based tests: LRUList against a plain-list model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from repro.cache import LRUDict, LRUList, LRUNode
+from repro.cache import LRUList, LRUNode
 from repro.errors import SimInvariantError
 
-keys = st.integers(min_value=0, max_value=20)
-values = st.integers()
 picks = st.integers(min_value=0, max_value=1 << 16)
 list_keys = st.integers(min_value=0, max_value=4).map(float)
-
-
-class LRUDictMachine(RuleBasedStateMachine):
-    """Drive LRUDict and an OrderedDict model with the same ops."""
-
-    def __init__(self):
-        super().__init__()
-        self.dut = LRUDict()
-        self.model = OrderedDict()  # most-recent last
-
-    @rule(key=keys, value=values)
-    def put(self, key, value):
-        self.dut.put(key, value)
-        self.model.pop(key, None)
-        self.model[key] = value
-
-    @rule(key=keys)
-    def get(self, key):
-        expected = self.model.get(key)
-        assert self.dut.get(key) == expected
-        if key in self.model:
-            self.model.move_to_end(key)
-
-    @rule(key=keys)
-    def peek(self, key):
-        assert self.dut.get(key, touch=False) == self.model.get(key)
-
-    @rule(key=keys)
-    def remove(self, key):
-        if key in self.model:
-            assert self.dut.remove(key) == self.model.pop(key)
-        else:
-            with pytest.raises(KeyError):
-                self.dut.remove(key)
-
-    @rule()
-    def pop_lru(self):
-        if self.model:
-            expected_key = next(iter(self.model))
-            assert self.dut.pop_lru() == (expected_key,
-                                          self.model.pop(expected_key))
-        else:
-            assert self.dut.pop_lru() is None
-
-    @invariant()
-    def same_size(self):
-        assert len(self.dut) == len(self.model)
-
-    @invariant()
-    def same_order(self):
-        assert (list(self.dut.keys_mru_to_lru())
-                == list(reversed(self.model)))
-        assert (list(self.dut.items_mru_to_lru())
-                == list(reversed(self.model.items())))
-        assert list(self.dut.keys_lru_to_mru()) == list(self.model)
-        assert self.dut.lru_key() == next(iter(self.model), None)
-
-
-TestLRUDictMachine = LRUDictMachine.TestCase
-TestLRUDictMachine.settings = settings(max_examples=40,
-                                       stateful_step_count=60,
-                                       deadline=None)
 
 
 def settle_model(model, node):
@@ -176,21 +110,3 @@ TestLRUListMachine.settings = settings(max_examples=40,
                                        stateful_step_count=60,
                                        deadline=None)
 
-
-@given(st.lists(st.tuples(keys, values), min_size=1, max_size=100))
-@settings(max_examples=60, deadline=None)
-def test_lru_eviction_order_matches_insertion_recency(ops):
-    """Popping everything yields keys in recency order."""
-    cache = LRUDict()
-    model = OrderedDict()
-    for key, value in ops:
-        cache.put(key, value)
-        model.pop(key, None)
-        model[key] = value
-    popped = []
-    while True:
-        item = cache.pop_lru()
-        if item is None:
-            break
-        popped.append(item[0])
-    assert popped == list(model)

@@ -1,15 +1,16 @@
 """The device model: FIFO queueing, response times, warmup."""
 
+import os
 import random
 import sys
 from collections import Counter
 
 import pytest
 
-from repro.cache import ByteBudget, LRUDict, LRUList
+from repro.cache import ByteBudget, LRUList
 from repro.config import CacheConfig, SimulationConfig, SSDConfig, TPFTLConfig
 from repro.errors import WorkloadError
-from repro.ftl import FTL_NAMES, BaseFTL, OptimalFTL, make_ftl
+from repro.ftl import FTL_NAMES, SFTL, BaseFTL, OptimalFTL, make_ftl
 from repro.ftl.tpftl import EntryNode, TPNode
 from repro.ssd import DeviceModel, simulate
 from repro.types import BlockKind, Op, PageKind, PageState, Request, Trace
@@ -194,6 +195,10 @@ class TestRunResult:
         assert result.response.percentile(50) is not None
 
 
+#: ``repro/cache/``: a frame from a file under it is a substrate call
+_CACHE_DIR = os.path.dirname(ByteBudget.charge.__code__.co_filename) + os.sep
+
+
 def _gc_heavy_trace() -> Trace:
     """Random 1-4 page reads and writes over the tiny device, with
     trims mixed in: every branch of the page loop, and GC throughout."""
@@ -283,7 +288,6 @@ class TestHotPath:
             sys.setprofile(None)
         assert ftl.sanitizer is None
         assert result.metrics.gc_data_collections > 0
-        assert calls[ByteBudget.fits.__code__] == 0
         assert calls[TPNode.__len__.__code__] == 0
         tpftl_file = TPNode.__len__.__code__.co_filename
         removed = {"_drop_entry", "_touch", "add", "drop"}
@@ -320,11 +324,47 @@ class TestHotPath:
             sys.setprofile(None)
         assert ftl.sanitizer is None
         assert result.metrics.gc_data_collections > 0
-        lru_dict = {member.__code__ for member in vars(LRUDict).values()
-                    if hasattr(member, "__code__")}
-        assert not [code.co_name for code in calls if code in lru_dict]
+        assert not [code.co_name for code in calls
+                    if code.co_filename.startswith(_CACHE_DIR)]
         assert not [code for code in calls if code.co_name == "_evict_until"]
         assert calls[BaseFTL.read_translation_page.__code__] == 0
         assert result.metrics.dirty_replacements > 0
         assert (calls[BaseFTL.write_translation_page.__code__]
                 == result.metrics.dirty_replacements)
+
+    def test_sftl_cache_events_cross_no_helper_frame(self):
+        """An S-FTL hit or miss runs in ``_translate``'s body and an
+        update, with the page's growth, in ``_record_mapping``'s: the
+        page cache is a bare ``OrderedDict`` and both byte budgets are
+        compared inline, so a replay enters no ``repro/cache`` frame.
+        ``_evict_page`` and ``_flush_buffer_group`` stay the eviction
+        bodies."""
+        ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
+        ftl = make_ftl("sftl", SimulationConfig(
+            ssd=ssd, cache=CacheConfig(budget_bytes=1024)))
+        assert ftl.buffer_budget is not None
+        calls = Counter()
+
+        def counting(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code] += 1
+
+        sys.setprofile(counting)
+        try:
+            result = DeviceModel(ftl).run(_gc_heavy_trace())
+        finally:
+            sys.setprofile(None)
+        assert ftl.sanitizer is None
+        assert result.metrics.gc_data_collections > 0
+        assert not [code.co_name for code in calls
+                    if code.co_filename.startswith(_CACHE_DIR)]
+        sftl_file = SFTL._translate.__code__.co_filename
+        folded = {"_load_page", "_make_room", "_size_for_runs",
+                  "_apply_update", "note_update", "dirty"}
+        assert not [code.co_name for code in calls
+                    if code.co_filename == sftl_file
+                    and code.co_name in folded]
+        # a sparse dirty victim parked: a full buffer is flushed a group
+        # at a time, and only parks fill it
+        assert calls[SFTL._flush_buffer_group.__code__] > 0
+        assert calls[SFTL._evict_page.__code__] > 0

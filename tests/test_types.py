@@ -82,17 +82,6 @@ class TestAccessResult:
         assert result.total_reads == 5
         assert result.total_writes == 9
 
-    def test_service_time_weights_latencies(self):
-        result = AccessResult(data_reads=2, translation_reads=1,
-                              data_writes=1, translation_writes=1,
-                              erases=1)
-        time = result.service_time(read_us=25.0, write_us=200.0,
-                                   erase_us=1500.0)
-        assert time == pytest.approx(3 * 25.0 + 2 * 200.0 + 1500.0)
-
-    def test_empty_service_time_is_zero(self):
-        assert AccessResult().service_time(25, 200, 1500) == 0.0
-
 
 class TestRequestTiming:
     """One request's (arrival, start, finish) folded by
