@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, TYPE_CHECKING
 
+from ..config import TPFTL_ENTRY_BYTES, TPFTL_NODE_BYTES
 from ..types import BlockKind, PageState, UNMAPPED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -210,7 +211,7 @@ def check_budget(ftl: "BaseFTL", fail: FailFn) -> None:
 def _check_tpftl_budget(ftl: "TPFTL", fail: FailFn) -> None:
     used = 0
     for node in ftl.page_list:
-        used += ftl.node_bytes + len(node) * ftl.entry_bytes
+        used += TPFTL_NODE_BYTES + len(node) * TPFTL_ENTRY_BYTES
     if used != ftl.budget.used:
         fail("SAN004",
              f"TPFTL budget says {ftl.budget.used}B used but the cache "

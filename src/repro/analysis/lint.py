@@ -227,8 +227,8 @@ class _FileVisitor(ast.NodeVisitor):
         if base in _CONFIG_NAMES:
             self._flag("TP004", target,
                        f"assignment to {receiver}.{target.attr} mutates "
-                       "a frozen config; use dataclasses.replace / "
-                       ".scaled() instead")
+                       "a frozen config; use dataclasses.replace "
+                       "instead")
 
 
 def analyze(sources: Mapping[str, str]) -> List[Finding]:

@@ -146,8 +146,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         twin="tests/test_edge_cases.py::TestCacheExactlyOneUnit::"
              "test_dftl_single_entry_cache",
         description="byte budget stored as an entry count (missing "
-                    "// entry_bytes)",
-        before="self.capacity_entries = budget // entry_bytes",
+                    "// DFTL_ENTRY_BYTES)",
+        before="self.capacity_entries = budget // DFTL_ENTRY_BYTES",
         after="self.capacity_entries = budget"),
     Mutant(
         mid="M08", path="repro/ssd/device.py",

@@ -75,9 +75,6 @@ class FTLSan:
         """Raise a :class:`SanitizerError` tagged with the current op."""
         raise SanitizerError(code, message, op_seq=self.op_seq)
 
-    def _wants(self, code: str) -> bool:
-        return self.config.wants(code)
-
     # ------------------------------------------------------------------
     # Sampling clock
     # ------------------------------------------------------------------
@@ -107,22 +104,17 @@ class FTLSan:
         validation regardless of where the sampling clock stopped.
         """
         ftl = self.ftl
-        if self._wants("SAN001"):
-            lpns = sorted(self.shadow) if full else self.touched
-            checkers.check_shadow(ftl, self.fail, self.shadow, lpns)
-            if full:
-                checkers.check_injectivity(ftl, self.fail)
-        if self._is_tpftl:
-            if self._wants("SAN002"):
-                checkers.check_two_level_lru(  # type: ignore[arg-type]
-                    ftl, self.fail)
-            if self._wants("SAN003"):
-                checkers.check_hotness(ftl, self.fail)  # type: ignore[arg-type]
-        if self._wants("SAN004"):
-            checkers.check_budget(ftl, self.fail)
-        if full and self._wants("SAN009"):
-            checkers.check_flash_state(ftl.flash, self.fail, self.memory)
+        lpns = sorted(self.shadow) if full else self.touched
+        checkers.check_shadow(ftl, self.fail, self.shadow, lpns)
         if full:
+            checkers.check_injectivity(ftl, self.fail)
+        if self._is_tpftl:
+            checkers.check_two_level_lru(  # type: ignore[arg-type]
+                ftl, self.fail)
+            checkers.check_hotness(ftl, self.fail)  # type: ignore[arg-type]
+        checkers.check_budget(ftl, self.fail)
+        if full:
+            checkers.check_flash_state(ftl.flash, self.fail, self.memory)
             self.full_scans += 1
         self.touched.clear()
 
@@ -137,8 +129,6 @@ class FTLSan:
                            plan: List[int]) -> None:
         """§4.5 rule 1 (SAN005): the prefetch plan for a miss on ``lpn``
         must stay within ``lpn``'s translation page."""
-        if not self._wants("SAN005"):
-            return
         vtpn = ftl.geometry.vtpn_of(lpn)
         for candidate in plan:
             if ftl.geometry.vtpn_of(candidate) != vtpn:
@@ -167,7 +157,7 @@ class FTLSan:
         before it is written back and dropped from its node and the
         budget, which that method does inline.
         """
-        if self._prefetching and self._wants("SAN006"):
+        if self._prefetching:
             self._prefetch_victims.add(node.vtpn)
             if len(self._prefetch_victims) > 1:
                 self.fail(
@@ -175,8 +165,7 @@ class FTLSan:
                     "prefetch-induced replacement touched TP nodes "
                     f"{sorted(self._prefetch_victims)}; §4.5 confines "
                     "it to a single node")
-        if (self._wants("SAN007") and ftl.techniques.clean_first
-                and victim.dirty):
+        if ftl.techniques.clean_first and victim.dirty:
             for entry in reversed(node.entries.values()):
                 if not entry.dirty and entry is not protect:
                     self.fail(
@@ -193,8 +182,6 @@ class FTLSan:
         with batch update enabled the victim's whole TP node must be
         clean, and only the victim may be about to leave the cache.
         """
-        if not self._wants("SAN008"):
-            return
         if not ftl.techniques.batch_update:
             return
         if node.dirty_count != 0:

@@ -11,7 +11,7 @@ the full page-level table for these geometries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
@@ -31,6 +31,16 @@ TPFTL_NODE_BYTES = 8
 GTD_SLOT_BYTES = 4
 #: Bytes per slot of a block-level mapping table (used only to size caches).
 BLOCK_TABLE_SLOT_BYTES = 4
+#: GC starts when the free-block count drops to this many blocks above
+#: the reserve.
+GC_THRESHOLD_BLOCKS = 2
+#: Always-free blocks reserved so GC can never deadlock.
+GC_RESERVE_BLOCKS = 3
+#: At most this many victim blocks are collected per page access
+#: (amortised GC, as in FlashSim); the limit is ignored when the pool
+#: falls to the reserve.  Keeps GC cost spread across requests instead
+#: of multi-millisecond bursts.
+GC_MAX_COLLECTIONS_PER_ACCESS = 2
 
 
 @dataclass(frozen=True)
@@ -50,15 +60,6 @@ class SSDConfig:
     write_us: float = 200.0
     erase_us: float = 1500.0
     over_provision: float = 0.15
-    #: GC starts when the free-block count drops to this many blocks.
-    gc_threshold_blocks: int = 2
-    #: extra always-free blocks reserved so GC can never deadlock.
-    gc_reserve_blocks: int = 3
-    #: at most this many victim blocks are collected per page access
-    #: (amortised GC, as in FlashSim); the limit is ignored when the
-    #: pool falls to the emergency reserve.  Keeps GC cost spread across
-    #: requests instead of multi-millisecond bursts.
-    gc_max_collections_per_access: int = 2
     # -- fault injection (all off by default: an ideal device) ---------
     #: probability a single read attempt needs an ECC retry.
     read_error_rate: float = 0.0
@@ -82,13 +83,6 @@ class SSDConfig:
             raise ConfigError("over_provision must be in [0, 1)")
         if min(self.read_us, self.write_us, self.erase_us) < 0:
             raise ConfigError("latencies must be non-negative")
-        if self.gc_threshold_blocks < 1:
-            raise ConfigError("gc_threshold_blocks must be >= 1")
-        if self.gc_reserve_blocks < 1:
-            raise ConfigError("gc_reserve_blocks must be >= 1")
-        if self.gc_max_collections_per_access < 1:
-            raise ConfigError(
-                "gc_max_collections_per_access must be >= 1")
         # rate/budget validation is shared with FaultPlan
         self.fault_plan()
 
@@ -122,7 +116,7 @@ class SSDConfig:
         """Total physical blocks in the device."""
         data = math.ceil(self.logical_blocks * (1.0 + self.over_provision))
         return (data + self.translation_blocks_budget
-                + self.gc_reserve_blocks + self.gc_threshold_blocks)
+                + GC_RESERVE_BLOCKS + GC_THRESHOLD_BLOCKS)
 
     @property
     def physical_pages(self) -> int:
@@ -137,7 +131,7 @@ class SSDConfig:
         the pool artificially large, shrinking the effective
         over-provisioning and inflating Vd/write amplification.
         """
-        return self.gc_threshold_blocks + self.gc_reserve_blocks
+        return GC_THRESHOLD_BLOCKS + GC_RESERVE_BLOCKS
 
     @property
     def capacity_bytes(self) -> int:
@@ -154,7 +148,7 @@ class SSDConfig:
         translation = math.ceil(self.translation_pages
                                 / self.pages_per_block)
         return (self.logical_blocks + translation
-                + self.gc_reserve_blocks + self.gc_threshold_blocks)
+                + GC_RESERVE_BLOCKS + GC_THRESHOLD_BLOCKS)
 
     @property
     def spare_blocks(self) -> int:
@@ -214,69 +208,25 @@ class SSDConfig:
             raise ConfigError("cache fraction must be in (0, 1]")
         return max(1, math.ceil(self.full_table_bytes * fraction))
 
-    def scaled(self, **changes) -> "SSDConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    # NAND generation profiles
-    # ------------------------------------------------------------------
-    @classmethod
-    def slc(cls, **overrides) -> "SSDConfig":
-        """Single-level-cell NAND: fast writes, high endurance.
-
-        Typical datasheet figures of the paper's era (e.g. Micron SLC):
-        25us read, 200us program, 1.5ms erase — which is also Table 3,
-        so this equals the default profile.
-        """
-        params = dict(read_us=25.0, write_us=200.0, erase_us=1500.0)
-        params.update(overrides)
-        return cls(**params)
-
-    @classmethod
-    def mlc(cls, **overrides) -> "SSDConfig":
-        """Multi-level-cell NAND: the §3.3 motivation case.
-
-        MLC programs are several times slower than SLC (typ. 50us read,
-        900us program, 3ms erase for 2x-nm MLC), which is exactly why
-        the paper argues extra translation writes are so costly.
-        """
-        params = dict(read_us=50.0, write_us=900.0, erase_us=3000.0)
-        params.update(overrides)
-        return cls(**params)
-
-    @classmethod
-    def tlc(cls, **overrides) -> "SSDConfig":
-        """Triple-level-cell NAND: slower still (typ. 75us read,
-        1.5ms program, 4.5ms erase)."""
-        params = dict(read_us=75.0, write_us=1500.0, erase_us=4500.0)
-        params.update(overrides)
-        return cls(**params)
-
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Byte budget and layout parameters of the mapping cache.
+    """Byte budget of the mapping cache.
 
     ``budget_bytes`` is the *total* RAM given to address translation; the
     GTD (sized by the SSD geometry) is always resident and is subtracted
-    before entries are admitted, per §5.1.
+    before entries are admitted, per §5.1.  Entries cost the fixed
+    §5.1 sizes (``DFTL_ENTRY_BYTES``, ``TPFTL_ENTRY_BYTES`` plus
+    ``TPFTL_NODE_BYTES`` per TP node).
     """
 
     budget_bytes: int
-    dftl_entry_bytes: int = DFTL_ENTRY_BYTES
-    tpftl_entry_bytes: int = TPFTL_ENTRY_BYTES
-    tpftl_node_bytes: int = TPFTL_NODE_BYTES
     #: fraction of an S-FTL cache reserved as its dirty buffer.
     sftl_dirty_buffer_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.budget_bytes <= 0:
             raise ConfigError("cache budget must be positive")
-        if self.dftl_entry_bytes <= 0 or self.tpftl_entry_bytes <= 0:
-            raise ConfigError("entry sizes must be positive")
-        if self.tpftl_node_bytes < 0:
-            raise ConfigError("node overhead must be non-negative")
         if not 0.0 <= self.sftl_dirty_buffer_fraction < 1.0:
             raise ConfigError("dirty buffer fraction must be in [0, 1)")
 
@@ -353,8 +303,8 @@ class SanitizerConfig:
     machine and shadow-map consistency) as the workload runs.  Checks
     fire every ``interval`` host page operations; the expensive
     whole-state checkers additionally run only every ``full_every``-th
-    check (``1`` = every check).  ``rules`` restricts checking to the
-    given SAN rule codes (``None`` = all rules).
+    check (``1`` = every check).  An enabled sanitizer runs every SAN
+    rule.
     """
 
     enabled: bool = False
@@ -362,22 +312,12 @@ class SanitizerConfig:
     interval: int = 1
     #: run whole-state (O(device)) checkers every this many checks
     full_every: int = 64
-    #: restrict to these SAN rule codes, or None for every rule
-    rules: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ConfigError("sanitizer interval must be >= 1")
         if self.full_every < 1:
             raise ConfigError("sanitizer full_every must be >= 1")
-        if self.rules is not None and not isinstance(self.rules,
-                                                     frozenset):
-            object.__setattr__(  # tp: allow=TP004 - frozen-field coercion
-                self, "rules", frozenset(self.rules))
-
-    def wants(self, code: str) -> bool:
-        """True when rule ``code`` is enabled under this config."""
-        return self.rules is None or code in self.rules
 
 
 @dataclass(frozen=True)

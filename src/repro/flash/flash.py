@@ -50,7 +50,7 @@ from collections import deque
 from typing import (Deque, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..config import SSDConfig
+from ..config import GC_RESERVE_BLOCKS, SSDConfig
 from ..errors import (DeviceWornOutError, EraseError, FlashError,
                       OutOfSpaceError, ProgramError, ReadError)
 from ..faults import FaultInjector
@@ -138,7 +138,7 @@ class FlashMemory:
     @property
     def exhausted(self) -> bool:
         """True when only the emergency reserve remains."""
-        return len(self._free) <= self.config.gc_reserve_blocks
+        return len(self._free) <= GC_RESERVE_BLOCKS
 
     @property
     def retired_block_count(self) -> int:
@@ -165,12 +165,6 @@ class FlashMemory:
     def bad_page_count(self) -> int:
         """Pages lost to program failures, device-wide."""
         return sum(block.bad_count for block in self.blocks)
-
-    def blocks_of_kind(self, kind: BlockKind) -> Iterable[Block]:
-        """Iterate blocks currently playing role ``kind``."""
-        for block in self.blocks:
-            if block.kind is kind:
-                yield block
 
     def active_block(self, kind: BlockKind) -> Optional[Block]:
         """The current write frontier for a region (may be None)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
-from ..config import SimulationConfig
+from ..config import GC_MAX_COLLECTIONS_PER_ACCESS, SimulationConfig
 from ..errors import (DeviceWornOutError, FTLError, OutOfSpaceError,
                       TranslationError)
 from ..flash import FlashMemory
@@ -357,15 +357,15 @@ class BaseFTL:
     def _run_gc(self, result: AccessResult) -> None:
         """Collect victim blocks while the free pool is low.
 
-        At most ``gc_max_collections_per_access`` victims are collected
+        At most ``GC_MAX_COLLECTIONS_PER_ACCESS`` victims are collected
         per invocation so GC cost is amortised across requests (as in
         FlashSim) rather than served in multi-millisecond bursts; the
         limit is ignored while the pool sits at the emergency reserve.
         """
-        limit = self.ssd.gc_max_collections_per_access
         collected = 0
         while self.flash.gc_needed:
-            if collected >= limit and not self.flash.exhausted:
+            if (collected >= GC_MAX_COLLECTIONS_PER_ACCESS
+                    and not self.flash.exhausted):
                 break
             victim = self._select_victim()
             if victim is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..config import SimulationConfig
+from ..config import DFTL_ENTRY_BYTES, SimulationConfig
 from ..errors import CacheCapacityError, FTLError
 from ..types import TRANSLATION_PAGE, AccessResult, Request
 from .base import BaseFTL
@@ -33,10 +33,9 @@ class DFTL(BaseFTL):
     def __init__(self, config: SimulationConfig,
                  prefill: bool = True) -> None:
         super().__init__(config, prefill=prefill)
-        cache_cfg = config.resolved_cache()
-        entry_bytes = cache_cfg.dftl_entry_bytes
-        budget = cache_cfg.entry_budget_bytes(self.gtd.size_bytes)
-        self.capacity_entries = budget // entry_bytes
+        budget = config.resolved_cache().entry_budget_bytes(
+            self.gtd.size_bytes)
+        self.capacity_entries = budget // DFTL_ENTRY_BYTES
         if self.capacity_entries < 1:
             raise CacheCapacityError(
                 f"cache budget leaves room for "

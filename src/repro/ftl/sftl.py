@@ -190,7 +190,9 @@ class SFTL(BaseFTL):
                         result: AccessResult) -> None:
         # no touch: ``_translate`` has just put the page at the MRU end,
         # and ``serve_request`` only programs and invalidates in between
-        vtpn = lpn // self.geometry.entries_per_page
+        geometry = self.geometry
+        per_page = geometry.entries_per_page
+        vtpn = lpn // per_page
         page = self.pages.get(vtpn)
         if page is None:
             buffered = self.buffer.get(vtpn)
@@ -201,7 +203,10 @@ class SFTL(BaseFTL):
             return
         page.overrides[lpn] = ppn
         if not (lpn == page.last_lpn + 1 and ppn == page.last_ppn + 1):
-            page.runs = min(page.runs + 1, self.geometry.entries_in(vtpn))
+            # capped at the page's entry count (``entries_in``, inline):
+            # a short last translation page holds fewer entries
+            page.runs = min(page.runs + 1, per_page,
+                            geometry.logical_pages - vtpn * per_page)
         page.last_lpn = lpn
         page.last_ppn = ppn
         size = min(PAGE_HEADER_BYTES + page.runs * RUN_BYTES,

@@ -33,7 +33,8 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..cache import ByteBudget, LRUList, LRUNode
-from ..config import SimulationConfig, TPFTLConfig
+from ..config import (TPFTL_ENTRY_BYTES, TPFTL_NODE_BYTES,
+                      SimulationConfig, TPFTLConfig)
 from ..errors import (CacheCapacityError, FTLError, SanitizerError,
                       SimInvariantError)
 from ..types import TRANSLATION_PAGE, AccessResult, Request
@@ -94,10 +95,8 @@ class TPFTL(BaseFTL):
         super().__init__(config, prefill=prefill)
         cache_cfg = config.resolved_cache()
         self.techniques: TPFTLConfig = config.tpftl
-        self.entry_bytes = cache_cfg.tpftl_entry_bytes
-        self.node_bytes = cache_cfg.tpftl_node_bytes
         budget_bytes = cache_cfg.entry_budget_bytes(self.gtd.size_bytes)
-        if budget_bytes < self.node_bytes + self.entry_bytes:
+        if budget_bytes < TPFTL_NODE_BYTES + TPFTL_ENTRY_BYTES:
             raise CacheCapacityError(
                 f"budget {budget_bytes}B cannot hold one TP node + entry")
         self.budget = ByteBudget(budget_bytes)
@@ -267,13 +266,13 @@ class TPFTL(BaseFTL):
         per_page = self.geometry.entries_per_page
         by_vtpn, budget, flash_table = (self.by_vtpn, self.budget,
                                         self.flash_table)
-        entry_bytes, node_bytes = self.entry_bytes, self.node_bytes
         inserted = 0
         for lpn in lpns:  # the plan stays in range, as in _translate
             node = by_vtpn.get(lpn // per_page)
             if node is not None and lpn in node.entries:
                 continue  # already cached; nothing to load
-            need = entry_bytes + (node_bytes if node is None else 0)
+            need = TPFTL_ENTRY_BYTES + (TPFTL_NODE_BYTES if node is None
+                                        else 0)
             if budget.used + need > budget.capacity:
                 if not restricted:
                     allowed_victim = self.page_list.lru
@@ -299,16 +298,16 @@ class TPFTL(BaseFTL):
         """Create an entry node (and TP node if needed) in the cache."""
         vtpn = lpn // self.geometry.entries_per_page
         by_vtpn, budget = self.by_vtpn, self.budget
-        entry_bytes = self.entry_bytes
         node = by_vtpn.get(vtpn)
-        need = entry_bytes + (self.node_bytes if node is None else 0)
+        need = TPFTL_ENTRY_BYTES + (TPFTL_NODE_BYTES if node is None else 0)
         if budget.used + need > budget.capacity:
             if not make_room or not self._make_room(need, result):
                 return None
             # The node may have been evicted while making room (it can
             # be the coldest); re-check and re-price.
             node = by_vtpn.get(vtpn)
-            need = entry_bytes + (self.node_bytes if node is None else 0)
+            need = TPFTL_ENTRY_BYTES + (TPFTL_NODE_BYTES if node is None
+                                        else 0)
             if budget.used + need > budget.capacity:  # pragma: no cover
                 return None
         if node is None:
@@ -316,7 +315,7 @@ class TPFTL(BaseFTL):
             # A new node carries the newest (hottest) entry, so it starts
             # at the hot end; settle then seats it exactly.
             self.page_list.push_mru(node)
-            budget.charge(self.node_bytes)
+            budget.charge(TPFTL_NODE_BYTES)
             self._bump_counter(+1)
         entries = node.entries
         if lpn in entries:
@@ -326,9 +325,9 @@ class TPFTL(BaseFTL):
         entry = entries[lpn] = EntryNode(lpn, ppn, seq, prefetched)
         node.hot_sum += seq
         hotness = node.hotness = node.hot_sum / len(entries)
-        if budget.used + entry_bytes > budget.capacity:
-            budget.charge(entry_bytes)  # raises the overflow CacheError
-        budget.used += entry_bytes
+        if budget.used + TPFTL_ENTRY_BYTES > budget.capacity:
+            budget.charge(TPFTL_ENTRY_BYTES)  # raises the overflow CacheError
+        budget.used += TPFTL_ENTRY_BYTES
         if node.prev.hotness < hotness or node.next.hotness > hotness:
             self.page_list.settle(node)
         return entry
@@ -380,14 +379,15 @@ class TPFTL(BaseFTL):
         node.hot_sum -= victim.hot_seq
         count = len(entries)
         node.hotness = node.hot_sum / count if count else 0.0
-        budget, entry_bytes = self.budget, self.entry_bytes
-        if entry_bytes > budget.used:
-            budget.release(entry_bytes)  # raises the underflow CacheError
-        budget.used -= entry_bytes
+        budget = self.budget
+        if TPFTL_ENTRY_BYTES > budget.used:
+            # raises the underflow CacheError
+            budget.release(TPFTL_ENTRY_BYTES)
+        budget.used -= TPFTL_ENTRY_BYTES
         if not count:
             self.page_list.remove(node)
             del self.by_vtpn[node.vtpn]
-            budget.release(self.node_bytes)
+            budget.release(TPFTL_NODE_BYTES)
             self._bump_counter(-1)
         # NOTE: no repositioning on eviction.  Dropping a cold entry
         # raises the node's mean hotness; promoting it here would rotate

@@ -314,8 +314,16 @@ class DeviceModel:
         paper's multi-million-request traces operate in.  Warmup service
         is not timed and queue state is reset per run, so neither a
         warmup phase nor a previous replay ever leaks into the measured
-        timings.
+        timings.  A negative warmup, or a positive one that leaves no
+        request to measure, raises :class:`~repro.errors.ConfigError`
+        before anything is served; an empty trace with no warmup is a
+        valid replay of zero requests.
         """
+        warmup = warmup_requests
+        if warmup < 0 or (warmup and warmup >= len(trace)):
+            raise ConfigError(
+                f"warmup must lie in [0, {len(trace)}) so that at least "
+                f"one request is measured (got {warmup})")
         self._validate_trace(trace)
         self._reset_state()
         busy = self._busy
@@ -324,7 +332,6 @@ class DeviceModel:
         read_us = ftl.ssd.read_us
         write_us = ftl.ssd.write_us
         erase_us = ftl.ssd.erase_us
-        warmup = max(warmup_requests, 0)
         if warmup:
             for request in trace.rows(0, warmup):
                 ftl.serve_request(request)
@@ -400,7 +407,7 @@ class DeviceModel:
         return RunResult(
             ftl_name=ftl.name,
             trace_name=trace.name,
-            requests=max(len(trace) - warmup, 0),
+            requests=len(trace) - warmup,
             metrics=metrics,
             response=response,
             sampler=sampler,

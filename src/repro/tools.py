@@ -97,19 +97,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         trace = _load_trace(args)
+        if not len(trace):
+            raise WorkloadError(
+                "the trace has no requests, so nothing would be measured")
         warmup = (args.warmup if args.warmup is not None
                   else len(trace) // 4)
-        if not 0 <= warmup < len(trace):
-            raise WorkloadError(
-                f"warmup must lie in [0, {len(trace)}) so that at "
-                f"least one request is measured (got {warmup})")
         config = _build_config(args, args.pages or trace.logical_pages)
         ftl = make_ftl(args.ftl, config)
     except (ConfigError, CacheError, WorkloadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     device = DeviceModel(ftl, channels=config.channels)
-    run = device.run(trace, warmup_requests=warmup)
+    try:
+        # refuses a warmup outside [0, len(trace)) before serving anything
+        run = device.run(trace, warmup_requests=warmup)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summary = run.summary()
     summary["cache_bytes"] = config.resolved_cache().budget_bytes
     if args.json is not None:

@@ -119,6 +119,20 @@ class TestMain:
         # no cell ran, nothing was cached
         assert not cache.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--requests", "100", "--warmup", "500"],
+        ["--requests", "100", "--warmup", "100"],
+        ["--warmup", "-1"],
+    ])
+    def test_warmup_that_measures_nothing_fails_at_the_edge(
+            self, tmp_path, capsys, flags):
+        cache = tmp_path / "rc"
+        assert main(["table2", "--cache-dir", str(cache)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: warmup must lie in [0, ")
+        assert captured.out == ""
+        assert not cache.exists()
+
     @pytest.mark.parametrize("flags, jobs_env", [
         (["--jobs", "0"], None),
         (["--timeout", "0"], None),

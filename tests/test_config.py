@@ -61,12 +61,6 @@ class TestSSDConfigGeometry:
         with pytest.raises(ConfigError):
             config.cache_bytes_for_fraction(1.5)
 
-    def test_scaled_replaces_fields(self):
-        config = SSDConfig(logical_pages=1024)
-        bigger = config.scaled(logical_pages=2048)
-        assert bigger.logical_pages == 2048
-        assert bigger.page_size == config.page_size
-
 
 class TestSSDConfigValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -78,8 +72,6 @@ class TestSSDConfigValidation:
         {"over_provision": -0.1},
         {"over_provision": 1.0},
         {"read_us": -1.0},
-        {"gc_threshold_blocks": 0},
-        {"gc_reserve_blocks": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -98,9 +90,6 @@ class TestCacheConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"budget_bytes": 0},
-        {"budget_bytes": 100, "dftl_entry_bytes": 0},
-        {"budget_bytes": 100, "tpftl_entry_bytes": -1},
-        {"budget_bytes": 100, "tpftl_node_bytes": -1},
         {"budget_bytes": 100, "sftl_dirty_buffer_fraction": 1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -164,40 +153,25 @@ class TestSimulationConfig:
 
 
 class TestNANDProfiles:
-    def test_slc_is_table3(self):
-        slc = SSDConfig.slc()
-        assert (slc.read_us, slc.write_us, slc.erase_us) == \
-            (25.0, 200.0, 1500.0)
-
-    def test_generations_get_slower(self):
-        slc, mlc, tlc = SSDConfig.slc(), SSDConfig.mlc(), SSDConfig.tlc()
-        assert slc.write_us < mlc.write_us < tlc.write_us
-        assert slc.read_us < mlc.read_us < tlc.read_us
-        assert slc.erase_us < mlc.erase_us < tlc.erase_us
-
     def test_slower_programs_widen_tpftls_gain_over_dftl(self):
         """§3.3 quantified: every translation write TPFTL avoids is
-        worth more on slower flash."""
+        worth more on slower flash.  SLC is Table 3's timings; TLC is
+        typical of its datasheets (75us read, 1.5ms program, 4.5ms
+        erase)."""
         from repro.ftl import make_ftl
         from repro.ssd import simulate
         from repro.workloads import financial1
         trace = financial1(logical_pages=4096, num_requests=4_000)
         gain = {}
-        for nand, profile in (("slc", SSDConfig.slc),
-                              ("tlc", SSDConfig.tlc)):
-            config = SimulationConfig(ssd=profile(logical_pages=4096))
+        for nand, timings in (
+                ("slc", dict(read_us=25.0, write_us=200.0,
+                             erase_us=1500.0)),
+                ("tlc", dict(read_us=75.0, write_us=1500.0,
+                             erase_us=4500.0))):
+            config = SimulationConfig(
+                ssd=SSDConfig(logical_pages=4096, **timings))
             mean = {name: simulate(make_ftl(name, config), trace,
                                    warmup_requests=1_000).response.mean
                     for name in ("dftl", "tpftl")}
             gain[nand] = 1.0 - mean["tpftl"] / mean["dftl"]
         assert gain["tlc"] >= gain["slc"] - 0.03
-
-    def test_overrides_respected(self):
-        mlc = SSDConfig.mlc(logical_pages=4096, write_us=800.0)
-        assert mlc.logical_pages == 4096
-        assert mlc.write_us == 800.0
-
-    def test_profiles_validate_like_normal_configs(self):
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            SSDConfig.tlc(logical_pages=0)

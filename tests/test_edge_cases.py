@@ -5,7 +5,7 @@ import pytest
 from repro.config import (DFTL_ENTRY_BYTES, TPFTL_ENTRY_BYTES,
                           TPFTL_NODE_BYTES, CacheConfig, SimulationConfig,
                           SSDConfig)
-from repro.errors import CacheCapacityError
+from repro.errors import CacheCapacityError, ConfigError
 from repro.ftl import make_ftl
 from repro.ftl.sftl import PAGE_HEADER_BYTES, RUN_BYTES
 from repro.ssd import simulate
@@ -63,10 +63,23 @@ class TestEmptyAndDegenerateTraces:
         assert result.metrics.user_page_accesses == 0
 
     def test_warmup_longer_than_trace(self, tiny_config):
+        """A warmup that leaves no request to measure is refused: a
+        run of zero requests would report a hit ratio of 1.0."""
         ftl = make_ftl("dftl", tiny_config)
         trace = make_trace([(Op.READ, 0, 1)])
-        result = simulate(ftl, trace, warmup_requests=10)
-        assert result.requests == 0
+        for warmup in (1, 10):
+            with pytest.raises(ConfigError, match="warmup"):
+                simulate(ftl, trace, warmup_requests=warmup)
+        with pytest.raises(ConfigError, match="warmup"):
+            simulate(ftl, Trace(logical_pages=512), warmup_requests=1)
+        assert ftl.metrics.user_page_accesses == 0
+
+    def test_negative_warmup(self, tiny_config):
+        ftl = make_ftl("dftl", tiny_config)
+        trace = make_trace([(Op.READ, 0, 1), (Op.READ, 1, 1)])
+        with pytest.raises(ConfigError, match="warmup"):
+            simulate(ftl, trace, warmup_requests=-1)
+        assert simulate(ftl, trace, warmup_requests=1).requests == 1
 
     def test_single_request_trace(self, tiny_config):
         ftl = make_ftl("sftl", SimulationConfig(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SSDConfig
+from repro.config import GC_RESERVE_BLOCKS, GC_THRESHOLD_BLOCKS, SSDConfig
 from repro.errors import DeviceWornOutError, FlashError, OutOfSpaceError
 from repro.flash import FlashMemory
 from repro.types import BlockKind, PageKind
@@ -96,8 +96,7 @@ class TestErase:
 
 class TestSpaceAccounting:
     def test_gc_needed_threshold(self, flash):
-        threshold = (flash.config.gc_threshold_blocks
-                     + flash.config.gc_reserve_blocks)
+        threshold = GC_THRESHOLD_BLOCKS + GC_RESERVE_BLOCKS
         assert not flash.gc_needed
         while flash.free_block_count > threshold:
             flash.program(PageKind.DATA, meta=0)

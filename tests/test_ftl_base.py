@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.config import GC_RESERVE_BLOCKS, GC_THRESHOLD_BLOCKS
 from repro.errors import FTLError, TranslationError
 from repro.ftl import DFTL, FTL_NAMES, OptimalFTL, make_ftl
 from repro.types import AccessResult, Op, Request, UNMAPPED
@@ -121,8 +122,7 @@ class TestGarbageCollection:
     def test_gc_triggers_and_recovers_space(self, optimal):
         self.overwrite(optimal)
         assert optimal.metrics.gc_data_collections > 0
-        threshold = (optimal.ssd.gc_threshold_blocks
-                     + optimal.ssd.gc_reserve_blocks)
+        threshold = GC_THRESHOLD_BLOCKS + GC_RESERVE_BLOCKS
         assert optimal.flash.free_block_count >= threshold
 
     def test_gc_preserves_consistency(self, optimal):

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import SimulationConfig, SSDConfig
 from repro.errors import ExperimentError, MatrixFailureError, RunnerError
 from repro.experiments import ExperimentScale
 from repro.experiments import runner as runner_module
@@ -36,6 +37,7 @@ from repro.experiments.runner import (ParallelRunner, RunCache, RunSpec,
                                       clear_run_caches, configure_runner,
                                       reset_runner)
 from repro.experiments.supervisor import Supervisor, Task
+from repro.ftl import make_ftl
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 TESTS = str(Path(__file__).resolve().parent)
@@ -120,6 +122,22 @@ def _abs_rejecting_negatives(value: int) -> int:
 def _double(value):
     """Module-level helper task (picklable) for supervisor tests."""
     return value * 2
+
+
+def _overwrite_tiny_device(marker_dir: str, index: int,
+                           erase_fail_rate: float) -> int:
+    """Overwrite a 512-page device 20 times; at a high erase failure
+    rate retirements eat the spare blocks and the flash raises
+    ``DeviceWornOutError``.  A completed item leaves ``done-<index>``
+    in ``marker_dir``."""
+    ssd = SSDConfig(logical_pages=512, pages_per_block=8,
+                    erase_fail_rate=erase_fail_rate, fault_seed=7)
+    ftl = make_ftl("optimal", SimulationConfig(ssd=ssd))
+    for _ in range(20):
+        for lpn in range(512):
+            ftl.write_page(lpn)
+    Path(marker_dir, f"done-{index}").touch()
+    return ftl.flash.total_erase_count()
 
 
 class TestWorkerCrash:
@@ -221,6 +239,24 @@ class TestMapSupervision:
             runner.map(_abs_rejecting_negatives, [(3,), (-4,), (5,)])
         assert excinfo.value.failures[0].label == \
             "_abs_rejecting_negatives[1]"
+
+    def test_worn_out_device_mid_sweep(self, tmp_path):
+        """A device that wears out is a deterministic failure: one
+        attempt, quarantined, while the rest of the sweep completes."""
+        runner = ParallelRunner(jobs=2)
+        rates = (0.0, 0.0, 0.5, 0.0)
+        with pytest.raises(MatrixFailureError) as excinfo:
+            runner.map(_overwrite_tiny_device,
+                       [(str(tmp_path), index, rate)
+                        for index, rate in enumerate(rates)])
+        [failure] = excinfo.value.failures
+        assert failure.label == "_overwrite_tiny_device[2]"
+        assert failure.error_type == "DeviceWornOutError"
+        assert failure.attempts == 1
+        assert not failure.transient
+        # every other item finished before the batch raised
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["done-0", "done-1", "done-3"]
 
     def test_map_serial_no_watchdog_propagates_raw(self):
         # jobs=1 without a watchdog is the historical plain loop

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cache import ByteBudget, LRUList
 from repro.config import CacheConfig, SimulationConfig, SSDConfig, TPFTLConfig
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.ftl import FTL_NAMES, SFTL, BaseFTL, OptimalFTL, make_ftl
 from repro.ftl.tpftl import EntryNode, TPNode
 from repro.ssd import DeviceModel, simulate
@@ -150,10 +150,10 @@ class TestWarmup:
         ftl = OptimalFTL(tiny_config)
         before = ftl.flash_table[:10].tolist()
         ops = [(Op.WRITE, i, 1) for i in range(10)]
-        result = simulate(ftl, make_trace(ops), warmup_requests=25)
-        assert result.requests == 0 and result.response.count == 0
-        # every warmup write was served: each LPN moved to a new page
-        assert all(a != b for a, b in zip(before, ftl.flash_table[:10]))
+        with pytest.raises(ConfigError, match="warmup"):
+            simulate(ftl, make_trace(ops), warmup_requests=25)
+        # refused before any warmup write was served
+        assert ftl.flash_table[:10].tolist() == before
 
     def test_warmup_state_persists(self, tiny_config):
         """Warmup must age the device even though stats reset."""
@@ -338,7 +338,7 @@ class TestHotPath:
         page cache is a bare ``OrderedDict`` and both byte budgets are
         compared inline, so a replay enters no ``repro/cache`` frame.
         ``_evict_page`` and ``_flush_buffer_group`` stay the eviction
-        bodies."""
+        bodies, and an update's run cap costs no geometry frame."""
         ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
         ftl = make_ftl("sftl", SimulationConfig(
             ssd=ssd, cache=CacheConfig(budget_bytes=1024)))
@@ -364,6 +364,8 @@ class TestHotPath:
         assert not [code.co_name for code in calls
                     if code.co_filename == sftl_file
                     and code.co_name in folded]
+        # an update that breaks a run caps the count inline
+        assert calls[ftl.geometry.entries_in.__code__] == 0
         # a sparse dirty victim parked: a full buffer is flushed a group
         # at a time, and only parks fill it
         assert calls[SFTL._flush_buffer_group.__code__] > 0
