@@ -18,10 +18,11 @@ class — and asserts that the one tier-1 test each mutant names, its
   early return, or twice.  TP007 flags each, so their twin is
   ``test_src_tree_is_lint_clean``.  (``P05`` and ``P08`` are not
   reused; ``docs/architecture.md`` names the tests that catch them.)
-* ``F01``–``F03``, bugs this repository had: the channel cursor
-  missing from the per-run reset, a user write invalidating its old
-  page behind ``FlashMemory``'s back (FTLSan's victim-index check
-  fails), GC rewriting its translation pages out of VTPN order.
+* ``F01``–``F04``, bookkeeping bugs: the channel cursor missing from
+  the per-run reset, a superseded page invalidated without its
+  victim-index move (FTLSan's victim-index check fails), GC rewriting
+  its translation pages out of VTPN order, a bulk-lifted victim left
+  in its old victim-index bucket.
 
 :func:`run_mutants` works in four steps:
 
@@ -126,8 +127,8 @@ MUTANTS: Tuple[Mutant, ...] = (
         twin=_BENCH_DFTL,
         description="GC's miss grouping derives the VTPN from the new "
                     "PPN instead of the LPN",
-        before="vtpn = lpn // per_page",
-        after="vtpn = ppn // per_page"),
+        before="map(per_page.__rfloordiv__, missed))",
+        after="map(per_page.__rfloordiv__, missed.values()))"),
     Mutant(
         mid="M05", path="repro/ftl/base.py",
         twin=_GOLDEN + "[zoo/financial1:dftl]",
@@ -248,25 +249,36 @@ MUTANTS: Tuple[Mutant, ...] = (
         before="        self._cursor = 0\n",
         after=""),
     Mutant(
-        mid="F02", path="repro/ftl/base.py",
+        mid="F02", path="repro/flash/flash.py",
         twin="tests/test_analysis_sanitizer.py::"
              "test_full_rate_10k_ops_clean[dftl]",
-        description="user write invalidates the old page on the Block, "
-                    "behind FlashMemory (no fault injector, no victim "
-                    "index)",
-        before="                    flash.invalidate(ppn_old)\n"
-               "                record_mapping(lpn, ppn_new, result)\n",
-        after="                    flash.blocks[flash.block_id_of("
-              "ppn_old)].invalidate(\n"
-              "                        flash.offset_of(ppn_old))\n"
-              "                record_mapping(lpn, ppn_new, result)\n"),
+        description="a program that supersedes a page invalidates it "
+                    "without the victim-index move",
+        before="                buckets = self.victim_index\n"
+               "                buckets[old.invalid_count].discard("
+               "old.block_id)\n"
+               "                old.invalid_count += 1\n"
+               "                buckets[old.invalid_count].add("
+               "old.block_id)\n",
+        after="                old.invalid_count += 1\n"),
     Mutant(
         mid="F03", path="repro/ftl/base.py",
         twin=_BENCH_DFTL,
         description="dropped sorted(): GC rewrites the translation "
                     "pages of migrated data in first-miss order",
-        before="forced_vtpns = sorted(updates_by_vtpn)",
-        after="forced_vtpns = list(updates_by_vtpn)"),
+        before="forced_vtpns = sorted(dict.fromkeys(",
+        after="forced_vtpns = list(dict.fromkeys("),
+    Mutant(
+        mid="F04", path="repro/flash/flash.py",
+        twin=_BENCH_DFTL,
+        description="the bulk victim lift leaves the victim in its old "
+                    "victim-index bucket",
+        before="                buckets[victim.invalid_count].discard("
+               "victim.block_id)\n"
+               "                victim.invalid_count += moved\n"
+               "                buckets[victim.invalid_count].add("
+               "victim.block_id)\n",
+        after="                victim.invalid_count += moved\n"),
 )
 
 

@@ -135,7 +135,11 @@ class LRUList(Generic[N]):
             return
         prev.next = nxt
         nxt.prev = prev
-        self._link(before, node, after)
+        # ``_link(before, node, after)``, inline
+        node.prev = before
+        node.next = after
+        before.next = node
+        after.prev = node
 
     def __iter__(self) -> Iterator[N]:
         """Iterate from MRU to LRU; do not mutate while iterating."""

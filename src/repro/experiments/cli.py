@@ -147,12 +147,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         scale = resolve_scale(args)
-        if not 0 <= scale.warmup_requests < scale.num_requests:
-            # the device would refuse every cell of this scale
-            raise ConfigError(
-                f"warmup must lie in [0, {scale.num_requests}) so that at "
-                f"least one request is measured (got "
-                f"{scale.warmup_requests})")
+        # the device would refuse every cell of this scale
+        scale.check_measured()
         runner = configure_runner(
             jobs=args.jobs,
             cache_dir=(False if args.no_cache

@@ -64,6 +64,16 @@ class ExperimentScale:
         object.__setattr__(self, "cache_fractions",  # tp: allow=TP004 - __post_init__ normalisation
                            tuple(self.cache_fractions))
 
+    def check_measured(self) -> None:
+        """Raise :class:`~repro.errors.ConfigError` unless the warmup
+        leaves at least one request to measure.  Not a ``__post_init__``
+        check: a scale is often built first and resized after."""
+        if not 0 <= self.warmup_requests < self.num_requests:
+            raise ConfigError(
+                f"warmup must lie in [0, {self.num_requests}) so that at "
+                f"least one request is measured (got "
+                f"{self.warmup_requests})")
+
     @classmethod
     def small(cls) -> "ExperimentScale":
         """The default CI-sized scale."""

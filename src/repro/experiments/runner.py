@@ -605,6 +605,10 @@ class ParallelRunner:
         unique: Dict[str, RunSpec] = {}
         for spec in specs:
             unique.setdefault(spec.digest, spec)
+        # a scale whose warmup measures nothing fails every one of its
+        # cells in the device: refuse it once, before any cell runs
+        for spec in unique.values():
+            spec.scale.check_measured()
         done: Dict[str, Tuple[RunResult, float, bool]] = {}
         pending: List[RunSpec] = []
         for digest, spec in unique.items():

@@ -2,39 +2,63 @@
 
 :class:`FlashMemory` consults one injector at every program, read and
 erase for as long as the injector is *live* — its plan can inject, a
-power cut was armed, or a harness stubbed one of its oracle methods.  An
-idle injector is skipped behind one attribute check, so the ideal device
-the paper measures pays nothing for the fault model.  The injector
-rolls its own :class:`random.Random` (seeded from the plan), so a fault
-sequence is a pure function of (plan, operation order) — rerunning a workload reproduces every fault at the same
+power cut was armed, or a harness stubbed one of its oracles.  An idle
+injector is skipped behind one attribute check, so the ideal device the
+paper measures pays nothing for the fault model.  The three oracles
+(:attr:`~FaultInjector.read_attempt_fails`,
+:attr:`~FaultInjector.program_fails`, :attr:`~FaultInjector.erase_fails`)
+are properties whose getter runs in C, so a consult enters the oracle's
+frame and no other; assigning a stub to one (``injector.erase_fails =
+lambda: True``) goes through the setter, which makes the injector live
+and ordered.  Counting an operation is a plain attribute update.
+
+The injector rolls its own :class:`random.Random` (seeded from the
+plan), so a fault sequence is a pure function of (plan, operation
+order) — rerunning a workload reproduces every fault at the same
 operation, which is what makes fault regressions debuggable.
 
 A live injector is *ordered* when the order of operations can change a
 result (a cut was armed, a program can fail, an oracle was stubbed);
-only then do the array's bulk moves go page by page.  Otherwise a batch
-rolls its reads in one call (:meth:`roll_reads`) and counts its
-programs at once.
+only then do the array's bulk moves go page by page, and only then is a
+program asked whether it fails.  Otherwise a batch rolls its reads in
+one call (:meth:`roll_reads`) and counts its programs at once.
 
 The injector also owns the power-cut countdown.  Power loss is raised at
 the *start* of the operation on which power dies, before any state
 mutates: the flash then holds exactly the operations that completed,
 mirroring how a real controller's NAND state looks to a post-crash scan.
-Individual program+invalidate pairs in the FTLs are not split by a cut
-because invalidation is out-of-band bookkeeping (derived from page
-sequence numbers on real hardware), not a separate flash operation.
+A program and the invalidation of the page it supersedes are not split
+by a cut because invalidation is out-of-band bookkeeping (derived from
+page sequence numbers on real hardware), not a separate flash
+operation.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ConfigError, PowerLossError
 from .plan import FaultPlan
 
-#: the media-fault oracles; replacing one on an instance makes it live
-_ORACLES = frozenset({"read_attempt_fails", "program_fails",
-                      "erase_fails"})
+
+def _oracle(method: Callable[["FaultInjector"], bool]) -> property:
+    """A media-fault oracle slot over ``method``.
+
+    Reading it is C-level (``attrgetter``), so a consult enters only the
+    oracle's own frame.  Assigning to it swaps in a stub (``injector.
+    erase_fails = lambda: True``, as what-if harnesses and tests do) and
+    makes the injector live and ordered: on an idle injector nobody
+    would ever ask the stub, and a stub may fire in any order.
+    """
+    private = method.__name__
+
+    def stub(self: "FaultInjector", oracle: Callable[[], bool]) -> None:
+        self.live = self.ordered = True
+        setattr(self, private, oracle)
+
+    return property(attrgetter(private), stub, doc=method.__doc__)
 
 
 class FaultInjector:
@@ -61,15 +85,6 @@ class FaultInjector:
         self.injected_program_failures = 0
         self.injected_erase_failures = 0
         self.power_cuts = 0
-
-    def __setattr__(self, name: str, value: object) -> None:
-        # what-if harnesses and tests swap an oracle for a stub
-        # (``injector.erase_fails = lambda: True``); on an idle injector
-        # nobody would ever ask it, so the swap itself goes live
-        if name in _ORACLES:
-            object.__setattr__(self, "live", True)  # tp: allow=TP004 - own attribute, not a frozen config
-            object.__setattr__(self, "ordered", True)  # tp: allow=TP004 - own attribute, not a frozen config
-        object.__setattr__(self, name, value)  # tp: allow=TP004 - own attribute, not a frozen config
 
     # ------------------------------------------------------------------
     # Power loss
@@ -116,7 +131,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Media faults
     # ------------------------------------------------------------------
-    def read_attempt_fails(self) -> bool:
+    def _read_attempt_fails(self) -> bool:
         """Roll one read attempt; True injects a transient ECC error."""
         if self.plan.read_error_rate <= 0.0:
             return False
@@ -154,7 +169,7 @@ class FaultInjector:
         self.ops_seen += pages + retries
         return faults
 
-    def program_fails(self) -> bool:
+    def _program_fails(self) -> bool:
         """Roll one program attempt; True marks the target page bad."""
         if self.plan.program_fail_rate <= 0.0:
             return False
@@ -163,7 +178,7 @@ class FaultInjector:
             return True
         return False
 
-    def erase_fails(self) -> bool:
+    def _erase_fails(self) -> bool:
         """Roll one erase; True retires the block."""
         if self.plan.erase_fail_rate <= 0.0:
             return False
@@ -171,6 +186,10 @@ class FaultInjector:
             self.injected_erase_failures += 1
             return True
         return False
+
+    read_attempt_fails = _oracle(_read_attempt_fails)
+    program_fails = _oracle(_program_fails)
+    erase_fails = _oracle(_erase_fails)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FaultInjector(ops_seen={self.ops_seen}, "

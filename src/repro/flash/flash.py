@@ -5,7 +5,10 @@ of the active block for a region (data or translation), invalidate pages,
 and erase blocks — and it counts every operation — but *when* to collect
 garbage, which block to victimise, and how mappings change are decisions of
 the FTL layered on top.  This mirrors the split in FlashSim that the paper
-extends.
+extends.  An out-of-place write is one call: ``program(kind, meta,
+supersedes=old_ppn)`` programs the new page and invalidates the copy it
+replaces in the same body; :meth:`FlashMemory.invalidate` on its own is
+what a TRIM uses.
 
 The array owns the per-page state: a ``bytearray`` of state bytes and an
 ``array('q')`` of metadata words, both indexed by PPN (layout and values:
@@ -22,12 +25,14 @@ Reliability is handled here, below the FTLs, the way real controllers do,
 through one per-operation hook: when the :class:`~repro.faults.FaultInjector`
 is *live* (its plan can inject, a power cut is armed, or an oracle was
 stubbed) every program, read and erase consults it; an idle injector costs
-one attribute check.  Transient read errors are retried with exponential
-backoff; a failed program marks the page bad and transparently moves the
-write to the next programmable page; a failed erase — or an erase of a
-block whose bad pages crossed the retirement threshold — takes the block
-out of service.  Bad pages and retirement are per-block state, so a worn
-array runs the same code as a pristine one.  Retirement eats the spare
+one attribute check, and a program asks whether it fails only when the
+injector is *ordered*, the one case in which it can.  Transient read
+errors are retried with exponential backoff; a failed program marks the
+page bad and transparently moves the write to the next programmable
+page; a failed erase — or an erase of a block whose bad pages crossed
+the retirement threshold — takes the block out of service.  Bad pages
+and retirement are per-block state, so a worn array runs the same code
+as a pristine one.  Retirement eats the spare
 capacity; when more blocks retire than the over-provisioning can absorb,
 the array raises :class:`~repro.errors.DeviceWornOutError`.
 
@@ -36,10 +41,13 @@ injector is *ordered* (a cut armed, a program that can fail, a stubbed
 oracle), never a flag: the bulk fill (:meth:`FlashMemory.program_batch`)
 and the one page mover (behind :meth:`FlashMemory.migrate_valid` for a
 victim and :meth:`FlashMemory.relocate` for the scattered translation
-pages GC is forced to rewrite) chunk-fill the write frontier, and go
-page by page — read, program, invalidate — only under an ordered
-injector, whose faults and cut observe every operation.  Read and erase
-faults keep the batches; both leave the same array behind.
+pages GC is forced to rewrite) work in bulk — a victim is lifted with
+one metadata slice, one translation of its state window and one
+victim-index move, and the copies chunk-fill the write frontier — and
+go page by page — read, then a program that supersedes the source —
+only under an ordered injector, whose faults and cut observe every
+operation.  Read and erase faults keep the bulk path; both leave the
+same array behind.
 """
 
 from __future__ import annotations
@@ -47,17 +55,21 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from typing import (Deque, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from itertools import compress
+from typing import Deque, List, Optional, Sequence, Set, Tuple, Union
 
 from ..config import GC_RESERVE_BLOCKS, SSDConfig
 from ..errors import (DeviceWornOutError, EraseError, FlashError,
                       OutOfSpaceError, ProgramError, ReadError)
 from ..faults import FaultInjector
 from ..types import (BlockKind, DATA_BLOCK, DATA_PAGE, PageKind, PageState,
-                     RETIRED_BLOCK, TRANSLATION_BLOCK)
+                     RETIRED_BLOCK, TRANSLATION_BLOCK, UNMAPPED)
 from .block import Block, INVALID, VALID
 from .stats import FlashStats
+
+#: ``bytes.translate`` table of a victim lift: VALID pages go INVALID,
+#: every other state stays
+_LIFTED = bytes(INVALID if value == VALID else value for value in range(256))
 
 
 class FlashMemory:
@@ -178,7 +190,8 @@ class FlashMemory:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def program(self, kind: PageKind, meta: int) -> int:
+    def program(self, kind: PageKind, meta: int,
+                supersedes: int = UNMAPPED) -> int:
         """Program one page of the given kind; returns its PPN.
 
         ``meta`` is the logical identity of the content (LPN for data
@@ -188,8 +201,20 @@ class FlashMemory:
         and retries on the next programmable page (allocating a fresh
         frontier block if needed), as a real controller's write path
         does.
+
+        ``supersedes``, when it is a PPN, is the page the new one
+        replaces: it is invalidated once the program has succeeded, in
+        this body (the out-of-place write's second half, with its
+        victim-index move).  It must be VALID; anything else raises
+        :class:`~repro.errors.ProgramError` before a page is programmed.
         """
+        states = self._states
         ppb = self.pages_per_block
+        if supersedes != UNMAPPED and states[supersedes] != VALID:
+            raise ProgramError(
+                f"page {supersedes % ppb} of block {supersedes // ppb} "
+                f"is {PageState(states[supersedes]).name}, cannot "
+                "supersede it")
         injector = self.injector
         while True:
             if kind is DATA_PAGE:
@@ -202,7 +227,8 @@ class FlashMemory:
                     block = self._allocate(TRANSLATION_BLOCK)
             if injector.live:
                 injector.on_operation()
-                if injector.program_fails():
+                # only an ordered injector can fail a program
+                if injector.ordered and injector.program_fails():
                     self.op_seq += 1
                     block.mark_bad()
                     self.stats.record_program_failure()
@@ -214,7 +240,7 @@ class FlashMemory:
             # are skipped when it moves), so the transition is direct
             offset = block._write_ptr
             ppn = block._base + offset
-            self._states[ppn] = VALID
+            states[ppn] = VALID
             self._meta[ppn] = meta
             block._write_ptr = offset + 1
             block.valid_count += 1
@@ -225,6 +251,16 @@ class FlashMemory:
                 self.stats.data_writes += 1
             else:
                 self.stats.translation_writes += 1
+            if supersedes != UNMAPPED:
+                # the superseded copy goes INVALID and its block one
+                # victim-index bucket up (what ``invalidate`` does)
+                states[supersedes] = INVALID
+                old = self.blocks[supersedes // ppb]
+                old.valid_count -= 1
+                buckets = self.victim_index
+                buckets[old.invalid_count].discard(old.block_id)
+                old.invalid_count += 1
+                buckets[old.invalid_count].add(old.block_id)
             return ppn
 
     def program_batch(self, kind: PageKind,
@@ -268,77 +304,93 @@ class FlashMemory:
             self.stats.translation_writes += total
         return ppns
 
-    def relocate(self, ppns: Iterable[int],
+    def relocate(self, ppns: Sequence[int],
                  kind: PageKind) -> Tuple[List[int], List[int]]:
         """Move the valid pages at ``ppns``, wherever they sit, to the
         region frontier; ``(metas, new_ppns)`` in the order given."""
-        ppb = self.pages_per_block
-        blocks = self.blocks
-        return self._move(
-            [(blocks[ppn // ppb], (ppn % ppb,)) for ppn in ppns], kind)
+        return self._move(ppns, kind)
 
     def migrate_valid(self, block: Block,
                       kind: PageKind) -> Tuple[List[int], List[int]]:
         """GC helper: the same for every valid page of ``block``, in
         ascending source-offset order."""
-        return self._move([(block, block.valid_offsets())], kind)
+        return self._move(block, kind)
 
-    def _move(self, sources: Sequence[Tuple[Block, Sequence[int]]],
+    def _move(self, source: Union[Block, Sequence[int]],
               kind: PageKind) -> Tuple[List[int], List[int]]:
-        """The one page mover: ``(block, offsets)`` runs to the frontier,
-        one read and one program counted per page.
+        """The one page mover: the valid pages of a victim ``Block``, or
+        the pages at a sequence of PPNs, to the frontier; one read and
+        one program counted per page.
 
-        Under an ordered injector each page is read, programmed and
-        invalidated in turn, so a program fault or power cut lands
-        between exactly the operations it would on hardware.  Otherwise
-        the steps run as batches: a live injector rolls every read first
-        (an uncorrectable one raises before any page moves), then every
-        page is checked, read and invalidated (one victim-index move per
-        run), then the copies chunk-fill the frontier.  Either way a
-        page that is not valid is refused, so none moves twice.
+        Under an ordered injector each page is read, then programmed
+        superseding its source, in turn, so a program fault or power cut
+        lands between exactly the operations it would on hardware.
+        Otherwise the steps run in bulk: a live injector rolls every
+        read first (an uncorrectable one raises before any page moves),
+        then the sources are lifted — a victim with one metadata slice,
+        one translation of its state window and one victim-index move,
+        scattered pages one by one, each checked to be valid so none
+        moves twice — and the copies chunk-fill the frontier.
         """
-        metas: List[int] = []
+        victim = source if isinstance(source, Block) else None
+        ppns: Sequence[int] = (() if isinstance(source, Block)
+                               else source)
+        moved = victim.valid_count if victim is not None else len(ppns)
         injector = self.injector
+        faults = (injector.roll_reads(moved)
+                  if injector.live and not injector.ordered else [])
+        if victim is not None and (injector.ordered or faults):
+            # a victim's pages one by one: only the page-by-page path
+            # and a failed read need their PPNs
+            ppns = [victim._base + offset
+                    for offset in victim.valid_offsets()]
         if injector.ordered:
+            metas: List[int] = []
             new_ppns: List[int] = []
-            for block, offsets in sources:
-                for offset in offsets:
-                    meta = self.read(block._base + offset, kind)
-                    metas.append(meta)
-                    new_ppns.append(self.program(kind, meta))
-                    self.invalidate(block._base + offset)
+            for ppn in ppns:
+                meta = self.read(ppn, kind)
+                metas.append(meta)
+                new_ppns.append(self.program(kind, meta, ppn))
             return metas, new_ppns
-        if injector.live:
-            faults = injector.roll_reads(
-                sum(len(offsets) for _, offsets in sources))
-            if faults:
-                ppns = [b._base + o for b, run in sources for o in run]
-                for index, failures in faults:
-                    for failed in range(1, failures + 1):
-                        self._read_failed(ppns[index], failed)
-                    self.stats.record_ecc_recovery()
+        for index, failures in faults:
+            for failed in range(1, failures + 1):
+                self._read_failed(ppns[index], failed)
+            self.stats.record_ecc_recovery()
         states = self._states
-        page_meta = self._meta
-        index = self.victim_index
-        for block, offsets in sources:
-            base = block._base
-            for offset in offsets:
-                ppn = base + offset
+        buckets = self.victim_index
+        if victim is not None:
+            base = victim._base
+            end = base + self.pages_per_block
+            window = states[base:end]
+            metas = list(compress(self._meta[base:end],
+                                  map(VALID.__eq__, window)))
+            if moved:
+                states[base:end] = window.translate(_LIFTED)
+                victim.valid_count = 0
+                buckets[victim.invalid_count].discard(victim.block_id)
+                victim.invalid_count += moved
+                buckets[victim.invalid_count].add(victim.block_id)
+        else:
+            page_meta = self._meta
+            blocks = self.blocks
+            ppb = self.pages_per_block
+            metas = []
+            for ppn in ppns:
                 if states[ppn] != VALID:
                     raise FlashError(
                         f"read of {PageState(states[ppn]).name} page at "
                         f"PPN {ppn}")
                 states[ppn] = INVALID
                 metas.append(page_meta[ppn])
-            if offsets:
-                block.valid_count -= len(offsets)
-                index[block.invalid_count].discard(block.block_id)
-                block.invalid_count += len(offsets)
-                index[block.invalid_count].add(block.block_id)
+                block = blocks[ppn // ppb]
+                block.valid_count -= 1
+                buckets[block.invalid_count].discard(block.block_id)
+                block.invalid_count += 1
+                buckets[block.invalid_count].add(block.block_id)
         if kind is DATA_PAGE:
-            self.stats.data_reads += len(metas)
+            self.stats.data_reads += moved
         else:
-            self.stats.translation_reads += len(metas)
+            self.stats.translation_reads += moved
         return metas, self.program_batch(kind, metas)
 
     def read(self, ppn: int, kind: PageKind) -> int:

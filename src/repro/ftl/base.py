@@ -138,9 +138,10 @@ class BaseFTL:
             table[lpn] = ppn
         return {}
 
-    def _gc_flush_extras(self, vtpn: int) -> Dict[int, int]:
-        """GC hook: extra cached dirty entries to fold into a forced
-        update of translation page ``vtpn`` (TPFTL's piggyback).  The
+    def _gc_flush_extras(self, vtpns: List[int]) -> Dict[int, int]:
+        """GC hook, called once per collection: extra cached dirty
+        entries of the translation pages ``vtpns`` to fold into their
+        forced update (TPFTL's piggyback), as {lpn: ppn}.  The
         implementation must mark those entries clean."""
         return {}
 
@@ -204,10 +205,10 @@ class BaseFTL:
                     result.data_reads += 1
             elif op is WRITE:
                 metrics.user_page_writes += 1
-                ppn_new = flash.program(DATA_PAGE, lpn)
+                # out of place: the old copy, if any, is invalidated by
+                # the program that supersedes it
+                ppn_new = flash.program(DATA_PAGE, lpn, ppn_old)
                 result.data_writes += 1
-                if ppn_old != UNMAPPED:
-                    flash.invalidate(ppn_old)
                 record_mapping(lpn, ppn_new, result)
             else:  # TRIM: unmap without writing new data
                 metrics.user_page_trims += 1
@@ -331,10 +332,13 @@ class BaseFTL:
         flash_table already holds them).
         """
         self._fold(vtpn, updates)
-        ptpn = self.flash.program(TRANSLATION_PAGE, vtpn)
-        old_ptpn = self.gtd.update(vtpn, ptpn)
-        if old_ptpn != UNMAPPED:
-            self.flash.invalidate(old_ptpn)
+        # the GTD slot (read in place, as ``serve_request`` reads the
+        # free pool) names the copy this program supersedes
+        gtd = self.gtd
+        slots = gtd._table
+        slots[vtpn] = self.flash.program(TRANSLATION_PAGE, vtpn,
+                                         slots[vtpn])
+        gtd.updates += 1
         result.translation_writes += 1
         self.metrics.trans_writes_writeback += 1
 
@@ -480,23 +484,30 @@ class BaseFTL:
         """Rewrite each translation page holding a GC miss once (DFTL's
         batch update), piggybacking :meth:`_gc_flush_extras` onto it.
 
-        The hits are already applied, and a page's extras still see them
-        as dirty: each hook touches only its own page's entries.  Every
-        page's updates are folded into ``flash_table`` in ascending VTPN
-        order, then one ``relocate`` call moves all the pages: the cache
-        hooks never touch flash and the rewrites never touch the cache.
+        The hits are already applied, and the extras hook, called once
+        for all the forced pages, still sees them as dirty.  The misses
+        and the extras are folded into ``flash_table`` (one LPN is never
+        both: a miss is uncached, an extra cached), then one
+        ``relocate`` call moves the pages the GTD holds for the forced
+        VTPNs, in ascending VTPN order: the cache hooks never touch
+        flash and the rewrites never touch the cache.
         """
         per_page = self.geometry.entries_per_page
-        updates_by_vtpn: Dict[int, Dict[int, int]] = {}
+        # each miss's VTPN (``lpn // per_page``, mapped in C), first-miss
+        # order deduplicated, then sorted
+        forced_vtpns = sorted(dict.fromkeys(
+            map(per_page.__rfloordiv__, missed)))
+        table = self.flash_table
         for lpn, ppn in missed.items():
-            vtpn = lpn // per_page
-            updates_by_vtpn.setdefault(vtpn, {})[lpn] = ppn
-        forced_vtpns = sorted(updates_by_vtpn)
-        for vtpn in forced_vtpns:
-            updates = updates_by_vtpn[vtpn]
-            updates.update(self._gc_flush_extras(vtpn))
-            self._fold(vtpn, updates)
-        ptpns = [self.gtd.lookup(vtpn) for vtpn in forced_vtpns]
+            table[lpn] = ppn
+        for lpn, ppn in self._gc_flush_extras(forced_vtpns).items():
+            table[lpn] = ppn
+        slots = self.gtd._table
+        ptpns = [slots[vtpn] for vtpn in forced_vtpns]
+        if UNMAPPED in ptpns:
+            raise TranslationError(
+                f"translation page {forced_vtpns[ptpns.index(UNMAPPED)]} "
+                "has no physical location")
         vtpns, new_ptpns = self.flash.relocate(ptpns, TRANSLATION_PAGE)
         if vtpns != forced_vtpns:
             raise FTLError(

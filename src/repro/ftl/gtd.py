@@ -24,6 +24,9 @@ class GlobalTranslationDirectory:
         if translation_pages <= 0:
             raise TranslationError(
                 "GTD needs at least one translation page")
+        #: VTPN -> PTPN; ``BaseFTL`` reads and writes it in place where
+        #: a method call per slot would cost a frame (a translation-page
+        #: write, GC's forced rewrites)
         self._table: List[int] = [UNMAPPED] * translation_pages
         #: number of directory updates (== translation-page writes)
         self.updates = 0

@@ -142,7 +142,7 @@ class SFTL(BaseFTL):
         page = CachedPage(runs, size)
         if vtpn in self.buffer:
             # absorb the page's parked dirty entries
-            page.overrides.update(self._gc_flush_extras(vtpn))
+            page.overrides.update(self._pop_parked(vtpn))
         budget.used += size  # the loop above made room
         pages[vtpn] = page
         return page.overrides.get(lpn, self.flash_table[lpn])
@@ -179,7 +179,7 @@ class SFTL(BaseFTL):
         if not buffer:
             return
         vtpn = max(buffer, key=lambda v: len(buffer[v]))
-        entries = self._gc_flush_extras(vtpn)
+        entries = self._pop_parked(vtpn)
         self.metrics.dirty_replacements += 1
         self.metrics.replacements += 1
         # partial update: read-modify-write
@@ -246,7 +246,17 @@ class SFTL(BaseFTL):
                 missed[lpn] = ppn
         return missed
 
-    def _gc_flush_extras(self, vtpn: int) -> Dict[int, int]:
+    def _gc_flush_extras(self, vtpns: List[int]) -> Dict[int, int]:
+        """GC folds the parked entries of ``vtpns`` into their forced
+        updates."""
+        extras: Dict[int, int] = {}
+        buffer = self.buffer
+        for vtpn in vtpns:
+            if vtpn in buffer:
+                extras.update(self._pop_parked(vtpn))
+        return extras
+
+    def _pop_parked(self, vtpn: int) -> Dict[int, int]:
         """Pop ``vtpn``'s parked entries and free their buffer bytes.
 
         GC folds them into a forced update; a load absorbs them and a
@@ -294,5 +304,5 @@ class SFTL(BaseFTL):
                 grouped[vtpn] = page.overrides
                 page.overrides = {}
         for vtpn in list(self.buffer):
-            grouped.setdefault(vtpn, {}).update(self._gc_flush_extras(vtpn))
+            grouped.setdefault(vtpn, {}).update(self._pop_parked(vtpn))
         return grouped

@@ -193,19 +193,22 @@ class TPFTL(BaseFTL):
                 node.dirty_count += 1
         return missed
 
-    def _gc_flush_extras(self, vtpn: int) -> Dict[int, int]:
-        """Piggyback cached dirty entries onto a forced GC update (§4.4)."""
-        if not self.techniques.batch_update:
-            return {}
-        node = self.by_vtpn.get(vtpn)
-        if node is None or not node.dirty_count:
-            return {}
+    def _gc_flush_extras(self, vtpns: List[int]) -> Dict[int, int]:
+        """Piggyback cached dirty entries onto GC's forced updates of
+        ``vtpns`` (§4.4): every page's, MRU to LRU, in one call."""
         extras: Dict[int, int] = {}
-        for entry in reversed(node.entries.values()):  # MRU to LRU
-            if entry.dirty:
-                extras[entry.lpn] = entry.ppn
-                entry.dirty = False
-        node.dirty_count -= len(extras)
+        if not self.techniques.batch_update:
+            return extras
+        get = self.by_vtpn.get
+        for vtpn in vtpns:
+            node = get(vtpn)
+            if node is None or not node.dirty_count:
+                continue
+            for entry in reversed(node.entries.values()):  # MRU to LRU
+                if entry.dirty:
+                    extras[entry.lpn] = entry.ppn
+                    entry.dirty = False
+            node.dirty_count = 0
         self.metrics.batch_cleaned_entries += len(extras)
         return extras
 

@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 from repro.config import TPFTLConfig
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments import ExperimentScale
 from repro.experiments import runner as runner_module
 from repro.experiments.common import run_matrix, run_one
@@ -264,6 +264,24 @@ class TestParallelRunner:
         results = runner.run_specs([tiny_spec(), tiny_spec()])
         assert results[0] is results[1]
         assert runner.cache.stats()["misses"] == 1
+
+    def test_scale_that_measures_nothing_is_refused_before_any_cell(
+            self, tmp_path, monkeypatch):
+        """A warmup that leaves no request to measure fails the batch
+        once, before any cell is looked up, spawned or cached."""
+        executed = []
+        monkeypatch.setattr(runner_module, "_timed_execute",
+                            lambda spec: executed.append(spec))
+        runner = ParallelRunner(jobs=2, cache=RunCache(tmp_path))
+        empty = dataclasses.replace(TINY, warmup_requests=TINY.num_requests)
+        with pytest.raises(ConfigError, match=r"warmup must lie in "
+                                              r"\[0, 900\) .* \(got 900\)"):
+            runner.run_specs([tiny_spec(), tiny_spec(scale=empty),
+                              tiny_spec(ftl="tpftl", scale=empty)])
+        assert executed == []
+        assert runner.outcomes == [] and runner.failures == []
+        assert not any(runner.cache.stats().values())
+        assert list(tmp_path.iterdir()) == []
 
     def test_map_parallel_matches_serial(self):
         items = [(3,), (-4,), (5,)]

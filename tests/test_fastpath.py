@@ -18,6 +18,7 @@ batched core — ``CacheSampler.maybe_sample`` fired on every request
 after a multi-page request jumped several boundaries at once.
 """
 
+import copy
 import dataclasses
 import random
 
@@ -464,6 +465,61 @@ class TestRelocate:
         assert flash.relocate([], PageKind.TRANSLATION) == ([], [])
         assert flash.active_block(BlockKind.TRANSLATION) is None
         assert array_state(flash) == array_state(FlashMemory(TINY_SSD))
+
+
+def injector_modes():
+    """The three ways the mover runs: an idle injector, a live read-error
+    plan (unordered: the bulk lift) and an ordered one (an oracle
+    stubbed never to fire: page by page).  The read-error rate is low
+    enough that the few reads here never fail."""
+    ordered = FaultInjector()
+    ordered.program_fails = lambda: False
+    return {"idle": FaultInjector(),
+            "live": FaultInjector(FaultPlan(read_error_rate=1e-9)),
+            "ordered": ordered}
+
+
+def mover_state(flash):
+    """The raw arrays, the index, every block counter and the stats."""
+    return (bytes(flash._states), flash._meta.tobytes(),
+            [set(bucket) for bucket in flash.victim_index],
+            [(block.kind, block.valid_count, block.invalid_count,
+              block.bad_count, block._write_ptr, block.erase_count,
+              block.last_program_seq) for block in flash.blocks],
+            flash.stats, flash.op_seq, list(flash._free))
+
+
+class TestMoverModesAgree:
+    """``migrate_valid`` and ``relocate`` on one prefilled array leave
+    the same array behind under each injector mode."""
+
+    def test_three_modes_leave_identical_arrays(self):
+        ppb = TINY_SSD.pages_per_block
+        prefilled = FlashMemory(TINY_SSD)
+        data = prefilled.program_batch(PageKind.DATA, range(64 * ppb // 2))
+        trans = prefilled.program_batch(PageKind.TRANSLATION, range(3 * ppb))
+        for ppn in data[::3] + trans[1::4]:
+            prefilled.invalidate(ppn)
+        states = {}
+        for mode, injector in injector_modes().items():
+            flash = copy.deepcopy(prefilled)
+            flash.injector = injector
+            moved = [
+                flash.migrate_valid(flash.block_of(data[0]), PageKind.DATA),
+                flash.migrate_valid(flash.block_of(trans[0]),
+                                    PageKind.TRANSLATION),
+                flash.relocate([data[5 * ppb + 1], data[ppb + 2],
+                                data[9 * ppb + 7]], PageKind.DATA),
+                flash.relocate([trans[2 * ppb + 3], trans[ppb]],
+                               PageKind.TRANSLATION),
+            ]
+            assert injector.ordered == (mode == "ordered")
+            assert injector.ops_seen == (0 if mode == "idle" else 2 * sum(
+                len(metas) for metas, _ in moved))
+            states[mode] = (moved, mover_state(flash))
+        assert states["idle"] == states["live"] == states["ordered"]
+        moved, _ = states["idle"]
+        assert [len(metas) for metas, _ in moved] == [5, 6, 3, 2]
 
 
 def take_as_frontier(flash, block_id):

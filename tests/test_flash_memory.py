@@ -3,9 +3,10 @@
 import pytest
 
 from repro.config import GC_RESERVE_BLOCKS, GC_THRESHOLD_BLOCKS, SSDConfig
-from repro.errors import DeviceWornOutError, FlashError, OutOfSpaceError
+from repro.errors import (DeviceWornOutError, FlashError, OutOfSpaceError,
+                          ProgramError)
 from repro.flash import FlashMemory
-from repro.types import BlockKind, PageKind
+from repro.types import BlockKind, PageKind, PageState
 
 
 @pytest.fixture
@@ -53,6 +54,38 @@ class TestProgramming:
         first = flash.op_seq
         flash.program(PageKind.DATA, meta=2)
         assert flash.op_seq == first + 1
+
+
+class TestSupersede:
+    """``program(kind, meta, supersedes=p)``: the out-of-place write's
+    program and the invalidation of the copy it replaces, in one body."""
+
+    def test_superseded_page_goes_invalid_and_its_block_up_a_bucket(
+            self, flash):
+        old = flash.program(PageKind.DATA, meta=4)
+        block = flash.block_of(old)
+        new = flash.program(PageKind.DATA, meta=4, supersedes=old)
+        assert flash.block_of(new).meta(flash.offset_of(new)) == 4
+        assert block.state(flash.offset_of(old)) is PageState.INVALID
+        assert (block.valid_count, block.invalid_count) == (1, 1)
+        assert flash.victim_index[1] == {block.block_id}
+        assert flash.stats.data_writes == 2
+
+    @pytest.mark.parametrize("state", ("FREE", "INVALID"))
+    def test_a_page_that_is_not_valid_is_refused(self, flash, state):
+        page = flash.program(PageKind.DATA, meta=1)
+        if state == "FREE":
+            page += 1
+        else:
+            flash.invalidate(page)
+        seq, writes = flash.op_seq, flash.stats.data_writes
+        with pytest.raises(ProgramError,
+                           match=f"page {page % 8} of block "
+                                 f"{page // 8} is {state}"):
+            flash.program(PageKind.DATA, meta=2, supersedes=page)
+        # refused before anything was programmed
+        assert (flash.op_seq, flash.stats.data_writes) == (seq, writes)
+        assert flash.block_of(page).valid_count == (state == "FREE")
 
 
 class TestReads:

@@ -205,7 +205,7 @@ class TestGCIntegration:
         ftl = make_sftl(budget=256, buffer_fraction=0.5)
         ftl.buffer[0] = {3: 99}
         ftl.buffer_budget.charge(BUFFER_ENTRY_BYTES)
-        extras = ftl._gc_flush_extras(0)
+        extras = ftl._gc_flush_extras([0])
         assert extras == {3: 99}
         assert 0 not in ftl.buffer
 

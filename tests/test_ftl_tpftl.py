@@ -252,7 +252,7 @@ class TestBatchUpdate:
         ftl = make_tpftl("b", entry_slots=6)
         ftl.write_page(0)
         vtpn = ftl.geometry.vtpn_of(0)
-        extras = ftl._gc_flush_extras(vtpn)
+        extras = ftl._gc_flush_extras([vtpn])
         assert 0 in extras
         assert ftl.by_vtpn[vtpn].dirty_count == 0
 
@@ -279,7 +279,7 @@ class TestBatchUpdate:
     def test_no_piggyback_without_b(self):
         ftl = make_tpftl("-", entry_slots=6)
         ftl.write_page(0)
-        assert ftl._gc_flush_extras(ftl.geometry.vtpn_of(0)) == {}
+        assert ftl._gc_flush_extras([ftl.geometry.vtpn_of(0)]) == {}
 
 
 class TestRequestPrefetch:

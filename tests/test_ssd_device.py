@@ -1,5 +1,6 @@
 """The device model: FIFO queueing, response times, warmup."""
 
+import dataclasses
 import os
 import random
 import sys
@@ -10,8 +11,11 @@ import pytest
 from repro.cache import ByteBudget, LRUList
 from repro.config import CacheConfig, SimulationConfig, SSDConfig, TPFTLConfig
 from repro.errors import ConfigError, WorkloadError
-from repro.ftl import FTL_NAMES, SFTL, BaseFTL, OptimalFTL, make_ftl
+from repro.faults import FaultInjector
+from repro.flash import FlashMemory
+from repro.ftl import FTL_NAMES, SFTL, TPFTL, BaseFTL, OptimalFTL, make_ftl
 from repro.ftl.tpftl import EntryNode, TPNode
+from repro.metrics import ResponseStats
 from repro.ssd import DeviceModel, simulate
 from repro.types import BlockKind, Op, PageKind, PageState, Request, Trace
 from repro.workloads import ArrivalModel, compose, uniform_mix
@@ -195,6 +199,26 @@ class TestRunResult:
         assert result.response.percentile(50) is not None
 
 
+class TestResponseFold:
+    def test_inline_fold_equals_record_timing(self, tiny_config):
+        """The aggregate statistics are folded inline in the replay
+        loop, a tenant's through ``record_timing``: on a trace whose
+        every request is one tenant's the two agree bit for bit."""
+        requests = [Request(arrival=index * 150.0, op=op, lpn=lpn,
+                            npages=npages, tenant="solo")
+                    for index, (op, lpn, npages)
+                    in enumerate(random_ops(400, 512, seed=5))]
+        trace = Trace(requests=requests, logical_pages=512)
+        result = simulate(make_ftl("tpftl", tiny_config), trace,
+                          warmup_requests=50, keep_response_samples=True)
+        solo = result.tenants["solo"]
+        assert solo.count == result.response.count == 350
+        assert solo.total_queue_delay > 0.0  # requests did queue
+        # every field, the Welford accumulator and the samples included
+        assert dataclasses.asdict(solo) == dataclasses.asdict(
+            result.response)
+
+
 #: ``repro/cache/``: a frame from a file under it is a substrate call
 _CACHE_DIR = os.path.dirname(ByteBudget.charge.__code__.co_filename) + os.sep
 
@@ -263,6 +287,79 @@ class TestHotPath:
         assert result.metrics.gc_data_collections > 0
         if case == "read-faults":
             assert result.faults["read_retries"] > 0
+
+    @pytest.mark.parametrize("case", FTL_NAMES + ("read-faults",))
+    def test_replay_folds_and_consults_without_helper_frames(self, case):
+        """An untenanted replay folds its response statistics inline
+        (no ``record_timing`` frame), a user write's program invalidates
+        the page it supersedes (``invalidate`` is TRIM's alone), and a
+        live read-error plan is consulted without a frame for the
+        injector's bookkeeping or for a program that cannot fail."""
+        device, trace = _hot_path_case(case)
+        calls = Counter()
+
+        def counting(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code] += 1
+
+        sys.setprofile(counting)
+        try:
+            result = device.run(trace)
+        finally:
+            sys.setprofile(None)
+        metrics = result.metrics
+        assert metrics.gc_data_collections > 0
+        assert result.response.count == len(trace)
+        assert calls[ResponseStats.record_timing.__code__] == 0
+        # every trimmed page was mapped at most once since the prefill
+        invalidated = calls[FlashMemory.invalidate.__code__]
+        assert 0 < invalidated <= metrics.user_page_trims
+        assert metrics.user_page_writes > 10 * invalidated
+        injector_file = FaultInjector.on_operation.__code__.co_filename
+        assert not [code.co_name for code in calls
+                    if code.co_filename == injector_file
+                    and code.co_name in ("__setattr__", "_program_fails")]
+        if case == "read-faults":
+            assert calls[FaultInjector.on_operation.__code__] > 0
+            assert result.faults["read_retries"] > 0
+
+    def test_data_collection_enters_extras_hook_and_gtd_once(self):
+        """GC's mapping update folds a data victim's misses in bulk: one
+        extras-hook call and one GTD call (the repointing) per
+        collection that forces rewrites, however many translation pages
+        it forces."""
+        ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
+        ftl = make_ftl("tpftl", SimulationConfig(
+            ssd=ssd, cache=CacheConfig(budget_bytes=1024)))
+        gtd_file = type(ftl.gtd).lookup.__code__.co_filename
+        collect = BaseFTL._collect_data_block.__code__
+        inside, calls = [0], Counter()
+
+        def counting(frame, event, arg):
+            code = frame.f_code
+            if event == "call":
+                if code is collect:
+                    inside[0] += 1
+                elif inside[0]:
+                    calls[code] += 1
+            elif event == "return" and code is collect:
+                inside[0] -= 1
+
+        sys.setprofile(counting)
+        try:
+            result = DeviceModel(ftl).run(_gc_heavy_trace())
+        finally:
+            sys.setprofile(None)
+        metrics = result.metrics
+        updates = calls[BaseFTL._gc_update_mappings.__code__]
+        assert 0 < updates <= metrics.gc_data_collections
+        # more forced translation pages than updates
+        assert metrics.trans_writes_gc_update > updates
+        assert calls[TPFTL._gc_flush_extras.__code__] == updates
+        assert metrics.batch_cleaned_entries > 0
+        gtd = {code.co_name: count for code, count in calls.items()
+               if code.co_filename == gtd_file}
+        assert gtd == {"update_all": updates}
 
     @pytest.mark.parametrize("monogram", ("rsbc", "-"))
     def test_tpftl_cache_events_cross_no_helper_frame(self, monogram):
