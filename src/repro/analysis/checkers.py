@@ -251,10 +251,10 @@ def check_flash_state(flash: "FlashMemory", fail: FailFn,
                       memory: Dict[str, set]) -> None:
     """Validate the flash substrate's per-block state machine.
 
-    * per-block ``valid/invalid/bad`` counters equal a recount of the
-      page states, and the four states partition the block (a FREE page
-      below the write pointer would also break the partition via
-      ``free_count``);
+    * per-block ``invalid/bad`` counters equal a recount of the page
+      states (``valid_count`` is read off them), and the four states
+      partition the block (a FREE page below the write pointer would
+      also break the partition via ``free_count``);
     * pages once BAD stay BAD (terminal across erases);
     * blocks once RETIRED stay RETIRED (terminal);
     * blocks in the free pool hold no valid pages;
@@ -279,13 +279,11 @@ def check_flash_state(flash: "FlashMemory", fail: FailFn,
             elif state is PageState.BAD:
                 bad += 1
                 seen_bad.add((block.block_id, offset))
-        if valid != block.valid_count or invalid != block.invalid_count \
-                or bad != block.bad_count:
+        if invalid != block.invalid_count or bad != block.bad_count:
             fail("SAN009",
                  f"block {block.block_id} counters "
-                 f"({block.valid_count}v/{block.invalid_count}i/"
-                 f"{block.bad_count}b) != recount "
-                 f"({valid}v/{invalid}i/{bad}b)")
+                 f"({block.invalid_count}i/{block.bad_count}b) != "
+                 f"recount ({invalid}i/{bad}b)")
             return
         if valid + invalid + bad + block.free_count \
                 != block.pages_per_block:

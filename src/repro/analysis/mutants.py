@@ -18,11 +18,12 @@ class — and asserts that the one tier-1 test each mutant names, its
   early return, or twice.  TP007 flags each, so their twin is
   ``test_src_tree_is_lint_clean``.  (``P05`` and ``P08`` are not
   reused; ``docs/architecture.md`` names the tests that catch them.)
-* ``F01``–``F04``, bookkeeping bugs: the channel cursor missing from
+* ``F01``–``F05``, bookkeeping bugs: the channel cursor missing from
   the per-run reset, a superseded page invalidated without its
   victim-index move (FTLSan's victim-index check fails), GC rewriting
   its translation pages out of VTPN order, a bulk-lifted victim left
-  in its old victim-index bucket.
+  in its old victim-index bucket, TPFTL's dirty walk leaving a taken
+  entry flagged dirty.
 
 :func:`run_mutants` works in four steps:
 
@@ -279,6 +280,14 @@ MUTANTS: Tuple[Mutant, ...] = (
                "                buckets[victim.invalid_count].add("
                "victim.block_id)\n",
         after="                victim.invalid_count += moved\n"),
+    Mutant(
+        mid="F05", path="repro/ftl/tpftl.py",
+        twin=_GOLDEN + "[ablation/financial1:b]",
+        description="the dirty walk hands an entry to a translation-page "
+                    "update but leaves it flagged dirty",
+        before="                entry.dirty = False\n"
+               "                left -= 1\n",
+        after="                left -= 1\n"),
 )
 
 

@@ -153,9 +153,9 @@ class FTLSan:
                       protect: Optional["EntryNode"]) -> None:
         """Validate one entry eviction (SAN006 + SAN007).
 
-        Called by ``TPFTL._evict_one`` after the victim is chosen and
-        before it is written back and dropped from its node and the
-        budget, which that method does inline.
+        Called by ``TPFTL._evict_one`` (from a miss's one ``_make_room``
+        call, or a prefetch's confined to one node) after the victim is
+        chosen and before it is written back and dropped inline.
         """
         if self._prefetching:
             self._prefetch_victims.add(node.vtpn)
@@ -179,8 +179,9 @@ class FTLSan:
         """Validate the batch-update postcondition (SAN008).
 
         Called by ``TPFTL._writeback`` after the translation-page update:
-        with batch update enabled the victim's whole TP node must be
-        clean, and only the victim may be about to leave the cache.
+        with batch update enabled the dirty walk (``tpftl._take_dirty``)
+        must have left the victim's whole TP node clean, by count and by
+        flag, and only the victim may be about to leave the cache.
         """
         if not ftl.techniques.batch_update:
             return

@@ -19,9 +19,10 @@ operation, which is what makes fault regressions debuggable.
 
 A live injector is *ordered* when the order of operations can change a
 result (a cut was armed, a program can fail, an oracle was stubbed);
-only then do the array's bulk moves go page by page, and only then is a
-program asked whether it fails.  Otherwise a batch rolls its reads in
-one call (:meth:`roll_reads`) and counts its programs at once.
+only then do the array's bulk moves go page by page, and only then does
+an operation enter :meth:`on_operation` or a program ask whether it
+fails.  Otherwise a read or a batch rolls its reads in one call
+(:meth:`roll_reads`) and programs and erases are counted in place.
 
 The injector also owns the power-cut countdown.  Power loss is raised at
 the *start* of the operation on which power dies, before any state
@@ -114,19 +115,15 @@ class FaultInjector:
     def on_operation(self) -> None:
         """Account one flash operation; raise if power dies on it.
 
-        Called by the flash array, while the injector is live, at the
-        start of every program attempt, read attempt and erase, before
-        any state changes.
+        Called by the flash array, while the injector is ordered (an
+        unordered one is counted in place), at the start of every
+        program attempt, read attempt and erase, before any change.
         """
         if self._cut_at is not None and self.ops_seen >= self._cut_at:
             self.power_cuts += 1
             raise PowerLossError(
                 f"power lost after {self.ops_seen} flash operations")
         self.ops_seen += 1
-
-    def count_operations(self, count: int) -> None:
-        """Account ``count`` programs that cannot fail (unordered)."""
-        self.ops_seen += count
 
     # ------------------------------------------------------------------
     # Media faults

@@ -6,12 +6,13 @@ array: one state byte per physical page (the ``PageState`` values: 0 FREE,
 the VTPN for translation pages) — the simulator's stand-in for the
 out-of-band area real FTLs use to rebuild mappings.  A ``Block`` is a
 window onto them at ``block_id * pages_per_block`` and keeps only its
-counters and write pointer; built on its own it allocates two block-sized
-arrays.  The word is never blanked: only a VALID page has metadata, so
-:meth:`Block.meta` derives "none" from the state byte and no value is
-reserved.  Programming is enforced to be sequential within a block and
-erase is only legal once no valid pages remain, so GC bugs surface as
-exceptions instead of silent corruption.
+counters and write pointer (the valid count is read off the state bytes);
+built on its own it allocates two block-sized arrays.  The word is never
+blanked: only a VALID page has metadata, so :meth:`Block.meta` derives
+"none" from the state byte and no value is reserved.  Programming is
+enforced to be sequential within a block and erase is only legal once no
+valid pages remain, so GC bugs surface as exceptions instead of silent
+corruption.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class Block:
 
     __slots__ = ("block_id", "pages_per_block", "kind", "erase_count",
                  "last_program_seq", "_states", "_meta", "_base",
-                 "_write_ptr", "valid_count", "invalid_count", "bad_count")
+                 "_write_ptr", "invalid_count", "bad_count")
 
     def __init__(self, block_id: int, pages_per_block: int,
                  states: Optional[bytearray] = None,
@@ -56,7 +57,6 @@ class Block:
         self._meta: "array[int]" = (array("q", [0]) * pages_per_block
                                     if metas is None else metas)
         self._write_ptr = 0
-        self.valid_count = 0
         self.invalid_count = 0
         #: pages permanently lost to program failures (survive erases).
         self.bad_count = 0
@@ -64,6 +64,12 @@ class Block:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    @property
+    def valid_count(self) -> int:
+        """Pages holding live data, counted off the state bytes."""
+        return self._states.count(VALID, self._base,
+                                  self._base + self.pages_per_block)
+
     @property
     def free_count(self) -> int:
         """Programmable pages left in this block (bad pages excluded)."""
@@ -135,7 +141,6 @@ class Block:
         self._states[index] = VALID
         self._meta[index] = meta
         self._write_ptr += 1
-        self.valid_count += 1
         self.last_program_seq = seq
         self._advance()
         return offset
@@ -165,7 +170,6 @@ class Block:
                 f"page {offset} of block {self.block_id} is "
                 f"{state.name}, cannot invalidate")
         self._states[self._base + offset] = INVALID
-        self.valid_count -= 1
         self.invalid_count += 1
 
     def erase(self) -> None:
@@ -174,19 +178,18 @@ class Block:
         Valid pages must have been migrated first; erasing data that is
         still live is the cardinal FTL sin and raises :class:`EraseError`.
         """
-        if self.valid_count:
-            raise EraseError(
-                f"block {self.block_id} still has {self.valid_count} "
-                "valid pages")
         base = self._base
         end = base + self.pages_per_block
+        valid = self._states.count(VALID, base, end)  # ``valid_count``
+        if valid:
+            raise EraseError(
+                f"block {self.block_id} still has {valid} valid pages")
         # bad pages survive the erase and the write pointer skips any
         # leading ones
         self._states[base:end] = self._states[base:end].translate(_ERASED)
         self._write_ptr = 0
         if self.bad_count:
             self._advance()
-        self.valid_count = 0
         self.invalid_count = 0
         self.erase_count += 1
         self.kind = FREE_BLOCK

@@ -25,16 +25,17 @@ Reliability is handled here, below the FTLs, the way real controllers do,
 through one per-operation hook: when the :class:`~repro.faults.FaultInjector`
 is *live* (its plan can inject, a power cut is armed, or an oracle was
 stubbed) every program, read and erase consults it; an idle injector costs
-one attribute check, and a program asks whether it fails only when the
-injector is *ordered*, the one case in which it can.  Transient read
-errors are retried with exponential backoff; a failed program marks the
-page bad and transparently moves the write to the next programmable
-page; a failed erase — or an erase of a block whose bad pages crossed
-the retirement threshold — takes the block out of service.  Bad pages
-and retirement are per-block state, so a worn array runs the same code
-as a pristine one.  Retirement eats the spare
-capacity; when more blocks retire than the over-provisioning can absorb,
-the array raises :class:`~repro.errors.DeviceWornOutError`.
+one attribute check.  Only an *ordered* one can cut power or fail a
+program, so only it is entered per operation (``on_operation``); an
+unordered one is counted inline, and a read rolls ``roll_reads(1)``.
+Transient read errors are retried with exponential backoff; a failed
+program marks the page bad and transparently moves the write to the next
+programmable page; a failed erase — or an erase of a block whose bad
+pages crossed the retirement threshold — takes the block out of service.
+Bad pages and retirement are per-block state, so a worn array runs the
+same code as a pristine one.  Retirement eats the spare capacity; when
+more blocks retire than the over-provisioning can absorb, the array
+raises :class:`~repro.errors.DeviceWornOutError`.
 
 Two mechanics differ with the hook, and the choice is whether the
 injector is *ordered* (a cut armed, a program that can fail, a stubbed
@@ -226,14 +227,16 @@ class FlashMemory:
                 if block is None or block._write_ptr >= ppb:
                     block = self._allocate(TRANSLATION_BLOCK)
             if injector.live:
-                injector.on_operation()
-                # only an ordered injector can fail a program
-                if injector.ordered and injector.program_fails():
-                    self.op_seq += 1
-                    block.mark_bad()
-                    self.stats.record_program_failure()
-                    self._check_spares()
-                    continue
+                if not injector.ordered:
+                    injector.ops_seen += 1  # no cut to check, no failure
+                else:
+                    injector.on_operation()
+                    if injector.program_fails():
+                        self.op_seq += 1
+                        block.mark_bad()
+                        self.stats.record_program_failure()
+                        self._check_spares()
+                        continue
             seq = self.op_seq + 1
             self.op_seq = seq
             # the write pointer always rests on a FREE page (bad pages
@@ -243,7 +246,6 @@ class FlashMemory:
             states[ppn] = VALID
             self._meta[ppn] = meta
             block._write_ptr = offset + 1
-            block.valid_count += 1
             block.last_program_seq = seq
             if block.bad_count:
                 block._advance()
@@ -256,7 +258,6 @@ class FlashMemory:
                 # victim-index bucket up (what ``invalidate`` does)
                 states[supersedes] = INVALID
                 old = self.blocks[supersedes // ppb]
-                old.valid_count -= 1
                 buckets = self.victim_index
                 buckets[old.invalid_count].discard(old.block_id)
                 old.invalid_count += 1
@@ -287,13 +288,12 @@ class FlashMemory:
                                        else TRANSLATION_BLOCK)
             write_ptr = block._write_ptr
             take = min(total - i, ppb - write_ptr)
-            if injector.live:
-                injector.count_operations(take)
+            if injector.live:  # unordered: no cut, no failure
+                injector.ops_seen += take
             first = block._base + write_ptr
             self._states[first:first + take] = bytes((VALID,)) * take
             self._meta[first:first + take] = array("q", metas[i:i + take])
             block._write_ptr = write_ptr + take
-            block.valid_count += take
             self.op_seq += take
             block.last_program_seq = self.op_seq
             ppns.extend(range(first, first + take))
@@ -335,7 +335,12 @@ class FlashMemory:
         victim = source if isinstance(source, Block) else None
         ppns: Sequence[int] = (() if isinstance(source, Block)
                                else source)
-        moved = victim.valid_count if victim is not None else len(ppns)
+        states = self._states
+        base = victim._base if victim is not None else 0
+        end = base + self.pages_per_block
+        # ``victim.valid_count``, counted inline
+        moved = (states.count(VALID, base, end) if victim is not None
+                 else len(ppns))
         injector = self.injector
         faults = (injector.roll_reads(moved)
                   if injector.live and not injector.ordered else [])
@@ -356,17 +361,13 @@ class FlashMemory:
             for failed in range(1, failures + 1):
                 self._read_failed(ppns[index], failed)
             self.stats.record_ecc_recovery()
-        states = self._states
         buckets = self.victim_index
         if victim is not None:
-            base = victim._base
-            end = base + self.pages_per_block
             window = states[base:end]
             metas = list(compress(self._meta[base:end],
                                   map(VALID.__eq__, window)))
             if moved:
                 states[base:end] = window.translate(_LIFTED)
-                victim.valid_count = 0
                 buckets[victim.invalid_count].discard(victim.block_id)
                 victim.invalid_count += moved
                 buckets[victim.invalid_count].add(victim.block_id)
@@ -383,7 +384,6 @@ class FlashMemory:
                 states[ppn] = INVALID
                 metas.append(page_meta[ppn])
                 block = blocks[ppn // ppb]
-                block.valid_count -= 1
                 buckets[block.invalid_count].discard(block.block_id)
                 block.invalid_count += 1
                 buckets[block.invalid_count].add(block.block_id)
@@ -408,15 +408,21 @@ class FlashMemory:
                 f"PPN {ppn}")
         injector = self.injector
         if injector.live:
-            injector.on_operation()
-            failures = 0
-            while injector.read_attempt_fails():
-                failures += 1
-                if failures <= injector.plan.max_read_retries:
-                    injector.on_operation()
-                self._read_failed(ppn, failures)
-            if failures:
-                self.stats.record_ecc_recovery()
+            if not injector.ordered:  # no cut: the loop below, one roll
+                for _, failures in injector.roll_reads(1):
+                    for failed in range(1, failures + 1):
+                        self._read_failed(ppn, failed)
+                    self.stats.record_ecc_recovery()
+            else:
+                injector.on_operation()
+                failures = 0
+                while injector.read_attempt_fails():
+                    failures += 1
+                    if failures <= injector.plan.max_read_retries:
+                        injector.on_operation()
+                    self._read_failed(ppn, failures)
+                if failures:
+                    self.stats.record_ecc_recovery()
         if kind is DATA_PAGE:
             self.stats.data_reads += 1
         else:
@@ -450,7 +456,6 @@ class FlashMemory:
                 f"is {PageState(states[ppn]).name}, cannot invalidate")
         states[ppn] = INVALID
         block = self.blocks[block_id]
-        block.valid_count -= 1
         invalid = block.invalid_count + 1
         block.invalid_count = invalid
         index = self.victim_index
@@ -471,10 +476,11 @@ class FlashMemory:
             raise FlashError(f"block {block_id} is already free")
         if block.kind is RETIRED_BLOCK:
             raise FlashError(f"block {block_id} is retired")
-        if block.valid_count:
+        base = block._base  # ``block.valid_count``, counted inline
+        valid = self._states.count(VALID, base, base + self.pages_per_block)
+        if valid:
             raise EraseError(
-                f"block {block_id} still has {block.valid_count} "
-                "valid pages")
+                f"block {block_id} still has {valid} valid pages")
         kind = block.kind
         if block is self._active_data:
             self._active_data = None
@@ -482,7 +488,10 @@ class FlashMemory:
             self._active_trans = None
         injector = self.injector
         if injector.live:
-            injector.on_operation()
+            if not injector.ordered:
+                injector.ops_seen += 1  # no cut to check
+            else:
+                injector.on_operation()
             if injector.erase_fails():
                 self.stats.record_erase_failure()
                 self._retire(block)

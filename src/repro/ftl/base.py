@@ -334,11 +334,9 @@ class BaseFTL:
         self._fold(vtpn, updates)
         # the GTD slot (read in place, as ``serve_request`` reads the
         # free pool) names the copy this program supersedes
-        gtd = self.gtd
-        slots = gtd._table
+        slots = self.gtd._table
         slots[vtpn] = self.flash.program(TRANSLATION_PAGE, vtpn,
                                          slots[vtpn])
-        gtd.updates += 1
         result.translation_writes += 1
         self.metrics.trans_writes_writeback += 1
 

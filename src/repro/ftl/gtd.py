@@ -18,7 +18,7 @@ from ..types import UNMAPPED
 class GlobalTranslationDirectory:
     """VTPN -> PTPN directory, fully RAM-resident."""
 
-    __slots__ = ("_table", "updates")
+    __slots__ = ("_table",)
 
     def __init__(self, translation_pages: int) -> None:
         if translation_pages <= 0:
@@ -28,8 +28,6 @@ class GlobalTranslationDirectory:
         #: a method call per slot would cost a frame (a translation-page
         #: write, GC's forced rewrites)
         self._table: List[int] = [UNMAPPED] * translation_pages
-        #: number of directory updates (== translation-page writes)
-        self.updates = 0
 
     def __len__(self) -> int:
         return len(self._table)
@@ -59,11 +57,9 @@ class GlobalTranslationDirectory:
         """Point ``vtpn`` at a new PTPN; returns the previous one."""
         old = self._table[vtpn]
         self._table[vtpn] = ptpn
-        self.updates += 1
         return old
 
     def update_all(self, vtpns: Iterable[int], ptpns: Iterable[int]) -> None:
         """Point each of ``vtpns`` at its new PTPN."""
         for vtpn, ptpn in zip(vtpns, ptpns):
             self._table[vtpn] = ptpn
-            self.updates += 1

@@ -36,8 +36,8 @@ from ..cache import ByteBudget, LRUList, LRUNode
 from ..config import (TPFTL_ENTRY_BYTES, TPFTL_NODE_BYTES,
                       SimulationConfig, TPFTLConfig)
 from ..errors import (CacheCapacityError, FTLError, SanitizerError,
-                      SimInvariantError)
-from ..types import TRANSLATION_PAGE, AccessResult, Request
+                      SimInvariantError, TranslationError)
+from ..types import TRANSLATION_PAGE, UNMAPPED, AccessResult, Request
 from .base import BaseFTL
 
 
@@ -73,16 +73,34 @@ class TPNode(LRUNode):
         #: touch on a hit or a write.  It stays that float quotient:
         #: cross-multiplied integers break float ties differently.
         self.hot_sum = 0
+        #: how many of ``entries`` are dirty
         self.dirty_count = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def set_dirty(self, entry: EntryNode, dirty: bool) -> None:
-        """Flip an entry's dirty flag, keeping counts in sync."""
-        if entry.dirty != dirty:
-            entry.dirty = dirty
-            self.dirty_count += 1 if dirty else -1
+
+def _take_dirty(nodes: Iterable[Optional[TPNode]],
+                updates: Dict[int, int]) -> int:
+    """The one dirty walk (batch update, GC piggyback, flush): move
+    each node's dirty entries into ``updates``, MRU to LRU, marking them
+    clean, until its ``dirty_count`` are taken; skips a None node.
+    Returns how many it took."""
+    taken = 0
+    for node in nodes:
+        if node is None or not node.dirty_count:
+            continue
+        left = node.dirty_count
+        for entry in reversed(node.entries.values()):  # MRU to LRU
+            if entry.dirty:
+                updates[entry.lpn] = entry.ppn
+                entry.dirty = False
+                left -= 1
+                if not left:
+                    break
+        taken += node.dirty_count
+        node.dirty_count = 0
+    return taken
 
 
 class TPFTL(BaseFTL):
@@ -140,19 +158,25 @@ class TPFTL(BaseFTL):
                 return entry.ppn
         # ---- miss: one translation-page read serves the demanded entry
         # plus any prefetched ones (all within this translation page).
-        prefetch_lpns = self._plan_prefetch(lpn, vtpn, request)
+        prefetch_lpns = self._plan_prefetch(lpn, node, request)
         if self.sanitizer is not None:
             self.sanitizer.note_prefetch_plan(self, lpn, prefetch_lpns)
         # ``read_translation_page(vtpn, "load", result)``, inlined
-        self.flash.read(self.gtd.lookup(vtpn), TRANSLATION_PAGE)
+        ptpn = self.gtd._table[vtpn]
+        if ptpn == UNMAPPED:
+            raise TranslationError(
+                f"translation page {vtpn} has no physical location")
+        self.flash.read(ptpn, TRANSLATION_PAGE)
         result.translation_reads += 1
         self.metrics.trans_reads_load += 1
-        demanded = self._insert_entry(lpn, self.flash_table[lpn],
-                                      prefetched=False, result=result)
-        if demanded is None:  # pragma: no cover - budget checked in init
-            raise FTLError("could not make room for the demanded entry")
+        # priced once: draining the entry's own node frees its bytes too
+        need = TPFTL_ENTRY_BYTES + (TPFTL_NODE_BYTES if node is None else 0)
+        budget = self.budget
+        if budget.used + need > budget.capacity:
+            self._make_room(need, result)
+        demanded = self._insert_entry(lpn, self.flash_table[lpn], False)
         if prefetch_lpns:
-            self._prefetch(prefetch_lpns, result, protect=demanded)
+            self._prefetch(prefetch_lpns, result, demanded)
         return demanded.ppn
 
     def _record_mapping(self, lpn: int, ppn: int,
@@ -162,7 +186,7 @@ class TPFTL(BaseFTL):
         if node is None or entry is None:  # pragma: no cover - installed
             raise FTLError(f"write to LPN {lpn} without a cached entry")
         entry.ppn = ppn
-        if not entry.dirty:  # ``node.set_dirty(entry, True)``, inlined
+        if not entry.dirty:  # exact: ``_take_dirty`` stops at the count
             entry.dirty = True
             node.dirty_count += 1
         # the §4.2 touch, as on a hit in ``_translate``
@@ -188,7 +212,7 @@ class TPFTL(BaseFTL):
                 missed[lpn] = ppn
                 continue
             entry.ppn = ppn
-            if not entry.dirty:  # ``node.set_dirty(entry, True)``, inlined
+            if not entry.dirty:  # exact: ``_take_dirty`` stops at the count
                 entry.dirty = True
                 node.dirty_count += 1
         return missed
@@ -197,19 +221,9 @@ class TPFTL(BaseFTL):
         """Piggyback cached dirty entries onto GC's forced updates of
         ``vtpns`` (§4.4): every page's, MRU to LRU, in one call."""
         extras: Dict[int, int] = {}
-        if not self.techniques.batch_update:
-            return extras
-        get = self.by_vtpn.get
-        for vtpn in vtpns:
-            node = get(vtpn)
-            if node is None or not node.dirty_count:
-                continue
-            for entry in reversed(node.entries.values()):  # MRU to LRU
-                if entry.dirty:
-                    extras[entry.lpn] = entry.ppn
-                    entry.dirty = False
-            node.dirty_count = 0
-        self.metrics.batch_cleaned_entries += len(extras)
+        if self.techniques.batch_update:
+            self.metrics.batch_cleaned_entries += _take_dirty(
+                map(self.by_vtpn.get, vtpns), extras)
         return extras
 
     def cache_peek(self, lpn: int) -> Optional[int]:
@@ -223,9 +237,10 @@ class TPFTL(BaseFTL):
     # ==================================================================
     # Loading policy (§4.3)
     # ==================================================================
-    def _plan_prefetch(self, lpn: int, vtpn: int,
+    def _plan_prefetch(self, lpn: int, node: Optional[TPNode],
                        request: Request) -> List[int]:
-        """LPNs to prefetch alongside a missed ``lpn`` (page-bounded).
+        """LPNs to prefetch alongside a missed ``lpn`` (page-bounded);
+        ``node`` is its translation page's TP node, None if uncached.
 
         Both techniques ask for a run that starts right after ``lpn``,
         so the plan is one range up to the farther of the two ends.
@@ -236,57 +251,51 @@ class TPFTL(BaseFTL):
             # Translate the whole request at once: load every entry the
             # request still needs from this translation page.
             stop = request.end_lpn - 1
-        if techniques.selective_prefetch and self.selective_active:
+        per_page = self.geometry.entries_per_page
+        first_in_page = lpn // per_page * per_page
+        if (techniques.selective_prefetch and self.selective_active
+                and node is not None):
             # Length = number of cached predecessors consecutive to the
             # demanded entry within the same translation page.
-            node = self.by_vtpn.get(vtpn)
-            if node is not None:
-                probe = lpn - 1
-                first_in_page = self.geometry.first_lpn(vtpn)
-                while probe >= first_in_page and probe in node.entries:
-                    probe -= 1
-                length = lpn - 1 - probe
-                stop = max(stop, lpn + length)
+            probe = lpn - 1
+            while probe >= first_in_page and probe in node.entries:
+                probe -= 1
+            length = lpn - 1 - probe
+            stop = max(stop, lpn + length)
         if stop <= lpn:
             return []
-        return list(range(
-            lpn + 1, min(stop, self.geometry.last_lpn(vtpn)) + 1))
+        return list(range(lpn + 1, min(stop, first_in_page + per_page - 1,
+                                       self.geometry.logical_pages - 1) + 1))
 
     def _prefetch(self, lpns: Iterable[int], result: AccessResult,
-                  protect: Optional[EntryNode] = None) -> None:
+                  protect: EntryNode) -> None:
         """Insert prefetched entries under the §4.5 replacement rule.
 
         Evictions on behalf of prefetched entries are confined to the
         single TP node that was coldest when prefetching began; when it
         runs out of entries the remaining prefetch length is dropped.
-        The just-demanded entry (``protect``) is never a victim.
+        The just-demanded entry (``protect``) is never a victim, so its
+        node, every planned LPN's, stays: an entry costs its own bytes.
         """
         allowed_victim: Optional[TPNode] = None
-        restricted = False
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.note_prefetch_begin()
-        per_page = self.geometry.entries_per_page
-        by_vtpn, budget, flash_table = (self.by_vtpn, self.budget,
-                                        self.flash_table)
+        entries = self.by_vtpn[
+            protect.lpn // self.geometry.entries_per_page].entries
+        budget, flash_table = self.budget, self.flash_table
         inserted = 0
         for lpn in lpns:  # the plan stays in range, as in _translate
-            node = by_vtpn.get(lpn // per_page)
-            if node is not None and lpn in node.entries:
+            if lpn in entries:
                 continue  # already cached; nothing to load
-            need = TPFTL_ENTRY_BYTES + (TPFTL_NODE_BYTES if node is None
-                                        else 0)
-            if budget.used + need > budget.capacity:
-                if not restricted:
-                    allowed_victim = self.page_list.lru
-                    restricted = True
-                if not self._make_room(need, result,
+            if budget.used + TPFTL_ENTRY_BYTES > budget.capacity:
+                if allowed_victim is None:  # ``page_list.lru``, never empty
+                    allowed_victim = self.page_list.tail.prev  # type: ignore[assignment]
+                if not self._make_room(TPFTL_ENTRY_BYTES, result,
                                        only_node=allowed_victim,
                                        protect=protect):
                     break  # §4.5: reduce the prefetching length
-            if self._insert_entry(lpn, flash_table[lpn], prefetched=True,
-                                  result=result, make_room=False) is None:
-                break
+            self._insert_entry(lpn, flash_table[lpn], True)
             inserted += 1
         self.metrics.prefetched_entries += inserted
         if sanitizer is not None:
@@ -295,24 +304,13 @@ class TPFTL(BaseFTL):
     # ==================================================================
     # Insertion and replacement (§4.4)
     # ==================================================================
-    def _insert_entry(self, lpn: int, ppn: int, prefetched: bool,
-                      result: AccessResult,
-                      make_room: bool = True) -> Optional[EntryNode]:
-        """Create an entry node (and TP node if needed) in the cache."""
+    def _insert_entry(self, lpn: int, ppn: int,
+                      prefetched: bool) -> EntryNode:
+        """Create an entry node (and TP node if needed) in the cache;
+        the caller made room (past the budget raises ``CacheError``)."""
         vtpn = lpn // self.geometry.entries_per_page
         by_vtpn, budget = self.by_vtpn, self.budget
         node = by_vtpn.get(vtpn)
-        need = TPFTL_ENTRY_BYTES + (TPFTL_NODE_BYTES if node is None else 0)
-        if budget.used + need > budget.capacity:
-            if not make_room or not self._make_room(need, result):
-                return None
-            # The node may have been evicted while making room (it can
-            # be the coldest); re-check and re-price.
-            node = by_vtpn.get(vtpn)
-            need = TPFTL_ENTRY_BYTES + (TPFTL_NODE_BYTES if node is None
-                                        else 0)
-            if budget.used + need > budget.capacity:  # pragma: no cover
-                return None
         if node is None:
             node = by_vtpn[vtpn] = TPNode(vtpn)
             # A new node carries the newest (hottest) entry, so it starts
@@ -353,10 +351,6 @@ class TPFTL(BaseFTL):
                 return False
             if not self._evict_one(victim_node, result, protect=protect):
                 return False
-            if only_node is not None and not only_node.entries:
-                # the allowed node was fully drained and unlinked
-                if budget.used + need > budget.capacity:
-                    return False
         return True
 
     def _evict_one(self, node: TPNode, result: AccessResult,
@@ -417,19 +411,14 @@ class TPFTL(BaseFTL):
                    result: AccessResult) -> None:
         """Write back a dirty victim; with 'b', its whole TP node's dirty
         set rides along in the same translation-page update."""
+        # the victim heads the update; the walk retakes it in place
         updates: Dict[int, int] = {victim.lpn: victim.ppn}
-        cleaned = 0
         if self.techniques.batch_update:
-            for entry in reversed(node.entries.values()):  # MRU to LRU
-                if entry.dirty and entry is not victim:
-                    updates[entry.lpn] = entry.ppn
-                    entry.dirty = False
-                    cleaned += 1
-            self.metrics.batch_cleaned_entries += cleaned
-        if victim.dirty:
+            self.metrics.batch_cleaned_entries += _take_dirty(
+                (node,), updates) - 1
+        else:
             victim.dirty = False
-            cleaned += 1
-        node.dirty_count -= cleaned
+            node.dirty_count -= 1
         self.read_translation_page(node.vtpn, "writeback", result)
         self.write_translation_page(node.vtpn, updates, result)
         if self.sanitizer is not None:
@@ -461,10 +450,9 @@ class TPFTL(BaseFTL):
     def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
         for vtpn, node in self.by_vtpn.items():
-            for entry in reversed(node.entries.values()):  # MRU to LRU
-                if entry.dirty:
-                    grouped.setdefault(vtpn, {})[entry.lpn] = entry.ppn
-                    node.set_dirty(entry, False)
+            updates: Dict[int, int] = {}
+            if _take_dirty((node,), updates):
+                grouped[vtpn] = updates
         return grouped
 
     @property

@@ -38,11 +38,21 @@ def test_every_allow_pragma_in_src_suppresses_exactly_one_finding():
     """Pragma exactness: strip every ``# tp: allow=CODE`` comment from
     ``src/`` in memory and the analysis must report exactly the
     stripped ``(path, line, CODE)`` set — a pragma that no longer
-    suppresses anything (or names the wrong code) fails here."""
+    suppresses anything (or names the wrong code) fails here.  The
+    comments are found twice, by the tokenizer and by a plain regex
+    over the raw text, and both must find the same non-empty set."""
     pragma = re.compile(r"#\s*tp:\s*allow=([A-Z0-9,]+)")
+    # a pragma is real rule codes ending the code list; the docstrings'
+    # ``# tp: allow=CODE`` examples sit in backticks
+    raw_pragma = re.compile(r"#\s*tp:\s*allow=(TP\d+(?:,TP\d+)*)(?![\w,`])")
     expected = set()
+    raw = set()
     stripped = {}
     for path, text in read_sources([str(SRC)]).items():
+        for row, line in enumerate(text.splitlines(), start=1):
+            for match in raw_pragma.finditer(line):
+                raw.update((path, row, code)
+                           for code in match.group(1).split(","))
         lines = text.splitlines(keepends=True)
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
             match = pragma.match(token.string)
@@ -53,7 +63,8 @@ def test_every_allow_pragma_in_src_suppresses_exactly_one_finding():
                             for code in match.group(1).split(","))
             lines[row - 1] = lines[row - 1][:col].rstrip() + "\n"
         stripped[path] = "".join(lines)
-    assert len(expected) >= 9, "src/ is known to carry pragmas"
+    assert raw, "src/ is known to carry pragmas"
+    assert expected == raw
     findings = analyze(stripped)
     assert {(f.path, f.line, f.rule) for f in findings} == expected
 

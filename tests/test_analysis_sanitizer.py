@@ -229,7 +229,8 @@ def test_san008_forgotten_batch(sanitized_config, monkeypatch):
     def lazy_writeback(node, victim, result):
         # buggy writeback: flushes only the victim, leaving its
         # neighbours dirty although batch_update is enabled
-        node.set_dirty(victim, False)
+        victim.dirty = False
+        node.dirty_count -= 1
         ftl.read_translation_page(node.vtpn, "writeback", result)
         ftl.write_translation_page(node.vtpn,
                                    {victim.lpn: victim.ppn}, result)
@@ -247,7 +248,7 @@ def test_san008_forgotten_batch(sanitized_config, monkeypatch):
 def test_san009_counter_corruption(sanitized_config):
     ftl = make_ftl("dftl", sanitized_config)
     _warm(ftl, 50, trims=False, seed=13)
-    ftl.flash.blocks[0].valid_count += 1
+    ftl.flash.blocks[0].invalid_count += 1
     with pytest.raises(SanitizerError) as excinfo:
         _san(ftl).run_checks(full=True)
     assert excinfo.value.code == "SAN009"

@@ -76,19 +76,12 @@ class TestGTD:
         assert gtd.update(0, 5) == UNMAPPED
         assert gtd.update(0, 7) == 5
 
-    def test_update_counter(self):
-        gtd = GlobalTranslationDirectory(4)
-        gtd.update(0, 1)
-        gtd.update(1, 2)
-        assert gtd.updates == 2
-
     def test_update_all_is_update_per_pair(self):
         gtd = GlobalTranslationDirectory(4)
         gtd.update(3, 9)
         gtd.update_all([3, 1], [5, 6])
         assert [gtd.get(vtpn) for vtpn in range(4)] == [UNMAPPED, 6,
                                                         UNMAPPED, 5]
-        assert gtd.updates == 3
 
     def test_size_bytes(self):
         assert GlobalTranslationDirectory(16).size_bytes == 64

@@ -98,17 +98,16 @@ class TestTwoLevelStructure:
 
     def test_add_of_cached_lpn_is_an_invariant_error(self):
         ftl = make_tpftl("-")
-        ftl._insert_entry(3, 30, prefetched=False, result=AccessResult())
+        ftl._insert_entry(3, 30, prefetched=False)
         node, used = ftl.by_vtpn[0], ftl.budget.used
         with pytest.raises(SimInvariantError):
-            ftl._insert_entry(3, 31, prefetched=False,
-                              result=AccessResult())
+            ftl._insert_entry(3, 31, prefetched=False)
         assert node.hot_sum == 1 and node.entries[3].ppn == 30
         assert ftl.budget.used == used
 
     def test_drop_of_uncached_entry_is_an_invariant_error(self):
         ftl = make_tpftl("-")
-        ftl._insert_entry(3, 30, prefetched=False, result=AccessResult())
+        ftl._insert_entry(3, 30, prefetched=False)
         node, used = ftl.by_vtpn[0], ftl.budget.used
         ftl._choose_victim = lambda node, protect=None: EntryNode(
             4, 40, hot_seq=2)

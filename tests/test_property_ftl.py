@@ -5,9 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import (CacheConfig, SimulationConfig, SSDConfig,
-                          TPFTLConfig)
+from repro.config import (GTD_SLOT_BYTES, TPFTL_ENTRY_BYTES,
+                          TPFTL_NODE_BYTES, CacheConfig, SanitizerConfig,
+                          SimulationConfig, SSDConfig, TPFTLConfig)
 from repro.ftl import make_ftl
+from repro.types import Op, Request, UNMAPPED
 
 PAGES = 256
 
@@ -99,6 +101,63 @@ def test_metrics_never_go_inconsistent(sequence):
         assert m.hits <= m.lookups
         assert m.dirty_replacements <= m.replacements
         assert m.write_amplification >= 1.0
+
+
+SSD = SSDConfig(logical_pages=PAGES, page_size=256, pages_per_block=8)
+#: the smallest budget ``make_ftl`` accepts: the GTD plus one TP node
+#: and one entry
+MIN_BUDGET = (SSD.translation_pages * GTD_SLOT_BYTES + TPFTL_NODE_BYTES
+              + TPFTL_ENTRY_BYTES)
+#: first LPNs a few pages short of each translation-page boundary
+NEAR_BOUNDARY = [boundary - back
+                 for boundary in range(SSD.entries_per_translation_page,
+                                       PAGES,
+                                       SSD.entries_per_translation_page)
+                 for back in range(1, 8)]
+
+requests = st.lists(
+    st.tuples(st.booleans(),
+              st.one_of(st.integers(min_value=0, max_value=PAGES - 1),
+                        st.sampled_from(NEAR_BOUNDARY)),
+              st.integers(min_value=1, max_value=8)),
+    min_size=1, max_size=40)
+
+
+def _identity(ftl, lpn):
+    """The out-of-band identity of the page ``lpn`` maps to."""
+    ppn = ftl.lookup_current(lpn)
+    if ppn == UNMAPPED:
+        return None
+    return ftl.flash.block_of(ppn).meta(ftl.flash.offset_of(ppn))
+
+
+@given(sequence=requests, monogram=monograms,
+       extra=st.integers(min_value=0, max_value=640))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_tpftl_multi_page_requests_match_the_optimal_ftl(sequence,
+                                                         monogram, extra):
+    """Multi-page reads and writes, some crossing a translation-page
+    boundary, reach request-level prefetch and the §4.5 one-victim-node
+    rule at any budget from the smallest one up: FTLSan checks every
+    page, the structure holds after every request, and every LPN ends
+    on a page of the same identity as under the table-in-RAM FTL."""
+    ftl = make_ftl("tpftl", SimulationConfig(
+        ssd=SSD, cache=CacheConfig(budget_bytes=MIN_BUDGET + extra),
+        tpftl=TPFTLConfig.from_monogram(monogram),
+        sanitizer=SanitizerConfig(enabled=True, interval=1)))
+    optimal = make_ftl("optimal", SimulationConfig(ssd=SSD))
+    for arrival, (is_write, lpn, npages) in enumerate(sequence):
+        request = Request(arrival=float(arrival),
+                          op=Op.WRITE if is_write else Op.READ,
+                          lpn=min(lpn, PAGES - npages), npages=npages)
+        ftl.serve_request(request)
+        optimal.serve_request(request)
+        ftl.assert_invariants()
+    ftl.flush()
+    ftl.check_consistency()
+    assert ([_identity(ftl, lpn) for lpn in range(PAGES)]
+            == [_identity(optimal, lpn) for lpn in range(PAGES)])
 
 
 trim_ops = st.lists(

@@ -294,8 +294,12 @@ class TestHotPath:
         (no ``record_timing`` frame), a user write's program invalidates
         the page it supersedes (``invalidate`` is TRIM's alone), and a
         live read-error plan is consulted without a frame for the
-        injector's bookkeeping or for a program that cannot fail."""
+        injector's bookkeeping or for a program that cannot fail: an
+        unordered injector counts every operation, retries included,
+        without ``on_operation`` or a per-read oracle frame."""
         device, trace = _hot_path_case(case)
+        injector = device.ftl.flash.injector
+        ops_before = injector.ops_seen
         calls = Counter()
 
         def counting(frame, event, arg):
@@ -320,8 +324,15 @@ class TestHotPath:
                     if code.co_filename == injector_file
                     and code.co_name in ("__setattr__", "_program_fails")]
         if case == "read-faults":
-            assert calls[FaultInjector.on_operation.__code__] > 0
+            assert not [code.co_name for code in calls
+                        if code.co_filename == injector_file
+                        and code.co_name in ("on_operation",
+                                             "_read_attempt_fails")]
             assert result.faults["read_retries"] > 0
+            stats = device.ftl.flash.stats
+            assert injector.ops_seen - ops_before == (
+                stats.total_reads + stats.total_writes
+                + stats.total_erases + stats.read_retries)
 
     def test_data_collection_enters_extras_hook_and_gtd_once(self):
         """GC's mapping update folds a data victim's misses in bulk: one
@@ -387,7 +398,7 @@ class TestHotPath:
         assert result.metrics.gc_data_collections > 0
         assert calls[TPNode.__len__.__code__] == 0
         tpftl_file = TPNode.__len__.__code__.co_filename
-        removed = {"_drop_entry", "_touch", "add", "drop"}
+        removed = {"_drop_entry", "_touch", "add", "drop", "set_dirty"}
         assert not [code.co_name for code in calls
                     if code.co_filename == tpftl_file
                     and code.co_name in removed]
