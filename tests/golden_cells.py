@@ -4,8 +4,10 @@ Every cell below (plus the tenant mixes of ``tests/test_traffic.py``)
 was run through the per-operation reference core at the last commit that
 had it, and the sha256 of the run cache's JSON encoding — for fault
 cells, of the result together with the injector counters and the
-block-for-block flash end state — was frozen.  ``tests/test_fastpath.py``
-holds the one core to each byte.  Not a test module: regenerate the
+block-for-block flash end state — was frozen.  The ``panels/…`` cells
+hash the Fig 6-9 panels as rendered (JSON and text) at the micro scale
+of ``tests/test_experiments.py``.  ``tests/test_fastpath.py`` holds the
+one core to each byte.  Not a test module: regenerate the
 table, only when a PR changes results on purpose, with::
 
     PYTHONPATH=src:tests python tests/golden_cells.py
@@ -20,6 +22,7 @@ import pytest
 from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
                           SSDConfig)
 from repro.errors import DeviceWornOutError, PowerLossError
+from repro.experiments import run_experiment
 from repro.experiments.common import ExperimentScale, build_workload
 from repro.experiments.faults import _config_for as media_fault_config
 from repro.experiments.runner import RunSpec, encode_result, execute_spec
@@ -38,6 +41,11 @@ PARITY_SCALE = ExperimentScale(num_requests=2_500, warmup_requests=500)
 ZOO_SCALE = ExperimentScale(num_requests=6_000, warmup_requests=1_000,
                             financial_pages=4_096)
 TIER1_WORKLOADS = ("financial1", "financial2", "msr-src", "msr-ts")
+#: the micro scale of ``tests/test_experiments.py``
+MICRO = ExperimentScale(
+    name="micro", num_requests=2500, warmup_requests=500,
+    financial_pages=4096, msr_pages=8192,
+    cache_fractions=(1 / 32, 1.0), sample_interval=500)
 FTLS = ("dftl", "tpftl", "optimal")
 
 TINY_SSD = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
@@ -261,8 +269,25 @@ TRACE_CELLS.update({
 })
 
 
+def panel_digest(experiment_id):
+    """sha256 of one rendered Fig 6-9 panel: its JSON and its text."""
+    result = run_experiment(experiment_id, MICRO)
+    text = result.to_json() + "\n" + result.render()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: the fifteen Fig 6-9 panels as the CLI prints and ``--json`` writes
+#: them, at the micro scale
+PANEL_CELLS = {f"panels/{experiment_id}": (
+    lambda experiment_id=experiment_id: panel_digest(experiment_id))
+    for experiment_id in (*(f"fig6{p}" for p in "abcdef"),
+                          *(f"fig{n}{p}" for n in "789" for p in "abc"))}
+
+
 def cell(name):
     """Compute one cell's frozen string from scratch."""
+    if name in PANEL_CELLS:
+        return PANEL_CELLS[name]()
     if name in SPEC_CELLS:
         return result_digest(execute_spec(SPEC_CELLS[name]))
     if name in RUN_CELLS:
@@ -276,7 +301,7 @@ def all_cells():
     import test_traffic
     return {**{name: (lambda name=name: cell(name))
                for name in (*SPEC_CELLS, *RUN_CELLS, *FAULT_CELLS,
-                            *TRACE_CELLS)},
+                            *TRACE_CELLS, *PANEL_CELLS)},
             **test_traffic.GOLDEN_CELLS}
 
 

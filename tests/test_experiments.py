@@ -16,18 +16,14 @@ import pytest
 
 from repro.config import TPFTLConfig
 from repro.errors import ConfigError, ExperimentError
-from repro.experiments import (EXPERIMENTS, ExperimentResult,
-                               ExperimentScale, run_experiment)
+from repro.experiments import EXPERIMENTS, ExperimentResult, run_experiment
 from repro.experiments.claims import CLAIMS, evaluate
 from repro.experiments.common import (ABLATION_CONFIGS, build_workload,
                                       run_one, simulation_config)
 from repro.experiments.runner import (RunSpec, clear_run_caches,
                                       execute_spec)
 
-MICRO = ExperimentScale(
-    name="micro", num_requests=2500, warmup_requests=500,
-    financial_pages=4096, msr_pages=8192,
-    cache_fractions=(1 / 32, 1.0), sample_interval=500)
+from golden_cells import MICRO
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -42,9 +42,10 @@ from repro.workloads import make_preset
 
 from conftest import (check_every_selection, golden_digests, make_trace,
                       random_ops, result_digest)
-from golden_cells import (FAULT_CELLS, FTLS, GC_HEAVY, POWER_CUT_AFTER,
-                          ROOMY, RUN_CELLS, SPEC_CELLS, TIER1_WORKLOADS,
-                          TINY, TINY_SSD, TRACE_CELLS, all_cells, check,
+from golden_cells import (FAULT_CELLS, FTLS, GC_HEAVY, PANEL_CELLS,
+                          POWER_CUT_AFTER, ROOMY, RUN_CELLS, SPEC_CELLS,
+                          TIER1_WORKLOADS, TINY, TINY_SSD, TRACE_CELLS,
+                          all_cells, check,
                           flash_state, gc_heavy_trace, media_fault_config,
                           sanitized_run, small_trace)
 
@@ -55,10 +56,10 @@ from golden_cells import (FAULT_CELLS, FTLS, GC_HEAVY, POWER_CUT_AFTER,
 class TestGoldenTable:
     @pytest.mark.parametrize("name", [
         name for name in (*SPEC_CELLS, *RUN_CELLS, *FAULT_CELLS,
-                          *TRACE_CELLS)
+                          *TRACE_CELLS, *PANEL_CELLS)
         if name.startswith(("zoo/", "bench/", "ablation/", "small-cache/",
                             "device/gc-heavy-sftl", "faults/media",
-                            "faults/read-erase", "traces/"))])
+                            "faults/read-erase", "traces/", "panels/"))])
     def test_cell_matches_reference(self, name):
         check(name)
 
