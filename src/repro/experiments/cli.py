@@ -205,6 +205,7 @@ def _write_bench(runner, args) -> None:
     print(f"bench: {totals['cells']} cells, "
           f"{totals['cache_hits']} cache hits, "
           f"{totals['failed']} failed, {totals['retries']} retries, "
-          f"speedup vs serial {totals['speedup_vs_serial']:.2f}x "
-          f"-> {target}", file=sys.stderr)
+          f"{totals['serial_equivalent_s']:.1f}s executed in "
+          f"{totals['wall_clock_s']:.1f}s wall -> {target}",
+          file=sys.stderr)
 

@@ -1,11 +1,12 @@
 """Shared infrastructure for the experiment runners.
 
 The paper's Fig 6 and Fig 7(a) all derive from one matrix of runs
-(4 workloads x 4 FTLs); :func:`run_matrix` routes that matrix through
-the default :class:`~repro.experiments.runner.ParallelRunner`, so cells
-are fanned out across processes (``--jobs``/``REPRO_JOBS``) and served
-from the persistent run cache on re-runs — each sub-figure renders
-instantly once any of them has run, even across interpreter restarts.
+(4 workloads x 4 FTLs, see :mod:`~repro.experiments.panels`);
+:func:`run_matrix` routes that matrix through the default
+:class:`~repro.experiments.runner.ParallelRunner`, so cells are fanned
+out across processes (``--jobs``/``REPRO_JOBS``) and served from the
+persistent run cache on re-runs — each sub-figure renders instantly
+once any of them has run, even across interpreter restarts.
 ``ExperimentScale`` bundles the knobs that trade fidelity for runtime
 (request count, warmup, workload sizes).
 """
@@ -20,7 +21,6 @@ from ..errors import ConfigError
 from ..metrics.report import format_table
 from ..ssd import RunResult
 from ..types import Trace
-from ..workloads import make_preset
 
 #: the paper's evaluation workloads, in figure order
 WORKLOADS = ("financial1", "financial2", "msr-ts", "msr-src")
@@ -73,6 +73,12 @@ class ExperimentScale:
                 f"warmup must lie in [0, {self.num_requests}) so that at "
                 f"least one request is measured (got "
                 f"{self.warmup_requests})")
+
+    def pages_for(self, workload: str) -> int:
+        """The logical pages of one of the paper's workloads at this
+        scale: the MSR size for ``msr-*``, the Financial size else."""
+        return (self.msr_pages if workload.startswith("msr")
+                else self.financial_pages)
 
     @classmethod
     def small(cls) -> "ExperimentScale":
@@ -164,11 +170,12 @@ class ExperimentResult:
 # Workload and run construction
 # ----------------------------------------------------------------------
 def build_workload(name: str, scale: ExperimentScale) -> Trace:
-    """Build one of the paper's four workloads at the given scale."""
-    pages = (scale.msr_pages if name.startswith("msr")
-             else scale.financial_pages)
-    return make_preset(name, logical_pages=pages,
-                       num_requests=scale.num_requests)
+    """Build one of the paper's four workloads at the given scale,
+    memoised with the run cells' traces (no cell's trace depends on
+    its FTL)."""
+    from .runner import RunSpec, build_spec_trace
+    return build_spec_trace(RunSpec(workload=name, ftl="optimal",
+                                    scale=scale))
 
 
 def simulation_config(trace: Trace,
@@ -216,16 +223,6 @@ def run_one(workload: str, ftl_name: str, scale: ExperimentScale,
     return get_runner().run_specs([spec])[0]
 
 
-def matrix_specs(scale: ExperimentScale,
-                 workloads: Sequence[str] = WORKLOADS,
-                 ftls: Sequence[str] = HEADLINE_FTLS) -> List:
-    """The cell specs of the headline (workload x FTL) matrix."""
-    from .runner import RunSpec
-    return [RunSpec(workload=workload, ftl=ftl_name, scale=scale,
-                    channels=scale.channels)
-            for workload in workloads for ftl_name in ftls]
-
-
 def run_matrix(scale: ExperimentScale,
                workloads: Sequence[str] = WORKLOADS,
                ftls: Sequence[str] = HEADLINE_FTLS
@@ -237,9 +234,11 @@ def run_matrix(scale: ExperimentScale,
     come from the persistent run cache, the rest fan out across
     processes when the runner is configured with ``jobs > 1``.
     """
-    specs = matrix_specs(scale, workloads, ftls)
-    from .runner import get_runner
-    results = get_runner().run_specs(specs)
+    from .runner import RunSpec, get_runner
     keys = [(workload, ftl_name) for workload in workloads
             for ftl_name in ftls]
+    results = get_runner().run_specs([
+        RunSpec(workload=workload, ftl=ftl_name, scale=scale,
+                channels=scale.channels)
+        for workload, ftl_name in keys])
     return dict(zip(keys, results))

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from typing import List
 
+from ..config import SSDConfig
 from ..models import params_from_run, write_amplification
 from ..models.performance import avg_translation_time
-from .common import (ExperimentResult, ExperimentScale, WORKLOADS,
-                     run_matrix, simulation_config, build_workload)
+from .common import ExperimentResult, ExperimentScale, WORKLOADS, run_matrix
 
 
 def run(scale: ExperimentScale) -> ExperimentResult:
@@ -28,8 +28,7 @@ def run(scale: ExperimentScale) -> ExperimentResult:
     rows: List[List[object]] = []
     data = {}
     for workload in WORKLOADS:
-        trace = build_workload(workload, scale)
-        ssd = simulation_config(trace).ssd
+        ssd = SSDConfig(logical_pages=scale.pages_for(workload))
         for ftl in ("dftl", "tpftl"):
             result = matrix[(workload, ftl)]
             p = params_from_run(result, ssd)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict
 
 from ..errors import ExperimentError
-from . import (analysis, channels, claims, faults, fig1, fig2, fig6, fig7,
-               fig8, fig9, fig10, model_check, table2, threshold_sweep)
+from . import (analysis, channels, claims, faults, fig1, fig2, fig10,
+               model_check, table2, threshold_sweep)
 from .common import ExperimentResult, ExperimentScale
+from .panels import PANELS, run_panel
 
 #: every table/figure of the paper's evaluation, in paper order
 EXPERIMENTS: Dict[str, Callable[[ExperimentScale], ExperimentResult]] = {
@@ -16,21 +18,8 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentScale], ExperimentResult]] = {
     "fig1b": fig1.run_fig1b,
     "fig2a": fig2.run_fig2a,
     "fig2b": fig2.run_fig2b,
-    "fig6a": fig6.run_fig6a,
-    "fig6b": fig6.run_fig6b,
-    "fig6c": fig6.run_fig6c,
-    "fig6d": fig6.run_fig6d,
-    "fig6e": fig6.run_fig6e,
-    "fig6f": fig6.run_fig6f,
-    "fig7a": fig7.run_fig7a,
-    "fig7b": fig7.run_fig7b,
-    "fig7c": fig7.run_fig7c,
-    "fig8a": fig8.run_fig8a,
-    "fig8b": fig8.run_fig8b,
-    "fig8c": fig8.run_fig8c,
-    "fig9a": fig9.run_fig9a,
-    "fig9b": fig9.run_fig9b,
-    "fig9c": fig9.run_fig9c,
+    **{experiment_id: partial(run_panel, panel, experiment_id)
+       for experiment_id, panel in PANELS.items()},
     "fig10": fig10.run,
     # extensions beyond the paper's artifacts
     "modelcheck": model_check.run,

@@ -190,8 +190,7 @@ def build_spec_trace(spec: RunSpec) -> Trace:
                       json.dumps(spec.traffic.canonical(),
                                  sort_keys=True))
     else:
-        pages = (scale.msr_pages if spec.workload.startswith("msr")
-                 else scale.financial_pages)
+        pages = scale.pages_for(spec.workload)
         key = (spec.workload, pages, scale.num_requests, spec.seed)
     trace = _TRACE_MEMO.get(key)
     if trace is None:
@@ -688,11 +687,15 @@ class ParallelRunner:
 
     # -- bench trajectory ----------------------------------------------
     def bench_report(self) -> Dict[str, Any]:
-        """Everything measured so far, in ``BENCH_runner.json`` shape."""
+        """Everything measured so far, in ``BENCH_runner.json`` shape.
+
+        ``serial_equivalent_s`` sums the cells this runner executed: a
+        cache hit's recorded ``elapsed_s`` is the run that filled the
+        cache, not work done here."""
         outcomes = self.outcomes
         hits = sum(outcome.cached for outcome in outcomes)
         serial = sum(outcome.elapsed_s for outcome in outcomes
-                     if not outcome.failed)
+                     if not (outcome.failed or outcome.cached))
         wall = self._wall_s
         return {
             "bench": "runner",

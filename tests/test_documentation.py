@@ -6,7 +6,8 @@ public item), the README's quickstart snippet and the trace-replay
 example must actually run, and
 the rule tables in ``docs/architecture.md`` must list exactly the
 codes the analysis registries define (no phantom or undocumented
-rules), and ``docs/ftls.md`` must give one section to each registered
+rules), EXPERIMENTS.md must count the claim rows the claims table
+holds, and ``docs/ftls.md`` must give one section to each registered
 FTL and one hook-table row to each policy hook the FTLs override.
 """
 
@@ -21,6 +22,7 @@ import pytest
 
 from repro.analysis.checkers import SAN_RULES
 from repro.analysis.lint import RULES
+from repro.experiments.claims import CLAIMS
 from repro.ftl import DFTL, FTL_NAMES, SFTL, TPFTL
 from repro.ftl.base import BaseFTL
 
@@ -106,6 +108,20 @@ def _documented_codes(text, prefix):
     """Rule codes introduced as ``* **CODE — ...`` bullets."""
     return set(re.findall(rf"^\* \*\*({prefix}\d+) — ",
                           text, flags=re.MULTILINE))
+
+
+def test_experiments_claim_counts_match_the_claims_table():
+    """EXPERIMENTS.md's count of claim rows and artifacts is the
+    table's own (no simulation runs)."""
+    text = (SRC.parent.parent / "EXPERIMENTS.md").read_text("utf-8")
+    match = re.search(r"\((\d+) rows over the (\d+) artifacts and the\s+"
+                      r"threshold sweep\)", text)
+    assert match, "EXPERIMENTS.md no longer states the claim counts"
+    rows = sum(map(len, CLAIMS.values()))
+    assert "threshold-sweep" in CLAIMS
+    assert [int(n) for n in match.groups()] == [rows, len(CLAIMS) - 1]
+    assert {int(n) for n in re.findall(r"every one of the (\d+) rows",
+                                       text)} == {rows}
 
 
 def test_architecture_rule_tables_match_registries():

@@ -21,7 +21,9 @@ from repro.experiments.claims import CLAIMS, evaluate
 from repro.experiments.common import (ABLATION_CONFIGS, build_workload,
                                       run_one, simulation_config)
 from repro.experiments.runner import (RunSpec, clear_run_caches,
-                                      execute_spec)
+                                      configure_runner, execute_spec,
+                                      reset_runner)
+from repro.workloads import presets
 
 from golden_cells import MICRO
 
@@ -230,6 +232,28 @@ class TestExtensionExperiments:
             modeled_wa, measured_wa = row[2], row[3]
             assert modeled_wa >= 1.0
             assert measured_wa >= 1.0
+
+    def test_modelcheck_on_a_warm_cache_builds_no_trace(
+            self, tmp_path, monkeypatch):
+        """The model's device size comes from the scale, not from a
+        synthesised trace: served from the run cache, modelcheck
+        generates no workload at all."""
+        built = []
+
+        def counted(builder):
+            return lambda **kwargs: built.append(kwargs) or builder(**kwargs)
+
+        configure_runner(jobs=1, cache_dir=tmp_path)
+        try:
+            cold = run_experiment("modelcheck", MICRO)
+            clear_run_caches()
+            for name, builder in list(presets._PRESETS.items()):
+                monkeypatch.setitem(presets._PRESETS, name, counted(builder))
+            warm = run_experiment("modelcheck", MICRO)
+        finally:
+            reset_runner()
+        assert built == []
+        assert warm.to_json() == cold.to_json()
 
     def test_threshold_sweep_runs(self):
         result = run_experiment("threshold-sweep", MICRO)

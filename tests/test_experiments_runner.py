@@ -304,6 +304,19 @@ class TestParallelRunner:
         target = runner.write_bench(tmp_path / "BENCH_runner.json")
         assert json.loads(target.read_text())["totals"]["cells"] == 2
 
+    def test_serial_equivalent_counts_executed_cells_only(self, tmp_path):
+        specs = [tiny_spec(), tiny_spec(ftl="tpftl")]
+        cold = ParallelRunner(jobs=1, cache=RunCache(tmp_path))
+        cold.run_specs(specs)
+        totals = cold.bench_report()["totals"]
+        assert totals["cache_misses"] == 2
+        assert 0 < totals["serial_equivalent_s"] <= totals["wall_clock_s"]
+        warm = ParallelRunner(jobs=1, cache=RunCache(tmp_path))
+        warm.run_specs(specs)
+        totals = warm.bench_report()["totals"]
+        assert totals["cache_hits"] == 2
+        assert totals["serial_equivalent_s"] == 0
+
     def test_jobs_resolution(self, monkeypatch):
         assert resolve_jobs(3) == 3
         monkeypatch.setenv("REPRO_JOBS", "4")
