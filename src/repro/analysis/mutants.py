@@ -24,6 +24,9 @@ class — and asserts that the one tier-1 test each mutant names, its
   its translation pages out of VTPN order, a bulk-lifted victim left
   in its old victim-index bucket, TPFTL's dirty walk leaving a taken
   entry flagged dirty.
+* ``W01``, a workload bug: the synthetic generator drawing a request's
+  arrival gap ahead of its placement, which shifts every draw after it
+  (the ``traces/msr-ts`` digest fails).
 
 :func:`run_mutants` works in four steps:
 
@@ -97,6 +100,55 @@ _GOLDEN = ("tests/test_fastpath.py::TestGoldenTable::"
 _BENCH_DFTL = _GOLDEN + "[bench/financial1:dftl]"
 _BENCH_OPTIMAL = _GOLDEN + "[bench/financial1:optimal]"
 _LINT_CLEAN = "tests/test_analysis_lint.py::test_src_tree_is_lint_clean"
+
+
+#: W01's two blocks of ``generate``'s request loop: the placement (the
+#: sequential? draw and the branch it picks) and the arrival draw after it
+_W01_PLACEMENT = (
+    "        seq_fraction = seq_fractions[is_write]\n"
+    "        if seq_fraction and rand() < seq_fraction:\n"
+    "            pool = streams[is_write]\n"
+    "            stream = pool[current[is_write]]\n"
+    "            if stream.remaining < npages:\n"
+    "                # Rotate to another stream, preferring one whose live\n"
+    "                # run can absorb this request; a stream is only\n"
+    "                # restarted (position/remaining reset) when it "
+    "cannot —\n"
+    "                # an unconditional reset here would clobber the other\n"
+    "                # streams' in-progress runs and collapse the documented\n"
+    "                # concurrent sticky streams into one effective stream.\n"
+    "                eligible = [i for i, s in enumerate(pool)\n"
+    "                            if s.remaining >= npages]\n"
+    "                if eligible:\n"
+    "                    chosen = eligible[randrange(len(eligible))]\n"
+    "                else:\n"
+    "                    chosen = randrange(len(pool))\n"
+    "                current[is_write] = chosen\n"
+    "                stream = pool[chosen]\n"
+    "                if stream.remaining < npages:\n"
+    "                    rank = int(slots * (rand() ** start_alpha))\n"
+    "                    if rank > last_slot:\n"
+    "                        rank = last_slot\n"
+    "                    stream.position = ((rank * slot_stride + slot_base)\n"
+    "                                       % slots * align)\n"
+    "                    run = int(rng.expovariate(run_rate)) + 1\n"
+    "                    stream.remaining = run if run > npages else npages\n"
+    "            lpn = stream.position\n"
+    "            if lpn + npages > pages:\n"
+    "                lpn = 0\n"
+    "            stream.position = lpn + npages\n"
+    "            stream.remaining -= npages\n"
+    "        else:\n"
+    "            rank = int(pages * (rand() ** zipf_alpha))\n"
+    "            if rank >= pages:\n"
+    "                rank = pages - 1\n"
+    "            lpn = (rank * stride + base) % pages\n"
+    "            if lpn + npages > pages:\n"
+    "                lpn = pages - npages\n")
+_W01_ARRIVAL = (
+    "        if arrival_rate:\n"
+    "            # random.expovariate's own expression\n"
+    "            clock += -log(1.0 - rand()) / arrival_rate\n")
 
 
 #: the seeded bugs, each with the tier-1 test that must fail under it
@@ -288,6 +340,14 @@ MUTANTS: Tuple[Mutant, ...] = (
         before="                entry.dirty = False\n"
                "                left -= 1\n",
         after="                left -= 1\n"),
+    # the workload generator: one RNG draw out of its pinned order
+    Mutant(
+        mid="W01", path="repro/workloads/synthetic.py",
+        twin=_GOLDEN + "[traces/msr-ts]",
+        description="the arrival gap is drawn ahead of the placement: "
+                    "every later draw of the request moves",
+        before=_W01_PLACEMENT + _W01_ARRIVAL,
+        after=_W01_ARRIVAL + _W01_PLACEMENT),
 )
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .faults import FaultPlan
+from .types import WORD_LIMIT
 
 #: Bytes per mapping entry in a flat page-level table (4B LPN + 4B PPN).
 FULL_ENTRY_BYTES = 8
@@ -83,6 +84,10 @@ class SSDConfig:
             raise ConfigError("over_provision must be in [0, 1)")
         if min(self.read_us, self.write_us, self.erase_us) < 0:
             raise ConfigError("latencies must be non-negative")
+        if self.physical_pages >= WORD_LIMIT:
+            raise ConfigError(
+                f"{self.physical_pages} physical pages: a PPN must fit a "
+                f"32-bit word (below {WORD_LIMIT})")
         # rate/budget validation is shared with FaultPlan
         self.fault_plan()
 

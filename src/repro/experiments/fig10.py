@@ -28,7 +28,8 @@ def run(scale: ExperimentScale) -> ExperimentResult:
             for fraction in fractions for ftl_name in ("dftl", "tpftl")]
     specs = [RunSpec(workload=workload, ftl=ftl_name, scale=scale,
                      cache_fraction=fraction,
-                     sample_interval=scale.sample_interval)
+                     sample_interval=scale.sample_interval,
+                     channels=scale.channels)
              for workload, fraction, ftl_name in keys]
     cells = dict(zip(keys, get_runner().run_specs(specs)))
     rows: List[List[object]] = []

@@ -74,7 +74,7 @@ def _grid(panel: Panel, scale: ExperimentScale) -> Grid:
                 for fraction in fractions]
         results = get_runner().run_specs([
             RunSpec(workload=workload, ftl="tpftl", scale=scale,
-                    cache_fraction=fraction)
+                    cache_fraction=fraction, channels=scale.channels)
             for workload, fraction in keys])
         return Grid("Workload", WORKLOADS, fractions,
                     [f"1/{round(1 / f)}" if f < 1 else "1"

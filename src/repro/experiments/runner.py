@@ -113,11 +113,14 @@ class RunSpec:
     @classmethod
     def for_ablation(cls, monogram: str, scale: ExperimentScale,
                      workload: str = "financial1") -> "RunSpec":
-        """The cell for a paper-style ablation monogram (or ``dftl``)."""
+        """The cell for a paper-style ablation monogram (or ``dftl``),
+        on the scale's channel count."""
         if monogram == "dftl":
-            return cls(workload=workload, ftl="dftl", scale=scale)
+            return cls(workload=workload, ftl="dftl", scale=scale,
+                       channels=scale.channels)
         return cls(workload=workload, ftl="tpftl", scale=scale,
-                   tpftl=TPFTLConfig.from_monogram(monogram))
+                   tpftl=TPFTLConfig.from_monogram(monogram),
+                   channels=scale.channels)
 
     def canonical(self) -> Dict[str, Any]:
         """The spec as a JSON-safe dict with a stable key order.
@@ -173,6 +176,39 @@ class RunSpec:
 # Deterministic cell execution (shared by serial path and pool workers)
 # ----------------------------------------------------------------------
 _TRACE_MEMO: Dict[Tuple, Trace] = {}
+#: traces this process has synthesised (a memo miss each); a cell's
+#: bench record says whether its own run moved it
+_trace_builds = 0
+
+
+def _trace_key(spec: RunSpec) -> Tuple:
+    """The memo key of a spec's trace: everything the trace depends on."""
+    if spec.traffic is not None:
+        return ("traffic",
+                json.dumps(spec.traffic.canonical(), sort_keys=True))
+    scale = spec.scale
+    return (spec.workload, scale.pages_for(spec.workload),
+            scale.num_requests, spec.seed)
+
+
+def _synthesise(spec: RunSpec) -> Trace:
+    """Build a spec's trace from scratch (no memo)."""
+    global _trace_builds
+    _trace_builds += 1
+    if spec.traffic is not None:
+        return compose(spec.traffic)
+    scale = spec.scale
+    kwargs: Dict[str, Any] = dict(logical_pages=scale.pages_for(spec.workload),
+                                  num_requests=scale.num_requests)
+    if spec.seed is not None:
+        kwargs["seed"] = spec.seed
+    return make_preset(spec.workload, **kwargs)
+
+
+def _trim_trace_memo(entries: int) -> None:
+    """Drop the oldest memoised traces until at most ``entries`` remain."""
+    while len(_TRACE_MEMO) > entries:
+        _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
 
 
 def build_spec_trace(spec: RunSpec) -> Trace:
@@ -182,28 +218,14 @@ def build_spec_trace(spec: RunSpec) -> Trace:
     :class:`~repro.workloads.TrafficSpec` (which carries its own
     namespace sizes, request budgets and seeds); single-stream cells
     generate their preset from the experiment scale as before.  Both
-    are memoised per process — composition is deterministic.
+    are memoised per process — a trace is a pure function of its memo
+    key.
     """
-    scale = spec.scale
-    if spec.traffic is not None:
-        key: Tuple = ("traffic",
-                      json.dumps(spec.traffic.canonical(),
-                                 sort_keys=True))
-    else:
-        pages = scale.pages_for(spec.workload)
-        key = (spec.workload, pages, scale.num_requests, spec.seed)
+    key = _trace_key(spec)
     trace = _TRACE_MEMO.get(key)
     if trace is None:
-        if spec.traffic is not None:
-            trace = compose(spec.traffic)
-        else:
-            kwargs: Dict[str, Any] = dict(logical_pages=pages,
-                                          num_requests=scale.num_requests)
-            if spec.seed is not None:
-                kwargs["seed"] = spec.seed
-            trace = make_preset(spec.workload, **kwargs)
-        while len(_TRACE_MEMO) >= TRACE_MEMO_ENTRIES:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
+        trace = _synthesise(spec)
+        _trim_trace_memo(TRACE_MEMO_ENTRIES - 1)
         _TRACE_MEMO[key] = trace
     return trace
 
@@ -224,12 +246,14 @@ def execute_spec(spec: RunSpec) -> RunResult:
                     tenant_weights=weights)
 
 
-def _timed_execute(spec: RunSpec) -> Tuple[RunResult, float]:
-    """Pool worker: execute a cell and measure its wall-clock."""
+def _timed_execute(spec: RunSpec) -> Tuple[RunResult, float, bool]:
+    """Pool worker: execute a cell and measure its wall-clock; the flag
+    says whether this process synthesised the cell's trace."""
+    builds = _trace_builds
     started = time.perf_counter()  # tp: allow=TP002 - harness timing, not simulation
     result = execute_spec(spec)
     elapsed = time.perf_counter() - started  # tp: allow=TP002 - harness timing
-    return result, elapsed
+    return result, elapsed, _trace_builds != builds
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +547,9 @@ class CellOutcome:
     ``attempts`` counts supervised execution attempts (0 for a cache
     hit); ``failed`` marks a quarantined cell whose
     :class:`~repro.errors.CellFailure` record appears in the bench
-    report's ``failures`` list.
+    report's ``failures`` list; ``trace_built`` is true when the process
+    that ran the cell synthesised its trace (false for a memo hit, a
+    trace the runner built before forking its workers, or a cache hit).
     """
 
     digest: str
@@ -532,6 +558,7 @@ class CellOutcome:
     cached: bool
     attempts: int = 0
     failed: bool = False
+    trace_built: bool = False
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -608,12 +635,13 @@ class ParallelRunner:
         # cells in the device: refuse it once, before any cell runs
         for spec in unique.values():
             spec.scale.check_measured()
-        done: Dict[str, Tuple[RunResult, float, bool]] = {}
+        # (result, elapsed_s, cached, trace_built) per finished cell
+        done: Dict[str, Tuple[RunResult, float, bool, bool]] = {}
         pending: List[RunSpec] = []
         for digest, spec in unique.items():
             entry = self.cache.get(spec) if self.cache is not None else None
             if entry is not None:
-                done[digest] = (entry[0], entry[1], True)
+                done[digest] = (entry[0], entry[1], True, False)
             else:
                 pending.append(spec)
         failures: Dict[str, CellFailure] = {}
@@ -623,26 +651,43 @@ class ParallelRunner:
                           fn=_timed_execute, args=(spec,))
                      for spec in pending]
 
-            def commit(key: str, value: Tuple[RunResult, float],
+            def commit(key: str, value: Tuple[RunResult, float, bool],
                        _elapsed_s: float, _attempts: int) -> None:
                 """Cache a finished cell immediately (SIGINT-safe)."""
-                result, elapsed = value
+                result, elapsed, built = value
                 if self.cache is not None:
                     self.cache.put(unique[key], result, elapsed)
-                done[key] = (result, elapsed, False)
+                done[key] = (result, elapsed, False, built)
 
-            report = self._supervisor.run(tasks, on_complete=commit)
+            if self._supervisor.forks_workers:
+                # every forked worker inherits the memo: build each
+                # distinct trace once, here, and keep all of them for
+                # the batch (a spawned worker would synthesise its own)
+                for spec in pending:
+                    key = _trace_key(spec)
+                    if key not in _TRACE_MEMO:
+                        try:
+                            _TRACE_MEMO[key] = _synthesise(spec)
+                        except Exception:
+                            # its worker meets the same error, and the
+                            # supervisor quarantines the cell
+                            continue
+            try:
+                report = self._supervisor.run(tasks, on_complete=commit)
+            finally:
+                _trim_trace_memo(TRACE_MEMO_ENTRIES)
             failures = report.failures
             attempts = report.attempts
             self.failures.extend(failures.values())
         for digest in unique:
             if digest in done:
-                result, elapsed, cached = done[digest]
+                result, elapsed, cached, built = done[digest]
                 self.outcomes.append(CellOutcome(
                     digest=digest, label=unique[digest].label(),
                     elapsed_s=elapsed, cached=cached,
                     attempts=attempts.get(digest,
-                                          0 if cached else 1)))
+                                          0 if cached else 1),
+                    trace_built=built))
             else:
                 failure = failures[digest]
                 self.outcomes.append(CellOutcome(

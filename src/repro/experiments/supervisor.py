@@ -173,6 +173,18 @@ class Supervisor:
         self._interrupted = False
 
     # -- public API -----------------------------------------------------
+    @property
+    def uses_processes(self) -> bool:
+        """True when tasks run in worker processes, not inline."""
+        return self.jobs > 1 or self.timeout_s is not None
+
+    @property
+    def forks_workers(self) -> bool:
+        """True when the workers are forked from this process, so each
+        starts with a copy of its memory (the runner's trace memo)."""
+        return (self.uses_processes
+                and self._ctx.get_start_method() == "fork")
+
     def run(self, tasks: Sequence[Task],
             on_complete: Optional[Callable[[str, Any, float, int],
                                            None]] = None
@@ -191,7 +203,7 @@ class Supervisor:
         results: Dict[str, Any] = {}
         failures: Dict[str, CellFailure] = {}
         retries = 0
-        use_processes = self.jobs > 1 or self.timeout_s is not None
+        use_processes = self.uses_processes
         self._interrupted = False
 
         previous_handler: Any = None

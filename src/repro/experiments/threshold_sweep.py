@@ -27,7 +27,8 @@ def run(scale: ExperimentScale) -> ExperimentResult:
     keys = [(workload, threshold) for workload in SWEEP_WORKLOADS
             for threshold in THRESHOLDS]
     specs = [RunSpec(workload=workload, ftl="tpftl", scale=scale,
-                     tpftl=TPFTLConfig(selective_threshold=threshold))
+                     tpftl=TPFTLConfig(selective_threshold=threshold),
+                     channels=scale.channels)
              for workload, threshold in keys]
     cells = dict(zip(keys, get_runner().run_specs(specs)))
     for workload in SWEEP_WORKLOADS:

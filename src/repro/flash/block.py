@@ -22,7 +22,7 @@ from itertools import compress
 from typing import List, Optional
 
 from ..errors import EraseError, ProgramError
-from ..types import FREE_BLOCK, PageState
+from ..types import FREE_BLOCK, PageState, WORD_TYPECODE
 
 #: the state bytes (one definition: ``PageState``, whose values index it)
 _PAGE_STATES = tuple(PageState)
@@ -54,7 +54,8 @@ class Block:
         self._base = 0 if states is None else block_id * pages_per_block
         self._states: bytearray = (bytearray(pages_per_block)
                                    if states is None else states)
-        self._meta: "array[int]" = (array("q", [0]) * pages_per_block
+        self._meta: "array[int]" = (array(WORD_TYPECODE, [0])
+                                    * pages_per_block
                                     if metas is None else metas)
         self._write_ptr = 0
         self.invalid_count = 0

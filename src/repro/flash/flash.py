@@ -11,9 +11,10 @@ replaces in the same body; :meth:`FlashMemory.invalidate` on its own is
 what a TRIM uses.
 
 The array owns the per-page state: a ``bytearray`` of state bytes and an
-``array('q')`` of metadata words, both indexed by PPN (layout and values:
-:mod:`~repro.flash.block`).  Each :class:`Block` is a window onto them,
-so read, invalidate and program reach a page without finding its block.
+array of 32-bit metadata words (typecode ``WORD_TYPECODE``), both indexed
+by PPN (layout and values: :mod:`~repro.flash.block`).  Each
+:class:`Block` is a window onto them, so read, invalidate and program
+reach a page without finding its block.
 
 Every operation has one body.  What makes it cheap on an ideal device is
 bookkeeping the array always keeps: operation counts are plain integers on
@@ -64,13 +65,16 @@ from ..errors import (DeviceWornOutError, EraseError, FlashError,
                       OutOfSpaceError, ProgramError, ReadError)
 from ..faults import FaultInjector
 from ..types import (BlockKind, DATA_BLOCK, DATA_PAGE, PageKind, PageState,
-                     RETIRED_BLOCK, TRANSLATION_BLOCK, UNMAPPED)
+                     RETIRED_BLOCK, TRANSLATION_BLOCK, UNMAPPED,
+                     WORD_TYPECODE)
 from .block import Block, INVALID, VALID
 from .stats import FlashStats
 
 #: ``bytes.translate`` table of a victim lift: VALID pages go INVALID,
 #: every other state stays
 _LIFTED = bytes(INVALID if value == VALID else value for value in range(256))
+#: one VALID state byte; ``_VALID_PAGE * n`` is a run of n programmed pages
+_VALID_PAGE = bytes((VALID,))
 
 
 class FlashMemory:
@@ -83,7 +87,8 @@ class FlashMemory:
         #: one state byte and one metadata word per physical page,
         #: indexed by PPN; every block is a window onto them
         self._states: bytearray = bytearray(config.physical_pages)
-        self._meta: "array[int]" = array("q", [0]) * config.physical_pages
+        self._meta: "array[int]" = (array(WORD_TYPECODE, [0])
+                                    * config.physical_pages)
         self.blocks: List[Block] = [
             Block(i, config.pages_per_block, self._states, self._meta)
             for i in range(config.physical_blocks)
@@ -271,7 +276,9 @@ class FlashMemory:
         The frontier is chunk-filled: mechanically identical to
         programming one page at a time (same frontier allocations from
         the free pool, same final ``op_seq`` and per-block
-        ``last_program_seq``), minus the per-op bookkeeping.  Under an
+        ``last_program_seq``), minus the per-op bookkeeping: ``metas``
+        becomes one word array per call, and each block's chunk is a
+        slice of it beside a run of VALID state bytes.  Under an
         ordered injector every program consults it individually.
         """
         injector = self.injector
@@ -279,24 +286,30 @@ class FlashMemory:
             return [self.program(kind, meta) for meta in metas]
         data = kind is DATA_PAGE
         ppb = self.pages_per_block
+        states = self._states
+        page_meta = self._meta
+        words = array(WORD_TYPECODE, metas)
         ppns: List[int] = []
-        i, total = 0, len(metas)
+        i, total = 0, len(words)
         while i < total:
             block = self._active_data if data else self._active_trans
             if block is None or block._write_ptr >= ppb:
                 block = self._allocate(DATA_BLOCK if data
                                        else TRANSLATION_BLOCK)
             write_ptr = block._write_ptr
-            take = min(total - i, ppb - write_ptr)
+            take = ppb - write_ptr
+            if take > total - i:
+                take = total - i
             if injector.live:  # unordered: no cut, no failure
                 injector.ops_seen += take
             first = block._base + write_ptr
-            self._states[first:first + take] = bytes((VALID,)) * take
-            self._meta[first:first + take] = array("q", metas[i:i + take])
+            stop = first + take
+            states[first:stop] = _VALID_PAGE * take
+            page_meta[first:stop] = words[i:i + take]
             block._write_ptr = write_ptr + take
             self.op_seq += take
             block.last_program_seq = self.op_seq
-            ppns.extend(range(first, first + take))
+            ppns.extend(range(first, stop))
             i += take
         if data:
             self.stats.data_writes += total

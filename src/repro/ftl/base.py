@@ -19,9 +19,10 @@ A key representation choice: ``flash_table[lpn]`` always holds what the
 on-flash translation pages currently say.  Cached dirty entries diverge
 from it until a translation-page write folds them back in.  This gives a
 ground truth for consistency tests and makes translation-page content
-implicit (no byte arrays to maintain).  The table is an ``array('q')``,
-8 B per logical page; reading an entry boxes an int, so a loop over a
-whole translation page should slice (``flash_table[a:b].tolist()``).
+implicit (no byte arrays to maintain).  The table is an array of 32-bit
+words (``WORD_TYPECODE``), 4 B per logical page; reading an entry boxes
+an int, so a loop over a whole translation page should slice
+(``flash_table[a:b].tolist()``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..flash.block import Block
 from ..metrics import FTLMetrics
 from ..types import (AccessResult, DATA_BLOCK, DATA_PAGE, Op, READ,
                      RETIRED_BLOCK, Request, TRANSLATION_BLOCK,
-                     TRANSLATION_PAGE, UNMAPPED, WRITE)
+                     TRANSLATION_PAGE, UNMAPPED, WORD_TYPECODE, WRITE)
 from .gtd import GlobalTranslationDirectory
 from .mappings import TranslationGeometry
 
@@ -85,7 +86,7 @@ class BaseFTL:
         #: authoritative on-flash mapping: LPN -> PPN as the translation
         #: pages currently record it.
         self.flash_table: "array[int]" = (
-            array("q", [UNMAPPED]) * config.ssd.logical_pages)
+            array(WORD_TYPECODE, [UNMAPPED]) * config.ssd.logical_pages)
         self.metrics = FTLMetrics()
         #: FTLSan runtime checker, or None when config.sanitizer is off.
         #: Imported lazily: repro.analysis imports FTL types for checks.
@@ -299,7 +300,7 @@ class BaseFTL:
         for first in range(0, pages, _PREFILL_CHUNK):
             lpns = range(first, min(first + _PREFILL_CHUNK, pages))
             self.flash_table[first:lpns.stop] = array(
-                "q", flash.program_batch(DATA_PAGE, lpns))
+                WORD_TYPECODE, flash.program_batch(DATA_PAGE, lpns))
         if self.uses_translation_pages:
             ptpns = flash.program_batch(
                 TRANSLATION_PAGE,

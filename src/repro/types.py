@@ -1,9 +1,10 @@
 """Shared value types for the TPFTL reproduction.
 
 These small types flow through every layer of the simulator, so they live
-in one dependency-free module.  Addresses are plain ``int``s (logical page
-number, physical page number, virtual/physical translation page number,
-block number); the type aliases below only document intent.
+in one module that depends on :mod:`repro.errors` alone.  Addresses are
+plain ``int``s (logical page number, physical page number,
+virtual/physical translation page number, block number); the type
+aliases below only document intent.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import itertools
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Tuple)
+from typing import (Dict, Final, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple)
+
+from .errors import WorkloadError
 
 # Type aliases used throughout the package (documentation only).
 LPN = int  # logical page number
@@ -25,6 +28,13 @@ BlockId = int
 
 #: Sentinel physical address meaning "not mapped yet".
 UNMAPPED: int = -1
+#: ``array`` typecode of every page and request word: a trace's LPNs and
+#: page counts, the flash array's metadata (LPN/VTPN) and the on-flash
+#: mapping table (PPN).  A C ``int``, 32 bits: half the footprint of
+#: ``'q'``, and wide enough for any geometry the configs accept.
+WORD_TYPECODE: Final = "i"
+#: the first value a word cannot hold (2**31 for a 32-bit ``int``)
+WORD_LIMIT = 1 << (8 * array(WORD_TYPECODE).itemsize - 1)
 
 
 class Op(enum.Enum):
@@ -196,12 +206,14 @@ MAX_TENANTS = 255
 class Trace:
     """An ordered sequence of requests plus its address-space size.
 
-    Stored as five parallel columns and nothing else, about 27 B per
+    Stored as five parallel columns and nothing else, 18 B per
     request:
 
     * ``arrivals`` — ``array('d')``, simulated microseconds;
     * ``ops`` — ``array('B')``, an index into :data:`OPS`;
-    * ``lpns`` / ``npages`` — ``array('q')``;
+    * ``lpns`` / ``npages`` — ``array(WORD_TYPECODE)``, 32-bit words
+      (a request whose LPN or length does not fit one is refused with
+      :class:`~repro.errors.WorkloadError`);
     * ``tenants`` — ``array('B')``, an index into ``tenant_names``,
       whose slot 0 is ``None`` (unattributed).
 
@@ -222,15 +234,21 @@ class Trace:
                  logical_pages: int = 0, name: str = "") -> None:
         arrivals = array("d")
         ops = array("B")
-        lpns = array("q")
-        npages = array("q")
+        lpns = array(WORD_TYPECODE)
+        npages = array(WORD_TYPECODE)
         tenants = array("B")
         codes: Dict[Optional[str], int] = {None: 0}
         for request in requests:
             arrivals.append(request.arrival)
             ops.append(_OP_CODES[request.op])
-            lpns.append(request.lpn)
-            npages.append(request.npages)
+            try:
+                lpns.append(request.lpn)
+                npages.append(request.npages)
+            except OverflowError:
+                raise WorkloadError(
+                    f"request {len(ops) - 1} (LPN {request.lpn}, "
+                    f"{request.npages} pages) does not fit 32-bit page "
+                    "words") from None
             code = codes.get(request.tenant)
             if code is None:
                 if len(codes) > MAX_TENANTS:

@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 
 from ..errors import WorkloadError
-from ..types import OPS, Op, Trace
+from ..types import OPS, Op, Trace, WORD_LIMIT, WORD_TYPECODE
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,9 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.logical_pages <= 0:
             raise WorkloadError("logical_pages must be positive")
+        if self.logical_pages >= WORD_LIMIT:
+            raise WorkloadError(
+                f"logical_pages must be below {WORD_LIMIT} (32-bit words)")
         if self.num_requests < 0:
             raise WorkloadError("num_requests must be non-negative")
         if not 0.0 <= self.write_ratio <= 1.0:
@@ -118,10 +121,11 @@ def generate(spec: SyntheticSpec) -> Trace:
 
     What a request cannot change is bound once, before the loop, and its
     draws are written out in place, so a request costs no helper call;
-    its fields go straight onto the trace's columns.  The RNG is
-    consulted in a fixed order per request (trim?, write?,
-    length, sequential?, placement, arrival), pinned request for request
-    by the ``traces/`` cells of ``tests/golden_digests.json``.
+    the four columns are allocated at full length up front and each
+    request's fields are stored at its index.  The RNG is consulted in
+    a fixed order per request (trim?, write?, length, sequential?,
+    placement, arrival), pinned request for request by the ``traces/``
+    cells of ``tests/golden_digests.json``.
     """
     rng = random.Random(spec.seed)
     rand = rng.random
@@ -134,6 +138,7 @@ def generate(spec: SyntheticSpec) -> Trace:
     slots = max(1, pages // align)
     slot_stride = _scatter_stride(slots)
     slot_base = randrange(slots)
+    last_slot = slots - 1
     trim_fraction = spec.trim_fraction
     write_ratio = spec.write_ratio
     zipf_alpha = spec.zipf_alpha
@@ -145,25 +150,25 @@ def generate(spec: SyntheticSpec) -> Trace:
     # Per-direction tables, indexed by ``is_write``: read- and write-
     # sequentiality are separately controllable (as Table 4 reports them).
     seq_fractions = (spec.seq_read_fraction, spec.seq_write_fraction)
-    # log(1 - p) of the geometric request length, p = 1 / mean; 0.0 =
-    # mean <= 1, always one page, no draw
+    # log(1 - p) of the geometric request length, p = 1 / mean (0.0 =
+    # mean <= 1, always one page, no draw), and the largest draw whose
+    # length is one page, so a short request skips its log
     log_misses = tuple(log(1.0 - 1.0 / mean) if mean > 1.0 else 0.0
                        for mean in (spec.mean_read_pages,
                                     spec.mean_write_pages))
+    one_page_max = tuple(_one_page_threshold(log_miss) if log_miss
+                           else 0.0 for log_miss in log_misses)
     streams = tuple([_Stream() for _ in range(spec.streams)]
                     for _ in range(2))
     current = [0, 0]
-    arrivals = array("d")
-    ops = array("B")
-    lpns = array("q")
-    sizes = array("q")
-    add_arrival = arrivals.append
-    add_op = ops.append
-    add_lpn = lpns.append
-    add_size = sizes.append
+    count = spec.num_requests
+    arrivals = array("d", [0.0]) * count
+    ops = array("B", [0]) * count
+    lpns = array(WORD_TYPECODE, [0]) * count
+    sizes = array(WORD_TYPECODE, [0]) * count
     trim = OPS.index(Op.TRIM)
     clock = 0.0
-    for _ in range(spec.num_requests):
+    for index in range(count):
         if trim_fraction and rand() < trim_fraction:
             op = trim
             is_write = True  # trims follow the write placement model
@@ -174,7 +179,11 @@ def generate(spec: SyntheticSpec) -> Trace:
         log_miss = log_misses[is_write]
         if log_miss:
             # inverse-CDF geometric on (0, 1]; both logs are <= 0: k >= 1
-            npages = min(int(log(1.0 - rand()) / log_miss) + 1, pages)
+            draw = rand()
+            if draw > one_page_max[is_write]:
+                npages = int(log(1.0 - draw) / log_miss) + 1
+                if npages > pages:
+                    npages = pages
         seq_fraction = seq_fractions[is_write]
         if seq_fraction and rand() < seq_fraction:
             pool = streams[is_write]
@@ -195,12 +204,13 @@ def generate(spec: SyntheticSpec) -> Trace:
                 current[is_write] = chosen
                 stream = pool[chosen]
                 if stream.remaining < npages:
-                    rank = min(int(slots * (rand() ** start_alpha)),
-                               slots - 1)
+                    rank = int(slots * (rand() ** start_alpha))
+                    if rank > last_slot:
+                        rank = last_slot
                     stream.position = ((rank * slot_stride + slot_base)
                                        % slots * align)
-                    stream.remaining = max(
-                        npages, int(rng.expovariate(run_rate)) + 1)
+                    run = int(rng.expovariate(run_rate)) + 1
+                    stream.remaining = run if run > npages else npages
             lpn = stream.position
             if lpn + npages > pages:
                 lpn = 0
@@ -216,9 +226,29 @@ def generate(spec: SyntheticSpec) -> Trace:
         if arrival_rate:
             # random.expovariate's own expression
             clock += -log(1.0 - rand()) / arrival_rate
-        add_arrival(clock)
-        add_op(op)
-        add_lpn(lpn)
-        add_size(npages)
+        arrivals[index] = clock
+        ops[index] = op
+        lpns[index] = lpn
+        sizes[index] = npages
     return Trace.from_columns(arrivals, ops, lpns, sizes,
                               logical_pages=pages, name=spec.name)
+
+
+def _one_page_threshold(log_miss: float) -> float:
+    """The largest draw ``u`` in [0, 1) for which the geometric length
+    ``int(log(1.0 - u) / log_miss) + 1`` is one page (``log_miss < 0``).
+
+    The length never falls as ``u`` grows (each step of the expression
+    is monotone), so the one-page draws are a prefix of [0, 1): a
+    bisection over the doubles finds its end.  A draw at or below it
+    yields exactly what the full expression yields, without the log.
+    """
+    low, high = 0.0, 1.0  # one page at ``low``; more, or outside, at high
+    while True:
+        middle = low + (high - low) / 2
+        if middle <= low or middle >= high:
+            return low
+        if int(math.log(1.0 - middle) / log_miss) == 0:
+            low = middle
+        else:
+            high = middle

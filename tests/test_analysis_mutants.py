@@ -27,10 +27,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Corpus shape
 # ----------------------------------------------------------------------
 def test_corpus_is_well_formed():
-    assert len(MUTANTS) == 21
+    assert len(MUTANTS) == 22
     assert len({m.mid for m in MUTANTS}) == len(MUTANTS)
     for mutant in MUTANTS:
-        assert mutant.mid[0] in "MPF", mutant.mid
+        assert mutant.mid[0] in "MPFW", mutant.mid
         assert mutant.before != mutant.after
         assert (ROOT / "src" / mutant.path).is_file()
         assert mutant.twin.startswith("tests/test_"), mutant.twin

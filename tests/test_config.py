@@ -5,6 +5,7 @@ import pytest
 from repro.config import (CacheConfig, SimulationConfig, SSDConfig,
                           TPFTLConfig)
 from repro.errors import ConfigError
+from repro.types import WORD_LIMIT
 
 
 class TestSSDConfigGeometry:
@@ -76,6 +77,16 @@ class TestSSDConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             SSDConfig(**kwargs)
+
+    def test_every_ppn_fits_a_32_bit_word(self):
+        """A PPN is a 32-bit word: a device whose physical pages reach
+        2**31 is refused before anything is allocated."""
+        pages = 3 * 2 ** 29
+        assert SSDConfig(logical_pages=pages).physical_pages < WORD_LIMIT
+        with pytest.raises(ConfigError, match="32-bit word"):
+            SSDConfig(logical_pages=pages, over_provision=0.5)
+        with pytest.raises(ConfigError, match="32-bit word"):
+            SSDConfig(logical_pages=WORD_LIMIT)
 
 
 class TestCacheConfig:

@@ -20,6 +20,7 @@ from repro.experiments import EXPERIMENTS, ExperimentResult, run_experiment
 from repro.experiments.claims import CLAIMS, evaluate
 from repro.experiments.common import (ABLATION_CONFIGS, build_workload,
                                       run_one, simulation_config)
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import (RunSpec, clear_run_caches,
                                       configure_runner, execute_spec,
                                       reset_runner)
@@ -133,6 +134,31 @@ class TestAblationAndSweeps:
 
     def test_fig7b_batch_update_cuts_prd(self):
         assert set(claims_hold("fig7b").data) == set(ABLATION_CONFIGS)
+
+    @pytest.mark.parametrize("experiment_id", [
+        "fig6a", "fig7b", "fig8c", "fig10", "threshold-sweep"])
+    def test_every_spec_carries_the_scale_channels(self, experiment_id,
+                                                   monkeypatch):
+        """``--channels`` reaches every cell of the matrix, ablation and
+        cache-sweep grids, Fig 10 and the threshold sweep: the specs a
+        builder hands the runner all carry the scale's channel count.
+        The recording runner stops the experiment, so nothing is
+        simulated."""
+        class Stop(Exception):
+            pass
+
+        handed = []
+
+        class Recorder:
+            def run_specs(self, specs, **_kwargs):
+                handed.extend(specs)
+                raise Stop
+
+        monkeypatch.setattr(runner_module, "_DEFAULT_RUNNER", Recorder())
+        with pytest.raises(Stop):
+            run_experiment(experiment_id,
+                           dataclasses.replace(MICRO, channels=2))
+        assert handed and {spec.channels for spec in handed} == {2}
 
 
 class TestClaimsTable:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import warnings
 
 import pytest
@@ -24,6 +26,8 @@ from repro.experiments.runner import (CACHE_SCHEMA, ParallelRunner,
                                       encode_result, execute_spec,
                                       get_runner, reset_runner,
                                       resolve_jobs)
+from repro.experiments.supervisor import Supervisor
+from repro.workloads import presets
 
 TINY = ExperimentScale(
     name="tiny", num_requests=900, warmup_requests=200,
@@ -316,6 +320,64 @@ class TestParallelRunner:
         totals = warm.bench_report()["totals"]
         assert totals["cache_hits"] == 2
         assert totals["serial_equivalent_s"] == 0
+
+    def test_forked_batch_builds_each_trace_once_in_the_parent(
+            self, tmp_path, monkeypatch):
+        """Under ``fork`` the parent builds every distinct trace of a
+        batch before it starts a worker, so the workers synthesise
+        nothing: a preset that raises on its second build in any
+        process still serves a three-cell jobs=2 batch, with the jobs=1
+        results."""
+        specs = [tiny_spec(ftl=ftl) for ftl in ("dftl", "tpftl", "optimal")]
+        serial = ParallelRunner(jobs=1, cache=None)
+        expected = serial.run_specs(specs)
+        assert [o.trace_built for o in serial.outcomes] == [
+            True, False, False]
+        clear_run_caches()
+        real = presets._PRESETS["financial1"]
+        log = tmp_path / "builds"
+        log.touch()
+
+        def build_once(**kwargs):
+            # the log is shared by the parent and every forked worker
+            if log.read_text():
+                raise RuntimeError("financial1 built twice")
+            log.write_text(f"{os.getpid()}\n")
+            return real(**kwargs)
+
+        monkeypatch.setitem(presets._PRESETS, "financial1", build_once)
+        forked = ParallelRunner(jobs=2, cache=None)
+        forked._supervisor = Supervisor(
+            jobs=2, mp_context=multiprocessing.get_context("fork"))
+        assert forked._supervisor.forks_workers
+        results = forked.run_specs(specs)
+        assert not forked.failures
+        assert log.read_text() == f"{os.getpid()}\n"
+        assert not any(o.trace_built for o in forked.outcomes)
+        assert ([json.dumps(encode_result(r), sort_keys=True)
+                 for r in results]
+                == [json.dumps(encode_result(r), sort_keys=True)
+                    for r in expected])
+
+    def test_forked_batch_quarantines_a_trace_that_cannot_be_built(self):
+        """A trace the parent fails to build is left to its worker, which
+        fails the same way: the cell is quarantined, the rest run."""
+        runner = ParallelRunner(jobs=2, cache=None)
+        runner._supervisor = Supervisor(
+            jobs=2, mp_context=multiprocessing.get_context("fork"))
+        results = runner.run_specs(
+            [tiny_spec(workload="no-such-preset"), tiny_spec()],
+            allow_failures=True)
+        assert results[0] is None and results[1] is not None
+        assert [f.error_type for f in runner.failures] == ["WorkloadError"]
+
+    def test_spawned_workers_synthesise_their_own_traces(self):
+        """A spawned worker starts from a fresh interpreter, so the
+        runner builds nothing ahead of it; neither does an inline
+        (jobs=1) batch, whose one process memoises as it goes."""
+        spawn = multiprocessing.get_context("spawn")
+        assert not Supervisor(jobs=2, mp_context=spawn).forks_workers
+        assert not Supervisor(jobs=1).forks_workers
 
     def test_jobs_resolution(self, monkeypatch):
         assert resolve_jobs(3) == 3

@@ -136,6 +136,13 @@ class TestTrafficSpec:
         with pytest.raises(WorkloadError, match="unique"):
             TrafficSpec(name="dup", tenants=(tenant, tenant))
 
+    def test_rejects_namespaces_past_32_bit_words(self):
+        halves = tuple(TenantSpec(name=name, workload="financial1",
+                                  num_requests=10, pages=2 ** 30)
+                       for name in "ab")
+        with pytest.raises(WorkloadError, match="32-bit"):
+            TrafficSpec(name="wide", tenants=halves)
+
     def test_rejects_unknown_workload_and_bad_weight(self):
         with pytest.raises(WorkloadError, match="workload"):
             TenantSpec(name="a", workload="nope", num_requests=1,

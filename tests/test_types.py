@@ -5,9 +5,10 @@ from array import array
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.metrics import ResponseStats
 from repro.types import (MAX_TENANTS, OPS, AccessResult, Op, Request, Trace,
-                         UNMAPPED)
+                         UNMAPPED, WORD_LIMIT, WORD_TYPECODE)
 
 
 class TestOp:
@@ -161,11 +162,20 @@ class TestColumnarTrace:
         trace = Trace(requests=_mixed_requests())
         assert (trace.arrivals.typecode, trace.ops.typecode,
                 trace.lpns.typecode, trace.npages.typecode,
-                trace.tenants.typecode) == ("d", "B", "q", "q", "B")
+                trace.tenants.typecode) == ("d", "B", "i", "i", "B")
+        assert WORD_TYPECODE == "i" and trace.lpns.itemsize == 4
         assert trace.tenant_names[0] is None
         assert set(trace.tenant_names) == {None, "oltp", "batch"}
         assert [OPS[code] for code in trace.ops] \
             == [r.op for r in _mixed_requests()]
+
+    def test_words_refuse_a_request_wider_than_32_bits(self):
+        fits = Trace(requests=[Request(0.0, Op.READ, WORD_LIMIT - 2, 1)])
+        assert fits.end_lpn == WORD_LIMIT - 1
+        for lpn, npages in ((WORD_LIMIT, 1), (0, WORD_LIMIT)):
+            with pytest.raises(WorkloadError, match="request 1 .*32-bit"):
+                Trace(requests=[Request(0.0, Op.READ, 0, 1),
+                                Request(0.0, Op.WRITE, lpn, npages)])
 
     def test_from_columns_trusts_but_checks_lengths(self):
         trace = Trace.from_columns(

@@ -1,5 +1,7 @@
 """The synthetic workload generator: determinism, bounds, knobs."""
 
+import math
+import random
 import tracemalloc
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.workloads import (SyntheticSpec, characterize, generate,
                              make_preset)
+from repro.workloads.synthetic import _one_page_threshold
 
 
 def spec(**overrides) -> SyntheticSpec:
@@ -64,6 +67,27 @@ def test_trace_holds_its_columns_only():
     assert len(trace) == 20_000
     assert retained <= 32 * len(trace)
     assert peak <= 32 * len(trace)
+
+
+class TestOnePageShortcut:
+    """A length draw at or below ``_one_page_threshold`` skips the log;
+    the full expression must give one page there and more above it."""
+
+    @pytest.mark.parametrize("mean", [1.05, 1.5, 1.8, 2.0, 2.2, 2.5, 3.0,
+                                      64.0, 1e6])
+    def test_threshold_neighbours_match_the_full_expression(self, mean):
+        log_miss = math.log(1.0 - 1.0 / mean)
+
+        def full(draw):
+            return int(math.log(1.0 - draw) / log_miss) + 1
+
+        threshold = _one_page_threshold(log_miss)
+        assert full(math.nextafter(threshold, 0.0)) == 1
+        assert full(threshold) == 1
+        assert full(math.nextafter(threshold, 1.0)) == 2
+        rng = random.Random(mean)
+        for draw in (rng.random() for _ in range(2000)):
+            assert (draw <= threshold) == (full(draw) == 1)
 
 
 class TestKnobs:
@@ -178,6 +202,7 @@ class TestValidation:
         {"stream_align": 0},
         {"stream_start_alpha": 0.0},
         {"mean_interarrival_us": -1.0},
+        {"logical_pages": 2 ** 31},
     ])
     def test_rejects_bad_spec(self, overrides):
         with pytest.raises(WorkloadError):
