@@ -142,11 +142,11 @@ def check_two_level_lru(ftl: "TPFTL", fail: FailFn) -> None:
                      f"entry LPN {entry.lpn} of TP node {node.vtpn} "
                      f"is keyed under LPN {lpn}")
                 return
-            if ftl.geometry.vtpn_of(entry.lpn) != node.vtpn:
+            if entry.lpn // ftl.entries_per_page != node.vtpn:
                 fail("SAN002",
                      f"entry LPN {entry.lpn} cached under TP node "
                      f"{node.vtpn} belongs to translation page "
-                     f"{ftl.geometry.vtpn_of(entry.lpn)}")
+                     f"{entry.lpn // ftl.entries_per_page}")
                 return
         if not node.entries:
             fail("SAN002", f"empty TP node {node.vtpn} in page list")

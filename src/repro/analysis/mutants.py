@@ -194,7 +194,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         description="double translation: flash_table indexed by VTPN "
                     "instead of LPN",
         before="ppn = self.flash_table[lpn]",
-        after="ppn = self.flash_table[self.geometry.vtpn_of(lpn)]"),
+        after="ppn = self.flash_table[lpn // self.entries_per_page]"),
     Mutant(
         mid="M07", path="repro/ftl/dftl.py",
         twin="tests/test_edge_cases.py::TestCacheExactlyOneUnit::"

@@ -129,14 +129,15 @@ class FTLSan:
                            plan: List[int]) -> None:
         """§4.5 rule 1 (SAN005): the prefetch plan for a miss on ``lpn``
         must stay within ``lpn``'s translation page."""
-        vtpn = ftl.geometry.vtpn_of(lpn)
+        per_page = ftl.entries_per_page
+        vtpn = lpn // per_page
         for candidate in plan:
-            if ftl.geometry.vtpn_of(candidate) != vtpn:
+            if candidate // per_page != vtpn:
                 self.fail(
                     "SAN005",
                     f"prefetch plan for LPN {lpn} (VTPN {vtpn}) crosses "
                     f"the translation-page boundary to LPN {candidate} "
-                    f"(VTPN {ftl.geometry.vtpn_of(candidate)})")
+                    f"(VTPN {candidate // per_page})")
 
     def note_prefetch_begin(self) -> None:
         """Mark the start of a prefetch batch (arms SAN006 tracking)."""

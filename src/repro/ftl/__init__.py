@@ -13,14 +13,11 @@ Public surface:
 from .base import BaseFTL
 from .dftl import DFTL
 from .factory import FTL_NAMES, make_ftl
-from .gtd import GlobalTranslationDirectory
-from .mappings import TranslationGeometry
 from .optimal import OptimalFTL
 from .sftl import SFTL
 from .tpftl import TPFTL
 
 __all__ = [
-    "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL",
-    "GlobalTranslationDirectory", "TranslationGeometry", "make_ftl",
+    "BaseFTL", "OptimalFTL", "DFTL", "TPFTL", "SFTL", "make_ftl",
     "FTL_NAMES",
 ]

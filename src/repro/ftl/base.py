@@ -3,7 +3,8 @@
 ``BaseFTL`` implements everything the paper's FTLs have in common —
 
 * the on-flash mapping table packed into translation pages, located via
-  the RAM-resident Global Translation Directory;
+  the RAM-resident Global Translation Directory (``gtd``, a list of one
+  PTPN per VTPN; an entry lives in page ``lpn // entries_per_page``);
 * the write path (out-of-place program, invalidate, mapping update);
 * garbage collection of both data and translation blocks, with DFTL-style
   batch updates of translation pages for migrated data pages;
@@ -39,8 +40,6 @@ from ..metrics import FTLMetrics
 from ..types import (AccessResult, DATA_BLOCK, DATA_PAGE, Op, READ,
                      RETIRED_BLOCK, Request, TRANSLATION_BLOCK,
                      TRANSLATION_PAGE, UNMAPPED, WORD_TYPECODE, WRITE)
-from .gtd import GlobalTranslationDirectory
-from .mappings import TranslationGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.sanitizer import FTLSan
@@ -78,11 +77,12 @@ class BaseFTL:
         self.config = config
         self.ssd = config.ssd
         self.flash = FlashMemory(config.ssd)
-        self.geometry = TranslationGeometry(
-            logical_pages=config.ssd.logical_pages,
-            entries_per_page=config.ssd.entries_per_translation_page,
-        )
-        self.gtd = GlobalTranslationDirectory(self.geometry.translation_pages)
+        #: mapping entries per translation page: ``lpn`` lives in page
+        #: ``lpn // entries_per_page`` (§4.1)
+        self.entries_per_page = config.ssd.entries_per_translation_page
+        #: the GTD, VTPN -> PTPN (``UNMAPPED`` until the page is written);
+        #: read and written in place, checked by :meth:`ptpn_of`
+        self.gtd: List[int] = [UNMAPPED] * config.ssd.translation_pages
         #: authoritative on-flash mapping: LPN -> PPN as the translation
         #: pages currently record it.
         self.flash_table: "array[int]" = (
@@ -232,8 +232,27 @@ class BaseFTL:
         """Serve a single-page write: a one-page request."""
         return self.serve_request(_page_request(WRITE, lpn))
 
+    def _check_lpn(self, lpn: int) -> None:
+        """Refuse an LPN outside the device: ``lookup_current`` and the
+        caches' ``cache_peek`` take caller input, not a served page (a
+        negative LPN would index ``flash_table`` from its end)."""
+        if not 0 <= lpn < self.ssd.logical_pages:
+            raise ValueError(
+                f"LPN {lpn} outside logical space "
+                f"[0, {self.ssd.logical_pages})")
+
+    def ptpn_of(self, vtpn: int) -> int:
+        """PTPN of translation page ``vtpn``: the one checked GTD read,
+        which raises if the page was never written."""
+        ptpn = self.gtd[vtpn]
+        if ptpn == UNMAPPED:
+            raise TranslationError(
+                f"translation page {vtpn} has no physical location")
+        return ptpn
+
     def lookup_current(self, lpn: int) -> int:
         """The authoritative current PPN for ``lpn`` (cache wins)."""
+        self._check_lpn(lpn)
         cached = self.cache_peek(lpn)
         if cached is not None:
             return cached
@@ -272,9 +291,7 @@ class BaseFTL:
                     f"meta {meta}")
         if self.uses_translation_pages:
             for vtpn in range(len(self.gtd)):
-                if not self.gtd.is_mapped(vtpn):
-                    raise FTLError(f"translation page {vtpn} unmapped")
-                ptpn = self.gtd.lookup(vtpn)
+                ptpn = self.ptpn_of(vtpn)
                 block = self.flash.block_of(ptpn)
                 if block.meta(self.flash.offset_of(ptpn)) != vtpn:
                     raise FTLError(
@@ -302,10 +319,8 @@ class BaseFTL:
             self.flash_table[first:lpns.stop] = array(
                 WORD_TYPECODE, flash.program_batch(DATA_PAGE, lpns))
         if self.uses_translation_pages:
-            ptpns = flash.program_batch(
-                TRANSLATION_PAGE,
-                range(self.geometry.translation_pages))
-            self.gtd.update_all(range(len(ptpns)), ptpns)
+            self.gtd[:] = flash.program_batch(TRANSLATION_PAGE,
+                                              range(len(self.gtd)))
         flash.stats.reset()
         self.metrics = FTLMetrics()
 
@@ -317,7 +332,7 @@ class BaseFTL:
         """Read translation page ``vtpn``, charging to ``cause``."""
         if cause not in _READ_CAUSES:
             raise FTLError(f"unknown translation-read cause {cause!r}")
-        self.flash.read(self.gtd.lookup(vtpn), TRANSLATION_PAGE)
+        self.flash.read(self.ptpn_of(vtpn), TRANSLATION_PAGE)
         result.translation_reads += 1
         if cause == "load":
             self.metrics.trans_reads_load += 1
@@ -333,11 +348,9 @@ class BaseFTL:
         flash_table already holds them).
         """
         self._fold(vtpn, updates)
-        # the GTD slot (read in place, as ``serve_request`` reads the
-        # free pool) names the copy this program supersedes
-        slots = self.gtd._table
-        slots[vtpn] = self.flash.program(TRANSLATION_PAGE, vtpn,
-                                         slots[vtpn])
+        # the GTD slot names the copy this program supersedes
+        gtd = self.gtd
+        gtd[vtpn] = self.flash.program(TRANSLATION_PAGE, vtpn, gtd[vtpn])
         result.translation_writes += 1
         self.metrics.trans_writes_writeback += 1
 
@@ -345,7 +358,7 @@ class BaseFTL:
         """Fold ``updates`` (LPN -> PPN) into ``flash_table``; every LPN
         must be one of translation page ``vtpn``'s."""
         flash_table = self.flash_table
-        entries = self.geometry.entries_per_page
+        entries = self.entries_per_page
         first = vtpn * entries
         stop = min(first + entries, len(flash_table))
         for lpn, ppn in updates.items():
@@ -491,7 +504,7 @@ class BaseFTL:
         VTPNs, in ascending VTPN order: the cache hooks never touch
         flash and the rewrites never touch the cache.
         """
-        per_page = self.geometry.entries_per_page
+        per_page = self.entries_per_page
         # each miss's VTPN (``lpn // per_page``, mapped in C), first-miss
         # order deduplicated, then sorted
         forced_vtpns = sorted(dict.fromkeys(
@@ -501,12 +514,10 @@ class BaseFTL:
             table[lpn] = ppn
         for lpn, ppn in self._gc_flush_extras(forced_vtpns).items():
             table[lpn] = ppn
-        slots = self.gtd._table
-        ptpns = [slots[vtpn] for vtpn in forced_vtpns]
+        gtd = self.gtd
+        ptpns = [gtd[vtpn] for vtpn in forced_vtpns]
         if UNMAPPED in ptpns:
-            raise TranslationError(
-                f"translation page {forced_vtpns[ptpns.index(UNMAPPED)]} "
-                "has no physical location")
+            self.ptpn_of(forced_vtpns[ptpns.index(UNMAPPED)])  # raises
         vtpns, new_ptpns = self.flash.relocate(ptpns, TRANSLATION_PAGE)
         if vtpns != forced_vtpns:
             raise FTLError(
@@ -519,7 +530,9 @@ class BaseFTL:
                                  result: AccessResult) -> None:
         """GC moved translation pages: repoint their GTD slots and
         charge one read and one write each to GC."""
-        self.gtd.update_all(vtpns, ptpns)
+        gtd = self.gtd
+        for vtpn, ptpn in zip(vtpns, ptpns):
+            gtd[vtpn] = ptpn
         moved = len(vtpns)
         result.translation_reads += moved
         result.gc_translation_reads += moved

@@ -34,7 +34,7 @@ class DFTL(BaseFTL):
                  prefill: bool = True) -> None:
         super().__init__(config, prefill=prefill)
         budget = config.resolved_cache().entry_budget_bytes(
-            self.gtd.size_bytes)
+            self.ssd.gtd_bytes)
         self.capacity_entries = budget // DFTL_ENTRY_BYTES
         if self.capacity_entries < 1:
             raise CacheCapacityError(
@@ -57,8 +57,8 @@ class DFTL(BaseFTL):
             return cell[_PPN]
         # Miss: evict LRU entries until one slot is free, then load the
         # entry; both ``read_translation_page`` calls are inlined.
-        flash, gtd = self.flash, self.gtd
-        per_page = self.geometry.entries_per_page
+        flash = self.flash
+        per_page = self.entries_per_page
         while len(cmt) >= self.capacity_entries:
             victim_lpn, victim = cmt.popitem(last=False)
             metrics.replacements += 1
@@ -66,13 +66,13 @@ class DFTL(BaseFTL):
                 metrics.dirty_replacements += 1
                 # Partial overwrite: read the page, merge one entry, write.
                 vtpn = victim_lpn // per_page
-                flash.read(gtd.lookup(vtpn), TRANSLATION_PAGE)
+                flash.read(self.ptpn_of(vtpn), TRANSLATION_PAGE)
                 result.translation_reads += 1
                 metrics.trans_reads_writeback += 1
                 self.write_translation_page(
                     vtpn, {victim_lpn: victim[_PPN]}, result)
         # ``serve_request`` bounds-checked the LPN
-        flash.read(gtd.lookup(lpn // per_page), TRANSLATION_PAGE)
+        flash.read(self.ptpn_of(lpn // per_page), TRANSLATION_PAGE)
         result.translation_reads += 1
         metrics.trans_reads_load += 1
         ppn = self.flash_table[lpn]
@@ -112,21 +112,21 @@ class DFTL(BaseFTL):
     # ------------------------------------------------------------------
     def cache_snapshot(self) -> List[Tuple[int, int]]:
         """(entries, dirty) per cached translation page."""
-        per_page: Dict[int, List[int]] = {}
+        per_vtpn: Dict[int, List[int]] = {}
+        per_page = self.entries_per_page
         for lpn, cell in reversed(self.cmt.items()):
-            vtpn = self.geometry.vtpn_of(lpn)
-            bucket = per_page.setdefault(vtpn, [0, 0])
+            bucket = per_vtpn.setdefault(lpn // per_page, [0, 0])
             bucket[0] += 1
             if cell[_DIRTY]:
                 bucket[1] += 1
-        return [(entries, dirty) for entries, dirty in per_page.values()]
+        return [(entries, dirty) for entries, dirty in per_vtpn.values()]
 
     def _take_dirty_entries(self) -> Dict[int, Dict[int, int]]:
         grouped: Dict[int, Dict[int, int]] = {}
+        per_page = self.entries_per_page
         for lpn, cell in reversed(self.cmt.items()):
             if cell[_DIRTY]:
-                vtpn = self.geometry.vtpn_of(lpn)
-                grouped.setdefault(vtpn, {})[lpn] = cell[_PPN]
+                grouped.setdefault(lpn // per_page, {})[lpn] = cell[_PPN]
                 cell[_DIRTY] = False
         return grouped
 

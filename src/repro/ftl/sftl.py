@@ -66,7 +66,7 @@ class SFTL(BaseFTL):
                  prefill: bool = True) -> None:
         super().__init__(config, prefill=prefill)
         cache_cfg = config.resolved_cache()
-        total = cache_cfg.entry_budget_bytes(self.gtd.size_bytes)
+        total = cache_cfg.entry_budget_bytes(self.ssd.gtd_bytes)
         buffer_bytes = int(total * cache_cfg.sftl_dirty_buffer_fraction)
         page_bytes = total - buffer_bytes
         min_page = PAGE_HEADER_BYTES + RUN_BYTES
@@ -93,10 +93,10 @@ class SFTL(BaseFTL):
     # ------------------------------------------------------------------
     def _count_runs(self, vtpn: int) -> int:
         """Sequential runs in the page's current content."""
-        first = self.geometry.first_lpn(vtpn)
+        first = vtpn * self.entries_per_page
         # one slice, not a boxed read per entry: flash_table is an array
-        ppns = self.flash_table[
-            first:self.geometry.last_lpn(vtpn) + 1].tolist()
+        # (a short last page's slice stops at the table's end)
+        ppns = self.flash_table[first:first + self.entries_per_page].tolist()
         for lpn, ppn in self.buffer.get(vtpn, {}).items():
             ppns[lpn - first] = ppn
         runs = 0
@@ -116,7 +116,7 @@ class SFTL(BaseFTL):
         metrics, pages = self.metrics, self.pages
         metrics.lookups += 1
         # ``serve_request`` bounds-checked the LPN
-        vtpn = lpn // self.geometry.entries_per_page
+        vtpn = lpn // self.entries_per_page
         page = pages.get(vtpn)
         if page is not None:
             metrics.hits += 1
@@ -190,8 +190,7 @@ class SFTL(BaseFTL):
                         result: AccessResult) -> None:
         # no touch: ``_translate`` has just put the page at the MRU end,
         # and ``serve_request`` only programs and invalidates in between
-        geometry = self.geometry
-        per_page = geometry.entries_per_page
+        per_page = self.entries_per_page
         vtpn = lpn // per_page
         page = self.pages.get(vtpn)
         if page is None:
@@ -203,10 +202,10 @@ class SFTL(BaseFTL):
             return
         page.overrides[lpn] = ppn
         if not (lpn == page.last_lpn + 1 and ppn == page.last_ppn + 1):
-            # capped at the page's entry count (``entries_in``, inline):
-            # a short last translation page holds fewer entries
+            # capped at the page's entry count: a short last
+            # translation page holds fewer entries
             page.runs = min(page.runs + 1, per_page,
-                            geometry.logical_pages - vtpn * per_page)
+                            self.ssd.logical_pages - vtpn * per_page)
         page.last_lpn = lpn
         page.last_ppn = ppn
         size = min(PAGE_HEADER_BYTES + page.runs * RUN_BYTES,
@@ -231,7 +230,7 @@ class SFTL(BaseFTL):
     def _gc_update_cached(self, lpns: List[int],
                           ppns: List[int]) -> Dict[int, int]:
         missed: Dict[int, int] = {}
-        per_page = self.geometry.entries_per_page
+        per_page = self.entries_per_page
         get_page, buffer = self.pages.get, self.buffer
         for lpn, ppn in zip(lpns, ppns):
             vtpn = lpn // per_page
@@ -275,7 +274,8 @@ class SFTL(BaseFTL):
 
     def cache_peek(self, lpn: int) -> Optional[int]:
         """Cached PPN for ``lpn`` without touching recency."""
-        vtpn = self.geometry.vtpn_of(lpn)
+        self._check_lpn(lpn)
+        vtpn = lpn // self.entries_per_page
         page = self.pages.get(vtpn)
         if page is not None and lpn in page.overrides:
             return page.overrides[lpn]
@@ -290,8 +290,10 @@ class SFTL(BaseFTL):
     def cache_snapshot(self) -> List[Tuple[int, int]]:
         """(entries, dirty) per cached translation page."""
         snapshot: List[Tuple[int, int]] = []
+        per_page, pages = self.entries_per_page, self.ssd.logical_pages
         for vtpn, page in reversed(self.pages.items()):
-            snapshot.append((self.geometry.entries_in(vtpn),
+            # a short last translation page holds fewer entries
+            snapshot.append((min(per_page, pages - vtpn * per_page),
                              len(page.overrides)))
         for vtpn, entries in self.buffer.items():
             snapshot.append((len(entries), len(entries)))

@@ -36,7 +36,7 @@ from ..cache import ByteBudget, LRUList, LRUNode
 from ..config import (TPFTL_ENTRY_BYTES, TPFTL_NODE_BYTES,
                       SimulationConfig, TPFTLConfig)
 from ..errors import (CacheCapacityError, FTLError, SanitizerError,
-                      SimInvariantError, TranslationError)
+                      SimInvariantError)
 from ..types import TRANSLATION_PAGE, UNMAPPED, AccessResult, Request
 from .base import BaseFTL
 
@@ -113,7 +113,7 @@ class TPFTL(BaseFTL):
         super().__init__(config, prefill=prefill)
         cache_cfg = config.resolved_cache()
         self.techniques: TPFTLConfig = config.tpftl
-        budget_bytes = cache_cfg.entry_budget_bytes(self.gtd.size_bytes)
+        budget_bytes = cache_cfg.entry_budget_bytes(self.ssd.gtd_bytes)
         if budget_bytes < TPFTL_NODE_BYTES + TPFTL_ENTRY_BYTES:
             raise CacheCapacityError(
                 f"budget {budget_bytes}B cannot hold one TP node + entry")
@@ -135,7 +135,7 @@ class TPFTL(BaseFTL):
         self.metrics.lookups += 1
         # ``serve_request`` bounds-checked the LPN: plain arithmetic here,
         # in ``_record_mapping`` and in ``_insert_entry``
-        vtpn = lpn // self.geometry.entries_per_page
+        vtpn = lpn // self.entries_per_page
         node = self.by_vtpn.get(vtpn)
         if node is not None:
             entries = node.entries
@@ -162,10 +162,9 @@ class TPFTL(BaseFTL):
         if self.sanitizer is not None:
             self.sanitizer.note_prefetch_plan(self, lpn, prefetch_lpns)
         # ``read_translation_page(vtpn, "load", result)``, inlined
-        ptpn = self.gtd._table[vtpn]
+        ptpn = self.gtd[vtpn]
         if ptpn == UNMAPPED:
-            raise TranslationError(
-                f"translation page {vtpn} has no physical location")
+            self.ptpn_of(vtpn)  # raises the unmapped slot's error
         self.flash.read(ptpn, TRANSLATION_PAGE)
         result.translation_reads += 1
         self.metrics.trans_reads_load += 1
@@ -181,7 +180,7 @@ class TPFTL(BaseFTL):
 
     def _record_mapping(self, lpn: int, ppn: int,
                         result: AccessResult) -> None:
-        node = self.by_vtpn.get(lpn // self.geometry.entries_per_page)
+        node = self.by_vtpn.get(lpn // self.entries_per_page)
         entry = node.entries.get(lpn) if node is not None else None
         if node is None or entry is None:  # pragma: no cover - installed
             raise FTLError(f"write to LPN {lpn} without a cached entry")
@@ -202,7 +201,7 @@ class TPFTL(BaseFTL):
     def _gc_update_cached(self, lpns: List[int],
                           ppns: List[int]) -> Dict[int, int]:
         missed: Dict[int, int] = {}
-        per_page = self.geometry.entries_per_page
+        per_page = self.entries_per_page
         by_vtpn = self.by_vtpn
         # the LPNs are valid pages' metadata: in range, as in _translate
         for lpn, ppn in zip(lpns, ppns):
@@ -228,7 +227,8 @@ class TPFTL(BaseFTL):
 
     def cache_peek(self, lpn: int) -> Optional[int]:
         """Cached PPN for ``lpn`` without touching recency."""
-        node = self.by_vtpn.get(self.geometry.vtpn_of(lpn))
+        self._check_lpn(lpn)
+        node = self.by_vtpn.get(lpn // self.entries_per_page)
         if node is None:
             return None
         entry = node.entries.get(lpn)
@@ -251,7 +251,7 @@ class TPFTL(BaseFTL):
             # Translate the whole request at once: load every entry the
             # request still needs from this translation page.
             stop = request.end_lpn - 1
-        per_page = self.geometry.entries_per_page
+        per_page = self.entries_per_page
         first_in_page = lpn // per_page * per_page
         if (techniques.selective_prefetch and self.selective_active
                 and node is not None):
@@ -265,7 +265,7 @@ class TPFTL(BaseFTL):
         if stop <= lpn:
             return []
         return list(range(lpn + 1, min(stop, first_in_page + per_page - 1,
-                                       self.geometry.logical_pages - 1) + 1))
+                                       self.ssd.logical_pages - 1) + 1))
 
     def _prefetch(self, lpns: Iterable[int], result: AccessResult,
                   protect: EntryNode) -> None:
@@ -282,7 +282,7 @@ class TPFTL(BaseFTL):
         if sanitizer is not None:
             sanitizer.note_prefetch_begin()
         entries = self.by_vtpn[
-            protect.lpn // self.geometry.entries_per_page].entries
+            protect.lpn // self.entries_per_page].entries
         budget, flash_table = self.budget, self.flash_table
         inserted = 0
         for lpn in lpns:  # the plan stays in range, as in _translate
@@ -308,7 +308,7 @@ class TPFTL(BaseFTL):
                       prefetched: bool) -> EntryNode:
         """Create an entry node (and TP node if needed) in the cache;
         the caller made room (past the budget raises ``CacheError``)."""
-        vtpn = lpn // self.geometry.entries_per_page
+        vtpn = lpn // self.entries_per_page
         by_vtpn, budget = self.by_vtpn, self.budget
         node = by_vtpn.get(vtpn)
         if node is None:

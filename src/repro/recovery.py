@@ -151,7 +151,7 @@ def verify_recovery(ftl) -> None:
                 f"recovery mismatch for LPN {lpn}: scan says "
                 f"{recovered_ppn}, FTL says {live}")
     if ftl.uses_translation_pages:
-        for vtpn in range(len(ftl.gtd)):
-            if ftl.gtd.get(vtpn) != state.gtd.get(vtpn, UNMAPPED):
+        for vtpn, ptpn in enumerate(ftl.gtd):
+            if ptpn != state.gtd.get(vtpn, UNMAPPED):
                 raise FTLError(
                     f"recovery mismatch for VTPN {vtpn}")

@@ -201,6 +201,10 @@ _OP_CODES = {op: code for code, op in enumerate(OPS)}
 #: tenant names a trace can hold (the ``tenants`` column is one byte and
 #: code 0 is the unattributed ``None``)
 MAX_TENANTS = 255
+#: each :class:`Trace` column and the typecode it must have, in order
+_COLUMN_TYPECODES = (("arrivals", "d"), ("ops", "B"),
+                     ("lpns", WORD_TYPECODE), ("npages", WORD_TYPECODE),
+                     ("tenants", "B"))
 
 
 class Trace:
@@ -267,13 +271,21 @@ class Trace:
         """A trace over columns a generator built (see the class
         docstring for their types); ``tenants=None`` leaves every
         request unattributed.  The values are trusted: no request is
-        validated."""
+        validated, but a column of another length or typecode is
+        refused."""
         count = len(arrivals)
         if tenants is None:
             tenants = array("B", [0]) * count
         if not (len(ops) == len(lpns) == len(npages) == len(tenants)
                 == count):
             raise ValueError("trace columns differ in length")
+        for (column, expected), values in zip(
+                _COLUMN_TYPECODES, (arrivals, ops, lpns, npages, tenants)):
+            typecode = getattr(values, "typecode", None)
+            if typecode != expected:
+                raise ValueError(
+                    f"trace column {column} has typecode {typecode!r}, "
+                    f"expected {expected!r}")
         trace = cls.__new__(cls)
         trace._adopt(arrivals, ops, lpns, npages, tenants, tenant_names,
                      logical_pages, name)

@@ -15,7 +15,7 @@ from .spc import load_spc_trace, parse_spc_lines
 from .stats import WorkloadStats, characterize
 from .synthetic import SyntheticSpec, generate
 from .traffic import (ARRIVAL_KINDS, ArrivalModel, TenantSpec,
-                      TrafficSpec, compose, uniform_mix)
+                      TrafficSpec, compose)
 from .writers import (msr_lines, spc_lines, write_msr_trace,
                       write_spc_trace)
 
@@ -28,5 +28,5 @@ __all__ = [
     "write_spc_trace", "write_msr_trace", "spc_lines", "msr_lines",
     "WorkloadStats", "characterize",
     "ArrivalModel", "TenantSpec", "TrafficSpec", "compose",
-    "uniform_mix", "ARRIVAL_KINDS",
+    "ARRIVAL_KINDS",
 ]

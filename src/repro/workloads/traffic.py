@@ -231,28 +231,6 @@ class TrafficSpec:
         """Tenant name -> fair-share weight."""
         return {tenant.name: tenant.weight for tenant in self.tenants}
 
-    def scaled(self, load_factor: float, name: str = "") -> "TrafficSpec":
-        """The same mix with every tenant's offered rate scaled.
-
-        ``load_factor`` multiplies arrival *rates* (divides mean
-        inter-arrivals): 2.0 doubles the offered load of every tenant,
-        which sweeps a mix from underload into overload without
-        changing its character.
-        """
-        if load_factor <= 0:
-            raise WorkloadError("load_factor must be positive")
-        tenants = tuple(
-            dataclasses.replace(
-                tenant,
-                arrival=dataclasses.replace(
-                    tenant.arrival,
-                    mean_interarrival_us=(
-                        tenant.arrival.mean_interarrival_us
-                        / load_factor)))
-            for tenant in self.tenants)
-        return TrafficSpec(name=name or f"{self.name}@{load_factor:g}x",
-                           tenants=tenants, seed=self.seed)
-
     def canonical(self) -> Dict[str, Any]:
         """The spec as a JSON-safe dict (stable keys, for digests)."""
         return dataclasses.asdict(self)
@@ -349,30 +327,3 @@ def _streams(spec: TrafficSpec) -> Tuple[array, array, array, array]:
         tenants.extend(repeat(code, len(stream)))
         base += tenant.pages
     return ops, lpns, npages, tenants
-
-
-def uniform_mix(name: str, workload: str, tenants: int,
-                requests_per_tenant: int, pages_per_tenant: int,
-                arrival: ArrivalModel = ArrivalModel(),
-                weights: "Tuple[float, ...] | None" = None,
-                seed: int = 0) -> TrafficSpec:
-    """A homogeneous N-tenant mix of one preset.
-
-    Every tenant runs the same preset workload with a distinct seed
-    (``seed + index``) over an equally-sized namespace; ``weights``
-    optionally assigns per-tenant fair-share weights.
-    """
-    if tenants < 1:
-        raise WorkloadError("tenants must be >= 1")
-    if weights is not None and len(weights) != tenants:
-        raise WorkloadError(
-            f"expected {tenants} weights, got {len(weights)}")
-    specs = tuple(
-        TenantSpec(name=f"{workload}-{index}", workload=workload,
-                   num_requests=requests_per_tenant,
-                   pages=pages_per_tenant, arrival=arrival,
-                   weight=(weights[index] if weights is not None
-                           else 1.0),
-                   seed=seed + index)
-        for index in range(tenants))
-    return TrafficSpec(name=name, tenants=specs, seed=seed)

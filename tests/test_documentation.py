@@ -8,10 +8,12 @@ the rule tables in ``docs/architecture.md`` must list exactly the
 codes the analysis registries define (no phantom or undocumented
 rules), EXPERIMENTS.md must count the claim rows the claims table
 holds, and ``docs/ftls.md`` must give one section to each registered
-FTL and one hook-table row to each policy hook the FTLs override.
+FTL and one hook-table row to each policy hook the FTLs override, and
+every ``repro.…`` path DESIGN.md names must exist.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import re
@@ -102,6 +104,34 @@ def test_design_and_experiments_docs_exist():
         path = root / name
         assert path.exists(), name
         assert len(path.read_text("utf-8")) > 500, name
+
+
+def _resolves(dotted):
+    """True if ``dotted`` names a module or package under ``src/`` or
+    an attribute of one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        if not pathlib.Path(found.__file__).is_relative_to(SRC):
+            return False
+        for name in parts[cut:]:
+            if not hasattr(found, name):
+                return False
+            found = getattr(found, name)
+        return True
+    return False
+
+
+def test_design_module_paths_resolve():
+    """The inventory and the decision tables name real code: a row
+    left behind by a deleted module fails here."""
+    text = (SRC.parent.parent / "DESIGN.md").read_text("utf-8")
+    paths = sorted(set(re.findall(r"`(repro(?:\.\w+)+)", text)))
+    assert len(paths) > 20
+    assert [path for path in paths if not _resolves(path)] == []
 
 
 def _documented_codes(text, prefix):

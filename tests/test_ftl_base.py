@@ -30,8 +30,8 @@ class TestPrefill:
 
     def test_prefill_with_translation_pages(self, tiny_config):
         ftl = DFTL(tiny_config)
-        for vtpn in range(ftl.geometry.translation_pages):
-            assert ftl.gtd.is_mapped(vtpn)
+        assert len(ftl.gtd) == ftl.ssd.translation_pages
+        assert UNMAPPED not in ftl.gtd
         ftl.check_consistency()
 
 
@@ -168,11 +168,11 @@ class TestGarbageCollection:
         own VTPNs back: a GTD slot pointing at another page is caught
         before any slot is repointed."""
         ftl = DFTL(tiny_config)
-        table = ftl.gtd._table
+        table = ftl.gtd
         table[2], table[5] = table[5], table[2]
         corrupt = list(table)
-        first = ftl.geometry.first_lpn
-        missed = {first(vtpn): ftl.flash_table[first(vtpn)]
+        epp = ftl.entries_per_page
+        missed = {vtpn * epp: ftl.flash_table[vtpn * epp]
                   for vtpn in (5, 3, 2)}
         with pytest.raises(FTLError, match=r"VTPNs \[2, 3, 5\] hold "
                                            r"pages \[5, 3, 2\]"):
@@ -182,8 +182,8 @@ class TestGarbageCollection:
     def test_update_for_another_pages_lpn_is_refused(self, tiny_config):
         ftl = DFTL(tiny_config)
         writes = ftl.flash.stats.translation_writes
-        for stray in (ftl.geometry.last_lpn(3) + 1,
-                      ftl.geometry.first_lpn(3) - 1):
+        for stray in (4 * ftl.entries_per_page,
+                      3 * ftl.entries_per_page - 1):
             with pytest.raises(FTLError, match=f"LPN {stray} does not "
                                                "belong to VTPN 3"):
                 ftl.write_translation_page(3, {stray: 0}, AccessResult())
@@ -201,10 +201,10 @@ class TestGCUpdateCached:
                                                    name):
         ftl = make_ftl(name, roomy_config)
         rng = random.Random(11)
-        first = ftl.geometry.first_lpn
+        epp = ftl.entries_per_page
         # clean and dirty entries across translation pages 0-2; pages
         # 5-7 are never loaded, so their LPNs miss in every cache
-        touched = [first(vtpn) + offset for vtpn in (0, 1, 2)
+        touched = [vtpn * epp + offset for vtpn in (0, 1, 2)
                    for offset in rng.sample(range(8), 4)]
         written = set(touched[::2])
         for lpn in touched:
@@ -213,7 +213,7 @@ class TestGCUpdateCached:
             else:
                 ftl.read_page(lpn)
         cached = touched[1::3]
-        uncached = [first(vtpn) + rng.randrange(8) for vtpn in (5, 6, 7)]
+        uncached = [vtpn * epp + rng.randrange(8) for vtpn in (5, 6, 7)]
         lpns = cached + uncached
         rng.shuffle(lpns)
         ppns = [100_000 + i for i in range(len(lpns))]

@@ -152,7 +152,7 @@ class TestWriteSemantics:
         new_ppn = ftl.cache_peek(5)
         # the flush hook hands the dirty set over and cleans it
         assert ftl._take_dirty_entries() == {
-            ftl.geometry.vtpn_of(5): {5: new_ppn}}
+            5 // ftl.entries_per_page: {5: new_ppn}}
         assert not ftl.cmt[5][1]
 
     def test_write_then_read_hits_cache(self):
@@ -170,7 +170,7 @@ class TestWriteSemantics:
 class TestSnapshot:
     def test_snapshot_groups_by_translation_page(self):
         ftl = small_dftl(8)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         ftl.read_page(0)
         ftl.read_page(1)        # same page
         ftl.write_page(epp)     # next page, dirty

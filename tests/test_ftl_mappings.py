@@ -1,94 +1,109 @@
-"""Unit tests for translation-page geometry and the GTD."""
+"""Unit tests for translation-page geometry and the GTD.
+
+``SSDConfig`` owns the geometry (entries per translation page, the
+translation-page count, the GTD's byte size); an FTL keeps the GTD as a
+plain list with one checked read, ``ptpn_of``.
+"""
 
 import pytest
 
-from repro.errors import TranslationError
-from repro.ftl import GlobalTranslationDirectory, TranslationGeometry
-from repro.types import UNMAPPED
+from repro.config import CacheConfig, SimulationConfig, SSDConfig
+from repro.errors import ConfigError, TranslationError
+from repro.ftl import DFTL, SFTL, TPFTL, OptimalFTL
+from repro.types import AccessResult, PageState, UNMAPPED
+
+#: 300 logical pages at 64 entries per translation page: five pages, the
+#: last one short (44 entries)
+SSD = SSDConfig(logical_pages=300, page_size=256, pages_per_block=8)
+
+
+def _config(budget_bytes: int = 2048) -> SimulationConfig:
+    return SimulationConfig(ssd=SSD,
+                            cache=CacheConfig(budget_bytes=budget_bytes))
 
 
 class TestGeometry:
-    @pytest.fixture
-    def geo(self):
-        return TranslationGeometry(logical_pages=300, entries_per_page=64)
+    def test_translation_pages_rounds_up(self):
+        assert SSD.entries_per_translation_page == 64
+        assert SSD.translation_pages == 5
+        assert len(DFTL(_config()).gtd) == 5
 
-    def test_translation_pages_rounds_up(self, geo):
-        assert geo.translation_pages == 5
+    def test_first_last_lpn(self):
+        """S-FTL reports a cached page's entries from the page bounds:
+        a full page holds 64, the short last page LPNs 256-299."""
+        ftl = SFTL(_config())
+        ftl.read_page(64)
+        ftl.read_page(299)
+        assert ftl.cache_snapshot() == [(44, 0), (64, 0)]
 
-    def test_locate(self, geo):
-        assert geo.locate(0) == (0, 0)
-        assert geo.locate(63) == (0, 63)
-        assert geo.locate(64) == (1, 0)
-        assert geo.locate(299) == (4, 43)
-
-    def test_vtpn_offset_consistent_with_locate(self, geo):
-        for lpn in (0, 1, 63, 64, 150, 299):
-            assert geo.locate(lpn) == (geo.vtpn_of(lpn),
-                                       geo.offset_of(lpn))
-
-    def test_first_last_lpn(self, geo):
-        assert geo.first_lpn(1) == 64
-        assert geo.last_lpn(1) == 127
-        # last page is short (300 entries total)
-        assert geo.last_lpn(4) == 299
-        assert geo.entries_in(4) == 44
-
-    def test_lpns_of_page(self, geo):
-        lpns = list(geo.lpns_of(4))
-        assert lpns[0] == 256
-        assert lpns[-1] == 299
-
-    def test_same_page(self, geo):
-        assert geo.same_page(64, 127)
-        assert not geo.same_page(63, 64)
-
-    def test_out_of_range_rejected(self, geo):
-        with pytest.raises(ValueError):
-            geo.vtpn_of(300)
-        with pytest.raises(ValueError):
-            geo.offset_of(-1)
+    def test_out_of_range_rejected(self):
+        for ftl in (TPFTL(_config()), SFTL(_config())):
+            for lpn in (300, -1):
+                with pytest.raises(ValueError, match="outside logical"):
+                    ftl.cache_peek(lpn)
+        # -1 would otherwise read LPN 299's mapping
+        for cls in (DFTL, TPFTL, SFTL, OptimalFTL):
+            ftl = cls(_config())
+            for lpn in (300, -1):
+                with pytest.raises(ValueError, match="outside logical"):
+                    ftl.lookup_current(lpn)
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            TranslationGeometry(logical_pages=0, entries_per_page=64)
-        with pytest.raises(ValueError):
-            TranslationGeometry(logical_pages=10, entries_per_page=0)
+        with pytest.raises(ConfigError, match="logical_pages"):
+            SSDConfig(logical_pages=0, page_size=256)
+        with pytest.raises(ConfigError, match="page_size"):
+            SSDConfig(logical_pages=10, page_size=0)
 
 
 class TestGTD:
     def test_lookup_after_update(self):
-        gtd = GlobalTranslationDirectory(4)
-        gtd.update(2, 99)
-        assert gtd.lookup(2) == 99
-        assert gtd.is_mapped(2)
+        ftl = DFTL(_config())
+        reads = ftl.flash.stats.translation_reads
+        ftl.write_translation_page(2, {}, AccessResult())
+        assert ftl.ptpn_of(2) == ftl.gtd[2]
+        ftl.read_translation_page(2, "load", AccessResult())
+        assert ftl.flash.stats.translation_reads == reads + 1
+        ftl.check_consistency()
 
     def test_unmapped_lookup_raises(self):
-        gtd = GlobalTranslationDirectory(4)
-        with pytest.raises(TranslationError):
-            gtd.lookup(0)
+        ftl = DFTL(_config(), prefill=False)
+        with pytest.raises(TranslationError, match="translation page 0"):
+            ftl.ptpn_of(0)
+        with pytest.raises(TranslationError, match="translation page 3"):
+            ftl.read_translation_page(3, "load", AccessResult())
 
     def test_get_returns_sentinel(self):
-        gtd = GlobalTranslationDirectory(4)
-        assert gtd.get(1) == UNMAPPED
+        assert DFTL(_config(), prefill=False).gtd == [UNMAPPED] * 5
 
     def test_update_returns_previous(self):
-        gtd = GlobalTranslationDirectory(4)
-        assert gtd.update(0, 5) == UNMAPPED
-        assert gtd.update(0, 7) == 5
+        """A translation-page write supersedes the copy its slot named."""
+        ftl = DFTL(_config())
+        old = ftl.gtd[1]
+        ftl.write_translation_page(1, {}, AccessResult())
+        assert ftl.gtd[1] != old
+        block = ftl.flash.block_of(old)
+        assert block.state(ftl.flash.offset_of(old)) is PageState.INVALID
 
     def test_update_all_is_update_per_pair(self):
-        gtd = GlobalTranslationDirectory(4)
-        gtd.update(3, 9)
-        gtd.update_all([3, 1], [5, 6])
-        assert [gtd.get(vtpn) for vtpn in range(4)] == [UNMAPPED, 6,
-                                                        UNMAPPED, 5]
+        """GC repoints exactly the slots of the pages it moved."""
+        ftl = DFTL(_config(), prefill=False)
+        ftl.gtd[3] = 9
+        ftl._translation_pages_moved([3, 1], [5, 6], AccessResult())
+        assert ftl.gtd == [UNMAPPED, 6, UNMAPPED, 5, UNMAPPED]
 
     def test_size_bytes(self):
-        assert GlobalTranslationDirectory(16).size_bytes == 64
+        """4 B per slot, carved out of the cache budget."""
+        ssd = SSDConfig(logical_pages=1024, page_size=256)
+        assert ssd.translation_pages == 16
+        assert ssd.gtd_bytes == 64
+        ftl = DFTL(SimulationConfig(
+            ssd=ssd, cache=CacheConfig(budget_bytes=1024)))
+        assert ftl.capacity_entries == (1024 - 64) // 8
 
     def test_len(self):
-        assert len(GlobalTranslationDirectory(7)) == 7
-
-    def test_zero_pages_rejected(self):
-        with pytest.raises(TranslationError):
-            GlobalTranslationDirectory(0)
+        for pages in (1, 64, 65, 300):
+            ssd = SSDConfig(logical_pages=pages, page_size=256,
+                            pages_per_block=8)
+            ftl = DFTL(SimulationConfig(
+                ssd=ssd, cache=CacheConfig(budget_bytes=2048)))
+            assert len(ftl.gtd) == ssd.translation_pages

@@ -59,7 +59,9 @@ def count_runs_reference(ftl: SFTL, vtpn: int) -> int:
     runs = 0
     prev_ppn = None
     overrides = ftl.buffer.get(vtpn, {})
-    for lpn in ftl.geometry.lpns_of(vtpn):
+    epp = ftl.entries_per_page
+    for lpn in range(vtpn * epp,
+                     min((vtpn + 1) * epp, ftl.ssd.logical_pages)):
         ppn = overrides.get(lpn, ftl.flash_table[lpn])
         if ppn == UNMAPPED:
             ppn = -10  # never-sequential sentinel
@@ -87,11 +89,12 @@ class TestCountRuns:
                 ppn += 1
             ftl.flash_table[lpn] = ppn
         for lpn in rng.sample(range(500), 40):
-            ftl.buffer.setdefault(ftl.geometry.vtpn_of(lpn), {})[lpn] = (
+            ftl.buffer.setdefault(lpn // ftl.entries_per_page, {})[lpn] = (
                 rng.choice([UNMAPPED, 0, ftl.flash_table[lpn - 1] + 1,
                             rng.randrange(4096)]))
-        assert ftl.geometry.entries_in(7) == 52
-        for vtpn in range(ftl.geometry.translation_pages):
+        # eight translation pages, the last one short
+        assert 500 % ftl.entries_per_page == 52
+        for vtpn in range(ftl.ssd.translation_pages):
             assert ftl._count_runs(vtpn) == count_runs_reference(ftl, vtpn)
 
     def test_ppn_zero_after_an_unmapped_entry_starts_a_run(self):
@@ -104,7 +107,7 @@ class TestCountRuns:
 
     def test_all_unmapped_page_is_one_run_per_entry(self):
         ftl = make_sftl()
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         for lpn in range(epp):
             ftl.flash_table[lpn] = UNMAPPED
         assert ftl._count_runs(0) == count_runs_reference(ftl, 0) == epp
@@ -114,14 +117,14 @@ class TestReplacement:
     def test_page_evicted_when_budget_full(self):
         # room for two compressed pages (16B each) only
         ftl = make_sftl(budget=40, buffer_fraction=0.0)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         for vtpn in range(4):
             ftl.read_page(vtpn * epp)
         assert ftl.metrics.replacements > 0
 
     def test_clean_page_eviction_free(self):
         ftl = make_sftl(budget=40, buffer_fraction=0.0)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         for vtpn in range(4):
             ftl.read_page(vtpn * epp)
         assert ftl.metrics.translation_page_writes == 0
@@ -131,7 +134,7 @@ class TestReplacement:
         """Eq. 1 footnote: S-FTL victims are whole pages, written back
         in Tfw without a read-modify-write read."""
         ftl = make_sftl(budget=40, buffer_fraction=0.0)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         ftl.write_page(0)
         reads_before = ftl.metrics.trans_reads_writeback
         for vtpn in range(1, 4):
@@ -142,7 +145,7 @@ class TestReplacement:
 
     def test_dirty_eviction_persists_values(self):
         ftl = make_sftl(budget=40, buffer_fraction=0.0)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         ftl.write_page(0)
         new_ppn = ftl.cache_peek(0)
         for vtpn in range(1, 4):
@@ -153,7 +156,7 @@ class TestReplacement:
 class TestDirtyBuffer:
     def test_sparse_dirty_page_parks_in_buffer(self):
         ftl = make_sftl(budget=256, buffer_fraction=0.5)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         ftl.write_page(0)  # one dirty entry: sparse
         writes_before = ftl.metrics.trans_writes_writeback
         # seven more pages overflow the page area and evict page 0
@@ -166,7 +169,7 @@ class TestDirtyBuffer:
 
     def test_buffered_entry_still_hits(self):
         ftl = make_sftl(budget=256, buffer_fraction=0.5)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         ftl.write_page(0)
         for vtpn in range(1, 8):
             ftl.read_page(vtpn * epp)
@@ -178,7 +181,7 @@ class TestDirtyBuffer:
 
     def test_densely_dirty_page_not_buffered(self):
         ftl = make_sftl(budget=256, buffer_fraction=0.5)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         for lpn in range(SPARSE_DIRTY_LIMIT + 2):
             ftl.write_page(lpn)
         for vtpn in range(1, 6):

@@ -37,7 +37,7 @@ def make_tpftl(monogram: str = "rsbc", entry_slots: int = 8,
 class TestTwoLevelStructure:
     def test_entries_cluster_by_translation_page(self):
         ftl = make_tpftl("-")
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         ftl.read_page(0)
         ftl.read_page(1)
         ftl.read_page(epp)
@@ -123,13 +123,13 @@ class TestPageLevelHotness:
         ftl.read_page(0)     # node A
         ftl.read_page(64)    # node B more recent
         hot = ftl.page_list.mru
-        assert hot.vtpn == ftl.geometry.vtpn_of(64)
+        assert hot.vtpn == 64 // ftl.entries_per_page
 
     def test_cold_entries_drag_node_down(self):
         """A node holding the MRU entry can still rank colder on average
         (§4.2): many cold entries outweigh one hot one."""
         ftl = make_tpftl("-", entry_slots=12)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         # node A: three old entries
         for lpn in (0, 1, 2):
             ftl.read_page(lpn)
@@ -138,12 +138,12 @@ class TestPageLevelHotness:
             ftl.read_page(epp)
         # touch one entry of A: A's mean stays below B's
         ftl.read_page(0)
-        assert ftl.page_list.mru.vtpn == ftl.geometry.vtpn_of(epp)
+        assert ftl.page_list.mru.vtpn == 1
         ftl.assert_invariants()
 
     def test_touch_that_keeps_the_order_moves_nothing(self):
         ftl = make_tpftl("-", entry_slots=12)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         for lpn in (2 * epp, epp, epp + 1, epp + 2, 0):
             ftl.read_page(lpn)
         order = [node.vtpn for node in ftl.page_list]
@@ -162,7 +162,7 @@ class TestPageLevelHotness:
         find the *colder* neighbour hotter than the touched node; looking
         hotter-ward only would leave the two out of order for good."""
         ftl = make_tpftl("-", entry_slots=12)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         for lpn in (epp, epp + 1, 0, 1, 2, 2 * epp, epp + 2):
             ftl.read_page(lpn)
         assert [node.vtpn for node in ftl.page_list] == [2, 0, 1]
@@ -250,7 +250,7 @@ class TestBatchUpdate:
     def test_gc_piggyback_cleans_cached_dirty_entries(self):
         ftl = make_tpftl("b", entry_slots=6)
         ftl.write_page(0)
-        vtpn = ftl.geometry.vtpn_of(0)
+        vtpn = 0
         extras = ftl._gc_flush_extras([vtpn])
         assert 0 in extras
         assert ftl.by_vtpn[vtpn].dirty_count == 0
@@ -265,7 +265,7 @@ class TestBatchUpdate:
         victim = flash.block_of(ftl.flash_table[0])
         assert {flash.block_of(ftl.flash_table[lpn])
                 for lpn in range(8)} == {victim}
-        node = ftl.by_vtpn[ftl.geometry.vtpn_of(0)]
+        node = ftl.by_vtpn[0]
         ftl._collect(victim, AccessResult())
         assert ftl.metrics.gc_update_hits == 1
         assert ftl.metrics.trans_writes_gc_update == 1
@@ -278,7 +278,7 @@ class TestBatchUpdate:
     def test_no_piggyback_without_b(self):
         ftl = make_tpftl("-", entry_slots=6)
         ftl.write_page(0)
-        assert ftl._gc_flush_extras([ftl.geometry.vtpn_of(0)]) == {}
+        assert ftl._gc_flush_extras([0]) == {}
 
 
 class TestRequestPrefetch:
@@ -294,7 +294,7 @@ class TestRequestPrefetch:
 
     def test_prefetch_clipped_at_page_boundary(self):
         ftl = make_tpftl("r", entry_slots=16)
-        epp = ftl.geometry.entries_per_page
+        epp = ftl.entries_per_page
         request = Request(arrival=0.0, op=Op.READ, lpn=epp - 2, npages=4)
         ftl.serve_request(request)
         # pages epp-2, epp-1 from page 0; epp, epp+1 need page 1

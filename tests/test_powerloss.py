@@ -163,4 +163,4 @@ class TestInjectorContract:
                 for ptpn in ptpns] == [True] + [False] * (len(ptpns) - 1)
         state = powerloss.verify_crash_state(
             flash, GC_HEAVY.ssd.logical_pages, acked, in_flight_lpn=lpn)
-        assert len(state.gtd) == ftl.geometry.translation_pages
+        assert len(state.gtd) == ftl.ssd.translation_pages

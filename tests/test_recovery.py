@@ -27,7 +27,7 @@ class TestScan:
         ftl = make_ftl("dftl", tiny_config)
         state = recover(ftl)
         assert state.mapped_pages() == ftl.ssd.logical_pages
-        assert len(state.gtd) == ftl.geometry.translation_pages
+        assert len(state.gtd) == ftl.ssd.translation_pages
 
     @pytest.mark.parametrize("name", ALL_FTLS)
     def test_recovery_matches_live_view_after_stress(self, name):

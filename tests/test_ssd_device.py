@@ -18,7 +18,7 @@ from repro.ftl.tpftl import EntryNode, TPNode
 from repro.metrics import ResponseStats
 from repro.ssd import DeviceModel, simulate
 from repro.types import BlockKind, Op, PageKind, PageState, Request, Trace
-from repro.workloads import ArrivalModel, compose, uniform_mix
+from repro.workloads import ArrivalModel, TenantSpec, TrafficSpec, compose
 
 from conftest import make_trace, random_ops
 
@@ -243,9 +243,12 @@ def _hot_path_case(case: str):
                         fault_seed=3)
         return (DeviceModel(make_ftl("tpftl", SimulationConfig(ssd=ssd))),
                 _gc_heavy_trace())
-    spec = uniform_mix("mix", "financial1", 3, 150, 128,
-                       arrival=ArrivalModel(mean_interarrival_us=250.0),
-                       weights=(1.0, 2.0, 3.0), seed=5)
+    arrival = ArrivalModel(mean_interarrival_us=250.0)
+    spec = TrafficSpec(name="mix", seed=5, tenants=tuple(
+        TenantSpec(name=f"financial1-{index}", workload="financial1",
+                   num_requests=150, pages=128, arrival=arrival,
+                   weight=index + 1.0, seed=5 + index)
+        for index in range(3)))
     trace = compose(spec)
     ssd = SSDConfig(logical_pages=trace.logical_pages, page_size=256,
                     pages_per_block=8)
@@ -336,13 +339,13 @@ class TestHotPath:
 
     def test_data_collection_enters_extras_hook_and_gtd_once(self):
         """GC's mapping update folds a data victim's misses in bulk: one
-        extras-hook call and one GTD call (the repointing) per
-        collection that forces rewrites, however many translation pages
-        it forces."""
+        extras-hook call and one repointing call per collection that
+        forces rewrites, however many translation pages it forces.  The
+        GTD is a list read and written in place, so GC enters no GTD or
+        geometry helper at all."""
         ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
         ftl = make_ftl("tpftl", SimulationConfig(
             ssd=ssd, cache=CacheConfig(budget_bytes=1024)))
-        gtd_file = type(ftl.gtd).lookup.__code__.co_filename
         collect = BaseFTL._collect_data_block.__code__
         inside, calls = [0], Counter()
 
@@ -368,9 +371,9 @@ class TestHotPath:
         assert metrics.trans_writes_gc_update > updates
         assert calls[TPFTL._gc_flush_extras.__code__] == updates
         assert metrics.batch_cleaned_entries > 0
-        gtd = {code.co_name: count for code, count in calls.items()
-               if code.co_filename == gtd_file}
-        assert gtd == {"update_all": updates}
+        assert calls[BaseFTL._translation_pages_moved.__code__] == updates
+        assert calls[BaseFTL.ptpn_of.__code__] == 0
+        assert calls[BaseFTL._check_lpn.__code__] == 0
 
     @pytest.mark.parametrize("monogram", ("rsbc", "-"))
     def test_tpftl_cache_events_cross_no_helper_frame(self, monogram):
@@ -446,16 +449,21 @@ class TestHotPath:
         page cache is a bare ``OrderedDict`` and both byte budgets are
         compared inline, so a replay enters no ``repro/cache`` frame.
         ``_evict_page`` and ``_flush_buffer_group`` stay the eviction
-        bodies, and an update's run cap costs no geometry frame."""
+        bodies.  Page bounds and an update's run cap are inline
+        arithmetic, so S-FTL enters no GTD or geometry helper: its only
+        ``BaseFTL`` callees are the translation-page reads and writes."""
         ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
         ftl = make_ftl("sftl", SimulationConfig(
             ssd=ssd, cache=CacheConfig(budget_bytes=1024)))
         assert ftl.buffer_budget is not None
-        calls = Counter()
+        sftl_file = SFTL._translate.__code__.co_filename
+        calls, from_sftl = Counter(), Counter()
 
         def counting(frame, event, arg):
             if event == "call":
                 calls[frame.f_code] += 1
+                if frame.f_back.f_code.co_filename == sftl_file:
+                    from_sftl[frame.f_code] += 1
 
         sys.setprofile(counting)
         try:
@@ -466,14 +474,15 @@ class TestHotPath:
         assert result.metrics.gc_data_collections > 0
         assert not [code.co_name for code in calls
                     if code.co_filename.startswith(_CACHE_DIR)]
-        sftl_file = SFTL._translate.__code__.co_filename
         folded = {"_load_page", "_make_room", "_size_for_runs",
                   "_apply_update", "note_update", "dirty"}
         assert not [code.co_name for code in calls
                     if code.co_filename == sftl_file
                     and code.co_name in folded]
-        # an update that breaks a run caps the count inline
-        assert calls[ftl.geometry.entries_in.__code__] == 0
+        base_file = BaseFTL.ptpn_of.__code__.co_filename
+        assert {code.co_name for code in from_sftl
+                if code.co_filename == base_file} == {
+                    "read_translation_page", "write_translation_page"}
         # a sparse dirty victim parked: a full buffer is flushed a group
         # at a time, and only parks fill it
         assert calls[SFTL._flush_buffer_group.__code__] > 0

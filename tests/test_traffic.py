@@ -30,7 +30,7 @@ from repro.ftl import make_ftl
 from repro.ssd import DeviceModel, FairShare, simulate
 from repro.types import Op, Request, Trace
 from repro.workloads import (ARRIVAL_KINDS, ArrivalModel, TenantSpec,
-                             TrafficSpec, compose, make_preset, uniform_mix)
+                             TrafficSpec, compose, make_preset)
 from repro.workloads import traffic
 
 from conftest import golden_digests, result_digest
@@ -44,12 +44,15 @@ TINY = ExperimentScale(
 
 def tiny_mix(tenants=2, kind="poisson", requests=400, pages=1024,
              weights=None, seed=3, interarrival=500.0) -> TrafficSpec:
-    """A small homogeneous mix for device-level tests."""
-    return uniform_mix(
-        "mix", "financial1", tenants, requests, pages,
-        arrival=ArrivalModel(kind=kind,
-                             mean_interarrival_us=interarrival),
-        weights=weights, seed=seed)
+    """A small homogeneous mix for device-level tests: every tenant
+    runs Financial1 with its own seed over an equal namespace."""
+    arrival = ArrivalModel(kind=kind, mean_interarrival_us=interarrival)
+    return TrafficSpec(name="mix", seed=seed, tenants=tuple(
+        TenantSpec(name=f"financial1-{index}", workload="financial1",
+                   num_requests=requests, pages=pages, arrival=arrival,
+                   weight=1.0 if weights is None else weights[index],
+                   seed=seed + index)
+        for index in range(tenants)))
 
 
 def sim_config(trace: Trace) -> SimulationConfig:
@@ -164,14 +167,6 @@ class TestTrafficSpec:
         assert spaces["financial1-1"] == (128, 128)
         assert spaces["financial1-2"] == (256, 128)
         assert spec.logical_pages == 384
-
-    def test_scaled_divides_interarrivals(self):
-        spec = tiny_mix(interarrival=1_000.0)
-        doubled = spec.scaled(2.0)
-        assert all(t.arrival.mean_interarrival_us == 500.0
-                   for t in doubled.tenants)
-        with pytest.raises(WorkloadError):
-            spec.scaled(0.0)
 
     def test_canonical_round_trip(self):
         spec = tiny_mix(tenants=2, kind="bursty",

@@ -179,14 +179,28 @@ class TestColumnarTrace:
 
     def test_from_columns_trusts_but_checks_lengths(self):
         trace = Trace.from_columns(
-            array("d", [0.0, 2.0]), array("B", [1, 0]), array("q", [4, 5]),
-            array("q", [1, 3]), logical_pages=16, name="cols")
+            array("d", [0.0, 2.0]), array("B", [1, 0]),
+            array(WORD_TYPECODE, [4, 5]), array(WORD_TYPECODE, [1, 3]),
+            logical_pages=16, name="cols")
         assert list(trace) == [Request(0.0, Op.WRITE, 4, 1),
                                Request(2.0, Op.READ, 5, 3)]
         assert trace.end_lpn == 8 and trace.unordered is None
         with pytest.raises(ValueError, match="length"):
-            Trace.from_columns(array("d", [0.0]), array("B"), array("q"),
-                               array("q"))
+            Trace.from_columns(array("d", [0.0]), array("B"),
+                               array(WORD_TYPECODE), array(WORD_TYPECODE))
+
+    def test_from_columns_refuses_a_column_of_another_typecode(self):
+        """A 64-bit LPN column is refused where it is handed over, not
+        adopted to fail later in a consumer of 32-bit words."""
+        words = array(WORD_TYPECODE, [1])
+        with pytest.raises(ValueError,
+                           match=f"column lpns has typecode 'q', "
+                                 f"expected '{WORD_TYPECODE}'"):
+            Trace.from_columns(array("d", [0.0]), array("B", [0]),
+                               array("q", [4]), words)
+        with pytest.raises(ValueError, match="column tenants .* 'b'"):
+            Trace.from_columns(array("d", [0.0]), array("B", [0]), words,
+                               words, tenants=array("b", [0]))
 
     def test_unordered_fact_is_the_first_late_arrival(self):
         def trace_of(*arrivals):
