@@ -6,12 +6,13 @@ works.  This harness keeps tier-1 honest: it applies a curated list of
 class — and asserts that the one tier-1 test each mutant names, its
 **twin**, fails under it.  The ids keep their families:
 
-* ``M01``–``M09`` and ``M11``–``M14``, value bugs: swapped
+* ``M01``–``M09`` and ``M11``–``M15``, value bugs: swapped
   ``lpn``/``ppn`` arguments, an LPN-indexed table indexed by VTPN, VTPNs
   handed to the flash array where it takes PTPNs, milliseconds where
   microseconds are expected, a byte budget stored as an entry count, an
   LPN summed for access sequence numbers, an MRU-end CMT eviction, an
-  S-FTL hit sent to the LRU end of the page cache.
+  S-FTL hit sent to the LRU end of the page cache, a result decoder
+  reading one field into its neighbour.
   Most change a golden digest in ``tests/test_fastpath.py``.
 * ``P06``, ``P10``, ``P11``, file handles: ``repro.tools``' summary
   writer rewritten around a bare ``open()`` — closed by hand, after an
@@ -251,6 +252,15 @@ MUTANTS: Tuple[Mutant, ...] = (
                     "page cache instead of the MRU end",
         before="pages.move_to_end(vtpn)",
         after="pages.move_to_end(vtpn, last=False)"),
+    Mutant(
+        mid="M15", path="repro/experiments/runner.py",
+        twin="tests/test_experiments_runner.py::TestResultCodec::"
+             "test_cache_round_trip_equals_fresh_run",
+        description="the result decoder reads service_time_us into its "
+                    "neighbour gc_time_us",
+        before="    return _RESULT.decode(payload)\n",
+        after="    return _RESULT.decode(\n"
+              "        {**payload, \"gc_time_us\": payload[\"service_time_us\"]})\n"),
     # file handles: the summary writer's with block opened by hand
     Mutant(
         mid="P06", path="repro/tools.py",

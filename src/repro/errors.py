@@ -147,33 +147,19 @@ class RunnerError(ExperimentError):
     """
 
 
-class CellTimeoutError(RunnerError):
-    """A simulation cell exceeded its wall-clock watchdog timeout.
-
-    The supervisor kills the worker process and requeues the cell; this
-    type appears as the ``error_type`` of the resulting attempt record.
-    Timeouts always count as transient (the next attempt may be
-    scheduled on a less loaded machine), so they are retried up to the
-    policy's attempt budget.
-    """
-
-
-class WorkerCrashError(RunnerError):
-    """A worker process died without delivering a result.
-
-    Covers OOM kills, segfaults in native code and ``os._exit``.
-    Always transient: the cell is requeued.
-    """
-
-
 @dataclasses.dataclass(frozen=True)
 class CellFailure:
     """Structured record of one permanently failed cell.
 
     This is data, not an exception: a quarantined cell becomes one of
-    these in the bench report and on the CLI's stderr, while the rest of the matrix keeps running.  ``transient`` records
-    whether the attempts were retryable (worker death, timeout,
-    ``OSError``) or the first attempt failed deterministically.
+    these in the bench report and on the CLI's stderr, while the rest
+    of the matrix keeps running.  ``error_type`` names the exception the
+    cell raised, or one of the two failures the supervisor detects
+    itself: ``"WorkerCrashError"`` (the worker process died without
+    reporting) and ``"CellTimeoutError"`` (the watchdog killed it).
+    ``transient`` records whether the attempts were retryable (worker
+    death, timeout, ``OSError``) or the first attempt failed
+    deterministically.
     """
 
     key: str

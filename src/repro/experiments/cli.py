@@ -33,7 +33,7 @@ from typing import List, Optional
 from ..errors import ConfigError, ExperimentError, RunnerError
 from .common import ExperimentScale
 from .registry import EXPERIMENTS, run_experiment
-from .runner import configure_runner
+from .runner import configure_runner, default_cache_dir
 
 
 def _at_least_one(text: str) -> int:
@@ -151,9 +151,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         scale.check_measured()
         runner = configure_runner(
             jobs=args.jobs,
-            cache_dir=(False if args.no_cache
+            cache_dir=(None if args.no_cache
                        else args.cache_dir if args.cache_dir is not None
-                       else True),
+                       else default_cache_dir()),
             timeout_s=args.timeout,
             max_attempts=args.retries)
     except (ConfigError, ExperimentError) as exc:

@@ -10,15 +10,29 @@ the two facts motivating TP-node clustering and batch updates.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from ..metrics import labelled_sparkline
+from ..metrics import CacheSampler, labelled_sparkline
 from ..errors import SimInvariantError
-from .common import (ExperimentResult, ExperimentScale, WORKLOADS,
-                     run_one)
+from .common import ExperimentResult, ExperimentScale, WORKLOADS
+from .runner import RunSpec, get_runner
 
 #: write-dominant workloads used for the Fig 1(b) CDF
 WRITE_DOMINANT = ("financial1", "msr-ts", "msr-src")
+
+
+def _dftl_samplers(workloads: Sequence[str], scale: ExperimentScale
+                   ) -> List[CacheSampler]:
+    """DFTL's cache sampler on each workload, run as one batch."""
+    results = get_runner().run_specs([
+        RunSpec(workload=workload, ftl="dftl", scale=scale,
+                sample_interval=scale.sample_interval,
+                channels=scale.channels)
+        for workload in workloads])
+    samplers = [result.sampler for result in results]
+    if any(sampler is None for sampler in samplers):  # pragma: no cover
+        raise SimInvariantError("a sampled cell returned no sampler")
+    return samplers
 
 
 def run_fig1a(scale: ExperimentScale) -> ExperimentResult:
@@ -26,12 +40,9 @@ def run_fig1a(scale: ExperimentScale) -> ExperimentResult:
     rows: List[List[object]] = []
     data: Dict[str, object] = {}
     sparklines: List[str] = []
-    for workload in WORKLOADS:
-        result = run_one(workload, "dftl", scale,
-                         sample_interval=scale.sample_interval)
-        if result.sampler is None:  # pragma: no cover - run_one samples
-            raise SimInvariantError("run_one returned no sampler")
-        series = result.sampler.entries_per_page_series()
+    for workload, sampler in zip(WORKLOADS,
+                                 _dftl_samplers(WORKLOADS, scale)):
+        series = sampler.entries_per_page_series()
         means = [value for _, value in series]
         rows.append([
             workload,
@@ -60,12 +71,8 @@ def run_fig1b(scale: ExperimentScale) -> ExperimentResult:
     """Regenerate this figure/table; see the module docstring."""
     rows: List[List[object]] = []
     data: Dict[str, object] = {}
-    for workload in WRITE_DOMINANT:
-        result = run_one(workload, "dftl", scale,
-                         sample_interval=scale.sample_interval)
-        if result.sampler is None:  # pragma: no cover - run_one samples
-            raise SimInvariantError("run_one returned no sampler")
-        sampler = result.sampler
+    for workload, sampler in zip(WRITE_DOMINANT,
+                                 _dftl_samplers(WRITE_DOMINANT, scale)):
         multi_dirty = sampler.fraction_pages_with_dirty_above(1)
         mean_dirty = sampler.mean_dirty_per_page()
         rows.append([workload, f"{multi_dirty * 100:.1f}%", mean_dirty])

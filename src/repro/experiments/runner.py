@@ -21,15 +21,16 @@ as wiscsee use to stay fast:
   cells, consults the cache first, and records per-cell wall-clock so
   :meth:`ParallelRunner.write_bench` can emit ``BENCH_runner.json``
   (wall-clock per cell, speedup vs serial, cache hit counts).  With
-  ``jobs=1`` it runs a plain serial loop with no worker processes, so
-  tests and small runs behave exactly as before.
+  ``jobs=1`` and no watchdog the supervisor runs cells inline, with no
+  worker processes.
 
 Execution is *supervised* (see :mod:`repro.experiments.supervisor`):
 cells get a wall-clock watchdog (``--timeout``), transient failures —
 worker death, a refused spawn, ``OSError`` — are retried up to an
 attempt budget (``--retries``), and persistently failing cells are
 quarantined as structured :class:`~repro.errors.CellFailure` records
-instead of aborting the matrix.
+instead of aborting the matrix.  ``run_specs`` cells and ``map`` items
+fail this one way at every job count.
 
 Every cell is deterministic: traces are generated from per-workload
 seeds and the simulator itself contains no unseeded randomness (the TP
@@ -42,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import tempfile
 import time
@@ -259,63 +261,68 @@ def _timed_execute(spec: RunSpec) -> Tuple[RunResult, float, bool]:
 # ----------------------------------------------------------------------
 # RunResult <-> JSON
 # ----------------------------------------------------------------------
-def _encode_stats(stats: ResponseStats) -> Dict[str, Any]:
-    """One :class:`ResponseStats` as a JSON-safe dict."""
-    return {
-        "count": stats.count,
-        "mean": stats.mean,
-        "m2": stats._m2,
-        "max": stats.max,
-        "total_queue_delay": stats.total_queue_delay,
-        "total_service_time": stats.total_service_time,
-        "keep_samples": stats.keep_samples,
-        "samples": list(stats.samples),
-    }
+class _Codec:
+    """Field-driven JSON codec of one dataclass: every field crosses
+    unchanged except those ``special`` maps to an (encode, decode) pair.
+    Decoding raises ``KeyError`` on a missing field."""
+
+    def __init__(self, cls: type,
+                 **special: Tuple[Callable[[Any], Any],
+                                  Callable[[Any], Any]]) -> None:
+        self.cls = cls
+        self.names = tuple(field.name for field in dataclasses.fields(cls))
+        self.special = special
+
+    def encode(self, obj: Any) -> Dict[str, Any]:
+        """``obj`` as a JSON-safe dict, one key per field."""
+        payload = {name: getattr(obj, name) for name in self.names}
+        for name, (encode, _) in self.special.items():
+            payload[name] = encode(payload[name])
+        return payload
+
+    def decode(self, payload: Dict[str, Any]) -> Any:
+        """Rebuild the dataclass from :meth:`encode` output."""
+        values = {name: payload[name] for name in self.names}
+        for name, (_, decode) in self.special.items():
+            values[name] = decode(values[name])
+        return self.cls(**values)
 
 
-def _decode_stats(payload: Dict[str, Any]) -> ResponseStats:
-    """Rebuild a :class:`ResponseStats` from :func:`_encode_stats`."""
-    return ResponseStats(
-        count=payload["count"], mean=payload["mean"],
-        _m2=payload["m2"], max=payload["max"],
-        total_queue_delay=payload["total_queue_delay"],
-        total_service_time=payload["total_service_time"],
-        keep_samples=payload["keep_samples"],
-        samples=[float(v) for v in payload["samples"]])
+_METRICS = _Codec(FTLMetrics)
+_STATS = _Codec(ResponseStats, samples=(list, list))
+_SAMPLE_ROW = operator.attrgetter(
+    *(field.name for field in dataclasses.fields(CacheSample)))
+# JSON has no tuples and no int keys: sample rows cross as lists and
+# histogram keys as strings
+_SAMPLER = _Codec(
+    CacheSampler,
+    samples=(lambda samples: [list(_SAMPLE_ROW(s)) for s in samples],
+             lambda rows: [CacheSample(*row) for row in rows]),
+    dirty_histogram=(lambda counts: {str(k): v for k, v in counts.items()},
+                     lambda counts: {int(k): v for k, v in counts.items()}))
+_RESULT = _Codec(
+    RunResult,
+    metrics=(_METRICS.encode, _METRICS.decode),
+    response=(_STATS.encode, _STATS.decode),
+    sampler=(lambda sampler: (None if sampler is None
+                              else _SAMPLER.encode(sampler)),
+             lambda payload: (None if payload is None
+                              else _SAMPLER.decode(payload))),
+    faults=(dict, dict),
+    tenants=(lambda tenants: {name: _STATS.encode(stats) for name, stats
+                              in sorted(tenants.items())},
+             lambda tenants: {name: _STATS.decode(stats) for name, stats
+                              in tenants.items()}))
+#: constants no run sets any more, kept so no golden digest or cache
+#: address changes
+_IDLE_GC_KEYS = {"background_gc_time_us": 0.0, "background_collections": 0}
 
 
 def encode_result(result: RunResult) -> Dict[str, Any]:
     """Encode a :class:`RunResult` as a JSON-safe dict."""
-    sampler = None
-    if result.sampler is not None:
-        sampler = {
-            "interval": result.sampler.interval,
-            "next_at": result.sampler._next_at,
-            "samples": [[s.access_number, s.cached_pages,
-                         s.cached_entries, s.dirty_entries]
-                        for s in result.sampler.samples],
-            "dirty_histogram": {str(k): v for k, v
-                                in result.sampler.dirty_histogram.items()},
-        }
-    return {
-        "ftl_name": result.ftl_name,
-        "trace_name": result.trace_name,
-        "requests": result.requests,
-        "metrics": dataclasses.asdict(result.metrics),
-        "response": _encode_stats(result.response),
-        "sampler": sampler,
-        "makespan": result.makespan,
-        "gc_time_us": result.gc_time_us,
-        "service_time_us": result.service_time_us,
-        # constants, kept so no golden digest or cache address changes
-        "background_gc_time_us": 0.0,
-        "background_collections": 0,
-        "channels": result.channels,
-        "faults": dict(result.faults),
-        "tenants": {name: _encode_stats(stats)
-                    for name, stats in sorted(result.tenants.items())},
-        "qos": result.qos,
-    }
+    payload = _RESULT.encode(result)
+    payload.update(_IDLE_GC_KEYS)
+    return payload
 
 
 def decode_result(payload: Dict[str, Any]) -> RunResult:
@@ -324,34 +331,7 @@ def decode_result(payload: Dict[str, Any]) -> RunResult:
     Raises on any shape mismatch (missing keys, renamed fields); the
     cache layer treats every decoding error as a miss.
     """
-    response = _decode_stats(payload["response"])
-    sampler = None
-    if payload["sampler"] is not None:
-        samp = payload["sampler"]
-        sampler = CacheSampler(
-            interval=samp["interval"],
-            samples=[CacheSample(access_number=a, cached_pages=p,
-                                 cached_entries=e, dirty_entries=d)
-                     for a, p, e, d in samp["samples"]],
-            dirty_histogram={int(k): v for k, v
-                             in samp["dirty_histogram"].items()})
-        sampler._next_at = samp["next_at"]
-    return RunResult(
-        ftl_name=payload["ftl_name"],
-        trace_name=payload["trace_name"],
-        requests=payload["requests"],
-        metrics=FTLMetrics(**payload["metrics"]),
-        response=response,
-        sampler=sampler,
-        makespan=payload["makespan"],
-        gc_time_us=payload["gc_time_us"],
-        service_time_us=payload["service_time_us"],
-        channels=payload["channels"],
-        faults=dict(payload["faults"]),
-        tenants={name: _decode_stats(stats)
-                 for name, stats in payload["tenants"].items()},
-        qos=payload["qos"],
-    )
+    return _RESULT.decode(payload)
 
 
 # ----------------------------------------------------------------------
@@ -390,20 +370,15 @@ class RunCache:
     schema or code version are misses, and undecodable files are
     quarantined into ``directory/corrupt/`` and counted in
     :meth:`stats` — a flaky disk surfaces as a number, not a silent
-    recompute.  ``directory=None`` (or ``False``) caches nothing.
+    recompute.  A runner without a cache holds ``cache=None``; there is
+    no cache object that caches nothing.
     """
 
     #: subdirectory receiving quarantined (undecodable) cache files
     CORRUPT_DIR = "corrupt"
 
-    def __init__(self,
-                 directory: "Path | str | None | bool" = True) -> None:
-        if directory is True:
-            directory = default_cache_dir()
-        elif directory is False:
-            directory = None
-        #: ``None`` disables caching entirely
-        self.directory = Path(directory) if directory is not None else None
+    def __init__(self, directory: "Path | str") -> None:
+        self.directory = Path(directory)
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -416,15 +391,11 @@ class RunCache:
     def get(self, spec: RunSpec) -> Optional[Tuple[RunResult, float]]:
         """Return ``(result, original_elapsed_s)`` for a cached cell."""
         entry = self._read_disk(spec.digest)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
+        self.hits += entry is not None
+        self.misses += entry is None
         return entry
 
     def _read_disk(self, digest: str) -> Optional[Tuple[RunResult, float]]:
-        if self.directory is None:
-            return None
         path = self.directory / f"{digest}.json"
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -451,8 +422,6 @@ class RunCache:
         of a flaky disk or torn write survives instead of being
         clobbered by the recomputed entry.
         """
-        if self.directory is None:
-            return
         target_dir = self.directory / self.CORRUPT_DIR
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
@@ -464,8 +433,6 @@ class RunCache:
     def put(self, spec: RunSpec, result: RunResult,
             elapsed_s: float) -> None:
         """Persist one finished cell (atomically)."""
-        if self.directory is None:
-            return
         digest = spec.digest
         payload = {
             "schema": CACHE_SCHEMA,
@@ -503,7 +470,7 @@ class RunCache:
     def wipe(self) -> int:
         """Delete every persistent entry (quarantined files included);
         returns the number removed."""
-        if self.directory is None or not self.directory.is_dir():
+        if not self.directory.is_dir():
             return 0
         removed = 0
         targets = list(self.directory.glob("*.json"))
@@ -583,15 +550,15 @@ class ParallelRunner:
     """Executes batches of cells, cache-first, under supervision.
 
     ``jobs=1`` with no ``timeout_s`` (the default) runs cells inline
-    with no worker processes — the exact serial behaviour the figure
-    modules had before this runner existed.  ``jobs>1`` (or any
-    watchdog timeout) fans cache misses out across supervised worker
-    processes: stuck cells are killed and requeued, transient failures
-    (worker death, a refused spawn, ``OSError``) are retried up to
-    ``max_attempts`` attempts, and persistent failures are quarantined
-    as :class:`~repro.errors.CellFailure` records.  Completed cells are
-    committed to the cache the moment they finish, so a SIGINT never
-    loses finished work and a rerun simulates only what is missing.
+    with no worker processes.  ``jobs>1`` (or any watchdog timeout)
+    fans cache misses out across supervised worker processes, where
+    stuck cells are killed and requeued.  At every job count transient
+    failures (worker death, a refused spawn, ``OSError``) are retried
+    up to ``max_attempts`` attempts, and persistent failures are
+    quarantined as :class:`~repro.errors.CellFailure` records.
+    Completed cells are committed to the cache the moment they finish,
+    so a SIGINT never loses finished work and a rerun simulates only
+    what is missing; ``cache=None`` is the one way to run without one.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -706,29 +673,25 @@ class ParallelRunner:
             items: Sequence[Tuple]) -> List[Any]:
         """Apply ``fn(*args)`` to every args-tuple, in order.
 
-        ``fn`` must be a module-level (picklable) callable; with
-        ``jobs=1`` and no watchdog this is a plain loop (exceptions
-        propagate raw, as they always did).  Otherwise items run under
-        the same supervision as :meth:`run_specs` — watchdog and
-        retry — and persistent failures raise
-        :class:`~repro.errors.MatrixFailureError` after the remaining
-        items complete.  Results are not cached — use :meth:`run_specs`
-        for content-addressed cells.
+        ``fn`` must be a module-level (picklable) callable.  Items run
+        under the same supervision as :meth:`run_specs` at every job
+        count, so a failing item becomes the same
+        :class:`~repro.errors.CellFailure` at ``jobs=1`` as at
+        ``jobs=2``, raised as :class:`~repro.errors.MatrixFailureError`
+        after the remaining items complete.  Results are not cached —
+        use :meth:`run_specs` for content-addressed cells.
         """
-        payloads = [(fn, tuple(args)) for args in items]
-        if (self.jobs > 1 or self.timeout_s is not None) and payloads:
-            name = getattr(fn, "__name__", "fn")
-            tasks = [Task(key=f"map:{index:04d}:{name}",
-                          label=f"{name}[{index}]", fn=fn, args=args)
-                     for index, (fn, args) in enumerate(payloads)]
-            report = self._supervisor.run(tasks)
-            if report.failures:
-                self.failures.extend(report.failures.values())
-                raise MatrixFailureError(
-                    [report.failures[t.key] for t in tasks
-                     if t.key in report.failures])
-            return [report.results[t.key] for t in tasks]
-        return [fn(*args) for fn, args in payloads]
+        name = getattr(fn, "__name__", "fn")
+        tasks = [Task(key=f"map:{index:04d}:{name}",
+                      label=f"{name}[{index}]", fn=fn, args=tuple(args))
+                 for index, args in enumerate(items)]
+        report = self._supervisor.run(tasks)
+        if report.failures:
+            self.failures.extend(report.failures.values())
+            raise MatrixFailureError(
+                [report.failures[t.key] for t in tasks
+                 if t.key in report.failures])
+        return [report.results[t.key] for t in tasks]
 
     # -- bench trajectory ----------------------------------------------
     def bench_report(self) -> Dict[str, Any]:
@@ -785,27 +748,27 @@ _DEFAULT_RUNNER: Optional[ParallelRunner] = None
 
 
 def get_runner() -> ParallelRunner:
-    """The shared runner, created on first use from the environment."""
+    """The shared runner, created on first use from the environment
+    (:func:`default_cache_dir` picks its cache)."""
     global _DEFAULT_RUNNER
     if _DEFAULT_RUNNER is None:
-        _DEFAULT_RUNNER = ParallelRunner(cache=RunCache())
+        _DEFAULT_RUNNER = configure_runner(cache_dir=default_cache_dir())
     return _DEFAULT_RUNNER
 
 
-def configure_runner(jobs: Optional[int] = None,
-                     cache_dir: "Path | str | None | bool" = True,
+def configure_runner(jobs: Optional[int] = None, *,
+                     cache_dir: "Path | str | None",
                      timeout_s: Optional[float] = None,
                      max_attempts: int = 3) -> ParallelRunner:
     """Install (and return) a new default runner.
 
-    ``cache_dir=True`` keeps the environment-resolved default location,
-    ``None``/``False`` disables persistent caching, and a path uses that
-    directory.  ``timeout_s``/``max_attempts`` configure the supervision
-    layer.  Raises :class:`~repro.errors.ExperimentError` on a bad job
-    count, timeout or attempt budget, before anything runs.
+    ``cache_dir`` is the run-cache directory, or ``None`` for a runner
+    without a cache.  ``timeout_s``/``max_attempts`` configure the
+    supervision layer.  Raises :class:`~repro.errors.ExperimentError`
+    on a bad job count, timeout or attempt budget, before anything runs.
     """
     global _DEFAULT_RUNNER
-    cache = RunCache(directory=False if cache_dir is None else cache_dir)
+    cache = RunCache(cache_dir) if cache_dir is not None else None
     _DEFAULT_RUNNER = ParallelRunner(jobs=jobs, cache=cache,
                                      timeout_s=timeout_s,
                                      max_attempts=max_attempts)

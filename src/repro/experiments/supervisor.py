@@ -10,7 +10,8 @@ of the FTL itself — never lose committed state — to the harness:
 * **Watchdog** — every cell runs in its own worker process with a
   wall-clock deadline (``timeout_s``).  A cell that overruns is killed
   (``SIGTERM`` then ``SIGKILL``) and requeued; the attempt is recorded
-  as a :class:`~repro.errors.CellTimeoutError`.
+  with ``error_type`` ``"CellTimeoutError"`` (a worker that dies
+  without reporting gets ``"WorkerCrashError"``).
 * **Retry** — transient failures (worker death, a refused spawn,
   ``OSError``, timeouts) are requeued at once, up to ``max_attempts``
   attempts per cell.  Deterministic simulator errors are never
@@ -132,8 +133,6 @@ class SupervisionReport:
     failures: Dict[str, CellFailure]
     #: key -> attempts consumed (1 = first try succeeded)
     attempts: Dict[str, int]
-    #: transient-failure retries performed across the batch
-    retries: int
 
 
 class Supervisor:
@@ -202,7 +201,6 @@ class Supervisor:
         running: Dict[str, _Running] = {}
         results: Dict[str, Any] = {}
         failures: Dict[str, CellFailure] = {}
-        retries = 0
         use_processes = self.uses_processes
         self._interrupted = False
 
@@ -225,10 +223,8 @@ class Supervisor:
         def attempt_failed(state: _TaskState, error_type: str,
                            message: str, tb_text: str,
                            transient: bool) -> None:
-            nonlocal retries
             key = state.task.key
             if transient and state.attempts < self.max_attempts:
-                retries += 1
                 queue.append(state)
                 return
             failures[key] = CellFailure(
@@ -267,8 +263,7 @@ class Supervisor:
             results=results, failures=failures,
             attempts={key: state.attempts
                       for key, state in states.items()
-                      if state.attempts},
-            retries=retries)
+                      if state.attempts})
 
     # -- internals ------------------------------------------------------
     def _on_sigint(self, signum: int, frame: Any) -> None:
@@ -402,11 +397,9 @@ class Supervisor:
     def _receive(record: _Running) -> Optional[Tuple]:
         """Non-blocking read of a worker's outcome message, if any."""
         try:
-            if record.conn.poll():
-                return record.conn.recv()
+            return record.conn.recv() if record.conn.poll() else None
         except (EOFError, OSError):
             return None
-        return None
 
     @staticmethod
     def _stop(record: _Running, terminate: bool = False) -> None:

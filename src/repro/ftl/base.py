@@ -157,11 +157,9 @@ class BaseFTL:
         page, for the Fig 1/2 sampler."""
         return []
 
-    def cache_peek(self, lpn: int) -> Optional[int]:
-        """The cached PPN for ``lpn`` without touching recency, or None.
-
-        Only used by tests and debugging.
-        """
+    def _peek(self, lpn: int) -> Optional[int]:
+        """:meth:`cache_peek` hook: the cached PPN of an in-range
+        ``lpn`` without touching recency, or None."""
         return None
 
     # ------------------------------------------------------------------
@@ -233,9 +231,9 @@ class BaseFTL:
         return self.serve_request(_page_request(WRITE, lpn))
 
     def _check_lpn(self, lpn: int) -> None:
-        """Refuse an LPN outside the device: ``lookup_current`` and the
-        caches' ``cache_peek`` take caller input, not a served page (a
-        negative LPN would index ``flash_table`` from its end)."""
+        """Refuse an LPN outside the device: ``lookup_current`` and
+        ``cache_peek`` take caller input, not a served page (a negative
+        LPN would index ``flash_table`` from its end)."""
         if not 0 <= lpn < self.ssd.logical_pages:
             raise ValueError(
                 f"LPN {lpn} outside logical space "
@@ -250,10 +248,19 @@ class BaseFTL:
                 f"translation page {vtpn} has no physical location")
         return ptpn
 
+    def cache_peek(self, lpn: int) -> Optional[int]:
+        """The cached PPN for ``lpn`` without touching recency, or None;
+        raises ``ValueError`` for an LPN outside the device.
+
+        Only used by tests and debugging.
+        """
+        self._check_lpn(lpn)
+        return self._peek(lpn)
+
     def lookup_current(self, lpn: int) -> int:
         """The authoritative current PPN for ``lpn`` (cache wins)."""
         self._check_lpn(lpn)
-        cached = self.cache_peek(lpn)
+        cached = self._peek(lpn)
         if cached is not None:
             return cached
         return self.flash_table[lpn]

@@ -102,7 +102,7 @@ class DFTL(BaseFTL):
                 cell[_DIRTY] = True
         return missed
 
-    def cache_peek(self, lpn: int) -> Optional[int]:
+    def _peek(self, lpn: int) -> Optional[int]:
         """Cached PPN for ``lpn`` without touching recency."""
         cell = self.cmt.get(lpn)
         return cell[_PPN] if cell is not None else None

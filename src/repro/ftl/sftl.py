@@ -272,9 +272,8 @@ class SFTL(BaseFTL):
             buffer_budget.used -= freed
         return entries
 
-    def cache_peek(self, lpn: int) -> Optional[int]:
+    def _peek(self, lpn: int) -> Optional[int]:
         """Cached PPN for ``lpn`` without touching recency."""
-        self._check_lpn(lpn)
         vtpn = lpn // self.entries_per_page
         page = self.pages.get(vtpn)
         if page is not None and lpn in page.overrides:

@@ -225,9 +225,8 @@ class TPFTL(BaseFTL):
                 map(self.by_vtpn.get, vtpns), extras)
         return extras
 
-    def cache_peek(self, lpn: int) -> Optional[int]:
+    def _peek(self, lpn: int) -> Optional[int]:
         """Cached PPN for ``lpn`` without touching recency."""
-        self._check_lpn(lpn)
         node = self.by_vtpn.get(lpn // self.entries_per_page)
         if node is None:
             return None

@@ -20,7 +20,8 @@ class ResponseStats:
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = 0.0
+    #: Welford's running sum of squared deviations from the mean
+    m2: float = 0.0
     max: float = 0.0
     total_queue_delay: float = 0.0
     #: summed wall time requests spent in service (first dispatch to
@@ -29,14 +30,6 @@ class ResponseStats:
     total_service_time: float = 0.0
     keep_samples: bool = False
     samples: List[float] = field(default_factory=list)
-    #: sorted view of ``samples``, rebuilt lazily when dirty
-    _sorted: Optional[List[float]] = field(default=None, repr=False,
-                                           compare=False)
-    #: explicit invalidation flag for ``_sorted``: set by *every*
-    #: mutation (``record_timing``/``merge``), so the cache
-    #: can never serve stale percentiles after a same-length
-    #: replacement of ``samples`` — a length comparison would miss it
-    _sorted_dirty: bool = field(default=True, repr=False, compare=False)
 
     def record_timing(self, arrival: float, start: float,
                       finish: float) -> None:
@@ -50,21 +43,20 @@ class ResponseStats:
         self.count += 1
         delta = value - self.mean
         self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
+        self.m2 += delta * (value - self.mean)
         if value > self.max:
             self.max = value
         self.total_queue_delay += start - arrival
         self.total_service_time += finish - start
         if self.keep_samples:
             self.samples.append(value)
-            self._sorted_dirty = True
 
     @property
     def variance(self) -> float:
         """Sample variance of response times."""
         if self.count < 2:
             return 0.0
-        return self._m2 / (self.count - 1)
+        return self.m2 / (self.count - 1)
 
     @property
     def stddev(self) -> float:
@@ -89,9 +81,8 @@ class ResponseStats:
         never collected (a caller asking would otherwise silently read
         "no data" where the truth is "not measured").  Returns ``None``
         only for the legitimately empty case: sampling was on but no
-        request was recorded.  The sorted order is cached and only
-        rebuilt after new samples arrive, so sweeping many percentiles
-        costs one sort instead of one per call.
+        request was recorded.  Each call sorts the current samples, so
+        no cached order can go stale when ``samples`` is replaced.
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
@@ -102,20 +93,9 @@ class ResponseStats:
                 "keep_response_samples=True to the device)")
         if not self.samples:
             return None
-        if self._sorted_dirty or self._sorted is None:
-            self._sorted = sorted(self.samples)
-            self._sorted_dirty = False
-        rank = max(1, math.ceil(p / 100.0 * len(self._sorted)))
-        return self._sorted[rank - 1]
-
-    def invalidate(self) -> None:
-        """Mark the sorted-percentile cache dirty.
-
-        Callers that mutate :attr:`samples` directly (in-place edits,
-        same-length replacement) must call this; the class's own
-        mutators do it automatically.
-        """
-        self._sorted_dirty = True
+        ordered = sorted(self.samples)
+        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+        return ordered[rank - 1]
 
     def merge(self, other: "ResponseStats") -> None:
         """Fold another instance's statistics into this one, in place.
@@ -134,17 +114,16 @@ class ResponseStats:
         if self.count == 0:
             self.count = other.count
             self.mean = other.mean
-            self._m2 = other._m2
+            self.m2 = other.m2
             self.max = other.max
             self.total_queue_delay = other.total_queue_delay
             self.total_service_time = other.total_service_time
             self.keep_samples = other.keep_samples
             self.samples = list(other.samples)
-            self._sorted_dirty = True
             return
         merged = self.count + other.count
         delta = other.mean - self.mean
-        self._m2 = (self._m2 + other._m2
+        self.m2 = (self.m2 + other.m2
                     + delta * delta * self.count * other.count / merged)
         self.mean += delta * other.count / merged
         self.count = merged
@@ -159,4 +138,3 @@ class ResponseStats:
             # the surviving subset would be silently wrong
             self.keep_samples = False
             self.samples = []
-        self._sorted_dirty = True

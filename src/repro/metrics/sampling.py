@@ -55,10 +55,13 @@ class CacheSampler:
     interval: int = 10_000
     samples: List[CacheSample] = field(default_factory=list)
     dirty_histogram: Dict[int, int] = field(default_factory=dict)
-    _next_at: int = 0
+    #: access count at which the next sample is due (0 = the first
+    #: ``interval`` boundary)
+    next_at: int = 0
 
     def __post_init__(self) -> None:
-        self._next_at = self.interval
+        if not self.next_at:
+            self.next_at = self.interval
 
     @property
     def enabled(self) -> bool:
@@ -71,7 +74,7 @@ class CacheSampler:
         Lets hot loops skip building the cache snapshot argument on the
         (vast majority of) requests that will not sample.
         """
-        return self.enabled and access_number >= self._next_at
+        return self.enabled and access_number >= self.next_at
 
     def maybe_sample(self, access_number: int,
                      snapshot: Sequence[Tuple[int, int]]) -> bool:
@@ -80,16 +83,16 @@ class CacheSampler:
         ``snapshot`` is a sequence of ``(entries, dirty_entries)`` pairs,
         one per cached translation page.  Returns True if sampled.
         """
-        if not self.enabled or access_number < self._next_at:
+        if not self.enabled or access_number < self.next_at:
             return False
-        self._next_at += self.interval
-        if access_number >= self._next_at:
+        self.next_at += self.interval
+        if access_number >= self.next_at:
             # A multi-page request can jump ``access_number`` past
             # several boundaries at once; advance past it in one step,
             # otherwise the sampler fires on every subsequent request
             # until it catches up, oversampling the Fig 1/2 series.
-            missed = (access_number - self._next_at) // self.interval + 1
-            self._next_at += missed * self.interval
+            missed = (access_number - self.next_at) // self.interval + 1
+            self.next_at += missed * self.interval
         self.record(access_number, snapshot)
         return True
 

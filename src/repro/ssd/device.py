@@ -423,7 +423,7 @@ class DeviceModel:
             requests=len(trace) - warmup,
             metrics=metrics,
             response=ResponseStats(
-                count=count, mean=mean, _m2=m2, max=peak,
+                count=count, mean=mean, m2=m2, max=peak,
                 total_queue_delay=queue_total,
                 total_service_time=service_wall, keep_samples=keep,
                 samples=samples),

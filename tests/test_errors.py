@@ -11,7 +11,6 @@ from repro import errors
     errors.DeviceWornOutError, errors.PowerLossError, errors.CacheError,
     errors.CacheCapacityError, errors.FTLError, errors.TranslationError,
     errors.WorkloadError, errors.ExperimentError, errors.RunnerError,
-    errors.CellTimeoutError, errors.WorkerCrashError,
 ])
 def test_all_derive_from_repro_error(exc):
     assert issubclass(exc, errors.ReproError)
@@ -47,8 +46,6 @@ def test_runner_sub_hierarchy():
     """Supervision failures must stay catchable as ExperimentError, so
     pre-supervision callers keep working unchanged."""
     assert issubclass(errors.RunnerError, errors.ExperimentError)
-    assert issubclass(errors.CellTimeoutError, errors.RunnerError)
-    assert issubclass(errors.WorkerCrashError, errors.RunnerError)
     assert issubclass(errors.MatrixFailureError, errors.RunnerError)
 
 

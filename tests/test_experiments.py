@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.experiments.claims import CLAIMS, evaluate
 from repro.experiments.common import (ABLATION_CONFIGS, build_workload,
                                       run_one, simulation_config)
 from repro.experiments import runner as runner_module
+from repro.metrics import CacheSampler
 from repro.experiments.runner import (RunSpec, clear_run_caches,
                                       configure_runner, execute_spec,
                                       reset_runner)
@@ -159,6 +161,27 @@ class TestAblationAndSweeps:
             run_experiment(experiment_id,
                            dataclasses.replace(MICRO, channels=2))
         assert handed and {spec.channels for spec in handed} == {2}
+
+
+    @pytest.mark.parametrize("experiment_id, workloads", [
+        ("fig1a", ("financial1", "financial2", "msr-ts", "msr-src")),
+        ("fig1b", ("financial1", "msr-ts", "msr-src"))])
+    def test_fig1_hands_the_runner_one_batch(self, experiment_id,
+                                             workloads, monkeypatch):
+        """Fig 1a / 1b hand all their DFTL cells to ``run_specs`` in one
+        call, so ``--jobs N`` can run them side by side.  The stub
+        answers with empty samplers: nothing is simulated."""
+        batches = []
+
+        class Recorder:
+            def run_specs(self, specs, **_kwargs):
+                batches.append([(s.workload, s.ftl) for s in specs])
+                return [SimpleNamespace(sampler=CacheSampler())
+                        for _ in specs]
+
+        monkeypatch.setattr(runner_module, "_DEFAULT_RUNNER", Recorder())
+        run_experiment(experiment_id, MICRO)
+        assert batches == [[(workload, "dftl") for workload in workloads]]
 
 
 class TestClaimsTable:

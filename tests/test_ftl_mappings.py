@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import CacheConfig, SimulationConfig, SSDConfig
 from repro.errors import ConfigError, TranslationError
-from repro.ftl import DFTL, SFTL, TPFTL, OptimalFTL
+from repro.ftl import DFTL, FTL_NAMES, SFTL, TPFTL, OptimalFTL, make_ftl
 from repro.types import AccessResult, PageState, UNMAPPED
 
 #: 300 logical pages at 64 entries per translation page: five pages, the
@@ -47,6 +47,14 @@ class TestGeometry:
             for lpn in (300, -1):
                 with pytest.raises(ValueError, match="outside logical"):
                     ftl.lookup_current(lpn)
+
+    @pytest.mark.parametrize("name", FTL_NAMES)
+    def test_cache_peek_refuses_lpn_outside_device(self, name):
+        """Every FTL's ``cache_peek`` runs the one base-class check."""
+        ftl = make_ftl(name, _config())
+        for lpn in (-1, SSD.logical_pages):
+            with pytest.raises(ValueError, match="outside logical"):
+                ftl.cache_peek(lpn)
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigError, match="logical_pages"):

@@ -130,14 +130,13 @@ class TestResponseStats:
         """A length-equality heuristic would serve stale percentiles.
 
         Replacing ``samples`` with a same-length list (as codecs do
-        when rebuilding stats) must not reuse the cached sort once the
-        caller declares the mutation via :meth:`invalidate`.
+        when rebuilding stats) must read the new values, with no call
+        to declare the mutation: no sorted order outlives a call.
         """
         stats = ResponseStats(keep_samples=True)
         self.record(stats, [1.0, 2.0, 3.0])
-        assert stats.percentile(100) == 3.0  # populate the cache
+        assert stats.percentile(100) == 3.0
         stats.samples = [7.0, 8.0, 9.0]      # same length, new values
-        stats.invalidate()
         assert stats.percentile(100) == 9.0
         assert stats.percentile(1) == 7.0
 

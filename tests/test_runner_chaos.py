@@ -258,11 +258,31 @@ class TestMapSupervision:
         assert sorted(path.name for path in tmp_path.iterdir()) == \
             ["done-0", "done-1", "done-3"]
 
-    def test_map_serial_no_watchdog_propagates_raw(self):
-        # jobs=1 without a watchdog is the historical plain loop
+    def test_map_serial_quarantines_like_parallel(self):
+        """jobs=1 without a watchdog runs inline, but a failing item is
+        quarantined as at jobs=2: the others finish, the batch raises."""
         runner = ParallelRunner(jobs=1)
-        with pytest.raises(TypeError):
-            runner.map(abs, [("not a number",)])
+        with pytest.raises(MatrixFailureError) as excinfo:
+            runner.map(_abs_rejecting_negatives, [(3,), (-4,), (5,)])
+        [failure] = excinfo.value.failures
+        assert failure.label == "_abs_rejecting_negatives[1]"
+        assert failure.error_type == "RuntimeError"
+        assert failure.attempts == 1 and not failure.transient
+        assert runner.failures == [failure]
+
+    def test_map_failure_record_equal_at_every_job_count(self):
+        """The same deterministically failing item gives the same
+        CellFailure fields at jobs=1 (inline) and jobs=2 (workers)."""
+        def record(jobs):
+            with pytest.raises(MatrixFailureError) as excinfo:
+                ParallelRunner(jobs=jobs).map(abs, [(2,), ("not a number",)])
+            [failure] = excinfo.value.failures
+            return (failure.label, failure.error_type, failure.message,
+                    failure.attempts, failure.transient)
+
+        serial = record(1)
+        assert serial == record(2)
+        assert serial[:2] == ("abs[1]", "TypeError")
 
 
 class _RefusingContext:
@@ -326,7 +346,7 @@ class TestDegradeToSerial:
         report = supervisor.run([Task(key="t", label="t", fn=_double,
                                       args=(21,))])
         assert report.results == {"t": 42}
-        assert report.attempts == {"t": 2} and report.retries == 1
+        assert report.attempts == {"t": 2}
         assert len(context.ends) == 4
         assert all(end.closed for end in context.ends)
 
