@@ -14,6 +14,8 @@ class — and asserts that the one tier-1 test each mutant names, its
   S-FTL hit sent to the LRU end of the page cache, a result decoder
   reading one field into its neighbour.
   Most change a golden digest in ``tests/test_fastpath.py``.
+* ``M16``, a policy bug: a prefetch re-reads the page list's cold end
+  per eviction, leaving the one node §4.5 confines it to (SAN006).
 * ``P06``, ``P10``, ``P11``, file handles: ``repro.tools``' summary
   writer rewritten around a bare ``open()`` — closed by hand, after an
   early return, or twice.  TP007 flags each, so their twin is
@@ -261,6 +263,16 @@ MUTANTS: Tuple[Mutant, ...] = (
         before="    return _RESULT.decode(payload)\n",
         after="    return _RESULT.decode(\n"
               "        {**payload, \"gc_time_us\": payload[\"service_time_us\"]})\n"),
+    # a policy bug: the §4.5 confinement dropped
+    Mutant(
+        mid="M16", path="repro/ftl/tpftl.py",
+        twin="tests/test_analysis_sanitizer.py::"
+             "test_full_rate_10k_ops_clean[tpftl]",
+        description="a prefetch re-reads the page list's cold end for "
+                    "every eviction instead of the node it captured",
+        before="                if allowed_victim is None:  "
+               "# ``page_list.lru``, never empty\n",
+        after="                if True:  # re-read per eviction\n"),
     # file handles: the summary writer's with block opened by hand
     Mutant(
         mid="P06", path="repro/tools.py",

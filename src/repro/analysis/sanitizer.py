@@ -154,9 +154,9 @@ class FTLSan:
                       protect: Optional["EntryNode"]) -> None:
         """Validate one entry eviction (SAN006 + SAN007).
 
-        Called by ``TPFTL._evict_one`` (from a miss's one ``_make_room``
-        call, or a prefetch's confined to one node) after the victim is
-        chosen and before it is written back and dropped inline.
+        Called by ``TPFTL._evict_one`` (from a miss's drain in
+        ``_translate``, or a prefetch's confined to one node) after the
+        victim is chosen and before it is written back and dropped inline.
         """
         if self._prefetching:
             self._prefetch_victims.add(node.vtpn)

@@ -60,7 +60,7 @@ from collections import deque
 from itertools import compress
 from typing import Deque, List, Optional, Sequence, Set, Tuple, Union
 
-from ..config import GC_RESERVE_BLOCKS, SSDConfig
+from ..config import SSDConfig
 from ..errors import (DeviceWornOutError, EraseError, FlashError,
                       OutOfSpaceError, ProgramError, ReadError)
 from ..faults import FaultInjector
@@ -152,11 +152,6 @@ class FlashMemory:
     def gc_needed(self) -> bool:
         """True once the free pool has shrunk to the GC trigger level."""
         return len(self._free) <= self._gc_trigger
-
-    @property
-    def exhausted(self) -> bool:
-        """True when only the emergency reserve remains."""
-        return len(self._free) <= GC_RESERVE_BLOCKS
 
     @property
     def retired_block_count(self) -> int:

@@ -31,7 +31,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
-from ..config import GC_MAX_COLLECTIONS_PER_ACCESS, SimulationConfig
+from ..config import (GC_MAX_COLLECTIONS_PER_ACCESS, GC_RESERVE_BLOCKS,
+                      SimulationConfig)
 from ..errors import (DeviceWornOutError, FTLError, OutOfSpaceError,
                       TranslationError)
 from ..flash import FlashMemory
@@ -385,19 +386,22 @@ class BaseFTL:
         FlashSim) rather than served in multi-millisecond bursts; the
         limit is ignored while the pool sits at the emergency reserve.
         """
+        flash = self.flash
+        # the pool level read off the deque, as in ``serve_request``
+        free, gc_trigger = flash._free, flash._gc_trigger
         collected = 0
-        while self.flash.gc_needed:
+        while len(free) <= gc_trigger:
             if (collected >= GC_MAX_COLLECTIONS_PER_ACCESS
-                    and not self.flash.exhausted):
+                    and len(free) > GC_RESERVE_BLOCKS):
                 break
             victim = self._select_victim()
             if victim is None:
-                if self.flash.exhausted:
-                    if self.flash.is_worn:
+                if len(free) <= GC_RESERVE_BLOCKS:
+                    if flash.is_worn:
                         raise DeviceWornOutError(
                             "free pool exhausted with "
-                            f"{self.flash.retired_block_count} blocks "
-                            f"retired and {self.flash.bad_page_count} "
+                            f"{flash.retired_block_count} blocks "
+                            f"retired and {flash.bad_page_count} "
                             "bad pages; media wear has consumed the "
                             "over-provisioned capacity")
                     raise OutOfSpaceError(
@@ -405,7 +409,7 @@ class BaseFTL:
                 break
             self._collect(victim, result)
             collected += 1
-            if collected > len(self.flash.blocks):
+            if collected > len(flash.blocks):
                 raise FTLError("GC did not converge")  # pragma: no cover
 
     def _gc_candidates(self) -> List[Block]:
@@ -435,8 +439,7 @@ class BaseFTL:
         """
         flash = self.flash
         blocks = flash.blocks
-        active_data = flash.active_block(DATA_BLOCK)
-        active_trans = flash.active_block(TRANSLATION_BLOCK)
+        active_data, active_trans = flash._active_data, flash._active_trans
         for bucket in filter(None, reversed(flash.victim_index)):
             victim: Optional[Block] = None
             for block_id in bucket:

@@ -133,8 +133,8 @@ class TPFTL(BaseFTL):
     def _translate(self, lpn: int, request: Request,
                    result: AccessResult) -> int:
         self.metrics.lookups += 1
-        # ``serve_request`` bounds-checked the LPN: plain arithmetic here,
-        # in ``_record_mapping`` and in ``_insert_entry``
+        # ``serve_request`` bounds-checked the LPN: plain arithmetic here
+        # and in ``_record_mapping``
         vtpn = lpn // self.entries_per_page
         node = self.by_vtpn.get(vtpn)
         if node is not None:
@@ -172,10 +172,24 @@ class TPFTL(BaseFTL):
         need = TPFTL_ENTRY_BYTES + (TPFTL_NODE_BYTES if node is None else 0)
         budget = self.budget
         if budget.used + need > budget.capacity:
-            self._make_room(need, result)
-        demanded = self._insert_entry(lpn, self.flash_table[lpn], False)
+            # §4.4: a demanded load drains any number of nodes, coldest
+            # first (``tail.prev`` is ``page_list.lru``, never empty here)
+            page_list = self.page_list
+            while budget.used + need > budget.capacity:
+                if not self._evict_one(page_list.tail.prev,  # type: ignore[arg-type]
+                                       result):
+                    break  # nothing evictable: the charge below raises
+            node = self.by_vtpn.get(vtpn)  # the drain may have taken it
+        if node is None:
+            node = self.by_vtpn[vtpn] = TPNode(vtpn)
+            # A new node carries the newest (hottest) entry, so it starts
+            # at the hot end; settle then seats it exactly.
+            self.page_list.push_mru(node)
+            budget.charge(TPFTL_NODE_BYTES)
+            self._bump_counter(+1)
+        demanded = self._insert_entry(node, lpn, self.flash_table[lpn], False)
         if prefetch_lpns:
-            self._prefetch(prefetch_lpns, result, demanded)
+            self._prefetch(prefetch_lpns, result, demanded, node)
         return demanded.ppn
 
     def _record_mapping(self, lpn: int, ppn: int,
@@ -267,21 +281,21 @@ class TPFTL(BaseFTL):
                                        self.ssd.logical_pages - 1) + 1))
 
     def _prefetch(self, lpns: Iterable[int], result: AccessResult,
-                  protect: EntryNode) -> None:
-        """Insert prefetched entries under the §4.5 replacement rule.
+                  protect: EntryNode, node: TPNode) -> None:
+        """Insert prefetched entries into ``node`` under the §4.5 rule.
 
         Evictions on behalf of prefetched entries are confined to the
         single TP node that was coldest when prefetching began; when it
         runs out of entries the remaining prefetch length is dropped.
         The just-demanded entry (``protect``) is never a victim, so its
-        node, every planned LPN's, stays: an entry costs its own bytes.
+        node, every planned LPN's, stays: an entry costs its own bytes,
+        and one eviction frees them.
         """
         allowed_victim: Optional[TPNode] = None
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.note_prefetch_begin()
-        entries = self.by_vtpn[
-            protect.lpn // self.entries_per_page].entries
+        entries = node.entries
         budget, flash_table = self.budget, self.flash_table
         inserted = 0
         for lpn in lpns:  # the plan stays in range, as in _translate
@@ -290,11 +304,12 @@ class TPFTL(BaseFTL):
             if budget.used + TPFTL_ENTRY_BYTES > budget.capacity:
                 if allowed_victim is None:  # ``page_list.lru``, never empty
                     allowed_victim = self.page_list.tail.prev  # type: ignore[assignment]
-                if not self._make_room(TPFTL_ENTRY_BYTES, result,
-                                       only_node=allowed_victim,
-                                       protect=protect):
-                    break  # §4.5: reduce the prefetching length
-            self._insert_entry(lpn, flash_table[lpn], True)
+                # False once drained or down to ``protect``: §4.5 then
+                # reduces the prefetching length
+                if not self._evict_one(allowed_victim,  # type: ignore[arg-type]
+                                       result, protect=protect):
+                    break
+            self._insert_entry(node, lpn, flash_table[lpn], True)
             inserted += 1
         self.metrics.prefetched_entries += inserted
         if sanitizer is not None:
@@ -303,28 +318,19 @@ class TPFTL(BaseFTL):
     # ==================================================================
     # Insertion and replacement (§4.4)
     # ==================================================================
-    def _insert_entry(self, lpn: int, ppn: int,
+    def _insert_entry(self, node: TPNode, lpn: int, ppn: int,
                       prefetched: bool) -> EntryNode:
-        """Create an entry node (and TP node if needed) in the cache;
-        the caller made room (past the budget raises ``CacheError``)."""
-        vtpn = lpn // self.entries_per_page
-        by_vtpn, budget = self.by_vtpn, self.budget
-        node = by_vtpn.get(vtpn)
-        if node is None:
-            node = by_vtpn[vtpn] = TPNode(vtpn)
-            # A new node carries the newest (hottest) entry, so it starts
-            # at the hot end; settle then seats it exactly.
-            self.page_list.push_mru(node)
-            budget.charge(TPFTL_NODE_BYTES)
-            self._bump_counter(+1)
+        """Add an entry node to ``node``, its page's TP node; the caller
+        made room (past the budget raises ``CacheError``)."""
         entries = node.entries
         if lpn in entries:
             raise SimInvariantError(
-                f"LPN {lpn} is already cached in TP node {vtpn}")
+                f"LPN {lpn} is already cached in TP node {node.vtpn}")
         seq = self._hot_seq = self._hot_seq + 1
         entry = entries[lpn] = EntryNode(lpn, ppn, seq, prefetched)
         node.hot_sum += seq
         hotness = node.hotness = node.hot_sum / len(entries)
+        budget = self.budget
         if budget.used + TPFTL_ENTRY_BYTES > budget.capacity:
             budget.charge(TPFTL_ENTRY_BYTES)  # raises the overflow CacheError
         budget.used += TPFTL_ENTRY_BYTES
@@ -332,32 +338,12 @@ class TPFTL(BaseFTL):
             self.page_list.settle(node)
         return entry
 
-    def _make_room(self, need: int, result: AccessResult,
-                   only_node: Optional[TPNode] = None,
-                   protect: Optional[EntryNode] = None) -> bool:
-        """Evict entries until ``need`` bytes fit; True on success.
-
-        ``only_node`` confines evictions to one TP node (§4.5 rule 2 for
-        prefetching); demanded loads pass None and may drain any number
-        of nodes, coldest first.  ``protect`` is never chosen as victim.
-        """
-        budget, page_list = self.budget, self.page_list
-        while budget.used + need > budget.capacity:
-            victim_node: TPNode = page_list.tail.prev  # type: ignore[assignment]
-            if only_node is not None:
-                victim_node = only_node
-            if victim_node is page_list.head or not victim_node.entries:
-                return False
-            if not self._evict_one(victim_node, result, protect=protect):
-                return False
-        return True
-
     def _evict_one(self, node: TPNode, result: AccessResult,
                    protect: Optional[EntryNode] = None) -> bool:
         """Evict one entry from ``node`` per the §4.4 replacement policy.
 
-        Returns False when nothing in the node is evictable (only the
-        protected entry remains).
+        Returns False when nothing in the node is evictable (it is
+        drained, or only the protected entry remains).
         """
         victim = self._choose_victim(node, protect=protect)
         if victim is None:

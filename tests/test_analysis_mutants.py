@@ -27,7 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Corpus shape
 # ----------------------------------------------------------------------
 def test_corpus_is_well_formed():
-    assert len(MUTANTS) == 23
+    assert len(MUTANTS) == 24
     assert len({m.mid for m in MUTANTS}) == len(MUTANTS)
     for mutant in MUTANTS:
         assert mutant.mid[0] in "MPFW", mutant.mid

@@ -177,20 +177,20 @@ def test_san006_eviction_spans_nodes(sanitized_config, monkeypatch):
     for lpn in range(384):  # fill the cache well past its budget
         ftl.serve_request(Request(arrival=float(lpn), op=Op.WRITE,
                                   lpn=lpn, npages=1))
-    state = {"turn": 0}
+    evict_one, state = ftl._evict_one, {"turn": 0}
 
-    def scattering_make_room(need, result, only_node=None, protect=None):
-        # buggy replacement: rotates victims across every TP node,
-        # ignoring the single-node confinement rule
-        while ftl.budget.used + need > ftl.budget.capacity:
-            nodes = [node for node in ftl.page_list if len(node)]
-            victim = nodes[state["turn"] % len(nodes)]
+    def scattering_evict_one(node, result, protect=None):
+        # buggy prefetch replacement (only a prefetch protects an
+        # entry): each eviction rotates to a TP node other than the one
+        # asked for, ignoring the single-node confinement rule
+        if protect is not None:
+            nodes = [other for other in ftl.page_list
+                     if len(other) and other is not node]
+            node = nodes[state["turn"] % len(nodes)]
             state["turn"] += 1
-            if not ftl._evict_one(victim, result, protect=protect):
-                return False
-        return True
+        return evict_one(node, result, protect=protect)
 
-    monkeypatch.setattr(ftl, "_make_room", scattering_make_room)
+    monkeypatch.setattr(ftl, "_evict_one", scattering_evict_one)
     with pytest.raises(SanitizerError) as excinfo:
         # miss on an uncached translation page with a 4-page request:
         # the 3-entry prefetch forces evictions while the cache is full

@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from repro.config import (CacheConfig, SimulationConfig, SSDConfig,
-                          TPFTLConfig)
+from repro.config import (TPFTL_NODE_BYTES, CacheConfig, SimulationConfig,
+                          SSDConfig, TPFTLConfig)
 from repro.errors import SimInvariantError
 from repro.ftl import TPFTL, make_ftl
 from repro.ftl.tpftl import EntryNode, TPNode
@@ -32,6 +32,15 @@ def make_tpftl(monogram: str = "rsbc", entry_slots: int = 8,
                               cache=CacheConfig(budget_bytes=budget),
                               tpftl=tp_config)
     return TPFTL(config)
+
+
+def cached_node(ftl: TPFTL, vtpn: int) -> TPNode:
+    """An empty TP node linked into ``ftl``'s cache and charged, as a
+    miss on an uncached translation page creates one."""
+    node = ftl.by_vtpn[vtpn] = TPNode(vtpn)
+    ftl.page_list.push_mru(node)
+    ftl.budget.charge(TPFTL_NODE_BYTES)
+    return node
 
 
 class TestTwoLevelStructure:
@@ -98,16 +107,16 @@ class TestTwoLevelStructure:
 
     def test_add_of_cached_lpn_is_an_invariant_error(self):
         ftl = make_tpftl("-")
-        ftl._insert_entry(3, 30, prefetched=False)
+        ftl._insert_entry(cached_node(ftl, 0), 3, 30, prefetched=False)
         node, used = ftl.by_vtpn[0], ftl.budget.used
         with pytest.raises(SimInvariantError):
-            ftl._insert_entry(3, 31, prefetched=False)
+            ftl._insert_entry(node, 3, 31, prefetched=False)
         assert node.hot_sum == 1 and node.entries[3].ppn == 30
         assert ftl.budget.used == used
 
     def test_drop_of_uncached_entry_is_an_invariant_error(self):
         ftl = make_tpftl("-")
-        ftl._insert_entry(3, 30, prefetched=False)
+        ftl._insert_entry(cached_node(ftl, 0), 3, 30, prefetched=False)
         node, used = ftl.by_vtpn[0], ftl.budget.used
         ftl._choose_victim = lambda node, protect=None: EntryNode(
             4, 40, hot_seq=2)

@@ -413,6 +413,37 @@ class TestHotPath:
         assert calls[EntryNode.__init__.__code__] > 10 * loads
         assert result.metrics.replacements > 10 * drains
 
+    def test_tpftl_inserts_each_loaded_entry_once(self):
+        """A demanded load makes room in ``_translate``'s body and a
+        prefetch evicts through ``_evict_one`` itself: each caller hands
+        ``_insert_entry`` the node it holds, one call per entry loaded,
+        and no general room-making helper is entered."""
+        ssd = SSDConfig(logical_pages=512, page_size=256, pages_per_block=8)
+        ftl = make_ftl("tpftl", SimulationConfig(
+            ssd=ssd, cache=CacheConfig(budget_bytes=1024),
+            tpftl=TPFTLConfig.from_monogram("rsbc")))
+        calls = Counter()
+
+        def counting(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code] += 1
+
+        sys.setprofile(counting)
+        try:
+            result = DeviceModel(ftl).run(_gc_heavy_trace(),
+                                          warmup_requests=0)
+        finally:
+            sys.setprofile(None)
+        metrics = result.metrics
+        assert metrics.prefetched_entries > 0 and metrics.replacements > 0
+        demanded = metrics.lookups - metrics.hits
+        assert (calls[TPFTL._insert_entry.__code__]
+                == demanded + metrics.prefetched_entries)
+        tpftl_file = TPNode.__len__.__code__.co_filename
+        assert not [code for code in calls
+                    if code.co_filename == tpftl_file
+                    and code.co_name == "_make_room"]
+
     def test_dftl_cache_events_cross_no_helper_frame(self):
         """A DFTL cache event runs in ``_translate``'s body: the CMT is
         a bare ``OrderedDict`` and the load and the write-back's read
