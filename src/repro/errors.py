@@ -154,11 +154,10 @@ class CellFailure:
     This is data, not an exception: a quarantined cell becomes one of
     these in the bench report and on the CLI's stderr, while the rest
     of the matrix keeps running.  ``error_type`` names the exception the
-    cell raised, or one of the two failures the supervisor detects
-    itself: ``"WorkerCrashError"`` (the worker process died without
-    reporting) and ``"CellTimeoutError"`` (the watchdog killed it).
-    ``transient`` records whether the attempts were retryable (worker
-    death, timeout, ``OSError``) or the first attempt failed
+    cell raised, or ``"WorkerCrashError"``, the one failure the
+    supervisor detects itself (the worker process died without
+    reporting).  ``transient`` records whether the attempts were
+    retryable (worker death, ``OSError``) or the first attempt failed
     deterministically.
     """
 

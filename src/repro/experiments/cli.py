@@ -13,18 +13,15 @@ Finished simulation cells persist in ``results/.runcache`` (override
 with ``--cache-dir``/``$REPRO_RUNCACHE``, disable with ``--no-cache``,
 reset with ``--wipe-cache``), so re-runs only simulate what changed.
 
-Execution is supervised: ``--timeout`` arms a per-cell watchdog,
-``--retries`` bounds the attempts a transiently failing cell gets, and
-a quarantined cell exits 1 with its summary and traceback on stderr
-instead of an escaped traceback.  Ctrl-C drains completed cells into
-the cache before exiting 130.  The cache is the resume: rerunning the
+A quarantined cell exits 1 with its summary and traceback on stderr
+instead of an escaped traceback; Ctrl-C exits 130.  Each finished cell
+is already in the cache, and the cache is the resume: rerunning the
 same command simulates only the cells that are not cached yet.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -37,7 +34,7 @@ from .runner import configure_runner, default_cache_dir
 
 
 def _at_least_one(text: str) -> int:
-    """``--jobs`` / ``--retries`` argument type: an int >= 1."""
+    """``--jobs`` argument type: an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -45,19 +42,6 @@ def _at_least_one(text: str) -> int:
             f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _timeout_seconds(text: str) -> float:
-    """``--timeout`` argument type: a finite number of seconds > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and > 0, got {text}")
     return value
 
 
@@ -102,19 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="delete every cached run before executing")
     parser.add_argument(
         "--bench", metavar="FILE", default=None,
-        help="write runner bench data (per-cell wall-clock, speedup vs "
-             "serial, cache hits) to this JSON file, e.g. "
+        help="write runner bench data (per-cell wall-clock, executed "
+             "and wall seconds, cache hits) to this JSON file, e.g. "
              "BENCH_runner.json")
-    parser.add_argument(
-        "--timeout", type=_timeout_seconds, default=None, metavar="SEC",
-        help="per-cell wall-clock watchdog: a cell exceeding this is "
-             "killed, requeued, and eventually quarantined "
-             "(default: no watchdog)")
-    parser.add_argument(
-        "--retries", type=_at_least_one, default=3, metavar="N",
-        help="total attempt budget per cell (first try included) for "
-             "transient failures — worker death, OSError, watchdog "
-             "timeouts; must be >= 1 (default 3)")
     return parser
 
 
@@ -153,9 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             cache_dir=(None if args.no_cache
                        else args.cache_dir if args.cache_dir is not None
-                       else default_cache_dir()),
-            timeout_s=args.timeout,
-            max_attempts=args.retries)
+                       else default_cache_dir()))
     except (ConfigError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,10 +104,10 @@ def run(scale: ExperimentScale) -> ExperimentResult:
 
     Both sweeps fan out per-FTL across the default runner's supervised
     workers (they are deterministic and independent per FTL); with
-    ``jobs=1`` they run serially as before.  Under ``--jobs``/
-    ``--timeout`` a hung or crashed per-FTL row is retried and, if
-    persistent, quarantined as a structured failure after the other
-    rows complete (:class:`~repro.errors.MatrixFailureError`).
+    ``jobs=1`` they run serially.  A per-FTL row whose worker dies is
+    retried; a row that keeps failing is quarantined as a structured
+    failure after the other rows complete
+    (:class:`~repro.errors.MatrixFailureError`).
     """
     from .runner import get_runner
     runner = get_runner()

@@ -20,17 +20,17 @@ as wiscsee use to stay fast:
   processes (``--jobs N`` / ``REPRO_JOBS``), deduplicates identical
   cells, consults the cache first, and records per-cell wall-clock so
   :meth:`ParallelRunner.write_bench` can emit ``BENCH_runner.json``
-  (wall-clock per cell, speedup vs serial, cache hit counts).  With
-  ``jobs=1`` and no watchdog the supervisor runs cells inline, with no
-  worker processes.
+  (wall-clock per cell, executed seconds, cache hit counts).  With
+  ``jobs=1`` the supervisor runs cells inline, with no worker
+  processes.
 
 Execution is *supervised* (see :mod:`repro.experiments.supervisor`):
-cells get a wall-clock watchdog (``--timeout``), transient failures —
-worker death, a refused spawn, ``OSError`` — are retried up to an
-attempt budget (``--retries``), and persistently failing cells are
-quarantined as structured :class:`~repro.errors.CellFailure` records
-instead of aborting the matrix.  ``run_specs`` cells and ``map`` items
-fail this one way at every job count.
+transient failures — worker death, a refused spawn, ``OSError`` — are
+retried up to :data:`~repro.experiments.supervisor.MAX_ATTEMPTS`
+attempts, and persistently failing cells are quarantined as structured
+:class:`~repro.errors.CellFailure` records instead of aborting the
+matrix.  ``run_specs`` cells and ``map`` items fail this one way at
+every job count.
 
 Every cell is deterministic: traces are generated from per-workload
 seeds and the simulator itself contains no unseeded randomness (the TP
@@ -549,31 +549,23 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 class ParallelRunner:
     """Executes batches of cells, cache-first, under supervision.
 
-    ``jobs=1`` with no ``timeout_s`` (the default) runs cells inline
-    with no worker processes.  ``jobs>1`` (or any watchdog timeout)
-    fans cache misses out across supervised worker processes, where
-    stuck cells are killed and requeued.  At every job count transient
-    failures (worker death, a refused spawn, ``OSError``) are retried
-    up to ``max_attempts`` attempts, and persistent failures are
-    quarantined as :class:`~repro.errors.CellFailure` records.
-    Completed cells are committed to the cache the moment they finish,
-    so a SIGINT never loses finished work and a rerun simulates only
-    what is missing; ``cache=None`` is the one way to run without one.
+    ``jobs=1`` (the default) runs cells inline with no worker
+    processes; ``jobs>1`` fans cache misses out across supervised
+    worker processes.  At every job count transient failures (worker
+    death, a refused spawn, ``OSError``) are retried, and persistent
+    failures are quarantined as :class:`~repro.errors.CellFailure`
+    records.  Completed cells are committed to the cache the moment
+    they finish, so a Ctrl-C never loses finished work and a rerun
+    simulates only what is missing; ``cache=None`` is the one way to
+    run without one.
     """
 
     def __init__(self, jobs: Optional[int] = None,
-                 cache: Optional[RunCache] = None,
-                 timeout_s: Optional[float] = None,
-                 max_attempts: int = 3) -> None:
+                 cache: Optional[RunCache] = None) -> None:
         self.jobs = resolve_jobs(jobs)
         #: ``None`` disables caching (every cell recomputes)
         self.cache = cache
-        #: per-cell wall-clock watchdog (``None`` = no watchdog)
-        self.timeout_s = timeout_s
-        #: attempt budget per cell for transient failures
-        self.max_attempts = max_attempts
-        self._supervisor = Supervisor(jobs=self.jobs, timeout_s=timeout_s,
-                                      max_attempts=max_attempts)
+        self._supervisor = Supervisor(jobs=self.jobs)
         #: quarantine records accumulated across batches
         self.failures: List[CellFailure] = []
         self.outcomes: List[CellOutcome] = []
@@ -581,17 +573,14 @@ class ParallelRunner:
         self._wall_s = 0.0
 
     # -- cell batches ---------------------------------------------------
-    def run_specs(self, specs: Sequence[RunSpec],
-                  allow_failures: bool = False
-                  ) -> "List[Optional[RunResult]]":
+    def run_specs(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Run a batch of cells and return results in input order.
 
         Identical specs are executed once; cached cells are served from
         the :class:`RunCache` without simulating.  Quarantined cells
         raise :class:`~repro.errors.MatrixFailureError` *after* every
-        other cell has completed and been cached — unless
-        ``allow_failures`` is set, in which case their slots hold
-        ``None`` and the records are available on :attr:`failures`.
+        other cell has completed and been cached; their records are
+        also on :attr:`failures` and in the bench report.
         """
         batch_started = time.perf_counter()  # tp: allow=TP002 - harness timing
         order = [spec.digest for spec in specs]
@@ -618,9 +607,9 @@ class ParallelRunner:
                           fn=_timed_execute, args=(spec,))
                      for spec in pending]
 
-            def commit(key: str, value: Tuple[RunResult, float, bool],
-                       _elapsed_s: float, _attempts: int) -> None:
-                """Cache a finished cell immediately (SIGINT-safe)."""
+            def commit(key: str,
+                       value: Tuple[RunResult, float, bool]) -> None:
+                """Cache a finished cell immediately (Ctrl-C-safe)."""
                 result, elapsed, built = value
                 if self.cache is not None:
                     self.cache.put(unique[key], result, elapsed)
@@ -662,11 +651,10 @@ class ParallelRunner:
                     elapsed_s=failure.elapsed_s, cached=False,
                     attempts=failure.attempts, failed=True))
         self._wall_s += time.perf_counter() - batch_started  # tp: allow=TP002 - harness timing
-        if failures and not allow_failures:
+        if failures:
             raise MatrixFailureError(
                 [failures[d] for d in unique if d in failures])
-        return [done[digest][0] if digest in done else None
-                for digest in order]
+        return [done[digest][0] for digest in order]
 
     # -- generic fan-out (faults/analysis registry experiments) ---------
     def map(self, fn: Callable[..., Any],
@@ -704,15 +692,10 @@ class ParallelRunner:
         hits = sum(outcome.cached for outcome in outcomes)
         serial = sum(outcome.elapsed_s for outcome in outcomes
                      if not (outcome.failed or outcome.cached))
-        wall = self._wall_s
         return {
             "bench": "runner",
             "schema": CACHE_SCHEMA,
             "jobs": self.jobs,
-            "supervision": {
-                "timeout_s": self.timeout_s,
-                "max_attempts": self.max_attempts,
-            },
             "cells": [dataclasses.asdict(outcome) for outcome in outcomes],
             "failures": [failure.to_payload()
                          for failure in self.failures],
@@ -723,9 +706,8 @@ class ParallelRunner:
                 "failed": len(self.failures),
                 "retries": sum(max(outcome.attempts - 1, 0)
                                for outcome in outcomes),
-                "wall_clock_s": wall,
+                "wall_clock_s": self._wall_s,
                 "serial_equivalent_s": serial,
-                "speedup_vs_serial": serial / wall if wall > 0 else 1.0,
             },
             "cache": (self.cache.stats() if self.cache is not None
                       else None),
@@ -757,21 +739,16 @@ def get_runner() -> ParallelRunner:
 
 
 def configure_runner(jobs: Optional[int] = None, *,
-                     cache_dir: "Path | str | None",
-                     timeout_s: Optional[float] = None,
-                     max_attempts: int = 3) -> ParallelRunner:
+                     cache_dir: "Path | str | None") -> ParallelRunner:
     """Install (and return) a new default runner.
 
     ``cache_dir`` is the run-cache directory, or ``None`` for a runner
-    without a cache.  ``timeout_s``/``max_attempts`` configure the
-    supervision layer.  Raises :class:`~repro.errors.ExperimentError`
-    on a bad job count, timeout or attempt budget, before anything runs.
+    without a cache.  Raises :class:`~repro.errors.ExperimentError` on
+    a bad job count, before anything runs.
     """
     global _DEFAULT_RUNNER
     cache = RunCache(cache_dir) if cache_dir is not None else None
-    _DEFAULT_RUNNER = ParallelRunner(jobs=jobs, cache=cache,
-                                     timeout_s=timeout_s,
-                                     max_attempts=max_attempts)
+    _DEFAULT_RUNNER = ParallelRunner(jobs=jobs, cache=cache)
     return _DEFAULT_RUNNER
 
 

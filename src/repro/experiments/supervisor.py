@@ -1,40 +1,36 @@
-"""Supervised execution: per-cell processes, watchdog, retry, quarantine.
+"""Supervised execution: per-cell processes, retry, quarantine.
 
 The :class:`~repro.experiments.runner.ParallelRunner` fans independent
-simulation cells out across processes.  Without supervision, a fleet of
-cells is only as reliable as its weakest member: one OOM-killed worker,
-one hung cell or one Ctrl-C aborts the whole matrix and discards every
-in-flight result.  This module applies the discipline the paper demands
-of the FTL itself — never lose committed state — to the harness:
+simulation cells out across processes.  The cells are seeded, so a
+cell that fails or hangs does so on every attempt; what the supervisor
+guards against is the environment:
 
-* **Watchdog** — every cell runs in its own worker process with a
-  wall-clock deadline (``timeout_s``).  A cell that overruns is killed
-  (``SIGTERM`` then ``SIGKILL``) and requeued; the attempt is recorded
-  with ``error_type`` ``"CellTimeoutError"`` (a worker that dies
-  without reporting gets ``"WorkerCrashError"``).
+* **Per-cell processes** — at ``jobs > 1`` every attempt runs in its
+  own worker process, so one worker's death (an OOM kill, a segfault)
+  costs that cell one attempt instead of breaking a shared pool.  A
+  worker that dies without reporting is recorded with ``error_type``
+  ``"WorkerCrashError"``.  At ``jobs == 1`` cells run inline.
 * **Retry** — transient failures (worker death, a refused spawn,
-  ``OSError``, timeouts) are requeued at once, up to ``max_attempts``
+  ``OSError``) are requeued at once, up to :data:`MAX_ATTEMPTS`
   attempts per cell.  Deterministic simulator errors are never
-  retried: the simulation is seeded, so the second attempt would fail
-  identically.
+  retried: the second attempt would fail identically.
 * **Quarantine** — a cell that exhausts its budget becomes a structured
   :class:`~repro.errors.CellFailure` record (exception type, message,
   traceback, attempts, elapsed) instead of an escaped traceback; the
   rest of the batch keeps running.
-* **Interrupt** — a SIGINT drains already-completed workers through
-  ``on_complete`` (the runner commits them to the run cache) and only
-  then raises ``KeyboardInterrupt``.  There is no separate resume
-  record: a rerun with the same cache serves every committed cell.
+
+A Ctrl-C raises ``KeyboardInterrupt`` at once and stops every running
+worker.  Nothing finished is lost: ``on_complete`` has already
+committed each finished cell to the run cache, and a rerun with the
+same cache serves every committed cell.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import multiprocessing
 import os
 import signal
-import threading
 import time
 import traceback
 from collections import deque
@@ -45,8 +41,10 @@ from ..errors import CellFailure, ExperimentError
 
 #: exception types worth retrying: the environment, not the simulation,
 #: failed.  ``PermissionError`` is an ``OSError`` subclass; worker
-#: crashes and watchdog timeouts are classified transient directly.
+#: crashes are classified transient directly.
 TRANSIENT_ERRORS: Tuple[type, ...] = (OSError, EOFError, ConnectionError)
+#: attempts per task for transient failures, the first try included
+MAX_ATTEMPTS = 3
 
 #: how long the event loop sleeps waiting for worker messages
 POLL_INTERVAL_S = 0.05
@@ -65,9 +63,8 @@ def _worker_entry(conn: Any, fn: Callable[..., Any], args: Tuple) -> None:
 
     Workers share the terminal's foreground process group, so a Ctrl-C
     would deliver SIGINT here too and be misreported as a permanent
-    cell failure; the parent owns interrupt handling (drain, then
-    re-raise), so the worker ignores SIGINT and lets the parent decide
-    its fate.
+    cell failure; the worker ignores SIGINT, and the interrupted parent
+    stops it.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -120,7 +117,6 @@ class _Running:
     process: Any
     conn: Any
     started: float
-    deadline: float
 
 
 @dataclasses.dataclass
@@ -136,46 +132,28 @@ class SupervisionReport:
 
 
 class Supervisor:
-    """Runs tasks under watchdog/retry/quarantine supervision.
+    """Runs tasks under retry/quarantine supervision.
 
     ``jobs`` bounds concurrent worker processes.  With ``jobs == 1``
-    and no ``timeout_s`` tasks run in-process (the historical serial
-    path — zero overhead); any watchdog requires real child processes,
-    because only a separate process can be killed mid-simulation.
-    ``max_attempts`` is the per-task attempt budget for transient
-    failures, the first try included.
+    tasks run in-process (the serial path — zero overhead).
 
-    ``on_complete(key, value, elapsed_s, attempts)`` fires the moment a
-    task succeeds — the runner uses it to commit results to the run
-    cache immediately, which is what makes a SIGINT lose nothing that
-    already finished.
+    ``on_complete(key, value)`` fires the moment a task succeeds — the
+    runner uses it to commit results to the run cache immediately,
+    which is what makes a Ctrl-C lose nothing that already finished.
     """
 
-    def __init__(self, jobs: int = 1,
-                 timeout_s: Optional[float] = None,
-                 max_attempts: int = 3,
-                 mp_context: Any = None) -> None:
+    def __init__(self, jobs: int = 1, mp_context: Any = None) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if timeout_s is not None and not (math.isfinite(timeout_s)
-                                          and timeout_s > 0):
-            raise ExperimentError(
-                f"timeout_s must be finite and positive, got {timeout_s}")
-        if max_attempts < 1:
-            raise ExperimentError(
-                f"max_attempts must be >= 1, got {max_attempts}")
         self.jobs = jobs
-        self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
         self._ctx = (mp_context if mp_context is not None
                      else multiprocessing.get_context())
-        self._interrupted = False
 
     # -- public API -----------------------------------------------------
     @property
     def uses_processes(self) -> bool:
         """True when tasks run in worker processes, not inline."""
-        return self.jobs > 1 or self.timeout_s is not None
+        return self.jobs > 1
 
     @property
     def forks_workers(self) -> bool:
@@ -185,14 +163,13 @@ class Supervisor:
                 and self._ctx.get_start_method() == "fork")
 
     def run(self, tasks: Sequence[Task],
-            on_complete: Optional[Callable[[str, Any, float, int],
-                                           None]] = None
+            on_complete: Optional[Callable[[str, Any], None]] = None
             ) -> SupervisionReport:
-        """Supervise ``tasks`` to completion, quarantine or interrupt.
+        """Supervise ``tasks`` to completion or quarantine.
 
-        Returns a :class:`SupervisionReport`; raises
-        ``KeyboardInterrupt`` after a SIGINT, but only once completed
-        workers have been drained (and ``on_complete``'d).
+        Returns a :class:`SupervisionReport`.  Whatever escapes the
+        loop (a ``KeyboardInterrupt``) stops every running worker on
+        its way out.
         """
         states = {t.key: _TaskState(task=t) for t in tasks}
         if len(states) != len(tasks):
@@ -201,30 +178,18 @@ class Supervisor:
         running: Dict[str, _Running] = {}
         results: Dict[str, Any] = {}
         failures: Dict[str, CellFailure] = {}
-        use_processes = self.uses_processes
-        self._interrupted = False
-
-        previous_handler: Any = None
-        handler_installed = False
-        if threading.current_thread() is threading.main_thread():
-            try:
-                previous_handler = signal.signal(
-                    signal.SIGINT, self._on_sigint)
-                handler_installed = True
-            except ValueError:
-                handler_installed = False
 
         def finish(state: _TaskState, value: Any) -> None:
             key = state.task.key
             results[key] = value
             if on_complete is not None:
-                on_complete(key, value, state.elapsed_s, state.attempts)
+                on_complete(key, value)
 
         def attempt_failed(state: _TaskState, error_type: str,
                            message: str, tb_text: str,
                            transient: bool) -> None:
             key = state.task.key
-            if transient and state.attempts < self.max_attempts:
+            if transient and state.attempts < MAX_ATTEMPTS:
                 queue.append(state)
                 return
             failures[key] = CellFailure(
@@ -236,29 +201,12 @@ class Supervisor:
 
         try:
             while queue or running:
-                if self._interrupted:
-                    break
-                self._launch_ready(queue, running, use_processes, finish,
-                                   attempt_failed)
+                self._launch_ready(queue, running, finish, attempt_failed)
                 if running:
                     self._poll(running, finish, attempt_failed)
         finally:
-            if handler_installed:
-                signal.signal(signal.SIGINT, previous_handler)
-
-        if self._interrupted:
-            # collect what workers already delivered, kill the rest
-            for key in list(running):
-                message = self._receive(running[key])
-                if message is not None:
-                    self._settle(running, key, message, finish,
-                                 attempt_failed)
-            for key in list(running):
-                self._stop(running.pop(key), terminate=True)
-            raise KeyboardInterrupt(
-                f"interrupted: {len(results)} cells completed and "
-                f"committed, {len(queue) + len(running)} abandoned")
-
+            for record in running.values():
+                self._stop(record, terminate=True)
         return SupervisionReport(
             results=results, failures=failures,
             attempts={key: state.attempts
@@ -266,15 +214,8 @@ class Supervisor:
                       if state.attempts})
 
     # -- internals ------------------------------------------------------
-    def _on_sigint(self, signum: int, frame: Any) -> None:
-        """First SIGINT: request a drain-and-stop; second: die hard."""
-        if self._interrupted:
-            raise KeyboardInterrupt
-        self._interrupted = True
-
     def _launch_ready(self, queue: "deque[_TaskState]",
                       running: Dict[str, _Running],
-                      use_processes: bool,
                       finish: Callable[[_TaskState, Any], None],
                       attempt_failed: Callable[..., None]) -> None:
         """Start queued tasks until the job slots are full.
@@ -284,10 +225,8 @@ class Supervisor:
         spawn quarantines its tasks instead of looping forever.
         """
         while queue and len(running) < self.jobs:
-            if self._interrupted:
-                return
             state = queue.popleft()
-            if not use_processes:
+            if not self.uses_processes:
                 self._run_inline(state, finish, attempt_failed)
                 continue
             task = state.task
@@ -309,13 +248,8 @@ class Supervisor:
                                traceback.format_exc(),
                                isinstance(exc, TRANSIENT_ERRORS))
                 continue
-            started = _now()
-            deadline = (started + self.timeout_s
-                        if self.timeout_s is not None else float("inf"))
             running[task.key] = _Running(state=state, process=process,
-                                         conn=parent_conn,
-                                         started=started,
-                                         deadline=deadline)
+                                         conn=parent_conn, started=_now())
 
     @staticmethod
     def _discard_spawn(parent_conn: Optional[Any],
@@ -344,7 +278,7 @@ class Supervisor:
     def _run_inline(self, state: _TaskState,
                     finish: Callable[[_TaskState, Any], None],
                     attempt_failed: Callable[..., None]) -> None:
-        """Serial path: run one attempt in-process (no watchdog)."""
+        """Serial path: run one attempt in-process."""
         state.attempts += 1
         started = _now()
         try:
@@ -361,7 +295,7 @@ class Supervisor:
     def _poll(self, running: Dict[str, _Running],
               finish: Callable[[_TaskState, Any], None],
               attempt_failed: Callable[..., None]) -> None:
-        """Wait briefly, then settle every finished/dead/late worker."""
+        """Wait briefly, then settle every finished or dead worker."""
         try:
             _wait_connections([r.conn for r in running.values()],
                               timeout=POLL_INTERVAL_S)
@@ -384,14 +318,6 @@ class Supervisor:
                     f"worker process died with exit code "
                     f"{record.process.exitcode} before reporting a "
                     f"result", "", True)
-            elif now > record.deadline:
-                self._stop(record, terminate=True)
-                del running[key]
-                state.elapsed_s += now - record.started
-                attempt_failed(
-                    state, "CellTimeoutError",
-                    f"cell exceeded the {self.timeout_s:g}s watchdog "
-                    f"timeout on attempt {state.attempts}", "", True)
 
     @staticmethod
     def _receive(record: _Running) -> Optional[Tuple]:
@@ -438,4 +364,4 @@ class Supervisor:
 
 def _now() -> float:
     """Monotonic harness clock (never simulation time)."""
-    return time.monotonic()  # tp: allow=TP002 - harness watchdog timing
+    return time.monotonic()  # tp: allow=TP002 - harness timing

@@ -112,7 +112,7 @@ class FlashMemory:
             config.pages_per_block
             * self.injector.plan.bad_page_retire_fraction))
         #: free-pool level at which GC triggers (cached off the config
-        #: so the per-page ``gc_needed`` check stays one comparison).
+        #: so the per-page GC check stays one comparison).
         self._gc_trigger = config.gc_trigger_blocks
         #: greedy-victim index: ``victim_index[n]`` holds the ids of the
         #: in-service blocks with exactly ``n`` invalid pages, n > 0
@@ -147,11 +147,6 @@ class FlashMemory:
     def free_block_count(self) -> int:
         """Blocks currently in the free pool."""
         return len(self._free)
-
-    @property
-    def gc_needed(self) -> bool:
-        """True once the free pool has shrunk to the GC trigger level."""
-        return len(self._free) <= self._gc_trigger
 
     @property
     def retired_block_count(self) -> int:

@@ -215,8 +215,8 @@ class BaseFTL:
                 if ppn_old != UNMAPPED:
                     flash.invalidate(ppn_old)
                     record_mapping(lpn, UNMAPPED, result)
-            # ``flash.gc_needed`` inlined (one len() compare) so pages
-            # that trigger no GC skip the ``_run_gc`` call frame
+            # the free-pool level read inline (one len() compare) so
+            # pages that trigger no GC skip the ``_run_gc`` call frame
             if len(free) <= gc_trigger:
                 self._run_gc(result)
             if sanitizer is not None:

@@ -8,8 +8,9 @@ the rule tables in ``docs/architecture.md`` must list exactly the
 codes the analysis registries define (no phantom or undocumented
 rules), EXPERIMENTS.md must count the claim rows the claims table
 holds, and ``docs/ftls.md`` must give one section to each registered
-FTL and one hook-table row to each policy hook the FTLs override, and
-every ``repro.…`` path DESIGN.md names must exist.
+FTL and one hook-table row to each policy hook the FTLs override,
+every ``repro.…`` path DESIGN.md names must exist, and every option the
+user docs name for the experiments CLI must be one it accepts.
 """
 
 import ast
@@ -168,6 +169,35 @@ def test_architecture_rule_tables_match_registries():
     documented_san = _documented_codes(text, "SAN")
     assert documented_tp == set(RULES)
     assert documented_san == set(SAN_RULES)
+
+
+#: markers of the project's other command lines: a paragraph that names
+#: one may document that CLI's options
+OTHER_CLIS = ("tpftl-sim", "repro.tools", "repro.analysis", "`lint")
+
+
+def test_documented_experiment_options_exist():
+    """The user docs name only options the experiments CLI accepts.
+
+    README.md, EXPERIMENTS.md and docs/architecture.md are read one
+    paragraph at a time; a paragraph naming another command line
+    (``tpftl-sim``, the analysis CLI) documents that one. Every other
+    ``--option`` must be in ``repro.experiments.cli.build_parser()``,
+    so a retired flag left behind in the prose fails here.
+    """
+    from repro.experiments.cli import build_parser
+    accepted = set(re.findall(r"--[a-z][\w-]*",
+                              build_parser().format_help()))
+    stale = []
+    for name in ("README.md", "EXPERIMENTS.md", "docs/architecture.md"):
+        text = (SRC.parent.parent / name).read_text("utf-8")
+        for paragraph in re.split(r"\n\s*\n", text):
+            if any(marker in paragraph for marker in OTHER_CLIS):
+                continue
+            stale += [f"{name}: {option}" for option
+                      in re.findall(r"(?<![\w-])--[a-z][\w-]*", paragraph)
+                      if option not in accepted]
+    assert stale == []
 
 
 def test_ftl_guide_sections_match_registry():

@@ -16,7 +16,7 @@ import warnings
 import pytest
 
 from repro.config import TPFTLConfig
-from repro.errors import ConfigError, ExperimentError
+from repro.errors import ConfigError, ExperimentError, MatrixFailureError
 from repro.experiments import ExperimentScale
 from repro.experiments import runner as runner_module
 from repro.experiments.common import run_matrix, run_one
@@ -365,10 +365,10 @@ class TestParallelRunner:
         runner = ParallelRunner(jobs=2, cache=None)
         runner._supervisor = Supervisor(
             jobs=2, mp_context=multiprocessing.get_context("fork"))
-        results = runner.run_specs(
-            [tiny_spec(workload="no-such-preset"), tiny_spec()],
-            allow_failures=True)
-        assert results[0] is None and results[1] is not None
+        with pytest.raises(MatrixFailureError):
+            runner.run_specs(
+                [tiny_spec(workload="no-such-preset"), tiny_spec()])
+        assert [o.failed for o in runner.outcomes] == [True, False]
         assert [f.error_type for f in runner.failures] == ["WorkloadError"]
 
     def test_spawned_workers_synthesise_their_own_traces(self):

@@ -129,11 +129,13 @@ class TestErase:
 
 class TestSpaceAccounting:
     def test_gc_needed_threshold(self, flash):
+        # the pool level serve_request compares against the trigger
         threshold = GC_THRESHOLD_BLOCKS + GC_RESERVE_BLOCKS
-        assert not flash.gc_needed
+        assert flash.config.gc_trigger_blocks == threshold
+        assert flash.free_block_count > threshold
         while flash.free_block_count > threshold:
             flash.program(PageKind.DATA, meta=0)
-        assert flash.gc_needed
+        assert flash.free_block_count == threshold
 
     def test_out_of_space_raises(self, flash):
         pages = len(flash.blocks) * flash.pages_per_block

@@ -1,15 +1,14 @@
 """Chaos harness for the supervised runner.
 
-Injects worker crashes, hangs, deterministic and transient exceptions,
-refused spawns, SIGINT and corrupt cache files into real (tiny)
-matrices from the test side: ``run_specs`` goes through
-``runner._timed_execute``, which the tests replace with
+Injects worker crashes, deterministic and transient exceptions,
+refused spawns, SIGINT (during a hung cell) and corrupt cache files
+into real (tiny) matrices from the test side: ``run_specs`` goes
+through ``runner._timed_execute``, which the tests replace with
 :func:`_faulty_execute`; ``map`` and :class:`Supervisor` run the
 module-level fault tasks below.  Every fault function is picklable,
 and a "once" fault is keyed on a marker file so the retried attempt
 runs clean.  The suite asserts the supervision contract: transient
-faults are retried, stuck workers are killed by the watchdog and
-requeued, persistent failures become structured
+faults are retried, persistent failures become structured
 :class:`~repro.errors.CellFailure` records instead of escaped
 tracebacks, completed cells are committed to the run cache the moment
 they finish, and a plain rerun serves every committed cell from the
@@ -36,7 +35,7 @@ from repro.experiments import runner as runner_module
 from repro.experiments.runner import (ParallelRunner, RunCache, RunSpec,
                                       clear_run_caches, configure_runner,
                                       reset_runner)
-from repro.experiments.supervisor import Supervisor, Task
+from repro.experiments.supervisor import MAX_ATTEMPTS, Supervisor, Task
 from repro.ftl import make_ftl
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -158,26 +157,6 @@ class TestWorkerCrash:
         assert crashed.attempts == 2 and not crashed.failed
 
 
-class TestWatchdog:
-    def test_hung_cell_is_killed_and_requeued(self, tmp_path,
-                                              monkeypatch):
-        arm(monkeypatch,
-            ("financial1:dftl", "hang", str(tmp_path / "hung")))
-        runner = ParallelRunner(jobs=2, cache=None, timeout_s=2.0)
-        started = time.monotonic()  # tp: allow=TP002 - harness timing
-        results = runner.run_specs([tiny_spec()])
-        elapsed = time.monotonic() - started  # tp: allow=TP002 - harness timing
-        assert results[0] is not None
-        assert elapsed < 30  # killed at ~2s, nowhere near the 300s hang
-        assert runner.outcomes[-1].attempts == 2
-        assert runner.bench_report()["totals"]["retries"] == 1
-
-    def test_watchdog_requires_positive_timeout(self):
-        for bad in (0.0, -5.0, float("nan"), float("inf")):
-            with pytest.raises(ExperimentError):
-                Supervisor(jobs=1, timeout_s=bad)
-
-
 class TestQuarantine:
     def test_deterministic_failure_not_retried(self, tmp_path,
                                                monkeypatch):
@@ -196,32 +175,24 @@ class TestQuarantine:
         assert cache.stats()["stores"] == 1
         assert isinstance(excinfo.value, RunnerError)
         assert isinstance(excinfo.value, ExperimentError)
-
-    def test_transient_failure_exhausts_attempt_budget(self, tmp_path,
-                                                       monkeypatch):
-        arm(monkeypatch, ("financial1:dftl", "oserror", None))
-        runner = ParallelRunner(jobs=2, cache=None, max_attempts=3)
-        with pytest.raises(MatrixFailureError) as excinfo:
-            runner.run_specs([tiny_spec()])
-        failure = excinfo.value.failures[0]
-        assert failure.error_type == "OSError"
-        assert failure.attempts == 3
-        assert failure.transient
-
-    def test_allow_failures_returns_none_slots(self, tmp_path,
-                                               monkeypatch):
-        arm(monkeypatch, ("financial1:dftl", "raise", None))
-        runner = ParallelRunner(jobs=2, cache=None)
-        results = runner.run_specs(
-            [tiny_spec(), tiny_spec(ftl="tpftl")], allow_failures=True)
-        assert results[0] is None
-        assert results[1] is not None
-        assert len(runner.failures) == 1
+        # the record is also on the runner and in the bench report
+        assert runner.failures == [failure]
         report = runner.bench_report()
         assert report["totals"]["failed"] == 1
         assert report["failures"][0]["label"] == "financial1:dftl"
         failed_cell = next(c for c in report["cells"] if c["failed"])
         assert failed_cell["label"] == "financial1:dftl"
+
+    def test_transient_failure_exhausts_attempt_budget(self, tmp_path,
+                                                       monkeypatch):
+        arm(monkeypatch, ("financial1:dftl", "oserror", None))
+        runner = ParallelRunner(jobs=2, cache=None)
+        with pytest.raises(MatrixFailureError) as excinfo:
+            runner.run_specs([tiny_spec()])
+        failure = excinfo.value.failures[0]
+        assert failure.error_type == "OSError"
+        assert failure.attempts == MAX_ATTEMPTS == 3
+        assert failure.transient
 
 
 class TestMapSupervision:
@@ -341,8 +312,7 @@ class TestDegradeToSerial:
         is closed before the retry, none is left to the garbage
         collector."""
         context = _RefusingContext(refusals=1)
-        supervisor = Supervisor(jobs=2, timeout_s=30.0,
-                                mp_context=context)
+        supervisor = Supervisor(jobs=2, mp_context=context)
         report = supervisor.run([Task(key="t", label="t", fn=_double,
                                       args=(21,))])
         assert report.results == {"t": 42}
@@ -355,8 +325,7 @@ class TestDegradeToSerial:
         after its process started terminates and reaps that worker and
         closes its pipe ends before the retry."""
         context = _FailingStartContext()
-        supervisor = Supervisor(jobs=2, timeout_s=30.0,
-                                mp_context=context)
+        supervisor = Supervisor(jobs=2, mp_context=context)
         try:
             report = supervisor.run([Task(key="t", label="t",
                                           fn=_double, args=(21,))])
@@ -374,8 +343,7 @@ class TestDegradeToSerial:
 
     def test_always_refused_spawn_is_quarantined_as_transient(self):
         context = _RefusingContext(refusals=float("inf"))
-        supervisor = Supervisor(jobs=2, timeout_s=5.0, max_attempts=3,
-                                mp_context=context)
+        supervisor = Supervisor(jobs=2, mp_context=context)
         report = supervisor.run([Task(key="t", label="t", fn=_double,
                                       args=(21,))])
         assert report.results == {}
@@ -485,13 +453,13 @@ sys.exit(0)
 
 
 class TestAcceptanceScenario:
-    """Crash + hang + corrupt cache + a persistent failure, then rerun."""
+    """Crash + corrupt cache + a persistent failure, then rerun."""
 
     def test_chaos_matrix_completes_then_resumes_clean(self, tmp_path,
                                                        monkeypatch):
         cache_dir = tmp_path / "rc"
         specs = [tiny_spec(),                       # crashes once
-                 tiny_spec(ftl="tpftl"),            # hangs once
+                 tiny_spec(ftl="tpftl"),            # healthy
                  tiny_spec(ftl="sftl"),             # corrupt cache entry
                  tiny_spec(ftl="optimal")]          # persistent failure
         # pre-populate the sftl cell, then corrupt it on disk
@@ -501,27 +469,27 @@ class TestAcceptanceScenario:
             "\x00garbage", encoding="utf-8")
         arm(monkeypatch,
             ("financial1:dftl", "crash", str(tmp_path / "crashed")),
-            ("financial1:tpftl", "hang", str(tmp_path / "hung")),
             ("financial1:optimal", "raise", None))
-        runner = ParallelRunner(jobs=2, cache=RunCache(cache_dir),
-                                timeout_s=3.0)
-        results = runner.run_specs(specs, allow_failures=True)
-        # crash, hang and corruption all recovered; only the
-        # deterministic failure is quarantined — as a record, not a
-        # traceback
-        assert [result is not None for result in results] == \
-            [True, True, True, False]
+        runner = ParallelRunner(jobs=2, cache=RunCache(cache_dir))
+        with pytest.raises(MatrixFailureError) as excinfo:
+            runner.run_specs(specs)
+        # crash and corruption both recovered; only the deterministic
+        # failure is quarantined — as a record, not a traceback
+        assert [f.label for f in excinfo.value.failures] == \
+            ["financial1:optimal"]
+        assert [outcome.failed for outcome in runner.outcomes] == \
+            [False, False, False, True]
         assert runner.cache.stats()["corrupt"] == 1
+        assert runner.cache.stats()["stores"] == 3
         report = runner.bench_report()
         assert report["totals"]["failed"] == 1
         assert report["failures"][0]["label"] == "financial1:optimal"
         assert report["failures"][0]["traceback"]
-        assert report["totals"]["retries"] >= 2  # crash + hang retries
+        assert report["totals"]["retries"] == 1  # the crash's retry
         # rerun with the faults disarmed: every previously completed
         # cell is served from cache; only the quarantined cell simulates
         monkeypatch.setattr(runner_module, "_timed_execute", _REAL_EXECUTE)
-        rerun = ParallelRunner(jobs=2, cache=RunCache(cache_dir),
-                               timeout_s=3.0)
+        rerun = ParallelRunner(jobs=2, cache=RunCache(cache_dir))
         final = rerun.run_specs(specs)
         assert all(result is not None for result in final)
         stats = rerun.cache.stats()
